@@ -21,19 +21,18 @@ from .steepness import (ConvexityReport, HypothesisReport, SteepnessFunction,
 from .radial import (RadialGrid, RadialProfile, WeightedIntegral, grad_l2_norm,
                      lq_quasinorm, radial_laplacian, steepness_integral)
 from .gn import (FamilySpec, FamilyScan, GNRequest, classical_gn_ratio,
-                 family_scan, interpolation_ratio, power_integrability_check,
-                 steepness_gn_ratio)
+                 family_scan, steepness_gn_ratio)
 from .evolution import (ApproxParams, EvolutionRun, LadderResult, ProblemSpec,
                         evolve, linfty_from_lq_check, lyapunov_series,
                         minimal_solution_ladder, observer_lq, observer_lyapunov,
-                        semiconvexity_check, step)
+                        semiconvexity_check)
 from .bounds import (CompensatedFrame, DecayEnvelope, SteadyState,
                      SubsolutionReport, SubsolutionSpec, build_subsolution,
                      compensated_frame, evaluate_steady_state, logistic_exact,
-                     logistic_residual, lower_bound_curve, scale_steady_state,
-                     solve_steady_state, steady_state_residual, subsolution_check)
+                     logistic_residual, lower_bound_curve, solve_steady_state,
+                     steady_state_residual, subsolution_check)
 from .rates import (BaselineReport, BoundCheck, RateFit, SandwichVerdict,
                     baseline_check, fit_decay, lower_bound_persistence,
-                    lq_upper_bound_check, sandwich_report, upper_bound_check)
+                    sandwich_report, upper_bound_check, upper_bound_curve)
 
 __version__ = "0.1.0"

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import InputError, NumericError
 from .evolution import EvolutionRun
-from .radial import RadialGrid, RadialProfile
+from .radial import RadialProfile
 
 __all__ = [
     "SteadyState",
     "solve_steady_state",
     "steady_state_residual",
-    "scale_steady_state",
     "evaluate_steady_state",
     "logistic_exact",
     "logistic_residual",
@@ -195,14 +194,6 @@ def steady_state_residual(state: SteadyState, r_cap: float = 0.95) -> float:
     return float(np.max(np.abs(flux + integral)))
 
 
-def scale_steady_state(state: SteadyState, R: float) -> RadialProfile:
-    """w_R on [0, R]: nodes scale by R and values by R^{2/p} (exact rescaling)."""
-    if R <= 0:
-        raise InputError("R must be positive")
-    grid = RadialGrid(state.n, R, state.r_nodes.size)
-    return RadialProfile(grid, R ** (2.0 / state.p) * state.w)
-
-
 def evaluate_steady_state(state: SteadyState, R: float, r) -> np.ndarray:
     """w_R(r) by linear interpolation of w_1 at r/R; zero outside B_R."""
     rho = np.asarray(r, dtype=float) / R
@@ -305,7 +296,18 @@ class DecayEnvelope:
         return float(out) if np.isscalar(sigma) or sig.ndim == 0 else out
 
     def floor(self, r):
-        """Pointwise lower bound exp(-Lambda(r)) for the initial datum."""
+        """Pointwise lower bound exp(-Lambda(r)) for the initial datum.
+
+        The closed-form kinds evaluate c0 * exp(-alpha r^beta) or
+        c0 * exp(-alpha exp(beta r^gamma)) in that operation order rather than
+        exp(-Lambda(r)): the two differ in the last bits when c0 != 1, and this
+        function is also the CLI's initial datum and the GN family template.
+        """
+        r = np.asarray(r, dtype=float)
+        if self.kind == "StretchedExp":
+            return self.c0 * np.exp(-self.alpha * r ** self.beta)
+        if self.kind == "DoubleExp":
+            return self.c0 * np.exp(-self.alpha * np.exp(self.beta * r ** self.gamma))
         return np.exp(-np.asarray(self.lam(r), dtype=float))
 
     def superlogarithmic(self, s_grid) -> bool:
@@ -330,9 +332,6 @@ class CompensatedFrame:
     taus: np.ndarray
     profiles: list
     sup_series: np.ndarray
-
-    def to_times(self) -> np.ndarray:
-        return np.expm1(self.taus)
 
 
 def compensated_frame(run: EvolutionRun, p: Optional[float] = None) -> CompensatedFrame:

@@ -1,7 +1,7 @@
 """Experiment orchestration: JSON configs in, CSV/JSON artifacts out.
 
 Usage:
-    decaylab run <config.json> [--out DIR] [--jobs N]
+    decaylab run <config.json> [--out DIR]
     decaylab report <run_dir>
 
 Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``,
@@ -45,9 +45,14 @@ def _require(cfg: dict, field: str, typ=None, ctx: str = "config"):
     if field not in cfg:
         raise ConfigError(f"{ctx}.{field}: required field missing")
     val = cfg[field]
-    if typ is not None and not isinstance(val, typ):
+    # bool is an int subclass; no field takes one, so true/false never pass as numbers
+    if typ is not None and (isinstance(val, bool) or not isinstance(val, typ)):
         raise ConfigError(f"{ctx}.{field}: expected {typ}, got {type(val).__name__}")
     return val
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def load_config(path: Path) -> dict:
@@ -56,7 +61,7 @@ def load_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
@@ -123,6 +128,7 @@ def _steepness_from_cfg(doc: dict, ctx: str = "L") -> SteepnessFunction:
 
 def _envelope_from_cfg(doc: dict, ctx: str = "envelope") -> bounds.DecayEnvelope:
     kind = _require(doc, "kind", str, ctx)
+    gamma = _require(doc, "gamma", (int, float), ctx) if kind == "DoubleExp" else None
     try:
         if kind == "Table":
             return bounds.DecayEnvelope(kind="Table",
@@ -130,24 +136,16 @@ def _envelope_from_cfg(doc: dict, ctx: str = "envelope") -> bounds.DecayEnvelope
                                         lambda_table=np.asarray(doc["lambda"], dtype=float))
         return bounds.DecayEnvelope(kind=kind, c0=doc.get("c0", 1.0),
                                     alpha=doc.get("alpha", 1.0),
-                                    beta=doc.get("beta", 1.0),
-                                    gamma=doc.get("gamma"))
+                                    beta=doc.get("beta", 1.0), gamma=gamma)
     except (KeyError, InputError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _u0_from_cfg(doc: dict):
-    """Radial initial datum from an envelope-style description."""
-    kind = _require(doc, "kind", str, "problem.u0")
-    c0 = doc.get("c0", 1.0)
-    alpha = doc.get("alpha", 1.0)
-    beta = doc.get("beta", 1.0)
-    if kind == "StretchedExp":
-        return lambda r: c0 * np.exp(-alpha * np.asarray(r, dtype=float) ** beta)
-    if kind == "DoubleExp":
-        gamma = _require(doc, "gamma", (int, float), "problem.u0")
-        return lambda r: c0 * np.exp(-alpha * np.exp(beta * np.asarray(r, dtype=float) ** gamma))
-    raise ConfigError(f"problem.u0.kind: unknown kind {kind!r}")
+    """Radial initial datum: the floor of a closed-form envelope."""
+    if _require(doc, "kind", str, "problem.u0") == "Table":
+        raise ConfigError("problem.u0.kind: a datum needs a closed-form kind, not 'Table'")
+    return _envelope_from_cfg(doc, "problem.u0").floor
 
 
 def _snapshots_from_cfg(doc: dict, t_end: float) -> np.ndarray:
@@ -164,7 +162,7 @@ def _snapshots_from_cfg(doc: dict, t_end: float) -> np.ndarray:
 
 # -- mode runners ------------------------------------------------------------
 
-def _run_steady_state(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
+def _run_steady_state(cfg: dict, writer: ArtifactWriter) -> dict:
     prob = _require(cfg, "problem", dict)
     p = _require(prob, "p", (int, float), "problem")
     n = _require(prob, "n", int, "problem")
@@ -184,7 +182,7 @@ def _run_steady_state(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
     return verdict
 
 
-def _run_lfunction_audit(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
+def _run_lfunction_audit(cfg: dict, writer: ArtifactWriter) -> dict:
     L = _steepness_from_cfg(_require(cfg, "L", dict))
     audit = cfg.get("audit", {})
     lambda0 = audit.get("lambda0", L.lambda0 if not math.isnan(L.lambda0) else 1.0)
@@ -219,7 +217,7 @@ def _run_lfunction_audit(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
     return verdict
 
 
-def _run_gn_scan(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
+def _run_gn_scan(cfg: dict, writer: ArtifactWriter) -> dict:
     gcfg = _require(cfg, "grid", dict)
     grid = radial.RadialGrid(_require(gcfg, "n", int, "grid"),
                              _require(gcfg, "R", (int, float), "grid"),
@@ -289,7 +287,7 @@ def _write_run_series(writer: ArtifactWriter, run, prefix: str = ""):
                                 [run.grid.nodes, run.profiles[k].values])
 
 
-def _run_pde_decay(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
+def _run_pde_decay(cfg: dict, writer: ArtifactWriter) -> dict:
     spec, t_end, snaps = _build_problem(cfg)
     obs = _observers_from_cfg(cfg, spec)
     acfg = _require(cfg, "approx", dict)
@@ -303,8 +301,7 @@ def _run_pde_decay(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
         if len(m_list) != len(R_list):
             raise ConfigError("approx.ladder.m_list: must match R_list in length")
         ladder = evolution.minimal_solution_ladder(
-            spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs,
-            jobs=jobs)
+            spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs)
         run = ladder.proxy
         verdict["ladder"] = ladder.report()
         writer.write_json("ladder_report.json", verdict["ladder"])
@@ -338,8 +335,8 @@ def _run_pde_decay(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
         curve = rates.lower_bound_curve(env, spec.p, 1.0 / (2.0 * spec.p),
                                         sandwich.lower.C, t_grid)
         writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
-        upper_curve = (sandwich.upper.C * t_grid ** (-1.0 / spec.p)
-                       * L.value(1.0 / t_grid) ** (-2.0 / (spec.n * spec.p)))
+        upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C,
+                                              t_grid)
         writer.write_series_csv("upper_curve.csv", ["t", "value"],
                                 [t_grid, upper_curve])
         ok = sandwich.passed and baseline.passed
@@ -347,7 +344,7 @@ def _run_pde_decay(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
     return verdict
 
 
-def _run_lower_bound(cfg: dict, writer: ArtifactWriter, jobs: int) -> dict:
+def _run_lower_bound(cfg: dict, writer: ArtifactWriter) -> dict:
     spec, t_end, snaps = _build_problem(cfg)
     acfg = _require(cfg, "approx", dict)
     params = evolution.ApproxParams(
@@ -396,11 +393,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config_path: Path, out_dir=None, jobs: int = 1) -> int:
+def run_experiment(config_path: Path, out_dir=None) -> int:
     cfg = load_config(config_path)
     out = Path(out_dir) if out_dir else Path(cfg.get("output_dir", f"out/{cfg['name']}"))
     writer = ArtifactWriter(out)
-    verdict = _RUNNERS[cfg["mode"]](cfg, writer, jobs)
+    verdict = _RUNNERS[cfg["mode"]](cfg, writer)
     writer.finish(cfg, verdict)
     return EXIT_PASS if verdict.get("pass", True) else EXIT_VERDICT
 
@@ -476,14 +473,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_rep = sub.add_parser("report", help="summarize a finished run directory")
     p_rep.add_argument("run_dir", type=Path)
     args = parser.parse_args(argv)
 
     try:
         if args.command == "run":
-            return run_experiment(args.config, args.out, args.jobs)
+            return run_experiment(args.config, args.out)
         return report(args.run_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

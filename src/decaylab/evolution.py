@@ -35,7 +35,6 @@ __all__ = [
     "ApproxParams",
     "EvolutionRun",
     "LadderResult",
-    "step",
     "evolve",
     "minimal_solution_ladder",
     "lyapunov_series",
@@ -91,10 +90,6 @@ class EvolutionRun:
     profiles: list
     series: dict
     dts: Optional[np.ndarray] = None
-
-    @property
-    def initial_sup(self) -> float:
-        return float(self.profiles[0].values.max())
 
 
 def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -> np.ndarray:
@@ -152,15 +147,6 @@ class _Stepper:
         # out may alias the work buffer; hand the caller an independent array
         # so a retried step never sees a clobbered state.
         return out.copy() if out is b else out
-
-
-def step(profile: RadialProfile, spec: ProblemSpec, params: ApproxParams,
-         dt: float) -> RadialProfile:
-    """One semi-implicit step of the regularized problem (profile must be >= eps)."""
-    if np.any(profile.values < params.eps - UNDERSHOOT_TOL):
-        raise InputError("profile must stay at or above the boundary level eps")
-    stepper = _Stepper(profile.grid, spec.p, params.eps)
-    return RadialProfile(profile.grid, stepper.step(profile.values, dt))
 
 
 def _normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
@@ -292,8 +278,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             t_end: float, snapshot_times: Sequence[float],
                             observers: Optional[Mapping[str, Callable]] = None,
                             monotonicity_tol: float = 1e-8,
-                            cauchy_t_min: float = 1.0,
-                            jobs: int = 1) -> LadderResult:
+                            cauchy_t_min: float = 1.0) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
     eps_list must decrease, R_list increase, and all grids must share one
@@ -322,22 +307,11 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     lead = evolve(spec, params_for(eps_list[0], R_list[-1]), t_end, snapshot_times,
                   observers, record_dts=True)
     runs = {(eps_list[0], R_list[-1]): lead}
-    members = [(eps, R) for eps in eps_list for R in R_list if (eps, R) not in runs]
-
-    def run_member(key):
-        eps, R = key
-        return key, evolve(spec, params_for(eps, R), t_end, snapshot_times,
-                           observers, dt_schedule=lead.dts)
-
-    if jobs > 1 and len(members) > 1:
-        # members are independent; the linear solver releases the GIL
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, run in pool.map(run_member, members):
-                runs[key] = run
-    else:
-        for key in members:
-            runs[key] = run_member(key)[1]
+    for eps in eps_list:
+        for R in R_list:
+            if (eps, R) not in runs:
+                runs[(eps, R)] = evolve(spec, params_for(eps, R), t_end, snapshot_times,
+                                        observers, dt_schedule=lead.dts)
 
     def max_gap(low_run, high_run):
         """Largest violation of high >= low on the shared nodes and times."""

@@ -1,12 +1,11 @@
 """Numerical probes of Gagliardo-Nirenberg-type interpolation inequalities.
 
-Three ratio functionals are evaluated on radial profiles:
+Two ratio functionals are evaluated on radial profiles:
 
 * the classical interpolation ratio  ||phi||_q / (||phi||_r^theta ||grad phi||_2^{1-theta}),
 * the steepness-weighted ratio       ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2))
   with alpha = 1/q - (n-2)/(2n), whose boundedness over families with a
-  common steepness-integral budget is the inequality under test,
-* a gradient-free interpolation ratio between two Lebesgue exponents.
+  common steepness-integral budget is the inequality under test.
 
 Family scans drive the steepness-weighted ratio across dilated and rescaled
 copies of a template profile and report boundedness and sharpness probes.
@@ -22,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import DecayEnvelope
 from .errors import BudgetError, InputError
 from .radial import RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm, steepness_integral
 from .steepness import SteepnessFunction
@@ -33,9 +33,6 @@ __all__ = [
     "ScanRow",
     "classical_gn_ratio",
     "steepness_gn_ratio",
-    "interpolation_ratio",
-    "power_integrability_check",
-    "PowerIntegrabilityReport",
     "family_scan",
 ]
 
@@ -45,15 +42,14 @@ class GNRequest:
     """Exponents and budget for one inequality evaluation.
 
     ``n`` is the ambient dimension, ``q`` the target Lebesgue exponent.  The
-    classical mode additionally needs (r, theta); the gradient-free mode needs
-    ``q_star``; the steepness-weighted mode needs (L, K).
+    classical mode additionally needs (r, theta); the steepness-weighted mode
+    needs (L, K).
     """
 
     n: int
     q: float
     L: Optional[SteepnessFunction] = None
     K: Optional[float] = None
-    q_star: Optional[float] = None
     r: Optional[float] = None
     theta: Optional[float] = None
 
@@ -124,66 +120,14 @@ def steepness_gn_ratio(phi: RadialProfile, req: GNRequest,
     return lq_quasinorm(phi, req.q) / (grad * weight)
 
 
-def interpolation_ratio(phi: RadialProfile, req: GNRequest) -> float:
-    """||phi||_q / ( ||phi||_{q*} * (L^{-(1/q - 1/q*)}(||phi||_{q*}^2) + 1) )."""
-    if req.L is None or req.K is None or req.q_star is None:
-        raise InputError("interpolation mode needs L, K and q_star")
-    if req.q >= req.q_star:
-        raise InputError(f"need q < q_star, got q={req.q}, q_star={req.q_star}")
-    budget = steepness_integral(phi, req.L)
-    if budget.value > req.K:
-        raise BudgetError(
-            f"steepness integral {budget.value:.6g} exceeds budget K = {req.K:.6g}")
-    norm_star = lq_quasinorm(phi, req.q_star)
-    if norm_star == 0.0:
-        raise InputError("trivial profile")
-    gamma = 1.0 / req.q - 1.0 / req.q_star
-    denom = norm_star * (req.L.value(norm_star ** 2) ** (-gamma) + 1.0)
-    return lq_quasinorm(phi, req.q) / denom
-
-
-@dataclass(frozen=True)
-class PowerIntegrabilityReport:
-    """Finiteness verdicts for the steepness integrals of phi^r over an r list.
-
-    ``consistent`` records the all-or-none dichotomy: every member shares the
-    verdict of the base integral (r = 1).
-    """
-
-    base_flagged: bool
-    exponents: tuple
-    values: tuple
-    flags: tuple
-
-    @property
-    def consistent(self) -> bool:
-        return all(f == self.base_flagged for f in self.flags)
-
-
-def power_integrability_check(phi: RadialProfile, L: SteepnessFunction,
-                              r_list: Sequence[float]) -> PowerIntegrabilityReport:
-    """Integrate L(phi^r) for each r and report per-exponent tail verdicts."""
-    if np.any(phi.values < 0):
-        raise InputError("profile must be nonnegative")
-    base = steepness_integral(phi, L)
-    values, flags = [], []
-    for r in r_list:
-        if r <= 0:
-            raise InputError(f"exponents must be positive, got {r}")
-        powered = RadialProfile(phi.grid, phi.values ** r)
-        res = steepness_integral(powered, L)
-        values.append(res.value)
-        flags.append(res.tail_flagged)
-    return PowerIntegrabilityReport(base.tail_flagged, tuple(r_list),
-                                    tuple(values), tuple(flags))
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A one-parameter family of radial bump profiles.
 
-    ``kind`` is ``"StretchedExp"`` (scale * c0 * exp(-alpha (r/width)^beta)) or
-    ``"DoubleExp"`` (scale * c0 * exp(-alpha exp(beta (r/width)^gamma))).
+    Each member is ``scale * envelope.floor(r / width)`` for the closed-form
+    decay envelope built from ``kind``, ``c0``, ``alpha``, ``beta`` and
+    ``gamma``: scale * c0 * exp(-alpha (r/width)^beta) for ``"StretchedExp"``,
+    scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for ``"DoubleExp"``.
     ``scales`` and ``widths`` are zipped into members; a singleton list is
     broadcast against the other.
     """
@@ -195,15 +139,11 @@ class FamilySpec:
     gamma: Optional[float] = None
     scales: Sequence[float] = (1.0,)
     widths: Sequence[float] = (1.0,)
+    envelope: DecayEnvelope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("StretchedExp", "DoubleExp"):
-            raise InputError(f"unknown family kind {self.kind!r}")
-        if self.kind == "DoubleExp" and self.gamma is None:
-            raise InputError("DoubleExp needs gamma")
-        for name in ("c0", "alpha", "beta"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        object.__setattr__(self, "envelope", DecayEnvelope(
+            self.kind, c0=self.c0, alpha=self.alpha, beta=self.beta, gamma=self.gamma))
         if any(s <= 0 for s in self.scales) or any(w <= 0 for w in self.widths):
             raise InputError("scales and widths must be positive")
         if len(self.scales) != len(self.widths) and 1 not in (len(self.scales), len(self.widths)):
@@ -218,12 +158,7 @@ class FamilySpec:
         return list(zip(scales, widths))
 
     def profile(self, grid: RadialGrid, scale: float, width: float) -> RadialProfile:
-        if self.kind == "StretchedExp":
-            fn = lambda r: scale * self.c0 * np.exp(-self.alpha * (r / width) ** self.beta)
-        else:
-            fn = lambda r: scale * self.c0 * np.exp(
-                -self.alpha * np.exp(self.beta * (r / width) ** self.gamma))
-        return RadialProfile.sample(grid, fn)
+        return RadialProfile.sample(grid, lambda r: scale * self.envelope.floor(r / width))
 
 
 @dataclass(frozen=True)

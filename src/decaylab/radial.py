@@ -9,8 +9,6 @@ integrand, so the r = 0 node automatically carries zero weight for n >= 2.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,23 +99,6 @@ class RadialProfile:
 
     def is_nonincreasing(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.diff(self.values) <= tol))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "value"])
-        for r, v in zip(self.grid.nodes, self.values):
-            writer.writerow([f"{r:.17g}", f"{v:.17g}"])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, n: int) -> "RadialProfile":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["r", "value"]:
-            raise InputError("profile CSV must start with header 'r,value'")
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-        grid = RadialGrid(n=n, R=float(data[-1, 0]), m=data.shape[0])
-        return cls(grid, data[:, 1])
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ __all__ = [
     "RateFit",
     "fit_decay",
     "BoundCheck",
+    "upper_bound_curve",
     "upper_bound_check",
-    "lq_upper_bound_check",
     "lower_bound_persistence",
     "BaselineReport",
     "baseline_check",
@@ -130,16 +130,33 @@ class BoundCheck:
         return asdict(self)
 
 
-def _persistence(t, v, curve, slack, direction: str):
-    """Calibrate at the first sample; track the worst ratio strictly after it."""
-    C = v[0] / curve[0]
-    scaled = C * curve
+def upper_bound_curve(L: SteepnessFunction, p: float, n: int, C: float,
+                      t_grid) -> np.ndarray:
+    """C * t^{-1/p} * L(1/t)^{-2/(np)} on the given times."""
+    t = np.asarray(t_grid, dtype=float)
+    return C * t ** (-1.0 / p) * L.value(1.0 / t) ** (-2.0 / (n * p))
+
+
+def _persistence(t, v, curve, direction: str, slack: float,
+                 calibration_decades: float = 1.0) -> BoundCheck:
+    """Calibrate the curve's constant, then track the worst ratio against v.
+
+    ``upper``: C = v/curve at the first sample, and v <= (1+slack) C curve is
+    required strictly after it.  ``lower``: C is the minimum of v/curve over
+    the window's first ``calibration_decades``, and C curve <= (1+slack) v is
+    required over the whole window.
+    """
     if direction == "upper":
-        ratios = v[1:] / scaled[1:]
+        C = v[0] / curve[0]
+        ratios = v[1:] / (C * curve[1:])
+        first = 1
     else:
-        ratios = scaled[1:] / v[1:]
+        cal = t <= t[0] * 10.0 ** calibration_decades
+        C = np.min(v[cal] / curve[cal])
+        ratios = C * curve / v
+        first = 0
     k = int(np.argmax(ratios))
-    return BoundCheck(float(ratios[k]), float(t[k + 1]), float(C), float(t[0]),
+    return BoundCheck(float(ratios[k]), float(t[k + first]), float(C), float(t[0]),
                       slack, bool(ratios[k] <= 1.0 + slack))
 
 
@@ -148,20 +165,7 @@ def upper_bound_check(times, values, L: SteepnessFunction, p: float, n: int,
                       slack: float = RATIO_SLACK) -> BoundCheck:
     """Persistence of v(t) <= C t^{-1/p} L^{-2/(np)}(1/t) after calibration at t0."""
     t, v = _window(times, values, t0, t_hi)
-    curve = t ** (-1.0 / p) * L.value(1.0 / t) ** (-2.0 / (n * p))
-    return _persistence(t, v, curve, slack, "upper")
-
-
-def lq_upper_bound_check(times, values, L: SteepnessFunction, p: float, n: int,
-                         q: float, t0: float = 10.0, t_hi: Optional[float] = None,
-                         slack: float = RATIO_SLACK) -> BoundCheck:
-    """Same persistence check with the L^q-series exponent (np+2q)/(npq)."""
-    if q <= 0:
-        raise InputError("q must be positive")
-    t, v = _window(times, values, t0, t_hi)
-    expo = (n * p + 2.0 * q) / (n * p * q)
-    curve = t ** (-1.0 / p) * L.value(1.0 / t) ** (-expo)
-    return _persistence(t, v, curve, slack, "upper")
+    return _persistence(t, v, upper_bound_curve(L, p, n, 1.0, t), "upper", slack)
 
 
 def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
@@ -170,16 +174,11 @@ def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
                             calibration_decades: float = 1.0,
                             slack: float = RATIO_SLACK) -> BoundCheck:
     """Calibrate the lower curve on the window's first decade, then require
-    C*curve <= (1+slack) * v over the remaining decades."""
+    C*curve <= (1+slack) * v over the whole window."""
     c1 = 1.0 / (2.0 * p) if c1 is None else c1
     t, v = _window(times, values, t0, t_hi)
-    curve = lower_bound_curve(env, p, c1, 1.0, t)
-    cal = t <= t[0] * 10.0 ** calibration_decades
-    C = float(np.min(v[cal] / curve[cal]))
-    ratios = C * curve / v
-    k = int(np.argmax(ratios))
-    return BoundCheck(float(ratios[k]), float(t[k]), C, float(t[0]), slack,
-                      bool(ratios[k] <= 1.0 + slack))
+    return _persistence(t, v, lower_bound_curve(env, p, c1, 1.0, t), "lower", slack,
+                        calibration_decades)
 
 
 @dataclass(frozen=True)

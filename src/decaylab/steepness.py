@@ -181,13 +181,6 @@ class SteepnessFunction:
                 -1.0 + 1.0 / g + (k + 1.0) / (g * lg))
         return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
-    @property
-    def sup_value(self) -> float:
-        """The (finite for log kinds) supremum of L; power laws are unbounded."""
-        if self.kind == "PowerLaw":
-            return math.inf
-        return self.value(self.s0)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from decaylab.cli import (EXIT_CONFIG, EXIT_PASS, main, run_experiment)
+from decaylab import cli
+from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, main, run_experiment)
+from decaylab.errors import NumericError
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -104,7 +106,7 @@ def test_pde_decay_ladder_mode(tmp_path):
         "snapshots": {"kind": "log", "t_min": 1.0, "count": 5, "include_zero": True},
     })
     out = tmp_path / "run"
-    assert main(["run", str(cfg), "--out", str(out), "--jobs", "2"]) == EXIT_PASS
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
     rep = read_json(out / "ladder_report.json")
     assert rep["eps_monotonicity_violation"] <= 1e-8
     assert rep["R_monotonicity_violation"] <= 1e-8
@@ -139,24 +141,35 @@ def test_schema_errors_exit_2(tmp_path):
     for doc in bad:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+    # non-finite JSON constants and booleans in number fields fail closed
+    nan_datum = json.loads(json.dumps(TINY_DECAY))
+    nan_datum["problem"]["u0"]["c0"] = math.nan
+    bool_dim = {"name": "x", "mode": "steady_state", "problem": {"p": 1.0, "n": True}}
+    for doc in (nan_datum, bool_dim):
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
-def test_numeric_failure_exit_3(tmp_path):
-    # impossible shooting bracket surfaces as a numeric/input failure, not a crash
+def test_inadmissible_p_exit_2(tmp_path):
+    # p outside the admissible range p >= 1 is an input error, not a crash
     cfg = write_config(tmp_path, {
         "name": "ss", "mode": "steady_state",
-        "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101},
-    })
-    # the default bracket works; break it via p outside the admissible range
-    cfg2 = write_config(tmp_path, {
-        "name": "ss", "mode": "steady_state",
         "problem": {"p": 0.5, "n": 1}, "approx": {"m": 101},
-    }, name="cfg2.json")
-    assert main(["run", str(cfg2)]) == EXIT_CONFIG
+    })
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+def test_numeric_failure_exit_3(tmp_path, monkeypatch):
+    def diverge(cfg, writer):
+        raise NumericError("steady-state shooting did not converge")
+
+    monkeypatch.setitem(cli._RUNNERS, "steady_state", diverge)
+    cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state"})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
 
 def test_report_generation(tmp_path):

@@ -8,8 +8,8 @@ from decaylab.errors import InputError, LadderError
 from decaylab.evolution import (ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
-                                semiconvexity_check, step)
-from decaylab.radial import RadialGrid, RadialProfile
+                                semiconvexity_check)
+from decaylab.radial import RadialGrid
 from decaylab.steepness import SteepnessFunction
 
 
@@ -17,32 +17,24 @@ def gaussian_spec(p=1.0, n=1):
     return ProblemSpec(p=p, n=n, u0=lambda r: np.exp(-r**2))
 
 
+def one_step(spec, params, dt=1e-3):
+    """Initial and stepped profile of a single replayed step of size dt."""
+    run = evolve(spec, params, dt, [0.0, dt], dt_schedule=np.array([dt]))
+    return run.profiles[0].values, run.profiles[1].values
+
+
 def test_step_stationary_at_boundary_level():
     # zero interior datum: u = eps solves the scheme exactly
     spec = ProblemSpec(p=1.0, n=2, u0=lambda r: np.zeros_like(r))
-    params = ApproxParams(R=5.0, eps=0.1, m=101)
-    grid = RadialGrid(2, 5.0, 101)
-    prof = RadialProfile(grid, np.full(101, 0.1))
-    out = step(prof, spec, params, 1e-3)
-    np.testing.assert_allclose(out.values, 0.1, rtol=0, atol=1e-14)
+    _, out = one_step(spec, ApproxParams(R=5.0, eps=0.1, m=101))
+    np.testing.assert_allclose(out, 0.1, rtol=0, atol=1e-14)
 
 
 def test_step_sup_nonincreasing_on_bump():
-    spec = gaussian_spec()
-    params = ApproxParams(R=8.0, eps=0.01, m=201)
-    grid = RadialGrid(1, 8.0, 201)
-    prof = RadialProfile(grid, np.exp(-grid.nodes**2) * 0.5 + 0.01)
-    out = step(prof, spec, params, 1e-3)
-    assert out.values.max() <= prof.values.max()
-    assert out.values.min() >= 0.01 - 1e-13
-
-
-def test_step_requires_profile_at_level():
-    spec = gaussian_spec()
-    params = ApproxParams(R=5.0, eps=0.1, m=51)
-    grid = RadialGrid(1, 5.0, 51)
-    with pytest.raises(InputError):
-        step(RadialProfile(grid, np.full(51, 0.05)), spec, params, 1e-3)
+    spec = ProblemSpec(p=1.0, n=1, u0=lambda r: 0.5 * np.exp(-r**2))
+    before, out = one_step(spec, ApproxParams(R=8.0, eps=0.01, m=201))
+    assert out.max() <= before.max()
+    assert out.min() >= 0.01 - 1e-13
 
 
 def test_linearized_heat_decay_rate():

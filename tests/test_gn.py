@@ -5,7 +5,6 @@ import pytest
 
 from decaylab.errors import BudgetError, InputError
 from decaylab.gn import (FamilySpec, GNRequest, classical_gn_ratio, family_scan,
-                         interpolation_ratio, power_integrability_check,
                          steepness_gn_ratio)
 from decaylab.radial import RadialGrid, RadialProfile, grad_l2_norm, steepness_integral
 from decaylab.steepness import SteepnessFunction
@@ -97,61 +96,6 @@ def test_alpha_monotonicity_per_sample():
     r1 = steepness_gn_ratio(p, req, alpha_scale=1.0)
     r2 = steepness_gn_ratio(p, req, alpha_scale=1.25)
     assert r2 < r1
-
-
-def test_interpolation_ratio_closed_form():
-    # power-law gauge, phi = 1 on the unit interval ball:
-    # ||phi||_1 = 2, ||phi||_2 = sqrt(2), ratio = 2/(sqrt2 (2^{-1/2} + 1))
-    Lp = SteepnessFunction.power_law(1.0)
-    g = RadialGrid(1, 1.0, 1001)
-    p = RadialProfile.sample(g, lambda r: np.ones_like(r))
-    req = GNRequest(n=1, q=1.0, q_star=2.0, L=Lp, K=10.0)
-    hand = 2.0 / (math.sqrt(2.0) * (2.0 ** -0.5 + 1.0))
-    assert interpolation_ratio(p, req) == pytest.approx(hand, rel=1e-12)
-
-
-def test_interpolation_ratio_bounded_on_gaussians():
-    # amplitude rescalings steer the norm argument through the decaying
-    # branch of L; the gradient-free interpolation stays within a small band
-    L = SteepnessFunction.log_type(2.0, 4.0)
-    g = RadialGrid(3, 20.0, 2001)
-    ratios = []
-    for scale in (0.2, 0.1, 0.05, 0.025):
-        p = gaussian_profile(g, 1.0, scale)
-        req = GNRequest(n=3, q=1.0, q_star=2.0, L=L,
-                        K=steepness_integral(p, L).value * 1.05)
-        ratios.append(interpolation_ratio(p, req))
-    assert max(ratios) / min(ratios) < 2.0
-
-
-def test_interpolation_requires_q_below_q_star():
-    Lp = SteepnessFunction.power_law(1.0)
-    g = RadialGrid(1, 1.0, 101)
-    p = RadialProfile.sample(g, lambda r: np.ones_like(r))
-    with pytest.raises(InputError):
-        interpolation_ratio(p, GNRequest(n=1, q=2.0, q_star=2.0, L=Lp, K=10.0))
-
-
-def test_power_integrability_identity_and_consistency():
-    L = SteepnessFunction.log_type(4.0, 4.0)
-    g = RadialGrid(3, 64.0, 6401)
-    p = gaussian_profile(g)
-    rep = power_integrability_check(p, L, [0.5, 1.0, 2.0])
-    assert not rep.base_flagged
-    assert rep.consistent
-    # r = 1 reproduces the plain steepness integral exactly
-    assert rep.values[1] == steepness_integral(p, L).value
-
-
-def test_power_integrability_flagged_family():
-    # a slowly decaying profile trips the truncation flag for every exponent
-    L = SteepnessFunction.log_type(1.0, 4.0)
-    g = RadialGrid(3, 20.0, 1001)
-    p = RadialProfile.sample(g, lambda r: np.exp(-r))
-    rep = power_integrability_check(p, L, [0.5, 1.0, 2.0])
-    assert rep.base_flagged
-    assert all(rep.flags)
-    assert rep.consistent
 
 
 def test_family_singleton_matches_direct_ratio():

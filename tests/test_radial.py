@@ -138,16 +138,6 @@ def test_steepness_integral_rejects_negative():
         steepness_integral(p, SteepnessFunction.power_law(1.0))
 
 
-def test_profile_csv_roundtrip():
-    g = RadialGrid(2, 3.0, 31)
-    p = RadialProfile.sample(g, gaussian)
-    back = RadialProfile.from_csv(p.to_csv(), n=2)
-    assert back.grid == p.grid
-    np.testing.assert_array_equal(back.values, p.values)
-    with pytest.raises(InputError):
-        RadialProfile.from_csv("nope\n1,2\n", n=2)
-
-
 def test_profile_monotone_helper():
     g = RadialGrid(1, 1.0, 5)
     assert RadialProfile(g, np.array([3.0, 2.0, 2.0, 1.0, 0.0])).is_nonincreasing()

@@ -8,8 +8,7 @@ from decaylab.errors import InputError
 from decaylab.evolution import ApproxParams, EvolutionRun, ProblemSpec
 from decaylab.radial import RadialGrid
 from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
-                            lq_upper_bound_check, sandwich_report,
-                            upper_bound_check)
+                            sandwich_report, upper_bound_check)
 from decaylab.steepness import SteepnessFunction
 
 T = np.geomspace(10.0, 1e4, 200)
@@ -80,16 +79,6 @@ def test_upper_bound_power_law_gauge_reduces_to_power_check():
     series = 4.0 * T**expo
     chk = upper_bound_check(T, series, L, p, n, t0=10.0)
     assert chk.worst_ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_lq_upper_bound_exponent_arithmetic():
-    # q=1, p=1, n=1: (np + 2q)/(npq) = 3
-    L = SteepnessFunction.log_type(1.0, 4.0)
-    curve = T**-1.0 * L.value(1.0 / T) ** -3.0
-    chk = lq_upper_bound_check(T, curve, L, 1.0, 1, 1.0, t0=10.0)
-    assert chk.worst_ratio == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(InputError):
-        lq_upper_bound_check(T, curve, L, 1.0, 1, -1.0)
 
 
 def test_baseline_trivial_examples():
