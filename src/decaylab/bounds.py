@@ -237,9 +237,8 @@ def logistic_residual(tau_grid, delta: float, p: float) -> float:
 class DecayEnvelope:
     """Strictly increasing envelope Lambda with u0 >= exp(-Lambda(|x|)).
 
-    Kinds: ``StretchedExp`` (Lambda = alpha s^beta - ln c0), ``DoubleExp``
-    (Lambda = alpha exp(beta s^gamma) - ln c0) and ``Table`` (piecewise-linear
-    from samples, inverted by monotone interpolation).
+    Kinds: ``StretchedExp`` (Lambda = alpha s^beta - ln c0) and ``DoubleExp``
+    (Lambda = alpha exp(beta s^gamma) - ln c0).
     """
 
     kind: str
@@ -247,82 +246,47 @@ class DecayEnvelope:
     alpha: float = 1.0
     beta: float = 1.0
     gamma: Optional[float] = None
-    s_table: Optional[np.ndarray] = None
-    lambda_table: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("StretchedExp", "DoubleExp", "Table"):
+        if self.kind not in ("StretchedExp", "DoubleExp"):
             raise InputError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "DoubleExp" and self.gamma is None:
             raise InputError("DoubleExp envelope needs gamma")
-        if self.kind == "Table":
-            s = np.asarray(self.s_table, dtype=float)
-            lam = np.asarray(self.lambda_table, dtype=float)
-            if s.ndim != 1 or s.shape != lam.shape or s.size < 2:
-                raise InputError("table envelope needs matching 1-d samples")
-            if np.any(np.diff(s) <= 0) or np.any(np.diff(lam) <= 0):
-                raise InputError("table envelope must be strictly increasing")
-            object.__setattr__(self, "s_table", s)
-            object.__setattr__(self, "lambda_table", lam)
-        elif self.c0 <= 0 or self.alpha <= 0 or self.beta <= 0:
+        if not (self.c0 > 0 and self.alpha > 0 and self.beta > 0):
             raise InputError("envelope constants must be positive")
 
     def lam(self, s):
         s_arr = np.asarray(s, dtype=float)
         if self.kind == "StretchedExp":
             out = self.alpha * s_arr ** self.beta - math.log(self.c0)
-        elif self.kind == "DoubleExp":
-            out = self.alpha * np.exp(self.beta * s_arr ** self.gamma) - math.log(self.c0)
         else:
-            if np.any(s_arr < self.s_table[0]) or np.any(s_arr > self.s_table[-1]):
-                raise InputError("argument outside the table range")
-            out = np.interp(s_arr, self.s_table, self.lambda_table)
+            out = self.alpha * np.exp(self.beta * s_arr ** self.gamma) - math.log(self.c0)
         return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
     def lam_inv(self, sigma):
         sig = np.asarray(sigma, dtype=float)
-        lo = self.lam(0.0) if self.kind != "Table" else self.lambda_table[0]
+        lo = self.lam(0.0)
         if np.any(sig < lo - 1e-12):
             raise InputError(f"inverse argument below Lambda(0) = {lo}")
         if self.kind == "StretchedExp":
             out = ((np.maximum(sig + math.log(self.c0), 0.0)) / self.alpha) ** (1.0 / self.beta)
-        elif self.kind == "DoubleExp":
+        else:
             arg = np.maximum((sig + math.log(self.c0)) / self.alpha, 1.0)
             out = (np.log(arg) / self.beta) ** (1.0 / self.gamma)
-        else:
-            if np.any(sig > self.lambda_table[-1]):
-                raise InputError("inverse argument above the table range")
-            out = np.interp(sig, self.lambda_table, self.s_table)
         return float(out) if np.isscalar(sigma) or sig.ndim == 0 else out
 
     def floor(self, r):
         """Pointwise lower bound exp(-Lambda(r)) for the initial datum.
 
-        The closed-form kinds evaluate c0 * exp(-alpha r^beta) or
-        c0 * exp(-alpha exp(beta r^gamma)) in that operation order rather than
-        exp(-Lambda(r)): the two differ in the last bits when c0 != 1, and this
-        function is also the CLI's initial datum and the GN family template.
+        Evaluates c0 * exp(-alpha r^beta) or c0 * exp(-alpha exp(beta r^gamma))
+        in that operation order rather than exp(-Lambda(r)): the two differ in
+        the last bits when c0 != 1, and this function is also the CLI's initial
+        datum and the GN family template.
         """
         r = np.asarray(r, dtype=float)
         if self.kind == "StretchedExp":
             return self.c0 * np.exp(-self.alpha * r ** self.beta)
-        if self.kind == "DoubleExp":
-            return self.c0 * np.exp(-self.alpha * np.exp(self.beta * r ** self.gamma))
-        return np.exp(-np.asarray(self.lam(r), dtype=float))
-
-    def superlogarithmic(self, s_grid) -> bool:
-        """Sampled check that Lambda(s)/ln(s) grows without bound.
-
-        On a geometric grid with s > 1 the ratio must be nondecreasing on its
-        upper half and grow by at least 5x overall.
-        """
-        s = np.asarray(s_grid, dtype=float)
-        if np.any(s <= 1.0) or np.any(np.diff(s) <= 0):
-            raise InputError("need an increasing grid with s > 1")
-        ratio = self.lam(s) / np.log(s)
-        tail = ratio[s.size // 2:]
-        return bool(np.all(np.diff(tail) >= -1e-9 * np.abs(tail[:-1]))
-                    and ratio[-1] >= 5.0 * ratio[0])
+        return self.c0 * np.exp(-self.alpha * np.exp(self.beta * r ** self.gamma))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``,
 with its sha256; outputs are deterministic for a fixed config and build (no
 wall-clock text, fixed iteration orders, fixed float formatting).
 
+Every config field is type-checked, and a run reads all of its fields before
+it computes anything, so a missing or wrongly typed field (``"2"`` or ``true``
+for a number, ``2.5`` for an integer) exits 2 before any time stepping.
+
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
 
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, evolution, gn, radial, rates
-from .errors import DecayLabError, InputError, NumericError
+from .errors import DecayLabError, InputError
 from .steepness import (SteepnessFunction, check_convexity_condition,
                         check_near_multiplicativity, check_ratio_bound)
 
@@ -41,14 +45,55 @@ class ConfigError(InputError):
     pass
 
 
-def _require(cfg: dict, field: str, typ=None, ctx: str = "config"):
-    if field not in cfg:
-        raise ConfigError(f"{ctx}.{field}: required field missing")
-    val = cfg[field]
-    # bool is an int subclass; no field takes one, so true/false never pass as numbers
-    if typ is not None and (isinstance(val, bool) or not isinstance(val, typ)):
-        raise ConfigError(f"{ctx}.{field}: expected {typ}, got {type(val).__name__}")
-    return val
+# A field kind: what it holds, in words, and a test of one JSON value.  Types
+# match exactly, so true/false pass only where a bool is asked for.
+NUMBER = ("a number", lambda val: type(val) in (int, float))
+INTEGER = ("an integer", lambda val: type(val) is int)
+STRING = ("a string", lambda val: type(val) is str)
+BOOLEAN = ("true or false", lambda val: type(val) is bool)
+OBJECT = ("an object", lambda val: type(val) is dict)
+LIST = ("a list", lambda val: type(val) is list)
+WINDOW = ("[number, number or null]", lambda val: type(val) is list and len(val) == 2
+          and type(val[0]) in (int, float) and type(val[1]) in (int, float, type(None)))
+_REQUIRED = object()
+
+
+class _Section:
+    """One JSON object of a config and its dotted path; every read is type-checked."""
+
+    def __init__(self, doc: dict, path: str = ""):
+        self.doc = doc
+        self.path = path
+
+    def _at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def read(self, key: str, kind, default=_REQUIRED):
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self._at(key)}: required field missing")
+            return default
+        val = self.doc[key]
+        if not kind[1](val):
+            raise ConfigError(f"{self._at(key)}: expected {kind[0]}, got {json.dumps(val)}")
+        return val
+
+    def list_of(self, key: str, kind, default=_REQUIRED) -> list:
+        """A list whose items are of ``kind``; item i has the path ``<key>.i``."""
+        items = _Section(dict(enumerate(self.read(key, LIST, default))), self._at(key))
+        return [items.read(i, kind) for i in items.doc]
+
+    def section(self, key: str, default=_REQUIRED):
+        """The nested object ``key``, or ``default`` (``{}`` or None) when absent."""
+        doc = self.read(key, OBJECT, default)
+        return None if doc is None else _Section(doc, self._at(key))
+
+    def build(self, make, **fields):
+        """``make(**fields)``, reporting a failed precondition at this section."""
+        try:
+            return make(**fields)
+        except InputError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -66,10 +111,10 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be a JSON object")
-    name = _require(cfg, "name", str)
-    if not name:
+    root = _Section(cfg)
+    if not root.read("name", STRING):
         raise ConfigError("name: must be non-empty")
-    mode = _require(cfg, "mode", str)
+    mode = root.read("mode", STRING)
     if mode not in MODES:
         raise ConfigError(f"mode: {mode!r} not one of {MODES}")
     return cfg
@@ -118,55 +163,77 @@ class ArtifactWriter:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _steepness_from_cfg(doc: dict, ctx: str = "L") -> SteepnessFunction:
-    _require(doc, "kind", str, ctx)
+def _steepness(sec: _Section) -> SteepnessFunction:
+    sec.read("kind", STRING)
+    for key in ("kappa", "M", "s0", "lambda0", "r"):
+        sec.read(key, NUMBER, None)
     try:
-        return SteepnessFunction.from_json(doc)
-    except (KeyError, InputError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+        return sec.build(SteepnessFunction.from_json, doc=sec.doc)
+    except KeyError as exc:
+        raise ConfigError(f"{sec._at(exc.args[0])}: required field missing") from None
 
 
-def _envelope_from_cfg(doc: dict, ctx: str = "envelope") -> bounds.DecayEnvelope:
-    kind = _require(doc, "kind", str, ctx)
-    gamma = _require(doc, "gamma", (int, float), ctx) if kind == "DoubleExp" else None
-    try:
-        if kind == "Table":
-            return bounds.DecayEnvelope(kind="Table",
-                                        s_table=np.asarray(doc["s"], dtype=float),
-                                        lambda_table=np.asarray(doc["lambda"], dtype=float))
-        return bounds.DecayEnvelope(kind=kind, c0=doc.get("c0", 1.0),
-                                    alpha=doc.get("alpha", 1.0),
-                                    beta=doc.get("beta", 1.0), gamma=gamma)
-    except (KeyError, InputError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+def _envelope_fields(sec: _Section) -> dict:
+    """kind, c0, alpha, beta and (DoubleExp only) gamma of a closed-form envelope."""
+    kind = sec.read("kind", STRING)
+    return {"kind": kind, "c0": sec.read("c0", NUMBER, 1.0),
+            "alpha": sec.read("alpha", NUMBER, 1.0), "beta": sec.read("beta", NUMBER, 1.0),
+            "gamma": sec.read("gamma", NUMBER) if kind == "DoubleExp" else None}
 
 
-def _u0_from_cfg(doc: dict):
-    """Radial initial datum: the floor of a closed-form envelope."""
-    if _require(doc, "kind", str, "problem.u0") == "Table":
-        raise ConfigError("problem.u0.kind: a datum needs a closed-form kind, not 'Table'")
-    return _envelope_from_cfg(doc, "problem.u0").floor
+def _envelope(sec: _Section) -> bounds.DecayEnvelope:
+    return sec.build(bounds.DecayEnvelope, **_envelope_fields(sec))
 
 
-def _snapshots_from_cfg(doc: dict, t_end: float) -> np.ndarray:
-    kind = doc.get("kind", "log")
+def _problem(cfg: _Section):
+    """Problem (its datum an envelope's floor), end time and snapshot times."""
+    prob = cfg.section("problem")
+    spec = evolution.ProblemSpec(p=prob.read("p", NUMBER), n=prob.read("n", INTEGER),
+                                 u0=_envelope(prob.section("u0")).floor)
+    t_end = cfg.read("t_end", NUMBER)
+    snap = cfg.section("snapshots", {})
+    kind = snap.read("kind", STRING, "log")
     if kind != "log":
         raise ConfigError(f"snapshots.kind: only 'log' is supported, got {kind!r}")
-    t_min = doc.get("t_min", 0.01)
-    count = doc.get("count", 65)
-    snaps = np.geomspace(t_min, t_end, count)
-    if doc.get("include_zero", True):
+    snaps = np.geomspace(snap.read("t_min", NUMBER, 0.01), t_end,
+                         snap.read("count", INTEGER, 65))
+    if snap.read("include_zero", BOOLEAN, True):
         snaps = np.concatenate([[0.0], snaps])
-    return snaps
+    return spec, t_end, snaps
+
+
+def _approx_params(sec: _Section) -> evolution.ApproxParams:
+    return evolution.ApproxParams(R=sec.read("R", NUMBER), eps=sec.read("eps", NUMBER),
+                                  m=sec.read("m", INTEGER))
+
+
+def _observers(cfg: _Section, names: list, p: float, L):
+    obs = {}
+    for name in names:
+        if name in ("sup_norm", "center_value"):
+            continue
+        if name.startswith("lq:"):
+            try:
+                q = float(name[3:])
+            except ValueError:
+                q = math.nan
+            if not 0.0 < q < math.inf:
+                raise ConfigError(f"observers: {name!r} needs a positive number after 'lq:'")
+            obs[name] = evolution.observer_lq(q)
+        elif name == "lyapunov":
+            obs[name] = evolution.observer_lyapunov(L, p, cfg.read("lyapunov_q", NUMBER, 1.0))
+        else:
+            raise ConfigError(f"observers: unknown observer {name!r}")
+    return obs
 
 
 # -- mode runners ------------------------------------------------------------
+# Each runner reads all of its config fields before it computes anything.
 
-def _run_steady_state(cfg: dict, writer: ArtifactWriter) -> dict:
-    prob = _require(cfg, "problem", dict)
-    p = _require(prob, "p", (int, float), "problem")
-    n = _require(prob, "n", int, "problem")
-    m = cfg.get("approx", {}).get("m", 4001)
+def _run_steady_state(cfg: _Section, writer: ArtifactWriter) -> dict:
+    prob = cfg.section("problem")
+    p, n = prob.read("p", NUMBER), prob.read("n", INTEGER)
+    m = cfg.section("approx", {}).read("m", INTEGER, 4001)
     state = bounds.solve_steady_state(p, n, m)
     residual = bounds.steady_state_residual(state)
     writer.write_series_csv("steady_state.csv", ["r", "w"],
@@ -182,14 +249,14 @@ def _run_steady_state(cfg: dict, writer: ArtifactWriter) -> dict:
     return verdict
 
 
-def _run_lfunction_audit(cfg: dict, writer: ArtifactWriter) -> dict:
-    L = _steepness_from_cfg(_require(cfg, "L", dict))
-    audit = cfg.get("audit", {})
-    lambda0 = audit.get("lambda0", L.lambda0 if not math.isnan(L.lambda0) else 1.0)
-    p = audit.get("p", 1.0)
-    q0 = audit.get("q0", 1.0)
-    s_points = audit.get("s_points", 400)
-    l_points = audit.get("lambda_points", 400)
+def _run_lfunction_audit(cfg: _Section, writer: ArtifactWriter) -> dict:
+    L = _steepness(cfg.section("L"))
+    audit = cfg.section("audit", {})
+    lambda0 = audit.read("lambda0", NUMBER, L.lambda0 if not math.isnan(L.lambda0) else 1.0)
+    p = audit.read("p", NUMBER, 1.0)
+    q0 = audit.read("q0", NUMBER, 1.0)
+    s_points = audit.read("s_points", INTEGER, 400)
+    l_points = audit.read("lambda_points", INTEGER, 400)
 
     s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
     s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, s_points)
@@ -217,29 +284,22 @@ def _run_lfunction_audit(cfg: dict, writer: ArtifactWriter) -> dict:
     return verdict
 
 
-def _run_gn_scan(cfg: dict, writer: ArtifactWriter) -> dict:
-    gcfg = _require(cfg, "grid", dict)
-    grid = radial.RadialGrid(_require(gcfg, "n", int, "grid"),
-                             _require(gcfg, "R", (int, float), "grid"),
-                             _require(gcfg, "m", int, "grid"))
-    L = _steepness_from_cfg(_require(cfg, "L", dict))
-    rcfg = _require(cfg, "request", dict)
-    req = gn.GNRequest(n=grid.n, q=_require(rcfg, "q", (int, float), "request"),
-                       L=L, K=rcfg.get("K"))
-    fcfg = _require(cfg, "family", dict)
-    try:
-        fam = gn.FamilySpec(kind=_require(fcfg, "kind", str, "family"),
-                            c0=fcfg.get("c0", 1.0), alpha=fcfg.get("alpha", 1.0),
-                            beta=fcfg.get("beta", 1.0), gamma=fcfg.get("gamma"),
-                            scales=fcfg.get("scales", [1.0]),
-                            widths=fcfg.get("widths", [1.0]))
-    except InputError as exc:
-        raise ConfigError(f"family: {exc}") from exc
+def _run_gn_scan(cfg: _Section, writer: ArtifactWriter) -> dict:
+    gcfg = cfg.section("grid")
+    grid = radial.RadialGrid(gcfg.read("n", INTEGER), gcfg.read("R", NUMBER),
+                             gcfg.read("m", INTEGER))
+    L = _steepness(cfg.section("L"))
+    rcfg = cfg.section("request")
+    req = gn.GNRequest(n=grid.n, q=rcfg.read("q", NUMBER), L=L, K=rcfg.read("K", NUMBER, None))
+    fcfg = cfg.section("family")
+    fam = fcfg.build(gn.FamilySpec, **_envelope_fields(fcfg),
+                     scales=fcfg.list_of("scales", NUMBER, [1.0]),
+                     widths=fcfg.list_of("widths", NUMBER, [1.0]))
+    probe_scale = cfg.read("sharpness_scale", NUMBER, None)
 
     scan = gn.family_scan(fam, req, grid)
     writer.write_text("scan.csv", scan.to_csv())
     summary = {"scan": scan.summary()}
-    probe_scale = cfg.get("sharpness_scale")
     if probe_scale:
         probe = gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale))
         writer.write_text("scan_probe.csv", probe.to_csv())
@@ -249,82 +309,53 @@ def _run_gn_scan(cfg: dict, writer: ArtifactWriter) -> dict:
     return summary
 
 
-def _build_problem(cfg: dict):
-    prob = _require(cfg, "problem", dict)
-    spec = evolution.ProblemSpec(p=_require(prob, "p", (int, float), "problem"),
-                                 n=_require(prob, "n", int, "problem"),
-                                 u0=_u0_from_cfg(_require(prob, "u0", dict, "problem")))
-    t_end = _require(cfg, "t_end", (int, float))
-    snaps = _snapshots_from_cfg(cfg.get("snapshots", {}), t_end)
-    return spec, t_end, snaps
-
-
-def _observers_from_cfg(cfg: dict, spec):
-    obs = {}
-    for name in cfg.get("observers", []):
-        if name in ("sup_norm", "center_value"):
-            continue
-        if name.startswith("lq:"):
-            obs[name] = evolution.observer_lq(float(name.split(":", 1)[1]))
-        elif name == "lyapunov":
-            L = _steepness_from_cfg(_require(cfg, "L", dict))
-            q = cfg.get("lyapunov_q", 1.0)
-            obs[name] = evolution.observer_lyapunov(L, spec.p, q)
-        else:
-            raise ConfigError(f"observers: unknown observer {name!r}")
-    return obs
-
-
-def _write_run_series(writer: ArtifactWriter, run, prefix: str = ""):
+def _write_run_series(writer: ArtifactWriter, run):
     for name in sorted(run.series):
-        fname = name.replace(":", "_")
-        writer.write_series_csv(f"{prefix}{fname}.csv", ["t", "value"],
+        writer.write_series_csv(f"{name.replace(':', '_')}.csv", ["t", "value"],
                                 [run.times, run.series[name]])
     keep = np.unique(np.linspace(0, len(run.times) - 1, 9).astype(int))
     for k in keep:
-        writer.write_series_csv(f"{prefix}profile_t{run.times[k]:.6g}.csv",
-                                ["r", "u"],
+        writer.write_series_csv(f"profile_t{run.times[k]:.6g}.csv", ["r", "u"],
                                 [run.grid.nodes, run.profiles[k].values])
 
 
-def _run_pde_decay(cfg: dict, writer: ArtifactWriter) -> dict:
-    spec, t_end, snaps = _build_problem(cfg)
-    obs = _observers_from_cfg(cfg, spec)
-    acfg = _require(cfg, "approx", dict)
-    verdict: dict = {}
-
-    if "ladder" in acfg:
-        lcfg = acfg["ladder"]
-        eps_list = [float(e) for e in _require(lcfg, "eps_list", list, "approx.ladder")]
-        R_list = [float(R) for R in _require(lcfg, "R_list", list, "approx.ladder")]
-        m_list = [int(m) for m in _require(lcfg, "m_list", list, "approx.ladder")]
+def _run_pde_decay(cfg: _Section, writer: ArtifactWriter) -> dict:
+    spec, t_end, snaps = _problem(cfg)
+    names = cfg.list_of("observers", STRING, [])
+    rate = cfg.section("rate", None)
+    L = _steepness(cfg.section("L")) if rate is not None or "lyapunov" in names else None
+    obs = _observers(cfg, names, spec.p, L)
+    acfg = cfg.section("approx")
+    lcfg = acfg.section("ladder", None)
+    if lcfg is not None:
+        eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
+        R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
+        m_list = lcfg.list_of("m_list", INTEGER)
         if len(m_list) != len(R_list):
             raise ConfigError("approx.ladder.m_list: must match R_list in length")
+    else:
+        params = _approx_params(acfg)
+    if rate is not None:
+        env = _envelope(cfg.section("envelope"))
+        delta = rate.read("delta", NUMBER)
+        slack = rate.read("slack", NUMBER, rates.RATIO_SLACK)
+        window = tuple(rate.read("window", WINDOW, [10.0, None]))
+
+    verdict: dict = {"pass": True}
+    if lcfg is not None:
         ladder = evolution.minimal_solution_ladder(
             spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs)
         run = ladder.proxy
         verdict["ladder"] = ladder.report()
         writer.write_json("ladder_report.json", verdict["ladder"])
     else:
-        params = evolution.ApproxParams(
-            R=_require(acfg, "R", (int, float), "approx"),
-            eps=_require(acfg, "eps", (int, float), "approx"),
-            m=_require(acfg, "m", int, "approx"),
-            dt_init=acfg.get("dt_init", 1e-4), dt_max=acfg.get("dt_max", 1.0),
-            safety=acfg.get("safety", 0.5))
         run = evolution.evolve(spec, params, t_end, snaps, obs)
 
     _write_run_series(writer, run)
 
-    rate_cfg = cfg.get("rate")
-    ok = True
-    if rate_cfg is not None:
-        env = _envelope_from_cfg(_require(cfg, "envelope", dict))
-        L = _steepness_from_cfg(_require(cfg, "L", dict))
-        window = tuple(rate_cfg.get("window", (10.0, None)))
-        sandwich = rates.sandwich_report(
-            run, env, L, spec.p, spec.n, _require(rate_cfg, "delta", (int, float), "rate"),
-            window=window, slack=rate_cfg.get("slack", rates.RATIO_SLACK))
+    if rate is not None:
+        sandwich = rates.sandwich_report(run, env, L, spec.p, spec.n, delta,
+                                         window=window, slack=slack)
         verdict["sandwich"] = sandwich.to_json()
         writer.write_json("sandwich.json", verdict["sandwich"])
         baseline = rates.baseline_check(run.times, run.series["center_value"],
@@ -335,35 +366,27 @@ def _run_pde_decay(cfg: dict, writer: ArtifactWriter) -> dict:
         curve = rates.lower_bound_curve(env, spec.p, 1.0 / (2.0 * spec.p),
                                         sandwich.lower.C, t_grid)
         writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
-        upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C,
-                                              t_grid)
-        writer.write_series_csv("upper_curve.csv", ["t", "value"],
-                                [t_grid, upper_curve])
-        ok = sandwich.passed and baseline.passed
-    verdict["pass"] = bool(ok)
+        upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
+        writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
+        verdict["pass"] = bool(sandwich.passed and baseline.passed)
     return verdict
 
 
-def _run_lower_bound(cfg: dict, writer: ArtifactWriter) -> dict:
-    spec, t_end, snaps = _build_problem(cfg)
-    acfg = _require(cfg, "approx", dict)
-    params = evolution.ApproxParams(
-        R=_require(acfg, "R", (int, float), "approx"),
-        eps=_require(acfg, "eps", (int, float), "approx"),
-        m=_require(acfg, "m", int, "approx"))
-    env = _envelope_from_cfg(_require(cfg, "envelope", dict))
+def _run_lower_bound(cfg: _Section, writer: ArtifactWriter) -> dict:
+    spec, t_end, snaps = _problem(cfg)
+    params = _approx_params(cfg.section("approx"))
+    env = _envelope(cfg.section("envelope"))
+    steady_m = cfg.section("steady", {}).read("m", INTEGER, 4001)
+    tau0_list = cfg.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
+    c1 = cfg.read("c1", NUMBER, None)
+
     run = evolution.evolve(spec, params, t_end, snaps)
     _write_run_series(writer, run)
 
-    steady_m = cfg.get("steady", {}).get("m", 4001)
     state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
     writer.write_series_csv("steady_state.csv", ["r", "w"],
                             [state.r_nodes, state.w])
 
-    tau0_list = cfg.get("tau0_list")
-    if tau0_list is None:
-        tau0_list = [math.log(t_end + 1.0)]
-    c1 = cfg.get("c1")
     margins = []
     ok = True
     for tau0 in tau0_list:
@@ -394,12 +417,12 @@ _RUNNERS = {
 
 
 def run_experiment(config_path: Path, out_dir=None) -> int:
-    cfg = load_config(config_path)
-    out = Path(out_dir) if out_dir else Path(cfg.get("output_dir", f"out/{cfg['name']}"))
-    writer = ArtifactWriter(out)
-    verdict = _RUNNERS[cfg["mode"]](cfg, writer)
-    writer.finish(cfg, verdict)
-    return EXIT_PASS if verdict.get("pass", True) else EXIT_VERDICT
+    cfg = _Section(load_config(config_path))
+    out = cfg.read("output_dir", STRING, f"out/{cfg.doc['name']}")
+    writer = ArtifactWriter(Path(out_dir or out))
+    verdict = _RUNNERS[cfg.doc["mode"]](cfg, writer)
+    writer.finish(cfg.doc, verdict)
+    return EXIT_PASS if verdict["pass"] else EXIT_VERDICT
 
 
 # -- reporting ---------------------------------------------------------------
@@ -440,22 +463,18 @@ def report(run_dir: Path) -> int:
             status = "MISSING"
         elif entry["path"].endswith(".csv"):
             try:
-                rows = list(csv.reader(path.open()))
+                with path.open(newline="") as fh:
+                    rows = list(csv.reader(fh))
                 float(rows[-1][-1])
-            except Exception:
+            except (OSError, csv.Error, IndexError, ValueError):
                 status = "CORRUPT"
         if status != "ok":
             problems.append(f"- {entry['path']}: {status}")
         lines.append(f"- `{entry['path']}` ({status})")
-    lines.append("")
-    lines.append("## verdict")
-    lines.append("```json")
-    lines.append(json.dumps(manifest["verdict"], indent=2, sort_keys=True))
-    lines.append("```")
+    lines += ["", "## verdict", "```json",
+              json.dumps(manifest["verdict"], indent=2, sort_keys=True), "```"]
     if problems:
-        lines.append("")
-        lines.append("## problems")
-        lines.extend(problems)
+        lines += ["", "## problems", *problems]
     (run_dir / "summary.md").write_text("\n".join(lines) + "\n")
 
     script = _plot_script(mode, run_dir)
@@ -481,17 +500,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_experiment(args.config, args.out)
         return report(args.run_dir)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except DecayLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -46,6 +46,8 @@ __all__ = [
 
 UNDERSHOOT_TOL = 1e-13
 MAX_DT_HALVINGS = 40
+DT_INIT = 1e-4   # cap on the first adaptive step
+DT_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,6 @@ class ApproxParams:
     R: float
     eps: float
     m: int
-    dt_init: float = 1e-4
-    dt_max: float = 1.0
     safety: float = 0.5
 
     def __post_init__(self):
@@ -97,8 +97,8 @@ def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -
     r = grid.nodes
     cutoff = np.clip((params.R - r) / (0.1 * params.R), 0.0, 1.0)
     vals = np.asarray(spec.u0(r), dtype=float) * cutoff + params.eps
-    if np.any(vals < params.eps):
-        raise InputError("initial datum must be nonnegative")
+    if not np.all(vals >= params.eps):  # NaN fails too
+        raise InputError("initial datum must be nonnegative and not NaN")
     return vals
 
 
@@ -139,8 +139,8 @@ class _Stepper:
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
         undershoot = self.eps - out.min()
-        if undershoot > 0.0:
-            if undershoot > UNDERSHOOT_TOL:
+        if not undershoot <= 0.0:  # so that a NaN anywhere in out raises too
+            if not undershoot <= UNDERSHOOT_TOL:
                 raise SchemeError(
                     f"boundary-level undershoot {undershoot:.3e} exceeds {UNDERSHOOT_TOL}")
             np.maximum(out, self.eps, out=out)
@@ -191,7 +191,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     dts: list = []
 
     def record(t: float, vals: np.ndarray):
-        if vals.min() < params.eps - 1e-10 or vals.max() > sup_bound:
+        if not (vals.min() >= params.eps - 1e-10 and vals.max() <= sup_bound):
             raise SchemeError("discrete maximum principle violated at a snapshot")
         prof = RadialProfile(grid, vals.copy())
         times.append(t)
@@ -216,9 +216,9 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
             u = stepper.step(u, dt)
         else:
             cap = params.safety * grid.h**2 / max(float(u.max()) ** spec.p, 1e-300)
-            dt = min(params.dt_max, cap)
+            dt = min(DT_MAX, cap)
             if first:
-                dt = min(dt, params.dt_init)
+                dt = min(dt, DT_INIT)
             dt = min(dt, snaps[i_snap] - t)
             for _ in range(MAX_DT_HALVINGS + 1):
                 try:

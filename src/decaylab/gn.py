@@ -98,6 +98,11 @@ def classical_gn_ratio(phi: RadialProfile, req: GNRequest) -> float:
     return num / denom
 
 
+def _weighted_ratio(lq: float, grad: float, L: SteepnessFunction, alpha: float) -> float:
+    """lq / (grad * L^{-alpha}(grad^2)), for steepness_gn_ratio and family_scan."""
+    return lq / (grad * L.value(grad * grad) ** (-alpha))
+
+
 def steepness_gn_ratio(phi: RadialProfile, req: GNRequest,
                        alpha_scale: float = 1.0) -> float:
     """Candidate constant ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2)).
@@ -115,9 +120,7 @@ def steepness_gn_ratio(phi: RadialProfile, req: GNRequest,
     grad = grad_l2_norm(phi)
     if grad == 0.0:
         raise InputError("trivial profile: zero gradient norm")
-    alpha = req.alpha * alpha_scale
-    weight = req.L.value(grad * grad) ** (-alpha)
-    return lq_quasinorm(phi, req.q) / (grad * weight)
+    return _weighted_ratio(lq_quasinorm(phi, req.q), grad, req.L, req.alpha * alpha_scale)
 
 
 @dataclass(frozen=True)
@@ -241,14 +244,14 @@ def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
     profiles = [fam.profile(grid, s, w) for s, w in members]
     budgets = [steepness_integral(p, req.L) for p in profiles]
     K = req.K if req.K is not None else 1.05 * max(b.value for b in budgets)
+    alpha = req.alpha * alpha_scale
 
     rows = []
     for (scale, width), prof, budget in zip(members, profiles, budgets):
         grad = grad_l2_norm(prof)
         lq = lq_quasinorm(prof, req.q)
         ok = budget.value <= K
-        alpha = req.alpha * alpha_scale
-        ratio = lq / (grad * req.L.value(grad * grad) ** (-alpha)) if grad > 0 else math.nan
+        ratio = _weighted_ratio(lq, grad, req.L, alpha) if grad > 0 else math.nan
         rows.append(ScanRow(f"s{scale:g}_w{width:g}", scale, width, grad, lq,
                             budget.value, budget.tail_flagged, ok, ratio))
     rows.sort(key=lambda row: row.grad_norm)

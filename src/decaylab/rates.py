@@ -260,13 +260,10 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
     [target - 0.1, target + delta + 0.1] with target 2/(p beta) or 2/(p gamma).
     """
     if env.kind == "StretchedExp":
-        shape, model = env.beta, "LogCorrected"
-    elif env.kind == "DoubleExp":
-        shape, model = env.gamma, "LogLogCorrected"
+        shape, model, wanted_kind = env.beta, "LogCorrected", "LogType"
     else:
-        raise InputError("sandwich reports need a closed-form envelope")
+        shape, model, wanted_kind = env.gamma, "LogLogCorrected", "DoubleLogType"
     kappa_expected = n / shape + n * p * delta / 2.0
-    wanted_kind = "LogType" if env.kind == "StretchedExp" else "DoubleLogType"
     if L.kind != wanted_kind:
         raise InputError(
             f"steepness kind {L.kind} inconsistent with envelope kind {env.kind}")

@@ -75,24 +75,12 @@ def test_envelope_stretched_exp():
     assert env.lam(2.0) == pytest.approx(4.0)
     assert env.lam_inv(4.0) == pytest.approx(2.0)
     assert env.floor(1.0) == pytest.approx(math.exp(-1.0))
-    assert env.superlogarithmic(np.geomspace(10.0, 1e4, 40))
 
 
 def test_envelope_double_exp_inverse():
     env = DecayEnvelope(kind="DoubleExp", c0=1.0, alpha=2.0, beta=1.0, gamma=1.0)
     sigma = env.lam(3.0)
     assert env.lam_inv(sigma) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_envelope_table_inverse_by_interpolation():
-    s = np.geomspace(1.0, 100.0, 50)
-    env = DecayEnvelope(kind="Table", s_table=s, lambda_table=s**1.5)
-    assert env.lam_inv(env.lam(7.3)) == pytest.approx(7.3, rel=1e-6)
-    with pytest.raises(InputError):
-        env.lam(1000.0)
-    # a merely logarithmic table is rejected by the growth check
-    flat = DecayEnvelope(kind="Table", s_table=s, lambda_table=np.log(s) * 5.0)
-    assert not flat.superlogarithmic(np.geomspace(2.0, 80.0, 30))
 
 
 def test_compensated_frame_roundtrip_and_growth():
@@ -127,11 +115,6 @@ def test_lower_bound_curve_specializations():
     td = np.geomspace(100.0, 1e4, 10)
     np.testing.assert_allclose(lower_bound_curve(envd, 1.0, 0.5, 1.0, td),
                                td**-1.0 * np.log(0.5 * np.log(td)) ** 2, rtol=1e-12)
-    # identity-like table
-    s = np.linspace(1e-9, 50.0, 2000)
-    envt = DecayEnvelope(kind="Table", s_table=s, lambda_table=s)
-    np.testing.assert_allclose(lower_bound_curve(envt, 1.0, 0.5, 1.0, t),
-                               t**-1.0 * (0.5 * np.log(t)) ** 2, rtol=1e-6)
     with pytest.raises(InputError):
         lower_bound_curve(env, 1.0, 1.0, 1.0, t)  # p c1 >= 1
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from decaylab import cli
+from decaylab import cli, evolution
 from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, main, run_experiment)
 from decaylab.errors import NumericError
 
@@ -18,6 +18,17 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def with_field(doc, dotted, value):
+    """A deep copy of doc with the field at the dotted path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = dotted.split(".")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 TINY_DECAY = {
@@ -148,10 +159,61 @@ def test_schema_errors_exit_2(tmp_path):
     for doc in (nan_datum, bool_dim):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    # a value of the wrong type anywhere in a config fails closed
+    steady = {"name": "ss", "mode": "steady_state",
+              "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}}
+    audit = {"name": "audit", "mode": "lfunction_audit",
+             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
+             "audit": {"s_points": 20, "lambda_points": 20}}
+    scan = {"name": "scan", "mode": "gn_scan", "grid": {"n": 3, "R": 20.0, "m": 201},
+            "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0}, "request": {"q": 2.0},
+            "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]},
+            "sharpness_scale": 1.25}
+    ladder = with_field(TINY_DECAY, "approx", {"ladder": {
+        "eps_list": [1e-2, 1e-3], "R_list": [10.0], "m_list": [251]}})
+    rated = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"],
+                 L={"kind": "LogType", "kappa": 0.95, "M": 4.0}, rate={"delta": 0.9})
+    ill_typed = [
+        with_field(TINY_DECAY, "problem.u0.c0", True),
+        with_field(TINY_DECAY, "snapshots.count", True),
+        with_field(audit, "audit.s_points", True),
+        with_field(steady, "approx.m", True),
+        with_field(audit, "L.kappa", True),
+        with_field(TINY_DECAY, "problem.u0.c0", "2"),
+        with_field(audit, "L.kappa", "2"),
+        with_field(scan, "sharpness_scale", "1.25"),
+        with_field(ladder, "approx.ladder.eps_list", [1e-2, "x"]),
+        with_field(TINY_DECAY, "observers", ["lq:abc"]),
+        with_field(ladder, "approx.ladder.m_list", [251.9]),
+        with_field(steady, "approx", []),
+        with_field(rated, "rate.window", [1.0]),
+    ]
+    for doc in ill_typed:
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+def test_config_read_before_time_stepping(tmp_path, monkeypatch):
+    # rate is used only after the evolution, yet a bad field in it must stop
+    # the run before any time step
+    calls = []
+    real_evolve = evolution.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve", counting_evolve)
+    doc = with_field(TINY_DECAY, "rate", {"delta": "x"})
+    doc["envelope"] = TINY_DECAY["problem"]["u0"]
+    doc["L"] = {"kind": "LogType", "kappa": 0.95, "M": 4.0}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert calls == []
 
 
 def test_inadmissible_p_exit_2(tmp_path):

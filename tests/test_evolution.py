@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decaylab.errors import InputError, LadderError
+from decaylab.errors import InputError, LadderError, SchemeError
 from decaylab.evolution import (ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
@@ -35,6 +35,20 @@ def test_step_sup_nonincreasing_on_bump():
     before, out = one_step(spec, ApproxParams(R=8.0, eps=0.01, m=201))
     assert out.max() <= before.max()
     assert out.min() >= 0.01 - 1e-13
+
+
+def test_nan_datum_fails_closed():
+    # NaN on r < 1 used to give an all-NaN run with no error
+    spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.where(r < 1.0, np.nan, 0.0))
+    with pytest.raises(InputError):
+        evolve(spec, ApproxParams(R=5.0, eps=0.1, m=101), 1.0, [0.0, 1.0])
+
+
+def test_nan_replayed_step_fails_closed():
+    # a NaN dt used to turn t into NaN, end the loop and return only t = 0
+    with pytest.raises(SchemeError):
+        evolve(gaussian_spec(), ApproxParams(R=5.0, eps=0.1, m=101), 1.0, [0.0, 1.0],
+               dt_schedule=np.array([np.nan]))
 
 
 def test_linearized_heat_decay_rate():
