@@ -1,7 +1,7 @@
 """decaylab: steepness-weighted interpolation inequalities and decay rates
 of the degenerate diffusion u_t = u^p Lap(u), probed numerically.
 
-Subpackages:
+Modules:
 
 * ``steepness``  - the slowly-varying gauge functions L and their analytic checks
 * ``radial``     - grids, quadrature, norms, radial Laplacian
@@ -26,11 +26,10 @@ from .evolution import (ApproxParams, EvolutionRun, LadderResult, ProblemSpec,
                         evolve, linfty_from_lq_check, lyapunov_series,
                         minimal_solution_ladder, observer_lq, observer_lyapunov,
                         semiconvexity_check)
-from .bounds import (CompensatedFrame, DecayEnvelope, SteadyState,
-                     SubsolutionReport, SubsolutionSpec, build_subsolution,
-                     compensated_frame, evaluate_steady_state, logistic_exact,
-                     logistic_residual, lower_bound_curve, solve_steady_state,
-                     steady_state_residual, subsolution_check)
+from .bounds import (DecayEnvelope, SteadyState, SubsolutionReport,
+                     SubsolutionSpec, build_subsolution, evaluate_steady_state,
+                     logistic_exact, logistic_residual, lower_bound_curve,
+                     solve_steady_state, steady_state_residual, subsolution_check)
 from .rates import (BaselineReport, BoundCheck, RateFit, SandwichVerdict,
                     baseline_check, fit_decay, lower_bound_persistence,
                     sandwich_report, upper_bound_check, upper_bound_curve)

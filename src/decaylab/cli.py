@@ -9,9 +9,11 @@ Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``,
 with its sha256; outputs are deterministic for a fixed config and build (no
 wall-clock text, fixed iteration orders, fixed float formatting).
 
-Every config field is type-checked, and a run reads all of its fields before
-it computes anything, so a missing or wrongly typed field (``"2"`` or ``true``
-for a number, ``2.5`` for an integer) exits 2 before any time stepping.
+Every config field is type-checked (some are range-checked too), and a run
+reads all of its fields before it computes anything or creates its run
+directory, so a missing, wrongly typed or out-of-range field (``"2"`` or
+``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``) exits 2
+before any time stepping.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -48,7 +50,10 @@ class ConfigError(InputError):
 # A field kind: what it holds, in words, and a test of one JSON value.  Types
 # match exactly, so true/false pass only where a bool is asked for.
 NUMBER = ("a number", lambda val: type(val) in (int, float))
+POSITIVE = ("a positive number", lambda val: type(val) in (int, float) and val > 0)
 INTEGER = ("an integer", lambda val: type(val) is int)
+COUNT = ("a positive integer", lambda val: type(val) is int and val > 0)
+NODES = ("an integer >= 3", lambda val: type(val) is int and val >= 3)
 STRING = ("a string", lambda val: type(val) is str)
 BOOLEAN = ("true or false", lambda val: type(val) is bool)
 OBJECT = ("an object", lambda val: type(val) is dict)
@@ -190,13 +195,13 @@ def _problem(cfg: _Section):
     prob = cfg.section("problem")
     spec = evolution.ProblemSpec(p=prob.read("p", NUMBER), n=prob.read("n", INTEGER),
                                  u0=_envelope(prob.section("u0")).floor)
-    t_end = cfg.read("t_end", NUMBER)
+    t_end = cfg.read("t_end", POSITIVE)
     snap = cfg.section("snapshots", {})
     kind = snap.read("kind", STRING, "log")
     if kind != "log":
         raise ConfigError(f"snapshots.kind: only 'log' is supported, got {kind!r}")
-    snaps = np.geomspace(snap.read("t_min", NUMBER, 0.01), t_end,
-                         snap.read("count", INTEGER, 65))
+    snaps = np.geomspace(snap.read("t_min", POSITIVE, 0.01), t_end,
+                         snap.read("count", COUNT, 65))
     if snap.read("include_zero", BOOLEAN, True):
         snaps = np.concatenate([[0.0], snaps])
     return spec, t_end, snaps
@@ -204,7 +209,7 @@ def _problem(cfg: _Section):
 
 def _approx_params(sec: _Section) -> evolution.ApproxParams:
     return evolution.ApproxParams(R=sec.read("R", NUMBER), eps=sec.read("eps", NUMBER),
-                                  m=sec.read("m", INTEGER))
+                                  m=sec.read("m", NODES))
 
 
 def _observers(cfg: _Section, names: list, p: float, L):
@@ -228,66 +233,72 @@ def _observers(cfg: _Section, names: list, p: float, L):
 
 
 # -- mode runners ------------------------------------------------------------
-# Each runner reads all of its config fields before it computes anything.
+# Each runner reads all of its config fields and returns the step that computes
+# and writes the run, so a config error leaves no run directory behind.
 
-def _run_steady_state(cfg: _Section, writer: ArtifactWriter) -> dict:
+def _run_steady_state(cfg: _Section):
     prob = cfg.section("problem")
     p, n = prob.read("p", NUMBER), prob.read("n", INTEGER)
-    m = cfg.section("approx", {}).read("m", INTEGER, 4001)
-    state = bounds.solve_steady_state(p, n, m)
-    residual = bounds.steady_state_residual(state)
-    writer.write_series_csv("steady_state.csv", ["r", "w"],
-                            [state.r_nodes, state.w])
-    verdict = {
-        "center_value": state.center_value,
-        "boundary_value": state.boundary_value,
-        "flux_residual": residual,
-        "sign_changes_in_bracket": state.sign_changes,
-        "pass": bool(residual <= 1e-8),
-    }
-    writer.write_json("summary.json", verdict)
-    return verdict
+    m = cfg.section("approx", {}).read("m", NODES, 4001)
+
+    def compute(writer: ArtifactWriter) -> dict:
+        state = bounds.solve_steady_state(p, n, m)
+        residual = bounds.steady_state_residual(state)
+        writer.write_series_csv("steady_state.csv", ["r", "w"],
+                                [state.r_nodes, state.w])
+        verdict = {
+            "center_value": state.center_value,
+            "boundary_value": state.boundary_value,
+            "flux_residual": residual,
+            "sign_changes_in_bracket": state.sign_changes,
+            "pass": bool(residual <= 1e-8),
+        }
+        writer.write_json("summary.json", verdict)
+        return verdict
+    return compute
 
 
-def _run_lfunction_audit(cfg: _Section, writer: ArtifactWriter) -> dict:
+def _run_lfunction_audit(cfg: _Section):
     L = _steepness(cfg.section("L"))
     audit = cfg.section("audit", {})
     lambda0 = audit.read("lambda0", NUMBER, L.lambda0 if not math.isnan(L.lambda0) else 1.0)
     p = audit.read("p", NUMBER, 1.0)
     q0 = audit.read("q0", NUMBER, 1.0)
-    s_points = audit.read("s_points", INTEGER, 400)
-    l_points = audit.read("lambda_points", INTEGER, 400)
+    s_points = audit.read("s_points", COUNT, 400)
+    l_points = audit.read("lambda_points", COUNT, 400)
 
-    s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
-    s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, s_points)
-    lam_grid = np.linspace(lambda0 * 1e-3, lambda0 * (1.0 - 1e-9), l_points)
-    checks = {}
-    if not math.isnan(L.a):
-        rep = check_near_multiplicativity(L, lambda0, L.a, s_grid, lam_grid)
-        checks["near_multiplicativity"] = {
-            "max_violation": rep.max_violation, "worst_s": rep.worst_s,
-            "worst_lambda": rep.worst_lambda, "pass": rep.passed}
-        ratio_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, min(L.s0, 1.0) * (1 - 1e-9),
-                                  s_points)
-        rep2 = check_ratio_bound(L, L.a, ratio_grid)
-        checks["ratio_bound"] = {"max_violation": rep2.max_violation,
-                                 "worst_s": rep2.worst_s, "pass": rep2.passed}
-    conv = check_convexity_condition(L, p, q0, s_grid)
-    checks["convexity"] = {
-        "weak_violation": conv.weak.max_violation,
-        "strong_violation": conv.strong.max_violation,
-        "pass": conv.passed,
-    }
-    ok = all(c["pass"] for c in checks.values())
-    verdict = {"L": L.to_json(), "checks": checks, "pass": ok}
-    writer.write_json("audit.json", verdict)
-    return verdict
+    def compute(writer: ArtifactWriter) -> dict:
+        s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
+        s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, s_points)
+        lam_grid = np.linspace(lambda0 * 1e-3, lambda0 * (1.0 - 1e-9), l_points)
+        checks = {}
+        if not math.isnan(L.a):
+            rep = check_near_multiplicativity(L, lambda0, L.a, s_grid, lam_grid)
+            checks["near_multiplicativity"] = {
+                "max_violation": rep.max_violation, "worst_s": rep.worst_s,
+                "worst_lambda": rep.worst_lambda, "pass": rep.passed}
+            ratio_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, min(L.s0, 1.0) * (1 - 1e-9),
+                                      s_points)
+            rep2 = check_ratio_bound(L, L.a, ratio_grid)
+            checks["ratio_bound"] = {"max_violation": rep2.max_violation,
+                                     "worst_s": rep2.worst_s, "pass": rep2.passed}
+        conv = check_convexity_condition(L, p, q0, s_grid)
+        checks["convexity"] = {
+            "weak_violation": conv.weak.max_violation,
+            "strong_violation": conv.strong.max_violation,
+            "pass": conv.passed,
+        }
+        ok = all(c["pass"] for c in checks.values())
+        verdict = {"L": L.to_json(), "checks": checks, "pass": ok}
+        writer.write_json("audit.json", verdict)
+        return verdict
+    return compute
 
 
-def _run_gn_scan(cfg: _Section, writer: ArtifactWriter) -> dict:
+def _run_gn_scan(cfg: _Section):
     gcfg = cfg.section("grid")
     grid = radial.RadialGrid(gcfg.read("n", INTEGER), gcfg.read("R", NUMBER),
-                             gcfg.read("m", INTEGER))
+                             gcfg.read("m", NODES))
     L = _steepness(cfg.section("L"))
     rcfg = cfg.section("request")
     req = gn.GNRequest(n=grid.n, q=rcfg.read("q", NUMBER), L=L, K=rcfg.read("K", NUMBER, None))
@@ -297,16 +308,18 @@ def _run_gn_scan(cfg: _Section, writer: ArtifactWriter) -> dict:
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
     probe_scale = cfg.read("sharpness_scale", NUMBER, None)
 
-    scan = gn.family_scan(fam, req, grid)
-    writer.write_text("scan.csv", scan.to_csv())
-    summary = {"scan": scan.summary()}
-    if probe_scale:
-        probe = gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale))
-        writer.write_text("scan_probe.csv", probe.to_csv())
-        summary["probe"] = probe.summary()
-    writer.write_json("summary.json", summary)
-    summary["pass"] = True
-    return summary
+    def compute(writer: ArtifactWriter) -> dict:
+        scan = gn.family_scan(fam, req, grid)
+        writer.write_text("scan.csv", scan.to_csv())
+        summary = {"scan": scan.summary()}
+        if probe_scale:
+            probe = gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale))
+            writer.write_text("scan_probe.csv", probe.to_csv())
+            summary["probe"] = probe.summary()
+        writer.write_json("summary.json", summary)
+        summary["pass"] = True
+        return summary
+    return compute
 
 
 def _write_run_series(writer: ArtifactWriter, run):
@@ -316,10 +329,10 @@ def _write_run_series(writer: ArtifactWriter, run):
     keep = np.unique(np.linspace(0, len(run.times) - 1, 9).astype(int))
     for k in keep:
         writer.write_series_csv(f"profile_t{run.times[k]:.6g}.csv", ["r", "u"],
-                                [run.grid.nodes, run.profiles[k].values])
+                                [run.grid.nodes, run.values[k]])
 
 
-def _run_pde_decay(cfg: _Section, writer: ArtifactWriter) -> dict:
+def _run_pde_decay(cfg: _Section):
     spec, t_end, snaps = _problem(cfg)
     names = cfg.list_of("observers", STRING, [])
     rate = cfg.section("rate", None)
@@ -330,7 +343,7 @@ def _run_pde_decay(cfg: _Section, writer: ArtifactWriter) -> dict:
     if lcfg is not None:
         eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
         R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
-        m_list = lcfg.list_of("m_list", INTEGER)
+        m_list = lcfg.list_of("m_list", NODES)
         if len(m_list) != len(R_list):
             raise ConfigError("approx.ladder.m_list: must match R_list in length")
     else:
@@ -341,70 +354,73 @@ def _run_pde_decay(cfg: _Section, writer: ArtifactWriter) -> dict:
         slack = rate.read("slack", NUMBER, rates.RATIO_SLACK)
         window = tuple(rate.read("window", WINDOW, [10.0, None]))
 
-    verdict: dict = {"pass": True}
-    if lcfg is not None:
-        ladder = evolution.minimal_solution_ladder(
-            spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs)
-        run = ladder.proxy
-        verdict["ladder"] = ladder.report()
-        writer.write_json("ladder_report.json", verdict["ladder"])
-    else:
-        run = evolution.evolve(spec, params, t_end, snaps, obs)
+    def compute(writer: ArtifactWriter) -> dict:
+        verdict: dict = {"pass": True}
+        if lcfg is not None:
+            ladder = evolution.minimal_solution_ladder(
+                spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs)
+            run = ladder.proxy
+            verdict["ladder"] = ladder.report()
+            writer.write_json("ladder_report.json", verdict["ladder"])
+        else:
+            run = evolution.evolve(spec, params, t_end, snaps, obs)
 
-    _write_run_series(writer, run)
+        _write_run_series(writer, run)
 
-    if rate is not None:
-        sandwich = rates.sandwich_report(run, env, L, spec.p, spec.n, delta,
-                                         window=window, slack=slack)
-        verdict["sandwich"] = sandwich.to_json()
-        writer.write_json("sandwich.json", verdict["sandwich"])
-        baseline = rates.baseline_check(run.times, run.series["center_value"],
-                                        spec.p, t0=window[0], t_hi=window[1])
-        verdict["baseline"] = baseline.to_json()
-        writer.write_json("baseline.json", verdict["baseline"])
-        t_grid = run.times[run.times >= window[0]]
-        curve = rates.lower_bound_curve(env, spec.p, 1.0 / (2.0 * spec.p),
-                                        sandwich.lower.C, t_grid)
-        writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
-        upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
-        writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
-        verdict["pass"] = bool(sandwich.passed and baseline.passed)
-    return verdict
+        if rate is not None:
+            sandwich = rates.sandwich_report(run, env, L, delta, window=window, slack=slack)
+            verdict["sandwich"] = sandwich.to_json()
+            writer.write_json("sandwich.json", verdict["sandwich"])
+            baseline = rates.baseline_check(run.times, run.series["center_value"],
+                                            spec.p, t0=window[0], t_hi=window[1])
+            verdict["baseline"] = baseline.to_json()
+            writer.write_json("baseline.json", verdict["baseline"])
+            t_grid = run.times[run.times >= window[0]]
+            curve = rates.lower_bound_curve(env, spec.p, 1.0 / (2.0 * spec.p),
+                                            sandwich.lower.C, t_grid)
+            writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
+            upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
+            writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
+            verdict["pass"] = bool(sandwich.passed and baseline.passed)
+        return verdict
+    return compute
 
 
-def _run_lower_bound(cfg: _Section, writer: ArtifactWriter) -> dict:
+def _run_lower_bound(cfg: _Section):
     spec, t_end, snaps = _problem(cfg)
     params = _approx_params(cfg.section("approx"))
     env = _envelope(cfg.section("envelope"))
-    steady_m = cfg.section("steady", {}).read("m", INTEGER, 4001)
+    steady_m = cfg.section("steady", {}).read("m", NODES, 4001)
     tau0_list = cfg.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
     c1 = cfg.read("c1", NUMBER, None)
 
-    run = evolution.evolve(spec, params, t_end, snaps)
-    _write_run_series(writer, run)
+    def compute(writer: ArtifactWriter) -> dict:
+        run = evolution.evolve(spec, params, t_end, snaps)
+        _write_run_series(writer, run)
 
-    state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
-    writer.write_series_csv("steady_state.csv", ["r", "w"],
-                            [state.r_nodes, state.w])
+        state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
+        writer.write_series_csv("steady_state.csv", ["r", "w"],
+                                [state.r_nodes, state.w])
 
-    margins = []
-    ok = True
-    for tau0 in tau0_list:
-        ss = bounds.build_subsolution(env, spec.p, state, float(tau0), c1)
-        rep = bounds.subsolution_check(run, ss, state)
-        margins.append({
-            "tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
-            "min_margin": rep.min_margin, "initial_margin": rep.initial_margin,
-            "center_margin_at_tau0": rep.center_margin_at_tau0,
-            "snapshots_checked": rep.snapshots_checked,
-            "resolution_warning": rep.resolution_warning,
-        })
-        ok = ok and rep.min_margin >= 0.0
-    verdict = {"steady_center": state.center_value,
-               "steady_flux_residual": bounds.steady_state_residual(state),
-               "margins": margins, "pass": bool(ok)}
-    writer.write_json("margins.json", verdict)
-    return verdict
+        margins = []
+        ok = True
+        for tau0 in tau0_list:
+            ss = bounds.build_subsolution(env, spec.p, state, float(tau0), c1)
+            rep = bounds.subsolution_check(run, ss, state)
+            margins.append({
+                "tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
+                "min_margin": rep.min_margin, "initial_margin": rep.initial_margin,
+                "center_margin_at_tau0": rep.center_margin_at_tau0,
+                "snapshots_checked": rep.snapshots_checked,
+                "resolution_warning": rep.resolution_warning,
+            })
+            ok = ok and rep.min_margin >= 0.0
+        verdict = {"steady_center": state.center_value,
+                   "steady_flux_residual": bounds.steady_state_residual(state),
+                   "margins": margins, "pass": bool(ok)}
+        writer.write_json("margins.json", verdict)
+        return verdict
+    return compute
 
 
 _RUNNERS = {
@@ -419,8 +435,9 @@ _RUNNERS = {
 def run_experiment(config_path: Path, out_dir=None) -> int:
     cfg = _Section(load_config(config_path))
     out = cfg.read("output_dir", STRING, f"out/{cfg.doc['name']}")
+    compute = _RUNNERS[cfg.doc["mode"]](cfg)
     writer = ArtifactWriter(Path(out_dir or out))
-    verdict = _RUNNERS[cfg.doc["mode"]](cfg, writer)
+    verdict = compute(writer)
     writer.finish(cfg.doc, verdict)
     return EXIT_PASS if verdict["pass"] else EXIT_VERDICT
 
@@ -449,19 +466,23 @@ def _plot_script(mode: str, run_dir: Path):
 
 def report(run_dir: Path) -> int:
     manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
-        return EXIT_CONFIG
-    manifest = json.loads(manifest_path.read_text())
-    mode = manifest["mode"]
-    lines = [f"# {manifest['name']}", "", f"mode: {mode}", ""]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        name, mode, verdict = manifest["name"], manifest["mode"], manifest["verdict"]
+        artifacts = [entry["path"] for entry in manifest["artifacts"]]
+        if not all(type(rel) is str for rel in artifacts):
+            raise TypeError("artifact paths must be strings")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path}: missing or malformed manifest "
+                          f"({type(exc).__name__}: {exc})") from exc
+    lines = [f"# {name}", "", f"mode: {mode}", ""]
     problems = []
-    for entry in manifest["artifacts"]:
-        path = run_dir / entry["path"]
+    for rel in artifacts:
+        path = run_dir / rel
         status = "ok"
         if not path.exists():
             status = "MISSING"
-        elif entry["path"].endswith(".csv"):
+        elif rel.endswith(".csv"):
             try:
                 with path.open(newline="") as fh:
                     rows = list(csv.reader(fh))
@@ -469,10 +490,10 @@ def report(run_dir: Path) -> int:
             except (OSError, csv.Error, IndexError, ValueError):
                 status = "CORRUPT"
         if status != "ok":
-            problems.append(f"- {entry['path']}: {status}")
-        lines.append(f"- `{entry['path']}` ({status})")
+            problems.append(f"- {rel}: {status}")
+        lines.append(f"- `{rel}` ({status})")
     lines += ["", "## verdict", "```json",
-              json.dumps(manifest["verdict"], indent=2, sort_keys=True), "```"]
+              json.dumps(verdict, indent=2, sort_keys=True), "```"]
     if problems:
         lines += ["", "## problems", *problems]
     (run_dir / "summary.md").write_text("\n".join(lines) + "\n")

@@ -81,13 +81,17 @@ class ApproxParams:
 
 @dataclass
 class EvolutionRun:
-    """Snapshots and observer series of one regularized trajectory."""
+    """Snapshots and observer series of one regularized trajectory.
+
+    ``values`` has shape ``(len(times), grid.m)``: row k is u(., times[k]) on
+    ``grid.nodes``.  ``series`` maps observer names to arrays over ``times``.
+    """
 
     spec: ProblemSpec
     params: ApproxParams
     grid: RadialGrid
     times: np.ndarray
-    profiles: list
+    values: np.ndarray
     series: dict
     dts: Optional[np.ndarray] = None
 
@@ -185,23 +189,22 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
         obs.update(observers)
 
     snaps = _normalize_snapshots(snapshot_times, t_end)
-    times, profiles = [], []
+    values = np.empty((snaps.size, grid.m))
     series = {name: [] for name in obs}
     stepper = _Stepper(grid, spec.p, params.eps)
     dts: list = []
 
-    def record(t: float, vals: np.ndarray):
+    def record(k: int, vals: np.ndarray):
         if not (vals.min() >= params.eps - 1e-10 and vals.max() <= sup_bound):
             raise SchemeError("discrete maximum principle violated at a snapshot")
-        prof = RadialProfile(grid, vals.copy())
-        times.append(t)
-        profiles.append(prof)
+        values[k] = vals
+        prof = RadialProfile(grid, values[k])
         for name, fn in obs.items():
             series[name].append(fn(prof))
 
     i_snap = 0
     if snaps[0] <= 0.0:
-        record(0.0, u)
+        record(0, u)
         i_snap = 1
 
     t = 0.0
@@ -235,10 +238,10 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
         t += dt
         if i_snap < snaps.size and t >= snaps[i_snap] * (1.0 - 1e-14):
             t = float(snaps[i_snap])
-            record(t, u)
+            record(i_snap, u)
             i_snap += 1
 
-    return EvolutionRun(spec, params, grid, np.array(times), profiles,
+    return EvolutionRun(spec, params, grid, snaps[:i_snap], values[:i_snap],
                         {k: np.array(v) for k, v in series.items()},
                         np.array(dts) if record_dts else None)
 
@@ -315,12 +318,8 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
 
     def max_gap(low_run, high_run):
         """Largest violation of high >= low on the shared nodes and times."""
-        m_low = low_run.grid.m
-        worst = 0.0
-        for k in range(len(low_run.times)):
-            gap = low_run.profiles[k].values - high_run.profiles[k].values[:m_low]
-            worst = max(worst, float(gap.max()))
-        return worst
+        gap = low_run.values - high_run.values[:, :low_run.grid.m]
+        return max(0.0, float(gap.max()))
 
     eps_violation = 0.0
     for R in R_list:
@@ -376,40 +375,35 @@ def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float,
             f"p={p}, q={q}: weak viol {conv.weak.max_violation:.3e}, "
             f"strong viol {conv.strong.max_violation:.3e}")
     exponent = (p + q) / 2.0
-    sup0 = float(run.profiles[0].values.max())
+    sup0 = float(run.values[0].max())
     if sup0 ** exponent >= L.s0:
         raise InputError(
             f"sup u0^((p+q)/2) = {sup0**exponent:.6g} must stay below s0 = {L.s0}")
-    grid = run.grid
-    values = np.array([grid.volume_integral(L.value(prof.values ** exponent))
-                       for prof in run.profiles])
-    for k in range(len(values) - 1):
-        if values[k + 1] > values[k] + tol_scale * (1.0 + abs(values[k])):
-            raise NumericError(
-                f"descent functional increased between t={run.times[k]:.6g} and "
-                f"t={run.times[k+1]:.6g}: {values[k]:.12g} -> {values[k+1]:.12g}")
+    descent = observer_lyapunov(L, p, q)
+    values = np.array([descent(RadialProfile(run.grid, row)) for row in run.values])
+    rises = values[1:] > values[:-1] + tol_scale * (1.0 + np.abs(values[:-1]))
+    if rises.any():
+        k = int(np.argmax(rises))
+        raise NumericError(
+            f"descent functional increased between t={run.times[k]:.6g} and "
+            f"t={run.times[k+1]:.6g}: {values[k]:.12g} -> {values[k+1]:.12g}")
     return values
 
 
-def semiconvexity_check(run: EvolutionRun, p: Optional[float] = None) -> float:
+def semiconvexity_check(run: EvolutionRun) -> float:
     """min over nodes and snapshot pairs of u_t/u + 1/(p t).
 
     u_t uses forward differences between consecutive snapshots, evaluated at
     the earlier time; pairs starting at t = 0 are skipped.
     """
-    if len(run.profiles) < 2:
+    if len(run.times) < 2:
         raise InputError("need at least two snapshots")
-    p = run.spec.p if p is None else p
-    worst = math.inf
-    for k in range(len(run.times) - 1):
-        t = run.times[k]
-        if t <= 0.0:
-            continue
-        dt = run.times[k + 1] - t
-        u = run.profiles[k].values
-        ut = (run.profiles[k + 1].values - u) / dt
-        worst = min(worst, float((ut / u).min()) + 1.0 / (p * t))
-    return worst
+    t = run.times[:-1]
+    pos = t > 0.0
+    u = run.values[:-1][pos]
+    ut = np.diff(run.values, axis=0)[pos] / np.diff(run.times)[pos, None]
+    return float(np.min((ut / u).min(axis=1) + 1.0 / (run.spec.p * t[pos]),
+                        initial=math.inf))
 
 
 def linfty_from_lq_check(run: EvolutionRun, q: float):
@@ -425,13 +419,11 @@ def linfty_from_lq_check(run: EvolutionRun, q: float):
     omega = run.grid.omega_n
     expo = 2.0 / (n * p + 2.0 * q)
     const = (2.0 ** (q + n * (p - 1.0) / 2.0) * n / (p ** (n / 2.0) * omega)) ** expo
-    worst, worst_t = -math.inf, math.nan
-    for k, t in enumerate(run.times):
-        if t <= 0.0:
-            continue
-        prof = run.profiles[k]
-        rhs = const * t ** (-n * expo / 2.0) * lq_quasinorm(prof, q) ** (q * expo)
-        ratio = float(prof.values.max()) / rhs
-        if ratio > worst:
-            worst, worst_t = ratio, t
-    return worst, worst_t
+    pos = run.times > 0.0
+    t, u = run.times[pos], run.values[pos]
+    if t.size == 0:
+        return -math.inf, math.nan
+    lq = np.array([lq_quasinorm(RadialProfile(run.grid, row), q) for row in u])
+    ratios = u.max(axis=1) / (const * t ** (-n * expo / 2.0) * lq ** (q * expo))
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), float(t[k])

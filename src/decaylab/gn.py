@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -230,7 +229,8 @@ def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
     Members must be resolvable on the grid (width <= R/5).  When the request
     carries no budget, K defaults to 1.05x the largest member budget so the
     precondition is non-vacuous but satisfiable.  Budget violations are
-    recorded per member, not fatal.
+    recorded per member, not fatal; a member whose gradient norm is 0 (its
+    ratio undefined) raises InputError.
     """
     if req.L is None:
         raise InputError("family scans need a steepness function on the request")
@@ -248,12 +248,15 @@ def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
 
     rows = []
     for (scale, width), prof, budget in zip(members, profiles, budgets):
+        member_id = f"s{scale:g}_w{width:g}"
         grad = grad_l2_norm(prof)
+        if not grad > 0.0:
+            raise InputError(f"member {member_id}: gradient norm is {grad:g}, "
+                             "so its ratio is undefined")
         lq = lq_quasinorm(prof, req.q)
-        ok = budget.value <= K
-        ratio = _weighted_ratio(lq, grad, req.L, alpha) if grad > 0 else math.nan
-        rows.append(ScanRow(f"s{scale:g}_w{width:g}", scale, width, grad, lq,
-                            budget.value, budget.tail_flagged, ok, ratio))
+        rows.append(ScanRow(member_id, scale, width, grad, lq, budget.value,
+                            budget.tail_flagged, budget.value <= K,
+                            _weighted_ratio(lq, grad, req.L, alpha)))
     rows.sort(key=lambda row: row.grad_norm)
 
     ratios = np.array([row.ratio for row in rows])

@@ -249,16 +249,17 @@ class SandwichVerdict:
 
 
 def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
-                    p: float, n: int, delta: float,
-                    window: tuple = (10.0, None), c1: Optional[float] = None,
+                    delta: float, window: tuple = (10.0, None),
+                    c1: Optional[float] = None,
                     slack: float = RATIO_SLACK) -> SandwichVerdict:
-    """Fit the sup-norm series and check both calibrated bounds.
+    """Fit the run's sup-norm series and check both calibrated bounds.
 
     The steepness exponent must match the envelope: kappa = n/beta + n p delta/2
     for stretched-exponential envelopes (gamma replaces beta for doubly
     exponential ones).  The fitted correction exponent must land in
     [target - 0.1, target + delta + 0.1] with target 2/(p beta) or 2/(p gamma).
     """
+    p, n = run.spec.p, run.grid.n
     if env.kind == "StretchedExp":
         shape, model, wanted_kind = env.beta, "LogCorrected", "LogType"
     else:

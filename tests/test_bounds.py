@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decaylab.bounds import (DecayEnvelope, build_subsolution, compensated_frame,
+from decaylab.bounds import (DecayEnvelope, build_subsolution,
                              evaluate_steady_state, logistic_exact,
                              logistic_residual, lower_bound_curve,
                              solve_steady_state, steady_state_residual,
@@ -81,27 +81,6 @@ def test_envelope_double_exp_inverse():
     env = DecayEnvelope(kind="DoubleExp", c0=1.0, alpha=2.0, beta=1.0, gamma=1.0)
     sigma = env.lam(3.0)
     assert env.lam_inv(sigma) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_compensated_frame_roundtrip_and_growth():
-    spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.exp(-r**2))
-    run = evolve(spec, ApproxParams(R=10.0, eps=1e-4, m=251), 50.0,
-                 np.concatenate([[0.0], np.geomspace(0.5, 50.0, 10)]))
-    frame = compensated_frame(run)
-    # z = (t+1)^{1/p} u reverses to machine precision
-    k = 5
-    back = frame.profiles[k].values / (run.times[k] + 1.0)
-    np.testing.assert_allclose(back, run.profiles[k].values, rtol=1e-15)
-    # compensated sup grows once the decay sets in
-    assert frame.sup_series[-1] > frame.sup_series[1]
-
-
-def test_compensated_frame_constant_profile_formula():
-    spec = ProblemSpec(p=2.0, n=1, u0=lambda r: np.zeros_like(r))
-    run = evolve(spec, ApproxParams(R=5.0, eps=0.25, m=101), 3.0, [0.0, 1.0, 3.0])
-    frame = compensated_frame(run)
-    np.testing.assert_allclose(frame.sup_series,
-                               0.25 * (run.times + 1.0) ** 0.5, rtol=1e-12)
 
 
 def test_lower_bound_curve_specializations():

@@ -188,7 +188,19 @@ def test_schema_errors_exit_2(tmp_path):
         with_field(steady, "approx", []),
         with_field(rated, "rate.window", [1.0]),
     ]
-    for doc in ill_typed:
+    # well-typed values out of range fail closed too, before numpy or the
+    # solvers see them
+    bounded = dict(TINY_DECAY, mode="lower_bound", envelope=TINY_DECAY["problem"]["u0"])
+    out_of_range = [
+        with_field(TINY_DECAY, "snapshots.count", -1),
+        with_field(TINY_DECAY, "snapshots.t_min", 0),
+        with_field(TINY_DECAY, "t_end", 0),
+        with_field(steady, "approx.m", 1),
+        with_field(ladder, "approx.ladder.m_list", [1]),
+        with_field(bounded, "steady", {"m": 1}),
+        with_field(audit, "audit.s_points", -1),
+    ]
+    for doc in ill_typed + out_of_range:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     broken = tmp_path / "broken.json"
@@ -225,11 +237,19 @@ def test_inadmissible_p_exit_2(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
+def test_config_error_leaves_no_run_directory(tmp_path):
+    # the run directory is created only once every field has been read
+    out = tmp_path / "fresh"
+    cfg = write_config(tmp_path, {"name": "x", "mode": "steady_state"})
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_numeric_failure_exit_3(tmp_path, monkeypatch):
-    def diverge(cfg, writer):
+    def diverge(writer):
         raise NumericError("steady-state shooting did not converge")
 
-    monkeypatch.setitem(cli._RUNNERS, "steady_state", diverge)
+    monkeypatch.setitem(cli._RUNNERS, "steady_state", lambda cfg: diverge)
     cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state"})
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
@@ -257,6 +277,16 @@ def test_report_flags_corrupted_csv(tmp_path):
 
 def test_report_missing_manifest(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_report_malformed_manifest(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    for text in ('{"name": "x", "mode":', '{"name": "x", "artifacts": [], "verdict": {}}',
+                 '[]', '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": 1}], '
+                 '"verdict": {}}'):
+        manifest.write_text(text)
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG, text
+    assert not (tmp_path / "summary.md").exists()
 
 
 def test_checked_in_configs_are_valid(tmp_path):

@@ -9,7 +9,7 @@ from decaylab.evolution import (ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
-from decaylab.radial import RadialGrid
+from decaylab.radial import RadialGrid, RadialProfile, lq_quasinorm
 from decaylab.steepness import SteepnessFunction
 
 
@@ -20,7 +20,7 @@ def gaussian_spec(p=1.0, n=1):
 def one_step(spec, params, dt=1e-3):
     """Initial and stepped profile of a single replayed step of size dt."""
     run = evolve(spec, params, dt, [0.0, dt], dt_schedule=np.array([dt]))
-    return run.profiles[0].values, run.profiles[1].values
+    return run.values[0], run.values[1]
 
 
 def test_step_stationary_at_boundary_level():
@@ -59,7 +59,7 @@ def test_linearized_heat_decay_rate():
     spec = ProblemSpec(p=1.0, n=1, u0=lambda r: amp * np.cos(np.pi * r / (2 * R)))
     params = ApproxParams(R=R, eps=eps0, m=m, safety=0.25)
     run = evolve(spec, params, 2.0, np.linspace(0.25, 2.0, 8))
-    amps = np.array([prof.values.max() - eps0 for prof in run.profiles])
+    amps = run.values.max(axis=1) - eps0
     rate = -np.polyfit(run.times, np.log(amps), 1)[0]
 
     h = R / (m - 1)
@@ -79,7 +79,7 @@ def test_evolve_records_snapshots_and_series():
     snaps = [0.0, 0.5, 1.0, 2.0]
     run = evolve(spec, params, 2.0, snaps, observers={"lq1": observer_lq(1.0)})
     np.testing.assert_allclose(run.times, snaps)
-    assert len(run.profiles) == 4
+    assert run.values.shape == (4, params.m)
     assert set(run.series) == {"sup_norm", "center_value", "lq1"}
     assert np.all(np.diff(run.series["sup_norm"]) <= 0)
 
@@ -88,18 +88,15 @@ def test_evolve_maximum_principle_and_floor():
     spec = gaussian_spec()
     params = ApproxParams(R=10.0, eps=1e-2, m=251)
     run = evolve(spec, params, 5.0, np.linspace(0.0, 5.0, 6))
-    top = run.profiles[0].values.max()
-    for prof in run.profiles:
-        assert prof.values.min() >= params.eps - 1e-12
-        assert prof.values.max() <= top + 1e-12
+    assert run.values.min() >= params.eps - 1e-12
+    assert run.values.max() <= run.values[0].max() + 1e-12
 
 
 def test_evolve_preserves_radial_monotonicity():
     spec = gaussian_spec(n=3)
     params = ApproxParams(R=10.0, eps=1e-3, m=251)
     run = evolve(spec, params, 3.0, np.geomspace(0.1, 3.0, 6))
-    for prof in run.profiles:
-        assert prof.is_nonincreasing(tol=1e-12)
+    assert np.all(np.diff(run.values, axis=1) <= 1e-12)
 
 
 def test_discrete_comparison_on_random_monotone_pairs(rng):
@@ -117,8 +114,7 @@ def test_discrete_comparison_on_random_monotone_pairs(rng):
         params = ApproxParams(R=R, eps=1e-3, m=grid_m)
         hi = evolve(spec_hi, params, 1.0, snaps, record_dts=True)
         lo = evolve(spec_lo, params, 1.0, snaps, dt_schedule=hi.dts)
-        for ph, pl in zip(hi.profiles, lo.profiles):
-            assert np.all(ph.values >= pl.values - 1e-10)
+        assert np.all(hi.values >= lo.values - 1e-10)
 
 
 def test_epsilon_ordering_of_paired_runs():
@@ -128,8 +124,7 @@ def test_epsilon_ordering_of_paired_runs():
                  record_dts=True)
     small = evolve(spec, ApproxParams(R=10.0, eps=0.01, m=251), 3.0, snaps,
                    dt_schedule=big.dts)
-    for pb, ps in zip(big.profiles, small.profiles):
-        assert np.all(pb.values >= ps.values - 1e-12)
+    assert np.all(big.values >= small.values - 1e-12)
 
 
 def test_ladder_monotone_and_cauchy():
@@ -239,3 +234,21 @@ def test_linfty_from_lq_bound():
     worst, worst_t = linfty_from_lq_check(run, 1.0)
     assert worst <= 1.0 + 1e-6
     assert worst_t > 0
+
+
+def test_run_checks_match_per_snapshot_loops():
+    # reference: the per-snapshot loops the array forms replaced
+    run = evolve(gaussian_spec(p=2.0, n=2), ApproxParams(R=10.0, eps=1e-3, m=251), 5.0,
+                 np.concatenate([[0.0], np.geomspace(0.2, 5.0, 8)]))
+    t, u = run.times, run.values
+    semi = min(float(((u[k + 1] - u[k]) / (t[k + 1] - t[k]) / u[k]).min()) + 1.0 / (2.0 * t[k])
+               for k in range(1, len(t) - 1))
+    assert semiconvexity_check(run) == semi
+    expo = 2.0 / (2 * 2.0 + 2.0)
+    const = (2.0 ** (1.0 + 2 * 1.0 / 2.0) * 2 / (2.0 * 2.0 * math.pi)) ** expo
+    ratios = [u[k].max() / (const * t[k] ** (-expo)
+                            * lq_quasinorm(RadialProfile(run.grid, u[k]), 1.0) ** expo)
+              for k in range(1, len(t))]
+    worst, worst_t = linfty_from_lq_check(run, 1.0)
+    assert worst == pytest.approx(max(ratios), rel=1e-14)
+    assert worst_t == t[1 + int(np.argmax(ratios))]

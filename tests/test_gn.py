@@ -129,6 +129,17 @@ def test_family_width_resolvability():
                     RadialGrid(3, 20.0, 501))
 
 
+def test_family_member_with_zero_gradient_fails_closed():
+    # a subnormal scale underflows the gradient norm to 0, leaving the
+    # member's ratio undefined, alone or beside a regular member
+    L = SteepnessFunction.log_type(2.0, 4.0)
+    for scales in ([1e-320], [1e-320, 0.1]):
+        fam = FamilySpec(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0,
+                         scales=scales, widths=[1.0])
+        with pytest.raises(InputError, match="member s.*_w1: gradient norm is 0"):
+            family_scan(fam, GNRequest(n=3, q=2.0, L=L), RadialGrid(3, 20.0, 201))
+
+
 def test_double_exp_family_scan_finite():
     L = SteepnessFunction.double_log_type(2.0, math.e**3)
     fam = FamilySpec(kind="DoubleExp", c0=0.3, alpha=1.0, beta=1.0, gamma=1.0,

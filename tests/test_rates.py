@@ -18,7 +18,8 @@ def synthetic_run(times, sup, p=1.0, n=1):
     spec = ProblemSpec(p=p, n=n, u0=lambda r: np.exp(-r**2))
     grid = RadialGrid(n, 10.0, 11)
     return EvolutionRun(spec, ApproxParams(R=10.0, eps=1e-5, m=11), grid,
-                        np.asarray(times), [], {"sup_norm": np.asarray(sup)})
+                        np.asarray(times), np.zeros((len(times), grid.m)),
+                        {"sup_norm": np.asarray(sup)})
 
 
 def test_fit_recovers_log_model_exactly():
@@ -97,7 +98,7 @@ def test_sandwich_report_on_exact_model():
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     L = SteepnessFunction.log_type(0.95, 4.0)
-    verdict = sandwich_report(run, env, L, 1.0, 1, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, L, delta=0.9, window=(10.0, 1e4))
     assert verdict.fit.sigma == pytest.approx(1.2, abs=1e-6)
     assert verdict.sigma_window == (0.9, 2.0)
     assert verdict.upper.passed and verdict.lower.passed and verdict.passed
@@ -110,7 +111,7 @@ def test_sandwich_report_rejects_mismatched_gauge():
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     wrong_kappa = SteepnessFunction.log_type(2.0, 4.0)
     with pytest.raises(InputError, match="kappa"):
-        sandwich_report(run, env, wrong_kappa, 1.0, 1, delta=0.9)
+        sandwich_report(run, env, wrong_kappa, delta=0.9)
 
 
 def test_sandwich_report_flags_out_of_window_exponent():
@@ -118,7 +119,7 @@ def test_sandwich_report_flags_out_of_window_exponent():
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 3.0)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     L = SteepnessFunction.log_type(0.95, 4.0)
-    verdict = sandwich_report(run, env, L, 1.0, 1, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, L, delta=0.9, window=(10.0, 1e4))
     assert not verdict.sigma_ok
     assert not verdict.passed
 
