@@ -309,15 +309,17 @@ def _run_gn_scan(cfg: _Section):
     probe_scale = cfg.read("sharpness_scale", NUMBER, None)
 
     def compute(writer: ArtifactWriter) -> dict:
-        scan = gn.family_scan(fam, req, grid)
-        writer.write_text("scan.csv", scan.to_csv())
-        summary = {"scan": scan.summary()}
+        scans = [gn.family_scan(fam, req, grid)]
+        writer.write_text("scan.csv", scans[0].to_csv())
+        summary = {"scan": scans[0].summary()}
         if probe_scale:
-            probe = gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale))
-            writer.write_text("scan_probe.csv", probe.to_csv())
-            summary["probe"] = probe.summary()
+            scans.append(gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale)))
+            writer.write_text("scan_probe.csv", scans[1].to_csv())
+            summary["probe"] = scans[1].summary()
         writer.write_json("summary.json", summary)
-        summary["pass"] = True
+        # every member, of the scan and of the probe, within budget with a finite ratio
+        summary["pass"] = all(row.budget_ok and math.isfinite(row.ratio)
+                              for scan in scans for row in scan.rows)
         return summary
     return compute
 
@@ -392,6 +394,8 @@ def _run_lower_bound(cfg: _Section):
     env = _envelope(cfg.section("envelope"))
     steady_m = cfg.section("steady", {}).read("m", NODES, 4001)
     tau0_list = cfg.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
+    if not tau0_list:
+        raise ConfigError("tau0_list: must name at least one horizon")
     c1 = cfg.read("c1", NUMBER, None)
 
     def compute(writer: ArtifactWriter) -> dict:

@@ -10,17 +10,26 @@ the old time level and solves the linear tridiagonal system
 
 with the symmetric stencil at r = 0 and the Dirichlet value eps at r = R.
 The matrix is an M-matrix for n <= 3, so u_new >= eps is preserved exactly up
-to linear-solve roundoff; larger undershoots abort the step.
+to linear-solve roundoff; a larger undershoot fails the step, and an
+adaptive run retries it at half the dt.
 
-Although the scheme is unconditionally stable, dt is capped by
-safety * h^2 / max(u^p) so the linearization error cannot contaminate
-measured decay rates.
+The scheme is unconditionally stable, so dt is chosen for accuracy alone.  The
+local error of backward Euler, dt^2/2 * u_tt, is estimated at no extra solve
+from the last two accepted steps,
+
+    lte = dt/(dt + dt_prev) * ((u_new - u) - (dt/dt_prev) * (u - u_prev)),
+
+and a step is accepted when err = max|lte| / (tol * max u_new) <= 1, with
+tol = ApproxParams.tol (default TOL); otherwise it is retried from u with a
+smaller dt.  The next step is dt * clamp(0.9 * err^(-1/2), 0.2, 2) (Hairer &
+Wanner, Solving ODEs II, Sec. IV.8).  The first step is DT_INIT, since no estimate exists before it, and a
+step shortened to land on a snapshot does not shrink the step after it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,8 +55,9 @@ __all__ = [
 
 UNDERSHOOT_TOL = 1e-13
 MAX_DT_HALVINGS = 40
-DT_INIT = 1e-4   # cap on the first adaptive step
-DT_MAX = 1.0
+MAX_REJECTIONS = 40
+DT_INIT = 1e-4   # first adaptive step
+TOL = 1e-7       # local error per step, relative to max u
 
 
 @dataclass(frozen=True)
@@ -70,13 +80,13 @@ class ApproxParams:
     R: float
     eps: float
     m: int
-    safety: float = 0.5
+    tol: float = TOL
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise InputError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (0.0 < self.safety < 1.0):
-            raise InputError(f"safety must lie in (0, 1), got {self.safety}")
+        if not (0.0 < self.tol < 1.0):
+            raise InputError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 @dataclass
@@ -85,6 +95,9 @@ class EvolutionRun:
 
     ``values`` has shape ``(len(times), grid.m)``: row k is u(., times[k]) on
     ``grid.nodes``.  ``series`` maps observer names to arrays over ``times``.
+    ``stats`` counts the steps: ``accepted``, ``rejected`` by the error
+    controller, undershoot ``halvings``, and ``dt_min``/``dt_max`` of the
+    accepted steps.
     """
 
     spec: ProblemSpec
@@ -94,6 +107,7 @@ class EvolutionRun:
     values: np.ndarray
     series: dict
     dts: Optional[np.ndarray] = None
+    stats: dict = field(default_factory=dict)
 
 
 def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -> np.ndarray:
@@ -207,8 +221,22 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
         record(0, u)
         i_snap = 1
 
+    stats = {"accepted": 0, "rejected": 0, "halvings": 0,
+             "dt_min": math.inf, "dt_max": 0.0}
+
+    def attempt(dt: float):
+        """One step from u, halving dt on an undershoot."""
+        for _ in range(MAX_DT_HALVINGS + 1):
+            try:
+                return stepper.step(u, dt), dt
+            except SchemeError:
+                dt *= 0.5
+                stats["halvings"] += 1
+        raise SchemeError(f"step failed after {MAX_DT_HALVINGS} dt halvings at t = {t:.6g}")
+
     t = 0.0
-    first = True
+    du_prev, dt_prev = None, 0.0    # change over the last accepted step, and its dt
+    dt_next = DT_INIT
     schedule = iter(dt_schedule) if dt_schedule is not None else None
     while t < t_end * (1.0 - 1e-14):
         if schedule is not None:
@@ -216,23 +244,33 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
                 dt = float(next(schedule))
             except StopIteration:
                 raise NumericError("dt schedule exhausted before t_end") from None
-            u = stepper.step(u, dt)
+            u_new = stepper.step(u, dt)
         else:
-            cap = params.safety * grid.h**2 / max(float(u.max()) ** spec.p, 1e-300)
-            dt = min(DT_MAX, cap)
-            if first:
-                dt = min(dt, DT_INIT)
-            dt = min(dt, snaps[i_snap] - t)
-            for _ in range(MAX_DT_HALVINGS + 1):
-                try:
-                    u = stepper.step(u, dt)
+            gap = float(snaps[i_snap]) - t
+            dt = min(dt_next, gap)
+            for _ in range(MAX_REJECTIONS + 1):
+                u_new, dt = attempt(dt)
+                du = u_new - u
+                if du_prev is None:
+                    factor = 1.0
                     break
-                except SchemeError:
-                    dt *= 0.5
+                lte = du - (dt / dt_prev) * du_prev
+                err = (dt / (dt + dt_prev) * float(np.abs(lte).max())
+                       / (params.tol * float(u_new.max())))
+                factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
+                if err <= 1.0:
+                    break
+                stats["rejected"] += 1
+                dt *= factor
             else:
                 raise SchemeError(
-                    f"step failed after {MAX_DT_HALVINGS} dt halvings at t = {t:.6g}")
-        first = False
+                    f"step rejected {MAX_REJECTIONS} times by the error control at t = {t:.6g}")
+            dt_next = dt * factor if dt < gap else max(dt_next, dt * factor)
+            du_prev, dt_prev = du, dt
+        u = u_new
+        stats["accepted"] += 1
+        stats["dt_min"] = min(stats["dt_min"], dt)
+        stats["dt_max"] = max(stats["dt_max"], dt)
         if record_dts:
             dts.append(dt)
         t += dt
@@ -243,7 +281,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
 
     return EvolutionRun(spec, params, grid, snaps[:i_snap], values[:i_snap],
                         {k: np.array(v) for k, v in series.items()},
-                        np.array(dts) if record_dts else None)
+                        np.array(dts) if record_dts else None, stats)
 
 
 def observer_lq(q: float) -> Callable:
@@ -286,7 +324,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
 
     eps_list must decrease, R_list increase, and all grids must share one
     spacing so profiles compare node-by-node.  Every member replays the dt
-    sequence of the (max eps, max R) member, whose cap is the binding one, so
+    sequence the error controller chose for the (max eps, max R) member, so
     ladder differences are not polluted by differing time discretizations.
     Solutions must decrease along eps and increase along R up to
     ``monotonicity_tol``; the proxy for the minimal solution is the member at

@@ -2,6 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, so tier-1 stays deterministic
+settings.register_profile("decaylab", derandomize=True, deadline=None, database=None)
+settings.load_profile("decaylab")
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
                              logistic_residual, solve_steady_state,
                              steady_state_residual, subsolution_check)
-from decaylab.evolution import (ApproxParams, ProblemSpec, evolve,
+from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
@@ -155,7 +155,7 @@ def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2):
     coarse = semiconvexity_check(
         evolve(spec, ApproxParams(R=10.0, eps=1e-3, m=126), 10.0, snaps))
     fine = semiconvexity_check(
-        evolve(spec, ApproxParams(R=10.0, eps=1e-3, m=501, safety=0.25), 10.0, snaps))
+        evolve(spec, ApproxParams(R=10.0, eps=1e-3, m=501, tol=TOL / 4), 10.0, snaps))
     improves = max(0.0, -fine) <= max(0.0, -coarse) + 1e-9
     ok = m1 >= -0.05 and m2 >= -0.05 and improves
     report(6, ok, f"min(p=1) = {m1:.2e}, min(p=2) = {m2:.2e}, "
@@ -215,11 +215,12 @@ def test_criterion_09_rate_sandwich(long_run):
     low_curve = lower.C * t[tail] ** -1.0 * (0.5 * np.log(t[tail]))
     bracket = (np.max(sup[tail] / up_curve) <= 1.1
                and np.max(low_curve / sup[tail]) <= 1.1)
+    steps = run.stats["accepted"]
     ok = (0.9 <= fit.sigma <= 1.6 and upper.passed and lower.passed
-          and bracket and elapsed <= 600.0)
+          and bracket and elapsed <= 600.0 and steps <= 30000)
     report(9, ok, f"sigma = {fit.sigma:.3f} in [0.9, 1.6]; upper ratio "
                   f"{upper.worst_ratio:.3f}, lower ratio {lower.worst_ratio:.3f}; "
-                  f"runtime {elapsed:.0f}s")
+                  f"runtime {elapsed:.0f}s, {steps} steps")
 
 
 def test_criterion_10_subsolution_certificate(long_run):

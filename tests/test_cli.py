@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from decaylab import cli, evolution
-from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, main, run_experiment)
+from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_VERDICT, main,
+                          run_experiment)
 from decaylab.errors import NumericError
 
 
@@ -92,6 +93,22 @@ def test_gn_scan_mode(tmp_path):
     summary = read_json(out / "summary.json")
     assert summary["scan"]["members"] == 2
     assert (out / "scan.csv").exists() and (out / "scan_probe.csv").exists()
+
+
+def test_gn_scan_over_budget_fails(tmp_path):
+    # no member meets a negative budget (every steepness integral is positive),
+    # so the scan certifies nothing and must not pass
+    cfg = write_config(tmp_path, {
+        "name": "scan", "mode": "gn_scan",
+        "grid": {"n": 3, "R": 20.0, "m": 1001},
+        "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
+        "request": {"q": 2.0, "K": -1},
+        "family": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0,
+                   "scales": [0.1, 0.05], "widths": [1.0, 2.0]},
+    })
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VERDICT
+    assert read_json(out / "manifest.json")["verdict"]["pass"] is False
 
 
 def test_pde_decay_mode_and_determinism(tmp_path):
@@ -199,6 +216,7 @@ def test_schema_errors_exit_2(tmp_path):
         with_field(ladder, "approx.ladder.m_list", [1]),
         with_field(bounded, "steady", {"m": 1}),
         with_field(audit, "audit.s_points", -1),
+        with_field(bounded, "tau0_list", []),
     ]
     for doc in ill_typed + out_of_range:
         cfg = write_config(tmp_path, doc)

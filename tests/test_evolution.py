@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaylab.errors import InputError, LadderError, SchemeError
-from decaylab.evolution import (ApproxParams, ProblemSpec, evolve,
+from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
 from decaylab.radial import RadialGrid, RadialProfile, lq_quasinorm
+from decaylab.rates import RATIO_SLACK
 from decaylab.steepness import SteepnessFunction
 
 
@@ -57,7 +60,7 @@ def test_linearized_heat_decay_rate():
     # Dirichlet/Neumann eigenvalue, computed independently below
     R, m, eps0, amp = 3.0, 301, 0.5, 1e-4
     spec = ProblemSpec(p=1.0, n=1, u0=lambda r: amp * np.cos(np.pi * r / (2 * R)))
-    params = ApproxParams(R=R, eps=eps0, m=m, safety=0.25)
+    params = ApproxParams(R=R, eps=eps0, m=m, tol=TOL / 4)
     run = evolve(spec, params, 2.0, np.linspace(0.25, 2.0, 8))
     amps = run.values.max(axis=1) - eps0
     rate = -np.polyfit(run.times, np.log(amps), 1)[0]
@@ -82,6 +85,29 @@ def test_evolve_records_snapshots_and_series():
     assert run.values.shape == (4, params.m)
     assert set(run.series) == {"sup_norm", "center_value", "lq1"}
     assert np.all(np.diff(run.series["sup_norm"]) <= 0)
+
+
+def test_step_stats_count_recorded_and_replayed_steps():
+    spec = gaussian_spec()
+    params = ApproxParams(R=10.0, eps=1e-3, m=251)
+    lead = evolve(spec, params, 2.0, [0.0, 1.0, 2.0], record_dts=True)
+    assert lead.stats["accepted"] == len(lead.dts)
+    assert lead.stats["dt_min"] == lead.dts.min()
+    assert lead.stats["dt_max"] == lead.dts.max()
+    replay = evolve(spec, params, 2.0, [0.0, 1.0, 2.0], dt_schedule=lead.dts)
+    assert replay.stats["accepted"] == len(lead.dts)
+    assert replay.stats["rejected"] == 0 and replay.stats["halvings"] == 0
+
+
+def test_time_self_convergence():
+    # the step control's error, measured: quartering tol must move the
+    # sup-norm series by less than the rate verdicts' slack
+    spec = gaussian_spec()
+    snaps = np.concatenate([[0.0], np.geomspace(0.1, 100.0, 33)])
+    runs = [evolve(spec, ApproxParams(R=20.0, eps=1e-3, m=1001, tol=tol), 100.0, snaps)
+            for tol in (TOL, TOL / 4)]
+    a, b = (run.series["sup_norm"] for run in runs)
+    assert np.max(np.abs(a - b) / b) < RATIO_SLACK
 
 
 def test_evolve_maximum_principle_and_floor():
@@ -115,6 +141,27 @@ def test_discrete_comparison_on_random_monotone_pairs(rng):
         hi = evolve(spec_hi, params, 1.0, snaps, record_dts=True)
         lo = evolve(spec_lo, params, 1.0, snaps, dt_schedule=hi.dts)
         assert np.all(hi.values >= lo.values - 1e-10)
+
+
+KNOT_RADII = np.linspace(0.0, 4.0, 6)
+
+
+@settings(max_examples=30)
+@given(low=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       bump=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       p=st.sampled_from([1.0, 2.0, 4.0]), n=st.sampled_from([1, 2, 3]))
+def test_comparison_principle_under_controlled_schedule(low, bump, p, n):
+    # ordered, radially nonincreasing data stay ordered when the lower datum
+    # replays the step sequence the controller chose for the higher one
+    low_k = np.sort(low)[::-1]
+    high_k = low_k + np.sort(bump)[::-1]
+    params = ApproxParams(R=4.0, eps=1e-3, m=41)
+    snaps = [0.0, 0.1, 0.5, 1.0]
+    hi = evolve(ProblemSpec(p, n, lambda r: np.interp(r, KNOT_RADII, high_k)),
+                params, 1.0, snaps, record_dts=True)
+    lo = evolve(ProblemSpec(p, n, lambda r: np.interp(r, KNOT_RADII, low_k)),
+                params, 1.0, snaps, dt_schedule=hi.dts)
+    assert np.all(lo.values <= hi.values + 1e-10)
 
 
 def test_epsilon_ordering_of_paired_runs():
@@ -219,7 +266,7 @@ def test_semiconvexity_gaussian_run():
 def test_semiconvexity_improves_under_refinement():
     snaps = np.concatenate([[0.0], np.geomspace(0.2, 10.0, 10)])
     coarse = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=126), 10.0, snaps)
-    fine = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=501, safety=0.25),
+    fine = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=501, tol=TOL / 4),
                   10.0, snaps)
     m_c = semiconvexity_check(coarse)
     m_f = semiconvexity_check(fine)
