@@ -73,7 +73,10 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     def rhs(r, w, v):
         if w <= 0.0:
             return None
-        src = -inv_p * w**one_m_p
+        try:
+            src = -inv_p * w**one_m_p
+        except OverflowError:
+            raise NumericError(f"shot from w(0) = {a!r}: w^(1-p) overflows at w = {w!r}") from None
         if r == 0.0:
             return v, src / n
         return v, -(n - 1) / r * v + src

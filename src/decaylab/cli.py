@@ -4,16 +4,20 @@ Usage:
     decaylab run <config.json> [--out DIR]
     decaylab report <run_dir>
 
-Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``,
-``lower_bound``.  Every run writes a ``manifest.json`` listing each artifact
-with its sha256; outputs are deterministic for a fixed config and build (no
-wall-clock text, fixed iteration orders, fixed float formatting).
+Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``.  A
+``pde_decay`` run evolves one trajectory and judges it with each of its
+sections, ``rate`` (two-sided rates) and ``certificate`` (separated
+subsolution); it passes when all of them do.  Every run writes a
+``manifest.json`` listing each artifact with its sha256; outputs are
+deterministic for a fixed config and build (no wall-clock text, fixed
+iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything or creates its run
 directory, so a missing, wrongly typed or out-of-range field (``"2"`` or
 ``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``) exits 2
-before any time stepping.
+before any time stepping.  A verdict that holds a NaN or an infinity is a
+numeric failure: it exits 3 and writes no manifest.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -26,12 +30,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, evolution, gn, radial, rates
-from .errors import DecayLabError, InputError
+from .errors import DecayLabError, InputError, NumericError
 from .steepness import (SteepnessFunction, check_convexity_condition,
                         check_near_multiplicativity, check_ratio_bound)
 
@@ -40,7 +45,7 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-MODES = ("steady_state", "lfunction_audit", "gn_scan", "pde_decay", "lower_bound")
+MODES = ("steady_state", "lfunction_audit", "gn_scan", "pde_decay")
 
 
 class ConfigError(InputError):
@@ -165,7 +170,7 @@ class ArtifactWriter:
             "verdict": verdict,
         }
         (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _steepness(sec: _Section) -> SteepnessFunction:
@@ -205,11 +210,6 @@ def _problem(cfg: _Section):
     if snap.read("include_zero", BOOLEAN, True):
         snaps = np.concatenate([[0.0], snaps])
     return spec, t_end, snaps
-
-
-def _approx_params(sec: _Section) -> evolution.ApproxParams:
-    return evolution.ApproxParams(R=sec.read("R", NUMBER), eps=sec.read("eps", NUMBER),
-                                  m=sec.read("m", NODES))
 
 
 def _observers(cfg: _Section, names: list, p: float, L):
@@ -338,6 +338,7 @@ def _run_pde_decay(cfg: _Section):
     spec, t_end, snaps = _problem(cfg)
     names = cfg.list_of("observers", STRING, [])
     rate = cfg.section("rate", None)
+    cert = cfg.section("certificate", None)
     L = _steepness(cfg.section("L")) if rate is not None or "lyapunov" in names else None
     obs = _observers(cfg, names, spec.p, L)
     acfg = cfg.section("approx")
@@ -349,12 +350,20 @@ def _run_pde_decay(cfg: _Section):
         if len(m_list) != len(R_list):
             raise ConfigError("approx.ladder.m_list: must match R_list in length")
     else:
-        params = _approx_params(acfg)
-    if rate is not None:
+        params = evolution.ApproxParams(R=acfg.read("R", NUMBER), eps=acfg.read("eps", NUMBER),
+                                        m=acfg.read("m", NODES))
+    if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
+    if rate is not None:
         delta = rate.read("delta", NUMBER)
         slack = rate.read("slack", NUMBER, rates.RATIO_SLACK)
         window = tuple(rate.read("window", WINDOW, [10.0, None]))
+    if cert is not None:
+        tau0_list = cert.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
+        if not tau0_list:
+            raise ConfigError("certificate.tau0_list: must name at least one horizon")
+        c1 = cert.read("c1", NUMBER, None)
+        steady_m = cert.section("steady", {}).read("m", NODES, 4001)
 
     def compute(writer: ArtifactWriter) -> dict:
         verdict: dict = {"pass": True}
@@ -384,45 +393,24 @@ def _run_pde_decay(cfg: _Section):
             upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
             writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
             verdict["pass"] = bool(sandwich.passed and baseline.passed)
-        return verdict
-    return compute
 
-
-def _run_lower_bound(cfg: _Section):
-    spec, t_end, snaps = _problem(cfg)
-    params = _approx_params(cfg.section("approx"))
-    env = _envelope(cfg.section("envelope"))
-    steady_m = cfg.section("steady", {}).read("m", NODES, 4001)
-    tau0_list = cfg.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
-    if not tau0_list:
-        raise ConfigError("tau0_list: must name at least one horizon")
-    c1 = cfg.read("c1", NUMBER, None)
-
-    def compute(writer: ArtifactWriter) -> dict:
-        run = evolution.evolve(spec, params, t_end, snaps)
-        _write_run_series(writer, run)
-
-        state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
-        writer.write_series_csv("steady_state.csv", ["r", "w"],
-                                [state.r_nodes, state.w])
-
-        margins = []
-        ok = True
-        for tau0 in tau0_list:
-            ss = bounds.build_subsolution(env, spec.p, state, float(tau0), c1)
-            rep = bounds.subsolution_check(run, ss, state)
-            margins.append({
-                "tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
-                "min_margin": rep.min_margin, "initial_margin": rep.initial_margin,
-                "center_margin_at_tau0": rep.center_margin_at_tau0,
-                "snapshots_checked": rep.snapshots_checked,
-                "resolution_warning": rep.resolution_warning,
-            })
-            ok = ok and rep.min_margin >= 0.0
-        verdict = {"steady_center": state.center_value,
-                   "steady_flux_residual": bounds.steady_state_residual(state),
-                   "margins": margins, "pass": bool(ok)}
-        writer.write_json("margins.json", verdict)
+        if cert is not None:
+            # the separated subsolution y(tau) w_R stays below the same run
+            state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
+            writer.write_series_csv("steady_state.csv", ["r", "w"],
+                                    [state.r_nodes, state.w])
+            margins = []
+            for tau0 in tau0_list:
+                ss = bounds.build_subsolution(env, spec.p, state, float(tau0), c1)
+                rep = bounds.subsolution_check(run, ss, state)
+                margins.append({"tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
+                                **asdict(rep)})
+            certificate = {"steady_center": state.center_value,
+                           "steady_flux_residual": bounds.steady_state_residual(state),
+                           "margins": margins,
+                           "pass": all(row["min_margin"] >= 0.0 for row in margins)}
+            writer.write_json("margins.json", certificate)
+            verdict = {**verdict, **certificate, "pass": verdict["pass"] and certificate["pass"]}
         return verdict
     return compute
 
@@ -432,8 +420,16 @@ _RUNNERS = {
     "lfunction_audit": _run_lfunction_audit,
     "gn_scan": _run_gn_scan,
     "pde_decay": _run_pde_decay,
-    "lower_bound": _run_lower_bound,
 }
+
+
+def _non_finite(doc, path: str):
+    """Dotted paths of the NaNs and infinities in doc, keys in sorted order."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        yield path
+    elif isinstance(doc, (dict, list, tuple)):
+        for key, val in sorted(doc.items()) if isinstance(doc, dict) else enumerate(doc):
+            yield from _non_finite(val, f"{path}.{key}")
 
 
 def run_experiment(config_path: Path, out_dir=None) -> int:
@@ -442,6 +438,9 @@ def run_experiment(config_path: Path, out_dir=None) -> int:
     compute = _RUNNERS[cfg.doc["mode"]](cfg)
     writer = ArtifactWriter(Path(out_dir or out))
     verdict = compute(writer)
+    bad = next(_non_finite(verdict, "verdict"), None)
+    if bad is not None:
+        raise NumericError(f"{bad} is not a finite number")
     writer.finish(cfg.doc, verdict)
     return EXIT_PASS if verdict["pass"] else EXIT_VERDICT
 
@@ -450,7 +449,7 @@ def run_experiment(config_path: Path, out_dir=None) -> int:
 
 def _plot_script(mode: str, run_dir: Path):
     """gnuplot script referencing only files inside the run directory."""
-    if mode in ("pde_decay", "lower_bound") and (run_dir / "sup_norm.csv").exists():
+    if mode == "pde_decay" and (run_dir / "sup_norm.csv").exists():
         plot = 'plot "sup_norm.csv" using 1:2 with lines title "measured"'
         if (run_dir / "upper_curve.csv").exists():
             plot += ', "upper_curve.csv" using 1:2 with lines title "upper bound"'

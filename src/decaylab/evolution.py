@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InputError, LadderError, NumericError, SchemeError
-from .radial import RadialGrid, RadialProfile, lq_quasinorm
+from .radial import RadialGrid, RadialProfile, laplacian_stencil, lq_quasinorm
 from .steepness import SteepnessFunction, check_convexity_condition
 
 __all__ = [
@@ -127,12 +127,8 @@ class _Stepper:
         self.grid = grid
         self.p = p
         self.eps = eps
-        h, n, r = grid.h, grid.n, grid.nodes
-        self.inv_h2 = 1.0 / h**2
-        # interior geometric factors of -Lap_h split by neighbor
-        self.geo_lower = self.inv_h2 - (n - 1) / (2.0 * h * r[1:-1])
-        self.geo_upper = self.inv_h2 + (n - 1) / (2.0 * h * r[1:-1])
-        self.center_coeff = 2.0 * n * self.inv_h2
+        # -Lap_h: the r = 0 row and the interior rows split by neighbor
+        (self.center_coeff, self.inv_h2, self.geo_lower, self.geo_upper) = laplacian_stencil(grid)
         m = grid.m
         self._dl = np.empty(m - 1)
         self._d = np.empty(m)
@@ -354,27 +350,22 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                 runs[(eps, R)] = evolve(spec, params_for(eps, R), t_end, snapshot_times,
                                         observers, dt_schedule=lead.dts)
 
-    def max_gap(low_run, high_run):
-        """Largest violation of high >= low on the shared nodes and times."""
-        gap = low_run.values - high_run.values[:, :low_run.grid.m]
-        return max(0.0, float(gap.max()))
+    def max_gap(pairs, ladder: str) -> float:
+        """Largest violation of high >= low over (low, high) members, on the shared nodes."""
+        worst = 0.0
+        for low, high in pairs:
+            gap = max(0.0, float((runs[low].values
+                                  - runs[high].values[:, :runs[low].grid.m]).max()))
+            if gap > monotonicity_tol:
+                raise LadderError(f"{ladder} ladder violated: (eps, R) = {low} exceeds "
+                                  f"{high} by {gap:.3e}")
+            worst = max(worst, gap)
+        return worst
 
-    eps_violation = 0.0
-    for R in R_list:
-        for e_big, e_small in zip(eps_list, eps_list[1:]):
-            gap = max_gap(runs[(e_small, R)], runs[(e_big, R)])
-            if gap > monotonicity_tol:
-                raise LadderError(
-                    f"eps ladder violated at R={R}: eps {e_big} vs {e_small}, gap {gap:.3e}")
-            eps_violation = max(eps_violation, gap)
-    R_violation = 0.0
-    for eps in eps_list:
-        for R_small, R_big in zip(R_list, R_list[1:]):
-            gap = max_gap(runs[(eps, R_small)], runs[(eps, R_big)])
-            if gap > monotonicity_tol:
-                raise LadderError(
-                    f"R ladder violated at eps={eps}: R {R_small} vs {R_big}, gap {gap:.3e}")
-            R_violation = max(R_violation, gap)
+    eps_violation = max_gap([((e_small, R), (e_big, R)) for R in R_list
+                             for e_big, e_small in zip(eps_list, eps_list[1:])], "eps")
+    R_violation = max_gap([((eps, R_small), (eps, R_big)) for eps in eps_list
+                           for R_small, R_big in zip(R_list, R_list[1:])], "R")
 
     def sup_reldiff(run_a, run_b):
         mask = run_a.times >= cauchy_t_min

@@ -26,6 +26,7 @@ __all__ = [
     "lq_quasinorm",
     "grad_l2_norm",
     "steepness_integral",
+    "laplacian_stencil",
     "radial_laplacian",
 ]
 
@@ -155,8 +156,20 @@ def steepness_integral(profile: RadialProfile, L: SteepnessFunction) -> Weighted
     return WeightedIntegral(value, bool(flagged), float(tail_estimate))
 
 
+def laplacian_stencil(grid: RadialGrid):
+    """(center, inv_h2, lower, upper) of Lap_h phi = phi'' + (n-1)/r phi' on grid.
+
+    (Lap_h phi)_0 = center (phi_1 - phi_0), the symmetric limit with center = 2n/h^2;
+    (Lap_h phi)_i = lower_i phi_{i-1} - 2 inv_h2 phi_i + upper_i phi_{i+1} inside.
+    """
+    h, n, r = grid.h, grid.n, grid.nodes
+    inv_h2 = 1.0 / h**2
+    drift = (n - 1) / (2.0 * h * r[1:-1])
+    return 2.0 * n * inv_h2, inv_h2, inv_h2 - drift, inv_h2 + drift
+
+
 def radial_laplacian(profile: RadialProfile) -> RadialProfile:
-    """phi'' + (n-1)/r phi' with the symmetric stencil n * 2(phi_1 - phi_0)/h^2 at r = 0.
+    """Lap_h phi with the stencil of ``laplacian_stencil``, the one the time step solves with.
 
     The outer node is filled by one-sided stencils (exact on quadratics); in
     evolution problems it is overwritten by the boundary condition.
@@ -164,12 +177,11 @@ def radial_laplacian(profile: RadialProfile) -> RadialProfile:
     u = profile.values
     grid = profile.grid
     h, n = grid.h, grid.n
-    r = grid.nodes
+    center, inv_h2, lower, upper = laplacian_stencil(grid)
     out = np.empty_like(u)
-    out[0] = n * 2.0 * (u[1] - u[0]) / h**2
-    out[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-                 + (n - 1) / r[1:-1] * (u[2:] - u[:-2]) / (2.0 * h))
+    out[0] = center * (u[1] - u[0])
+    out[1:-1] = lower * u[:-2] - 2.0 * inv_h2 * u[1:-1] + upper * u[2:]
     d2_end = (u[-1] - 2.0 * u[-2] + u[-3]) / h**2
     d1_end = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    out[-1] = d2_end + (n - 1) / r[-1] * d1_end
+    out[-1] = d2_end + (n - 1) / grid.R * d1_end
     return RadialProfile(grid, out)

@@ -93,13 +93,7 @@ def fit_decay(times, values, p: float, model: str,
             "rate fits need a longer horizon")
     if model == "PureAlgebraic":
         x = np.log(t)
-        y = np.log(v)
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        return RateFit("PureAlgebraic", float(-slope), 0.0, float(math.exp(intercept)),
-                       float(np.sqrt(np.mean(resid**2))), (float(t[0]), float(t[-1])),
-                       int(t.size))
-    if model == "LogCorrected":
+    elif model == "LogCorrected":
         if t[0] <= 1.0:
             raise InputError("LogCorrected needs t > 1")
         x = np.log(np.log(t))
@@ -109,10 +103,12 @@ def fit_decay(times, values, p: float, model: str,
         x = np.log(np.log(np.log(t)))
     else:
         raise InputError(f"unknown model {model!r}")
-    y = np.log(t ** (1.0 / p) * v)
+    algebraic = model == "PureAlgebraic"
+    y = np.log(v) if algebraic else np.log(t ** (1.0 / p) * v)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    return RateFit(model, 1.0 / p, float(slope), float(math.exp(intercept)),
+    p_fit, sigma = (float(-slope), 0.0) if algebraic else (1.0 / p, float(slope))
+    return RateFit(model, p_fit, sigma, float(math.exp(intercept)),
                    float(np.sqrt(np.mean(resid**2))), (float(t[0]), float(t[-1])),
                    int(t.size))
 

@@ -129,14 +129,11 @@ class SteepnessFunction:
             raise InputError("steepness functions are defined on s >= 0 only")
         if self.kind == "PowerLaw":
             out = s_arr ** self.r
-        elif self.kind == "LogType":
-            clipped = np.minimum(np.maximum(s_arr, _UNDERFLOW_FLOOR), self.s0)
-            out = np.where(s_arr < _UNDERFLOW_FLOOR, 0.0,
-                           np.log(self.M / clipped) ** (-self.kappa))
-        elif self.kind == "DoubleLogType":
-            clipped = np.minimum(np.maximum(s_arr, _UNDERFLOW_FLOOR), self.s0)
-            out = np.where(s_arr < _UNDERFLOW_FLOOR, 0.0,
-                           np.log(np.log(self.M / clipped)) ** (-self.kappa))
+        elif self.kind in ("LogType", "DoubleLogType"):
+            g = np.log(self.M / np.minimum(np.maximum(s_arr, _UNDERFLOW_FLOOR), self.s0))
+            if self.kind == "DoubleLogType":
+                g = np.log(g)
+            out = np.where(s_arr < _UNDERFLOW_FLOOR, 0.0, g ** (-self.kappa))
         else:  # pragma: no cover - constructors forbid this
             raise InputError(f"unknown steepness kind {self.kind!r}")
         if np.isscalar(s) or s_arr.ndim == 0:
@@ -236,6 +233,12 @@ class ConvexityReport:
         return self.weak.passed and self.strong.passed
 
 
+def _worst(viol: np.ndarray, s: np.ndarray, tol: float) -> HypothesisReport:
+    """The largest violation on a one-dimensional grid s, and where it occurs."""
+    i = int(np.argmax(viol))
+    return HypothesisReport(float(viol[i]), float(s[i]), math.nan, float(viol[i]) <= tol, tol)
+
+
 def _as_grid(grid, name: str) -> np.ndarray:
     arr = np.asarray(grid, dtype=float).ravel()
     if arr.size == 0:
@@ -280,10 +283,7 @@ def check_ratio_bound(L: SteepnessFunction, a: float, s_grid,
         raise InputError("s_grid must lie inside (0, min(s0, 1))")
     lhs = s * L.deriv1(s) / L.value(s)
     rhs = a / np.log(1.0 / s)
-    viol = lhs / rhs - 1.0
-    i = int(np.argmax(viol))
-    return HypothesisReport(float(viol[i]), float(s[i]), math.nan,
-                            float(viol[i]) <= tol, tol)
+    return _worst(lhs / rhs - 1.0, s, tol)
 
 
 def check_convexity_condition(L: SteepnessFunction, p: float, q0: float, s_grid,
@@ -306,17 +306,11 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float, s_grid,
 
     weak_gap = s * d2 + coeff * d1            # must be >= 0
     weak_scale = np.abs(s * d2) + np.abs(coeff * d1) + 1e-300
-    weak_viol = -weak_gap / weak_scale
-    i = int(np.argmax(weak_viol))
-    weak = HypothesisReport(float(weak_viol[i]), float(s[i]), math.nan,
-                            float(weak_viol[i]) <= tol, tol)
+    weak = _worst(-weak_gap / weak_scale, s, tol)
 
     strong_gap = d1 + s * d2                  # d/ds (s L') >= 0
     strong_scale = np.abs(d1) + np.abs(s * d2) + 1e-300
-    strong_viol = -strong_gap / strong_scale
-    j = int(np.argmax(strong_viol))
-    strong = HypothesisReport(float(strong_viol[j]), float(s[j]), math.nan,
-                              float(strong_viol[j]) <= tol, tol)
+    strong = _worst(-strong_gap / strong_scale, s, tol)
     return ConvexityReport(weak, strong)
 
 

@@ -140,26 +140,60 @@ def test_pde_decay_ladder_mode(tmp_path):
     assert rep["R_monotonicity_violation"] <= 1e-8
 
 
-def test_lower_bound_mode(tmp_path):
-    cfg = write_config(tmp_path, {
-        "name": "lb", "mode": "lower_bound",
-        "problem": {"p": 1.0, "n": 1,
-                    "u0": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0}},
-        "approx": {"R": 12.0, "eps": 1e-4, "m": 301},
-        "t_end": 50.0,
-        "snapshots": {"kind": "log", "t_min": 0.5, "count": 9, "include_zero": True},
-        "envelope": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0},
-        "steady": {"m": 1001},
-        "tau0_list": [math.log(51.0)],
-    })
-    out = tmp_path / "run"
-    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    doc = read_json(out / "margins.json")
-    assert doc["pass"]
-    assert doc["margins"][0]["min_margin"] >= 0.0
+def counted_evolve(monkeypatch):
+    """Replace evolution.evolve by a wrapper that records each call in the returned list."""
+    calls = []
+    real_evolve = evolution.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve", counting_evolve)
+    return calls
 
 
-def test_schema_errors_exit_2(tmp_path):
+TWO_SIDED = dict(
+    TINY_DECAY,
+    approx={"R": 12.0, "eps": 1e-4, "m": 301},
+    t_end=500.0,
+    snapshots={"kind": "log", "t_min": 0.5, "count": 13, "include_zero": True},
+    envelope=TINY_DECAY["problem"]["u0"],
+    L={"kind": "LogType", "kappa": 0.95, "M": 4.0, "lambda0": 1.0},
+    rate={"delta": 0.9, "window": [1.5, None]},
+    certificate={"steady": {"m": 1001}, "tau0_list": [math.log(51.0)]},
+)
+
+
+def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
+    # the sandwich and the subsolution certificate judge one trajectory, and
+    # each artifact is the one a run with only that section writes
+    calls = counted_evolve(monkeypatch)
+    docs = {"both": TWO_SIDED,
+            "rate": {k: v for k, v in TWO_SIDED.items() if k != "certificate"},
+            "cert": {k: v for k, v in TWO_SIDED.items() if k not in ("rate", "L")}}
+    rc, verdict, shas = {}, {}, {}
+    for label, doc in docs.items():
+        calls.clear()
+        out = tmp_path / label
+        rc[label] = main(["run", str(write_config(tmp_path, doc)), "--out", str(out)])
+        assert len(calls) == 1, label
+        manifest = read_json(out / "manifest.json")
+        verdict[label] = manifest["verdict"]
+        shas[label] = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
+    assert shas["both"] == {**shas["rate"], **shas["cert"]}
+    assert {"sandwich.json", "margins.json", "steady_state.csv"} <= set(shas["both"])
+    assert verdict["both"] == {**verdict["rate"], **verdict["cert"],
+                               "pass": verdict["rate"]["pass"] and verdict["cert"]["pass"]}
+    # on this short horizon the baseline check fails and the certificate
+    # holds, so the merged verdict must fail: it is the AND of its sections
+    assert (rc["both"], rc["rate"], rc["cert"]) == (EXIT_VERDICT, EXIT_VERDICT, EXIT_PASS)
+    margins = read_json(tmp_path / "cert" / "margins.json")
+    assert margins["pass"] and margins["margins"][0]["min_margin"] >= 0.0
+
+
+def test_schema_errors_exit_2(tmp_path, monkeypatch):
+    calls = counted_evolve(monkeypatch)
     bad = [
         {"name": "", "mode": "steady_state"},
         {"name": "x", "mode": "unknown"},
@@ -207,37 +241,33 @@ def test_schema_errors_exit_2(tmp_path):
     ]
     # well-typed values out of range fail closed too, before numpy or the
     # solvers see them
-    bounded = dict(TINY_DECAY, mode="lower_bound", envelope=TINY_DECAY["problem"]["u0"])
+    certified = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"], certificate={})
     out_of_range = [
         with_field(TINY_DECAY, "snapshots.count", -1),
         with_field(TINY_DECAY, "snapshots.t_min", 0),
         with_field(TINY_DECAY, "t_end", 0),
         with_field(steady, "approx.m", 1),
         with_field(ladder, "approx.ladder.m_list", [1]),
-        with_field(bounded, "steady", {"m": 1}),
+        with_field(certified, "certificate.steady", {"m": 1}),
         with_field(audit, "audit.s_points", -1),
-        with_field(bounded, "tau0_list", []),
+        with_field(certified, "certificate.tau0_list", []),
     ]
-    for doc in ill_typed + out_of_range:
+    # the certificate is a section of pde_decay; its old mode is gone
+    removed_mode = dict(TINY_DECAY, mode="lower_bound")
+    for doc in ill_typed + out_of_range + [removed_mode]:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    assert calls == []
 
 
 def test_config_read_before_time_stepping(tmp_path, monkeypatch):
     # rate is used only after the evolution, yet a bad field in it must stop
     # the run before any time step
-    calls = []
-    real_evolve = evolution.evolve
-
-    def counting_evolve(*args, **kwargs):
-        calls.append(args)
-        return real_evolve(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "evolve", counting_evolve)
+    calls = counted_evolve(monkeypatch)
     doc = with_field(TINY_DECAY, "rate", {"delta": "x"})
     doc["envelope"] = TINY_DECAY["problem"]["u0"]
     doc["L"] = {"kind": "LogType", "kappa": 0.95, "M": 4.0}
@@ -269,6 +299,29 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._RUNNERS, "steady_state", lambda cfg: diverge)
     cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state"})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
+
+
+def test_non_finite_verdict_exit_3(tmp_path, capsys):
+    # kappa = 400 drives the near-multiplicativity ratio to inf/inf; a NaN in
+    # a verdict is a numeric failure, and no (non-JSON) manifest is written
+    cfg = write_config(tmp_path, {
+        "name": "audit", "mode": "lfunction_audit",
+        "L": {"kind": "LogType", "kappa": 400.0, "M": 4.0, "lambda0": 1.0},
+    })
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert "verdict.checks.near_multiplicativity.max_violation" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_steady_state_overflow_exit_3(tmp_path):
+    # at p = 200 the shot's source w^(1-p) overflows a float
+    cfg = write_config(tmp_path, {
+        "name": "ss", "mode": "steady_state",
+        "problem": {"p": 200.0, "n": 1}, "approx": {"m": 101},
+    })
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
 
@@ -307,12 +360,14 @@ def test_report_malformed_manifest(tmp_path):
     assert not (tmp_path / "summary.md").exists()
 
 
-def test_checked_in_configs_are_valid(tmp_path):
-    from decaylab.cli import load_config
+def test_checked_in_configs_are_valid():
+    # every field of every shipped config passes the read phase; the returned
+    # compute step is not called
     from pathlib import Path
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     names = {p.name for p in cfg_dir.glob("*.json")}
     assert {"steady_state.json", "lfunction_audit.json", "gn_scan.json",
             "pde_decay_sandwich.json", "ladder.json", "lower_bound.json"} <= names
     for path in sorted(cfg_dir.glob("*.json")):
-        load_config(path)
+        cfg = cli.load_config(path)
+        assert callable(cli._RUNNERS[cfg["mode"]](cli._Section(cfg))), path.name
