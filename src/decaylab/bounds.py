@@ -40,6 +40,9 @@ __all__ = [
     "subsolution_check",
 ]
 
+BOUNDARY_TOL = 1e-10    # |w(1)| at which shooting stops
+RESIDUAL_R_CAP = 0.95   # the flux residual skips the boundary layer of p > 1
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -117,8 +120,7 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
 
 
 def solve_steady_state(p: float, n: int, grid_m: int = 4001,
-                       bracket: tuple = (1e-4, 50.0),
-                       boundary_tol: float = 1e-10) -> SteadyState:
+                       bracket: tuple = (1e-4, 50.0)) -> SteadyState:
     """Shoot on the center value until the profile vanishes at r = 1.
 
     Bisection brackets the root of a -> w(1; a); secant steps accelerate the
@@ -145,7 +147,7 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
     a1, f1 = hi, f_hi
     a_best = None
     for _ in range(300):
-        if abs(f1) <= boundary_tol:
+        if abs(f1) <= BOUNDARY_TOL:
             # take the surviving side: f >= 0 means the trajectory reached r = 1
             a_best = a1 if f1 >= 0.0 else hi
             break
@@ -178,16 +180,15 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
                        sign_changes=sign_changes)
 
 
-def steady_state_residual(state: SteadyState, r_cap: float = 0.95) -> float:
+def steady_state_residual(state: SteadyState) -> float:
     """Max flux-form residual | r^{n-1} w' + (1/p) int_0^r s^{n-1} w^{1-p} ds |.
 
-    Evaluated on nodes with r <= r_cap: for p > 1 the source w^{1-p} blows up
-    at the contact point r = 1, so the residual is meaningful only away from
-    the boundary layer.  Cumulative Simpson keeps the quadrature error at the
+    Evaluated on nodes with r <= RESIDUAL_R_CAP, away from the boundary layer
+    of p > 1.  Cumulative Simpson keeps the quadrature error at the
     level of the integrator's own global error.
     """
     r, w, v = state.r_nodes, state.w, state.derivative
-    mask = r <= r_cap
+    mask = r <= RESIDUAL_R_CAP
     src = r[mask] ** (state.n - 1) * w[mask] ** (1.0 - state.p) / state.p
     integral = cumulative_simpson(src, x=r[mask], initial=0.0)
     flux = r[mask] ** (state.n - 1) * v[mask]

@@ -15,9 +15,9 @@ iteration orders, fixed float formatting).
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything or creates its run
 directory, so a missing, wrongly typed or out-of-range field (``"2"`` or
-``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``) exits 2
-before any time stepping.  A verdict that holds a NaN or an infinity is a
-numeric failure: it exits 3 and writes no manifest.
+``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``), or a key
+no part of the run reads (``"certificat"``), exits 2 before any time stepping.
+A verdict that holds a NaN or an infinity is a numeric failure: it exits 3.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -71,14 +71,16 @@ _REQUIRED = object()
 class _Section:
     """One JSON object of a config and its dotted path; every read is type-checked."""
 
-    def __init__(self, doc: dict, path: str = ""):
+    def __init__(self, doc: dict, path: str = "", seen=None):
         self.doc = doc
         self.path = path
+        self.seen = set() if seen is None else seen  # paths asked for, shared with subsections
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def read(self, key: str, kind, default=_REQUIRED):
+        self.seen.add(self._at(key))
         if key not in self.doc:
             if default is _REQUIRED:
                 raise ConfigError(f"{self._at(key)}: required field missing")
@@ -96,7 +98,15 @@ class _Section:
     def section(self, key: str, default=_REQUIRED):
         """The nested object ``key``, or ``default`` (``{}`` or None) when absent."""
         doc = self.read(key, OBJECT, default)
-        return None if doc is None else _Section(doc, self._at(key))
+        return None if doc is None else _Section(doc, self._at(key), self.seen)
+
+    def unread(self):
+        """Dotted paths of the keys in and below this section that no read asked for."""
+        for key, val in self.doc.items():
+            if self._at(key) not in self.seen:
+                yield self._at(key)
+            elif type(val) is dict:
+                yield from _Section(val, self._at(key), self.seen).unread()
 
     def build(self, make, **fields):
         """``make(**fields)``, reporting a failed precondition at this section."""
@@ -432,16 +442,26 @@ def _non_finite(doc, path: str):
             yield from _non_finite(val, f"{path}.{key}")
 
 
+def _read_phase(doc: dict):
+    """The compute step and output directory of a config; a key no reader asks for is refused."""
+    cfg = _Section(doc, seen={"name", "mode"})  # both read by load_config
+    out = cfg.read("output_dir", STRING, f"out/{doc['name']}")
+    compute = _RUNNERS[doc["mode"]](cfg)
+    unread = list(cfg.unread())
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: unknown field, read by no part of the run")
+    return compute, out
+
+
 def run_experiment(config_path: Path, out_dir=None) -> int:
-    cfg = _Section(load_config(config_path))
-    out = cfg.read("output_dir", STRING, f"out/{cfg.doc['name']}")
-    compute = _RUNNERS[cfg.doc["mode"]](cfg)
+    doc = load_config(config_path)
+    compute, out = _read_phase(doc)
     writer = ArtifactWriter(Path(out_dir or out))
     verdict = compute(writer)
     bad = next(_non_finite(verdict, "verdict"), None)
     if bad is not None:
         raise NumericError(f"{bad} is not a finite number")
-    writer.finish(cfg.doc, verdict)
+    writer.finish(doc, verdict)
     return EXIT_PASS if verdict["pass"] else EXIT_VERDICT
 
 

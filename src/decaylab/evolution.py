@@ -22,13 +22,16 @@ from the last two accepted steps,
 and a step is accepted when err = max|lte| / (tol * max u_new) <= 1, with
 tol = ApproxParams.tol (default TOL); otherwise it is retried from u with a
 smaller dt.  The next step is dt * clamp(0.9 * err^(-1/2), 0.2, 2) (Hairer &
-Wanner, Solving ODEs II, Sec. IV.8).  The first step is DT_INIT, since no estimate exists before it, and a
+Wanner, Solving ODEs II, Sec. IV.8).  An undershoot is one more rejection,
+retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
+step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -54,10 +57,12 @@ __all__ = [
 ]
 
 UNDERSHOOT_TOL = 1e-13
-MAX_DT_HALVINGS = 40
-MAX_REJECTIONS = 40
+MAX_REJECTIONS = 40   # retries of one step, by the error control or on an undershoot
 DT_INIT = 1e-4   # first adaptive step
 TOL = 1e-7       # local error per step, relative to max u
+LADDER_MONOTONICITY_TOL = 1e-8
+CAUCHY_T_MIN = 1.0     # Cauchy differences of a ladder compare snapshots from here on
+DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, relative
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,10 @@ class EvolutionRun:
 
     ``values`` has shape ``(len(times), grid.m)``: row k is u(., times[k]) on
     ``grid.nodes``.  ``series`` maps observer names to arrays over ``times``.
-    ``stats`` counts the steps: ``accepted``, ``rejected`` by the error
-    controller, undershoot ``halvings``, and ``dt_min``/``dt_max`` of the
-    accepted steps.
+    ``dts`` holds every accepted step, also of a replayed run; replaying it
+    reproduces the run.  ``stats`` counts the ``rejected`` and undershoot
+    ``halvings`` retries; its ``accepted``, ``dt_min`` and ``dt_max`` are
+    read off ``dts``.
     """
 
     spec: ProblemSpec
@@ -106,7 +112,7 @@ class EvolutionRun:
     times: np.ndarray
     values: np.ndarray
     series: dict
-    dts: Optional[np.ndarray] = None
+    dts: np.ndarray
     stats: dict = field(default_factory=dict)
 
 
@@ -178,13 +184,12 @@ def _normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.nd
 def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
            snapshot_times: Sequence[float],
            observers: Optional[Mapping[str, Callable]] = None,
-           dt_schedule: Optional[np.ndarray] = None,
-           record_dts: bool = False) -> EvolutionRun:
+           dt_schedule: Optional[np.ndarray] = None) -> EvolutionRun:
     """March the regularized problem to t_end, recording observers at snapshots.
 
     ``observers`` maps series names to functions of a RadialProfile; sup-norm
-    and center-value series are always recorded.  When ``dt_schedule`` is
-    given the recorded step sequence of an earlier run is replayed verbatim
+    and center-value series are always recorded, and so is ``dts``.  When
+    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim
     (used by ladders so all members share one time discretization).
     """
     if t_end <= 0:
@@ -202,7 +207,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     values = np.empty((snaps.size, grid.m))
     series = {name: [] for name in obs}
     stepper = _Stepper(grid, spec.p, params.eps)
-    dts: list = []
+    dts = array("d")
 
     def record(k: int, vals: np.ndarray):
         if not (vals.min() >= params.eps - 1e-10 and vals.max() <= sup_bound):
@@ -217,19 +222,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
         record(0, u)
         i_snap = 1
 
-    stats = {"accepted": 0, "rejected": 0, "halvings": 0,
-             "dt_min": math.inf, "dt_max": 0.0}
-
-    def attempt(dt: float):
-        """One step from u, halving dt on an undershoot."""
-        for _ in range(MAX_DT_HALVINGS + 1):
-            try:
-                return stepper.step(u, dt), dt
-            except SchemeError:
-                dt *= 0.5
-                stats["halvings"] += 1
-        raise SchemeError(f"step failed after {MAX_DT_HALVINGS} dt halvings at t = {t:.6g}")
-
+    retries = {"rejected": 0, "halvings": 0}
     t = 0.0
     du_prev, dt_prev = None, 0.0    # change over the last accepted step, and its dt
     dt_next = DT_INIT
@@ -245,7 +238,12 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
             gap = float(snaps[i_snap]) - t
             dt = min(dt_next, gap)
             for _ in range(MAX_REJECTIONS + 1):
-                u_new, dt = attempt(dt)
+                try:
+                    u_new = stepper.step(u, dt)
+                except SchemeError:
+                    retries["halvings"] += 1
+                    dt *= 0.5
+                    continue
                 du = u_new - u
                 if du_prev is None:
                     factor = 1.0
@@ -256,28 +254,26 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
                 factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
                 if err <= 1.0:
                     break
-                stats["rejected"] += 1
+                retries["rejected"] += 1
                 dt *= factor
             else:
-                raise SchemeError(
-                    f"step rejected {MAX_REJECTIONS} times by the error control at t = {t:.6g}")
+                raise SchemeError(f"step retried {MAX_REJECTIONS} times (error control "
+                                  f"or undershoot) at t = {t:.6g}")
             dt_next = dt * factor if dt < gap else max(dt_next, dt * factor)
             du_prev, dt_prev = du, dt
         u = u_new
-        stats["accepted"] += 1
-        stats["dt_min"] = min(stats["dt_min"], dt)
-        stats["dt_max"] = max(stats["dt_max"], dt)
-        if record_dts:
-            dts.append(dt)
+        dts.append(dt)
         t += dt
         if i_snap < snaps.size and t >= snaps[i_snap] * (1.0 - 1e-14):
             t = float(snaps[i_snap])
             record(i_snap, u)
             i_snap += 1
 
+    steps = np.array(dts)
+    stats = {"accepted": steps.size, **retries,
+             "dt_min": float(steps.min()), "dt_max": float(steps.max())}
     return EvolutionRun(spec, params, grid, snaps[:i_snap], values[:i_snap],
-                        {k: np.array(v) for k, v in series.items()},
-                        np.array(dts) if record_dts else None, stats)
+                        {k: np.array(v) for k, v in series.items()}, steps, stats)
 
 
 def observer_lq(q: float) -> Callable:
@@ -313,9 +309,7 @@ class LadderResult:
 def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             R_list: Sequence[float], m_for_R: Mapping[float, int],
                             t_end: float, snapshot_times: Sequence[float],
-                            observers: Optional[Mapping[str, Callable]] = None,
-                            monotonicity_tol: float = 1e-8,
-                            cauchy_t_min: float = 1.0) -> LadderResult:
+                            observers: Optional[Mapping[str, Callable]] = None) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
     eps_list must decrease, R_list increase, and all grids must share one
@@ -323,8 +317,8 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     sequence the error controller chose for the (max eps, max R) member, so
     ladder differences are not polluted by differing time discretizations.
     Solutions must decrease along eps and increase along R up to
-    ``monotonicity_tol``; the proxy for the minimal solution is the member at
-    (min eps, max R).
+    LADDER_MONOTONICITY_TOL; the proxy for the minimal solution is the member
+    at (min eps, max R).
     """
     eps_list = list(eps_list)
     R_list = list(R_list)
@@ -341,8 +335,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     def params_for(eps, R):
         return ApproxParams(R=R, eps=eps, m=m_for_R[R])
 
-    lead = evolve(spec, params_for(eps_list[0], R_list[-1]), t_end, snapshot_times,
-                  observers, record_dts=True)
+    lead = evolve(spec, params_for(eps_list[0], R_list[-1]), t_end, snapshot_times, observers)
     runs = {(eps_list[0], R_list[-1]): lead}
     for eps in eps_list:
         for R in R_list:
@@ -356,7 +349,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
         for low, high in pairs:
             gap = max(0.0, float((runs[low].values
                                   - runs[high].values[:, :runs[low].grid.m]).max()))
-            if gap > monotonicity_tol:
+            if gap > LADDER_MONOTONICITY_TOL:
                 raise LadderError(f"{ladder} ladder violated: (eps, R) = {low} exceeds "
                                   f"{high} by {gap:.3e}")
             worst = max(worst, gap)
@@ -368,7 +361,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                            for R_small, R_big in zip(R_list, R_list[1:])], "R")
 
     def sup_reldiff(run_a, run_b):
-        mask = run_a.times >= cauchy_t_min
+        mask = run_a.times >= CAUCHY_T_MIN
         a = run_a.series["sup_norm"][mask]
         b = run_b.series["sup_norm"][mask]
         return float(np.max(np.abs(a - b) / b))
@@ -384,13 +377,12 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                         eps_cauchy, R_cauchy)
 
 
-def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float,
-                    tol_scale: float = 1e-8) -> np.ndarray:
+def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float) -> np.ndarray:
     """Time series of int_{B_R} L(u^{(p+q)/2}), verified nonincreasing.
 
     Preconditions: L passes the descent conditions for (p, q) on its smooth
     branch, and sup u0^{(p+q)/2} stays below the cutoff s0.  A violation of
-    monotonicity beyond the per-step tolerance tol_scale * (1 + |value|)
+    monotonicity beyond the per-snapshot tolerance DESCENT_TOL * (1 + |value|)
     raises, since descent is an exact property of the scheme's continuum
     limit.
     """
@@ -410,7 +402,7 @@ def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float,
             f"sup u0^((p+q)/2) = {sup0**exponent:.6g} must stay below s0 = {L.s0}")
     descent = observer_lyapunov(L, p, q)
     values = np.array([descent(RadialProfile(run.grid, row)) for row in run.values])
-    rises = values[1:] > values[:-1] + tol_scale * (1.0 + np.abs(values[:-1]))
+    rises = values[1:] > values[:-1] + DESCENT_TOL * (1.0 + np.abs(values[:-1]))
     if rises.any():
         k = int(np.argmax(rises))
         raise NumericError(

@@ -98,9 +98,6 @@ class RadialProfile:
     def sample(cls, grid: RadialGrid, fn: Callable) -> "RadialProfile":
         return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
-    def is_nonincreasing(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.values) <= tol))
-
 
 @dataclass(frozen=True)
 class WeightedIntegral:
@@ -113,10 +110,6 @@ class WeightedIntegral:
 
     value: float
     tail_flagged: bool
-    tail_estimate: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def lq_quasinorm(profile: RadialProfile, q: float) -> float:
@@ -153,7 +146,7 @@ def steepness_integral(profile: RadialProfile, L: SteepnessFunction) -> Weighted
     boundary_level = L.value(float(profile.values[-1]))
     tail_estimate = boundary_level * grid.omega_n * grid.R ** grid.n
     flagged = tail_estimate > TAIL_REL_THRESHOLD * value if value > 0 else tail_estimate > 0
-    return WeightedIntegral(value, bool(flagged), float(tail_estimate))
+    return WeightedIntegral(value, bool(flagged))
 
 
 def laplacian_stencil(grid: RadialGrid):

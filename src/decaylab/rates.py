@@ -42,6 +42,8 @@ __all__ = [
 RATIO_SLACK = 0.1
 EXPONENT_SLACK = 0.1
 MIN_WINDOW_DECADES = 1.5
+CALIBRATION_DECADES = 1.0   # a lower curve's constant is calibrated on these first decades
+BASELINE_DELTA = 0.1
 # Envelope headroom for the near-algebraic baseline: over a 3-decade window a
 # slowly varying correction as strong as ln^{1.8} t gains about this factor
 # against t^{0.1}, so a tighter constant would reject genuine solutions.
@@ -133,13 +135,12 @@ def upper_bound_curve(L: SteepnessFunction, p: float, n: int, C: float,
     return C * t ** (-1.0 / p) * L.value(1.0 / t) ** (-2.0 / (n * p))
 
 
-def _persistence(t, v, curve, direction: str, slack: float,
-                 calibration_decades: float = 1.0) -> BoundCheck:
+def _persistence(t, v, curve, direction: str, slack: float) -> BoundCheck:
     """Calibrate the curve's constant, then track the worst ratio against v.
 
     ``upper``: C = v/curve at the first sample, and v <= (1+slack) C curve is
     required strictly after it.  ``lower``: C is the minimum of v/curve over
-    the window's first ``calibration_decades``, and C curve <= (1+slack) v is
+    the window's first CALIBRATION_DECADES, and C curve <= (1+slack) v is
     required over the whole window.
     """
     if direction == "upper":
@@ -147,7 +148,7 @@ def _persistence(t, v, curve, direction: str, slack: float,
         ratios = v[1:] / (C * curve[1:])
         first = 1
     else:
-        cal = t <= t[0] * 10.0 ** calibration_decades
+        cal = t <= t[0] * 10.0 ** CALIBRATION_DECADES
         C = np.min(v[cal] / curve[cal])
         ratios = C * curve / v
         first = 0
@@ -165,25 +166,23 @@ def upper_bound_check(times, values, L: SteepnessFunction, p: float, n: int,
 
 
 def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
-                            c1: Optional[float] = None, t0: float = 10.0,
-                            t_hi: Optional[float] = None,
-                            calibration_decades: float = 1.0,
+                            t0: float = 10.0, t_hi: Optional[float] = None,
                             slack: float = RATIO_SLACK) -> BoundCheck:
-    """Calibrate the lower curve on the window's first decade, then require
-    C*curve <= (1+slack) * v over the whole window."""
-    c1 = 1.0 / (2.0 * p) if c1 is None else c1
+    """Calibrate the lower curve (c1 = 1/(2p)) on the window's first decade,
+    then require C*curve <= (1+slack) * v over the whole window."""
     t, v = _window(times, values, t0, t_hi)
-    return _persistence(t, v, lower_bound_curve(env, p, c1, 1.0, t), "lower", slack,
-                        calibration_decades)
+    return _persistence(t, v, lower_bound_curve(env, p, 1.0 / (2.0 * p), 1.0, t), "lower",
+                        slack)
 
 
 @dataclass(frozen=True)
 class BaselineReport:
     """Near-algebraic baseline: envelope obedience and compensated growth.
 
-    (i) v(t) <= C t^{-1/p+delta} with C calibrated at the window start times
-    a documented headroom (the delta-envelope cannot separate logarithmic
-    corrections from t^delta over a few decades, so this is a sanity bound);
+    (i) v(t) <= C t^{-1/p+delta} with delta = BASELINE_DELTA and C calibrated
+    at the window start times BASELINE_HEADROOM (the delta-envelope cannot
+    separate logarithmic corrections from t^delta over a few decades, so this
+    is a sanity bound);
     (ii) t^{1/p} v(t) must be nondecreasing over the window's final decade,
     the actual signature of slowly-varying corrections.
     """
@@ -204,20 +203,19 @@ class BaselineReport:
         return doc
 
 
-def baseline_check(times, values, p: float, delta: float = 0.1,
-                   t0: float = 10.0, t_hi: Optional[float] = None,
-                   headroom: float = BASELINE_HEADROOM) -> BaselineReport:
+def baseline_check(times, values, p: float, t0: float = 10.0,
+                   t_hi: Optional[float] = None) -> BaselineReport:
     t, v = _window(times, values, t0, t_hi)
     if math.log10(t[-1] / t[0]) < 2.0:
         raise InputError("baseline check needs a window of at least 2 decades")
-    compensated = v * t ** (1.0 / p - delta)
-    C = headroom * compensated[0]
+    compensated = v * t ** (1.0 / p - BASELINE_DELTA)
+    C = BASELINE_HEADROOM * compensated[0]
     worst = float(compensated.max() / C)
 
     tail = t >= t[-1] / 10.0
     growth = v[tail] * t[tail] ** (1.0 / p)
     increasing = bool(np.all(np.diff(growth) >= -1e-8 * growth[:-1]))
-    return BaselineReport(worst, worst <= 1.0, headroom, increasing, delta)
+    return BaselineReport(worst, worst <= 1.0, BASELINE_HEADROOM, increasing, BASELINE_DELTA)
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,6 @@ class SandwichVerdict:
 
 def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
                     delta: float, window: tuple = (10.0, None),
-                    c1: Optional[float] = None,
                     slack: float = RATIO_SLACK) -> SandwichVerdict:
     """Fit the run's sup-norm series and check both calibrated bounds.
 
@@ -273,8 +270,7 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
     v = run.series["sup_norm"]
     fit = fit_decay(t, v, p, model, window)
     upper = upper_bound_check(t, v, L, p, n, t0=window[0], t_hi=window[1], slack=slack)
-    lower = lower_bound_persistence(t, v, env, p, c1=c1, t0=window[0],
-                                    t_hi=window[1], slack=slack)
+    lower = lower_bound_persistence(t, v, env, p, t0=window[0], t_hi=window[1], slack=slack)
     target = 2.0 / (p * shape)
     lo = target - EXPONENT_SLACK
     hi = target + delta + EXPONENT_SLACK

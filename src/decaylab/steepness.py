@@ -42,6 +42,8 @@ __all__ = [
 _UNDERFLOW_FLOOR = 1e-300
 
 REPORT_TOL = 1e-12
+CALIBRATION_POINTS = 13     # grid of the transcendental bound's constant,
+CALIBRATION_DECADES = 6.0   # geometric from delta0 down over this many decades
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,6 @@ class SteepnessFunction:
             return float(out)
         return out
 
-    __call__ = value
-
     def _require_smooth_branch(self, s) -> np.ndarray:
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= 0) or np.any(s_arr >= self.s0):
@@ -207,14 +207,13 @@ class HypothesisReport:
 
     ``max_violation`` is a dimensionless relative excess (negative or zero
     when the inequality holds everywhere with margin); ``passed`` means it
-    does not exceed ``tol``.
+    does not exceed REPORT_TOL.
     """
 
     max_violation: float
     worst_s: float
     worst_lambda: float
     passed: bool
-    tol: float = REPORT_TOL
 
 
 @dataclass(frozen=True)
@@ -233,10 +232,10 @@ class ConvexityReport:
         return self.weak.passed and self.strong.passed
 
 
-def _worst(viol: np.ndarray, s: np.ndarray, tol: float) -> HypothesisReport:
+def _worst(viol: np.ndarray, s: np.ndarray) -> HypothesisReport:
     """The largest violation on a one-dimensional grid s, and where it occurs."""
     i = int(np.argmax(viol))
-    return HypothesisReport(float(viol[i]), float(s[i]), math.nan, float(viol[i]) <= tol, tol)
+    return HypothesisReport(float(viol[i]), float(s[i]), math.nan, float(viol[i]) <= REPORT_TOL)
 
 
 def _as_grid(grid, name: str) -> np.ndarray:
@@ -247,8 +246,7 @@ def _as_grid(grid, name: str) -> np.ndarray:
 
 
 def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
-                                s_grid, lambda_grid,
-                                tol: float = REPORT_TOL) -> HypothesisReport:
+                                s_grid, lambda_grid) -> HypothesisReport:
     """Check L(s) <= (1 + a*lambda) L(s^{1+lambda}) over a product grid.
 
     Requires s_grid inside (0, s0) and lambda_grid inside (0, lambda0).  The
@@ -266,11 +264,10 @@ def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
     flat = int(np.argmax(viol))
     i, j = np.unravel_index(flat, viol.shape)
     worst = float(viol[i, j])
-    return HypothesisReport(worst, float(s[i]), float(lam[j]), worst <= tol, tol)
+    return HypothesisReport(worst, float(s[i]), float(lam[j]), worst <= REPORT_TOL)
 
 
-def check_ratio_bound(L: SteepnessFunction, a: float, s_grid,
-                      tol: float = REPORT_TOL) -> HypothesisReport:
+def check_ratio_bound(L: SteepnessFunction, a: float, s_grid) -> HypothesisReport:
     """Check the superalgebraic-growth bound s L'(s)/L(s) <= a / ln(1/s).
 
     The grid must lie in (0, min(s0, 1)); points >= 1 make the right side
@@ -283,11 +280,11 @@ def check_ratio_bound(L: SteepnessFunction, a: float, s_grid,
         raise InputError("s_grid must lie inside (0, min(s0, 1))")
     lhs = s * L.deriv1(s) / L.value(s)
     rhs = a / np.log(1.0 / s)
-    return _worst(lhs / rhs - 1.0, s, tol)
+    return _worst(lhs / rhs - 1.0, s)
 
 
-def check_convexity_condition(L: SteepnessFunction, p: float, q0: float, s_grid,
-                              tol: float = REPORT_TOL) -> ConvexityReport:
+def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
+                              s_grid) -> ConvexityReport:
     """Check both descent conditions on a grid inside the smooth branch.
 
     Violations are normalized by the magnitude of the participating terms so
@@ -306,11 +303,11 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float, s_grid,
 
     weak_gap = s * d2 + coeff * d1            # must be >= 0
     weak_scale = np.abs(s * d2) + np.abs(coeff * d1) + 1e-300
-    weak = _worst(-weak_gap / weak_scale, s, tol)
+    weak = _worst(-weak_gap / weak_scale, s)
 
     strong_gap = d1 + s * d2                  # d/ds (s L') >= 0
     strong_scale = np.abs(d1) + np.abs(s * d2) + 1e-300
-    strong = _worst(-strong_gap / strong_scale, s, tol)
+    strong = _worst(-strong_gap / strong_scale, s)
     return ConvexityReport(weak, strong)
 
 
@@ -351,15 +348,14 @@ def _solve_eta(L: SteepnessFunction, beta: float, gamma: float, delta: float) ->
 
 @lru_cache(maxsize=128)
 def transcendental_calibration(L: SteepnessFunction, beta: float, gamma: float,
-                               delta0: float, grid_points: int = 13,
-                               grid_decades: float = 6.0):
+                               delta0: float):
     """Calibrate C so that eta(delta) <= C delta^{1/beta} L^{-gamma/beta}(delta).
 
-    The calibration grid is geometric from delta0 down over ``grid_decades``
+    The calibration grid is geometric from delta0 down over CALIBRATION_DECADES
     decades; C is the largest observed ratio, inflated by 1e-9 to absorb
     floating-point ties at the calibration points.  Returns (C, grid).
     """
-    grid = np.geomspace(delta0, delta0 * 10.0 ** (-grid_decades), grid_points)
+    grid = np.geomspace(delta0, delta0 * 10.0 ** (-CALIBRATION_DECADES), CALIBRATION_POINTS)
     ratios = []
     for d in grid:
         eta = _solve_eta(L, beta, gamma, float(d))

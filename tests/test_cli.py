@@ -192,7 +192,7 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     assert margins["pass"] and margins["margins"][0]["min_margin"] >= 0.0
 
 
-def test_schema_errors_exit_2(tmp_path, monkeypatch):
+def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     calls = counted_evolve(monkeypatch)
     bad = [
         {"name": "", "mode": "steady_state"},
@@ -254,9 +254,17 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch):
     ]
     # the certificate is a section of pde_decay; its old mode is gone
     removed_mode = dict(TINY_DECAY, mode="lower_bound")
-    for doc in ill_typed + out_of_range + [removed_mode]:
+    # a misspelled section is read by no part of the run, so it cannot drop
+    # its check without a word
+    typo = {k: v for k, v in certified.items() if k != "certificate"}
+    typo["certificat"] = certified["certificate"]
+    for doc in ill_typed + out_of_range + [removed_mode, typo]:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
+    capsys.readouterr()
+    nested_typo = with_field(certified, "certificate.stedy", {"m": 1001})
+    assert main(["run", str(write_config(tmp_path, nested_typo))]) == EXIT_CONFIG
+    assert "certificate.stedy: unknown field" in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
@@ -361,8 +369,8 @@ def test_report_malformed_manifest(tmp_path):
 
 
 def test_checked_in_configs_are_valid():
-    # every field of every shipped config passes the read phase; the returned
-    # compute step is not called
+    # every field of every shipped config passes the read phase, and no key is
+    # left unread; the returned compute step is not called
     from pathlib import Path
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     names = {p.name for p in cfg_dir.glob("*.json")}
@@ -370,4 +378,5 @@ def test_checked_in_configs_are_valid():
             "pde_decay_sandwich.json", "ladder.json", "lower_bound.json"} <= names
     for path in sorted(cfg_dir.glob("*.json")):
         cfg = cli.load_config(path)
-        assert callable(cli._RUNNERS[cfg["mode"]](cli._Section(cfg))), path.name
+        compute, out = cli._read_phase(cfg)
+        assert callable(compute) and out == cfg["output_dir"], path.name

@@ -6,9 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decaylab import evolution
 from decaylab.errors import InputError, LadderError, SchemeError
-from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
-                                linfty_from_lq_check, lyapunov_series,
+from decaylab.evolution import (DT_INIT, MAX_REJECTIONS, TOL, ApproxParams, ProblemSpec,
+                                evolve, linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
 from decaylab.radial import RadialGrid, RadialProfile, lq_quasinorm
@@ -90,13 +91,46 @@ def test_evolve_records_snapshots_and_series():
 def test_step_stats_count_recorded_and_replayed_steps():
     spec = gaussian_spec()
     params = ApproxParams(R=10.0, eps=1e-3, m=251)
-    lead = evolve(spec, params, 2.0, [0.0, 1.0, 2.0], record_dts=True)
+    lead = evolve(spec, params, 2.0, [0.0, 1.0, 2.0])
     assert lead.stats["accepted"] == len(lead.dts)
     assert lead.stats["dt_min"] == lead.dts.min()
     assert lead.stats["dt_max"] == lead.dts.max()
     replay = evolve(spec, params, 2.0, [0.0, 1.0, 2.0], dt_schedule=lead.dts)
     assert replay.stats["accepted"] == len(lead.dts)
     assert replay.stats["rejected"] == 0 and replay.stats["halvings"] == 0
+    # a replay reproduces its run bit for bit, and records the same steps
+    assert np.array_equal(replay.values, lead.values)
+    assert np.array_equal(replay.dts, lead.dts)
+
+
+def failing_steps(monkeypatch, failures):
+    """Make the first ``failures`` calls of _Stepper.step raise SchemeError."""
+    real_step = evolution._Stepper.step
+    calls = []
+
+    def step(self, u, dt):
+        calls.append(dt)
+        if len(calls) <= failures:
+            raise SchemeError("undershoot")
+        return real_step(self, u, dt)
+
+    monkeypatch.setattr(evolution._Stepper, "step", step)
+    return calls
+
+
+def test_undershoot_retries_at_half_step(monkeypatch):
+    failing_steps(monkeypatch, 1)
+    run = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=251), 1.0, [0.0, 1.0])
+    assert run.stats["halvings"] == 1
+    assert run.dts[0] == DT_INIT / 2
+    assert run.times[-1] == 1.0
+
+
+def test_failing_step_exhausts_the_retry_budget(monkeypatch):
+    calls = failing_steps(monkeypatch, math.inf)
+    with pytest.raises(SchemeError):
+        evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=251), 1.0, [0.0, 1.0])
+    assert len(calls) == MAX_REJECTIONS + 1
 
 
 def test_time_self_convergence():
@@ -138,7 +172,7 @@ def test_discrete_comparison_on_random_monotone_pairs(rng):
         spec_hi = ProblemSpec(1.0, 1, lambda rr: np.interp(rr, r, u_high))
         spec_lo = ProblemSpec(1.0, 1, lambda rr: np.interp(rr, r, u_low))
         params = ApproxParams(R=R, eps=1e-3, m=grid_m)
-        hi = evolve(spec_hi, params, 1.0, snaps, record_dts=True)
+        hi = evolve(spec_hi, params, 1.0, snaps)
         lo = evolve(spec_lo, params, 1.0, snaps, dt_schedule=hi.dts)
         assert np.all(hi.values >= lo.values - 1e-10)
 
@@ -158,7 +192,7 @@ def test_comparison_principle_under_controlled_schedule(low, bump, p, n):
     params = ApproxParams(R=4.0, eps=1e-3, m=41)
     snaps = [0.0, 0.1, 0.5, 1.0]
     hi = evolve(ProblemSpec(p, n, lambda r: np.interp(r, KNOT_RADII, high_k)),
-                params, 1.0, snaps, record_dts=True)
+                params, 1.0, snaps)
     lo = evolve(ProblemSpec(p, n, lambda r: np.interp(r, KNOT_RADII, low_k)),
                 params, 1.0, snaps, dt_schedule=hi.dts)
     assert np.all(lo.values <= hi.values + 1e-10)
@@ -167,8 +201,7 @@ def test_comparison_principle_under_controlled_schedule(low, bump, p, n):
 def test_epsilon_ordering_of_paired_runs():
     spec = gaussian_spec()
     snaps = [0.0, 0.5, 1.0, 3.0]
-    big = evolve(spec, ApproxParams(R=10.0, eps=0.1, m=251), 3.0, snaps,
-                 record_dts=True)
+    big = evolve(spec, ApproxParams(R=10.0, eps=0.1, m=251), 3.0, snaps)
     small = evolve(spec, ApproxParams(R=10.0, eps=0.01, m=251), 3.0, snaps,
                    dt_schedule=big.dts)
     assert np.all(big.values >= small.values - 1e-12)

@@ -136,9 +136,3 @@ def test_steepness_integral_rejects_negative():
     p = RadialProfile(g, np.linspace(-0.1, 1.0, 11))
     with pytest.raises(InputError):
         steepness_integral(p, SteepnessFunction.power_law(1.0))
-
-
-def test_profile_monotone_helper():
-    g = RadialGrid(1, 1.0, 5)
-    assert RadialProfile(g, np.array([3.0, 2.0, 2.0, 1.0, 0.0])).is_nonincreasing()
-    assert not RadialProfile(g, np.array([0.0, 1.0, 2.0, 1.0, 0.0])).is_nonincreasing()

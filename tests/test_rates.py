@@ -19,7 +19,7 @@ def synthetic_run(times, sup, p=1.0, n=1):
     grid = RadialGrid(n, 10.0, 11)
     return EvolutionRun(spec, ApproxParams(R=10.0, eps=1e-5, m=11), grid,
                         np.asarray(times), np.zeros((len(times), grid.m)),
-                        {"sup_norm": np.asarray(sup)})
+                        {"sup_norm": np.asarray(sup)}, np.empty(0))
 
 
 def test_fit_recovers_log_model_exactly():
