@@ -20,8 +20,8 @@ from .steepness import (ConvexityReport, HypothesisReport, SteepnessFunction,
                         transcendental_calibration)
 from .radial import (RadialGrid, RadialProfile, WeightedIntegral, grad_l2_norm,
                      lq_quasinorm, radial_laplacian, steepness_integral)
-from .gn import (FamilySpec, FamilyScan, GNRequest, classical_gn_ratio,
-                 family_scan, steepness_gn_ratio)
+from .gn import (FamilySpec, FamilyScan, classical_gn_ratio, family_scan,
+                 steepness_gn_ratio)
 from .evolution import (ApproxParams, EvolutionRun, LadderResult, ProblemSpec,
                         evolve, linfty_from_lq_check, lyapunov_series,
                         minimal_solution_ladder, observer_lq, observer_lyapunov,

@@ -33,6 +33,7 @@ __all__ = [
     "logistic_exact",
     "logistic_residual",
     "DecayEnvelope",
+    "lower_c1",
     "lower_bound_curve",
     "SubsolutionSpec",
     "build_subsolution",
@@ -290,6 +291,12 @@ class DecayEnvelope:
         return self.c0 * np.exp(-self.alpha * np.exp(self.beta * r ** self.gamma))
 
 
+def lower_c1(p: float) -> float:
+    """c1 = 1/(2p), the rate in Lambda^{-1}(c1 ln t) of every lower bound
+    (any c1 with p c1 < 1 would do): the certificate's, and the lower curve's."""
+    return 1.0 / (2.0 * p)
+
+
 def lower_bound_curve(env: DecayEnvelope, p: float, c1: float, C: float,
                       t_grid) -> np.ndarray:
     """C * t^{-1/p} * (Lambda^{-1}(c1 ln t))^{2/p} on the given times.
@@ -319,12 +326,10 @@ class SubsolutionSpec:
 
 
 def build_subsolution(env: DecayEnvelope, p: float, steady: SteadyState,
-                      tau0: float, c1: Optional[float] = None) -> SubsolutionSpec:
-    """Fix c1 (default 1/(2p)), the ball radius Lambda^{-1}(c1 tau0) and the
+                      tau0: float) -> SubsolutionSpec:
+    """Fix the ball radius Lambda^{-1}(c1 tau0), c1 = lower_c1(p), and the
     initial level delta = R^{-2/p} exp(-c1 tau0) / sup(w_1)."""
-    c1 = 1.0 / (2.0 * p) if c1 is None else c1
-    if p * c1 >= 1.0:
-        raise InputError(f"need p*c1 < 1, got p*c1 = {p * c1}")
+    c1 = lower_c1(p)
     if tau0 <= 0:
         raise InputError("tau0 must be positive")
     R_tau0 = float(env.lam_inv(c1 * tau0))

@@ -15,9 +15,14 @@ iteration orders, fixed float formatting).
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything or creates its run
 directory, so a missing, wrongly typed or out-of-range field (``"2"`` or
-``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``), or a key
-no part of the run reads (``"certificat"``), exits 2 before any time stepping.
-A verdict that holds a NaN or an infinity is a numeric failure: it exits 3.
+``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``), a key no
+part of the run reads (``"certificat"``, or a gauge field of another kind), or
+a ``rate`` window or gauge that its verdict would refuse exits 2 before any
+time stepping.  Each input has one field: a gauge ``L`` has the fields of its
+kind (``SteepnessFunction.fields``), and a ladder's node count is ``approx.m``
+on its largest ball.  A verdict that holds a NaN or an infinity is a numeric
+failure: it exits 3.  Artifacts are written with the manifest, after the
+verdict, so a run that fails leaves none.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -141,7 +146,7 @@ def load_config(path: Path) -> dict:
 
 
 class ArtifactWriter:
-    """Writes files under the run directory and accumulates the manifest."""
+    """Keeps a run's artifacts until ``finish`` writes them and then the manifest."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -152,12 +157,10 @@ class ArtifactWriter:
             probe.unlink()
         except OSError as exc:
             raise ConfigError(f"output_dir: {out_dir} is not writable ({exc})") from exc
-        self.entries = []
+        self.entries = []  # (name, bytes) of each artifact, in the order written
 
     def _register(self, name: str, data: bytes):
-        (self.out_dir / name).write_bytes(data)
-        self.entries.append({"path": name,
-                             "sha256": hashlib.sha256(data).hexdigest()})
+        self.entries.append((name, data))
 
     def write_text(self, name: str, text: str):
         self._register(name, text.encode())
@@ -172,11 +175,14 @@ class ArtifactWriter:
         self.write_text(name, "\n".join(rows) + "\n")
 
     def finish(self, cfg: dict, verdict: dict):
+        for name, data in self.entries:
+            (self.out_dir / name).write_bytes(data)
         manifest = {
             "name": cfg["name"],
             "mode": cfg["mode"],
             "config": cfg,
-            "artifacts": sorted(self.entries, key=lambda e: e["path"]),
+            "artifacts": sorted(({"path": name, "sha256": hashlib.sha256(data).hexdigest()}
+                                 for name, data in self.entries), key=lambda e: e["path"]),
             "verdict": verdict,
         }
         (self.out_dir / "manifest.json").write_text(
@@ -184,42 +190,34 @@ class ArtifactWriter:
 
 
 def _steepness(sec: _Section) -> SteepnessFunction:
-    sec.read("kind", STRING)
-    for key in ("kappa", "M", "s0", "lambda0", "r"):
-        sec.read(key, NUMBER, None)
-    try:
-        return sec.build(SteepnessFunction.from_json, doc=sec.doc)
-    except KeyError as exc:
-        raise ConfigError(f"{sec._at(exc.args[0])}: required field missing") from None
-
-
-def _envelope_fields(sec: _Section) -> dict:
-    """kind, c0, alpha, beta and (DoubleExp only) gamma of a closed-form envelope."""
+    """A gauge from the fields of its kind only; another kind's field is left unread."""
     kind = sec.read("kind", STRING)
-    return {"kind": kind, "c0": sec.read("c0", NUMBER, 1.0),
-            "alpha": sec.read("alpha", NUMBER, 1.0), "beta": sec.read("beta", NUMBER, 1.0),
-            "gamma": sec.read("gamma", NUMBER) if kind == "DoubleExp" else None}
+    fields = sec.build(SteepnessFunction.fields, kind=kind)
+    return sec.build(SteepnessFunction.from_json, doc={"kind": kind, **{
+        key: sec.read(key, NUMBER, _REQUIRED if default is None else default)
+        for key, default in fields.items()}})
 
 
 def _envelope(sec: _Section) -> bounds.DecayEnvelope:
-    return sec.build(bounds.DecayEnvelope, **_envelope_fields(sec))
+    """kind, c0, alpha, beta and (DoubleExp only) gamma of a closed-form envelope."""
+    kind = sec.read("kind", STRING)
+    return sec.build(bounds.DecayEnvelope, kind=kind, c0=sec.read("c0", NUMBER, 1.0),
+                     alpha=sec.read("alpha", NUMBER, 1.0), beta=sec.read("beta", NUMBER, 1.0),
+                     gamma=sec.read("gamma", NUMBER) if kind == "DoubleExp" else None)
 
 
 def _problem(cfg: _Section):
-    """Problem (its datum an envelope's floor), end time and snapshot times."""
+    """Problem (its datum an envelope's floor), end time and the times a run records."""
     prob = cfg.section("problem")
     spec = evolution.ProblemSpec(p=prob.read("p", NUMBER), n=prob.read("n", INTEGER),
                                  u0=_envelope(prob.section("u0")).floor)
     t_end = cfg.read("t_end", POSITIVE)
     snap = cfg.section("snapshots", {})
-    kind = snap.read("kind", STRING, "log")
-    if kind != "log":
-        raise ConfigError(f"snapshots.kind: only 'log' is supported, got {kind!r}")
     snaps = np.geomspace(snap.read("t_min", POSITIVE, 0.01), t_end,
                          snap.read("count", COUNT, 65))
     if snap.read("include_zero", BOOLEAN, True):
         snaps = np.concatenate([[0.0], snaps])
-    return spec, t_end, snaps
+    return spec, t_end, evolution.normalize_snapshots(snaps, t_end)
 
 
 def _observers(cfg: _Section, names: list, p: float, L):
@@ -271,7 +269,6 @@ def _run_steady_state(cfg: _Section):
 def _run_lfunction_audit(cfg: _Section):
     L = _steepness(cfg.section("L"))
     audit = cfg.section("audit", {})
-    lambda0 = audit.read("lambda0", NUMBER, L.lambda0 if not math.isnan(L.lambda0) else 1.0)
     p = audit.read("p", NUMBER, 1.0)
     q0 = audit.read("q0", NUMBER, 1.0)
     s_points = audit.read("s_points", COUNT, 400)
@@ -280,10 +277,10 @@ def _run_lfunction_audit(cfg: _Section):
     def compute(writer: ArtifactWriter) -> dict:
         s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
         s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, s_points)
-        lam_grid = np.linspace(lambda0 * 1e-3, lambda0 * (1.0 - 1e-9), l_points)
         checks = {}
-        if not math.isnan(L.a):
-            rep = check_near_multiplicativity(L, lambda0, L.a, s_grid, lam_grid)
+        if not math.isnan(L.a):  # a log-type gauge, with its own lambda0
+            lam_grid = np.linspace(L.lambda0 * 1e-3, L.lambda0 * (1.0 - 1e-9), l_points)
+            rep = check_near_multiplicativity(L, L.lambda0, L.a, s_grid, lam_grid)
             checks["near_multiplicativity"] = {
                 "max_violation": rep.max_violation, "worst_s": rep.worst_s,
                 "worst_lambda": rep.worst_lambda, "pass": rep.passed}
@@ -311,19 +308,19 @@ def _run_gn_scan(cfg: _Section):
                              gcfg.read("m", NODES))
     L = _steepness(cfg.section("L"))
     rcfg = cfg.section("request")
-    req = gn.GNRequest(n=grid.n, q=rcfg.read("q", NUMBER), L=L, K=rcfg.read("K", NUMBER, None))
+    q, K = rcfg.read("q", NUMBER), rcfg.read("K", NUMBER, None)
     fcfg = cfg.section("family")
-    fam = fcfg.build(gn.FamilySpec, **_envelope_fields(fcfg),
+    fam = fcfg.build(gn.FamilySpec, envelope=_envelope(fcfg),
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
     probe_scale = cfg.read("sharpness_scale", NUMBER, None)
 
     def compute(writer: ArtifactWriter) -> dict:
-        scans = [gn.family_scan(fam, req, grid)]
+        scans = [gn.family_scan(fam, grid, q, L, K)]
         writer.write_text("scan.csv", scans[0].to_csv())
         summary = {"scan": scans[0].summary()}
         if probe_scale:
-            scans.append(gn.family_scan(fam, req, grid, alpha_scale=float(probe_scale)))
+            scans.append(gn.family_scan(fam, grid, q, L, K, alpha_scale=float(probe_scale)))
             writer.write_text("scan_probe.csv", scans[1].to_csv())
             summary["probe"] = scans[1].summary()
         writer.write_json("summary.json", summary)
@@ -352,34 +349,32 @@ def _run_pde_decay(cfg: _Section):
     L = _steepness(cfg.section("L")) if rate is not None or "lyapunov" in names else None
     obs = _observers(cfg, names, spec.p, L)
     acfg = cfg.section("approx")
+    m = acfg.read("m", NODES)  # nodes of the run, or of a ladder's largest ball
     lcfg = acfg.section("ladder", None)
     if lcfg is not None:
         eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
         R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
-        m_list = lcfg.list_of("m_list", NODES)
-        if len(m_list) != len(R_list):
-            raise ConfigError("approx.ladder.m_list: must match R_list in length")
     else:
-        params = evolution.ApproxParams(R=acfg.read("R", NUMBER), eps=acfg.read("eps", NUMBER),
-                                        m=acfg.read("m", NODES))
+        params = evolution.ApproxParams(R=acfg.read("R", NUMBER), eps=acfg.read("eps", NUMBER), m=m)
     if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
         delta = rate.read("delta", NUMBER)
         slack = rate.read("slack", NUMBER, rates.RATIO_SLACK)
         window = tuple(rate.read("window", WINDOW, [10.0, None]))
+        rate.build(rates.rate_model, env=env, L=L, p=spec.p, n=spec.n, delta=delta,
+                   times=snaps, window=window)
     if cert is not None:
-        tau0_list = cert.list_of("tau0_list", NUMBER, [math.log(t_end + 1.0)])
+        tau0_list = cert.list_of("tau0_list", POSITIVE, [math.log(t_end + 1.0)])
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
-        c1 = cert.read("c1", NUMBER, None)
         steady_m = cert.section("steady", {}).read("m", NODES, 4001)
 
     def compute(writer: ArtifactWriter) -> dict:
         verdict: dict = {"pass": True}
         if lcfg is not None:
             ladder = evolution.minimal_solution_ladder(
-                spec, eps_list, R_list, dict(zip(R_list, m_list)), t_end, snaps, obs)
+                spec, eps_list, R_list, m, t_end, snaps, obs)
             run = ladder.proxy
             verdict["ladder"] = ladder.report()
             writer.write_json("ladder_report.json", verdict["ladder"])
@@ -397,7 +392,7 @@ def _run_pde_decay(cfg: _Section):
             verdict["baseline"] = baseline.to_json()
             writer.write_json("baseline.json", verdict["baseline"])
             t_grid = run.times[run.times >= window[0]]
-            curve = rates.lower_bound_curve(env, spec.p, 1.0 / (2.0 * spec.p),
+            curve = rates.lower_bound_curve(env, spec.p, bounds.lower_c1(spec.p),
                                             sandwich.lower.C, t_grid)
             writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
             upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
@@ -411,7 +406,7 @@ def _run_pde_decay(cfg: _Section):
                                     [state.r_nodes, state.w])
             margins = []
             for tau0 in tau0_list:
-                ss = bounds.build_subsolution(env, spec.p, state, float(tau0), c1)
+                ss = bounds.build_subsolution(env, spec.p, state, float(tau0))
                 rep = bounds.subsolution_check(run, ss, state)
                 margins.append({"tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
                                 **asdict(rep)})

@@ -48,6 +48,7 @@ __all__ = [
     "EvolutionRun",
     "LadderResult",
     "evolve",
+    "normalize_snapshots",
     "minimal_solution_ladder",
     "lyapunov_series",
     "semiconvexity_check",
@@ -169,7 +170,8 @@ class _Stepper:
         return out.copy() if out is b else out
 
 
-def _normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
+def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
+    """The times at which ``evolve`` records a run: sorted, unique, ending at t_end."""
     snaps = np.unique(np.asarray(list(snapshot_times), dtype=float))
     if np.any(snaps < 0):
         raise InputError("snapshot times must be nonnegative")
@@ -203,7 +205,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     if observers:
         obs.update(observers)
 
-    snaps = _normalize_snapshots(snapshot_times, t_end)
+    snaps = normalize_snapshots(snapshot_times, t_end)
     values = np.empty((snaps.size, grid.m))
     series = {name: [] for name in obs}
     stepper = _Stepper(grid, spec.p, params.eps)
@@ -307,18 +309,19 @@ class LadderResult:
 
 
 def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
-                            R_list: Sequence[float], m_for_R: Mapping[float, int],
+                            R_list: Sequence[float], m: int,
                             t_end: float, snapshot_times: Sequence[float],
                             observers: Optional[Mapping[str, Callable]] = None) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
-    eps_list must decrease, R_list increase, and all grids must share one
-    spacing so profiles compare node-by-node.  Every member replays the dt
-    sequence the error controller chose for the (max eps, max R) member, so
-    ladder differences are not polluted by differing time discretizations.
-    Solutions must decrease along eps and increase along R up to
-    LADDER_MONOTONICITY_TOL; the proxy for the minimal solution is the member
-    at (min eps, max R).
+    eps_list must decrease and R_list increase.  ``m`` is the node count on
+    the largest ball, and every grid has its spacing, so profiles compare
+    node-by-node; each radius must be a whole number (at least 2) of
+    spacings.  Every member replays the dt sequence the error controller chose
+    for the (max eps, max R) member, so ladder differences are not polluted by
+    differing time discretizations.  Solutions must decrease along eps and
+    increase along R up to LADDER_MONOTONICITY_TOL; the proxy for the minimal
+    solution is the member at (min eps, max R).
     """
     eps_list = list(eps_list)
     R_list = list(R_list)
@@ -326,22 +329,20 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
         raise InputError("eps_list must be strictly decreasing")
     if sorted(R_list) != R_list or len(set(R_list)) != len(R_list):
         raise InputError("R_list must be strictly increasing")
-    h_ref = R_list[-1] / (m_for_R[R_list[-1]] - 1)
-    for R in R_list:
-        h = R / (m_for_R[R] - 1)
-        if abs(h - h_ref) > 1e-9 * h_ref:
-            raise InputError("all ladder grids must share one spacing")
+    h = R_list[-1] / (m - 1)
+    if any(abs(R / h - round(R / h)) > 1e-9 * R / h or round(R / h) < 2 for R in R_list):
+        raise InputError(f"every radius in R_list must be a whole number of spacings h = {h:g}, "
+                         "at least 2")
 
-    def params_for(eps, R):
-        return ApproxParams(R=R, eps=eps, m=m_for_R[R])
-
-    lead = evolve(spec, params_for(eps_list[0], R_list[-1]), t_end, snapshot_times, observers)
+    # every member's parameters are checked before the lead run takes a step
+    params = {(eps, R): ApproxParams(R=R, eps=eps, m=round(R / h) + 1)
+              for eps in eps_list for R in R_list}
+    lead = evolve(spec, params[(eps_list[0], R_list[-1])], t_end, snapshot_times, observers)
     runs = {(eps_list[0], R_list[-1]): lead}
-    for eps in eps_list:
-        for R in R_list:
-            if (eps, R) not in runs:
-                runs[(eps, R)] = evolve(spec, params_for(eps, R), t_end, snapshot_times,
-                                        observers, dt_schedule=lead.dts)
+    for key in params:
+        if key not in runs:
+            runs[key] = evolve(spec, params[key], t_end, snapshot_times, observers,
+                               dt_schedule=lead.dts)
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""

@@ -7,6 +7,9 @@ Two ratio functionals are evaluated on radial profiles:
   with alpha = 1/q - (n-2)/(2n), whose boundedness over families with a
   common steepness-integral budget is the inequality under test.
 
+The dimension n is always that of the grid the profiles live on
+(``RadialGrid.n``); no function takes it separately.
+
 Family scans drive the steepness-weighted ratio across dilated and rescaled
 copies of a template profile and report boundedness and sharpness probes.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +29,6 @@ from .radial import RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm, steep
 from .steepness import SteepnessFunction
 
 __all__ = [
-    "GNRequest",
     "FamilySpec",
     "FamilyScan",
     "ScanRow",
@@ -36,65 +38,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GNRequest:
-    """Exponents and budget for one inequality evaluation.
+def _alpha(q: float, n: int) -> float:
+    """Exponent 1/q - (n-2)/(2n) of the steepness weight in dimension n.
 
-    ``n`` is the ambient dimension, ``q`` the target Lebesgue exponent.  The
-    classical mode additionally needs (r, theta); the steepness-weighted mode
-    needs (L, K).
+    Positive exactly when q stays below the critical exponent 2n/(n-2)_+,
+    which the steepness-weighted ratio requires.
     """
-
-    n: int
-    q: float
-    L: Optional[SteepnessFunction] = None
-    K: Optional[float] = None
-    r: Optional[float] = None
-    theta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise InputError(f"q must be positive, got {self.q}")
-
-    @property
-    def alpha(self) -> float:
-        """Exponent 1/q - (n-2)/(2n) of the steepness weight.
-
-        Positive exactly when q stays below the critical exponent
-        2n/(n-2)_+, which the steepness-weighted mode requires.
-        """
-        return 1.0 / self.q - (self.n - 2.0) / (2.0 * self.n)
-
-    def require_subcritical(self):
-        if self.alpha <= 0:
-            raise InputError(
-                f"q = {self.q} must stay below the critical exponent "
-                f"2n/(n-2) = {2*self.n/(self.n-2)} in dimension n = {self.n}")
+    if q <= 0:
+        raise InputError(f"q must be positive, got {q}")
+    alpha = 1.0 / q - (n - 2.0) / (2.0 * n)
+    if alpha <= 0:
+        raise InputError(f"q = {q} must stay below the critical exponent "
+                         f"2n/(n-2) = {2*n/(n-2)} in dimension n = {n}")
+    return alpha
 
 
-def classical_gn_ratio(phi: RadialProfile, req: GNRequest) -> float:
+def classical_gn_ratio(phi: RadialProfile, q: float, r: float, theta: float) -> float:
     """||phi||_q / (||phi||_r^theta * ||grad phi||_2^{1-theta}).
 
-    Validates the exponent relation 1/q = theta/r + (1-theta)(1/2 - 1/n).
+    Validates the exponent relation 1/q = theta/r + (1-theta)(1/2 - 1/n) in
+    the dimension n of phi's grid.
     """
-    if req.r is None or req.theta is None:
-        raise InputError("classical mode needs r and theta")
-    if not (1.0 <= req.r < req.q):
-        raise InputError(f"need 1 <= r < q, got r={req.r}, q={req.q}")
-    if not (0.0 <= req.theta <= 1.0):
-        raise InputError(f"theta must lie in [0, 1], got {req.theta}")
-    lhs = 1.0 / req.q
-    rhs = req.theta / req.r + (1.0 - req.theta) * (0.5 - 1.0 / req.n)
+    if not (1.0 <= r < q):
+        raise InputError(f"need 1 <= r < q, got r={r}, q={q}")
+    if not (0.0 <= theta <= 1.0):
+        raise InputError(f"theta must lie in [0, 1], got {theta}")
+    lhs = 1.0 / q
+    rhs = theta / r + (1.0 - theta) * (0.5 - 1.0 / phi.grid.n)
     if abs(lhs - rhs) > 1e-12:
         raise InputError(
             f"exponent relation violated: 1/q = {lhs} vs theta/r + (1-theta)(1/2 - 1/n) = {rhs}")
-    num = lq_quasinorm(phi, req.q)
-    norm_r = lq_quasinorm(phi, req.r)
-    grad = grad_l2_norm(phi)
-    denom = norm_r ** req.theta * grad ** (1.0 - req.theta)
+    denom = lq_quasinorm(phi, r) ** theta * grad_l2_norm(phi) ** (1.0 - theta)
     if denom == 0.0:
         raise InputError("trivial profile: zero denominator")
-    return num / denom
+    return lq_quasinorm(phi, q) / denom
 
 
 def _weighted_ratio(lq: float, grad: float, L: SteepnessFunction, alpha: float) -> float:
@@ -102,50 +79,41 @@ def _weighted_ratio(lq: float, grad: float, L: SteepnessFunction, alpha: float) 
     return lq / (grad * L.value(grad * grad) ** (-alpha))
 
 
-def steepness_gn_ratio(phi: RadialProfile, req: GNRequest,
+def steepness_gn_ratio(phi: RadialProfile, q: float, L: SteepnessFunction, K: float,
                        alpha_scale: float = 1.0) -> float:
     """Candidate constant ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2)).
 
-    Precondition: the steepness integral of phi stays within the budget K.
-    ``alpha_scale`` perturbs the exponent for sharpness probes.
+    alpha is taken in the dimension of phi's grid.  Precondition: the
+    steepness integral of phi stays within the budget K.  ``alpha_scale``
+    perturbs the exponent for sharpness probes.
     """
-    if req.L is None or req.K is None:
-        raise InputError("steepness-weighted mode needs L and K")
-    req.require_subcritical()
-    budget = steepness_integral(phi, req.L)
-    if budget.value > req.K:
+    alpha = _alpha(q, phi.grid.n)
+    budget = steepness_integral(phi, L)
+    if budget.value > K:
         raise BudgetError(
-            f"steepness integral {budget.value:.6g} exceeds budget K = {req.K:.6g}")
+            f"steepness integral {budget.value:.6g} exceeds budget K = {K:.6g}")
     grad = grad_l2_norm(phi)
     if grad == 0.0:
         raise InputError("trivial profile: zero gradient norm")
-    return _weighted_ratio(lq_quasinorm(phi, req.q), grad, req.L, req.alpha * alpha_scale)
+    return _weighted_ratio(lq_quasinorm(phi, q), grad, L, alpha * alpha_scale)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A one-parameter family of radial bump profiles.
 
-    Each member is ``scale * envelope.floor(r / width)`` for the closed-form
-    decay envelope built from ``kind``, ``c0``, ``alpha``, ``beta`` and
-    ``gamma``: scale * c0 * exp(-alpha (r/width)^beta) for ``"StretchedExp"``,
-    scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for ``"DoubleExp"``.
-    ``scales`` and ``widths`` are zipped into members; a singleton list is
-    broadcast against the other.
+    Each member is ``scale * envelope.floor(r / width)`` for a closed-form
+    decay envelope: scale * c0 * exp(-alpha (r/width)^beta) for
+    ``"StretchedExp"``, scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for
+    ``"DoubleExp"``.  ``scales`` and ``widths`` are zipped into members; a
+    singleton list is broadcast against the other.
     """
 
-    kind: str
-    c0: float
-    alpha: float
-    beta: float
-    gamma: Optional[float] = None
+    envelope: DecayEnvelope
     scales: Sequence[float] = (1.0,)
     widths: Sequence[float] = (1.0,)
-    envelope: DecayEnvelope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "envelope", DecayEnvelope(
-            self.kind, c0=self.c0, alpha=self.alpha, beta=self.beta, gamma=self.gamma))
         if any(s <= 0 for s in self.scales) or any(w <= 0 for w in self.widths):
             raise InputError("scales and widths must be positive")
         if len(self.scales) != len(self.widths) and 1 not in (len(self.scales), len(self.widths)):
@@ -222,19 +190,17 @@ class FamilyScan:
         }
 
 
-def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
-                alpha_scale: float = 1.0) -> FamilyScan:
-    """Evaluate the steepness-weighted ratio across a family.
+def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunction,
+                K: Optional[float] = None, alpha_scale: float = 1.0) -> FamilyScan:
+    """Evaluate the steepness-weighted ratio across a family on one grid.
 
-    Members must be resolvable on the grid (width <= R/5).  When the request
-    carries no budget, K defaults to 1.05x the largest member budget so the
-    precondition is non-vacuous but satisfiable.  Budget violations are
-    recorded per member, not fatal; a member whose gradient norm is 0 (its
-    ratio undefined) raises InputError.
+    alpha is taken in the grid's dimension.  Members must be resolvable on
+    the grid (width <= R/5).  Without a budget K, it defaults to 1.05x the
+    largest member budget so the precondition is non-vacuous but
+    satisfiable.  Budget violations are recorded per member, not fatal; a
+    member whose gradient norm is 0 (its ratio undefined) raises InputError.
     """
-    if req.L is None:
-        raise InputError("family scans need a steepness function on the request")
-    req.require_subcritical()
+    alpha = _alpha(q, grid.n) * alpha_scale
     members = fam.members()
     if not members:
         raise InputError("family has no members")
@@ -242,9 +208,8 @@ def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
         raise InputError("widest member is not resolvable: need width <= R/5")
 
     profiles = [fam.profile(grid, s, w) for s, w in members]
-    budgets = [steepness_integral(p, req.L) for p in profiles]
-    K = req.K if req.K is not None else 1.05 * max(b.value for b in budgets)
-    alpha = req.alpha * alpha_scale
+    budgets = [steepness_integral(p, L) for p in profiles]
+    K = K if K is not None else 1.05 * max(b.value for b in budgets)
 
     rows = []
     for (scale, width), prof, budget in zip(members, profiles, budgets):
@@ -253,10 +218,10 @@ def family_scan(fam: FamilySpec, req: GNRequest, grid: RadialGrid,
         if not grad > 0.0:
             raise InputError(f"member {member_id}: gradient norm is {grad:g}, "
                              "so its ratio is undefined")
-        lq = lq_quasinorm(prof, req.q)
+        lq = lq_quasinorm(prof, q)
         rows.append(ScanRow(member_id, scale, width, grad, lq, budget.value,
                             budget.tail_flagged, budget.value <= K,
-                            _weighted_ratio(lq, grad, req.L, alpha)))
+                            _weighted_ratio(lq, grad, L, alpha)))
     rows.sort(key=lambda row: row.grad_norm)
 
     ratios = np.array([row.ratio for row in rows])

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import DecayEnvelope, lower_bound_curve
+from .bounds import DecayEnvelope, lower_bound_curve, lower_c1
 from .errors import InputError
 from .evolution import EvolutionRun
 from .steepness import SteepnessFunction
@@ -33,6 +33,7 @@ __all__ = [
     "upper_bound_curve",
     "upper_bound_check",
     "lower_bound_persistence",
+    "rate_model",
     "BaselineReport",
     "baseline_check",
     "SandwichVerdict",
@@ -64,17 +65,38 @@ class RateFit:
         return asdict(self)
 
 
-def _window(times, values, t_lo, t_hi):
+def _window(times, values, t_lo, t_hi, rule=None):
+    """The samples of the series in [t_lo, t_hi] (t_hi None: up to the last time).
+
+    A window holds at least 3 samples, all at t > 0.  A fit ``rule`` (model)
+    needs MIN_WINDOW_DECADES decades, where the corrections are identifiable,
+    and a start above 1 (LogCorrected) or e (LogLogCorrected); ``"baseline"``
+    needs 2 decades.  With ``values`` None only the times are judged.
+    """
+    rules = {None: (0.0, 0.0), "PureAlgebraic": (MIN_WINDOW_DECADES, 0.0),
+             "LogCorrected": (MIN_WINDOW_DECADES, 1.0),
+             "LogLogCorrected": (MIN_WINDOW_DECADES, math.e), "baseline": (2.0, 0.0)}
+    if rule not in rules:
+        raise InputError(f"unknown model {rule!r}")
+    decades, t_above = rules[rule]
     t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise InputError("times must be strictly increasing")
-    if np.any(v[t > 0] <= 0):
-        raise InputError("series values must be positive")
     hi = t[-1] if t_hi is None else t_hi
     mask = (t >= t_lo) & (t <= hi)
     if mask.sum() < 3:
         raise InputError(f"window [{t_lo}, {hi}] holds fewer than 3 samples")
+    first, last = t[mask][[0, -1]]
+    if first <= t_above:
+        raise InputError(f"window [{t_lo}, {hi}] must start above t = {t_above:g}")
+    if math.log10(last / first) < decades:
+        raise InputError(f"window [{t_lo}, {hi}] spans {math.log10(last / first):.2f} "
+                         f"decades < {decades:g}; {rule} needs a longer horizon")
+    if values is None:
+        return t[mask], None
+    v = np.asarray(values, dtype=float)
+    if np.any(v[t > 0] <= 0):
+        raise InputError("series values must be positive")
     return t[mask], v[mask]
 
 
@@ -84,27 +106,15 @@ def fit_decay(times, values, p: float, model: str,
 
     LogCorrected regresses ln(t^{1/p} v) on ln ln t; LogLogCorrected on
     ln ln ln t; PureAlgebraic regresses ln v on ln t and reports the algebraic
-    exponent.  Windows shorter than 1.5 decades are refused: the corrections
-    are not identifiable there.
+    exponent.  The window must satisfy ``_window``'s rule of the model.
     """
-    t, v = _window(times, values, window[0], window[1])
-    decades = math.log10(t[-1] / t[0])
-    if decades < MIN_WINDOW_DECADES:
-        raise InputError(
-            f"window spans {decades:.2f} decades < {MIN_WINDOW_DECADES}; "
-            "rate fits need a longer horizon")
+    t, v = _window(times, values, window[0], window[1], model)
     if model == "PureAlgebraic":
         x = np.log(t)
     elif model == "LogCorrected":
-        if t[0] <= 1.0:
-            raise InputError("LogCorrected needs t > 1")
         x = np.log(np.log(t))
-    elif model == "LogLogCorrected":
-        if t[0] <= math.e:
-            raise InputError("LogLogCorrected needs t > e")
-        x = np.log(np.log(np.log(t)))
     else:
-        raise InputError(f"unknown model {model!r}")
+        x = np.log(np.log(np.log(t)))
     algebraic = model == "PureAlgebraic"
     y = np.log(v) if algebraic else np.log(t ** (1.0 / p) * v)
     slope, intercept = np.polyfit(x, y, 1)
@@ -168,11 +178,10 @@ def upper_bound_check(times, values, L: SteepnessFunction, p: float, n: int,
 def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
                             t0: float = 10.0, t_hi: Optional[float] = None,
                             slack: float = RATIO_SLACK) -> BoundCheck:
-    """Calibrate the lower curve (c1 = 1/(2p)) on the window's first decade,
+    """Calibrate the lower curve (c1 = lower_c1(p)) on the window's first decade,
     then require C*curve <= (1+slack) * v over the whole window."""
     t, v = _window(times, values, t0, t_hi)
-    return _persistence(t, v, lower_bound_curve(env, p, 1.0 / (2.0 * p), 1.0, t), "lower",
-                        slack)
+    return _persistence(t, v, lower_bound_curve(env, p, lower_c1(p), 1.0, t), "lower", slack)
 
 
 @dataclass(frozen=True)
@@ -205,9 +214,7 @@ class BaselineReport:
 
 def baseline_check(times, values, p: float, t0: float = 10.0,
                    t_hi: Optional[float] = None) -> BaselineReport:
-    t, v = _window(times, values, t0, t_hi)
-    if math.log10(t[-1] / t[0]) < 2.0:
-        raise InputError("baseline check needs a window of at least 2 decades")
+    t, v = _window(times, values, t0, t_hi, "baseline")
     compensated = v * t ** (1.0 / p - BASELINE_DELTA)
     C = BASELINE_HEADROOM * compensated[0]
     worst = float(compensated.max() / C)
@@ -242,17 +249,15 @@ class SandwichVerdict:
         }
 
 
-def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
-                    delta: float, window: tuple = (10.0, None),
-                    slack: float = RATIO_SLACK) -> SandwichVerdict:
-    """Fit the run's sup-norm series and check both calibrated bounds.
+def rate_model(env: DecayEnvelope, L: SteepnessFunction, p: float, n: int, delta: float,
+               times=None, window: tuple = (10.0, None)) -> tuple:
+    """The envelope's shape exponent and fit model, once the inputs are checked.
 
     The steepness exponent must match the envelope: kappa = n/beta + n p delta/2
     for stretched-exponential envelopes (gamma replaces beta for doubly
-    exponential ones).  The fitted correction exponent must land in
-    [target - 0.1, target + delta + 0.1] with target 2/(p beta) or 2/(p gamma).
+    exponential ones).  Given a run's snapshot ``times`` (before the run), the
+    window must also pass the ``_window`` rules of the fit model and baseline.
     """
-    p, n = run.spec.p, run.grid.n
     if env.kind == "StretchedExp":
         shape, model, wanted_kind = env.beta, "LogCorrected", "LogType"
     else:
@@ -265,7 +270,22 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
         raise InputError(
             f"steepness exponent kappa = {L.kappa} inconsistent with envelope: "
             f"expected n/shape + n*p*delta/2 = {kappa_expected}")
+    for rule in (model, "baseline") if times is not None else ():
+        _window(times, None, window[0], window[1], rule)
+    return shape, model
 
+
+def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
+                    delta: float, window: tuple = (10.0, None),
+                    slack: float = RATIO_SLACK) -> SandwichVerdict:
+    """Fit the run's sup-norm series and check both calibrated bounds.
+
+    The gauge must match the envelope (``rate_model``).  The fitted
+    correction exponent must land in [target - 0.1, target + delta + 0.1]
+    with target 2/(p beta) or 2/(p gamma).
+    """
+    p, n = run.spec.p, run.grid.n
+    shape, model = rate_model(env, L, p, n, delta)
     t = run.times
     v = run.series["sup_norm"]
     fit = fit_decay(t, v, p, model, window)

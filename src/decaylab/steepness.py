@@ -18,6 +18,7 @@ condition and its differential consequences on user-supplied grids.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -189,16 +190,27 @@ class SteepnessFunction:
         return doc
 
     @classmethod
+    def _constructor(cls, kind: str):
+        make = {"PowerLaw": cls.power_law, "LogType": cls.log_type,
+                "DoubleLogType": cls.double_log_type}.get(kind)
+        if make is None:
+            raise InputError(f"unknown steepness kind {kind!r}")
+        return make
+
+    @classmethod
+    def fields(cls, kind: str) -> dict:
+        """The fields of a gauge kind, the parameters of its constructor, each
+        with its default (None when required)."""
+        return {name: None if par.default is par.empty else par.default
+                for name, par in inspect.signature(cls._constructor(kind)).parameters.items()}
+
+    @classmethod
     def from_json(cls, doc: dict) -> "SteepnessFunction":
+        """The gauge of a ``to_json`` document; keys that are not fields of its
+        kind (the derived ``a``, say) are ignored."""
         kind = doc.get("kind")
-        if kind == "PowerLaw":
-            return cls.power_law(doc["r"])
-        if kind == "LogType":
-            return cls.log_type(doc["kappa"], doc["M"], doc.get("lambda0", 1.0))
-        if kind == "DoubleLogType":
-            return cls.double_log_type(doc["kappa"], doc["M"], doc.get("s0", 1.0),
-                                       doc.get("lambda0", 1.0))
-        raise InputError(f"unknown steepness kind {kind!r}")
+        return cls._constructor(kind)(**{key: doc[key] for key in cls.fields(kind)
+                                         if key in doc})
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
-from decaylab.gn import FamilySpec, GNRequest, family_scan
+from decaylab.gn import FamilySpec, family_scan
 from decaylab.radial import RadialGrid, RadialProfile, grad_l2_norm
 from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
                             upper_bound_check)
@@ -54,7 +54,7 @@ def ladder():
     spec = ProblemSpec(p=4.0, n=1, u0=lambda r: 2.0 * np.exp(-(r / 2.0) ** 2))
     snaps = np.concatenate([[0.0], np.geomspace(1.0, 100.0, 25)])
     return minimal_solution_ladder(spec, [1e-2, 1e-3, 1e-4], [20.0, 40.0],
-                                   {20.0: 1001, 40.0: 2001}, 100.0, snaps)
+                                   2001, 100.0, snaps)
 
 
 @pytest.fixture(scope="module")
@@ -188,13 +188,11 @@ def test_criterion_08_gn_boundedness_and_sharpness():
     grads_sq = [M * math.exp(-ell) for ell in targets]
     scales = [math.sqrt(x / (w * G)) for x, w in zip(grads_sq, widths)]
 
-    fam = FamilySpec(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0,
-                     scales=scales, widths=widths)
-    req = GNRequest(n=n, q=q, L=L)
-    scan = family_scan(fam, req, grid)
+    fam = FamilySpec(GAUSS_ENV, scales=scales, widths=widths)
+    scan = family_scan(fam, grid, q, L)
     spread = scan.ratio_max / scan.ratio_min
     span = scan.grad_span
-    probe = family_scan(fam, req, grid, alpha_scale=1.25)
+    probe = family_scan(fam, grid, q, L, alpha_scale=1.25)
     growth = probe.rows[-1].ratio / probe.rows[0].ratio
     ok = spread <= 3.0 and span >= 100.0 and probe.monotone_increasing and growth >= 5.0
     report(8, ok, f"ratio spread {spread:.2f} over {span:.1e} gradient span; "

@@ -39,7 +39,7 @@ TINY_DECAY = {
                 "u0": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0}},
     "approx": {"R": 10.0, "eps": 1e-3, "m": 251},
     "t_end": 5.0,
-    "snapshots": {"kind": "log", "t_min": 0.5, "count": 6, "include_zero": True},
+    "snapshots": {"t_min": 0.5, "count": 6, "include_zero": True},
     "observers": ["lq:1"],
 }
 
@@ -67,8 +67,7 @@ def test_lfunction_audit_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "name": "audit", "mode": "lfunction_audit",
         "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
-        "audit": {"lambda0": 1.0, "p": 1.0, "q0": 1.0,
-                  "s_points": 120, "lambda_points": 120},
+        "audit": {"p": 1.0, "q0": 1.0, "s_points": 120, "lambda_points": 120},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -128,10 +127,9 @@ def test_pde_decay_ladder_mode(tmp_path):
         "name": "lad", "mode": "pde_decay",
         "problem": {"p": 4.0, "n": 1,
                     "u0": {"kind": "StretchedExp", "c0": 2.0, "alpha": 0.25, "beta": 2.0}},
-        "approx": {"ladder": {"eps_list": [1e-2, 1e-3], "R_list": [10.0, 20.0],
-                              "m_list": [251, 501]}},
+        "approx": {"ladder": {"eps_list": [1e-2, 1e-3], "R_list": [10.0, 20.0]}, "m": 501},
         "t_end": 10.0,
-        "snapshots": {"kind": "log", "t_min": 1.0, "count": 5, "include_zero": True},
+        "snapshots": {"t_min": 1.0, "count": 5, "include_zero": True},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -157,7 +155,7 @@ TWO_SIDED = dict(
     TINY_DECAY,
     approx={"R": 12.0, "eps": 1e-4, "m": 301},
     t_end=500.0,
-    snapshots={"kind": "log", "t_min": 0.5, "count": 13, "include_zero": True},
+    snapshots={"t_min": 0.5, "count": 13, "include_zero": True},
     envelope=TINY_DECAY["problem"]["u0"],
     L={"kind": "LogType", "kappa": 0.95, "M": 4.0, "lambda0": 1.0},
     rate={"delta": 0.9, "window": [1.5, None]},
@@ -221,7 +219,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
             "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]},
             "sharpness_scale": 1.25}
     ladder = with_field(TINY_DECAY, "approx", {"ladder": {
-        "eps_list": [1e-2, 1e-3], "R_list": [10.0], "m_list": [251]}})
+        "eps_list": [1e-2, 1e-3], "R_list": [10.0]}, "m": 251})
     rated = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"],
                  L={"kind": "LogType", "kappa": 0.95, "M": 4.0}, rate={"delta": 0.9})
     ill_typed = [
@@ -235,7 +233,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(scan, "sharpness_scale", "1.25"),
         with_field(ladder, "approx.ladder.eps_list", [1e-2, "x"]),
         with_field(TINY_DECAY, "observers", ["lq:abc"]),
-        with_field(ladder, "approx.ladder.m_list", [251.9]),
+        with_field(ladder, "approx.m", 251.9),
         with_field(steady, "approx", []),
         with_field(rated, "rate.window", [1.0]),
     ]
@@ -247,24 +245,49 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(TINY_DECAY, "snapshots.t_min", 0),
         with_field(TINY_DECAY, "t_end", 0),
         with_field(steady, "approx.m", 1),
-        with_field(ladder, "approx.ladder.m_list", [1]),
+        with_field(ladder, "approx.m", 1),
         with_field(certified, "certificate.steady", {"m": 1}),
         with_field(audit, "audit.s_points", -1),
         with_field(certified, "certificate.tau0_list", []),
+        with_field(certified, "certificate.tau0_list", [-1.0]),
     ]
     # the certificate is a section of pde_decay; its old mode is gone
     removed_mode = dict(TINY_DECAY, mode="lower_bound")
+    # removed fields are unknown keys now, not silently ignored
+    removed_fields = [
+        with_field(TINY_DECAY, "snapshots.kind", "log"),
+        with_field(audit, "audit.lambda0", 1.0),
+        with_field(certified, "certificate.c1", 0.5),
+        with_field(ladder, "approx.ladder.m_list", [251]),
+    ]
+    # what the rate verdict would refuse once it ran, depending only on the
+    # config, is refused before any time stepping: a window that starts at
+    # t <= 1 (LogCorrected needs ln ln t), holds fewer than 3 snapshots or
+    # spans too few decades, and a gauge that does not match the envelope
+    long_rated = with_field(with_field(rated, "t_end", 500.0), "rate.window", [1.5, None])
+    late_rate_errors = [
+        with_field(rated, "rate.window", [0.5, None]),
+        with_field(rated, "rate.window", [1.5, 4.0]),
+        with_field(rated, "rate.window", [1.2, None]),
+        with_field(long_rated, "L.kappa", 2.0),
+    ]
     # a misspelled section is read by no part of the run, so it cannot drop
     # its check without a word
     typo = {k: v for k, v in certified.items() if k != "certificate"}
     typo["certificat"] = certified["certificate"]
-    for doc in ill_typed + out_of_range + [removed_mode, typo]:
+    for doc in ill_typed + out_of_range + removed_fields + late_rate_errors + [removed_mode,
+                                                                                typo]:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     capsys.readouterr()
     nested_typo = with_field(certified, "certificate.stedy", {"m": 1001})
     assert main(["run", str(write_config(tmp_path, nested_typo))]) == EXIT_CONFIG
     assert "certificate.stedy: unknown field" in capsys.readouterr().err
+    # a gauge reads only the fields of its own kind
+    for gauge, field in (({"kind": "PowerLaw", "r": 1.0, "kappa": 2.0}, "L.kappa"),
+                         ({"kind": "LogType", "kappa": 2.0, "M": 4.0, "s0": 0.01}, "L.s0")):
+        assert main(["run", str(write_config(tmp_path, dict(audit, L=gauge)))]) == EXIT_CONFIG
+        assert f"{field}: unknown field" in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
@@ -322,6 +345,8 @@ def test_non_finite_verdict_exit_3(tmp_path, capsys):
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert "verdict.checks.near_multiplicativity.max_violation" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    # nor any artifact: they are written only with the manifest
+    assert not (out / "audit.json").exists()
 
 
 def test_steady_state_overflow_exit_3(tmp_path):

@@ -210,8 +210,7 @@ def test_epsilon_ordering_of_paired_runs():
 def test_ladder_monotone_and_cauchy():
     spec = ProblemSpec(p=4.0, n=1, u0=lambda r: 2.0 * np.exp(-(r / 2.0) ** 2))
     snaps = np.concatenate([[0.0], np.geomspace(1.0, 20.0, 7)])
-    ladder = minimal_solution_ladder(spec, [1e-2, 1e-3], [10.0, 20.0],
-                                     {10.0: 251, 20.0: 501}, 20.0, snaps)
+    ladder = minimal_solution_ladder(spec, [1e-2, 1e-3], [10.0, 20.0], 501, 20.0, snaps)
     assert ladder.eps_violation <= 1e-8
     assert ladder.R_violation <= 1e-8
     assert ladder.proxy.params.eps == 1e-3
@@ -224,22 +223,30 @@ def test_ladder_monotone_and_cauchy():
 def test_ladder_single_member_trivial():
     spec = gaussian_spec()
     snaps = [0.0, 1.0]
-    ladder = minimal_solution_ladder(spec, [1e-2], [5.0], {5.0: 101}, 1.0, snaps)
+    ladder = minimal_solution_ladder(spec, [1e-2], [5.0], 101, 1.0, snaps)
     assert ladder.eps_cauchy == [] and ladder.R_cauchy == []
     assert (1e-2, 5.0) in ladder.runs
 
 
-def test_ladder_input_validation():
+def test_ladder_input_validation(monkeypatch):
     spec = gaussian_spec()
     with pytest.raises(InputError):
-        minimal_solution_ladder(spec, [1e-3, 1e-2], [5.0], {5.0: 101}, 1.0, [1.0])
+        minimal_solution_ladder(spec, [1e-3, 1e-2], [5.0], 101, 1.0, [1.0])
     with pytest.raises(InputError):
-        minimal_solution_ladder(spec, [1e-2], [10.0, 5.0], {10.0: 201, 5.0: 101},
-                                1.0, [1.0])
-    with pytest.raises(InputError):
-        # mismatched spacings
-        minimal_solution_ladder(spec, [1e-2], [5.0, 10.0], {5.0: 101, 10.0: 101},
-                                1.0, [1.0])
+        minimal_solution_ladder(spec, [1e-2], [10.0, 5.0], 101, 1.0, [1.0])
+    with pytest.raises(InputError, match="whole number of spacings"):
+        # spacing 10/7: the radius 5 is 3.5 spacings
+        minimal_solution_ladder(spec, [1e-2], [5.0, 10.0], 8, 1.0, [1.0])
+    with pytest.raises(InputError, match="at least 2"):
+        # spacing 1: the radius 1 is a grid of 2 nodes
+        minimal_solution_ladder(spec, [1e-2], [1.0, 10.0], 11, 1.0, [1.0])
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("a ladder member stepped before every member was checked")
+
+    monkeypatch.setattr(evolution, "evolve", no_evolve)
+    with pytest.raises(InputError, match="eps must lie in"):
+        minimal_solution_ladder(spec, [1e-2, -1.0], [5.0], 101, 1.0, [1.0])
 
 
 def test_lyapunov_series_descends_for_log_gauge():
