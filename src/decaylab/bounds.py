@@ -297,18 +297,15 @@ def lower_c1(p: float) -> float:
     return 1.0 / (2.0 * p)
 
 
-def lower_bound_curve(env: DecayEnvelope, p: float, c1: float, C: float,
-                      t_grid) -> np.ndarray:
-    """C * t^{-1/p} * (Lambda^{-1}(c1 ln t))^{2/p} on the given times.
+def lower_bound_curve(env: DecayEnvelope, p: float, C: float, t_grid) -> np.ndarray:
+    """C * t^{-1/p} * (Lambda^{-1}(c1 ln t))^{2/p} on the given times, c1 = lower_c1(p).
 
-    Requires p*c1 < 1 and c1*ln(t) inside the domain of the inverse envelope.
+    Requires c1*ln(t) inside the domain of the inverse envelope.
     """
-    if p * c1 >= 1.0:
-        raise InputError(f"need p*c1 < 1, got p*c1 = {p * c1}")
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 1.0):
         raise InputError("lower-bound curve needs t > 1")
-    radii = env.lam_inv(c1 * np.log(t))
+    radii = env.lam_inv(lower_c1(p) * np.log(t))
     return C * t ** (-1.0 / p) * radii ** (2.0 / p)
 
 
@@ -318,11 +315,9 @@ class SubsolutionSpec:
 
     envelope: DecayEnvelope
     p: float
-    c1: float
     tau0: float
     R_tau0: float
     delta: float
-    c3: float
 
 
 def build_subsolution(env: DecayEnvelope, p: float, steady: SteadyState,
@@ -335,11 +330,9 @@ def build_subsolution(env: DecayEnvelope, p: float, steady: SteadyState,
     R_tau0 = float(env.lam_inv(c1 * tau0))
     if R_tau0 <= 0:
         raise InputError("envelope inverse returned a nonpositive radius")
-    c3 = 1.0 / float(steady.w.max())
     # Lambda(R(tau0)) = c1*tau0 exactly by construction of R(tau0)
-    delta = c3 * R_tau0 ** (-2.0 / p) * math.exp(-c1 * tau0)
-    return SubsolutionSpec(env, float(p), float(c1), float(tau0), R_tau0,
-                           float(delta), c3)
+    delta = 1.0 / float(steady.w.max()) * R_tau0 ** (-2.0 / p) * math.exp(-c1 * tau0)
+    return SubsolutionSpec(env, float(p), float(tau0), R_tau0, float(delta))
 
 
 @dataclass(frozen=True)

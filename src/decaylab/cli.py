@@ -13,16 +13,18 @@ deterministic for a fixed config and build (no wall-clock text, fixed
 iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
-reads all of its fields before it computes anything or creates its run
-directory, so a missing, wrongly typed or out-of-range field (``"2"`` or
-``true`` for a number, ``2.5`` for an integer, ``0`` for ``t_end``), a key no
-part of the run reads (``"certificat"``, or a gauge field of another kind), or
-a ``rate`` window or gauge that its verdict would refuse exits 2 before any
-time stepping.  Each input has one field: a gauge ``L`` has the fields of its
-kind (``SteepnessFunction.fields``), and a ladder's node count is ``approx.m``
-on its largest ball.  A verdict that holds a NaN or an infinity is a numeric
-failure: it exits 3.  Artifacts are written with the manifest, after the
-verdict, so a run that fails leaves none.
+reads all of its fields before it computes anything, so a missing, wrongly
+typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
+integer, ``0`` for ``t_end``), a key no part of the run reads (``"certificat"``,
+or a gauge field of another kind), or a ``rate`` window or gauge that its
+verdict would refuse exits 2 before any time stepping; so does a certificate
+horizon outside the envelope's inverse.  Each input has one field: a gauge
+``L`` has the fields of its kind (``SteepnessFunction.fields``), and a ladder's
+node count is ``approx.m`` on its largest ball.  A verdict that holds a NaN or
+an infinity is a numeric failure: it exits 3.  ``ArtifactWriter.finish``
+alone creates the run directory, after the verdict, with the artifacts and
+then the manifest, so a run that exits 2 or 3 leaves no directory.  ``report``
+checks each artifact against the manifest's sha256.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -30,7 +32,6 @@ Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -146,17 +147,11 @@ def load_config(path: Path) -> dict:
 
 
 class ArtifactWriter:
-    """Keeps a run's artifacts until ``finish`` writes them and then the manifest."""
+    """Keeps a run's artifacts until ``finish`` creates the run directory and
+    writes them, then the manifest; no other code creates a run directory."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            probe = out_dir / ".write_probe"
-            probe.write_bytes(b"")
-            probe.unlink()
-        except OSError as exc:
-            raise ConfigError(f"output_dir: {out_dir} is not writable ({exc})") from exc
         self.entries = []  # (name, bytes) of each artifact, in the order written
 
     def _register(self, name: str, data: bytes):
@@ -175,8 +170,6 @@ class ArtifactWriter:
         self.write_text(name, "\n".join(rows) + "\n")
 
     def finish(self, cfg: dict, verdict: dict):
-        for name, data in self.entries:
-            (self.out_dir / name).write_bytes(data)
         manifest = {
             "name": cfg["name"],
             "mode": cfg["mode"],
@@ -185,8 +178,14 @@ class ArtifactWriter:
                                  for name, data in self.entries), key=lambda e: e["path"]),
             "verdict": verdict,
         }
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            for name, data in self.entries:
+                (self.out_dir / name).write_bytes(data)
+            (self.out_dir / "manifest.json").write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: {self.out_dir} is not writable ({exc})") from exc
 
 
 def _steepness(sec: _Section) -> SteepnessFunction:
@@ -220,7 +219,7 @@ def _problem(cfg: _Section):
     return spec, t_end, evolution.normalize_snapshots(snaps, t_end)
 
 
-def _observers(cfg: _Section, names: list, p: float, L):
+def _observers(names: list):
     obs = {}
     for name in names:
         if name in ("sup_norm", "center_value"):
@@ -233,8 +232,6 @@ def _observers(cfg: _Section, names: list, p: float, L):
             if not 0.0 < q < math.inf:
                 raise ConfigError(f"observers: {name!r} needs a positive number after 'lq:'")
             obs[name] = evolution.observer_lq(q)
-        elif name == "lyapunov":
-            obs[name] = evolution.observer_lyapunov(L, p, cfg.read("lyapunov_q", NUMBER, 1.0))
         else:
             raise ConfigError(f"observers: unknown observer {name!r}")
     return obs
@@ -242,7 +239,8 @@ def _observers(cfg: _Section, names: list, p: float, L):
 
 # -- mode runners ------------------------------------------------------------
 # Each runner reads all of its config fields and returns the step that computes
-# and writes the run, so a config error leaves no run directory behind.
+# the run and hands its artifacts to the writer, so a config error stops the run
+# before any work.
 
 def _run_steady_state(cfg: _Section):
     prob = cfg.section("problem")
@@ -343,11 +341,10 @@ def _write_run_series(writer: ArtifactWriter, run):
 
 def _run_pde_decay(cfg: _Section):
     spec, t_end, snaps = _problem(cfg)
-    names = cfg.list_of("observers", STRING, [])
+    obs = _observers(cfg.list_of("observers", STRING, []))
     rate = cfg.section("rate", None)
     cert = cfg.section("certificate", None)
-    L = _steepness(cfg.section("L")) if rate is not None or "lyapunov" in names else None
-    obs = _observers(cfg, names, spec.p, L)
+    L = _steepness(cfg.section("L")) if rate is not None else None
     acfg = cfg.section("approx")
     m = acfg.read("m", NODES)  # nodes of the run, or of a ladder's largest ball
     lcfg = acfg.section("ladder", None)
@@ -372,6 +369,11 @@ def _run_pde_decay(cfg: _Section):
 
     def compute(writer: ArtifactWriter) -> dict:
         verdict: dict = {"pass": True}
+        if cert is not None:
+            # the separated subsolutions y(tau) w_R, built before the time stepping
+            state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
+            subs = [cert.build(bounds.build_subsolution, env=env, p=spec.p, steady=state,
+                               tau0=tau0) for tau0 in tau0_list]
         if lcfg is not None:
             ladder = evolution.minimal_solution_ladder(
                 spec, eps_list, R_list, m, t_end, snaps, obs)
@@ -392,24 +394,18 @@ def _run_pde_decay(cfg: _Section):
             verdict["baseline"] = baseline.to_json()
             writer.write_json("baseline.json", verdict["baseline"])
             t_grid = run.times[run.times >= window[0]]
-            curve = rates.lower_bound_curve(env, spec.p, bounds.lower_c1(spec.p),
-                                            sandwich.lower.C, t_grid)
+            curve = rates.lower_bound_curve(env, spec.p, sandwich.lower.C, t_grid)
             writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
             upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
             writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
             verdict["pass"] = bool(sandwich.passed and baseline.passed)
 
         if cert is not None:
-            # the separated subsolution y(tau) w_R stays below the same run
-            state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
+            # each subsolution stays below the same run
             writer.write_series_csv("steady_state.csv", ["r", "w"],
                                     [state.r_nodes, state.w])
-            margins = []
-            for tau0 in tau0_list:
-                ss = bounds.build_subsolution(env, spec.p, state, float(tau0))
-                rep = bounds.subsolution_check(run, ss, state)
-                margins.append({"tau0": float(tau0), "R_tau0": ss.R_tau0, "delta": ss.delta,
-                                **asdict(rep)})
+            margins = [{"tau0": ss.tau0, "R_tau0": ss.R_tau0, "delta": ss.delta,
+                        **asdict(bounds.subsolution_check(run, ss, state))} for ss in subs]
             certificate = {"steady_center": state.center_value,
                            "steady_flux_residual": bounds.steady_state_residual(state),
                            "margins": margins,
@@ -483,30 +479,29 @@ def _plot_script(mode: str, run_dir: Path):
 
 
 def report(run_dir: Path) -> int:
+    """Write summary.md and plot.gp for a run directory, judging each artifact
+    by its manifest: MISSING when absent, CORRUPT when its sha256 differs."""
     manifest_path = run_dir / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
         name, mode, verdict = manifest["name"], manifest["mode"], manifest["verdict"]
-        artifacts = [entry["path"] for entry in manifest["artifacts"]]
-        if not all(type(rel) is str for rel in artifacts):
-            raise TypeError("artifact paths must be strings")
+        artifacts = [(entry["path"], entry["sha256"]) for entry in manifest["artifacts"]]
+        for rel, sha in artifacts:
+            if not (type(rel) is str and rel not in ("", "..") and Path(rel).name == rel
+                    and type(sha) is str):
+                raise TypeError(f"artifact {rel!r}: needs a file name in the run "
+                                "directory and a sha256 string")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: missing or malformed manifest "
                           f"({type(exc).__name__}: {exc})") from exc
     lines = [f"# {name}", "", f"mode: {mode}", ""]
     problems = []
-    for rel in artifacts:
-        path = run_dir / rel
-        status = "ok"
-        if not path.exists():
-            status = "MISSING"
-        elif rel.endswith(".csv"):
-            try:
-                with path.open(newline="") as fh:
-                    rows = list(csv.reader(fh))
-                float(rows[-1][-1])
-            except (OSError, csv.Error, IndexError, ValueError):
-                status = "CORRUPT"
+    for rel, sha in artifacts:
+        try:
+            digest = hashlib.sha256((run_dir / rel).read_bytes()).hexdigest()
+        except (OSError, ValueError):  # absent, or not a readable file
+            digest = None
+        status = "MISSING" if digest is None else "ok" if digest == sha else "CORRUPT"
         if status != "ok":
             problems.append(f"- {rel}: {status}")
         lines.append(f"- `{rel}` ({status})")

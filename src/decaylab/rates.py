@@ -2,7 +2,6 @@
 
 The asymptotic models are t^{-1/p} times a slowly varying correction:
 
-* ``PureAlgebraic``     v(t) = C t^{-p_fit},
 * ``LogCorrected``      v(t) = C t^{-1/p} ln^sigma(t),
 * ``LogLogCorrected``   v(t) = C t^{-1/p} (ln ln t)^sigma.
 
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import DecayEnvelope, lower_bound_curve, lower_c1
+from .bounds import DecayEnvelope, lower_bound_curve
 from .errors import InputError
 from .evolution import EvolutionRun
 from .steepness import SteepnessFunction
@@ -73,8 +72,7 @@ def _window(times, values, t_lo, t_hi, rule=None):
     and a start above 1 (LogCorrected) or e (LogLogCorrected); ``"baseline"``
     needs 2 decades.  With ``values`` None only the times are judged.
     """
-    rules = {None: (0.0, 0.0), "PureAlgebraic": (MIN_WINDOW_DECADES, 0.0),
-             "LogCorrected": (MIN_WINDOW_DECADES, 1.0),
+    rules = {None: (0.0, 0.0), "LogCorrected": (MIN_WINDOW_DECADES, 1.0),
              "LogLogCorrected": (MIN_WINDOW_DECADES, math.e), "baseline": (2.0, 0.0)}
     if rule not in rules:
         raise InputError(f"unknown model {rule!r}")
@@ -105,22 +103,14 @@ def fit_decay(times, values, p: float, model: str,
     """Least-squares fit of a decay model over a (log-)window of the series.
 
     LogCorrected regresses ln(t^{1/p} v) on ln ln t; LogLogCorrected on
-    ln ln ln t; PureAlgebraic regresses ln v on ln t and reports the algebraic
-    exponent.  The window must satisfy ``_window``'s rule of the model.
+    ln ln ln t.  The window must satisfy ``_window``'s rule of the model.
     """
     t, v = _window(times, values, window[0], window[1], model)
-    if model == "PureAlgebraic":
-        x = np.log(t)
-    elif model == "LogCorrected":
-        x = np.log(np.log(t))
-    else:
-        x = np.log(np.log(np.log(t)))
-    algebraic = model == "PureAlgebraic"
-    y = np.log(v) if algebraic else np.log(t ** (1.0 / p) * v)
+    x = np.log(np.log(t)) if model == "LogCorrected" else np.log(np.log(np.log(t)))
+    y = np.log(t ** (1.0 / p) * v)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    p_fit, sigma = (float(-slope), 0.0) if algebraic else (1.0 / p, float(slope))
-    return RateFit(model, p_fit, sigma, float(math.exp(intercept)),
+    return RateFit(model, 1.0 / p, float(slope), float(math.exp(intercept)),
                    float(np.sqrt(np.mean(resid**2))), (float(t[0]), float(t[-1])),
                    int(t.size))
 
@@ -181,7 +171,7 @@ def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
     """Calibrate the lower curve (c1 = lower_c1(p)) on the window's first decade,
     then require C*curve <= (1+slack) * v over the whole window."""
     t, v = _window(times, values, t0, t_hi)
-    return _persistence(t, v, lower_bound_curve(env, p, lower_c1(p), 1.0, t), "lower", slack)
+    return _persistence(t, v, lower_bound_curve(env, p, 1.0, t), "lower", slack)
 
 
 @dataclass(frozen=True)

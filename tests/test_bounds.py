@@ -87,24 +87,23 @@ def test_lower_bound_curve_specializations():
     t = np.geomspace(10.0, 1e4, 30)
     # stretched exponential, beta=2, p=1: curve = C t^-1 (c1 ln t)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    np.testing.assert_allclose(lower_bound_curve(env, 1.0, 0.5, 2.0, t),
+    np.testing.assert_allclose(lower_bound_curve(env, 1.0, 2.0, t),
                                2.0 * t**-1.0 * (0.5 * np.log(t)), rtol=1e-12)
     # doubly exponential, gamma=1, p=1: curve = C t^-1 ln(c1 ln t)^2
     envd = DecayEnvelope(kind="DoubleExp", c0=1.0, alpha=1.0, beta=1.0, gamma=1.0)
     td = np.geomspace(100.0, 1e4, 10)
-    np.testing.assert_allclose(lower_bound_curve(envd, 1.0, 0.5, 1.0, td),
+    np.testing.assert_allclose(lower_bound_curve(envd, 1.0, 1.0, td),
                                td**-1.0 * np.log(0.5 * np.log(td)) ** 2, rtol=1e-12)
-    with pytest.raises(InputError):
-        lower_bound_curve(env, 1.0, 1.0, 1.0, t)  # p c1 >= 1
 
 
 def test_subsolution_boundary_and_initial_structure():
     state = solve_steady_state(1.0, 1, 2001)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     spec = build_subsolution(env, 1.0, state, tau0=3.0)
-    assert spec.c1 == 0.5
     assert spec.R_tau0 == pytest.approx(math.sqrt(1.5))
-    assert spec.c3 == pytest.approx(1.0 / state.w.max())
+    # delta = R^{-2/p} exp(-c1 tau0) / sup(w_1) with c1 = 1/(2p)
+    assert spec.delta == pytest.approx(
+        spec.R_tau0 ** (-2.0 / 1.0) * math.exp(-3.0 / (2.0 * 1.0)) / state.w.max(), rel=1e-14)
     # the comparison profile vanishes at the ball boundary
     assert evaluate_steady_state(state, spec.R_tau0, spec.R_tau0) == pytest.approx(0.0, abs=1e-12)
     # and starts strictly below the envelope floor inside

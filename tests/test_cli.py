@@ -275,8 +275,13 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # its check without a word
     typo = {k: v for k, v in certified.items() if k != "certificate"}
     typo["certificat"] = certified["certificate"]
-    for doc in ill_typed + out_of_range + removed_fields + late_rate_errors + [removed_mode,
-                                                                                typo]:
+    # the unchecked descent observer is gone: its name is an unknown observer,
+    # and its exponent an unknown field
+    lyapunov = dict(TINY_DECAY, observers=["lyapunov"],
+                    L={"kind": "LogType", "kappa": 2.0, "M": 4.0})
+    removed_observer = [lyapunov, dict(lyapunov, lyapunov_q=-1.0)]
+    for doc in (ill_typed + out_of_range + removed_fields + late_rate_errors + removed_observer
+                + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     capsys.readouterr()
@@ -322,6 +327,58 @@ def test_config_error_leaves_no_run_directory(tmp_path):
     cfg = write_config(tmp_path, {"name": "x", "mode": "steady_state"})
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
+    # config errors that only the library's preconditions catch, in the
+    # compute step, exit 2 and leave no run directory: the writer creates it
+    # only with the manifest
+    calls = counted_evolve(monkeypatch)
+    steady = {"name": "ss", "mode": "steady_state",
+              "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}}
+    audit = {"name": "audit", "mode": "lfunction_audit",
+             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0},
+             "audit": {"s_points": 20, "lambda_points": 20}}
+    scan = {"name": "scan", "mode": "gn_scan", "grid": {"n": 3, "R": 20.0, "m": 201},
+            "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0}, "request": {"q": 2.0},
+            "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]}}
+    ladder = with_field(TINY_DECAY, "approx", {"ladder": {
+        "eps_list": [1e-3, 1e-2], "R_list": [10.0, 20.0]}, "m": 251})
+    # p = 1, so c1 tau0 = 0.5 lies below Lambda(0) = ln 2 of this envelope
+    low_horizon = dict(TINY_DECAY, envelope=dict(TINY_DECAY["problem"]["u0"], c0=0.5),
+                       certificate={"tau0_list": [1.0], "steady": {"m": 101}})
+    late = [
+        with_field(TINY_DECAY, "approx.R", -5),
+        with_field(TINY_DECAY, "problem.n", 0),
+        ladder,
+        low_horizon,
+        with_field(audit, "audit.p", 0.5),
+        with_field(scan, "family.widths", [10]),
+        with_field(scan, "request.q", 7),
+        with_field(steady, "problem.p", 0.5),
+        with_field(steady, "problem.n", 0),
+    ]
+    for k, doc in enumerate(late):
+        out = tmp_path / f"run{k}"
+        calls.clear()
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG, doc
+        assert not out.exists(), doc
+        if doc is low_horizon:
+            # the certificate is judged before the trajectory is evolved
+            assert calls == []
+
+
+def test_unwritable_output_dir_exit_2(tmp_path):
+    # the run directory cannot be created below a regular file: a config
+    # error, found when the run is written, and nothing is left behind
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state",
+                                  "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}})
+    assert main(["run", str(cfg), "--out", str(blocker / "run")]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+    assert blocker.read_text() == ""
 
 
 def test_numeric_failure_exit_3(tmp_path, monkeypatch):
@@ -379,6 +436,27 @@ def test_report_flags_corrupted_csv(tmp_path):
     assert "CORRUPT" in text
 
 
+def test_report_checks_sha256(tmp_path):
+    # an artifact is judged by its manifest digest, not by its format
+    cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state",
+                                  "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}})
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
+    summary = out / "summary.json"
+    summary.write_text(summary.read_text().replace('"pass": true', '"pass": false'))
+    rows = (out / "steady_state.csv").read_text().splitlines()
+    r, w = rows[50].split(",")
+    rows[50] = f"{r},{float(w) * 2.0!r}"
+    (out / "steady_state.csv").write_text("\n".join(rows) + "\n")
+    assert main(["report", str(out)]) == EXIT_PASS
+    text = (out / "summary.md").read_text()
+    assert "- summary.json: CORRUPT" in text
+    assert "- steady_state.csv: CORRUPT" in text
+    (out / "summary.json").unlink()
+    assert main(["report", str(out)]) == EXIT_PASS
+    assert "- summary.json: MISSING" in (out / "summary.md").read_text()
+
+
 def test_report_missing_manifest(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_CONFIG
 
@@ -387,7 +465,16 @@ def test_report_malformed_manifest(tmp_path):
     manifest = tmp_path / "manifest.json"
     for text in ('{"name": "x", "mode":', '{"name": "x", "artifacts": [], "verdict": {}}',
                  '[]', '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": 1}], '
-                 '"verdict": {}}'):
+                 '"verdict": {}}',
+                 # no sha256 to check against, and paths that leave the run directory
+                 '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": "scan.csv"}], '
+                 '"verdict": {}}',
+                 '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": "../cfg.json", '
+                 '"sha256": "0"}], "verdict": {}}',
+                 '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": "/abs/scan.csv", '
+                 '"sha256": "0"}], "verdict": {}}',
+                 '{"name": "x", "mode": "gn_scan", "artifacts": [{"path": "..", '
+                 '"sha256": "0"}], "verdict": {}}'):
         manifest.write_text(text)
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG, text
     assert not (tmp_path / "summary.md").exists()
@@ -405,3 +492,20 @@ def test_checked_in_configs_are_valid():
         cfg = cli.load_config(path)
         compute, out = cli._read_phase(cfg)
         assert callable(compute) and out == cfg["output_dir"], path.name
+
+
+def test_static_manifests_pinned(tmp_path):
+    # the three configs that do no time stepping give the same manifest bytes
+    # as every earlier build: an automated part of the "manifests unchanged"
+    # oracle of a refactor
+    from pathlib import Path
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    pinned = {
+        "steady_state": "83e561aa90d97fa53f227436d7822a16e2f994b4336b06835f4d5cc5c7a83020",
+        "lfunction_audit": "d647c83cf36ed8927e01a03fb8b7567a3635a19c3530573a378ad04efb536df0",
+        "gn_scan": "63ce65dc4fdae9e95d8c6aa6975caeb892db1a85ca8b0f20f7effeb5dd33ddc7",
+    }
+    for name, sha in pinned.items():
+        out = tmp_path / name
+        assert run_experiment(cfg_dir / f"{name}.json", out) == EXIT_PASS
+        assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name

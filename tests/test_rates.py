@@ -37,13 +37,6 @@ def test_fit_recovers_loglog_model_exactly():
     assert fit.C_fit == pytest.approx(5.0, rel=1e-9)
 
 
-def test_fit_pure_algebraic():
-    v = 0.7 * T**-1.5
-    fit = fit_decay(T, v, 1.0, "PureAlgebraic")
-    assert fit.p_fit == pytest.approx(1.5, abs=1e-10)
-    assert fit.C_fit == pytest.approx(0.7, rel=1e-9)
-
-
 def test_fit_rescale_invariance():
     v = T**-1.0 * np.log(T) ** 1.3
     f1 = fit_decay(T, v, 1.0, "LogCorrected")
