@@ -31,7 +31,7 @@ from .bounds import (DecayEnvelope, SteadyState, SubsolutionReport,
                      logistic_exact, logistic_residual, lower_bound_curve,
                      solve_steady_state, steady_state_residual, subsolution_check)
 from .rates import (BaselineReport, BoundCheck, RateFit, SandwichVerdict,
-                    baseline_check, fit_decay, lower_bound_persistence,
+                    baseline_check, fit_decay, lower_bound_persistence, rate_window,
                     sandwich_report, upper_bound_check, upper_bound_curve)
 
 __version__ = "0.1.0"

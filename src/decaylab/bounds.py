@@ -348,9 +348,10 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
                       steady: SteadyState) -> SubsolutionReport:
     """Verify z >= y(tau) * w_{R(tau0)} on B_{R(tau0)} for all tau <= tau0.
 
-    The run's initial profile must dominate the envelope floor on the ball
-    (checked); failure of the initial ordering z(.,0) >= zbar(.,0) signals a
-    miscomputed delta and raises.  Returns the worst margin over checked
+    The run's initial profile (``EvolutionRun.datum``, its snapshot at t = 0)
+    must dominate the envelope floor on the ball (checked); failure of the
+    initial ordering z(.,0) >= zbar(.,0) signals a miscomputed delta and
+    raises.  Returns the worst margin over checked
     snapshots together with the center margin at the horizon.
     """
     grid = run.grid
@@ -360,7 +361,7 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
     r = grid.nodes[mask]
 
     u = run.values[:, mask]
-    if np.any(u[0] < spec.envelope.floor(r) * (1.0 - 1e-12)):
+    if np.any(run.datum[mask] < spec.envelope.floor(r) * (1.0 - 1e-12)):
         raise InputError("initial datum drops below the envelope floor on the ball")
 
     w_vals = evaluate_steady_state(steady, spec.R_tau0, r)

@@ -66,7 +66,6 @@ INTEGER = ("an integer", lambda val: type(val) is int)
 COUNT = ("a positive integer", lambda val: type(val) is int and val > 0)
 NODES = ("an integer >= 3", lambda val: type(val) is int and val >= 3)
 STRING = ("a string", lambda val: type(val) is str)
-BOOLEAN = ("true or false", lambda val: type(val) is bool)
 OBJECT = ("an object", lambda val: type(val) is dict)
 LIST = ("a list", lambda val: type(val) is list)
 WINDOW = ("[number, number or null]", lambda val: type(val) is list and len(val) == 2
@@ -164,9 +163,10 @@ class ArtifactWriter:
         self.write_text(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def write_series_csv(self, name: str, header, columns):
-        rows = ["" + ",".join(header)]
+        """One row per index of the columns; a str cell as it is, a number as %.17g."""
+        rows = [",".join(header)]
         for values in zip(*columns):
-            rows.append(",".join(f"{v:.17g}" for v in values))
+            rows.append(",".join(v if type(v) is str else f"{v:.17g}" for v in values))
         self.write_text(name, "\n".join(rows) + "\n")
 
     def finish(self, cfg: dict, verdict: dict):
@@ -206,16 +206,15 @@ def _envelope(sec: _Section) -> bounds.DecayEnvelope:
 
 
 def _problem(cfg: _Section):
-    """Problem (its datum an envelope's floor), end time and the times a run records."""
+    """Problem (its datum an envelope's floor), end time and the times a run
+    records: t = 0 and a geometric grid up to t_end."""
     prob = cfg.section("problem")
     spec = evolution.ProblemSpec(p=prob.read("p", NUMBER), n=prob.read("n", INTEGER),
                                  u0=_envelope(prob.section("u0")).floor)
     t_end = cfg.read("t_end", POSITIVE)
     snap = cfg.section("snapshots", {})
-    snaps = np.geomspace(snap.read("t_min", POSITIVE, 0.01), t_end,
-                         snap.read("count", COUNT, 65))
-    if snap.read("include_zero", BOOLEAN, True):
-        snaps = np.concatenate([[0.0], snaps])
+    snaps = np.concatenate([[0.0], np.geomspace(snap.read("t_min", POSITIVE, 0.01), t_end,
+                                                 snap.read("count", COUNT, 65))])
     return spec, t_end, evolution.normalize_snapshots(snaps, t_end)
 
 
@@ -313,18 +312,22 @@ def _run_gn_scan(cfg: _Section):
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
     probe_scale = cfg.read("sharpness_scale", NUMBER, None)
 
+    columns = ["member_id", "width", "scale", "grad_norm", "lq_norm", "budget", "ratio"]
+
     def compute(writer: ArtifactWriter) -> dict:
-        scans = [gn.family_scan(fam, grid, q, L, K)]
-        writer.write_text("scan.csv", scans[0].to_csv())
-        summary = {"scan": scans[0].summary()}
+        scans = {"scan": gn.family_scan(fam, grid, q, L, K)}
         if probe_scale:
-            scans.append(gn.family_scan(fam, grid, q, L, K, alpha_scale=float(probe_scale)))
-            writer.write_text("scan_probe.csv", scans[1].to_csv())
-            summary["probe"] = scans[1].summary()
+            scans["probe"] = gn.family_scan(fam, grid, q, L, K, alpha_scale=float(probe_scale))
+        summary = {}
+        for (key, scan), name in zip(scans.items(), ("scan.csv", "scan_probe.csv")):
+            # one row per member, one column per field of gn.ScanRow
+            writer.write_series_csv(name, columns, [[getattr(row, col) for row in scan.rows]
+                                                    for col in columns])
+            summary[key] = scan.summary()
         writer.write_json("summary.json", summary)
         # every member, of the scan and of the probe, within budget with a finite ratio
         summary["pass"] = all(row.budget_ok and math.isfinite(row.ratio)
-                              for scan in scans for row in scan.rows)
+                              for scan in scans.values() for row in scan.rows)
         return summary
     return compute
 
@@ -357,10 +360,9 @@ def _run_pde_decay(cfg: _Section):
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
         delta = rate.read("delta", NUMBER)
-        slack = rate.read("slack", NUMBER, rates.RATIO_SLACK)
         window = tuple(rate.read("window", WINDOW, [10.0, None]))
-        rate.build(rates.rate_model, env=env, L=L, p=spec.p, n=spec.n, delta=delta,
-                   times=snaps, window=window)
+        _, model = rate.build(rates.rate_model, env=env, L=L, p=spec.p, n=spec.n, delta=delta)
+        in_window = rate.build(rates.rate_window, times=snaps, window=window, model=model)
     if cert is not None:
         tau0_list = cert.list_of("tau0_list", POSITIVE, [math.log(t_end + 1.0)])
         if not tau0_list:
@@ -386,14 +388,15 @@ def _run_pde_decay(cfg: _Section):
         _write_run_series(writer, run)
 
         if rate is not None:
-            sandwich = rates.sandwich_report(run, env, L, delta, window=window, slack=slack)
+            sandwich = rates.sandwich_report(run, env, L, delta, window)
             verdict["sandwich"] = sandwich.to_json()
             writer.write_json("sandwich.json", verdict["sandwich"])
-            baseline = rates.baseline_check(run.times, run.series["center_value"],
-                                            spec.p, t0=window[0], t_hi=window[1])
+            # the baseline and both curves read the snapshots the sandwich judged
+            t_grid = run.times[in_window]
+            baseline = rates.baseline_check(t_grid, run.series["center_value"][in_window],
+                                            spec.p)
             verdict["baseline"] = baseline.to_json()
             writer.write_json("baseline.json", verdict["baseline"])
-            t_grid = run.times[run.times >= window[0]]
             curve = rates.lower_bound_curve(env, spec.p, sandwich.lower.C, t_grid)
             writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
             upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)

@@ -116,6 +116,14 @@ class EvolutionRun:
     dts: np.ndarray
     stats: dict = field(default_factory=dict)
 
+    @property
+    def datum(self) -> np.ndarray:
+        """The snapshot at t = 0, which a check that starts from the datum reads."""
+        if self.times[0] != 0.0:
+            raise InputError(f"the run's first snapshot is at t = {self.times[0]:g}, "
+                             "not at t = 0, so it does not record the initial datum")
+        return self.values[0]
+
 
 def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -> np.ndarray:
     """Truncated datum u0 * cutoff + eps; the cutoff ramps to zero on the last 10% of [0, R]."""
@@ -381,12 +389,13 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
 def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float) -> np.ndarray:
     """Time series of int_{B_R} L(u^{(p+q)/2}), verified nonincreasing.
 
-    Preconditions: L passes the descent conditions for (p, q) on its smooth
-    branch, and sup u0^{(p+q)/2} stays below the cutoff s0.  A violation of
-    monotonicity beyond the per-snapshot tolerance DESCENT_TOL * (1 + |value|)
-    raises, since descent is an exact property of the scheme's continuum
-    limit.
+    Preconditions: the run records t = 0 (``EvolutionRun.datum``), L passes
+    the descent conditions for (p, q) on its smooth branch, and
+    sup u0^{(p+q)/2} stays below the cutoff s0.  A violation of monotonicity
+    beyond the per-snapshot tolerance DESCENT_TOL * (1 + |value|) raises,
+    since descent is an exact property of the scheme's continuum limit.
     """
+    sup0 = float(run.datum.max())
     p = run.spec.p
     s_hi = min(L.s0, 1e6)  # power-law gauges have no cutoff
     s_probe = np.geomspace(min(s_hi, 1.0) * 1e-10, s_hi * (1.0 - 1e-9), 512)
@@ -397,7 +406,6 @@ def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float) -> np.nda
             f"p={p}, q={q}: weak viol {conv.weak.max_violation:.3e}, "
             f"strong viol {conv.strong.max_violation:.3e}")
     exponent = (p + q) / 2.0
-    sup0 = float(run.values[0].max())
     if sup0 ** exponent >= L.s0:
         raise InputError(
             f"sup u0^((p+q)/2) = {sup0**exponent:.6g} must stay below s0 = {L.s0}")

@@ -16,8 +16,6 @@ copies of a template profile and report boundedness and sharpness probes.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -165,17 +163,6 @@ class FamilyScan:
         grads = [row.grad_norm for row in self.rows]
         return max(grads) / min(grads)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["member_id", "width", "scale", "grad_norm", "lq_norm",
-                         "budget", "ratio"])
-        for row in self.rows:
-            writer.writerow([row.member_id, f"{row.width:.17g}", f"{row.scale:.17g}",
-                             f"{row.grad_norm:.17g}", f"{row.lq_norm:.17g}",
-                             f"{row.budget:.17g}", f"{row.ratio:.17g}"])
-        return buf.getvalue()
-
     def summary(self) -> dict:
         return {
             "members": len(self.rows),
@@ -187,6 +174,8 @@ class FamilyScan:
             "grad_span": self.grad_span,
             "loglog_slope": self.loglog_slope,
             "monotone_increasing": self.monotone_increasing,
+            # members whose steepness integral has a suspect truncation tail
+            "tail_flagged": [row.member_id for row in self.rows if row.budget_flagged],
         }
 
 

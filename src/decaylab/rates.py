@@ -9,14 +9,14 @@ Fits are ordinary least squares in logarithmic coordinates, so rescaling the
 series only moves the prefactor.  All bound checks follow one methodology:
 the non-constructive constant of an inequality is calibrated at the start of
 the observation window (or on its first decade) and the inequality must then
-persist over the remaining decades within a fixed ratio slack.
+persist over the remaining decades within a fixed ratio slack.  The window is
+selected once, by ``rate_window``; every check takes its (t, v) arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .steepness import SteepnessFunction
 
 __all__ = [
     "RateFit",
+    "rate_window",
     "fit_decay",
     "BoundCheck",
     "upper_bound_curve",
@@ -41,7 +42,7 @@ __all__ = [
 
 RATIO_SLACK = 0.1
 EXPONENT_SLACK = 0.1
-MIN_WINDOW_DECADES = 1.5
+MIN_WINDOW_DECADES = 2.0   # every rate window spans at least this many decades
 CALIBRATION_DECADES = 1.0   # a lower curve's constant is calibrated on these first decades
 BASELINE_DELTA = 0.1
 # Envelope headroom for the near-algebraic baseline: over a 3-decade window a
@@ -64,48 +65,46 @@ class RateFit:
         return asdict(self)
 
 
-def _window(times, values, t_lo, t_hi, rule=None):
-    """The samples of the series in [t_lo, t_hi] (t_hi None: up to the last time).
+def rate_window(times, window: tuple, model: str) -> np.ndarray:
+    """The mask of the snapshots in window = [t_lo, t_hi] (t_hi None: the last time).
 
-    A window holds at least 3 samples, all at t > 0.  A fit ``rule`` (model)
-    needs MIN_WINDOW_DECADES decades, where the corrections are identifiable,
-    and a start above 1 (LogCorrected) or e (LogLogCorrected); ``"baseline"``
-    needs 2 decades.  With ``values`` None only the times are judged.
+    Every rate check and curve reads this one slice.  It holds at least 3
+    snapshots, spans MIN_WINDOW_DECADES decades, where the slowly varying
+    corrections are identifiable, and starts above t = 1 (LogCorrected) or
+    t = e (LogLogCorrected), where the model's iterated logarithm is positive.
     """
-    rules = {None: (0.0, 0.0), "LogCorrected": (MIN_WINDOW_DECADES, 1.0),
-             "LogLogCorrected": (MIN_WINDOW_DECADES, math.e), "baseline": (2.0, 0.0)}
-    if rule not in rules:
-        raise InputError(f"unknown model {rule!r}")
-    decades, t_above = rules[rule]
+    starts = {"LogCorrected": 1.0, "LogLogCorrected": math.e}
+    if model not in starts:
+        raise InputError(f"unknown model {model!r}")
     t = np.asarray(times, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise InputError("times must be strictly increasing")
+    t_lo, t_hi = window
     hi = t[-1] if t_hi is None else t_hi
     mask = (t >= t_lo) & (t <= hi)
     if mask.sum() < 3:
         raise InputError(f"window [{t_lo}, {hi}] holds fewer than 3 samples")
     first, last = t[mask][[0, -1]]
-    if first <= t_above:
-        raise InputError(f"window [{t_lo}, {hi}] must start above t = {t_above:g}")
-    if math.log10(last / first) < decades:
+    if first <= starts[model]:
+        raise InputError(f"window [{t_lo}, {hi}] must start above t = {starts[model]:g}")
+    if math.log10(last / first) < MIN_WINDOW_DECADES:
         raise InputError(f"window [{t_lo}, {hi}] spans {math.log10(last / first):.2f} "
-                         f"decades < {decades:g}; {rule} needs a longer horizon")
-    if values is None:
-        return t[mask], None
-    v = np.asarray(values, dtype=float)
-    if np.any(v[t > 0] <= 0):
-        raise InputError("series values must be positive")
-    return t[mask], v[mask]
+                         f"decades < {MIN_WINDOW_DECADES:g}; {model} needs a longer horizon")
+    return mask
 
 
-def fit_decay(times, values, p: float, model: str,
-              window: tuple = (10.0, None)) -> RateFit:
-    """Least-squares fit of a decay model over a (log-)window of the series.
+def fit_decay(t, v, p: float, model: str) -> RateFit:
+    """Least-squares fit of a decay model to the series v on the window times t.
 
     LogCorrected regresses ln(t^{1/p} v) on ln ln t; LogLogCorrected on
-    ln ln ln t.  The window must satisfy ``_window``'s rule of the model.
+    ln ln ln t.  The times are a window that ``rate_window`` accepted for the
+    model.
     """
-    t, v = _window(times, values, window[0], window[1], model)
+    t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    if model not in ("LogCorrected", "LogLogCorrected"):
+        raise InputError(f"unknown model {model!r}")
+    if np.any(v <= 0):
+        raise InputError("series values must be positive")
     x = np.log(np.log(t)) if model == "LogCorrected" else np.log(np.log(np.log(t)))
     y = np.log(t ** (1.0 / p) * v)
     slope, intercept = np.polyfit(x, y, 1)
@@ -135,12 +134,12 @@ def upper_bound_curve(L: SteepnessFunction, p: float, n: int, C: float,
     return C * t ** (-1.0 / p) * L.value(1.0 / t) ** (-2.0 / (n * p))
 
 
-def _persistence(t, v, curve, direction: str, slack: float) -> BoundCheck:
+def _persistence(t, v, curve, direction: str) -> BoundCheck:
     """Calibrate the curve's constant, then track the worst ratio against v.
 
-    ``upper``: C = v/curve at the first sample, and v <= (1+slack) C curve is
-    required strictly after it.  ``lower``: C is the minimum of v/curve over
-    the window's first CALIBRATION_DECADES, and C curve <= (1+slack) v is
+    ``upper``: C = v/curve at the first sample, and v <= (1+RATIO_SLACK) C curve
+    is required strictly after it.  ``lower``: C is the minimum of v/curve over
+    the window's first CALIBRATION_DECADES, and C curve <= (1+RATIO_SLACK) v is
     required over the whole window.
     """
     if direction == "upper":
@@ -154,24 +153,19 @@ def _persistence(t, v, curve, direction: str, slack: float) -> BoundCheck:
         first = 0
     k = int(np.argmax(ratios))
     return BoundCheck(float(ratios[k]), float(t[k + first]), float(C), float(t[0]),
-                      slack, bool(ratios[k] <= 1.0 + slack))
+                      RATIO_SLACK, bool(ratios[k] <= 1.0 + RATIO_SLACK))
 
 
-def upper_bound_check(times, values, L: SteepnessFunction, p: float, n: int,
-                      t0: float = 10.0, t_hi: Optional[float] = None,
-                      slack: float = RATIO_SLACK) -> BoundCheck:
-    """Persistence of v(t) <= C t^{-1/p} L^{-2/(np)}(1/t) after calibration at t0."""
-    t, v = _window(times, values, t0, t_hi)
-    return _persistence(t, v, upper_bound_curve(L, p, n, 1.0, t), "upper", slack)
+def upper_bound_check(t, v, L: SteepnessFunction, p: float, n: int) -> BoundCheck:
+    """Persistence of v(t) <= C t^{-1/p} L^{-2/(np)}(1/t) after calibration at
+    the window's first time t[0]."""
+    return _persistence(t, v, upper_bound_curve(L, p, n, 1.0, t), "upper")
 
 
-def lower_bound_persistence(times, values, env: DecayEnvelope, p: float,
-                            t0: float = 10.0, t_hi: Optional[float] = None,
-                            slack: float = RATIO_SLACK) -> BoundCheck:
+def lower_bound_persistence(t, v, env: DecayEnvelope, p: float) -> BoundCheck:
     """Calibrate the lower curve (c1 = lower_c1(p)) on the window's first decade,
-    then require C*curve <= (1+slack) * v over the whole window."""
-    t, v = _window(times, values, t0, t_hi)
-    return _persistence(t, v, lower_bound_curve(env, p, 1.0, t), "lower", slack)
+    then require C*curve <= (1+RATIO_SLACK) * v over the whole window."""
+    return _persistence(t, v, lower_bound_curve(env, p, 1.0, t), "lower")
 
 
 @dataclass(frozen=True)
@@ -202,9 +196,7 @@ class BaselineReport:
         return doc
 
 
-def baseline_check(times, values, p: float, t0: float = 10.0,
-                   t_hi: Optional[float] = None) -> BaselineReport:
-    t, v = _window(times, values, t0, t_hi, "baseline")
+def baseline_check(t, v, p: float) -> BaselineReport:
     compensated = v * t ** (1.0 / p - BASELINE_DELTA)
     C = BASELINE_HEADROOM * compensated[0]
     worst = float(compensated.max() / C)
@@ -239,14 +231,13 @@ class SandwichVerdict:
         }
 
 
-def rate_model(env: DecayEnvelope, L: SteepnessFunction, p: float, n: int, delta: float,
-               times=None, window: tuple = (10.0, None)) -> tuple:
+def rate_model(env: DecayEnvelope, L: SteepnessFunction, p: float, n: int,
+               delta: float) -> tuple:
     """The envelope's shape exponent and fit model, once the inputs are checked.
 
     The steepness exponent must match the envelope: kappa = n/beta + n p delta/2
     for stretched-exponential envelopes (gamma replaces beta for doubly
-    exponential ones).  Given a run's snapshot ``times`` (before the run), the
-    window must also pass the ``_window`` rules of the fit model and baseline.
+    exponential ones).
     """
     if env.kind == "StretchedExp":
         shape, model, wanted_kind = env.beta, "LogCorrected", "LogType"
@@ -260,15 +251,13 @@ def rate_model(env: DecayEnvelope, L: SteepnessFunction, p: float, n: int, delta
         raise InputError(
             f"steepness exponent kappa = {L.kappa} inconsistent with envelope: "
             f"expected n/shape + n*p*delta/2 = {kappa_expected}")
-    for rule in (model, "baseline") if times is not None else ():
-        _window(times, None, window[0], window[1], rule)
     return shape, model
 
 
 def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
-                    delta: float, window: tuple = (10.0, None),
-                    slack: float = RATIO_SLACK) -> SandwichVerdict:
-    """Fit the run's sup-norm series and check both calibrated bounds.
+                    delta: float, window: tuple) -> SandwichVerdict:
+    """Fit the run's sup-norm series and check both calibrated bounds on the
+    snapshots of ``rate_window``.
 
     The gauge must match the envelope (``rate_model``).  The fitted
     correction exponent must land in [target - 0.1, target + delta + 0.1]
@@ -276,11 +265,11 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
     """
     p, n = run.spec.p, run.grid.n
     shape, model = rate_model(env, L, p, n, delta)
-    t = run.times
-    v = run.series["sup_norm"]
-    fit = fit_decay(t, v, p, model, window)
-    upper = upper_bound_check(t, v, L, p, n, t0=window[0], t_hi=window[1], slack=slack)
-    lower = lower_bound_persistence(t, v, env, p, t0=window[0], t_hi=window[1], slack=slack)
+    in_window = rate_window(run.times, window, model)
+    t, v = run.times[in_window], run.series["sup_norm"][in_window]
+    fit = fit_decay(t, v, p, model)
+    upper = upper_bound_check(t, v, L, p, n)
+    lower = lower_bound_persistence(t, v, env, p)
     target = 2.0 / (p * shape)
     lo = target - EXPONENT_SLACK
     hi = target + delta + EXPONENT_SLACK

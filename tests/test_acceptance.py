@@ -21,7 +21,7 @@ from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
 from decaylab.gn import FamilySpec, family_scan
 from decaylab.radial import RadialGrid, RadialProfile, grad_l2_norm
 from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
-                            upper_bound_check)
+                            rate_window, upper_bound_check)
 from decaylab.steepness import (SteepnessFunction, check_convexity_condition,
                                 check_near_multiplicativity, check_ratio_bound,
                                 solve_transcendental)
@@ -201,11 +201,12 @@ def test_criterion_08_gn_boundedness_and_sharpness():
 
 def test_criterion_09_rate_sandwich(long_run):
     run, elapsed = long_run
-    t, sup = run.times, run.series["sup_norm"]
-    fit = fit_decay(t, sup, 1.0, "LogCorrected", window=(10.0, 1e4))
+    in_window = rate_window(run.times, (10.0, 1e4), "LogCorrected")
+    t, sup = run.times[in_window], run.series["sup_norm"][in_window]
+    fit = fit_decay(t, sup, 1.0, "LogCorrected")
     # upper gauge exponent kappa = n/beta + n p delta/2 with delta = 0.9
     L = SteepnessFunction.log_type(0.95, 4.0)
-    upper = upper_bound_check(t, sup, L, 1.0, 1, t0=10.0)
+    upper = upper_bound_check(t, sup, L, 1.0, 1)
     lower = lower_bound_persistence(t, sup, GAUSS_ENV, 1.0)
     # bracketing over the final two decades specifically
     tail = t >= 100.0
@@ -237,8 +238,8 @@ def test_criterion_10_subsolution_certificate(long_run):
 
 def test_criterion_11_baseline(long_run):
     run, _ = long_run
-    bl = baseline_check(run.times, run.series["center_value"], 1.0,
-                        t0=10.0, t_hi=1e4)
+    in_window = rate_window(run.times, (10.0, 1e4), "LogCorrected")
+    bl = baseline_check(run.times[in_window], run.series["center_value"][in_window], 1.0)
     report(11, bl.passed,
            f"compensated center increasing over final decade: {bl.increasing_tail}; "
            f"envelope ratio {bl.envelope_worst_ratio:.2f} (headroom {bl.headroom})")

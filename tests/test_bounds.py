@@ -148,3 +148,15 @@ def test_subsolution_rejects_datum_below_floor():
     sub = build_subsolution(env, 1.0, state, tau0=1.5)
     with pytest.raises(InputError):
         subsolution_check(run, sub, state)
+
+
+def test_subsolution_check_needs_the_datum_at_t0():
+    # without a snapshot at t = 0 the first row is u(t_1), not the datum; the
+    # check refuses the run rather than judge u(t_1) against the floor
+    spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.exp(-r**2))
+    run = evolve(spec, ApproxParams(R=10.0, eps=1e-4, m=251), 5.0, [0.01, 5.0])
+    state = solve_steady_state(1.0, 1, 1001)
+    env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
+    sub = build_subsolution(env, 1.0, state, tau0=1.5)
+    with pytest.raises(InputError, match="first snapshot is at t = 0.01, not at t = 0"):
+        subsolution_check(run, sub, state)

@@ -39,7 +39,7 @@ TINY_DECAY = {
                 "u0": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0}},
     "approx": {"R": 10.0, "eps": 1e-3, "m": 251},
     "t_end": 5.0,
-    "snapshots": {"t_min": 0.5, "count": 6, "include_zero": True},
+    "snapshots": {"t_min": 0.5, "count": 6},
     "observers": ["lq:1"],
 }
 
@@ -91,7 +91,10 @@ def test_gn_scan_mode(tmp_path):
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
     summary = read_json(out / "summary.json")
     assert summary["scan"]["members"] == 2
-    assert (out / "scan.csv").exists() and (out / "scan_probe.csv").exists()
+    for name in ("scan.csv", "scan_probe.csv"):
+        rows = (out / name).read_text().splitlines()
+        assert rows[0] == "member_id,width,scale,grad_norm,lq_norm,budget,ratio"
+        assert len(rows) == 3 and rows[1].split(",")[0] in ("s0.1_w1", "s0.05_w2")
 
 
 def test_gn_scan_over_budget_fails(tmp_path):
@@ -129,7 +132,7 @@ def test_pde_decay_ladder_mode(tmp_path):
                     "u0": {"kind": "StretchedExp", "c0": 2.0, "alpha": 0.25, "beta": 2.0}},
         "approx": {"ladder": {"eps_list": [1e-2, 1e-3], "R_list": [10.0, 20.0]}, "m": 501},
         "t_end": 10.0,
-        "snapshots": {"t_min": 1.0, "count": 5, "include_zero": True},
+        "snapshots": {"t_min": 1.0, "count": 5},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -155,7 +158,7 @@ TWO_SIDED = dict(
     TINY_DECAY,
     approx={"R": 12.0, "eps": 1e-4, "m": 301},
     t_end=500.0,
-    snapshots={"t_min": 0.5, "count": 13, "include_zero": True},
+    snapshots={"t_min": 0.5, "count": 13},
     envelope=TINY_DECAY["problem"]["u0"],
     L={"kind": "LogType", "kappa": 0.95, "M": 4.0, "lambda0": 1.0},
     rate={"delta": 0.9, "window": [1.5, None]},
@@ -188,6 +191,23 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     assert (rc["both"], rc["rate"], rc["cert"]) == (EXIT_VERDICT, EXIT_VERDICT, EXIT_PASS)
     margins = read_json(tmp_path / "cert" / "margins.json")
     assert margins["pass"] and margins["margins"][0]["min_margin"] >= 0.0
+
+
+def test_rate_curves_span_the_window(tmp_path):
+    # both curves are drawn on the snapshots the sandwich judges: a window
+    # that closes before t_end closes them too
+    doc = {k: v for k, v in TWO_SIDED.items() if k != "certificate"}
+    doc.update(t_end=2000.0, snapshots={"t_min": 0.5, "count": 17},
+               rate=dict(TWO_SIDED["rate"], window=[1.5, 600.0]))
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_PASS,
+                                                                                 EXIT_VERDICT)
+    fit = read_json(out / "sandwich.json")["fit"]
+    assert fit["t_window"][1] < 600.0
+    for name in ("lower_curve.csv", "upper_curve.csv"):
+        t = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
+        assert t.size == fit["n_points"], name
+        assert (t[0], t[-1]) == tuple(fit["t_window"]), name
 
 
 def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
@@ -254,17 +274,19 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # the certificate is a section of pde_decay; its old mode is gone
     removed_mode = dict(TINY_DECAY, mode="lower_bound")
     # removed fields are unknown keys now, not silently ignored
+    long_rated = with_field(with_field(rated, "t_end", 500.0), "rate.window", [1.5, None])
     removed_fields = [
         with_field(TINY_DECAY, "snapshots.kind", "log"),
         with_field(audit, "audit.lambda0", 1.0),
         with_field(certified, "certificate.c1", 0.5),
         with_field(ladder, "approx.ladder.m_list", [251]),
+        with_field(TINY_DECAY, "snapshots.include_zero", True),  # a run always records t = 0
+        with_field(long_rated, "rate.slack", 0.1),  # the slack is rates.RATIO_SLACK
     ]
     # what the rate verdict would refuse once it ran, depending only on the
     # config, is refused before any time stepping: a window that starts at
     # t <= 1 (LogCorrected needs ln ln t), holds fewer than 3 snapshots or
     # spans too few decades, and a gauge that does not match the envelope
-    long_rated = with_field(with_field(rated, "t_end", 500.0), "rate.window", [1.5, None])
     late_rate_errors = [
         with_field(rated, "rate.window", [0.5, None]),
         with_field(rated, "rate.window", [1.5, 4.0]),
@@ -503,9 +525,49 @@ def test_static_manifests_pinned(tmp_path):
     pinned = {
         "steady_state": "83e561aa90d97fa53f227436d7822a16e2f994b4336b06835f4d5cc5c7a83020",
         "lfunction_audit": "d647c83cf36ed8927e01a03fb8b7567a3635a19c3530573a378ad04efb536df0",
-        "gn_scan": "63ce65dc4fdae9e95d8c6aa6975caeb892db1a85ca8b0f20f7effeb5dd33ddc7",
+        "gn_scan": "504ec10462957878dab55583787efd8b5d58ddd74fcf6ad074511f37fe94c8b5",
     }
     for name, sha in pinned.items():
         out = tmp_path / name
         assert run_experiment(cfg_dir / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
+    # the three narrowest members of the scan, and of the probe, have a
+    # truncation tail the grid does not resolve
+    verdict = read_json(tmp_path / "gn_scan" / "manifest.json")["verdict"]
+    for scan in ("scan", "probe"):
+        flagged = verdict[scan]["tail_flagged"]
+        assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"], scan
+
+
+def test_two_sided_artifacts_pinned(tmp_path):
+    # the time-stepping path (one evolve at m = 301, the sandwich, baseline
+    # and curves, the certificate) gives the same artifacts and verdict as
+    # earlier builds; artifacts are pinned, not the manifest, which echoes
+    # the config
+    out = tmp_path / "run"
+    assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
+    shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                  for path in out.iterdir() if path.name != "manifest.json")
+    assert shas == [
+        ("baseline.json", "a52ce8d5f74fd7e7fd28d2ac8a16568cddd82449356d3636604a178092549a9f"),
+        ("center_value.csv", "528ff3c1ba5224717467db10363ecf017f8decb943854f9161ba6fee574589a1"),
+        ("lower_curve.csv", "3ac0b135d749b3f9b81330e1024bd35d5d350bf2e6597362201150feaa3e27cf"),
+        ("lq_1.csv", "c4cd9aeb1886b5f18182ddfdf9d3141d8b62b9f1d3b8f1ea0c1e0a706079fec0"),
+        ("margins.json", "fa95657689954485c8b7d17cf6293c6b7b3f6a5931ccd05e9b980d069a15ad13"),
+        ("profile_t0.5.csv", "2be789ed402d76488ff4c9a019ddf05ac8852f2666e71d1ff4f92eae392d4ea8"),
+        ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
+        ("profile_t1.58114.csv", "c2b9c7e2fe922655b16fc8e049e19a0327bfcf87a0e64fc6f56957d57cb67748"),
+        ("profile_t158.114.csv", "e0d23e016f65b5c93ee0b8dc76993e8d7b3aad66f70339fe673733800163f582"),
+        ("profile_t2.81171.csv", "6b8dc276ea6dccdd8932b03497bb2915775244703b543fb320df05c55ea4b955"),
+        ("profile_t28.1171.csv", "67c7041b922e5c96b670bca2005c26bd81c26ee9e108dfbf5bc35a6dd9797efe"),
+        ("profile_t50.csv", "39f5efc0f0cd7ee0c8d8e4fb74aefd3a954d6aae74d72cb3bb7099321656029a"),
+        ("profile_t500.csv", "f037c268ffb4cfeff68cd51aedd14902a02df9d35c8211ef6ae1e576f1836a54"),
+        ("profile_t8.8914.csv", "b88d06525430494b7401632e3ef906e2769c9281d32ac25388010be42f26880a"),
+        ("sandwich.json", "0986de0035b4f0938eb241b4e04363586aa3cb3dcdd947e4c28a77b9f53a3c8f"),
+        ("steady_state.csv", "dc2bf4cdeba352ff547ce05481f28856621bf3377d95ec538c9bbbbe85c2bcbd"),
+        ("sup_norm.csv", "528ff3c1ba5224717467db10363ecf017f8decb943854f9161ba6fee574589a1"),
+        ("upper_curve.csv", "bb4e90b89c964f797bae7f2dad2f361c2f85bc94b2dfbd573f685f08bbbc463a"),
+    ]
+    verdict = read_json(out / "manifest.json")["verdict"]
+    digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
+    assert digest == "a7b9dcdf5a47ec91e3740fe3ae021e63b0980a813ad2d0d7de1c5b37765ae83d"

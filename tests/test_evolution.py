@@ -286,6 +286,10 @@ def test_lyapunov_preconditions():
     L_small = SteepnessFunction.log_type(2.0, 2.0)
     with pytest.raises(InputError):
         lyapunov_series(run, L_small, 1.0)
+    # the datum is the snapshot at t = 0; a run without one has none
+    late = evolve(spec, params, 1.0, [0.5, 1.0])
+    with pytest.raises(InputError, match="not at t = 0"):
+        lyapunov_series(late, SteepnessFunction.log_type(2.0, 4.0), 1.0)
 
 
 def test_semiconvexity_stationary_run():

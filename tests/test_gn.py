@@ -142,13 +142,13 @@ def test_double_exp_family_scan_finite():
     assert scan.ratio_max / scan.ratio_min < 10.0
 
 
-def test_scan_csv_and_summary():
+def test_scan_summary():
     L = SteepnessFunction.log_type(2.0, 4.0)
     fam = FamilySpec(GAUSSIAN, scales=[0.1, 0.05], widths=[1.0, 2.0])
     scan = family_scan(fam, RadialGrid(3, 20.0, 1001), 2.0, L)
-    text = scan.to_csv()
-    assert text.splitlines()[0] == "member_id,width,scale,grad_norm,lq_norm,budget,ratio"
-    assert len(text.splitlines()) == 3
     doc = scan.summary()
     assert doc["members"] == 2
     assert doc["grad_span"] >= 1.0
+    # the members whose truncation tail is flagged, in row (gradient norm) order
+    assert [row.member_id for row in scan.rows] == ["s0.05_w2", "s0.1_w1"]
+    assert doc["tail_flagged"] == ["s0.05_w2", "s0.1_w1"]

@@ -8,7 +8,7 @@ from decaylab.errors import InputError
 from decaylab.evolution import ApproxParams, EvolutionRun, ProblemSpec
 from decaylab.radial import RadialGrid
 from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
-                            sandwich_report, upper_bound_check)
+                            rate_window, sandwich_report, upper_bound_check)
 from decaylab.steepness import SteepnessFunction
 
 T = np.geomspace(10.0, 1e4, 200)
@@ -45,23 +45,41 @@ def test_fit_rescale_invariance():
     assert f2.C_fit / f1.C_fit == pytest.approx(42.0, rel=1e-9)
 
 
-def test_fit_refuses_short_window():
-    v = T**-1.0 * np.log(T)
+def test_rate_window_refusals():
+    assert np.array_equal(rate_window(T, (50.0, None), "LogCorrected"), T >= 50.0)
     with pytest.raises(InputError, match="decades"):
-        fit_decay(T, v, 1.0, "LogCorrected", window=(10.0, 100.0))
-    with pytest.raises(InputError):
+        rate_window(T, (10.0, 100.0), "LogCorrected")
+    with pytest.raises(InputError, match="unknown model"):
+        rate_window(T, (10.0, None), "NoSuchModel")
+    with pytest.raises(InputError, match="fewer than 3"):
+        rate_window(T, (10.0, 10.5), "LogCorrected")
+    # ln ln t needs t > 1, and ln ln ln t needs t > e
+    early = np.geomspace(0.5, 1e4, 50)
+    with pytest.raises(InputError, match="start above t = 1"):
+        rate_window(early, (0.5, None), "LogCorrected")
+    assert rate_window(early, (2.0, None), "LogCorrected").sum() > 3
+    with pytest.raises(InputError, match="start above t = 2.71828"):
+        rate_window(early, (2.0, None), "LogLogCorrected")
+    for times in (T[::-1], np.concatenate([T[:5], T[4:]])):
+        with pytest.raises(InputError, match="strictly increasing"):
+            rate_window(times, (10.0, None), "LogCorrected")
+    # the fit takes the window's arrays and still refuses what it cannot fit
+    v = T**-1.0 * np.log(T)
+    with pytest.raises(InputError, match="unknown model"):
         fit_decay(T, v, 1.0, "NoSuchModel")
+    with pytest.raises(InputError, match="positive"):
+        fit_decay(T, -v, 1.0, "LogCorrected")
 
 
 def test_upper_bound_exact_curve_and_faster_decay():
     L = SteepnessFunction.log_type(0.75, 4.0)
     curve = T**-1.0 * L.value(1.0 / T) ** -2.0
-    exact = upper_bound_check(T, 3.0 * curve, L, 1.0, 1, t0=10.0)
+    exact = upper_bound_check(T, 3.0 * curve, L, 1.0, 1)
     assert exact.worst_ratio == pytest.approx(1.0, rel=1e-12)
     assert exact.passed
-    faster = upper_bound_check(T, T**-2.0, L, 1.0, 1, t0=10.0)
+    faster = upper_bound_check(T, T**-2.0, L, 1.0, 1)
     assert faster.worst_ratio < 1.0
-    slower = upper_bound_check(T, T**-0.5, L, 1.0, 1, t0=10.0)
+    slower = upper_bound_check(T, T**-0.5, L, 1.0, 1)
     assert not slower.passed
 
 
@@ -71,7 +89,7 @@ def test_upper_bound_power_law_gauge_reduces_to_power_check():
     p, n = 1.0, 2
     expo = -1.0 / p + 2.0 * 1.0 / (n * p)
     series = 4.0 * T**expo
-    chk = upper_bound_check(T, series, L, p, n, t0=10.0)
+    chk = upper_bound_check(T, series, L, p, n)
     assert chk.worst_ratio == pytest.approx(1.0, rel=1e-12)
 
 
@@ -104,7 +122,7 @@ def test_sandwich_report_rejects_mismatched_gauge():
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     wrong_kappa = SteepnessFunction.log_type(2.0, 4.0)
     with pytest.raises(InputError, match="kappa"):
-        sandwich_report(run, env, wrong_kappa, delta=0.9)
+        sandwich_report(run, env, wrong_kappa, delta=0.9, window=(10.0, None))
 
 
 def test_sandwich_report_flags_out_of_window_exponent():
