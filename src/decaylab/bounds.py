@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import InputError, NumericError
 from .evolution import EvolutionRun
@@ -188,6 +187,10 @@ def steady_state_residual(state: SteadyState) -> float:
     of p > 1.  Cumulative Simpson keeps the quadrature error at the
     level of the integrator's own global error.
     """
+    # imported here: scipy.integrate costs about 0.3 s of set-up, and only
+    # this check needs it
+    from scipy.integrate import cumulative_simpson
+
     r, w, v = state.r_nodes, state.w, state.derivative
     mask = r <= RESIDUAL_R_CAP
     src = r[mask] ** (state.n - 1) * w[mask] ** (1.0 - state.p) / state.p

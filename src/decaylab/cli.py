@@ -384,6 +384,7 @@ def _run_pde_decay(cfg: _Section):
             writer.write_json("ladder_report.json", verdict["ladder"])
         else:
             run = evolution.evolve(spec, params, t_end, snaps, obs)
+        verdict["time_error"] = run.stats["time_error"]
 
         _write_run_series(writer, run)
 

@@ -10,8 +10,8 @@ the old time level and solves the linear tridiagonal system
 
 with the symmetric stencil at r = 0 and the Dirichlet value eps at r = R.
 The matrix is an M-matrix for n <= 3, so u_new >= eps is preserved exactly up
-to linear-solve roundoff; a larger undershoot fails the step, and an
-adaptive run retries it at half the dt.
+to linear-solve roundoff; an undershoot larger than FLOOR_TOL * eps fails the
+step, and an adaptive run retries it at half the dt.
 
 The scheme is unconditionally stable, so dt is chosen for accuracy alone.  The
 local error of backward Euler, dt^2/2 * u_tt, is estimated at no extra solve
@@ -26,6 +26,18 @@ Wanner, Solving ODEs II, Sec. IV.8).  An undershoot is one more rejection,
 retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
+
+Every run is two backward-Euler passes: the schedule above (or a replayed
+one), then the same schedule with each step halved.  Each pass is checked on
+its own for the floor eps and the maximum principle, so positivity, the
+comparison principle and a ladder's monotonicity are properties of unchanged
+backward-Euler trajectories.  The global error of a one-step method under a
+step schedule scaled as a whole has an expansion in the step size (Hairer,
+Norsett & Wanner, Solving ODEs I, Sec. II.8-9), so the snapshots 2 * half - full
+are second order in time; the observers read those.  max|half - full| /
+max|half| is the run's measured time error.  An extrapolated value below eps
+by more than FLOOR_TOL * eps, or above sup u0, fails the run; one within that
+roundoff is raised to eps and counted.
 """
 
 from __future__ import annotations
@@ -57,10 +69,10 @@ __all__ = [
     "observer_lyapunov",
 ]
 
-UNDERSHOOT_TOL = 1e-13
+FLOOR_TOL = 1e-12   # undershoot of eps allowed as roundoff, relative to eps
 MAX_REJECTIONS = 40   # retries of one step, by the error control or on an undershoot
 DT_INIT = 1e-4   # first adaptive step
-TOL = 1e-7       # local error per step, relative to max u
+TOL = 1e-5       # local error per step, relative to max u
 LADDER_MONOTONICITY_TOL = 1e-8
 CAUCHY_T_MIN = 1.0     # Cauchy differences of a ladder compare snapshots from here on
 DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, relative
@@ -101,10 +113,12 @@ class EvolutionRun:
 
     ``values`` has shape ``(len(times), grid.m)``: row k is u(., times[k]) on
     ``grid.nodes``.  ``series`` maps observer names to arrays over ``times``.
-    ``dts`` holds every accepted step, also of a replayed run; replaying it
-    reproduces the run.  ``stats`` counts the ``rejected`` and undershoot
-    ``halvings`` retries; its ``accepted``, ``dt_min`` and ``dt_max`` are
-    read off ``dts``.
+    ``dts`` holds every accepted step of the full pass, also of a replayed
+    run; replaying it reproduces the run.  ``stats`` counts the ``rejected``
+    and undershoot ``halvings`` retries of the full pass, the ``solves`` of
+    both passes (retries included) and the extrapolated values raised to eps
+    (``clamps``); ``time_error`` is max|half - full| / max|half| over the
+    snapshots; ``accepted``, ``dt_min`` and ``dt_max`` are read off ``dts``.
     """
 
     spec: ProblemSpec
@@ -142,6 +156,7 @@ class _Stepper:
         self.grid = grid
         self.p = p
         self.eps = eps
+        self.solves = 0
         # -Lap_h: the r = 0 row and the interior rows split by neighbor
         (self.center_coeff, self.inv_h2, self.geo_lower, self.geo_upper) = laplacian_stencil(grid)
         m = grid.m
@@ -163,15 +178,16 @@ class _Stepper:
         dl[-1] = 0.0
         b[:] = u
         b[-1] = self.eps
+        self.solves += 1
         _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
                                    overwrite_du=1, overwrite_b=1)
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
         undershoot = self.eps - out.min()
         if not undershoot <= 0.0:  # so that a NaN anywhere in out raises too
-            if not undershoot <= UNDERSHOOT_TOL:
-                raise SchemeError(
-                    f"boundary-level undershoot {undershoot:.3e} exceeds {UNDERSHOOT_TOL}")
+            if not undershoot <= FLOOR_TOL * self.eps:
+                raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
+                                  f"{FLOOR_TOL:g} * eps")
             np.maximum(out, self.eps, out=out)
         # out may alias the work buffer; hand the caller an independent array
         # so a retried step never sees a clobbered state.
@@ -191,59 +207,37 @@ def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.nda
     return snaps
 
 
-def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
-           snapshot_times: Sequence[float],
-           observers: Optional[Mapping[str, Callable]] = None,
-           dt_schedule: Optional[np.ndarray] = None) -> EvolutionRun:
-    """March the regularized problem to t_end, recording observers at snapshots.
+def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
+           schedule: Optional[np.ndarray] = None, halves: int = 1):
+    """One backward-Euler pass from u to snaps[-1]; row k of the result is u(snaps[k]).
 
-    ``observers`` maps series names to functions of a RadialProfile; sup-norm
-    and center-value series are always recorded, and so is ``dts``.  When
-    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim
-    (used by ladders so all members share one time discretization).
+    Without ``schedule`` the error controller chooses each step.  With it, each
+    scheduled dt is taken as ``halves`` steps of dt / halves, and the clock
+    advances by whole scheduled steps, so a halved replay lands on the same
+    snapshots as its schedule.  Returns the recorded rows, the scheduled or
+    accepted steps and the retry counts.
     """
-    if t_end <= 0:
-        raise InputError(f"t_end must be positive, got {t_end}")
-    grid = RadialGrid(spec.n, params.R, params.m)
-    u = initial_profile(spec, params, grid)
-    sup_bound = float(u.max()) + 1e-10
-
-    obs: dict = {"sup_norm": lambda prof: float(prof.values.max()),
-                 "center_value": lambda prof: float(prof.values[0])}
-    if observers:
-        obs.update(observers)
-
-    snaps = normalize_snapshots(snapshot_times, t_end)
-    values = np.empty((snaps.size, grid.m))
-    series = {name: [] for name in obs}
-    stepper = _Stepper(grid, spec.p, params.eps)
+    values = np.empty((snaps.size, u.size))
     dts = array("d")
-
-    def record(k: int, vals: np.ndarray):
-        if not (vals.min() >= params.eps - 1e-10 and vals.max() <= sup_bound):
-            raise SchemeError("discrete maximum principle violated at a snapshot")
-        values[k] = vals
-        prof = RadialProfile(grid, values[k])
-        for name, fn in obs.items():
-            series[name].append(fn(prof))
-
     i_snap = 0
     if snaps[0] <= 0.0:
-        record(0, u)
+        values[0] = u
         i_snap = 1
 
     retries = {"rejected": 0, "halvings": 0}
-    t = 0.0
+    t, t_end = 0.0, float(snaps[-1])
     du_prev, dt_prev = None, 0.0    # change over the last accepted step, and its dt
     dt_next = DT_INIT
-    schedule = iter(dt_schedule) if dt_schedule is not None else None
+    scheduled = iter(schedule) if schedule is not None else None
     while t < t_end * (1.0 - 1e-14):
-        if schedule is not None:
+        if scheduled is not None:
             try:
-                dt = float(next(schedule))
+                dt = float(next(scheduled))
             except StopIteration:
                 raise NumericError("dt schedule exhausted before t_end") from None
-            u_new = stepper.step(u, dt)
+            u_new = u
+            for _ in range(halves):
+                u_new = stepper.step(u_new, dt / halves)
         else:
             gap = float(snaps[i_snap]) - t
             dt = min(dt_next, gap)
@@ -260,7 +254,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
                     break
                 lte = du - (dt / dt_prev) * du_prev
                 err = (dt / (dt + dt_prev) * float(np.abs(lte).max())
-                       / (params.tol * float(u_new.max())))
+                       / (tol * float(u_new.max())))
                 factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
                 if err <= 1.0:
                     break
@@ -276,14 +270,59 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
         t += dt
         if i_snap < snaps.size and t >= snaps[i_snap] * (1.0 - 1e-14):
             t = float(snaps[i_snap])
-            record(i_snap, u)
+            values[i_snap] = u
             i_snap += 1
+    return values[:i_snap], np.array(dts), retries
 
-    steps = np.array(dts)
-    stats = {"accepted": steps.size, **retries,
-             "dt_min": float(steps.min()), "dt_max": float(steps.max())}
-    return EvolutionRun(spec, params, grid, snaps[:i_snap], values[:i_snap],
-                        {k: np.array(v) for k, v in series.items()}, steps, stats)
+
+def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
+           snapshot_times: Sequence[float],
+           observers: Optional[Mapping[str, Callable]] = None,
+           dt_schedule: Optional[np.ndarray] = None) -> EvolutionRun:
+    """March the regularized problem to t_end, recording observers at snapshots.
+
+    ``observers`` maps series names to functions of a RadialProfile; sup-norm
+    and center-value series are always recorded, and so is ``dts``.  When
+    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim
+    (used by ladders so all members share one time discretization).  The
+    snapshots and series are the Richardson extrapolation 2 * half - full of
+    that pass and of its halved replay (module docstring).
+    """
+    if t_end <= 0:
+        raise InputError(f"t_end must be positive, got {t_end}")
+    grid = RadialGrid(spec.n, params.R, params.m)
+    u0 = initial_profile(spec, params, grid)
+    floor = params.eps * (1.0 - FLOOR_TOL)
+    sup_bound = float(u0.max()) + 1e-10
+
+    snaps = normalize_snapshots(snapshot_times, t_end)
+    stepper = _Stepper(grid, spec.p, params.eps)
+    full, dts, retries = _march(stepper, u0, snaps, params.tol, dt_schedule)
+    values, _, _ = _march(stepper, u0, snaps, params.tol, dts, halves=2)
+    for vals in (full, values):
+        if not (vals.min() >= floor and vals.max() <= sup_bound):  # NaN fails too
+            raise SchemeError("discrete maximum principle violated at a snapshot")
+
+    # 2 * half - full, formed in place: full becomes half - full, values the sum
+    half_max = float(values.max())
+    np.subtract(values, full, out=full)
+    time_error = float(np.abs(full).max()) / half_max
+    values += full
+    if not (values.min() >= floor and values.max() <= sup_bound):
+        raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
+                          f"against eps = {params.eps:g}, max {values.max():.6e}")
+    clamps = int(np.count_nonzero(values < params.eps))
+    np.maximum(values, params.eps, out=values)
+
+    obs: dict = {"sup_norm": lambda prof: float(prof.values.max()),
+                 "center_value": lambda prof: float(prof.values[0])}
+    if observers:
+        obs.update(observers)
+    profiles = [RadialProfile(grid, row) for row in values]
+    series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
+    stats = {"accepted": dts.size, **retries, "solves": stepper.solves, "clamps": clamps,
+             "time_error": time_error, "dt_min": float(dts.min()), "dt_max": float(dts.max())}
+    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, dts, stats)
 
 
 def observer_lq(q: float) -> Callable:
@@ -326,8 +365,8 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     the largest ball, and every grid has its spacing, so profiles compare
     node-by-node; each radius must be a whole number (at least 2) of
     spacings.  Every member replays the dt sequence the error controller chose
-    for the (max eps, max R) member, so ladder differences are not polluted by
-    differing time discretizations.  Solutions must decrease along eps and
+    for the (max eps, max R) member, and its halving, so ladder differences are
+    not polluted by differing time discretizations.  Solutions must decrease along eps and
     increase along R up to LADDER_MONOTONICITY_TOL; the proxy for the minimal
     solution is the member at (min eps, max R).
     """

@@ -125,7 +125,15 @@ def test_pde_decay_mode_and_determinism(tmp_path):
     assert np.all(np.diff(sup[:, 1]) <= 0)
 
 
-def test_pde_decay_ladder_mode(tmp_path):
+def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
+    runs = []
+    real_evolve = evolution.evolve
+
+    def recording_evolve(*args, **kwargs):
+        runs.append(real_evolve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(evolution, "evolve", recording_evolve)
     cfg = write_config(tmp_path, {
         "name": "lad", "mode": "pde_decay",
         "problem": {"p": 4.0, "n": 1,
@@ -139,6 +147,10 @@ def test_pde_decay_ladder_mode(tmp_path):
     rep = read_json(out / "ladder_report.json")
     assert rep["eps_monotonicity_violation"] <= 1e-8
     assert rep["R_monotonicity_violation"] <= 1e-8
+    # the verdict's time error is the judged proxy's, the (min eps, max R) member
+    proxy = next(run for run in runs if (run.params.eps, run.params.R) == (1e-3, 20.0))
+    verdict = read_json(out / "manifest.json")["verdict"]
+    assert verdict["time_error"] == proxy.stats["time_error"] > 0.0
 
 
 def counted_evolve(monkeypatch):
@@ -412,6 +424,16 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
 
+def test_extrapolated_undershoot_exit_3(tmp_path, lift_full_pass, capsys):
+    # each pass holds u >= eps, but 2 * half - full falls below eps by more
+    # than roundoff: the run fails closed and leaves no directory
+    lift_full_pass(1e-9)
+    cfg, out = write_config(tmp_path, TINY_DECAY), tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert "extrapolated snapshot" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_verdict_exit_3(tmp_path, capsys):
     # kappa = 400 drives the near-multiplicativity ratio to inf/inf; a NaN in
     # a verdict is a numeric failure, and no (non-JSON) manifest is written
@@ -549,25 +571,25 @@ def test_two_sided_artifacts_pinned(tmp_path):
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                   for path in out.iterdir() if path.name != "manifest.json")
     assert shas == [
-        ("baseline.json", "a52ce8d5f74fd7e7fd28d2ac8a16568cddd82449356d3636604a178092549a9f"),
-        ("center_value.csv", "528ff3c1ba5224717467db10363ecf017f8decb943854f9161ba6fee574589a1"),
-        ("lower_curve.csv", "3ac0b135d749b3f9b81330e1024bd35d5d350bf2e6597362201150feaa3e27cf"),
-        ("lq_1.csv", "c4cd9aeb1886b5f18182ddfdf9d3141d8b62b9f1d3b8f1ea0c1e0a706079fec0"),
-        ("margins.json", "fa95657689954485c8b7d17cf6293c6b7b3f6a5931ccd05e9b980d069a15ad13"),
-        ("profile_t0.5.csv", "2be789ed402d76488ff4c9a019ddf05ac8852f2666e71d1ff4f92eae392d4ea8"),
+        ("baseline.json", "98008e42598ab9d674351acbe37d61f3a772bdfea7887cd0d288985fffbdc9d5"),
+        ("center_value.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
+        ("lower_curve.csv", "5ad4b27250772c6950baec1f85ef92ec47d70444c9d6b928fa50efc1bf99fad1"),
+        ("lq_1.csv", "da3467de38ad8fcc7fc8dca2ae1d0523c12923b547a8b79798ab355f4f2fb19f"),
+        ("margins.json", "6679909f7f3944b9b0be72bc12f2df9b617435d8e9c21b7793656f6545dd1de6"),
+        ("profile_t0.5.csv", "a4b7253ce7ef386d43532ead2cb5ccc501b670689a62f429bb91b78981dc0740"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
-        ("profile_t1.58114.csv", "c2b9c7e2fe922655b16fc8e049e19a0327bfcf87a0e64fc6f56957d57cb67748"),
-        ("profile_t158.114.csv", "e0d23e016f65b5c93ee0b8dc76993e8d7b3aad66f70339fe673733800163f582"),
-        ("profile_t2.81171.csv", "6b8dc276ea6dccdd8932b03497bb2915775244703b543fb320df05c55ea4b955"),
-        ("profile_t28.1171.csv", "67c7041b922e5c96b670bca2005c26bd81c26ee9e108dfbf5bc35a6dd9797efe"),
-        ("profile_t50.csv", "39f5efc0f0cd7ee0c8d8e4fb74aefd3a954d6aae74d72cb3bb7099321656029a"),
-        ("profile_t500.csv", "f037c268ffb4cfeff68cd51aedd14902a02df9d35c8211ef6ae1e576f1836a54"),
-        ("profile_t8.8914.csv", "b88d06525430494b7401632e3ef906e2769c9281d32ac25388010be42f26880a"),
-        ("sandwich.json", "0986de0035b4f0938eb241b4e04363586aa3cb3dcdd947e4c28a77b9f53a3c8f"),
+        ("profile_t1.58114.csv", "4b616b9679ef900e7bed676d3ae70ccf06d47b446b83ab1591c37cc50e354771"),
+        ("profile_t158.114.csv", "99fab4d54f500e9c84c5341ebd45248ea8e5c0f8177c31b45541ee44d36c63b1"),
+        ("profile_t2.81171.csv", "ff5a2effd6eedef1fababed2e19d2ac500a9c7ace9fa604be8a00f559745bc2b"),
+        ("profile_t28.1171.csv", "540844685660e3db529189775041cad861c09891504d084f0d1a7979176b75ce"),
+        ("profile_t50.csv", "c5f6fbd0e20478a494675c141bc5fe66d9b9655abcf0f429b53fd7bb6ef9d2b5"),
+        ("profile_t500.csv", "c8a39c60f3f39ce44b14f80bc05ccc094ef18e2006f01fcd25e4cab0acb2da36"),
+        ("profile_t8.8914.csv", "7081dcaacfd2f2944cb3fab2e7f43f96be086fab305ef2f9c109fa99e6ea6f02"),
+        ("sandwich.json", "f374e2567f3b7544b0a6f362b3a28af6dfda9717f2222bcc111809250ce015ba"),
         ("steady_state.csv", "dc2bf4cdeba352ff547ce05481f28856621bf3377d95ec538c9bbbbe85c2bcbd"),
-        ("sup_norm.csv", "528ff3c1ba5224717467db10363ecf017f8decb943854f9161ba6fee574589a1"),
-        ("upper_curve.csv", "bb4e90b89c964f797bae7f2dad2f361c2f85bc94b2dfbd573f685f08bbbc463a"),
+        ("sup_norm.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
+        ("upper_curve.csv", "73949b0dd23339c7eedb9d038b816cdf5f8d55e25f13ee4c3ea6111b936367f6"),
     ]
     verdict = read_json(out / "manifest.json")["verdict"]
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "a7b9dcdf5a47ec91e3740fe3ae021e63b0980a813ad2d0d7de1c5b37765ae83d"
+    assert digest == "03d5328f53a1091160c033850f032a3b902a2432f47d6821c8144fde2cdd85fb"

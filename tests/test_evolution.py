@@ -101,6 +101,26 @@ def test_step_stats_count_recorded_and_replayed_steps():
     # a replay reproduces its run bit for bit, and records the same steps
     assert np.array_equal(replay.values, lead.values)
     assert np.array_equal(replay.dts, lead.dts)
+    # every attempt of the full pass is one solve, and the halved pass takes two a step
+    stats = lead.stats
+    assert stats["solves"] == 3 * stats["accepted"] + stats["rejected"] + stats["halvings"]
+    assert replay.stats["solves"] == 3 * len(lead.dts)
+    assert 0.0 < stats["time_error"] < 1e-3
+
+
+def test_extrapolated_roundoff_undershoot_is_clamped_and_counted(lift_full_pass):
+    params = ApproxParams(R=10.0, eps=1e-3, m=251)
+    plain = evolve(gaussian_spec(), params, 1.0, [0.0, 0.5, 1.0])
+    lift_full_pass(0.1 * evolution.FLOOR_TOL)
+    run = evolve(gaussian_spec(), params, 1.0, [0.0, 0.5, 1.0])
+    assert run.values.min() == params.eps
+    assert run.stats["clamps"] == plain.stats["clamps"] + len(run.times)
+
+
+def test_extrapolated_undershoot_fails_closed(lift_full_pass):
+    lift_full_pass(10.0 * evolution.FLOOR_TOL)
+    with pytest.raises(SchemeError, match="extrapolated"):
+        evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=251), 1.0, [0.0, 1.0])
 
 
 def failing_steps(monkeypatch, failures):
@@ -133,15 +153,36 @@ def test_failing_step_exhausts_the_retry_budget(monkeypatch):
     assert len(calls) == MAX_REJECTIONS + 1
 
 
-def test_time_self_convergence():
-    # the step control's error, measured: quartering tol must move the
-    # sup-norm series by less than the rate verdicts' slack
+@pytest.fixture(scope="module")
+def tol_runs():
+    """One trajectory at tol = TOL, TOL/4 and TOL/16."""
     spec = gaussian_spec()
     snaps = np.concatenate([[0.0], np.geomspace(0.1, 100.0, 33)])
-    runs = [evolve(spec, ApproxParams(R=20.0, eps=1e-3, m=1001, tol=tol), 100.0, snaps)
-            for tol in (TOL, TOL / 4)]
-    a, b = (run.series["sup_norm"] for run in runs)
+    return [evolve(spec, ApproxParams(R=20.0, eps=1e-3, m=1001, tol=tol), 100.0, snaps)
+            for tol in (TOL, TOL / 4, TOL / 16)]
+
+
+def test_time_self_convergence(tol_runs):
+    # the step control's error, measured: quartering tol must move the
+    # sup-norm series by less than the rate verdicts' slack
+    a, b = (run.series["sup_norm"] for run in tol_runs[:2])
     assert np.max(np.abs(a - b) / b) < RATIO_SLACK
+
+
+def test_time_error_is_first_order(tol_runs):
+    # backward Euler's global error is first order in dt, and dt scales as
+    # tol^(1/2): quartering tol halves max|half - full|, the expansion that
+    # the extrapolation 2 * half - full cancels
+    errors = [run.stats["time_error"] for run in tol_runs]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+
+
+def test_extrapolation_is_second_order(tol_runs):
+    # the extrapolated series converges at second order: each quartering of
+    # tol moves it about 4 times less than the one before
+    a, b, c = (run.series["sup_norm"] for run in tol_runs)
+    assert np.max(np.abs(b - c)) * 3.0 <= np.max(np.abs(a - b))
 
 
 def test_evolve_maximum_principle_and_floor():
