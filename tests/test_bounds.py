@@ -1,14 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from decaylab.bounds import (DecayEnvelope, build_subsolution,
+from decaylab.bounds import (DecayEnvelope, _integrate_shot, build_subsolution,
                              evaluate_steady_state, logistic_exact,
                              logistic_residual, lower_bound_curve,
                              solve_steady_state, steady_state_residual,
                              subsolution_check)
-from decaylab.errors import InputError
+from decaylab.errors import InputError, NumericError
 from decaylab.evolution import ApproxParams, ProblemSpec, evolve
 
 
@@ -28,6 +29,81 @@ def test_steady_state_degenerate_touchdown():
     assert np.all(np.diff(state.w) <= 1e-12)        # symmetric decreasing
     assert state.w[0] > 0 and state.boundary_value < 1e-4
     assert steady_state_residual(state) < 1e-8
+
+
+@pytest.mark.parametrize("p, n, center, boundary, digest", [
+    (1.0, 2, 0.24999999999998546, 8.794234871573048e-16,
+     "9c9d83f86414e96764b67bde55cf24703f103770110e9a2becf357261f5b2adf"),
+    (2.0, 1, 0.5641895407550834, 6.215259320278528e-06,
+     "9e1403a5bcdf4baf16ca3577a5245bb24765e4fde3f5d805c48790a06772310d"),
+    (4.0, 1, 0.7070965041670491, 0.00044643757421689544,
+     "5fc49be22a2e99284f544ba0561f3ebad0b9274063ee933e9fd21e7b1ab8dbf7"),
+])
+def test_steady_state_shooting_pinned(p, n, center, boundary, digest):
+    # the static manifests hash these profiles, so shooting is pinned bit for bit,
+    # the degenerate touchdown of p = 2, 4 included
+    state = solve_steady_state(p, n, 4001)
+    assert state.center_value == center
+    assert state.boundary_value == boundary
+    assert hashlib.sha256(state.w.tobytes() + state.derivative.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("a, p, n, m, expected", [
+    (0.25033333333333335, 1.0, 2, 101, 0.00033333333333335994),   # survives
+    (0.75, 4.0, 1, 101, 0.3435921562283486),                     # survives
+    (0.0009583333333333334, 1.0, 1, 101, -0.96),                 # dies in stage 2
+    (0.022208333333333333, 1.0, 3, 101, -0.6399999999999999),    # dies in stage 3
+    (0.0015833333333333333, 1.0, 1, 101, -0.95),                 # dies in stage 4
+    (0.005333333333333333, 2.0, 1, 101, -0.99),                  # dies after a step
+    # the last step ends at w <= 0 with r >= 1 - h/2: w(1) itself, not a deficit
+    (0.68, 4.0, 1, 3, -0.03469791683583112),
+])
+def test_integrate_shot_exit_paths_pinned(a, p, n, m, expected):
+    assert _integrate_shot(a, p, n, m) == expected
+
+
+def _textbook_shot(a, p, n, m):
+    """The shot as textbook RK4 with one call of f per stage: the reference
+    whose float operations _integrate_shot must repeat in the same order."""
+    h = 1.0 / (m - 1)
+
+    def f(r, w, v):
+        if w <= 0.0:
+            return None
+        src = -(1.0 / p) * w**(1.0 - p)
+        return (v, src / n) if r == 0.0 else (v, -(n - 1) / r * v + src)
+
+    w, v, r = a, 0.0, 0.0
+    for _ in range(m - 1):
+        k1 = f(r, w, v)
+        k2 = k1 and f(r + 0.5 * h, w + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = k2 and f(r + 0.5 * h, w + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = k3 and f(r + h, w + h * k3[0], v + h * k3[1])
+        if k4 is None:
+            return -(1.0 - r)
+        w += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        v += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        r += h
+        if w <= 0.0 and r < 1.0 - 0.5 * h:
+            return -(1.0 - r)
+    return w
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_shot_matches_textbook_rk4(p, n):
+    # coarse grids, where a last-bit change in a stage still reaches w(1),
+    # and center values from early deaths to survivors
+    for m in (2, 3, 5, 11, 101):
+        for a in np.geomspace(1e-3, 3.0, 65):
+            assert _integrate_shot(a, p, n, m) == _textbook_shot(a, p, n, m)
+
+
+def test_integrate_shot_errors():
+    with pytest.raises(NumericError, match="died before the boundary"):
+        _integrate_shot(0.0009583333333333334, 1.0, 1, 101, record=True)
+    with pytest.raises(NumericError, match=r"w\(0\) = 0\.0001: w\^\(1-p\) overflows"):
+        _integrate_shot(1e-4, 200.0, 1, 101)
 
 
 def test_steady_state_bracket_error():

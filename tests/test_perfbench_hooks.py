@@ -29,3 +29,18 @@ def test_traced_names_resolve():
 def test_evolve_keeps_dt_schedule_sixth():
     # the tracer names replayed runs by reading dt_schedule from args[5]
     assert list(inspect.signature(evolution.evolve).parameters)[5] == "dt_schedule"
+
+
+def test_tracer_counts_every_shot(monkeypatch):
+    # solve_steady_state must look _integrate_shot up in the module on every
+    # shot: a local alias would hide shots from the bounds.shots counter
+    tracer = load_tracer().Tracer()
+    monkeypatch.setattr(bounds, "_integrate_shot",
+                        tracer.leaf("bounds.shot", bounds._integrate_shot))
+    bounds.solve_steady_state(1.0, 2, 4001)
+    assert sum(calls for calls, _, _ in tracer.leaves.values()) == 22
+
+
+def test_integrate_shot_keeps_its_parameters():
+    assert list(inspect.signature(bounds._integrate_shot).parameters) == [
+        "a", "p", "n", "m", "record"]
