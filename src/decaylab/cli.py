@@ -163,7 +163,11 @@ class ArtifactWriter:
         self.write_text(name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def write_series_csv(self, name: str, header, columns):
-        """One row per index of the columns; a str cell as it is, a number as %.17g."""
+        """One row per index of the columns; a str cell as it is, a number as %.17g.
+
+        Array columns are read as Python floats: the same digits, formatted faster.
+        """
+        columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
         rows = [",".join(header)]
         for values in zip(*columns):
             rows.append(",".join(v if type(v) is str else f"{v:.17g}" for v in values))

@@ -150,7 +150,15 @@ def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -
 
 
 class _Stepper:
-    """Preassembled geometry for the tridiagonal step on one grid."""
+    """Preassembled geometry for the tridiagonal step on one grid.
+
+    ``step`` writes the diagonals in place from stencil factors folded once:
+    ``c_i * (2 inv_h2)`` is ``(2 c_i) * inv_h2`` and ``c_i * (-g_i)`` is
+    ``-(c_i * g_i)`` bit for bit, since doubling and negation are exact, and
+    ``u**1`` is ``u``.  The right-hand side is a fresh copy of u that the
+    solve overwrites and the step returns, so a retried step never sees a
+    clobbered state.  Tests pin the step's bits against the unfolded assembly.
+    """
 
     def __init__(self, grid: RadialGrid, p: float, eps: float):
         self.grid = grid
@@ -158,29 +166,31 @@ class _Stepper:
         self.eps = eps
         self.solves = 0
         # -Lap_h: the r = 0 row and the interior rows split by neighbor
-        (self.center_coeff, self.inv_h2, self.geo_lower, self.geo_upper) = laplacian_stencil(grid)
+        (self.center_coeff, inv_h2, geo_lower, geo_upper) = laplacian_stencil(grid)
+        self.two_inv_h2 = 2.0 * inv_h2
+        self.neg_lower = -geo_lower
+        self.neg_upper = -geo_upper
         m = grid.m
         self._dl = np.empty(m - 1)
         self._d = np.empty(m)
         self._du = np.empty(m - 1)
-        self._b = np.empty(m)
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        c = dt * u**self.p
+        c = dt * u if self.p == 1.0 else dt * u**self.p
         ci = c[1:-1]
-        dl, d, du, b = self._dl, self._d, self._du, self._b
+        dl, d, du = self._dl, self._d, self._du
         d[0] = 1.0 + c[0] * self.center_coeff
         du[0] = -c[0] * self.center_coeff
-        d[1:-1] = 1.0 + 2.0 * ci * self.inv_h2
-        du[1:] = -ci * self.geo_upper
-        dl[0:-1] = -ci * self.geo_lower
+        np.multiply(ci, self.two_inv_h2, out=d[1:-1])
+        d[1:-1] += 1.0
+        np.multiply(ci, self.neg_upper, out=du[1:])
+        np.multiply(ci, self.neg_lower, out=dl[:-1])
         d[-1] = 1.0     # pinned Dirichlet row
         dl[-1] = 0.0
-        b[:] = u
+        b = u.copy()
         b[-1] = self.eps
         self.solves += 1
-        _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
-                                   overwrite_du=1, overwrite_b=1)
+        _, _, _, out, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
         undershoot = self.eps - out.min()
@@ -189,9 +199,7 @@ class _Stepper:
                 raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
                                   f"{FLOOR_TOL:g} * eps")
             np.maximum(out, self.eps, out=out)
-        # out may alias the work buffer; hand the caller an independent array
-        # so a retried step never sees a clobbered state.
-        return out.copy() if out is b else out
+        return out
 
 
 def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
@@ -228,11 +236,11 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
     t, t_end = 0.0, float(snaps[-1])
     du_prev, dt_prev = None, 0.0    # change over the last accepted step, and its dt
     dt_next = DT_INIT
-    scheduled = iter(schedule) if schedule is not None else None
+    scheduled = iter(schedule.tolist()) if schedule is not None else None
     while t < t_end * (1.0 - 1e-14):
         if scheduled is not None:
             try:
-                dt = float(next(scheduled))
+                dt = next(scheduled)
             except StopIteration:
                 raise NumericError("dt schedule exhausted before t_end") from None
             u_new = u
@@ -284,7 +292,8 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     ``observers`` maps series names to functions of a RadialProfile; sup-norm
     and center-value series are always recorded, and so is ``dts``.  When
     ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim
-    (used by ladders so all members share one time discretization).  The
+    (used by ladders so all members share one time discretization); an entry
+    that is not positive and finite fails the run before its first step.  The
     snapshots and series are the Richardson extrapolation 2 * half - full of
     that pass and of its halved replay (module docstring).
     """
@@ -296,6 +305,13 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     sup_bound = float(u0.max()) + 1e-10
 
     snaps = normalize_snapshots(snapshot_times, t_end)
+    if dt_schedule is not None:
+        dt_schedule = np.asarray(dt_schedule, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(dt_schedule) & (dt_schedule > 0.0)))
+        if bad.size:
+            k = int(bad[0])
+            raise SchemeError(f"dt_schedule[{k}] = {dt_schedule[k]:g} is not a positive, "
+                              "finite step")
     stepper = _Stepper(grid, spec.p, params.eps)
     full, dts, retries = _march(stepper, u0, snaps, params.tol, dt_schedule)
     values, _, _ = _march(stepper, u0, snaps, params.tol, dts, halves=2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from decaylab import evolution
 from decaylab.errors import InputError, LadderError, SchemeError
-from decaylab.evolution import (DT_INIT, MAX_REJECTIONS, TOL, ApproxParams, ProblemSpec,
+from decaylab.evolution import (DT_INIT, FLOOR_TOL, MAX_REJECTIONS, TOL, ApproxParams,
+                                ProblemSpec,
                                 evolve, linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
@@ -53,6 +56,101 @@ def test_nan_replayed_step_fails_closed():
     with pytest.raises(SchemeError):
         evolve(gaussian_spec(), ApproxParams(R=5.0, eps=0.1, m=101), 1.0, [0.0, 1.0],
                dt_schedule=np.array([np.nan]))
+
+
+@pytest.mark.parametrize("bad", [-0.05, 0.0, math.inf])
+def test_bad_replay_schedule_fails_closed(monkeypatch, bad):
+    # a negative entry used to step backward in time with a matrix that is not
+    # an M-matrix and report success, and a zero entry was taken as a step
+    calls = failing_steps(monkeypatch, 0)
+    with pytest.raises(SchemeError, match=r"dt_schedule\[1\]"):
+        evolve(gaussian_spec(), ApproxParams(R=5.0, eps=0.1, m=101), 1.0, [0.0, 1.0],
+               dt_schedule=[0.1, bad] + [0.05] * 30)
+    assert calls == []
+
+
+class ReferenceStepper(evolution._Stepper):
+    """The step as it was before its numpy calls were fused, kept verbatim as
+    the oracle of the lean step."""
+
+    def __init__(self, grid, p, eps):
+        super().__init__(grid, p, eps)
+        (self.center_coeff, self.inv_h2, self.geo_lower,
+         self.geo_upper) = evolution.laplacian_stencil(grid)
+        self._b = np.empty(grid.m)
+
+    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
+        c = dt * u**self.p
+        ci = c[1:-1]
+        dl, d, du, b = self._dl, self._d, self._du, self._b
+        d[0] = 1.0 + c[0] * self.center_coeff
+        du[0] = -c[0] * self.center_coeff
+        d[1:-1] = 1.0 + 2.0 * ci * self.inv_h2
+        du[1:] = -ci * self.geo_upper
+        dl[0:-1] = -ci * self.geo_lower
+        d[-1] = 1.0     # pinned Dirichlet row
+        dl[-1] = 0.0
+        b[:] = u
+        b[-1] = self.eps
+        self.solves += 1
+        _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                                   overwrite_du=1, overwrite_b=1)
+        if info != 0:
+            raise SchemeError(f"tridiagonal solve failed (info={info})")
+        undershoot = self.eps - out.min()
+        if not undershoot <= 0.0:  # so that a NaN anywhere in out raises too
+            if not undershoot <= FLOOR_TOL * self.eps:
+                raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
+                                  f"{FLOOR_TOL:g} * eps")
+            np.maximum(out, self.eps, out=out)
+        # out may alias the work buffer; hand the caller an independent array
+        # so a retried step never sees a clobbered state.
+        return out.copy() if out is b else out
+
+
+def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
+    raw_undershoots = []
+
+    def solve(*args):
+        result = dgtsv(*args)
+        raw_undershoots.append(eps - result[3].min())
+        return result
+
+    monkeypatch.setattr(evolution, "dgtsv", solve)
+    clamped = 0
+    for p in (1.0, 1.5, 2.0, 4.0):
+        for n in (1, 2, 3):
+            for m in (3, 5, 101, 1001):
+                grid = RadialGrid(n, 5.0, m)
+                for eps in (1e-3, 1e-8):
+                    lean = evolution._Stepper(grid, p, eps)
+                    ref = ReferenceStepper(grid, p, eps)
+                    # flat at eps near the boundary, where roundoff can undershoot
+                    u = np.where(grid.nodes < 4.0, np.exp(-grid.nodes**2), 0.0) + eps
+                    u_before = u.copy()
+                    for dt in (1e-4, 1e-2, 1.0, 1e4):
+                        raw_undershoots.clear()
+                        out = lean.step(u, dt)
+                        assert out.tobytes() == ref.step(u, dt).tobytes(), (p, n, m, eps, dt)
+                        assert out.min() >= eps
+                        clamped += raw_undershoots[0] > 0.0
+                        assert not any(np.shares_memory(out, a)
+                                       for a in (u, lean._dl, lean._d, lean._du))
+                    assert u.tobytes() == u_before.tobytes()
+    # several of these steps undershoot eps by roundoff and are clamped
+    assert clamped >= 5
+
+
+@pytest.mark.parametrize("p, n, sha", [
+    (4.0, 1, "9816292fd07e68e71cfabe5de56048ccf9dcc8eb56364517e2a329232e0c8b40"),
+    (2.0, 2, "0aae74d1fa2ce10ce978cbf8359893e3b175f566693db7baa92de383f04e6147"),
+    (1.5, 3, "d915e77ee40668605552951585c15b58549f01dce20562bb59e7209e55cc2e49"),
+])
+def test_adaptive_trajectories_pinned(p, n, sha):
+    # a change to the step's or the controller's arithmetic moves these bits
+    run = evolve(gaussian_spec(p, n), ApproxParams(R=5.0, eps=1e-3, m=51), 2.0,
+                 [0.0, 0.5, 2.0])
+    assert hashlib.sha256(run.values.tobytes() + run.dts.tobytes()).hexdigest() == sha
 
 
 def test_linearized_heat_decay_rate():

@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from decaylab import bounds, cli, evolution, gn, rates
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -44,3 +46,29 @@ def test_tracer_counts_every_shot(monkeypatch):
 def test_integrate_shot_keeps_its_parameters():
     assert list(inspect.signature(bounds._integrate_shot).parameters) == [
         "a", "p", "n", "m", "record"]
+
+
+def test_tracer_counts_every_solve(monkeypatch):
+    # the step must look dgtsv up in the module on every solve, and pass the
+    # main diagonal second: the tracer counts solves and reads len(args[1])
+    # as the nodes of one
+    tracer = load_tracer().Tracer()
+    monkeypatch.setattr(evolution, "dgtsv",
+                        tracer.leaf("evolution.dgtsv", evolution.dgtsv,
+                                    lambda args, kwargs, result: len(args[1])))
+    spec = evolution.ProblemSpec(p=2.0, n=2, u0=lambda r: np.exp(-r**2))
+
+    def traced():
+        calls = sum(calls for calls, _, _ in tracer.leaves.values())
+        units = sum(units for _, _, units in tracer.leaves.values())
+        tracer.leaves.clear()
+        return calls, units
+
+    run = evolution.evolve(spec, evolution.ApproxParams(R=5.0, eps=1e-3, m=51), 1.0,
+                           [0.0, 1.0])
+    assert traced() == (run.stats["solves"], 51 * run.stats["solves"])
+    ladder = evolution.minimal_solution_ladder(spec, [1e-2, 1e-3], [5.0], 51, 1.0,
+                                               [0.0, 1.0])
+    solves = sum(member.stats["solves"] for member in ladder.runs.values())
+    assert len(ladder.runs) == 2
+    assert traced() == (solves, 51 * solves)
