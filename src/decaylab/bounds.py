@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-10    # |w(1)| at which shooting stops
+SHOT_CAP = 300          # root-finding shots before shooting gives up
 RESIDUAL_R_CAP = 0.95   # the flux residual skips the boundary layer of p > 1
 
 
@@ -136,10 +137,16 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
     """Shoot on the center value until the profile vanishes at r = 1.
 
     Bisection brackets the root of a -> w(1; a); secant steps accelerate the
-    final digits (bisection fallback keeps the bracket valid).  A coarse scan
-    of 17 center values across the initial bracket counts the sign changes of
-    w(1; a), reported as ``sign_changes`` so callers can judge uniqueness of
-    the crossing.
+    final digits (bisection fallback keeps the bracket valid).  For p > 1,
+    w(1; a) jumps at the touchdown from a positive floor to an h-quantized
+    deficit, and the secant then creeps along the surviving side; once the
+    bracket has not halved over six shots, every later shot is the midpoint
+    (the safeguard of Dekker and Brent).  At m = 4001 the root takes at most
+    67 shots on a grid of p from 1 to 8, n = 1, 2, 3 (57 at (p, n) = (2, 1)),
+    well inside the SHOT_CAP shots after which shooting fails with
+    NumericError.  A coarse scan of 17 center values across the
+    initial bracket counts the sign changes of w(1; a), reported as
+    ``sign_changes`` so callers can judge uniqueness of the crossing.
     """
     if p < 1 or n < 1:
         raise InputError("need p >= 1 and n >= 1")
@@ -159,13 +166,15 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
     a0, f0 = lo, f_lo
     a1, f1 = hi, f_hi
     a_best = None
-    for _ in range(300):
+    widths = [hi - lo]      # the bracket width after each shot
+    stalled = False
+    for _ in range(SHOT_CAP):
         if abs(f1) <= BOUNDARY_TOL:
             # take the surviving side: f >= 0 means the trajectory reached r = 1
             a_best = a1 if f1 >= 0.0 else hi
             break
         # secant proposal, clipped into the bracket; bisection fallback
-        if f1 != f0:
+        if f1 != f0 and not stalled:
             a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
         else:
             a2 = 0.5 * (lo + hi)
@@ -177,6 +186,11 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
         else:
             hi = a2
         a0, f0, a1, f1 = a1, f1, a2, f2
+        # a bracket that has not halved in six shots means the secant is
+        # creeping up to a jump of w(1; a): bisect from here on (Dekker 1969,
+        # Brent 1973)
+        widths.append(hi - lo)
+        stalled = stalled or (len(widths) > 6 and widths[-1] > 0.5 * widths[-7])
         if hi - lo <= 1e-15 * hi:
             # degenerate touchdown (p > 1): the computed boundary value cannot
             # be driven below an h-scale floor; the collapsed bracket's
@@ -184,7 +198,10 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
             a_best = hi
             break
     if a_best is None:
-        raise NumericError("steady-state shooting did not converge")
+        # the two bracket shots, then one per iteration
+        raise NumericError(
+            f"steady-state shooting did not converge at p = {p!r}, n = {n!r}: "
+            f"{len(widths) + 1} shots at m = {grid_m}, last bracket [{lo!r}, {hi!r}]")
     wb, ws, vs = _integrate_shot(a_best, p, n, grid_m, record=True)
     r_nodes = np.linspace(0.0, 1.0, grid_m)
     ws[-1] = max(ws[-1], 0.0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from decaylab import bounds
 from decaylab.bounds import (DecayEnvelope, _integrate_shot, build_subsolution,
                              evaluate_steady_state, logistic_exact,
                              logistic_residual, lower_bound_curve,
@@ -34,6 +35,9 @@ def test_steady_state_degenerate_touchdown():
 @pytest.mark.parametrize("p, n, center, boundary, digest", [
     (1.0, 2, 0.24999999999998546, 8.794234871573048e-16,
      "9c9d83f86414e96764b67bde55cf24703f103770110e9a2becf357261f5b2adf"),
+    # the subsolution certificate's steady state: every two_sided_p1 margin reads it
+    (1.0, 1, 0.49999999999996936, 2.045347398393904e-16,
+     "e91599538251492a4bda8cea7a5a50b8a5de3bb9bca16f9ed1afe6363d6d5962"),
     (2.0, 1, 0.5641895407550834, 6.215259320278528e-06,
      "9e1403a5bcdf4baf16ca3577a5245bb24765e4fde3f5d805c48790a06772310d"),
     (4.0, 1, 0.7070965041670491, 0.00044643757421689544,
@@ -46,6 +50,27 @@ def test_steady_state_shooting_pinned(p, n, center, boundary, digest):
     assert state.center_value == center
     assert state.boundary_value == boundary
     assert hashlib.sha256(state.w.tobytes() + state.derivative.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_steady_state_converges_at_p_1_5(n):
+    # w(1; a) jumps at the touchdown, so the secant creeps; bisection after it
+    # stalls collapses the bracket well inside the shot cap
+    state = solve_steady_state(1.5, n, 4001)
+    assert steady_state_residual(state) < 1e-8
+    assert state.w[0] > 0 and 0.0 <= state.boundary_value < 1e-4
+    assert state.sign_changes == 1
+
+
+def test_steady_state_non_convergence_names_the_bracket(monkeypatch):
+    monkeypatch.setattr(bounds, "SHOT_CAP", 5)
+    with pytest.raises(NumericError) as failure:
+        solve_steady_state(2.0, 1, 4001)
+    message = str(failure.value)
+    assert message.startswith("steady-state shooting did not converge at p = 2.0, n = 1: "
+                              "7 shots at m = 4001, last bracket [")
+    lo, hi = (float(x) for x in message.rsplit("[", 1)[1].rstrip("]").split(", "))
+    assert 1e-4 <= lo < 0.5641895407550834 < hi <= 50.0
 
 
 @pytest.mark.parametrize("a, p, n, m, expected", [

@@ -459,6 +459,19 @@ def test_steady_state_overflow_exit_3(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
 
+def test_steady_state_p_1_5_exit_0(tmp_path):
+    # the touchdown jump of w(1; a) at p = 1.5 stalls the secant; shooting
+    # bisects from then on and converges within the shot cap
+    cfg = write_config(tmp_path, {
+        "name": "ss", "mode": "steady_state",
+        "problem": {"p": 1.5, "n": 1}, "approx": {"m": 1001},
+    })
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
+    summary = read_json(out / "summary.json")
+    assert summary["pass"] and summary["flux_residual"] < 1e-8
+
+
 def test_report_generation(tmp_path):
     cfg = write_config(tmp_path, TINY_DECAY)
     out = tmp_path / "run"

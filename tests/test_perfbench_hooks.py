@@ -7,6 +7,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from decaylab import bounds, cli, evolution, gn, rates
 
@@ -41,6 +42,27 @@ def test_tracer_counts_every_shot(monkeypatch):
                         tracer.leaf("bounds.shot", bounds._integrate_shot))
     bounds.solve_steady_state(1.0, 2, 4001)
     assert sum(calls for calls, _, _ in tracer.leaves.values()) == 22
+
+
+# root-finding shots at m = 4001 that the whole bracket search takes; the
+# secant bisects once it stalls on the jump of w(1; a) at a touchdown (p > 1)
+SHOTS_PINNED = {(1.0, 1): 7, (1.0, 2): 4, (4.0, 1): 63}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_tracer_counts_shots_to_the_root(monkeypatch, p, n):
+    # count the shots the tracer sees on the solve's own grid: the 17 scan
+    # shots (m = 257) and the one that records the profile are left out
+    tracer = load_tracer().Tracer()
+    monkeypatch.setattr(bounds, "_integrate_shot", tracer.leaf(
+        "bounds.shot", bounds._integrate_shot,
+        lambda args, kwargs, result: args[3] == 4001 and not kwargs.get("record")))
+    bounds.solve_steady_state(p, n, 4001)
+    shots = sum(units for _, _, units in tracer.leaves.values())
+    if (p, n) in SHOTS_PINNED:
+        assert shots == SHOTS_PINNED[p, n]
+    assert shots <= (60 if (p, n) == (2.0, 1) else 90)
 
 
 def test_integrate_shot_keeps_its_parameters():
