@@ -3,25 +3,23 @@ of the degenerate diffusion u_t = u^p Lap(u), probed numerically.
 
 Modules:
 
-* ``steepness``  - the slowly-varying gauge functions L and their analytic checks
-* ``radial``     - grids, quadrature, norms, radial Laplacian
-* ``gn``         - Gagliardo-Nirenberg-type ratio evaluation and family scans
+* ``steepness``  - the slowly-varying gauge functions L, their analytic checks
+  and the transcendental bound
+* ``radial``     - grids, quadrature, norms, the radial Laplacian stencil
+* ``gn``         - family scans of the steepness-weighted interpolation ratio
 * ``evolution``  - regularized Dirichlet evolutions and the minimal-solution ladder
 * ``bounds``     - steady states, separated subsolutions, decay envelopes
 * ``rates``      - decay-rate fits and calibrated bound persistence
 * ``cli``        - JSON-config experiment orchestration
 """
 
-from .errors import (BudgetError, DecayLabError, InputError, LadderError,
-                     NumericError, SchemeError)
+from .errors import DecayLabError, InputError, LadderError, NumericError, SchemeError
 from .steepness import (ConvexityReport, HypothesisReport, SteepnessFunction,
                         check_convexity_condition, check_near_multiplicativity,
-                        check_ratio_bound, solve_transcendental,
-                        transcendental_calibration)
+                        check_ratio_bound, solve_transcendental)
 from .radial import (RadialGrid, RadialProfile, WeightedIntegral, grad_l2_norm,
-                     lq_quasinorm, radial_laplacian, steepness_integral)
-from .gn import (FamilySpec, FamilyScan, classical_gn_ratio, family_scan,
-                 steepness_gn_ratio)
+                     lq_quasinorm, steepness_integral)
+from .gn import FamilySpec, FamilyScan, family_scan
 from .evolution import (ApproxParams, EvolutionRun, LadderResult, ProblemSpec,
                         evolve, linfty_from_lq_check, lyapunov_series,
                         minimal_solution_ladder, observer_lq, observer_lyapunov,

@@ -42,6 +42,7 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-10    # |w(1)| at which shooting stops
 SHOT_CAP = 300          # root-finding shots before shooting gives up
+SHOT_BRACKET = (1e-4, 50.0)   # center values w(0) that the root must lie between
 RESIDUAL_R_CAP = 0.95   # the flux residual skips the boundary layer of p > 1
 
 
@@ -132,16 +133,16 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     return -(1.0 - r)
 
 
-def solve_steady_state(p: float, n: int, grid_m: int = 4001,
-                       bracket: tuple = (1e-4, 50.0)) -> SteadyState:
+def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     """Shoot on the center value until the profile vanishes at r = 1.
 
-    Bisection brackets the root of a -> w(1; a); secant steps accelerate the
-    final digits (bisection fallback keeps the bracket valid).  For p > 1,
-    w(1; a) jumps at the touchdown from a positive floor to an h-quantized
-    deficit, and the secant then creeps along the surviving side; once the
-    bracket has not halved over six shots, every later shot is the midpoint
-    (the safeguard of Dekker and Brent).  At m = 4001 the root takes at most
+    Bisection brackets the root of a -> w(1; a) inside SHOT_BRACKET (an
+    InputError when w(1; a) does not change sign across it); secant steps
+    accelerate the final digits (bisection fallback keeps the bracket
+    valid).  For p > 1, w(1; a) jumps at the touchdown from a positive floor
+    to an h-quantized deficit, and the secant then creeps along the
+    surviving side; once the bracket has not halved over six shots, every
+    later shot is the midpoint (the safeguard of Dekker and Brent).  At m = 4001 the root takes at most
     67 shots on a grid of p from 1 to 8, n = 1, 2, 3 (57 at (p, n) = (2, 1)),
     well inside the SHOT_CAP shots after which shooting fails with
     NumericError.  A coarse scan of 17 center values across the
@@ -150,13 +151,13 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001,
     """
     if p < 1 or n < 1:
         raise InputError("need p >= 1 and n >= 1")
-    lo, hi = bracket
+    lo, hi = SHOT_BRACKET
     f_lo = _integrate_shot(lo, p, n, grid_m)
     f_hi = _integrate_shot(hi, p, n, grid_m)
     if not (f_lo < 0.0 < f_hi):
         raise InputError(
-            f"shooting bracket {bracket} does not straddle the boundary root "
-            f"(f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}); widen the bracket")
+            f"shooting bracket {SHOT_BRACKET} does not straddle the boundary root "
+            f"at p = {p!r}, n = {n!r} (f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e})")
     # coarse scan to count crossings inside the initial bracket
     scan = np.geomspace(lo, hi, 17)
     scan_vals = [_integrate_shot(a, p, n, 257) for a in scan]

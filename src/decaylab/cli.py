@@ -314,13 +314,13 @@ def _run_gn_scan(cfg: _Section):
     fam = fcfg.build(gn.FamilySpec, envelope=_envelope(fcfg),
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
-    probe_scale = cfg.read("sharpness_scale", NUMBER, None)
+    probe_scale = cfg.read("sharpness_scale", POSITIVE, None)
 
     columns = ["member_id", "width", "scale", "grad_norm", "lq_norm", "budget", "ratio"]
 
     def compute(writer: ArtifactWriter) -> dict:
         scans = {"scan": gn.family_scan(fam, grid, q, L, K)}
-        if probe_scale:
+        if probe_scale is not None:
             scans["probe"] = gn.family_scan(fam, grid, q, L, K, alpha_scale=float(probe_scale))
         summary = {}
         for (key, scan), name in zip(scans.items(), ("scan.csv", "scan_probe.csv")):

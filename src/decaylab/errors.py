@@ -13,10 +13,6 @@ class InputError(DecayLabError, ValueError):
     """A precondition on arguments or configuration data is violated."""
 
 
-class BudgetError(InputError):
-    """A steepness-integral budget precondition fails (distinct from numerics)."""
-
-
 class NumericError(DecayLabError, RuntimeError):
     """A numerical procedure failed (non-bracketing bisection, scheme abort, ...)."""
 

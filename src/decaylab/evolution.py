@@ -80,7 +80,11 @@ DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, re
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Cauchy data: degeneracy exponent p >= 1, dimension n, radial datum u0."""
+    """Cauchy data: degeneracy exponent p >= 1, dimension n <= 3, radial datum u0.
+
+    The step's matrix is an M-matrix only for n <= 3: its lower band at r = h
+    is (3 - n)/(2h^2).
+    """
 
     p: float
     n: int
@@ -89,6 +93,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.p < 1:
             raise InputError(f"p >= 1 required, got {self.p}")
+        if self.n > 3:
+            raise InputError(f"n <= 3 required (the step is an M-matrix only for "
+                             f"n <= 3), got {self.n}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
-"""Numerical probes of Gagliardo-Nirenberg-type interpolation inequalities.
+"""Numerical probes of a Gagliardo-Nirenberg-type interpolation inequality.
 
-Two ratio functionals are evaluated on radial profiles:
+The steepness-weighted ratio
 
-* the classical interpolation ratio  ||phi||_q / (||phi||_r^theta ||grad phi||_2^{1-theta}),
-* the steepness-weighted ratio       ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2))
-  with alpha = 1/q - (n-2)/(2n), whose boundedness over families with a
-  common steepness-integral budget is the inequality under test.
+    ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2)),
 
-The dimension n is always that of the grid the profiles live on
-(``RadialGrid.n``); no function takes it separately.
+with alpha = 1/q - (n-2)/(2n), is evaluated on radial profiles; its
+boundedness over families with a common steepness-integral budget is the
+inequality under test.  The dimension n is always that of the grid the
+profiles live on (``RadialGrid.n``); no function takes it separately.
 
-Family scans drive the steepness-weighted ratio across dilated and rescaled
-copies of a template profile and report boundedness and sharpness probes.
+Family scans drive the ratio across dilated and rescaled copies of a
+template profile and report boundedness and sharpness probes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import DecayEnvelope
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .radial import RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm, steepness_integral
 from .steepness import SteepnessFunction
 
@@ -30,8 +29,6 @@ __all__ = [
     "FamilySpec",
     "FamilyScan",
     "ScanRow",
-    "classical_gn_ratio",
-    "steepness_gn_ratio",
     "family_scan",
 ]
 
@@ -49,51 +46,6 @@ def _alpha(q: float, n: int) -> float:
         raise InputError(f"q = {q} must stay below the critical exponent "
                          f"2n/(n-2) = {2*n/(n-2)} in dimension n = {n}")
     return alpha
-
-
-def classical_gn_ratio(phi: RadialProfile, q: float, r: float, theta: float) -> float:
-    """||phi||_q / (||phi||_r^theta * ||grad phi||_2^{1-theta}).
-
-    Validates the exponent relation 1/q = theta/r + (1-theta)(1/2 - 1/n) in
-    the dimension n of phi's grid.
-    """
-    if not (1.0 <= r < q):
-        raise InputError(f"need 1 <= r < q, got r={r}, q={q}")
-    if not (0.0 <= theta <= 1.0):
-        raise InputError(f"theta must lie in [0, 1], got {theta}")
-    lhs = 1.0 / q
-    rhs = theta / r + (1.0 - theta) * (0.5 - 1.0 / phi.grid.n)
-    if abs(lhs - rhs) > 1e-12:
-        raise InputError(
-            f"exponent relation violated: 1/q = {lhs} vs theta/r + (1-theta)(1/2 - 1/n) = {rhs}")
-    denom = lq_quasinorm(phi, r) ** theta * grad_l2_norm(phi) ** (1.0 - theta)
-    if denom == 0.0:
-        raise InputError("trivial profile: zero denominator")
-    return lq_quasinorm(phi, q) / denom
-
-
-def _weighted_ratio(lq: float, grad: float, L: SteepnessFunction, alpha: float) -> float:
-    """lq / (grad * L^{-alpha}(grad^2)), for steepness_gn_ratio and family_scan."""
-    return lq / (grad * L.value(grad * grad) ** (-alpha))
-
-
-def steepness_gn_ratio(phi: RadialProfile, q: float, L: SteepnessFunction, K: float,
-                       alpha_scale: float = 1.0) -> float:
-    """Candidate constant ||phi||_q / (||grad phi||_2 * L^{-alpha}(||grad phi||_2^2)).
-
-    alpha is taken in the dimension of phi's grid.  Precondition: the
-    steepness integral of phi stays within the budget K.  ``alpha_scale``
-    perturbs the exponent for sharpness probes.
-    """
-    alpha = _alpha(q, phi.grid.n)
-    budget = steepness_integral(phi, L)
-    if budget.value > K:
-        raise BudgetError(
-            f"steepness integral {budget.value:.6g} exceeds budget K = {K:.6g}")
-    grad = grad_l2_norm(phi)
-    if grad == 0.0:
-        raise InputError("trivial profile: zero gradient norm")
-    return _weighted_ratio(lq_quasinorm(phi, q), grad, L, alpha * alpha_scale)
 
 
 @dataclass(frozen=True)
@@ -210,7 +162,7 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
         lq = lq_quasinorm(prof, q)
         rows.append(ScanRow(member_id, scale, width, grad, lq, budget.value,
                             budget.tail_flagged, budget.value <= K,
-                            _weighted_ratio(lq, grad, L, alpha)))
+                            lq / (grad * L.value(grad * grad) ** (-alpha))))
     rows.sort(key=lambda row: row.grad_norm)
 
     ratios = np.array([row.ratio for row in rows])

@@ -1,4 +1,4 @@
-"""Radial grids, quadrature, norms and the radial Laplacian.
+"""Radial grids, quadrature, norms and the radial Laplacian stencil.
 
 Everything operates on radially symmetric functions sampled on a uniform grid
 in [0, R] with an ambient dimension n.  Integrals over R^n reduce to weighted
@@ -27,7 +27,6 @@ __all__ = [
     "grad_l2_norm",
     "steepness_integral",
     "laplacian_stencil",
-    "radial_laplacian",
 ]
 
 # Truncation-tail heuristic: flag when the boundary integrand level, spread
@@ -159,22 +158,3 @@ def laplacian_stencil(grid: RadialGrid):
     inv_h2 = 1.0 / h**2
     drift = (n - 1) / (2.0 * h * r[1:-1])
     return 2.0 * n * inv_h2, inv_h2, inv_h2 - drift, inv_h2 + drift
-
-
-def radial_laplacian(profile: RadialProfile) -> RadialProfile:
-    """Lap_h phi with the stencil of ``laplacian_stencil``, the one the time step solves with.
-
-    The outer node is filled by one-sided stencils (exact on quadratics); in
-    evolution problems it is overwritten by the boundary condition.
-    """
-    u = profile.values
-    grid = profile.grid
-    h, n = grid.h, grid.n
-    center, inv_h2, lower, upper = laplacian_stencil(grid)
-    out = np.empty_like(u)
-    out[0] = center * (u[1] - u[0])
-    out[1:-1] = lower * u[:-2] - 2.0 * inv_h2 * u[1:-1] + upper * u[2:]
-    d2_end = (u[-1] - 2.0 * u[-2] + u[-3]) / h**2
-    d1_end = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    out[-1] = d2_end + (n - 1) / grid.R * d1_end
-    return RadialProfile(grid, out)

@@ -35,7 +35,6 @@ __all__ = [
     "check_ratio_bound",
     "check_convexity_condition",
     "solve_transcendental",
-    "transcendental_calibration",
 ]
 
 # Arguments below this are collapsed onto the s = 0 branch to dodge underflow
@@ -359,7 +358,7 @@ def _solve_eta(L: SteepnessFunction, beta: float, gamma: float, delta: float) ->
 
 
 @lru_cache(maxsize=128)
-def transcendental_calibration(L: SteepnessFunction, beta: float, gamma: float,
+def _transcendental_calibration(L: SteepnessFunction, beta: float, gamma: float,
                                delta0: float):
     """Calibrate C so that eta(delta) <= C delta^{1/beta} L^{-gamma/beta}(delta).
 
@@ -393,6 +392,6 @@ def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
     if not (0 < delta <= delta0):
         raise InputError("delta must lie in (0, delta0]")
     eta_bf = _solve_eta(L, beta, gamma, delta)
-    C, _ = transcendental_calibration(L, beta, gamma, delta0)
+    C, _ = _transcendental_calibration(L, beta, gamma, delta0)
     eta_bound = C * delta ** (1.0 / beta) * L.value(delta) ** (-gamma / beta)
     return eta_bf, eta_bound

@@ -1,32 +1,43 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-The expensive trajectories are shared through module-scoped fixtures: the
-long two-sided-rate run (criterion 9) also serves the subsolution certificate
-(10), the baseline (11) and the sup-from-Lq sweep (7).
+The expensive trajectories are shared through module-scoped fixtures.  The
+two costly ones are the shipped configs themselves, run through the CLI:
+``pde_decay_sandwich.json`` gives the long two-sided-rate run (criterion 9),
+which also serves the subsolution certificate (10), the baseline (11) and the
+sup-from-Lq sweep (7), and ``ladder.json`` gives the ladder (5).  So a change
+to either config is judged here.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from decaylab import evolution
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
                              logistic_residual, solve_steady_state,
-                             steady_state_residual, subsolution_check)
+                             subsolution_check)
+from decaylab.cli import EXIT_PASS, run_experiment
 from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
-                                minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
 from decaylab.gn import FamilySpec, family_scan
 from decaylab.radial import RadialGrid, RadialProfile, grad_l2_norm
 from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
-                            rate_window, upper_bound_check)
+                            rate_model, rate_window, upper_bound_check)
 from decaylab.steepness import (SteepnessFunction, check_convexity_condition,
                                 check_near_multiplicativity, check_ratio_bound,
                                 solve_transcendental)
 
 GAUSS_ENV = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped(name: str) -> dict:
+    return json.loads((CONFIGS / f"{name}.json").read_text())
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -36,25 +47,42 @@ def report(criterion: int, passed: bool, detail: str):
 
 # -- shared expensive runs ----------------------------------------------------
 
-@pytest.fixture(scope="module")
-def long_run():
-    """p=1 Gaussian datum evolved to t = 1e4 at m = 4001 (criteria 7, 9, 10, 11)."""
-    spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.exp(-r**2))
-    params = ApproxParams(R=40.0, eps=1e-5, m=4001)
-    snaps = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 97)])
-    t0 = time.perf_counter()
-    run = evolve(spec, params, 1e4, snaps, observers={"lq1": observer_lq(1.0)})
-    elapsed = time.perf_counter() - t0
-    return run, elapsed
+def run_shipped(name: str, out_dir: Path, target: str):
+    """Run configs/<name>.json through the CLI into out_dir, which must exit 0.
+
+    Returns what the CLI's one call of ``evolution.<target>`` returned, the
+    run or ladder it judged, and that call's wall time in seconds.
+    """
+    real = getattr(evolution, target)
+    calls = []
+
+    def capture(*args, **kwargs):
+        t0 = time.perf_counter()
+        result = real(*args, **kwargs)
+        calls.append((result, time.perf_counter() - t0))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, target, capture)
+        assert run_experiment(CONFIGS / f"{name}.json", out_dir) == EXIT_PASS
+    (call,) = calls
+    return call
 
 
 @pytest.fixture(scope="module")
-def ladder():
-    """(eps, R) grid for the strongly degenerate datum of criterion 5."""
-    spec = ProblemSpec(p=4.0, n=1, u0=lambda r: 2.0 * np.exp(-(r / 2.0) ** 2))
-    snaps = np.concatenate([[0.0], np.geomspace(1.0, 100.0, 25)])
-    return minimal_solution_ladder(spec, [1e-2, 1e-3, 1e-4], [20.0, 40.0],
-                                   2001, 100.0, snaps)
+def long_run(tmp_path_factory):
+    """configs/pde_decay_sandwich.json: p=1 Gaussian datum evolved to t = 1e4
+    at m = 4001 (criteria 7, 9, 10, 11)."""
+    return run_shipped("pde_decay_sandwich", tmp_path_factory.mktemp("sandwich"), "evolve")
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory):
+    """configs/ladder.json: the (eps, R) grid for the strongly degenerate datum
+    of criterion 5."""
+    result, _ = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
+                            "minimal_solution_ladder")
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -199,15 +227,23 @@ def test_criterion_08_gn_boundedness_and_sharpness():
                   f"sharpness probe grows {growth:.2f}x monotonically")
 
 
+def rate_inputs(run):
+    """Envelope, gauge and window mask of the rate section of pde_decay_sandwich.json."""
+    doc = shipped("pde_decay_sandwich")
+    env = DecayEnvelope(**doc["envelope"])
+    L = SteepnessFunction.from_json(doc["L"])
+    # the gauge exponent must be kappa = n/beta + n p delta/2
+    _, model = rate_model(env, L, run.spec.p, run.spec.n, doc["rate"]["delta"])
+    return env, L, rate_window(run.times, tuple(doc["rate"]["window"]), model), model
+
+
 def test_criterion_09_rate_sandwich(long_run):
     run, elapsed = long_run
-    in_window = rate_window(run.times, (10.0, 1e4), "LogCorrected")
+    env, L, in_window, model = rate_inputs(run)
     t, sup = run.times[in_window], run.series["sup_norm"][in_window]
-    fit = fit_decay(t, sup, 1.0, "LogCorrected")
-    # upper gauge exponent kappa = n/beta + n p delta/2 with delta = 0.9
-    L = SteepnessFunction.log_type(0.95, 4.0)
+    fit = fit_decay(t, sup, 1.0, model)
     upper = upper_bound_check(t, sup, L, 1.0, 1)
-    lower = lower_bound_persistence(t, sup, GAUSS_ENV, 1.0)
+    lower = lower_bound_persistence(t, sup, env, 1.0)
     # bracketing over the final two decades specifically
     tail = t >= 100.0
     up_curve = upper.C * t[tail] ** -1.0 * L.value(1.0 / t[tail]) ** -2.0
@@ -223,13 +259,16 @@ def test_criterion_09_rate_sandwich(long_run):
 
 
 def test_criterion_10_subsolution_certificate(long_run):
+    # the certificate of lower_bound.json, judged on the trajectory of
+    # pde_decay_sandwich.json (test_cli checks that the two share it)
     run, _ = long_run
-    state = solve_steady_state(1.0, 1, 4001)
+    doc = shipped("lower_bound")
+    cert, env = doc["certificate"], DecayEnvelope(**doc["envelope"])
+    state = solve_steady_state(run.spec.p, run.spec.n, cert["steady"]["m"])
     worst = math.inf
     details = []
-    for tau0 in (math.log(11.0), math.log(101.0), math.log(1001.0),
-                 math.log(1e4 + 1.0)):
-        sub = build_subsolution(GAUSS_ENV, 1.0, state, tau0)
+    for tau0 in cert["tau0_list"]:
+        sub = build_subsolution(env, run.spec.p, state, tau0)
         rep = subsolution_check(run, sub, state)
         worst = min(worst, rep.min_margin)
         details.append(f"tau0={tau0:.2f}: {rep.min_margin:.4f}")
@@ -238,7 +277,7 @@ def test_criterion_10_subsolution_certificate(long_run):
 
 def test_criterion_11_baseline(long_run):
     run, _ = long_run
-    in_window = rate_window(run.times, (10.0, 1e4), "LogCorrected")
+    _, _, in_window, _ = rate_inputs(run)
     bl = baseline_check(run.times[in_window], run.series["center_value"][in_window], 1.0)
     report(11, bl.passed,
            f"compensated center increasing over final decade: {bl.increasing_tail}; "

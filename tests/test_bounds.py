@@ -132,8 +132,9 @@ def test_integrate_shot_errors():
 
 
 def test_steady_state_bracket_error():
-    with pytest.raises(InputError):
-        solve_steady_state(1.0, 1, 501, bracket=(5.0, 50.0))
+    # at n = 5000 w(1; a) < 0 at both ends of the shooting bracket
+    with pytest.raises(InputError, match="does not straddle the boundary root"):
+        solve_steady_state(1.0, 5000, 501)
 
 
 def test_evaluate_steady_state_interpolation():

@@ -282,6 +282,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(audit, "audit.s_points", -1),
         with_field(certified, "certificate.tau0_list", []),
         with_field(certified, "certificate.tau0_list", [-1.0]),
+        with_field(scan, "sharpness_scale", 0),
+        with_field(scan, "sharpness_scale", -1.25),
     ]
     # the certificate is a section of pde_decay; its old mode is gone
     removed_mode = dict(TINY_DECAY, mode="lower_bound")
@@ -353,6 +355,19 @@ def test_inadmissible_p_exit_2(tmp_path):
         "problem": {"p": 0.5, "n": 1}, "approx": {"m": 101},
     })
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+def test_dimension_above_3_exit_2(tmp_path, monkeypatch):
+    # the step's matrix is an M-matrix only for n <= 3 (its lower band at
+    # r = h is (3 - n)/(2h^2)), so a larger n is an input error before any
+    # time step, and leaves no run directory
+    calls = counted_evolve(monkeypatch)
+    out = tmp_path / "run"
+    for n in (4, 6, 10):
+        cfg = write_config(tmp_path, with_field(TINY_DECAY, "problem.n", n))
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert calls == []
+    assert not out.exists()
 
 
 def test_config_error_leaves_no_run_directory(tmp_path):
@@ -549,6 +564,18 @@ def test_checked_in_configs_are_valid():
         cfg = cli.load_config(path)
         compute, out = cli._read_phase(cfg)
         assert callable(compute) and out == cfg["output_dir"], path.name
+
+
+def test_certificate_and_sandwich_configs_share_the_trajectory():
+    # criterion 10 of the acceptance gate judges lower_bound.json's certificate
+    # on the trajectory of pde_decay_sandwich.json, so the fields that fix that
+    # trajectory must not drift apart
+    from pathlib import Path
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    cert = read_json(cfg_dir / "lower_bound.json")
+    rate = read_json(cfg_dir / "pde_decay_sandwich.json")
+    for key in ("problem", "approx", "snapshots", "t_end"):
+        assert cert[key] == rate[key], key
 
 
 def test_static_manifests_pinned(tmp_path):

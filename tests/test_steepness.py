@@ -6,7 +6,7 @@ import pytest
 from decaylab.errors import InputError
 from decaylab.steepness import (SteepnessFunction, check_convexity_condition,
                                 check_near_multiplicativity, check_ratio_bound,
-                                solve_transcendental, transcendental_calibration)
+                                solve_transcendental)
 
 LOG1 = SteepnessFunction.log_type(1.0, 4.0)
 LOG2 = SteepnessFunction.log_type(2.0, 4.0)
@@ -197,14 +197,15 @@ def test_transcendental_log_type_bound_holds():
 
 def test_transcendental_boundary_and_sharpness():
     beta, gamma, delta0 = 0.8, 0.5, 1e-2
-    eta_bf, _ = solve_transcendental(LOG1, beta, gamma, delta0, delta0)
+    eta_bf, eta_bound = solve_transcendental(LOG1, beta, gamma, delta0, delta0)
     # returned value saturates the constraint and is maximal up to 1e-6
     def mass(eta):
         return eta**beta * LOG1.value(eta) ** gamma
     assert mass(eta_bf) <= delta0
     assert mass(eta_bf * (1.0 + 1e-6)) > delta0
-    C, grid = transcendental_calibration(LOG1, beta, gamma, delta0)
-    assert grid[0] == delta0 and C > 0
+    # delta0 is a calibration point, so the bound holds there with the
+    # calibration's 1e-9 inflation to spare
+    assert eta_bf * (1.0 + 5e-10) <= eta_bound
 
 
 def test_transcendental_preconditions():
