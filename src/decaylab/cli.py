@@ -165,13 +165,24 @@ class ArtifactWriter:
     def write_series_csv(self, name: str, header, columns):
         """One row per index of the columns; a str cell as it is, a number as %.17g.
 
-        Array columns are read as Python floats: the same digits, formatted faster.
+        Array columns are read as Python numbers.  Each column gets one format,
+        ``%.17g`` when all its cells are float, int or bool and ``%s`` when all
+        are str, and one template formats a whole row; any other column is
+        formatted cell by cell first.  ``"%.17g" % v`` and ``f"{v:.17g}"`` give
+        the same digits for a float, an int or a bool.
         """
-        columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-        rows = [",".join(header)]
-        for values in zip(*columns):
-            rows.append(",".join(v if type(v) is str else f"{v:.17g}" for v in values))
-        self.write_text(name, "\n".join(rows) + "\n")
+        columns = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
+        formats = []
+        for k, col in enumerate(columns):
+            kinds = set(map(type, col))
+            if kinds <= {float, int, bool}:
+                formats.append("%.17g")
+            else:
+                if kinds != {str}:
+                    columns[k] = [v if type(v) is str else f"{v:.17g}" for v in col]
+                formats.append("%s")
+        rows = map(",".join(formats).__mod__, zip(*columns))
+        self.write_text(name, "\n".join([",".join(header), *rows]) + "\n")
 
     def finish(self, cfg: dict, verdict: dict):
         manifest = {
@@ -309,7 +320,7 @@ def _run_gn_scan(cfg: _Section):
                              gcfg.read("m", NODES))
     L = _steepness(cfg.section("L"))
     rcfg = cfg.section("request")
-    q, K = rcfg.read("q", NUMBER), rcfg.read("K", NUMBER, None)
+    q, K = rcfg.read("q", NUMBER), rcfg.read("K", POSITIVE, None)
     fcfg = cfg.section("family")
     fam = fcfg.build(gn.FamilySpec, envelope=_envelope(fcfg),
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),

@@ -157,14 +157,18 @@ def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -
 
 
 class _Stepper:
-    """Preassembled geometry for the tridiagonal step on one grid.
+    """Preassembled geometry and reused buffers for the tridiagonal step on one grid.
 
-    ``step`` writes the diagonals in place from stencil factors folded once:
+    ``step`` writes ``c = dt * u**p`` and the diagonals in place, into buffers
+    and interior views made once here, from stencil factors folded once:
     ``c_i * (2 inv_h2)`` is ``(2 c_i) * inv_h2`` and ``c_i * (-g_i)`` is
-    ``-(c_i * g_i)`` bit for bit, since doubling and negation are exact, and
-    ``u**1`` is ``u``.  The right-hand side is a fresh copy of u that the
-    solve overwrites and the step returns, so a retried step never sees a
-    clobbered state.  Tests pin the step's bits against the unfolded assembly.
+    ``-(c_i * g_i)`` bit for bit, since doubling and negation are exact;
+    ``u**p * dt`` is ``dt * u**p``, and ``u**1`` is ``u``.  ``dgtsv``
+    overwrites the three diagonals, so every step writes all of them.  The
+    right-hand side is a fresh copy of u that the solve overwrites and the step
+    returns, so a retried step never sees a clobbered state and no returned
+    array shares memory with a buffer.  Tests pin the step's bits against the
+    unfolded assembly.
     """
 
     def __init__(self, grid: RadialGrid, p: float, eps: float):
@@ -178,20 +182,31 @@ class _Stepper:
         self.neg_lower = -geo_lower
         self.neg_upper = -geo_upper
         m = grid.m
+        self._c = np.empty(m)
         self._dl = np.empty(m - 1)
         self._d = np.empty(m)
         self._du = np.empty(m - 1)
+        # the interior rows: c at the nodes 1..m-2 and the bands it fills
+        self._c_in = self._c[1:-1]
+        self._d_in = self._d[1:-1]
+        self._du_in = self._du[1:]
+        self._dl_in = self._dl[:-1]
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        c = dt * u if self.p == 1.0 else dt * u**self.p
-        ci = c[1:-1]
-        dl, d, du = self._dl, self._d, self._du
-        d[0] = 1.0 + c[0] * self.center_coeff
-        du[0] = -c[0] * self.center_coeff
-        np.multiply(ci, self.two_inv_h2, out=d[1:-1])
-        d[1:-1] += 1.0
-        np.multiply(ci, self.neg_upper, out=du[1:])
-        np.multiply(ci, self.neg_lower, out=dl[:-1])
+        c, dl, d, du = self._c, self._dl, self._d, self._du
+        if self.p == 1.0:
+            np.multiply(u, dt, out=c)
+        else:
+            np.power(u, self.p, out=c)
+            c *= dt
+        c0 = float(c[0])
+        d[0] = 1.0 + c0 * self.center_coeff
+        du[0] = -c0 * self.center_coeff
+        c_in, d_in = self._c_in, self._d_in
+        np.multiply(c_in, self.two_inv_h2, out=d_in)
+        d_in += 1.0
+        np.multiply(c_in, self.neg_upper, out=self._du_in)
+        np.multiply(c_in, self.neg_lower, out=self._dl_in)
         d[-1] = 1.0     # pinned Dirichlet row
         dl[-1] = 0.0
         b = u.copy()
@@ -200,7 +215,7 @@ class _Stepper:
         _, _, _, out, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
-        undershoot = self.eps - out.min()
+        undershoot = self.eps - np.minimum.reduce(out)
         if not undershoot <= 0.0:  # so that a NaN anywhere in out raises too
             if not undershoot <= FLOOR_TOL * self.eps:
                 raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
@@ -234,14 +249,18 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
     """
     values = np.empty((snaps.size, u.size))
     dts = array("d")
+    times = snaps.tolist()
     i_snap = 0
-    if snaps[0] <= 0.0:
+    if times[0] <= 0.0:
         values[0] = u
         i_snap = 1
 
     retries = {"rejected": 0, "halvings": 0}
-    t, t_end = 0.0, float(snaps[-1])
-    du_prev, dt_prev = None, 0.0    # change over the last accepted step, and its dt
+    t, t_end = 0.0, times[-1]
+    # the change over the step tried and over the last accepted one, |lte| and
+    # the last accepted dt (0 before the first)
+    du, du_prev, lte = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    dt_prev = 0.0
     dt_next = DT_INIT
     scheduled = iter(schedule.tolist()) if schedule is not None else None
     while t < t_end * (1.0 - 1e-14):
@@ -254,7 +273,7 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
             for _ in range(halves):
                 u_new = stepper.step(u_new, dt / halves)
         else:
-            gap = float(snaps[i_snap]) - t
+            gap = times[i_snap] - t
             dt = min(dt_next, gap)
             for _ in range(MAX_REJECTIONS + 1):
                 try:
@@ -263,13 +282,16 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
                     retries["halvings"] += 1
                     dt *= 0.5
                     continue
-                du = u_new - u
-                if du_prev is None:
+                np.subtract(u_new, u, out=du)
+                if dt_prev == 0.0:
                     factor = 1.0
                     break
-                lte = du - (dt / dt_prev) * du_prev
-                err = (dt / (dt + dt_prev) * float(np.abs(lte).max())
-                       / (tol * float(u_new.max())))
+                # |du - (dt/dt_prev) du_prev|: the sign flip is exact
+                np.multiply(du_prev, dt / dt_prev, out=lte)
+                lte -= du
+                np.abs(lte, out=lte)
+                err = (dt / (dt + dt_prev) * float(np.maximum.reduce(lte))
+                       / (tol * float(np.maximum.reduce(u_new))))
                 factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
                 if err <= 1.0:
                     break
@@ -279,12 +301,13 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
                 raise SchemeError(f"step retried {MAX_REJECTIONS} times (error control "
                                   f"or undershoot) at t = {t:.6g}")
             dt_next = dt * factor if dt < gap else max(dt_next, dt * factor)
-            du_prev, dt_prev = du, dt
+            du, du_prev = du_prev, du
+            dt_prev = dt
         u = u_new
         dts.append(dt)
         t += dt
-        if i_snap < snaps.size and t >= snaps[i_snap] * (1.0 - 1e-14):
-            t = float(snaps[i_snap])
+        if i_snap < len(times) and t >= times[i_snap] * (1.0 - 1e-14):
+            t = times[i_snap]
             values[i_snap] = u
             i_snap += 1
     return values[:i_snap], np.array(dts), retries

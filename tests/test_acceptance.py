@@ -5,9 +5,10 @@ two costly ones are the shipped configs themselves, run through the CLI:
 ``pde_decay_sandwich.json`` gives the long two-sided-rate run (criterion 9),
 which also serves the subsolution certificate (10), the baseline (11) and the
 sup-from-Lq sweep (7), and ``ladder.json`` gives the ladder (5).  So a change
-to either config is judged here.
+to either config is judged here, and the manifests of both runs are pinned.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -51,7 +52,7 @@ def run_shipped(name: str, out_dir: Path, target: str):
     """Run configs/<name>.json through the CLI into out_dir, which must exit 0.
 
     Returns what the CLI's one call of ``evolution.<target>`` returned, the
-    run or ladder it judged, and that call's wall time in seconds.
+    run or ladder it judged, that call's wall time in seconds, and out_dir.
     """
     real = getattr(evolution, target)
     calls = []
@@ -66,7 +67,7 @@ def run_shipped(name: str, out_dir: Path, target: str):
         mp.setattr(evolution, target, capture)
         assert run_experiment(CONFIGS / f"{name}.json", out_dir) == EXIT_PASS
     (call,) = calls
-    return call
+    return (*call, out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +81,9 @@ def long_run(tmp_path_factory):
 def ladder(tmp_path_factory):
     """configs/ladder.json: the (eps, R) grid for the strongly degenerate datum
     of criterion 5."""
-    result, _ = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
-                            "minimal_solution_ladder")
-    return result
+    result, _, out_dir = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
+                                     "minimal_solution_ladder")
+    return result, out_dir
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +165,14 @@ def test_criterion_04_lyapunov_descent(gaussian_run_p1):
 
 
 def test_criterion_05_monotone_ladders(ladder):
-    last_pair = ladder.eps_cauchy[-1]
-    r_pair = ladder.R_cauchy[-1]  # datum has compact numerical support << R
-    ok = (ladder.eps_violation <= 1e-8 and ladder.R_violation <= 1e-8
+    result, _ = ladder
+    last_pair = result.eps_cauchy[-1]
+    r_pair = result.R_cauchy[-1]  # datum has compact numerical support << R
+    ok = (result.eps_violation <= 1e-8 and result.R_violation <= 1e-8
           and last_pair < 1e-3 and r_pair < 1e-4)
     report(5, ok,
-           f"monotonicity violations (eps {ladder.eps_violation:.1e}, "
-           f"R {ladder.R_violation:.1e}), last-two-level sup diff {last_pair:.2e}, "
+           f"monotonicity violations (eps {result.eps_violation:.1e}, "
+           f"R {result.R_violation:.1e}), last-two-level sup diff {last_pair:.2e}, "
            f"R-pair diff {r_pair:.1e}")
 
 
@@ -192,9 +194,10 @@ def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2):
 
 def test_criterion_07_linfty_from_lq(gaussian_run_p1, gaussian_run_p2, ladder,
                                      long_run):
-    run9, _ = long_run
+    run9, _, _ = long_run
+    ladder_result, _ = ladder
     worst = -math.inf
-    for run in (gaussian_run_p1, gaussian_run_p2, ladder.proxy, run9):
+    for run in (gaussian_run_p1, gaussian_run_p2, ladder_result.proxy, run9):
         ratio, _ = linfty_from_lq_check(run, q=1.0)
         worst = max(worst, ratio)
     report(7, worst <= 1.0 + 1e-6, f"worst sup/Lq-bound ratio = {worst:.4f}")
@@ -238,7 +241,7 @@ def rate_inputs(run):
 
 
 def test_criterion_09_rate_sandwich(long_run):
-    run, elapsed = long_run
+    run, elapsed, _ = long_run
     env, L, in_window, model = rate_inputs(run)
     t, sup = run.times[in_window], run.series["sup_norm"][in_window]
     fit = fit_decay(t, sup, 1.0, model)
@@ -261,7 +264,7 @@ def test_criterion_09_rate_sandwich(long_run):
 def test_criterion_10_subsolution_certificate(long_run):
     # the certificate of lower_bound.json, judged on the trajectory of
     # pde_decay_sandwich.json (test_cli checks that the two share it)
-    run, _ = long_run
+    run, _, _ = long_run
     doc = shipped("lower_bound")
     cert, env = doc["certificate"], DecayEnvelope(**doc["envelope"])
     state = solve_steady_state(run.spec.p, run.spec.n, cert["steady"]["m"])
@@ -276,12 +279,32 @@ def test_criterion_10_subsolution_certificate(long_run):
 
 
 def test_criterion_11_baseline(long_run):
-    run, _ = long_run
+    run, _, _ = long_run
     _, _, in_window, _ = rate_inputs(run)
     bl = baseline_check(run.times[in_window], run.series["center_value"][in_window], 1.0)
     report(11, bl.passed,
            f"compensated center increasing over final decade: {bl.increasing_tail}; "
            f"envelope ratio {bl.envelope_worst_ratio:.2f} (headroom {bl.headroom})")
+
+
+def test_shipped_trajectory_manifests_pinned(long_run, ladder):
+    # the two time-stepping configs give the same bytes as earlier builds: the
+    # manifest holds the config, every artifact's sha256 and the verdict, and
+    # each artifact on disk matches its listed sha256
+    _, _, sandwich_dir = long_run
+    _, ladder_dir = ladder
+    pinned = {
+        "pde_decay_sandwich": (sandwich_dir, "464c11dedbd36772c7260aed91dffb44"
+                                             "a4ccfbcf17cb9a05ab8d4e7af4576423"),
+        "ladder": (ladder_dir, "00a25794fe52bbfb8541e0040225f1c7"
+                               "d0cfc0273b1e615c8e6a58479eb0725a"),
+    }
+    for name, (out_dir, sha) in pinned.items():
+        manifest = out_dir / "manifest.json"
+        for entry in json.loads(manifest.read_text())["artifacts"]:
+            digest = hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"], (name, entry["path"])
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == sha, name
 
 
 def test_criterion_12_transcendental_bound():

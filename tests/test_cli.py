@@ -98,13 +98,13 @@ def test_gn_scan_mode(tmp_path):
 
 
 def test_gn_scan_over_budget_fails(tmp_path):
-    # no member meets a negative budget (every steepness integral is positive),
-    # so the scan certifies nothing and must not pass
+    # no member meets a budget below its steepness integral, so the scan
+    # certifies nothing and must not pass (a budget K <= 0 is a config error)
     cfg = write_config(tmp_path, {
         "name": "scan", "mode": "gn_scan",
         "grid": {"n": 3, "R": 20.0, "m": 1001},
         "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
-        "request": {"q": 2.0, "K": -1},
+        "request": {"q": 2.0, "K": 1e-6},
         "family": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0,
                    "scales": [0.1, 0.05], "widths": [1.0, 2.0]},
     })
@@ -284,6 +284,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(certified, "certificate.tau0_list", [-1.0]),
         with_field(scan, "sharpness_scale", 0),
         with_field(scan, "sharpness_scale", -1.25),
+        with_field(scan, "request.K", 0),
+        with_field(scan, "request.K", -1.0),
     ]
     # the certificate is a section of pde_decay; its old mode is gone
     removed_mode = dict(TINY_DECAY, mode="lower_bound")
@@ -320,6 +322,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
                 + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
+    assert not (tmp_path / "run").exists()
     capsys.readouterr()
     nested_typo = with_field(certified, "certificate.stedy", {"m": 1001})
     assert main(["run", str(write_config(tmp_path, nested_typo))]) == EXIT_CONFIG
@@ -576,6 +579,48 @@ def test_certificate_and_sandwich_configs_share_the_trajectory():
     rate = read_json(cfg_dir / "pde_decay_sandwich.json")
     for key in ("problem", "approx", "snapshots", "t_end"):
         assert cert[key] == rate[key], key
+
+
+def per_cell_series_csv(header, columns):
+    """The CSV text as the writer formatted it one cell at a time, before one
+    template per row; kept verbatim as the oracle of ``write_series_csv``."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    rows = [",".join(header)]
+    for values in zip(*columns):
+        rows.append(",".join(v if type(v) is str else f"{v:.17g}" for v in values))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1001])
+def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300, -2.5e-308, 1.0]
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[:min(n_rows, len(special))] = special[:n_rows]
+    ints = [int(k) for k in rng.integers(-10**6, 10**6, n_rows)]
+    ints[:2] = [2**53 + 1, -10**20][:n_rows]
+    ids = [f"w{k}:{x:.3g}%" for k, x in enumerate(floats)]
+    columns = {
+        "float_array": floats,
+        "float_list": floats.tolist(),
+        "float32_array": rng.standard_normal(n_rows).astype(np.float32),
+        "int_array": rng.integers(-2**62, 2**62, n_rows),
+        "int_list": ints,
+        "bool_array": rng.random(n_rows) < 0.5,
+        "bool_list": [bool(k % 3) for k in range(n_rows)],
+        "str_list": ids,
+        "mixed_list": [x if k % 2 else ids[k] for k, x in enumerate(floats.tolist())],
+        "float64_scalars": list(floats),
+    }
+    writer = cli.ArtifactWriter(tmp_path / "run")
+    writer.write_series_csv("table.csv", list(columns), list(columns.values()))
+    assert writer.entries == [("table.csv",
+                               per_cell_series_csv(list(columns), columns.values()).encode())]
+    # one column, and no column at all
+    for cols in ([floats], []):
+        writer.write_series_csv("one.csv", ["x"] * len(cols), cols)
+        assert writer.entries[-1][1] == per_cell_series_csv(["x"] * len(cols), cols).encode()
+    assert not (tmp_path / "run").exists()
 
 
 def test_static_manifests_pinned(tmp_path):

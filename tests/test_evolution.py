@@ -125,6 +125,11 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
                 for eps in (1e-3, 1e-8):
                     lean = evolution._Stepper(grid, p, eps)
                     ref = ReferenceStepper(grid, p, eps)
+                    # every array the step keeps: its buffers, their interior
+                    # views and the folded stencil factors
+                    kept = {k: a for k, a in vars(lean).items() if isinstance(a, np.ndarray)}
+                    assert {"_c", "_c_in", "_dl", "_dl_in", "_d", "_d_in", "_du",
+                            "_du_in"} <= kept.keys()
                     # flat at eps near the boundary, where roundoff can undershoot
                     u = np.where(grid.nodes < 4.0, np.exp(-grid.nodes**2), 0.0) + eps
                     u_before = u.copy()
@@ -134,11 +139,35 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
                         assert out.tobytes() == ref.step(u, dt).tobytes(), (p, n, m, eps, dt)
                         assert out.min() >= eps
                         clamped += raw_undershoots[0] > 0.0
-                        assert not any(np.shares_memory(out, a)
-                                       for a in (u, lean._dl, lean._d, lean._du))
+                        assert not any(np.shares_memory(out, a) for a in [u, *kept.values()])
                     assert u.tobytes() == u_before.tobytes()
     # several of these steps undershoot eps by roundoff and are clamped
     assert clamped >= 5
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_step_retried_after_failed_solve_matches_fresh_stepper(monkeypatch, p):
+    # a failed solve leaves the reused buffers overwritten by the factorization;
+    # the retry from the same u, as _march makes it, must not see them
+    def failing_solve(*args):
+        *result, _ = dgtsv(*args)
+        return (*result, 1)
+
+    grid = RadialGrid(2, 5.0, 101)
+    eps = 1e-3
+    u = np.exp(-grid.nodes**2) + eps
+    u_before = u.copy()
+    for dt in (1e-2, 1.0):
+        stepper = evolution._Stepper(grid, p, eps)
+        stepper.step(u, dt)      # buffers hold the state of one good step
+        monkeypatch.setattr(evolution, "dgtsv", failing_solve)
+        with pytest.raises(SchemeError, match="info=1"):
+            stepper.step(u, dt)
+        monkeypatch.setattr(evolution, "dgtsv", dgtsv)
+        for retry_dt in (dt, 0.5 * dt):
+            fresh = evolution._Stepper(grid, p, eps).step(u, retry_dt)
+            assert stepper.step(u, retry_dt).tobytes() == fresh.tobytes(), (dt, retry_dt)
+        assert u.tobytes() == u_before.tobytes()
 
 
 @pytest.mark.parametrize("p, n, sha", [
