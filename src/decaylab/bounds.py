@@ -61,7 +61,6 @@ class SteadyState:
     derivative: np.ndarray
     center_value: float
     boundary_value: float
-    sign_changes: int
 
 
 def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
@@ -136,18 +135,19 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
 def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     """Shoot on the center value until the profile vanishes at r = 1.
 
-    Bisection brackets the root of a -> w(1; a) inside SHOT_BRACKET (an
-    InputError when w(1; a) does not change sign across it); secant steps
-    accelerate the final digits (bisection fallback keeps the bracket
-    valid).  For p > 1, w(1; a) jumps at the touchdown from a positive floor
-    to an h-quantized deficit, and the secant then creeps along the
-    surviving side; once the bracket has not halved over six shots, every
-    later shot is the midpoint (the safeguard of Dekker and Brent).  At m = 4001 the root takes at most
-    67 shots on a grid of p from 1 to 8, n = 1, 2, 3 (57 at (p, n) = (2, 1)),
-    well inside the SHOT_CAP shots after which shooting fails with
-    NumericError.  A coarse scan of 17 center values across the
-    initial bracket counts the sign changes of w(1; a), reported as
-    ``sign_changes`` so callers can judge uniqueness of the crossing.
+    Every positive radial solution is a rescaling a * w_1(r * a^{-p/2}) of
+    one, so a -> w(1; a) has exactly one root, which SHOT_BRACKET must
+    straddle (an InputError otherwise).  Clipped secant steps close the
+    bracket (bisection fallback keeps it valid).  For p > 1, w(1; a) jumps at
+    the touchdown from a positive floor to an h-quantized deficit, and the
+    secant then creeps along the surviving side; once the bracket has not
+    halved over six shots, every later shot is the midpoint (the safeguard
+    of Dekker and Brent).  Shooting stops at |w(1)| <= BOUNDARY_TOL or when
+    the bracket collapses, and records the profile from its surviving end
+    ``hi``, the last shot with w(1) >= 0.  At m = 4001 the root takes at
+    most 67 shots on a grid of p from 1 to 8, n = 1, 2, 3 (57 at
+    (p, n) = (2, 1)), well inside the SHOT_CAP shots after which shooting
+    fails with NumericError.
     """
     if p < 1 or n < 1:
         raise InputError("need p >= 1 and n >= 1")
@@ -158,22 +158,16 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
         raise InputError(
             f"shooting bracket {SHOT_BRACKET} does not straddle the boundary root "
             f"at p = {p!r}, n = {n!r} (f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e})")
-    # coarse scan to count crossings inside the initial bracket
-    scan = np.geomspace(lo, hi, 17)
-    scan_vals = [_integrate_shot(a, p, n, 257) for a in scan]
-    sign_changes = sum(1 for x, y in zip(scan_vals, scan_vals[1:])
-                       if (x < 0) != (y < 0))
-
     a0, f0 = lo, f_lo
     a1, f1 = hi, f_hi
-    a_best = None
     widths = [hi - lo]      # the bracket width after each shot
     stalled = False
-    for _ in range(SHOT_CAP):
-        if abs(f1) <= BOUNDARY_TOL:
-            # take the surviving side: f >= 0 means the trajectory reached r = 1
-            a_best = a1 if f1 >= 0.0 else hi
-            break
+    while abs(f1) > BOUNDARY_TOL and hi - lo > 1e-15 * hi:
+        if len(widths) > SHOT_CAP:
+            # the two bracket shots, then one per iteration
+            raise NumericError(
+                f"steady-state shooting did not converge at p = {p!r}, n = {n!r}: "
+                f"{len(widths) + 1} shots at m = {grid_m}, last bracket [{lo!r}, {hi!r}]")
         # secant proposal, clipped into the bracket; bisection fallback
         if f1 != f0 and not stalled:
             a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
@@ -192,23 +186,11 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
         # Brent 1973)
         widths.append(hi - lo)
         stalled = stalled or (len(widths) > 6 and widths[-1] > 0.5 * widths[-7])
-        if hi - lo <= 1e-15 * hi:
-            # degenerate touchdown (p > 1): the computed boundary value cannot
-            # be driven below an h-scale floor; the collapsed bracket's
-            # surviving endpoint is the answer
-            a_best = hi
-            break
-    if a_best is None:
-        # the two bracket shots, then one per iteration
-        raise NumericError(
-            f"steady-state shooting did not converge at p = {p!r}, n = {n!r}: "
-            f"{len(widths) + 1} shots at m = {grid_m}, last bracket [{lo!r}, {hi!r}]")
-    wb, ws, vs = _integrate_shot(a_best, p, n, grid_m, record=True)
+    wb, ws, vs = _integrate_shot(hi, p, n, grid_m, record=True)
     r_nodes = np.linspace(0.0, 1.0, grid_m)
     ws[-1] = max(ws[-1], 0.0)
     return SteadyState(p=float(p), n=int(n), r_nodes=r_nodes, w=ws, derivative=vs,
-                       center_value=float(ws[0]), boundary_value=float(wb),
-                       sign_changes=sign_changes)
+                       center_value=float(ws[0]), boundary_value=float(wb))
 
 
 def steady_state_residual(state: SteadyState) -> float:

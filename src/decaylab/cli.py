@@ -270,7 +270,6 @@ def _run_steady_state(cfg: _Section):
             "center_value": state.center_value,
             "boundary_value": state.boundary_value,
             "flux_residual": residual,
-            "sign_changes_in_bracket": state.sign_changes,
             "pass": bool(residual <= 1e-8),
         }
         writer.write_json("summary.json", verdict)

@@ -256,12 +256,26 @@ def _as_grid(grid, name: str) -> np.ndarray:
     return arr
 
 
+def _log_value(L: SteepnessFunction, s: np.ndarray) -> np.ndarray:
+    """ln L(s), finite where L(s) underflows; -inf on the s = 0 branch of ``value``."""
+    if L.kind == "PowerLaw":
+        return L.r * np.log(s)
+    g = np.log(L.M / np.minimum(np.maximum(s, _UNDERFLOW_FLOOR), L.s0))
+    if L.kind == "DoubleLogType":
+        g = np.log(g)
+    np.multiply(np.log(g, out=g), -L.kappa, out=g)
+    g[s < _UNDERFLOW_FLOOR] = -np.inf
+    return g
+
+
 def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
                                 s_grid, lambda_grid) -> HypothesisReport:
     """Check L(s) <= (1 + a*lambda) L(s^{1+lambda}) over a product grid.
 
     Requires s_grid inside (0, s0) and lambda_grid inside (0, lambda0).  The
-    reported violation is max over the grid of L(s)/((1+a*lambda) L(s^{1+lambda})) - 1.
+    reported violation is max over the grid of L(s)/((1+a*lambda) L(s^{1+lambda})) - 1,
+    taken from the logarithms of both sides, so a gauge whose values underflow
+    is still judged.
     """
     s = _as_grid(s_grid, "s_grid")
     lam = _as_grid(lambda_grid, "lambda_grid")
@@ -269,9 +283,8 @@ def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
         raise InputError("s_grid must lie inside (0, s0)")
     if np.any(lam <= 0) or np.any(lam >= lambda0):
         raise InputError("lambda_grid must lie inside (0, lambda0)")
-    powered = s[:, None] ** (1.0 + lam[None, :])
-    ratio = L.value(s)[:, None] / ((1.0 + a * lam[None, :]) * L.value(powered))
-    viol = ratio - 1.0
+    ln_powered = _log_value(L, s[:, None] ** (1.0 + lam[None, :]))
+    viol = np.expm1(_log_value(L, s)[:, None] - np.log1p(a * lam[None, :]) - ln_powered)
     flat = int(np.argmax(viol))
     i, j = np.unravel_index(flat, viol.shape)
     worst = float(viol[i, j])
@@ -282,14 +295,19 @@ def check_ratio_bound(L: SteepnessFunction, a: float, s_grid) -> HypothesisRepor
     """Check the superalgebraic-growth bound s L'(s)/L(s) <= a / ln(1/s).
 
     The grid must lie in (0, min(s0, 1)); points >= 1 make the right side
-    nonpositive and are rejected.
+    nonpositive and are rejected.  s L'/L is r, kappa/g or kappa/(g ln g) with
+    g = ln(M/s), in closed form, so it stays finite where L underflows.
     """
     s = _as_grid(s_grid, "s_grid")
     if np.any(s >= 1.0):
         raise InputError("grid points must be < 1 (ln(1/s) <= 0 otherwise)")
     if np.any(s <= 0) or np.any(s >= L.s0):
         raise InputError("s_grid must lie inside (0, min(s0, 1))")
-    lhs = s * L.deriv1(s) / L.value(s)
+    if L.kind == "PowerLaw":
+        lhs = L.r
+    else:
+        g = np.log(L.M / s)
+        lhs = L.kappa / g if L.kind == "LogType" else L.kappa / (g * np.log(g))
     rhs = a / np.log(1.0 / s)
     return _worst(lhs / rhs - 1.0, s)
 

@@ -114,8 +114,12 @@ def test_criterion_01_steady_state_oracle():
         exact = (1.0 - state.r_nodes**2) / (2.0 * n)
         worst = max(worst, float(np.max(np.abs(state.w - exact))))
     elapsed = time.perf_counter() - t0
+    # the degenerate touchdowns, against their closed-form centers in n = 1
+    center_err = {p: solve_steady_state(p, 1, 4001).center_value / exact - 1.0
+                  for p, exact in ((2.0, 1.0 / math.sqrt(math.pi)), (4.0, 1.0 / math.sqrt(2.0)))}
     report(1, worst <= 1e-6 and elapsed < 1.0,
-           f"max |w - (1-r^2)/(2n)| = {worst:.2e}, runtime {elapsed:.2f}s")
+           f"max |w - (1-r^2)/(2n)| = {worst:.2e}, runtime {elapsed:.2f}s; center "
+           f"error {center_err[2.0]:.1e} at (p, n) = (2, 1), {center_err[4.0]:.1e} at (4, 1)")
 
 
 def test_criterion_02_logistic_ode_oracle():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from decaylab import bounds
 from decaylab.bounds import (DecayEnvelope, _integrate_shot, build_subsolution,
@@ -22,7 +23,6 @@ def test_steady_state_poisson_oracle(n):
     assert np.max(np.abs(state.w - exact)) < 1e-6
     assert state.center_value == pytest.approx(1.0 / (2.0 * n), abs=1e-10)
     assert steady_state_residual(state) < 1e-8
-    assert state.sign_changes == 1
 
 
 def test_steady_state_degenerate_touchdown():
@@ -59,7 +59,30 @@ def test_steady_state_converges_at_p_1_5(n):
     state = solve_steady_state(1.5, n, 4001)
     assert steady_state_residual(state) < 1e-8
     assert state.w[0] > 0 and 0.0 <= state.boundary_value < 1e-4
-    assert state.sign_changes == 1
+
+
+def closed_form_center(p):
+    """w_1(0) in n = 1: c^{-2/p}, where c is the radius at which the solution
+    with w(0) = 1 vanishes, from the first integral with k = 2 - p."""
+    k = 2.0 - p
+    if p < 2.0:
+        c = math.sqrt(p * k / 2.0) / k * special.beta(1.0 / k, 0.5)
+    elif p == 2.0:
+        c = math.sqrt(math.pi)
+    else:
+        c = math.sqrt(-p * k / 2.0) / -k * special.beta(0.5 - 1.0 / k, 0.5)
+    return c ** (-2.0 / p)
+
+
+# 1.25 times the relative center errors of the shooting solver at m = 1001: the
+# degenerate touchdown of p >= 3 makes them first order in h
+@pytest.mark.parametrize("p, bound", [(1.0, 1.25 * 9e-16), (1.5, 1.25 * 6.8e-7),
+                                      (2.0, 1.25 * 4.8e-7), (3.0, 1.25 * 3.6e-5),
+                                      (4.0, 1.25 * 5.8e-5), (6.0, 1.25 * 6.8e-5)])
+def test_steady_center_against_closed_form(p, bound):
+    exact = closed_form_center(p)
+    state = solve_steady_state(p, 1, 1001)
+    assert abs(state.center_value - exact) <= bound * exact
 
 
 def test_steady_state_non_convergence_names_the_bracket(monkeypatch):

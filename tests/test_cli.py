@@ -9,6 +9,7 @@ from decaylab import cli, evolution
 from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_VERDICT, main,
                           run_experiment)
 from decaylab.errors import NumericError
+from decaylab.steepness import HypothesisReport
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -75,6 +76,21 @@ def test_lfunction_audit_mode(tmp_path):
     assert audit["pass"]
     assert set(audit["checks"]) == {"near_multiplicativity", "ratio_bound",
                                     "convexity"}
+
+
+def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
+    # at kappa = 400 L(s) underflows to 0 on most of the grid, so the audit
+    # compares logarithms; a RuntimeWarning (0/0, say) fails this test
+    from pathlib import Path
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    doc = read_json(cfg_dir / "lfunction_audit.json")
+    doc["L"]["kappa"] = 400.0
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_PASS,
+                                                                                 EXIT_VERDICT)
+    checks = read_json(out / "audit.json")["checks"]
+    values = [v for check in checks.values() for v in check.values() if not isinstance(v, bool)]
+    assert len(values) == 7 and all(math.isfinite(v) for v in values)
 
 
 def test_gn_scan_mode(tmp_path):
@@ -452,16 +468,17 @@ def test_extrapolated_undershoot_exit_3(tmp_path, lift_full_pass, capsys):
     assert not out.exists()
 
 
-def test_non_finite_verdict_exit_3(tmp_path, capsys):
-    # kappa = 400 drives the near-multiplicativity ratio to inf/inf; a NaN in
-    # a verdict is a numeric failure, and no (non-JSON) manifest is written
+def test_non_finite_verdict_exit_3(tmp_path, capsys, monkeypatch):
+    # a NaN in a verdict is a numeric failure, and no (non-JSON) manifest is
+    # written; the audit judges every gauge it accepts, so the NaN is planted
+    monkeypatch.setattr(cli, "check_near_multiplicativity",
+                        lambda *args: HypothesisReport(math.nan, 0.5, 0.5, False))
     cfg = write_config(tmp_path, {
         "name": "audit", "mode": "lfunction_audit",
-        "L": {"kind": "LogType", "kappa": 400.0, "M": 4.0, "lambda0": 1.0},
+        "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
     })
     out = tmp_path / "run"
-    with pytest.warns(RuntimeWarning):
-        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert "verdict.checks.near_multiplicativity.max_violation" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
     # nor any artifact: they are written only with the manifest
@@ -630,8 +647,8 @@ def test_static_manifests_pinned(tmp_path):
     from pathlib import Path
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     pinned = {
-        "steady_state": "83e561aa90d97fa53f227436d7822a16e2f994b4336b06835f4d5cc5c7a83020",
-        "lfunction_audit": "d647c83cf36ed8927e01a03fb8b7567a3635a19c3530573a378ad04efb536df0",
+        "steady_state": "bcf70b2dfd3cc4dd558878a78f799a561258aecfd58e0902922f03ed793230ec",
+        "lfunction_audit": "25428e8d50fef6924cd365955d24326ebf92caf5581a3f23bc142e5c6ddfd007",
         "gn_scan": "504ec10462957878dab55583787efd8b5d58ddd74fcf6ad074511f37fe94c8b5",
     }
     for name, sha in pinned.items():

@@ -204,6 +204,24 @@ def test_linearized_heat_decay_rate():
     assert rate == pytest.approx(eps0 * lam1, rel=0.05)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_separable_solution_at_p_1(n):
+    # u = (R^2 - r^2)/(2n(t+1)) solves the semi-discrete problem exactly (the
+    # stencil is exact on quadratics), and the frozen-coefficient step maps
+    # a*q to a/(1 + a dt)*q, the exact solution at t + dt; so both passes and
+    # their extrapolation reproduce it to roundoff, over some 3,000 steps
+    eps, R = 1e-30, 10.0
+    grid = RadialGrid(n, R, 101)
+    q = (R**2 - grid.nodes**2) / (2.0 * n)
+    snaps = np.array([0.0, 1.0, 10.0, 100.0, 1e3, 1e4])
+    stepper = evolution._Stepper(grid, 1.0, eps)
+    full, dts, _ = evolution._march(stepper, q + eps, snaps, TOL)
+    half, _, _ = evolution._march(stepper, q + eps, snaps, TOL, dts, halves=2)
+    exact = q / (snaps[:, None] + 1.0) + eps
+    for vals in (full, half, 2.0 * half - full):
+        assert np.max(np.abs(vals - exact) / exact) <= 1e-12
+
+
 def test_evolve_records_snapshots_and_series():
     spec = gaussian_spec()
     params = ApproxParams(R=10.0, eps=1e-3, m=251)

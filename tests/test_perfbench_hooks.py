@@ -41,7 +41,7 @@ def test_tracer_counts_every_shot(monkeypatch):
     monkeypatch.setattr(bounds, "_integrate_shot",
                         tracer.leaf("bounds.shot", bounds._integrate_shot))
     bounds.solve_steady_state(1.0, 2, 4001)
-    assert sum(calls for calls, _, _ in tracer.leaves.values()) == 22
+    assert sum(calls for calls, _, _ in tracer.leaves.values()) == 5
 
 
 # root-finding shots at m = 4001 that the whole bracket search takes; the
@@ -52,8 +52,8 @@ SHOTS_PINNED = {(1.0, 1): 7, (1.0, 2): 4, (4.0, 1): 63}
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0])
 def test_tracer_counts_shots_to_the_root(monkeypatch, p, n):
-    # count the shots the tracer sees on the solve's own grid: the 17 scan
-    # shots (m = 257) and the one that records the profile are left out
+    # count the shots the tracer sees while shooting: the one that records
+    # the profile is left out
     tracer = load_tracer().Tracer()
     monkeypatch.setattr(bounds, "_integrate_shot", tracer.leaf(
         "bounds.shot", bounds._integrate_shot,
