@@ -193,21 +193,51 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
                        center_value=float(ws[0]), boundary_value=float(wb))
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x[0]}^{x[k]} y for every k, by Simpson's rule on unequal intervals.
+
+    Each interval's integral is eqn (8) of Cartwright (J. Math. Sci. Math.
+    Educ. 12(2), 2017) on the interval and the next two nodes, and the last
+    interval's on the two nodes before it; with fewer than 3 nodes it is the
+    trapezoid.  The numpy operations and their order are those of
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0.0), so the result
+    has its bits (tests compare the two); the module needs no scipy import.
+    """
+    dx = np.diff(x)
+    if y.size < 3:
+        sub = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        def forward(f, h):
+            # the integral over [x_i, x_i+1] from the nodes i, i+1 and i+2
+            x21, x32 = h[:-1], h[1:]
+            x21_x31 = x21 / (x21 + x32)
+            x21x21_x31x32 = x21_x31 * (x21 / x32)
+            return x21 / 6 * ((3 - x21_x31) * f[:-2]
+                              + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                              + (-x21x21_x31x32) * f[2:])
+
+        ahead = forward(y, dx)
+        behind = forward(y[::-1], dx[::-1])[::-1]
+        sub = np.empty(dx.size)
+        sub[:-1:2] = ahead[::2]
+        sub[1::2] = behind[::2]
+        sub[-1] = behind[-1]
+    # + 0.0 turns a -0.0 sum into 0.0, as adding scipy's initial value does
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+
 def steady_state_residual(state: SteadyState) -> float:
     """Max flux-form residual | r^{n-1} w' + (1/p) int_0^r s^{n-1} w^{1-p} ds |.
 
     Evaluated on nodes with r <= RESIDUAL_R_CAP, away from the boundary layer
     of p > 1.  Cumulative Simpson keeps the quadrature error at the
-    level of the integrator's own global error.
+    level of the integrator's own global error; ``_cumulative_simpson``
+    gives scipy's bits without importing scipy.integrate.
     """
-    # imported here: scipy.integrate costs about 0.3 s of set-up, and only
-    # this check needs it
-    from scipy.integrate import cumulative_simpson
-
     r, w, v = state.r_nodes, state.w, state.derivative
     mask = r <= RESIDUAL_R_CAP
     src = r[mask] ** (state.n - 1) * w[mask] ** (1.0 - state.p) / state.p
-    integral = cumulative_simpson(src, x=r[mask], initial=0.0)
+    integral = _cumulative_simpson(src, r[mask])
     flux = r[mask] ** (state.n - 1) * v[mask]
     return float(np.max(np.abs(flux + integral)))
 

@@ -13,6 +13,11 @@ The matrix is an M-matrix for n <= 3, so u_new >= eps is preserved exactly up
 to linear-solve roundoff; an undershoot larger than FLOOR_TOL * eps fails the
 step, and an adaptive run retries it at half the dt.
 
+The solve is LAPACK's dgtsv, held in the module name ``dgtsv``.  That name is
+bound from scipy.linalg when the first ``_Stepper`` is made, or when it is
+first read from outside the module (PEP 562), so importing this module, and a
+run that takes no time step, loads no scipy.
+
 The scheme is unconditionally stable, so dt is chosen for accuracy alone.  The
 local error of backward Euler, dt^2/2 * u_tt, is estimated at no extra solve
 from the last two accepted steps,
@@ -48,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InputError, LadderError, NumericError, SchemeError
 from .radial import RadialGrid, RadialProfile, laplacian_stencil, lq_quasinorm
@@ -156,6 +160,22 @@ def initial_profile(spec: ProblemSpec, params: ApproxParams, grid: RadialGrid) -
     return vals
 
 
+def _bind_dgtsv():
+    """The module's ``dgtsv``: LAPACK's, imported on first need, unless a
+    wrapper (a tracer's, a test's) is already installed under that name."""
+    if "dgtsv" not in globals():
+        from scipy.linalg.lapack import dgtsv
+        globals()["dgtsv"] = dgtsv
+    return globals()["dgtsv"]
+
+
+def __getattr__(name):
+    # PEP 562: reads of evolution.dgtsv before any step bind it here
+    if name == "dgtsv":
+        return _bind_dgtsv()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class _Stepper:
     """Preassembled geometry and reused buffers for the tridiagonal step on one grid.
 
@@ -169,9 +189,14 @@ class _Stepper:
     returns, so a retried step never sees a clobbered state and no returned
     array shares memory with a buffer.  Tests pin the step's bits against the
     unfolded assembly.
+
+    ``__init__`` binds the module's ``dgtsv`` (``_bind_dgtsv``), so LAPACK is
+    imported when the first stepper is made; ``step`` looks the name up in the
+    module on every solve, so a wrapper installed there sees every solve.
     """
 
     def __init__(self, grid: RadialGrid, p: float, eps: float):
+        _bind_dgtsv()
         self.grid = grid
         self.p = p
         self.eps = eps

@@ -308,8 +308,9 @@ def check_ratio_bound(L: SteepnessFunction, a: float, s_grid) -> HypothesisRepor
     else:
         g = np.log(L.M / s)
         lhs = L.kappa / g if L.kind == "LogType" else L.kappa / (g * np.log(g))
-    rhs = a / np.log(1.0 / s)
-    return _worst(lhs / rhs - 1.0, s)
+    # lhs ln(1/s) / a rather than lhs / (a / ln(1/s)): a steep gauge's a
+    # (2^kappa - 1 at kappa = 1000) would overflow the quotient
+    return _worst(lhs * np.log(1.0 / s) / a - 1.0, s)
 
 
 def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,

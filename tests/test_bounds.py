@@ -25,6 +25,46 @@ def test_steady_state_poisson_oracle(n):
     assert steady_state_residual(state) < 1e-8
 
 
+def masked_source(state):
+    """The integrand and nodes that steady_state_residual sums by Simpson's rule."""
+    r = state.r_nodes
+    mask = r <= bounds.RESIDUAL_R_CAP
+    return r[mask] ** (state.n - 1) * state.w[mask] ** (1.0 - state.p) / state.p, r[mask]
+
+
+def assert_simpson_is_scipys(y, x):
+    from scipy.integrate import cumulative_simpson
+    ours = bounds._cumulative_simpson(y, x)
+    theirs = cumulative_simpson(y, x=x, initial=0.0)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape == y.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_cumulative_simpson_is_scipys_on_steady_sources(p, n):
+    assert_simpson_is_scipys(*masked_source(solve_steady_state(p, n, 1001)))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 1001, 4001])
+def test_cumulative_simpson_is_scipys_at_every_node_count(m):
+    # at m = 3 the mask keeps 2 nodes, and both sums are the trapezoid
+    y, x = masked_source(solve_steady_state(2.0, 1, m))
+    if m == 3:
+        assert x.size == 2
+    assert_simpson_is_scipys(y, x)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000])
+def test_cumulative_simpson_is_scipys_on_random_nodes(size):
+    gen = np.random.default_rng(size)
+    for _ in range(5):
+        x = np.cumsum(gen.random(size) ** 2 + 1e-3) - 0.5
+        assert_simpson_is_scipys(gen.standard_normal(size), x)
+    # a sum of -0.0 reads 0.0 in both
+    assert_simpson_is_scipys(-np.zeros(size), np.arange(size, dtype=float))
+
+
 def test_steady_state_degenerate_touchdown():
     state = solve_steady_state(2.0, 1, 4001)
     assert np.all(np.diff(state.w) <= 1e-12)        # symmetric decreasing

@@ -80,17 +80,21 @@ def test_lfunction_audit_mode(tmp_path):
 
 def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
     # at kappa = 400 L(s) underflows to 0 on most of the grid, so the audit
-    # compares logarithms; a RuntimeWarning (0/0, say) fails this test
+    # compares logarithms; at kappa = 1000, a = 2^1000 - 1 and a / ln(1/s)
+    # overflows, so the ratio bound compares s L'/L ln(1/s) with a; a
+    # RuntimeWarning (0/0, say) fails this test
     from pathlib import Path
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
-    doc = read_json(cfg_dir / "lfunction_audit.json")
-    doc["L"]["kappa"] = 400.0
-    out = tmp_path / "run"
-    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_PASS,
-                                                                                 EXIT_VERDICT)
-    checks = read_json(out / "audit.json")["checks"]
-    values = [v for check in checks.values() for v in check.values() if not isinstance(v, bool)]
-    assert len(values) == 7 and all(math.isfinite(v) for v in values)
+    for kappa in (400.0, 1000.0):
+        doc = read_json(cfg_dir / "lfunction_audit.json")
+        doc["L"]["kappa"] = kappa
+        out = tmp_path / f"run_{kappa:g}"
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(out)]) in (EXIT_PASS, EXIT_VERDICT)
+        checks = read_json(out / "audit.json")["checks"]
+        values = [v for check in checks.values() for v in check.values()
+                  if not isinstance(v, bool)]
+        assert len(values) == 7 and all(math.isfinite(v) for v in values)
 
 
 def test_gn_scan_mode(tmp_path):

@@ -145,6 +145,17 @@ def test_ratio_bound_rejects_points_at_or_above_one():
         check_ratio_bound(LOG1, 1.0, np.array([0.5, 1.0]))
 
 
+def test_ratio_bound_judges_a_steep_gauge():
+    # kappa = 1000 gives a = 2^1000 - 1, and a / ln(1/s) overflows near s = 1;
+    # the violation s L'/L * ln(1/s) / a - 1 stays finite, and s L'/L <= 721
+    # is far below a / ln(1/s) (a RuntimeWarning fails this test)
+    L = SteepnessFunction.log_type(1000.0, 4.0)
+    assert L.a == 2.0 ** 1000 - 1.0
+    s = np.geomspace(1e-8, 1.0 - 1e-9, 400)
+    rep = check_ratio_bound(L, L.a, s)
+    assert rep.passed and rep.max_violation == -1.0
+
+
 def test_ratio_bound_follows_from_near_multiplicativity():
     # every construction passing the product condition also passes the bound
     grid = np.geomspace(1e-9, 0.99, 400)
