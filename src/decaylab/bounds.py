@@ -67,8 +67,11 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     """Classical fourth-order one-step integration of the radial steady ODE.
 
     State (w, v = w'); the first-order term (n-1)/r * v uses the symmetric
-    limit value at r = 0.  Returns w(1) when w stays positive, otherwise the
-    (negative) deficit -(1 - r_death) so root finders see a sign change.
+    limit value at r = 0.  Returns w(1) when w stays positive, and a value
+    below 0 otherwise, so root finders see a sign change: for a death in the
+    last step, the stage value w + h*v3 <= 0 that ended it (-5e-324 for a
+    zero), which is linear in w(0) up to where the shots start to survive;
+    for an earlier death, the deficit -(1 - r_death).
 
     The four stages are written out in local floats, since this loop is most
     of the time of a steady-state solve.  Stage i is k_i = (v_i, f_i) with
@@ -108,7 +111,9 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
             f3 = neg_nm1 / rm * v3 + neg_inv_p * w3**one_m_p
             w4 = w + h * v3
             if w4 <= 0.0:
-                break
+                if r + h < 1.0 - hh or record:
+                    break
+                return min(w4, -5e-324)     # died in the last step
             v4 = v + h * f3
             f4 = neg_nm1 / (r + h) * v4 + neg_inv_p * w4**one_m_p
             w += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
@@ -138,14 +143,17 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     Every positive radial solution is a rescaling a * w_1(r * a^{-p/2}) of
     one, so a -> w(1; a) has exactly one root, which SHOT_BRACKET must
     straddle (an InputError otherwise).  Clipped secant steps close the
-    bracket (bisection fallback keeps it valid).  For p > 1, w(1; a) jumps at
-    the touchdown from a positive floor to an h-quantized deficit, and the
-    secant then creeps along the surviving side; once the bracket has not
-    halved over six shots, every later shot is the midpoint (the safeguard
-    of Dekker and Brent).  Shooting stops at |w(1)| <= BOUNDARY_TOL or when
-    the bracket collapses, and records the profile from its surviving end
+    bracket (bisection fallback keeps it valid); a secant step shorter than
+    16 ulps from two shots on one side of the root goes that far toward the
+    other end of the bracket (Brent's minimum step).  For p > 1 the shots
+    just below the touchdown die in their last step, and the stage value
+    ``_integrate_shot`` reports for them is linear in a, so the secant lands
+    where the shots start to survive.  Once the bracket has not halved over
+    six shots, every later shot is the midpoint (the safeguard of Dekker
+    and Brent).  Shooting stops on a shot with 0 <= w(1) <= BOUNDARY_TOL or
+    when the bracket collapses, and records the profile from its upper end
     ``hi``, the last shot with w(1) >= 0.  At m = 4001 the root takes at
-    most 67 shots on a grid of p from 1 to 8, n = 1, 2, 3 (57 at
+    most 37 shots on a grid of p from 1 to 8, n = 1, 2, 3 (22 at
     (p, n) = (2, 1)), well inside the SHOT_CAP shots after which shooting
     fails with NumericError.
     """
@@ -162,7 +170,7 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     a1, f1 = hi, f_hi
     widths = [hi - lo]      # the bracket width after each shot
     stalled = False
-    while abs(f1) > BOUNDARY_TOL and hi - lo > 1e-15 * hi:
+    while not 0.0 <= f1 <= BOUNDARY_TOL and hi - lo > 1e-15 * hi:
         if len(widths) > SHOT_CAP:
             # the two bracket shots, then one per iteration
             raise NumericError(
@@ -171,6 +179,9 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
         # secant proposal, clipped into the bracket; bisection fallback
         if f1 != f0 and not stalled:
             a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
+            step = 16.0 * math.ulp(a1)      # Brent's minimum step
+            if abs(a2 - a1) < step and (f0 < 0.0) == (f1 < 0.0):
+                a2 = a1 + step if a1 == lo else a1 - step
         else:
             a2 = 0.5 * (lo + hi)
         if not (lo < a2 < hi):

@@ -1,10 +1,15 @@
+import functools
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from decaylab import evolution
+from decaylab import bounds, evolution
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("decaylab", derandomize=True, deadline=None, database=None)
@@ -16,6 +21,34 @@ def rng():
     """Property-test generator seed; solvers never consume randomness."""
     seed = int(os.environ.get("RNG_SEED", "20240817"))
     return np.random.default_rng(seed)
+
+
+@pytest.fixture(scope="session")
+def perfbench_tracer():
+    """perfbench's tracer module, loaded from its file: the benchmark
+    instruments decaylab from outside the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def traced_steady_state(perfbench_tracer):
+    """``solve(p, n)`` -> (shots, state) of solve_steady_state(p, n, 4001),
+    solved once a session: the root-finding shots the tracer counts (the one
+    that records the profile is left out) and the steady state."""
+
+    @functools.cache
+    def solve(p, n):
+        tracer = perfbench_tracer.Tracer()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_integrate_shot", tracer.leaf(
+                "bounds.shot", bounds._integrate_shot,
+                lambda args, kwargs, result: args[3] == 4001 and not kwargs.get("record")))
+            state = bounds.solve_steady_state(p, n, 4001)
+        return sum(units for _, _, units in tracer.leaves.values()), state
+    return solve
 
 
 @pytest.fixture

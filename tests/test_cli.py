@@ -681,7 +681,7 @@ def test_two_sided_artifacts_pinned(tmp_path):
         ("center_value.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
         ("lower_curve.csv", "5ad4b27250772c6950baec1f85ef92ec47d70444c9d6b928fa50efc1bf99fad1"),
         ("lq_1.csv", "da3467de38ad8fcc7fc8dca2ae1d0523c12923b547a8b79798ab355f4f2fb19f"),
-        ("margins.json", "6679909f7f3944b9b0be72bc12f2df9b617435d8e9c21b7793656f6545dd1de6"),
+        ("margins.json", "e41b3e52dbbf84878ce2e7f6f0e08feadea05e95bdc32dd10f74cfe60c9fd862"),
         ("profile_t0.5.csv", "a4b7253ce7ef386d43532ead2cb5ccc501b670689a62f429bb91b78981dc0740"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
         ("profile_t1.58114.csv", "4b616b9679ef900e7bed676d3ae70ccf06d47b446b83ab1591c37cc50e354771"),
@@ -692,10 +692,10 @@ def test_two_sided_artifacts_pinned(tmp_path):
         ("profile_t500.csv", "c8a39c60f3f39ce44b14f80bc05ccc094ef18e2006f01fcd25e4cab0acb2da36"),
         ("profile_t8.8914.csv", "7081dcaacfd2f2944cb3fab2e7f43f96be086fab305ef2f9c109fa99e6ea6f02"),
         ("sandwich.json", "f374e2567f3b7544b0a6f362b3a28af6dfda9717f2222bcc111809250ce015ba"),
-        ("steady_state.csv", "dc2bf4cdeba352ff547ce05481f28856621bf3377d95ec538c9bbbbe85c2bcbd"),
+        ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
         ("sup_norm.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
         ("upper_curve.csv", "73949b0dd23339c7eedb9d038b816cdf5f8d55e25f13ee4c3ea6111b936367f6"),
     ]
     verdict = read_json(out / "manifest.json")["verdict"]
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "03d5328f53a1091160c033850f032a3b902a2432f47d6821c8144fde2cdd85fb"
+    assert digest == "915da5d7e835923768c00df2c4ffc8c79209fdbc2cf0fc6d36010b4eff013582"
