@@ -148,14 +148,14 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     other end of the bracket (Brent's minimum step).  For p > 1 the shots
     just below the touchdown die in their last step, and the stage value
     ``_integrate_shot`` reports for them is linear in a, so the secant lands
-    where the shots start to survive.  Once the bracket has not halved over
-    six shots, every later shot is the midpoint (the safeguard of Dekker
-    and Brent).  Shooting stops on a shot with 0 <= w(1) <= BOUNDARY_TOL or
-    when the bracket collapses, and records the profile from its upper end
-    ``hi``, the last shot with w(1) >= 0.  At m = 4001 the root takes at
-    most 37 shots on a grid of p from 1 to 8, n = 1, 2, 3 (22 at
-    (p, n) = (2, 1)), well inside the SHOT_CAP shots after which shooting
-    fails with NumericError.
+    where the shots start to survive.  While the bracket has not halved over
+    the last six shots, the next shot is the midpoint (the safeguard of
+    Dekker and Brent).  Shooting stops on a shot with
+    0 <= w(1) <= BOUNDARY_TOL or when the bracket collapses, and records the
+    profile from its upper end ``hi``, the last shot with w(1) >= 0.  At
+    m = 4001 the root takes at most 37 shots on a grid of p from 1 to 8,
+    n = 1, 2, 3 (22 at (p, n) = (2, 1)), and at m = 1001 at most 36, well
+    inside the SHOT_CAP shots after which shooting fails with NumericError.
     """
     if p < 1 or n < 1:
         raise InputError("need p >= 1 and n >= 1")
@@ -192,11 +192,11 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
         else:
             hi = a2
         a0, f0, a1, f1 = a1, f1, a2, f2
-        # a bracket that has not halved in six shots means the secant is
-        # creeping up to a jump of w(1; a): bisect from here on (Dekker 1969,
-        # Brent 1973)
+        # a bracket that has not halved in the last six shots means the secant
+        # is creeping up to a jump of w(1; a): bisect until it has (Dekker
+        # 1969, Brent 1973)
         widths.append(hi - lo)
-        stalled = stalled or (len(widths) > 6 and widths[-1] > 0.5 * widths[-7])
+        stalled = len(widths) > 6 and widths[-1] > 0.5 * widths[-7]
     wb, ws, vs = _integrate_shot(hi, p, n, grid_m, record=True)
     r_nodes = np.linspace(0.0, 1.0, grid_m)
     ws[-1] = max(ws[-1], 0.0)

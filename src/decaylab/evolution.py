@@ -32,17 +32,22 @@ retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
 
-Every run is two backward-Euler passes: the schedule above (or a replayed
-one), then the same schedule with each step halved.  Each pass is checked on
-its own for the floor eps and the maximum principle, so positivity, the
-comparison principle and a ladder's monotonicity are properties of unchanged
-backward-Euler trajectories.  The global error of a one-step method under a
-step schedule scaled as a whole has an expansion in the step size (Hairer,
-Norsett & Wanner, Solving ODEs I, Sec. II.8-9), so the snapshots 2 * half - full
-are second order in time; the observers read those.  max|half - full| /
+Every run of ``evolve`` is two backward-Euler passes: the schedule above (or
+a replayed one), then the same schedule with each step halved.  Each pass is
+checked on its own for the floor eps and the maximum principle, so positivity
+and the comparison principle are properties of unchanged backward-Euler
+trajectories.  The global error of a one-step method under a step schedule
+scaled as a whole has an expansion in the step size (Hairer, Norsett &
+Wanner, Solving ODEs I, Sec. II.8-9), so the snapshots 2 * half - full are
+second order in time; the observers read those.  max|half - full| /
 max|half| is the run's measured time error.  An extrapolated value below eps
 by more than FLOOR_TOL * eps, or above sup u0, fails the run; one within that
 roundoff is raised to eps and counted.
+
+A ladder (``minimal_solution_ladder``) judges its ordering and Cauchy
+differences on the members' backward-Euler passes alone, where monotonicity
+holds because each step's matrix has a nonnegative inverse (Varga, Matrix
+Iterative Analysis); only its proxy is halved and extrapolated.
 """
 
 from __future__ import annotations
@@ -250,7 +255,9 @@ class _Stepper:
 
 
 def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
-    """The times at which ``evolve`` records a run: sorted, unique, ending at t_end."""
+    """The times at which ``evolve`` records a run: sorted, unique, ending at t_end > 0."""
+    if t_end <= 0:
+        raise InputError(f"t_end must be positive, got {t_end}")
     snaps = np.unique(np.asarray(list(snapshot_times), dtype=float))
     if np.any(snaps < 0):
         raise InputError("snapshot times must be nonnegative")
@@ -338,6 +345,74 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
     return values[:i_snap], np.array(dts), retries
 
 
+@dataclass
+class _Pass:
+    """One backward-Euler pass: the stepper that took it (its grid and solve
+    count), the lifted datum, the snapshot rows, the steps and the retries."""
+
+    stepper: _Stepper
+    u0: np.ndarray
+    rows: np.ndarray
+    dts: np.ndarray
+    retries: dict
+
+
+def _in_range(rows: np.ndarray, eps: float, u0: np.ndarray) -> bool:
+    """Whether every value lies in [eps, sup u0] up to roundoff; a NaN does not."""
+    return bool(rows.min() >= eps * (1.0 - FLOOR_TOL) and rows.max() <= float(u0.max()) + 1e-10)
+
+
+def _be_pass(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
+             schedule: Optional[np.ndarray] = None) -> _Pass:
+    """The backward-Euler pass from the lifted datum through ``snaps``, adaptive
+    or replaying ``schedule``, checked for the floor eps and sup u0."""
+    grid = RadialGrid(spec.n, params.R, params.m)
+    u0 = initial_profile(spec, params, grid)
+    stepper = _Stepper(grid, spec.p, params.eps)
+    rows, dts, retries = _march(stepper, u0, snaps, params.tol, schedule)
+    if not _in_range(rows, params.eps, u0):
+        raise SchemeError("discrete maximum principle violated at a snapshot")
+    return _Pass(stepper, u0, rows, dts, retries)
+
+
+def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
+                           full: _Pass,
+                           observers: Optional[Mapping[str, Callable]]) -> EvolutionRun:
+    """The run whose snapshots are 2 * half - full: ``full`` replayed with each
+    step halved, extrapolated and observed; ``full`` is left unchanged."""
+    values, _, _ = _march(full.stepper, full.u0, snaps, params.tol, full.dts, halves=2)
+    if not _in_range(values, params.eps, full.u0):
+        raise SchemeError("discrete maximum principle violated at a snapshot")
+
+    # 2 * half - full, formed row by row as half + (half - full) in place, so
+    # that full keeps its rows and no second array of snapshots is made
+    half_max = float(values.max())
+    diff = np.empty(values.shape[1])
+    diff_max = 0.0
+    for half_row, full_row in zip(values, full.rows):
+        np.subtract(half_row, full_row, out=diff)
+        diff_max = max(diff_max, float(diff.max()), -float(diff.min()))
+        half_row += diff
+    time_error = diff_max / half_max
+    if not _in_range(values, params.eps, full.u0):
+        raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
+                          f"against eps = {params.eps:g}, max {values.max():.6e}")
+    clamps = int(np.count_nonzero(values < params.eps))
+    np.maximum(values, params.eps, out=values)
+
+    grid, dts = full.stepper.grid, full.dts
+    obs: dict = {"sup_norm": lambda prof: float(prof.values.max()),
+                 "center_value": lambda prof: float(prof.values[0])}
+    if observers:
+        obs.update(observers)
+    profiles = [RadialProfile(grid, row) for row in values]
+    series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
+    stats = {"accepted": dts.size, **full.retries, "solves": full.stepper.solves,
+             "clamps": clamps, "time_error": time_error, "dt_min": float(dts.min()),
+             "dt_max": float(dts.max())}
+    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, dts, stats)
+
+
 def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
            snapshot_times: Sequence[float],
            observers: Optional[Mapping[str, Callable]] = None,
@@ -346,19 +421,11 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
 
     ``observers`` maps series names to functions of a RadialProfile; sup-norm
     and center-value series are always recorded, and so is ``dts``.  When
-    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim
-    (used by ladders so all members share one time discretization); an entry
-    that is not positive and finite fails the run before its first step.  The
-    snapshots and series are the Richardson extrapolation 2 * half - full of
-    that pass and of its halved replay (module docstring).
+    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim;
+    an entry that is not positive and finite fails the run before its first
+    step.  The snapshots and series are the Richardson extrapolation
+    2 * half - full of that pass and of its halved replay (module docstring).
     """
-    if t_end <= 0:
-        raise InputError(f"t_end must be positive, got {t_end}")
-    grid = RadialGrid(spec.n, params.R, params.m)
-    u0 = initial_profile(spec, params, grid)
-    floor = params.eps * (1.0 - FLOOR_TOL)
-    sup_bound = float(u0.max()) + 1e-10
-
     snaps = normalize_snapshots(snapshot_times, t_end)
     if dt_schedule is not None:
         dt_schedule = np.asarray(dt_schedule, dtype=float)
@@ -367,33 +434,8 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
             k = int(bad[0])
             raise SchemeError(f"dt_schedule[{k}] = {dt_schedule[k]:g} is not a positive, "
                               "finite step")
-    stepper = _Stepper(grid, spec.p, params.eps)
-    full, dts, retries = _march(stepper, u0, snaps, params.tol, dt_schedule)
-    values, _, _ = _march(stepper, u0, snaps, params.tol, dts, halves=2)
-    for vals in (full, values):
-        if not (vals.min() >= floor and vals.max() <= sup_bound):  # NaN fails too
-            raise SchemeError("discrete maximum principle violated at a snapshot")
-
-    # 2 * half - full, formed in place: full becomes half - full, values the sum
-    half_max = float(values.max())
-    np.subtract(values, full, out=full)
-    time_error = float(np.abs(full).max()) / half_max
-    values += full
-    if not (values.min() >= floor and values.max() <= sup_bound):
-        raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
-                          f"against eps = {params.eps:g}, max {values.max():.6e}")
-    clamps = int(np.count_nonzero(values < params.eps))
-    np.maximum(values, params.eps, out=values)
-
-    obs: dict = {"sup_norm": lambda prof: float(prof.values.max()),
-                 "center_value": lambda prof: float(prof.values[0])}
-    if observers:
-        obs.update(observers)
-    profiles = [RadialProfile(grid, row) for row in values]
-    series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
-    stats = {"accepted": dts.size, **retries, "solves": stepper.solves, "clamps": clamps,
-             "time_error": time_error, "dt_min": float(dts.min()), "dt_max": float(dts.max())}
-    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, dts, stats)
+    full = _be_pass(spec, params, snaps, dt_schedule)
+    return _halve_and_extrapolate(spec, params, snaps, full, observers)
 
 
 def observer_lq(q: float) -> Callable:
@@ -407,10 +449,20 @@ def observer_lyapunov(L: SteepnessFunction, p: float, q: float) -> Callable:
 
 @dataclass
 class LadderResult:
-    """Runs of the (eps, R) ladder plus monotonicity and convergence evidence."""
+    """The (eps, R) ladder: each member's backward-Euler pass, the extrapolated
+    proxy, and the monotonicity and convergence evidence read off the passes.
 
-    runs: dict
+    ``members`` maps (eps, R) to the snapshot rows of that member's
+    backward-Euler pass at ``proxy.times``, on the member's own grid (the
+    first nodes of the largest ball's).  ``proxy`` is the (min eps, max R)
+    member as ``evolve`` returns it when it replays the lead's steps: that
+    same pass, halved, extrapolated and observed.  ``solves`` counts every
+    solve of the ladder, retries included.
+    """
+
+    members: dict
     proxy: EvolutionRun
+    solves: int
     eps_violation: float
     R_violation: float
     eps_cauchy: list
@@ -418,7 +470,7 @@ class LadderResult:
 
     def report(self) -> dict:
         return {
-            "members": [{"eps": e, "R": R} for (e, R) in self.runs],
+            "members": [{"eps": e, "R": R} for (e, R) in self.members],
             "eps_monotonicity_violation": self.eps_violation,
             "R_monotonicity_violation": self.R_violation,
             "eps_cauchy_sup_reldiff": self.eps_cauchy,
@@ -435,11 +487,14 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     eps_list must decrease and R_list increase.  ``m`` is the node count on
     the largest ball, and every grid has its spacing, so profiles compare
     node-by-node; each radius must be a whole number (at least 2) of
-    spacings.  Every member replays the dt sequence the error controller chose
-    for the (max eps, max R) member, and its halving, so ladder differences are
-    not polluted by differing time discretizations.  Solutions must decrease along eps and
-    increase along R up to LADDER_MONOTONICITY_TOL; the proxy for the minimal
-    solution is the member at (min eps, max R).
+    spacings.  The lead member, (max eps, max R), takes one adaptive
+    backward-Euler pass, and every other member one pass that replays the
+    lead's steps, so ladder differences are not polluted by differing time
+    discretizations.  On those passes, solutions must decrease along eps and
+    increase along R up to LADDER_MONOTONICITY_TOL, and the Cauchy
+    differences compare their sup norms.  The proxy for the minimal solution
+    is the member at (min eps, max R); its pass alone is also halved and
+    extrapolated (``evolve``), and observed.
     """
     eps_list = list(eps_list)
     R_list = list(R_list)
@@ -452,22 +507,24 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
         raise InputError(f"every radius in R_list must be a whole number of spacings h = {h:g}, "
                          "at least 2")
 
-    # every member's parameters are checked before the lead run takes a step
+    # every member's parameters are checked before the lead takes a step
     params = {(eps, R): ApproxParams(R=R, eps=eps, m=round(R / h) + 1)
               for eps in eps_list for R in R_list}
-    lead = evolve(spec, params[(eps_list[0], R_list[-1])], t_end, snapshot_times, observers)
-    runs = {(eps_list[0], R_list[-1]): lead}
+    snaps = normalize_snapshots(snapshot_times, t_end)
+    lead_key = (eps_list[0], R_list[-1])
+    lead = _be_pass(spec, params[lead_key], snaps)
+    passes = {lead_key: lead}
     for key in params:
-        if key not in runs:
-            runs[key] = evolve(spec, params[key], t_end, snapshot_times, observers,
-                               dt_schedule=lead.dts)
+        if key not in passes:
+            passes[key] = _be_pass(spec, params[key], snaps, lead.dts)
+    members = {key: full.rows for key, full in passes.items()}
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""
         worst = 0.0
         for low, high in pairs:
-            gap = max(0.0, float((runs[low].values
-                                  - runs[high].values[:, :runs[low].grid.m]).max()))
+            rows = members[low]
+            gap = max(0.0, float((rows - members[high][:, :rows.shape[1]]).max()))
             if gap > LADDER_MONOTONICITY_TOL:
                 raise LadderError(f"{ladder} ladder violated: (eps, R) = {low} exceeds "
                                   f"{high} by {gap:.3e}")
@@ -479,20 +536,25 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     R_violation = max_gap([((eps, R_small), (eps, R_big)) for eps in eps_list
                            for R_small, R_big in zip(R_list, R_list[1:])], "R")
 
-    def sup_reldiff(run_a, run_b):
-        mask = run_a.times >= CAUCHY_T_MIN
-        a = run_a.series["sup_norm"][mask]
-        b = run_b.series["sup_norm"][mask]
+    late = snaps >= CAUCHY_T_MIN
+
+    def sup_reldiff(key_a, key_b):
+        a = members[key_a].max(axis=1)[late]
+        b = members[key_b].max(axis=1)[late]
         return float(np.max(np.abs(a - b) / b))
 
     R_max = R_list[-1]
-    eps_cauchy = [sup_reldiff(runs[(e1, R_max)], runs[(e2, R_max)])
+    eps_cauchy = [sup_reldiff((e1, R_max), (e2, R_max))
                   for e1, e2 in zip(eps_list, eps_list[1:])]
     eps_min = eps_list[-1]
-    R_cauchy = [sup_reldiff(runs[(eps_min, r1)], runs[(eps_min, r2)])
+    R_cauchy = [sup_reldiff((eps_min, r1), (eps_min, r2))
                 for r1, r2 in zip(R_list, R_list[1:])]
 
-    return LadderResult(runs, runs[(eps_min, R_max)], eps_violation, R_violation,
+    proxy_key = (eps_min, R_max)
+    proxy = _halve_and_extrapolate(spec, params[proxy_key], snaps, passes[proxy_key],
+                                   observers)
+    solves = sum(full.stepper.solves for full in passes.values())
+    return LadderResult(members, proxy, solves, eps_violation, R_violation,
                         eps_cauchy, R_cauchy)
 
 

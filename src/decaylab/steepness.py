@@ -317,8 +317,11 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
                               s_grid) -> ConvexityReport:
     """Check both descent conditions on a grid inside the smooth branch.
 
-    Violations are normalized by the magnitude of the participating terms so
-    the report stays dimensionless.
+    Both gaps are divided by L' > 0, which leaves t = s L''/L' in closed form:
+    r - 1, (kappa + 1)/g - 1 or -1 + 1/g + (kappa + 1)/(g ln g) with
+    g = ln(M/s).  So every grid point is judged, also where L' and L''
+    underflow or overflow.  Violations are normalized by the magnitude of
+    the participating terms, so the report stays dimensionless.
     """
     if p < 1:
         raise InputError(f"p >= 1 required, got {p}")
@@ -327,17 +330,18 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
     s = _as_grid(s_grid, "s_grid")
     if np.any(s <= 0) or np.any(s >= L.s0):
         raise InputError("s_grid must lie inside (0, s0)")
-    d1 = L.deriv1(s)
-    d2 = L.deriv2(s)
-    coeff = (3.0 * p + q0 - 2.0) / (p + q0)
+    if L.kind == "PowerLaw":
+        t = np.full_like(s, L.r - 1.0)
+    else:
+        g = np.log(L.M / s)
+        if L.kind == "LogType":
+            t = (L.kappa + 1.0) / g - 1.0
+        else:
+            t = -1.0 + 1.0 / g + (L.kappa + 1.0) / (g * np.log(g))
+    coeff = (3.0 * p + q0 - 2.0) / (p + q0)     # >= 1 for p >= 1
 
-    weak_gap = s * d2 + coeff * d1            # must be >= 0
-    weak_scale = np.abs(s * d2) + np.abs(coeff * d1) + 1e-300
-    weak = _worst(-weak_gap / weak_scale, s)
-
-    strong_gap = d1 + s * d2                  # d/ds (s L') >= 0
-    strong_scale = np.abs(d1) + np.abs(s * d2) + 1e-300
-    strong = _worst(-strong_gap / strong_scale, s)
+    weak = _worst(-(t + coeff) / (np.abs(t) + coeff), s)    # s L'' + coeff L' >= 0
+    strong = _worst(-(1.0 + t) / (1.0 + np.abs(t)), s)      # d/ds (s L') >= 0
     return ConvexityReport(weak, strong)
 
 

@@ -78,12 +78,16 @@ def long_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def ladder(tmp_path_factory):
+def ladder(tmp_path_factory, perfbench_tracer):
     """configs/ladder.json: the (eps, R) grid for the strongly degenerate datum
-    of criterion 5."""
-    result, _, out_dir = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
-                                     "minimal_solution_ladder")
-    return result, out_dir
+    of criterion 5, and the solves that perfbench's tracer counted in it."""
+    tracer = perfbench_tracer.Tracer()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "dgtsv", tracer.leaf("evolution.dgtsv", evolution.dgtsv))
+        result, _, out_dir = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
+                                         "minimal_solution_ladder")
+    traced = sum(calls for calls, _, _ in tracer.leaves.values())
+    return result, out_dir, traced
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +173,7 @@ def test_criterion_04_lyapunov_descent(gaussian_run_p1):
 
 
 def test_criterion_05_monotone_ladders(ladder):
-    result, _ = ladder
+    result, _, _ = ladder
     last_pair = result.eps_cauchy[-1]
     r_pair = result.R_cauchy[-1]  # datum has compact numerical support << R
     ok = (result.eps_violation <= 1e-8 and result.R_violation <= 1e-8
@@ -178,6 +182,19 @@ def test_criterion_05_monotone_ladders(ladder):
            f"monotonicity violations (eps {result.eps_violation:.1e}, "
            f"R {result.R_violation:.1e}), last-two-level sup diff {last_pair:.2e}, "
            f"R-pair diff {r_pair:.1e}")
+
+
+def test_ladder_judged_on_backward_euler_passes(ladder):
+    # the lead's adaptive pass, one replay per other member and the proxy's
+    # halved pass: 18,204 solves when every member was extrapolated
+    result, _, traced = ladder
+    assert traced == result.solves == 8094
+    assert result.eps_violation == result.R_violation == 0.0
+    assert result.R_cauchy == [0.0]
+    # the eps differences of the extrapolated members, which the passes'
+    # differences approximate
+    extrapolated = [0.004377761701701719, 0.00043302411249397486]
+    np.testing.assert_allclose(result.eps_cauchy, extrapolated, rtol=2e-3, atol=0.0)
 
 
 def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2):
@@ -199,7 +216,7 @@ def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2):
 def test_criterion_07_linfty_from_lq(gaussian_run_p1, gaussian_run_p2, ladder,
                                      long_run):
     run9, _, _ = long_run
-    ladder_result, _ = ladder
+    ladder_result, _, _ = ladder
     worst = -math.inf
     for run in (gaussian_run_p1, gaussian_run_p2, ladder_result.proxy, run9):
         ratio, _ = linfty_from_lq_check(run, q=1.0)
@@ -296,12 +313,12 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # manifest holds the config, every artifact's sha256 and the verdict, and
     # each artifact on disk matches its listed sha256
     _, _, sandwich_dir = long_run
-    _, ladder_dir = ladder
+    _, ladder_dir, _ = ladder
     pinned = {
         "pde_decay_sandwich": (sandwich_dir, "464c11dedbd36772c7260aed91dffb44"
                                              "a4ccfbcf17cb9a05ab8d4e7af4576423"),
-        "ladder": (ladder_dir, "00a25794fe52bbfb8541e0040225f1c7"
-                               "d0cfc0273b1e615c8e6a58479eb0725a"),
+        "ladder": (ladder_dir, "08da709e4aa39d75b3e82222c65326e0"
+                               "45e1b203b92d459d959d3b4dd1efa18a"),
     }
     for name, (out_dir, sha) in pinned.items():
         manifest = out_dir / "manifest.json"

@@ -116,6 +116,24 @@ def test_steady_state_records_the_shot_that_met_the_tolerance(p, n, m):
     assert_discrete_root(solve_steady_state(p, n, m), m)
 
 
+@pytest.mark.parametrize("p, n, ceiling", [(6.0, 1, 28), (6.0, 3, 36), (8.0, 3, 30)])
+def test_stall_rule_lets_the_secant_resume(monkeypatch, p, n, ceiling):
+    # at m = 1001 the root lies among survivors with w(1) < 0 above the death
+    # switch, so the bracket stalls once on its way there; with the stall rule
+    # latched for the rest of the search these took 52, 55 and 51 shots
+    shots = []
+    real = bounds._integrate_shot
+
+    def counted(a, p, n, m, record=False):
+        shots.append(record)
+        return real(a, p, n, m, record)
+
+    monkeypatch.setattr(bounds, "_integrate_shot", counted)
+    state = solve_steady_state(p, n, 1001)
+    assert shots.count(False) <= ceiling
+    assert_discrete_root(state, 1001)
+
+
 @pytest.mark.parametrize("p, n, center", [(1.0, 2, 0.24999999999998546),
                                           (2.0, 1, 0.5641895407550834),
                                           (4.0, 1, 0.7070965041670491)])

@@ -97,6 +97,19 @@ def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
         assert len(values) == 7 and all(math.isfinite(v) for v in values)
 
 
+def test_lfunction_audit_judges_an_overflowing_gauge(tmp_path):
+    # at kappa = 2000, lambda0 = 0.01, L' and L'' overflow near s0, and the
+    # convexity check divided inf by inf: the verdict was NaN (exit 3)
+    from pathlib import Path
+    doc = read_json(Path(__file__).resolve().parents[1] / "configs" / "lfunction_audit.json")
+    doc["L"].update(kappa=2000.0, lambda0=0.01)
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
+    checks = read_json(out / "audit.json")["checks"]
+    assert checks["convexity"] == {"weak_violation": -1.0, "strong_violation": -1.0,
+                                   "pass": True}
+
+
 def test_gn_scan_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "name": "scan", "mode": "gn_scan",
@@ -146,14 +159,14 @@ def test_pde_decay_mode_and_determinism(tmp_path):
 
 
 def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
-    runs = []
-    real_evolve = evolution.evolve
+    ladders = []
+    real_ladder = evolution.minimal_solution_ladder
 
-    def recording_evolve(*args, **kwargs):
-        runs.append(real_evolve(*args, **kwargs))
-        return runs[-1]
+    def recording_ladder(*args, **kwargs):
+        ladders.append(real_ladder(*args, **kwargs))
+        return ladders[-1]
 
-    monkeypatch.setattr(evolution, "evolve", recording_evolve)
+    monkeypatch.setattr(evolution, "minimal_solution_ladder", recording_ladder)
     cfg = write_config(tmp_path, {
         "name": "lad", "mode": "pde_decay",
         "problem": {"p": 4.0, "n": 1,
@@ -168,7 +181,9 @@ def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
     assert rep["eps_monotonicity_violation"] <= 1e-8
     assert rep["R_monotonicity_violation"] <= 1e-8
     # the verdict's time error is the judged proxy's, the (min eps, max R) member
-    proxy = next(run for run in runs if (run.params.eps, run.params.R) == (1e-3, 20.0))
+    (ladder,) = ladders
+    proxy = ladder.proxy
+    assert (proxy.params.eps, proxy.params.R) == (1e-3, 20.0)
     verdict = read_json(out / "manifest.json")["verdict"]
     assert verdict["time_error"] == proxy.stats["time_error"] > 0.0
 
@@ -645,14 +660,15 @@ def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
 
 
 def test_static_manifests_pinned(tmp_path):
-    # the three configs that do no time stepping give the same manifest bytes
-    # as every earlier build: an automated part of the "manifests unchanged"
-    # oracle of a refactor
+    # the three configs that do no time stepping give pinned manifest bytes:
+    # an automated part of the "manifests unchanged" oracle of a refactor
+    # (lfunction_audit moved once, when the convexity check took s L''/L' in
+    # closed form)
     from pathlib import Path
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     pinned = {
         "steady_state": "bcf70b2dfd3cc4dd558878a78f799a561258aecfd58e0902922f03ed793230ec",
-        "lfunction_audit": "25428e8d50fef6924cd365955d24326ebf92caf5581a3f23bc142e5c6ddfd007",
+        "lfunction_audit": "937928bf98d6e0c6660256e282146f30eb5255365a372baefa9010741891861a",
         "gn_scan": "504ec10462957878dab55583787efd8b5d58ddd74fcf6ad074511f37fe94c8b5",
     }
     for name, sha in pinned.items():

@@ -406,12 +406,42 @@ def test_ladder_monotone_and_cauchy():
     assert report["eps_cauchy_sup_reldiff"][0] < 0.05
 
 
+@pytest.mark.parametrize("eps_list", [[1e-2, 1e-3], [1e-3]])
+def test_ladder_proxy_is_the_replayed_run(eps_list):
+    # the proxy is evolve's run on the lead's steps, and the members are the
+    # backward-Euler passes that evolve extrapolates: with one eps the lead is
+    # the proxy, and its run is the adaptive one
+    spec = ProblemSpec(p=4.0, n=1, u0=lambda r: 2.0 * np.exp(-(r / 2.0) ** 2))
+    snaps = np.concatenate([[0.0], np.geomspace(1.0, 20.0, 7)])
+    obs = {"lq_1": observer_lq(1.0)}
+    ladder = minimal_solution_ladder(spec, eps_list, [10.0, 20.0], 501, 20.0, snaps, obs)
+    lead = evolve(spec, ApproxParams(R=20.0, eps=eps_list[0], m=501), 20.0, snaps, obs)
+    proxy = ladder.proxy
+    replay = (None if len(eps_list) == 1 else lead.dts)
+    ref = evolve(spec, ApproxParams(R=20.0, eps=eps_list[-1], m=501), 20.0, snaps, obs,
+                 dt_schedule=replay)
+    assert np.array_equal(proxy.dts, lead.dts)
+    assert np.array_equal(proxy.times, ref.times)
+    assert np.array_equal(proxy.values, ref.values)
+    assert proxy.series.keys() == ref.series.keys()
+    assert all(np.array_equal(proxy.series[k], ref.series[k]) for k in ref.series)
+    assert proxy.stats == ref.stats
+
+    full = evolution._be_pass(spec, proxy.params, proxy.times, replay)
+    assert np.array_equal(ladder.members[eps_list[-1], 20.0], full.rows)
+    # the lead's adaptive pass, one solve per step for every other member, and
+    # the proxy's halved pass
+    steps = lead.dts.size
+    adaptive = lead.stats["solves"] - 2 * steps
+    assert ladder.solves == adaptive + (len(ladder.members) - 1) * steps + 2 * steps
+
+
 def test_ladder_single_member_trivial():
     spec = gaussian_spec()
     snaps = [0.0, 1.0]
     ladder = minimal_solution_ladder(spec, [1e-2], [5.0], 101, 1.0, snaps)
     assert ladder.eps_cauchy == [] and ladder.R_cauchy == []
-    assert (1e-2, 5.0) in ladder.runs
+    assert (1e-2, 5.0) in ladder.members
 
 
 def test_ladder_input_validation(monkeypatch):
@@ -427,10 +457,10 @@ def test_ladder_input_validation(monkeypatch):
         # spacing 1: the radius 1 is a grid of 2 nodes
         minimal_solution_ladder(spec, [1e-2], [1.0, 10.0], 11, 1.0, [1.0])
 
-    def no_evolve(*args, **kwargs):
+    def no_pass(*args, **kwargs):
         raise AssertionError("a ladder member stepped before every member was checked")
 
-    monkeypatch.setattr(evolution, "evolve", no_evolve)
+    monkeypatch.setattr(evolution, "_be_pass", no_pass)
     with pytest.raises(InputError, match="eps must lie in"):
         minimal_solution_ladder(spec, [1e-2, -1.0], [5.0], 101, 1.0, [1.0])
 

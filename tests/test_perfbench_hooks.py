@@ -87,6 +87,5 @@ def test_tracer_counts_every_solve(monkeypatch, perfbench_tracer):
     assert traced() == (run.stats["solves"], 51 * run.stats["solves"])
     ladder = evolution.minimal_solution_ladder(spec, [1e-2, 1e-3], [5.0], 51, 1.0,
                                                [0.0, 1.0])
-    solves = sum(member.stats["solves"] for member in ladder.runs.values())
-    assert len(ladder.runs) == 2
-    assert traced() == (solves, 51 * solves)
+    assert len(ladder.members) == 2
+    assert traced() == (ladder.solves, 51 * ladder.solves)

@@ -177,6 +177,53 @@ def test_convexity_condition():
         check_convexity_condition(LOG1, 0.5, 1.0, s)
 
 
+def audit_grid(L):
+    """The s grid of the CLI's lfunction_audit mode."""
+    return np.geomspace(min(L.s0, 1.0) * 1e-8, min(L.s0, 1e6) * (1.0 - 1e-9), 400)
+
+
+@pytest.mark.parametrize("L, p, q0", [
+    (LOG1, 1.0, 1.0), (LOG2, 2.0, 0.5), (SteepnessFunction.log_type(0.5, 4.0), 1.0, 3.0),
+    (DLOG1, 1.0, 1.0), (SteepnessFunction.power_law(0.5), 1.5, 1.0),
+    (SteepnessFunction.power_law(2.5), 1.0, 1.0)])
+def test_convexity_closed_form_matches_the_derivatives(L, p, q0):
+    # where L' and L'' are normal numbers, s L''/L' in closed form gives the
+    # violations of the gaps formed from the derivatives themselves
+    s = audit_grid(L) if math.isfinite(L.s0) else np.geomspace(1e-8, 1e6, 400)
+    d1, d2 = L.deriv1(s), L.deriv2(s)
+    coeff = (3.0 * p + q0 - 2.0) / (p + q0)
+    weak = np.max(-(s * d2 + coeff * d1) / (np.abs(s * d2) + np.abs(coeff * d1)))
+    strong = np.max(-(d1 + s * d2) / (np.abs(d1) + np.abs(s * d2)))
+    rep = check_convexity_condition(L, p, q0, s)
+    assert rep.weak.max_violation == pytest.approx(weak, rel=1e-12, abs=1e-15)
+    assert rep.strong.max_violation == pytest.approx(strong, rel=1e-12, abs=1e-15)
+
+
+def test_convexity_judges_a_gauge_whose_derivatives_underflow():
+    # at kappa = 400, L' and L'' underflow to 0 on 280 of the audit's 400
+    # points; a gap formed from them reads -0.0 there and hides every point
+    # that was judged.  s L''/L' = 401/g - 1 > 0 on the whole grid, so both
+    # gaps are sums of positive terms and read -1
+    L = SteepnessFunction.log_type(400.0, 4.0)
+    s = audit_grid(L)
+    assert np.count_nonzero(L.deriv1(s) == 0.0) == 280
+    rep = check_convexity_condition(L, 1.0, 1.0, s)
+    assert rep.passed
+    assert rep.weak.max_violation == rep.strong.max_violation == -1.0
+
+
+def test_convexity_judges_a_gauge_whose_derivatives_overflow():
+    # at kappa = 2000, lambda0 = 0.01, L' and L'' overflow near s0 = M/2,
+    # where g = ln(M/s) < 1, and inf/inf made the verdict NaN
+    L = SteepnessFunction.log_type(2000.0, 4.0, lambda0=0.01)
+    s = audit_grid(L)
+    with np.errstate(over="ignore"):
+        assert np.isinf(L.deriv1(s)).any()
+    rep = check_convexity_condition(L, 1.0, 1.0, s)
+    assert rep.passed
+    assert rep.weak.max_violation == rep.strong.max_violation == -1.0
+
+
 def test_scaling_lower_bound_from_ratio_bound():
     # integrating s L'/L <= c1/s on (0, s0') gives L(d s) >= d^c1 L(s)
     s0p = 0.5
