@@ -21,7 +21,7 @@ from .radial import (RadialGrid, RadialProfile, WeightedIntegral, grad_l2_norm,
                      lq_quasinorm, steepness_integral)
 from .gn import FamilySpec, FamilyScan, family_scan
 from .evolution import (ApproxParams, EvolutionRun, LadderResult, ProblemSpec,
-                        evolve, linfty_from_lq_check, lyapunov_series,
+                        evolve, ladder_params, linfty_from_lq_check, lyapunov_series,
                         minimal_solution_ladder, observer_lq, observer_lyapunov,
                         semiconvexity_check)
 from .bounds import (DecayEnvelope, SteadyState, SubsolutionReport,

@@ -5,26 +5,28 @@ Usage:
     decaylab report <run_dir>
 
 Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``.  A
-``pde_decay`` run evolves one trajectory and judges it with each of its
-sections, ``rate`` (two-sided rates) and ``certificate`` (separated
-subsolution); it passes when all of them do.  Every run writes a
-``manifest.json`` listing each artifact with its sha256; outputs are
-deterministic for a fixed config and build (no wall-clock text, fixed
-iteration orders, fixed float formatting).
+``pde_decay`` run evolves an (eps, R) ladder of one member or more and judges
+its proxy with each of its sections, ``rate`` (two-sided rates) and
+``certificate`` (separated subsolution); it passes when all of them do.
+Every run writes a ``manifest.json`` listing each artifact with its sha256;
+outputs are deterministic for a fixed config and build (no wall-clock text,
+fixed iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
 typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
-integer, ``0`` for ``t_end``), a key no part of the run reads (``"certificat"``,
-or a gauge field of another kind), or a ``rate`` window or gauge that its
-verdict would refuse exits 2 before any time stepping; so does a certificate
-horizon outside the envelope's inverse.  Each input has one field: a gauge
-``L`` has the fields of its kind (``SteepnessFunction.fields``), and a ladder's
-node count is ``approx.m`` on its largest ball.  A verdict that holds a NaN or
-an infinity is a numeric failure: it exits 3.  ``ArtifactWriter.finish``
-alone creates the run directory, after the verdict, with the artifacts and
-then the manifest, so a run that exits 2 or 3 leaves no directory.  ``report``
-checks each artifact against the manifest's sha256.
+integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``),
+a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
+reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
+window or gauge that its verdict would refuse exits 2 before any time
+stepping; so does a certificate horizon outside the envelope's inverse.  Each
+input has one field: a gauge ``L`` has the fields of its kind
+(``SteepnessFunction.fields``), and a run's eps and R are the lists of
+``approx.ladder``, whose node count ``approx.m`` is that of its largest ball.
+A verdict that holds a NaN or an infinity is a numeric failure: it exits 3.
+``ArtifactWriter.finish`` alone creates the run directory, after the verdict,
+with the artifacts and then the manifest, so a run that exits 2 or 3 leaves
+no directory.  ``report`` checks each artifact against the manifest's sha256.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -228,8 +230,10 @@ def _problem(cfg: _Section):
                                  u0=_envelope(prob.section("u0")).floor)
     t_end = cfg.read("t_end", POSITIVE)
     snap = cfg.section("snapshots", {})
-    snaps = np.concatenate([[0.0], np.geomspace(snap.read("t_min", POSITIVE, 0.01), t_end,
-                                                 snap.read("count", COUNT, 65))])
+    t_min = snap.read("t_min", POSITIVE, 0.01)
+    if not t_min < t_end:
+        raise ConfigError(f"snapshots.t_min: must lie below t_end = {t_end:g}, got {t_min:g}")
+    snaps = np.concatenate([[0.0], np.geomspace(t_min, t_end, snap.read("count", COUNT, 65))])
     return spec, t_end, evolution.normalize_snapshots(snaps, t_end)
 
 
@@ -363,13 +367,11 @@ def _run_pde_decay(cfg: _Section):
     cert = cfg.section("certificate", None)
     L = _steepness(cfg.section("L")) if rate is not None else None
     acfg = cfg.section("approx")
-    m = acfg.read("m", NODES)  # nodes of the run, or of a ladder's largest ball
-    lcfg = acfg.section("ladder", None)
-    if lcfg is not None:
-        eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
-        R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
-    else:
-        params = evolution.ApproxParams(R=acfg.read("R", NUMBER), eps=acfg.read("eps", NUMBER), m=m)
+    m = acfg.read("m", NODES)  # nodes on the ladder's largest ball
+    lcfg = acfg.section("ladder")
+    eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
+    R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
+    lcfg.build(evolution.ladder_params, eps_list=eps_list, R_list=R_list, m=m)
     if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
@@ -378,27 +380,25 @@ def _run_pde_decay(cfg: _Section):
         _, model = rate.build(rates.rate_model, env=env, L=L, p=spec.p, n=spec.n, delta=delta)
         in_window = rate.build(rates.rate_window, times=snaps, window=window, model=model)
     if cert is not None:
-        tau0_list = cert.list_of("tau0_list", POSITIVE, [math.log(t_end + 1.0)])
+        horizon = math.log(t_end + 1.0)  # tau = ln(t + 1) of the run's last snapshot
+        reached = (f"a positive number at most ln(t_end + 1) = {horizon:g}",
+                   lambda val: POSITIVE[1](val) and val <= horizon * (1.0 + 1e-12))
+        tau0_list = cert.list_of("tau0_list", reached, [horizon])
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
         steady_m = cert.section("steady", {}).read("m", NODES, 4001)
 
     def compute(writer: ArtifactWriter) -> dict:
-        verdict: dict = {"pass": True}
         if cert is not None:
             # the separated subsolutions y(tau) w_R, built before the time stepping
             state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
             subs = [cert.build(bounds.build_subsolution, env=env, p=spec.p, steady=state,
                                tau0=tau0) for tau0 in tau0_list]
-        if lcfg is not None:
-            ladder = evolution.minimal_solution_ladder(
-                spec, eps_list, R_list, m, t_end, snaps, obs)
-            run = ladder.proxy
-            verdict["ladder"] = ladder.report()
-            writer.write_json("ladder_report.json", verdict["ladder"])
-        else:
-            run = evolution.evolve(spec, params, t_end, snaps, obs)
-        verdict["time_error"] = run.stats["time_error"]
+        ladder = evolution.minimal_solution_ladder(spec, eps_list, R_list, m, t_end, snaps, obs)
+        run = ladder.proxy  # the (min eps, max R) member, the one judged
+        verdict = {"pass": True, "ladder": ladder.report(), "time_error": run.stats["time_error"]}
+        writer.write_json("ladder_report.json", verdict["ladder"])
+        del ladder  # frees the members' passes, which no verdict reads
 
         _write_run_series(writer, run)
 

@@ -70,6 +70,7 @@ __all__ = [
     "LadderResult",
     "evolve",
     "normalize_snapshots",
+    "ladder_params",
     "minimal_solution_ladder",
     "lyapunov_series",
     "semiconvexity_check",
@@ -478,45 +479,46 @@ class LadderResult:
         }
 
 
+def ladder_params(eps_list: Sequence[float], R_list: Sequence[float], m: int) -> dict:
+    """The checked ``ApproxParams`` of each (eps, R) member of a ladder: every
+    grid has the spacing of the largest ball, which has ``m`` nodes, so each
+    radius must be a whole number (at least 2) of spacings."""
+    eps_list, R_list = list(eps_list), list(R_list)
+    if not eps_list or sorted(set(eps_list), reverse=True) != eps_list:
+        raise InputError("eps_list must be non-empty and strictly decreasing")
+    if not R_list or R_list[0] <= 0.0 or sorted(set(R_list)) != R_list:
+        raise InputError("R_list must be non-empty, positive and strictly increasing")
+    h = R_list[-1] / (m - 1)
+    if any(abs(R / h - round(R / h)) > 1e-9 * R / h or round(R / h) < 2 for R in R_list):
+        raise InputError(f"every radius in R_list must be a whole number of spacings h = {h:g}, "
+                         "at least 2")
+    return {(eps, R): ApproxParams(R=R, eps=eps, m=round(R / h) + 1)
+            for eps in eps_list for R in R_list}
+
+
 def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             R_list: Sequence[float], m: int,
                             t_end: float, snapshot_times: Sequence[float],
                             observers: Optional[Mapping[str, Callable]] = None) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
-    eps_list must decrease and R_list increase.  ``m`` is the node count on
-    the largest ball, and every grid has its spacing, so profiles compare
-    node-by-node; each radius must be a whole number (at least 2) of
-    spacings.  The lead member, (max eps, max R), takes one adaptive
-    backward-Euler pass, and every other member one pass that replays the
-    lead's steps, so ladder differences are not polluted by differing time
-    discretizations.  On those passes, solutions must decrease along eps and
-    increase along R up to LADDER_MONOTONICITY_TOL, and the Cauchy
-    differences compare their sup norms.  The proxy for the minimal solution
-    is the member at (min eps, max R); its pass alone is also halved and
-    extrapolated (``evolve``), and observed.
+    ``ladder_params`` checks every member before the lead, (max eps, max R),
+    takes its one adaptive backward-Euler pass.  Every other member takes one
+    pass that replays the lead's steps, so ladder differences are not
+    polluted by differing time discretizations.  On those passes, solutions
+    must decrease along eps and increase along R up to
+    LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their sup
+    norms.  The proxy for the minimal solution, (min eps, max R), alone is
+    also halved, extrapolated and observed, so a one-member ladder's proxy is
+    that member's ``evolve`` run, bit for bit.
     """
-    eps_list = list(eps_list)
-    R_list = list(R_list)
-    if sorted(eps_list, reverse=True) != eps_list or len(set(eps_list)) != len(eps_list):
-        raise InputError("eps_list must be strictly decreasing")
-    if sorted(R_list) != R_list or len(set(R_list)) != len(R_list):
-        raise InputError("R_list must be strictly increasing")
-    h = R_list[-1] / (m - 1)
-    if any(abs(R / h - round(R / h)) > 1e-9 * R / h or round(R / h) < 2 for R in R_list):
-        raise InputError(f"every radius in R_list must be a whole number of spacings h = {h:g}, "
-                         "at least 2")
-
-    # every member's parameters are checked before the lead takes a step
-    params = {(eps, R): ApproxParams(R=R, eps=eps, m=round(R / h) + 1)
-              for eps in eps_list for R in R_list}
+    params = ladder_params(eps_list, R_list, m)
     snaps = normalize_snapshots(snapshot_times, t_end)
-    lead_key = (eps_list[0], R_list[-1])
+    eps_min, R_max = eps_list[-1], R_list[-1]
+    lead_key = (eps_list[0], R_max)
     lead = _be_pass(spec, params[lead_key], snaps)
-    passes = {lead_key: lead}
-    for key in params:
-        if key not in passes:
-            passes[key] = _be_pass(spec, params[key], snaps, lead.dts)
+    passes = {lead_key: lead, **{key: _be_pass(spec, par, snaps, lead.dts)
+                                 for key, par in params.items() if key != lead_key}}
     members = {key: full.rows for key, full in passes.items()}
 
     def max_gap(pairs, ladder: str) -> float:
@@ -543,16 +545,13 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
         b = members[key_b].max(axis=1)[late]
         return float(np.max(np.abs(a - b) / b))
 
-    R_max = R_list[-1]
     eps_cauchy = [sup_reldiff((e1, R_max), (e2, R_max))
                   for e1, e2 in zip(eps_list, eps_list[1:])]
-    eps_min = eps_list[-1]
     R_cauchy = [sup_reldiff((eps_min, r1), (eps_min, r2))
                 for r1, r2 in zip(R_list, R_list[1:])]
 
-    proxy_key = (eps_min, R_max)
-    proxy = _halve_and_extrapolate(spec, params[proxy_key], snaps, passes[proxy_key],
-                                   observers)
+    proxy = _halve_and_extrapolate(spec, params[eps_min, R_max], snaps,
+                                   passes[eps_min, R_max], observers)
     solves = sum(full.stepper.solves for full in passes.values())
     return LadderResult(members, proxy, solves, eps_violation, R_violation,
                         eps_cauchy, R_cauchy)

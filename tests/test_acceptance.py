@@ -48,13 +48,14 @@ def report(criterion: int, passed: bool, detail: str):
 
 # -- shared expensive runs ----------------------------------------------------
 
-def run_shipped(name: str, out_dir: Path, target: str):
+def run_shipped(name: str, out_dir: Path):
     """Run configs/<name>.json through the CLI into out_dir, which must exit 0.
 
-    Returns what the CLI's one call of ``evolution.<target>`` returned, the
-    run or ladder it judged, that call's wall time in seconds, and out_dir.
+    Returns the ladder of the CLI's one call of
+    ``evolution.minimal_solution_ladder``, that call's wall time in seconds,
+    and out_dir.
     """
-    real = getattr(evolution, target)
+    real = evolution.minimal_solution_ladder
     calls = []
 
     def capture(*args, **kwargs):
@@ -64,7 +65,7 @@ def run_shipped(name: str, out_dir: Path, target: str):
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, target, capture)
+        mp.setattr(evolution, "minimal_solution_ladder", capture)
         assert run_experiment(CONFIGS / f"{name}.json", out_dir) == EXIT_PASS
     (call,) = calls
     return (*call, out_dir)
@@ -73,8 +74,11 @@ def run_shipped(name: str, out_dir: Path, target: str):
 @pytest.fixture(scope="module")
 def long_run(tmp_path_factory):
     """configs/pde_decay_sandwich.json: p=1 Gaussian datum evolved to t = 1e4
-    at m = 4001 (criteria 7, 9, 10, 11)."""
-    return run_shipped("pde_decay_sandwich", tmp_path_factory.mktemp("sandwich"), "evolve")
+    at m = 4001 (criteria 7, 9, 10, 11), a ladder of one member, whose proxy
+    is the run the CLI judged."""
+    ladder, elapsed, out_dir = run_shipped("pde_decay_sandwich",
+                                           tmp_path_factory.mktemp("sandwich"))
+    return ladder.proxy, elapsed, out_dir
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +88,7 @@ def ladder(tmp_path_factory, perfbench_tracer):
     tracer = perfbench_tracer.Tracer()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "dgtsv", tracer.leaf("evolution.dgtsv", evolution.dgtsv))
-        result, _, out_dir = run_shipped("ladder", tmp_path_factory.mktemp("ladder"),
-                                         "minimal_solution_ladder")
+        result, _, out_dir = run_shipped("ladder", tmp_path_factory.mktemp("ladder"))
     traced = sum(calls for calls, _, _ in tracer.leaves.values())
     return result, out_dir, traced
 
@@ -311,12 +314,15 @@ def test_criterion_11_baseline(long_run):
 def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # the two time-stepping configs give the same bytes as earlier builds: the
     # manifest holds the config, every artifact's sha256 and the verdict, and
-    # each artifact on disk matches its listed sha256
+    # each artifact on disk matches its listed sha256 (the sandwich's moved
+    # once, when its single run became a one-member ladder: the config's
+    # approx, the verdict's ladder key and ladder_report.json are new, and
+    # every other artifact kept its bytes)
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "464c11dedbd36772c7260aed91dffb44"
-                                             "a4ccfbcf17cb9a05ab8d4e7af4576423"),
+        "pde_decay_sandwich": (sandwich_dir, "4e84258fff169036a829afba05f495e3"
+                                             "1f6eb9d503dc1dd1e7daf50d1b4fb745"),
         "ladder": (ladder_dir, "08da709e4aa39d75b3e82222c65326e0"
                                "45e1b203b92d459d959d3b4dd1efa18a"),
     }

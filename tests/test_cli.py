@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from decaylab import cli, evolution
+from decaylab import bounds, cli, evolution
 from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_VERDICT, main,
                           run_experiment)
 from decaylab.errors import NumericError
@@ -38,7 +38,7 @@ TINY_DECAY = {
     "mode": "pde_decay",
     "problem": {"p": 1.0, "n": 1,
                 "u0": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0}},
-    "approx": {"R": 10.0, "eps": 1e-3, "m": 251},
+    "approx": {"ladder": {"eps_list": [1e-3], "R_list": [10.0]}, "m": 251},
     "t_end": 5.0,
     "snapshots": {"t_min": 0.5, "count": 6},
     "observers": ["lq:1"],
@@ -188,22 +188,23 @@ def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
     assert verdict["time_error"] == proxy.stats["time_error"] > 0.0
 
 
-def counted_evolve(monkeypatch):
-    """Replace evolution.evolve by a wrapper that records each call in the returned list."""
+def counted_ladder(monkeypatch):
+    """Replace evolution.minimal_solution_ladder, the CLI's one trajectory call,
+    by a wrapper that records each call in the returned list."""
     calls = []
-    real_evolve = evolution.evolve
+    real_ladder = evolution.minimal_solution_ladder
 
-    def counting_evolve(*args, **kwargs):
+    def counting_ladder(*args, **kwargs):
         calls.append(args)
-        return real_evolve(*args, **kwargs)
+        return real_ladder(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "evolve", counting_evolve)
+    monkeypatch.setattr(evolution, "minimal_solution_ladder", counting_ladder)
     return calls
 
 
 TWO_SIDED = dict(
     TINY_DECAY,
-    approx={"R": 12.0, "eps": 1e-4, "m": 301},
+    approx={"ladder": {"eps_list": [1e-4], "R_list": [12.0]}, "m": 301},
     t_end=500.0,
     snapshots={"t_min": 0.5, "count": 13},
     envelope=TINY_DECAY["problem"]["u0"],
@@ -216,7 +217,7 @@ TWO_SIDED = dict(
 def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     # the sandwich and the subsolution certificate judge one trajectory, and
     # each artifact is the one a run with only that section writes
-    calls = counted_evolve(monkeypatch)
+    calls = counted_ladder(monkeypatch)
     docs = {"both": TWO_SIDED,
             "rate": {k: v for k, v in TWO_SIDED.items() if k != "certificate"},
             "cert": {k: v for k, v in TWO_SIDED.items() if k not in ("rate", "L")}}
@@ -258,7 +259,7 @@ def test_rate_curves_span_the_window(tmp_path):
 
 
 def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
-    calls = counted_evolve(monkeypatch)
+    calls = counted_ladder(monkeypatch)
     bad = [
         {"name": "", "mode": "steady_state"},
         {"name": "x", "mode": "unknown"},
@@ -310,6 +311,9 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     out_of_range = [
         with_field(TINY_DECAY, "snapshots.count", -1),
         with_field(TINY_DECAY, "snapshots.t_min", 0),
+        # a run that records nothing between t = 0 and t_end
+        with_field(TINY_DECAY, "snapshots.t_min", 500.0),
+        with_field(TINY_DECAY, "snapshots.t_min", 5.0),
         with_field(TINY_DECAY, "t_end", 0),
         with_field(steady, "approx.m", 1),
         with_field(ladder, "approx.m", 1),
@@ -317,6 +321,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(audit, "audit.s_points", -1),
         with_field(certified, "certificate.tau0_list", []),
         with_field(certified, "certificate.tau0_list", [-1.0]),
+        # a horizon beyond tau = ln(t_end + 1), which the run never reaches
+        with_field(certified, "certificate.tau0_list", [1.0, 20.0]),
         with_field(scan, "sharpness_scale", 0),
         with_field(scan, "sharpness_scale", -1.25),
         with_field(scan, "request.K", 0),
@@ -331,6 +337,9 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(audit, "audit.lambda0", 1.0),
         with_field(certified, "certificate.c1", 0.5),
         with_field(ladder, "approx.ladder.m_list", [251]),
+        # a single run is the ladder of one member: eps and R have one field each
+        with_field(TINY_DECAY, "approx", {"R": 10.0, "eps": 1e-3, "m": 251}),
+        with_field(TINY_DECAY, "approx.eps", 1e-3),
         with_field(TINY_DECAY, "snapshots.include_zero", True),  # a run always records t = 0
         with_field(long_rated, "rate.slack", 0.1),  # the slack is rates.RATIO_SLACK
     ]
@@ -362,6 +371,13 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     nested_typo = with_field(certified, "certificate.stedy", {"m": 1001})
     assert main(["run", str(write_config(tmp_path, nested_typo))]) == EXIT_CONFIG
     assert "certificate.stedy: unknown field" in capsys.readouterr().err
+    far = with_field(certified, "certificate.tau0_list", [1.0, 20.0])
+    assert main(["run", str(write_config(tmp_path, far))]) == EXIT_CONFIG
+    assert ("certificate.tau0_list.1: expected a positive number at most ln(t_end + 1)"
+            in capsys.readouterr().err)
+    late_start = with_field(TINY_DECAY, "snapshots.t_min", 500.0)
+    assert main(["run", str(write_config(tmp_path, late_start))]) == EXIT_CONFIG
+    assert "snapshots.t_min: must lie below t_end" in capsys.readouterr().err
     # a gauge reads only the fields of its own kind
     for gauge, field in (({"kind": "PowerLaw", "r": 1.0, "kappa": 2.0}, "L.kappa"),
                          ({"kind": "LogType", "kappa": 2.0, "M": 4.0, "s0": 0.01}, "L.s0")):
@@ -377,7 +393,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
 def test_config_read_before_time_stepping(tmp_path, monkeypatch):
     # rate is used only after the evolution, yet a bad field in it must stop
     # the run before any time step
-    calls = counted_evolve(monkeypatch)
+    calls = counted_ladder(monkeypatch)
     doc = with_field(TINY_DECAY, "rate", {"delta": "x"})
     doc["envelope"] = TINY_DECAY["problem"]["u0"]
     doc["L"] = {"kind": "LogType", "kappa": 0.95, "M": 4.0}
@@ -399,7 +415,7 @@ def test_dimension_above_3_exit_2(tmp_path, monkeypatch):
     # the step's matrix is an M-matrix only for n <= 3 (its lower band at
     # r = h is (3 - n)/(2h^2)), so a larger n is an input error before any
     # time step, and leaves no run directory
-    calls = counted_evolve(monkeypatch)
+    calls = counted_ladder(monkeypatch)
     out = tmp_path / "run"
     for n in (4, 6, 10):
         cfg = write_config(tmp_path, with_field(TINY_DECAY, "problem.n", n))
@@ -420,7 +436,7 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
     # config errors that only the library's preconditions catch, in the
     # compute step, exit 2 and leave no run directory: the writer creates it
     # only with the manifest
-    calls = counted_evolve(monkeypatch)
+    calls = counted_ladder(monkeypatch)
     steady = {"name": "ss", "mode": "steady_state",
               "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}}
     audit = {"name": "audit", "mode": "lfunction_audit",
@@ -429,15 +445,11 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
     scan = {"name": "scan", "mode": "gn_scan", "grid": {"n": 3, "R": 20.0, "m": 201},
             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0}, "request": {"q": 2.0},
             "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]}}
-    ladder = with_field(TINY_DECAY, "approx", {"ladder": {
-        "eps_list": [1e-3, 1e-2], "R_list": [10.0, 20.0]}, "m": 251})
     # p = 1, so c1 tau0 = 0.5 lies below Lambda(0) = ln 2 of this envelope
     low_horizon = dict(TINY_DECAY, envelope=dict(TINY_DECAY["problem"]["u0"], c0=0.5),
                        certificate={"tau0_list": [1.0], "steady": {"m": 101}})
     late = [
-        with_field(TINY_DECAY, "approx.R", -5),
         with_field(TINY_DECAY, "problem.n", 0),
-        ladder,
         low_horizon,
         with_field(audit, "audit.p", 0.5),
         with_field(scan, "family.widths", [10]),
@@ -454,6 +466,33 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
         if doc is low_horizon:
             # the certificate is judged before the trajectory is evolved
             assert calls == []
+
+
+def test_approx_errors_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    # every member of the ladder is checked in the read phase, so an approx
+    # error stops the run before the certificate's steady-state solve and
+    # before any time step, and leaves no run directory
+    calls = counted_ladder(monkeypatch)
+    solves = []
+    monkeypatch.setattr(bounds, "solve_steady_state", lambda *args: solves.append(args))
+    certified = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"],
+                     certificate={"steady": {"m": 101}})
+    cases = {
+        "eps must lie in (0, 1)": ("eps_list", [2.0]),
+        "eps_list must be non-empty and strictly decreasing": ("eps_list", [1e-3, 1e-2]),
+        "strictly increasing": ("R_list", [10.0, 5.0]),
+        "whole number of spacings": ("R_list", [5.1, 10.0]),  # h = 0.04
+        "R_list must be non-empty, positive": ("R_list", [-5.0]),
+        "eps_list must be non-empty": ("eps_list", []),
+    }
+    out = tmp_path / "run"
+    for message, (field, value) in cases.items():
+        doc = with_field(certified, f"approx.ladder.{field}", value)
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "approx.ladder: " in err and message in err, err
+    assert calls == [] and solves == []
+    assert not out.exists()
 
 
 def test_unwritable_output_dir_exit_2(tmp_path):
@@ -684,10 +723,10 @@ def test_static_manifests_pinned(tmp_path):
 
 
 def test_two_sided_artifacts_pinned(tmp_path):
-    # the time-stepping path (one evolve at m = 301, the sandwich, baseline
-    # and curves, the certificate) gives the same artifacts and verdict as
-    # earlier builds; artifacts are pinned, not the manifest, which echoes
-    # the config
+    # the time-stepping path (a one-member ladder at m = 301, the sandwich,
+    # baseline and curves, the certificate) gives the same artifacts and
+    # verdict as earlier builds, which evolved the single run without a
+    # ladder; artifacts are pinned, not the manifest, which echoes the config
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
@@ -695,6 +734,7 @@ def test_two_sided_artifacts_pinned(tmp_path):
     assert shas == [
         ("baseline.json", "98008e42598ab9d674351acbe37d61f3a772bdfea7887cd0d288985fffbdc9d5"),
         ("center_value.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
+        ("ladder_report.json", "11d08fa48d6a4b0010b272b2eb7949c74b6843cfd145bc0d02ee7ff22e4737c0"),
         ("lower_curve.csv", "5ad4b27250772c6950baec1f85ef92ec47d70444c9d6b928fa50efc1bf99fad1"),
         ("lq_1.csv", "da3467de38ad8fcc7fc8dca2ae1d0523c12923b547a8b79798ab355f4f2fb19f"),
         ("margins.json", "e41b3e52dbbf84878ce2e7f6f0e08feadea05e95bdc32dd10f74cfe60c9fd862"),
@@ -713,5 +753,9 @@ def test_two_sided_artifacts_pinned(tmp_path):
         ("upper_curve.csv", "73949b0dd23339c7eedb9d038b816cdf5f8d55e25f13ee4c3ea6111b936367f6"),
     ]
     verdict = read_json(out / "manifest.json")["verdict"]
+    assert verdict.pop("ladder") == {
+        "members": [{"eps": 1e-4, "R": 12.0}],
+        "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
+        "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
     assert digest == "915da5d7e835923768c00df2c4ffc8c79209fdbc2cf0fc6d36010b4eff013582"

@@ -406,15 +406,18 @@ def test_ladder_monotone_and_cauchy():
     assert report["eps_cauchy_sup_reldiff"][0] < 0.05
 
 
-@pytest.mark.parametrize("eps_list", [[1e-2, 1e-3], [1e-3]])
-def test_ladder_proxy_is_the_replayed_run(eps_list):
+@pytest.mark.parametrize("eps_list, R_list",
+                         [([1e-2, 1e-3], [10.0, 20.0]), ([1e-3], [10.0, 20.0]), ([1e-3], [20.0])],
+                         ids=["eps_list0", "eps_list1", "one_member"])
+def test_ladder_proxy_is_the_replayed_run(eps_list, R_list):
     # the proxy is evolve's run on the lead's steps, and the members are the
     # backward-Euler passes that evolve extrapolates: with one eps the lead is
-    # the proxy, and its run is the adaptive one
+    # the proxy, and its run is the adaptive one; a ladder of one member is
+    # the single run, on which a pde_decay config with one member is judged
     spec = ProblemSpec(p=4.0, n=1, u0=lambda r: 2.0 * np.exp(-(r / 2.0) ** 2))
     snaps = np.concatenate([[0.0], np.geomspace(1.0, 20.0, 7)])
     obs = {"lq_1": observer_lq(1.0)}
-    ladder = minimal_solution_ladder(spec, eps_list, [10.0, 20.0], 501, 20.0, snaps, obs)
+    ladder = minimal_solution_ladder(spec, eps_list, R_list, 501, 20.0, snaps, obs)
     lead = evolve(spec, ApproxParams(R=20.0, eps=eps_list[0], m=501), 20.0, snaps, obs)
     proxy = ladder.proxy
     replay = (None if len(eps_list) == 1 else lead.dts)
@@ -426,6 +429,7 @@ def test_ladder_proxy_is_the_replayed_run(eps_list):
     assert proxy.series.keys() == ref.series.keys()
     assert all(np.array_equal(proxy.series[k], ref.series[k]) for k in ref.series)
     assert proxy.stats == ref.stats
+    assert proxy.params == ref.params
 
     full = evolution._be_pass(spec, proxy.params, proxy.times, replay)
     assert np.array_equal(ladder.members[eps_list[-1], 20.0], full.rows)
@@ -450,6 +454,9 @@ def test_ladder_input_validation(monkeypatch):
         minimal_solution_ladder(spec, [1e-3, 1e-2], [5.0], 101, 1.0, [1.0])
     with pytest.raises(InputError):
         minimal_solution_ladder(spec, [1e-2], [10.0, 5.0], 101, 1.0, [1.0])
+    for eps_list, R_list in (([], [5.0]), ([1e-2], [])):
+        with pytest.raises(InputError, match="non-empty"):
+            minimal_solution_ladder(spec, eps_list, R_list, 101, 1.0, [1.0])
     with pytest.raises(InputError, match="whole number of spacings"):
         # spacing 10/7: the radius 5 is 3.5 spacings
         minimal_solution_ladder(spec, [1e-2], [5.0, 10.0], 8, 1.0, [1.0])

@@ -59,7 +59,7 @@ import decaylab.cli as cli
 doc = {"name": "tiny", "mode": "pde_decay",
        "problem": {"p": 1.0, "n": 1,
                    "u0": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0}},
-       "approx": {"R": 10.0, "eps": 1e-3, "m": 51},
+       "approx": {"ladder": {"eps_list": [1e-3], "R_list": [10.0]}, "m": 51},
        "t_end": 1.0, "snapshots": {"t_min": 0.5, "count": 3}}
 cfg = Path(sys.argv[1]) / "tiny.json"
 cfg.write_text(json.dumps(doc))
