@@ -18,11 +18,12 @@ typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
 integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``),
 a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
 reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
-window or gauge that its verdict would refuse exits 2 before any time
-stepping; so does a certificate horizon outside the envelope's inverse.  Each
-input has one field: a gauge ``L`` has the fields of its kind
-(``SteepnessFunction.fields``), and a run's eps and R are the lists of
-``approx.ladder``, whose node count ``approx.m`` is that of its largest ball.
+window that its verdict would refuse exits 2 before any time stepping; so
+does a certificate horizon outside the envelope's inverse.  Each input has
+one field: a gauge ``L`` has the fields of its kind
+(``SteepnessFunction.fields``), the rate's gauge is derived from the envelope
+and ``rate.delta`` (``rates.rate_model``), and a run's eps and R are the lists
+of ``approx.ladder``, whose node count ``approx.m`` is that of its largest ball.
 A verdict that holds a NaN or an infinity is a numeric failure: it exits 3.
 ``ArtifactWriter.finish`` alone creates the run directory, after the verdict,
 with the artifacts and then the manifest, so a run that exits 2 or 3 leaves
@@ -115,12 +116,13 @@ class _Section:
             elif type(val) is dict:
                 yield from _Section(val, self._at(key), self.seen).unread()
 
-    def build(self, make, **fields):
-        """``make(**fields)``, reporting a failed precondition at this section."""
+    def build(self, make, at=None, **fields):
+        """``make(**fields)``, reporting a failed precondition at this section,
+        or at its field ``at``."""
         try:
             return make(**fields)
         except InputError as exc:
-            raise ConfigError(f"{self.path}: {exc}") from exc
+            raise ConfigError(f"{self.path if at is None else self._at(at)}: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -156,6 +158,8 @@ class ArtifactWriter:
         self.entries = []  # (name, bytes) of each artifact, in the order written
 
     def _register(self, name: str, data: bytes):
+        if any(name == known for known, _ in self.entries):
+            raise InputError(f"artifact {name} is already written")
         self.entries.append((name, data))
 
     def write_text(self, name: str, text: str):
@@ -354,10 +358,10 @@ def _write_run_series(writer: ArtifactWriter, run):
     for name in sorted(run.series):
         writer.write_series_csv(f"{name.replace(':', '_')}.csv", ["t", "value"],
                                 [run.times, run.series[name]])
-    keep = np.unique(np.linspace(0, len(run.times) - 1, 9).astype(int))
-    for k in keep:
-        writer.write_series_csv(f"profile_t{run.times[k]:.6g}.csv", ["r", "u"],
-                                [run.grid.nodes, run.values[k]])
+    profiles = {f"profile_t{run.times[k]:.6g}.csv": k  # of times that print alike, the last
+                for k in np.linspace(0, len(run.times) - 1, 9).astype(int)}
+    for name, k in profiles.items():
+        writer.write_series_csv(name, ["r", "u"], [run.grid.nodes, run.values[k]])
 
 
 def _run_pde_decay(cfg: _Section):
@@ -365,7 +369,6 @@ def _run_pde_decay(cfg: _Section):
     obs = _observers(cfg.list_of("observers", STRING, []))
     rate = cfg.section("rate", None)
     cert = cfg.section("certificate", None)
-    L = _steepness(cfg.section("L")) if rate is not None else None
     acfg = cfg.section("approx")
     m = acfg.read("m", NODES)  # nodes on the ladder's largest ball
     lcfg = acfg.section("ladder")
@@ -375,10 +378,11 @@ def _run_pde_decay(cfg: _Section):
     if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
-        delta = rate.read("delta", NUMBER)
+        delta = rate.read("delta", POSITIVE)
         window = tuple(rate.read("window", WINDOW, [10.0, None]))
-        _, model = rate.build(rates.rate_model, env=env, L=L, p=spec.p, n=spec.n, delta=delta)
+        _, model, L = rate.build(rates.rate_model, env=env, p=spec.p, n=spec.n, delta=delta)
         in_window = rate.build(rates.rate_window, times=snaps, window=window, model=model)
+        rate.build(rates.baseline_tail, at="window", t=snaps[in_window])
     if cert is not None:
         horizon = math.log(t_end + 1.0)  # tau = ln(t + 1) of the run's last snapshot
         reached = (f"a positive number at most ln(t_end + 1) = {horizon:g}",
@@ -403,7 +407,7 @@ def _run_pde_decay(cfg: _Section):
         _write_run_series(writer, run)
 
         if rate is not None:
-            sandwich = rates.sandwich_report(run, env, L, delta, window)
+            sandwich = rates.sandwich_report(run, env, delta, window)
             verdict["sandwich"] = sandwich.to_json()
             writer.write_json("sandwich.json", verdict["sandwich"])
             # the baseline and both curves read the snapshots the sandwich judged

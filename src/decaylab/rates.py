@@ -35,6 +35,7 @@ __all__ = [
     "lower_bound_persistence",
     "rate_model",
     "BaselineReport",
+    "baseline_tail",
     "baseline_check",
     "SandwichVerdict",
     "sandwich_report",
@@ -44,6 +45,7 @@ RATIO_SLACK = 0.1
 EXPONENT_SLACK = 0.1
 MIN_WINDOW_DECADES = 2.0   # every rate window spans at least this many decades
 CALIBRATION_DECADES = 1.0   # a lower curve's constant is calibrated on these first decades
+GAUGE_M = 4.0   # M of every rate gauge (rate_model)
 BASELINE_DELTA = 0.1
 # Envelope headroom for the near-algebraic baseline: over a 3-decade window a
 # slowly varying correction as strong as ln^{1.8} t gains about this factor
@@ -60,9 +62,6 @@ class RateFit:
     rms_residual: float
     t_window: tuple
     n_points: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def rate_window(times, window: tuple, model: str) -> np.ndarray:
@@ -122,9 +121,6 @@ class BoundCheck:
     t0: float
     slack: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def upper_bound_curve(L: SteepnessFunction, p: float, n: int, C: float,
@@ -196,12 +192,22 @@ class BaselineReport:
         return doc
 
 
+def baseline_tail(t) -> np.ndarray:
+    """The mask of the window times t in its last decade, where the baseline
+    requires t^{1/p} v to be nondecreasing; fewer than 2 would make that vacuous."""
+    tail = t >= t[-1] / 10.0
+    if tail.sum() < 2:
+        raise InputError(f"the last decade [{t[-1] / 10.0:g}, {t[-1]:g}] holds "
+                         f"{tail.sum()} snapshot; the baseline's tail check needs 2")
+    return tail
+
+
 def baseline_check(t, v, p: float) -> BaselineReport:
     compensated = v * t ** (1.0 / p - BASELINE_DELTA)
     C = BASELINE_HEADROOM * compensated[0]
     worst = float(compensated.max() / C)
 
-    tail = t >= t[-1] / 10.0
+    tail = baseline_tail(t)
     growth = v[tail] * t[tail] ** (1.0 / p)
     increasing = bool(np.all(np.diff(growth) >= -1e-8 * growth[:-1]))
     return BaselineReport(worst, worst <= 1.0, BASELINE_HEADROOM, increasing, BASELINE_DELTA)
@@ -220,51 +226,39 @@ class SandwichVerdict:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "fit": self.fit.to_json(),
-            "upper": self.upper.to_json(),
-            "lower": self.lower.to_json(),
-            "sigma_target": self.sigma_target,
-            "sigma_window": list(self.sigma_window),
-            "sigma_ok": self.sigma_ok,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
-def rate_model(env: DecayEnvelope, L: SteepnessFunction, p: float, n: int,
-               delta: float) -> tuple:
-    """The envelope's shape exponent and fit model, once the inputs are checked.
+def rate_model(env: DecayEnvelope, p: float, n: int, delta: float) -> tuple:
+    """The envelope's shape exponent, fit model and upper-bound gauge L.
 
-    The steepness exponent must match the envelope: kappa = n/beta + n p delta/2
-    for stretched-exponential envelopes (gamma replaces beta for doubly
-    exponential ones).
+    L is log-type (doubly log-type for a DoubleExp envelope, whose gamma
+    replaces beta) with M = GAUGE_M and kappa = n/shape + n p delta/2, so its
+    exponent 2 kappa/(np) is the sharp 2/(p shape) plus delta.  delta must be
+    positive: at kappa <= n/shape the integral of L(u0) diverges.
     """
+    if not delta > 0:
+        raise InputError(f"delta must be positive, got {delta}")
     if env.kind == "StretchedExp":
-        shape, model, wanted_kind = env.beta, "LogCorrected", "LogType"
+        shape, model, gauge = env.beta, "LogCorrected", SteepnessFunction.log_type
     else:
-        shape, model, wanted_kind = env.gamma, "LogLogCorrected", "DoubleLogType"
-    kappa_expected = n / shape + n * p * delta / 2.0
-    if L.kind != wanted_kind:
-        raise InputError(
-            f"steepness kind {L.kind} inconsistent with envelope kind {env.kind}")
-    if abs(L.kappa - kappa_expected) > 1e-9:
-        raise InputError(
-            f"steepness exponent kappa = {L.kappa} inconsistent with envelope: "
-            f"expected n/shape + n*p*delta/2 = {kappa_expected}")
-    return shape, model
+        shape, model, gauge = env.gamma, "LogLogCorrected", SteepnessFunction.double_log_type
+    return shape, model, gauge(n / shape + n * p * delta / 2.0, GAUGE_M)
 
 
-def sandwich_report(run: EvolutionRun, env: DecayEnvelope, L: SteepnessFunction,
-                    delta: float, window: tuple) -> SandwichVerdict:
+def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
+                    window: tuple) -> SandwichVerdict:
     """Fit the run's sup-norm series and check both calibrated bounds on the
     snapshots of ``rate_window``.
 
-    The gauge must match the envelope (``rate_model``).  The fitted
+    The upper bound's gauge is the one ``rate_model`` derives.  The fitted
     correction exponent must land in [target - 0.1, target + delta + 0.1]
     with target 2/(p beta) or 2/(p gamma).
     """
     p, n = run.spec.p, run.grid.n
-    shape, model = rate_model(env, L, p, n, delta)
+    shape, model, L = rate_model(env, p, n, delta)
     in_window = rate_window(run.times, window, model)
     t, v = run.times[in_window], run.series["sup_norm"][in_window]
     fit = fit_decay(t, v, p, model)

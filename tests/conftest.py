@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from decaylab import bounds, evolution
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("decaylab", derandomize=True, deadline=None, database=None)
@@ -23,14 +23,24 @@ def rng():
     return np.random.default_rng(seed)
 
 
-@pytest.fixture(scope="session")
-def perfbench_tracer():
-    """perfbench's tracer module, loaded from its file: the benchmark
-    instruments decaylab from outside the package."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name):
+    """A module of perfbench, loaded from its file: the benchmark configures
+    and instruments decaylab from outside the package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def perfbench_tracer():
+    return _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    return _perfbench_module("workloads")
 
 
 @pytest.fixture(scope="session")

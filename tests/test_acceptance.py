@@ -258,9 +258,8 @@ def rate_inputs(run):
     """Envelope, gauge and window mask of the rate section of pde_decay_sandwich.json."""
     doc = shipped("pde_decay_sandwich")
     env = DecayEnvelope(**doc["envelope"])
-    L = SteepnessFunction.from_json(doc["L"])
-    # the gauge exponent must be kappa = n/beta + n p delta/2
-    _, model = rate_model(env, L, run.spec.p, run.spec.n, doc["rate"]["delta"])
+    # the gauge exponent is kappa = n/beta + n p delta/2
+    _, model, L = rate_model(env, run.spec.p, run.spec.n, doc["rate"]["delta"])
     return env, L, rate_window(run.times, tuple(doc["rate"]["window"]), model), model
 
 
@@ -315,14 +314,15 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # the two time-stepping configs give the same bytes as earlier builds: the
     # manifest holds the config, every artifact's sha256 and the verdict, and
     # each artifact on disk matches its listed sha256 (the sandwich's moved
-    # once, when its single run became a one-member ladder: the config's
-    # approx, the verdict's ladder key and ladder_report.json are new, and
-    # every other artifact kept its bytes)
+    # twice: when its single run became a one-member ladder, the config's
+    # approx, the verdict's ladder key and ladder_report.json were new, and
+    # every other artifact kept its bytes; when its gauge came to be derived
+    # from the envelope and delta, only the config echo lost its L)
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "4e84258fff169036a829afba05f495e3"
-                                             "1f6eb9d503dc1dd1e7daf50d1b4fb745"),
+        "pde_decay_sandwich": (sandwich_dir, "498093d2b76c0f8c73749881de3784ae"
+                                             "882d20a469537daf7a8210a74b91e4de"),
         "ladder": (ladder_dir, "08da709e4aa39d75b3e82222c65326e0"
                                "45e1b203b92d459d959d3b4dd1efa18a"),
     }

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from decaylab import bounds, cli, evolution
 from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_VERDICT, main,
                           run_experiment)
-from decaylab.errors import NumericError
+from decaylab.errors import InputError, NumericError
 from decaylab.steepness import HypothesisReport
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -83,10 +86,8 @@ def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
     # compares logarithms; at kappa = 1000, a = 2^1000 - 1 and a / ln(1/s)
     # overflows, so the ratio bound compares s L'/L ln(1/s) with a; a
     # RuntimeWarning (0/0, say) fails this test
-    from pathlib import Path
-    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     for kappa in (400.0, 1000.0):
-        doc = read_json(cfg_dir / "lfunction_audit.json")
+        doc = read_json(CONFIGS / "lfunction_audit.json")
         doc["L"]["kappa"] = kappa
         out = tmp_path / f"run_{kappa:g}"
         cfg = write_config(tmp_path, doc)
@@ -100,8 +101,7 @@ def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
 def test_lfunction_audit_judges_an_overflowing_gauge(tmp_path):
     # at kappa = 2000, lambda0 = 0.01, L' and L'' overflow near s0, and the
     # convexity check divided inf by inf: the verdict was NaN (exit 3)
-    from pathlib import Path
-    doc = read_json(Path(__file__).resolve().parents[1] / "configs" / "lfunction_audit.json")
+    doc = read_json(CONFIGS / "lfunction_audit.json")
     doc["L"].update(kappa=2000.0, lambda0=0.01)
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
@@ -158,6 +158,33 @@ def test_pde_decay_mode_and_determinism(tmp_path):
     assert np.all(np.diff(sup[:, 1]) <= 0)
 
 
+def test_profiles_that_print_alike_are_written_once(tmp_path):
+    # the nine profile snapshots of t in [0.9999995, 1] all print as t = 1:
+    # the run writes one profile_t1.csv, the last snapshot's, and report finds
+    # every artifact the manifest lists intact
+    doc = dict(TINY_DECAY, t_end=1.0, snapshots={"t_min": 0.9999995, "count": 65})
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
+    paths = [entry["path"] for entry in read_json(out / "manifest.json")["artifacts"]]
+    assert len(paths) == len(set(paths))
+    assert [path for path in paths if path.startswith("profile_")] == ["profile_t0.csv",
+                                                                         "profile_t1.csv"]
+    profile = np.loadtxt(out / "profile_t1.csv", delimiter=",", skiprows=1)
+    sup = np.loadtxt(out / "sup_norm.csv", delimiter=",", skiprows=1)
+    assert profile[:, 1].max() == sup[-1, 1]
+    assert main(["report", str(out)]) == EXIT_PASS
+    assert "(ok)" in (out / "summary.md").read_text()
+    assert "problems" not in (out / "summary.md").read_text()
+
+
+def test_writer_refuses_a_name_twice(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path / "run")
+    writer.write_text("a.csv", "x\n")
+    with pytest.raises(InputError, match="artifact a.csv is already written"):
+        writer.write_json("a.csv", {})
+    assert writer.entries == [("a.csv", b"x\n")]
+
+
 def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
     ladders = []
     real_ladder = evolution.minimal_solution_ladder
@@ -208,7 +235,6 @@ TWO_SIDED = dict(
     t_end=500.0,
     snapshots={"t_min": 0.5, "count": 13},
     envelope=TINY_DECAY["problem"]["u0"],
-    L={"kind": "LogType", "kappa": 0.95, "M": 4.0, "lambda0": 1.0},
     rate={"delta": 0.9, "window": [1.5, None]},
     certificate={"steady": {"m": 1001}, "tau0_list": [math.log(51.0)]},
 )
@@ -220,7 +246,7 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     calls = counted_ladder(monkeypatch)
     docs = {"both": TWO_SIDED,
             "rate": {k: v for k, v in TWO_SIDED.items() if k != "certificate"},
-            "cert": {k: v for k, v in TWO_SIDED.items() if k not in ("rate", "L")}}
+            "cert": {k: v for k, v in TWO_SIDED.items() if k != "rate"}}
     rc, verdict, shas = {}, {}, {}
     for label, doc in docs.items():
         calls.clear()
@@ -288,8 +314,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
             "sharpness_scale": 1.25}
     ladder = with_field(TINY_DECAY, "approx", {"ladder": {
         "eps_list": [1e-2, 1e-3], "R_list": [10.0]}, "m": 251})
-    rated = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"],
-                 L={"kind": "LogType", "kappa": 0.95, "M": 4.0}, rate={"delta": 0.9})
+    rated = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"], rate={"delta": 0.9})
     ill_typed = [
         with_field(TINY_DECAY, "problem.u0.c0", True),
         with_field(TINY_DECAY, "snapshots.count", True),
@@ -342,32 +367,55 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(TINY_DECAY, "approx.eps", 1e-3),
         with_field(TINY_DECAY, "snapshots.include_zero", True),  # a run always records t = 0
         with_field(long_rated, "rate.slack", 0.1),  # the slack is rates.RATIO_SLACK
+        # the rate's gauge is derived from the envelope and delta (rates.rate_model)
+        with_field(long_rated, "L", {"kind": "LogType", "kappa": 0.95, "M": 4.0}),
     ]
     # what the rate verdict would refuse once it ran, depending only on the
     # config, is refused before any time stepping: a window that starts at
     # t <= 1 (LogCorrected needs ln ln t), holds fewer than 3 snapshots or
-    # spans too few decades, and a gauge that does not match the envelope
-    late_rate_errors = [
-        with_field(rated, "rate.window", [0.5, None]),
-        with_field(rated, "rate.window", [1.5, 4.0]),
-        with_field(rated, "rate.window", [1.2, None]),
-        with_field(long_rated, "L.kappa", 2.0),
-    ]
+    # spans too few decades, a window whose last decade holds one snapshot,
+    # on which the baseline's tail check is vacuous, and a delta <= 0, which
+    # leaves the upper bound's gauge without its hypothesis
+    shipped_rate = read_json(CONFIGS / "pde_decay_sandwich.json")
+    shipped_rate.update(snapshots={"t_min": 0.01, "count": 6},
+                        rate={"delta": 0.9, "window": [10.0, None]})
+    shipped_rate["approx"]["m"] = 501  # the window holds t = 39.8, 631 and 1e4
+    late_rate_errors = {
+        "rate: window [0.5, 5.0] must start above t = 1": with_field(
+            rated, "rate.window", [0.5, None]),
+        "rate: window [1.5, 4.0] holds fewer than 3 samples": with_field(
+            rated, "rate.window", [1.5, 4.0]),
+        "rate: window [1.2, 5.0] spans 0.60 decades < 2": with_field(
+            rated, "rate.window", [1.2, None]),
+        "rate.window: the last decade [1000, 10000] holds 1 snapshot": shipped_rate,
+        "rate.delta: expected a positive number, got 0": with_field(rated, "rate.delta", 0),
+        "rate.delta: expected a positive number, got -0.5": with_field(
+            rated, "rate.delta", -0.5),
+    }
     # a misspelled section is read by no part of the run, so it cannot drop
     # its check without a word
     typo = {k: v for k, v in certified.items() if k != "certificate"}
     typo["certificat"] = certified["certificate"]
     # the unchecked descent observer is gone: its name is an unknown observer,
     # and its exponent an unknown field
-    lyapunov = dict(TINY_DECAY, observers=["lyapunov"],
-                    L={"kind": "LogType", "kappa": 2.0, "M": 4.0})
-    removed_observer = [lyapunov, dict(lyapunov, lyapunov_q=-1.0)]
-    for doc in (ill_typed + out_of_range + removed_fields + late_rate_errors + removed_observer
-                + [removed_mode, typo]):
+    lyapunov = dict(TINY_DECAY, observers=["lyapunov"])
+    removed_observer = [lyapunov, dict(TINY_DECAY, lyapunov_q=-1.0)]
+    for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
+                + removed_observer + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     assert not (tmp_path / "run").exists()
     capsys.readouterr()
+    for message, doc in {
+        **late_rate_errors,
+        "rate.window: expected [number, number or null], got [1.0]": ill_typed[-1],
+        "L: unknown field": removed_fields[-1],
+        "observers: unknown observer 'lyapunov'": removed_observer[0],
+        "lyapunov_q: unknown field": removed_observer[1],
+    }.items():
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err, message
     nested_typo = with_field(certified, "certificate.stedy", {"m": 1001})
     assert main(["run", str(write_config(tmp_path, nested_typo))]) == EXIT_CONFIG
     assert "certificate.stedy: unknown field" in capsys.readouterr().err
@@ -390,15 +438,15 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
-def test_config_read_before_time_stepping(tmp_path, monkeypatch):
+def test_config_read_before_time_stepping(tmp_path, monkeypatch, capsys):
     # rate is used only after the evolution, yet a bad field in it must stop
     # the run before any time step
     calls = counted_ladder(monkeypatch)
     doc = with_field(TINY_DECAY, "rate", {"delta": "x"})
     doc["envelope"] = TINY_DECAY["problem"]["u0"]
-    doc["L"] = {"kind": "LogType", "kappa": 0.95, "M": 4.0}
     cfg = write_config(tmp_path, doc)
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert 'rate.delta: expected a positive number, got "x"' in capsys.readouterr().err
     assert calls == []
 
 
@@ -633,12 +681,10 @@ def test_report_malformed_manifest(tmp_path):
 def test_checked_in_configs_are_valid():
     # every field of every shipped config passes the read phase, and no key is
     # left unread; the returned compute step is not called
-    from pathlib import Path
-    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
-    names = {p.name for p in cfg_dir.glob("*.json")}
+    names = {p.name for p in CONFIGS.glob("*.json")}
     assert {"steady_state.json", "lfunction_audit.json", "gn_scan.json",
             "pde_decay_sandwich.json", "ladder.json", "lower_bound.json"} <= names
-    for path in sorted(cfg_dir.glob("*.json")):
+    for path in sorted(CONFIGS.glob("*.json")):
         cfg = cli.load_config(path)
         compute, out = cli._read_phase(cfg)
         assert callable(compute) and out == cfg["output_dir"], path.name
@@ -648,10 +694,8 @@ def test_certificate_and_sandwich_configs_share_the_trajectory():
     # criterion 10 of the acceptance gate judges lower_bound.json's certificate
     # on the trajectory of pde_decay_sandwich.json, so the fields that fix that
     # trajectory must not drift apart
-    from pathlib import Path
-    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
-    cert = read_json(cfg_dir / "lower_bound.json")
-    rate = read_json(cfg_dir / "pde_decay_sandwich.json")
+    cert = read_json(CONFIGS / "lower_bound.json")
+    rate = read_json(CONFIGS / "pde_decay_sandwich.json")
     for key in ("problem", "approx", "snapshots", "t_end"):
         assert cert[key] == rate[key], key
 
@@ -693,7 +737,7 @@ def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
                                per_cell_series_csv(list(columns), columns.values()).encode())]
     # one column, and no column at all
     for cols in ([floats], []):
-        writer.write_series_csv("one.csv", ["x"] * len(cols), cols)
+        writer.write_series_csv(f"cols{len(cols)}.csv", ["x"] * len(cols), cols)
         assert writer.entries[-1][1] == per_cell_series_csv(["x"] * len(cols), cols).encode()
     assert not (tmp_path / "run").exists()
 
@@ -703,8 +747,6 @@ def test_static_manifests_pinned(tmp_path):
     # an automated part of the "manifests unchanged" oracle of a refactor
     # (lfunction_audit moved once, when the convexity check took s L''/L' in
     # closed form)
-    from pathlib import Path
-    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     pinned = {
         "steady_state": "bcf70b2dfd3cc4dd558878a78f799a561258aecfd58e0902922f03ed793230ec",
         "lfunction_audit": "937928bf98d6e0c6660256e282146f30eb5255365a372baefa9010741891861a",
@@ -712,7 +754,7 @@ def test_static_manifests_pinned(tmp_path):
     }
     for name, sha in pinned.items():
         out = tmp_path / name
-        assert run_experiment(cfg_dir / f"{name}.json", out) == EXIT_PASS
+        assert run_experiment(CONFIGS / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
     # the three narrowest members of the scan, and of the probe, have a
     # truncation tail the grid does not resolve

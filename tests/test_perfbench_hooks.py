@@ -1,8 +1,12 @@
 """The benchmark in perfbench/ instruments decaylab by name from outside the
-package; every name it wraps must keep resolving, so a refactor that deletes
-or moves one fails here rather than in a benchmark run."""
+package and builds its inputs from the shipped configs; every name it wraps
+must keep resolving and every config it builds must keep passing the read
+phase, so a refactor that breaks either fails here rather than in a benchmark
+run."""
 
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,22 @@ def test_traced_names_resolve(perfbench_tracer):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in instruments if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_benchmark_configs_pass_the_read_phase(perfbench_workloads, tmp_path):
+    # the configs every workload builds at seed 0 pass the read phase, and no
+    # compute step runs: a config-schema change that breaks the benchmark's
+    # overrides fails here rather than in a benchmark run
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    built = {name: make(configs, perfbench_workloads.Jitter(0))
+             for name, make in perfbench_workloads.WORKLOADS.items()}
+    assert set(built) == {"two_sided_p1", "ladder_p4", "static_checks"}
+    for name, runs in built.items():
+        for cfg, _ in runs:
+            path = tmp_path / f"{cfg['name']}.json"
+            path.write_text(json.dumps(cfg))
+            compute, _ = cli._read_phase(cli.load_config(path))
+            assert callable(compute), (name, cfg["name"])
 
 
 def test_evolve_keeps_dt_schedule_sixth():

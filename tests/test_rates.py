@@ -7,8 +7,9 @@ from decaylab.bounds import DecayEnvelope
 from decaylab.errors import InputError
 from decaylab.evolution import ApproxParams, EvolutionRun, ProblemSpec
 from decaylab.radial import RadialGrid
-from decaylab.rates import (baseline_check, fit_decay, lower_bound_persistence,
-                            rate_window, sandwich_report, upper_bound_check)
+from decaylab.rates import (GAUGE_M, baseline_check, baseline_tail, fit_decay,
+                            lower_bound_persistence, rate_model, rate_window,
+                            sandwich_report, upper_bound_check)
 from decaylab.steepness import SteepnessFunction
 
 T = np.geomspace(10.0, 1e4, 200)
@@ -103,13 +104,24 @@ def test_baseline_trivial_examples():
     assert not gross.envelope_passed
 
 
+def test_baseline_tail_needs_two_snapshots():
+    # the tail check is vacuous on one snapshot, so a window whose last
+    # decade holds fewer than two is refused
+    t = np.array([39.8, 631.0, 1e4])
+    with pytest.raises(InputError, match=r"last decade \[1000, 10000\] holds 1 snapshot"):
+        baseline_tail(t)
+    with pytest.raises(InputError, match="last decade"):
+        baseline_check(t, t**-1.0, 1.0)
+    assert baseline_tail(np.array([39.8, 631.0, 2e3, 1e4])).tolist() == [False, False,
+                                                                          True, True]
+
+
 def test_sandwich_report_on_exact_model():
     # sigma = 1.2 sits between the lower target 2/(p beta) = 1 and the upper
     # gauge exponent 2 kappa/(np) = 1.9 from delta = 0.9
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    L = SteepnessFunction.log_type(0.95, 4.0)
-    verdict = sandwich_report(run, env, L, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4))
     assert verdict.fit.sigma == pytest.approx(1.2, abs=1e-6)
     assert verdict.sigma_window == (0.9, 2.0)
     assert verdict.upper.passed and verdict.lower.passed and verdict.passed
@@ -117,20 +129,40 @@ def test_sandwich_report_on_exact_model():
     assert doc["pass"] and doc["fit"]["sigma"] == pytest.approx(1.2, abs=1e-6)
 
 
-def test_sandwich_report_rejects_mismatched_gauge():
-    run = synthetic_run(T, T**-1.0 * np.log(T))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("kind", ["StretchedExp", "DoubleExp"])
+def test_rate_model_derives_the_gauge(kind, p, n):
+    # kappa = n/shape + n p delta/2 with shape beta or gamma, so the upper
+    # exponent 2 kappa/(np) is the sharp 2/(p shape) plus delta
+    env = DecayEnvelope(kind=kind, c0=1.0, alpha=1.0, beta=1.5, gamma=0.75)
+    delta = 0.3
+    shape, model, L = rate_model(env, p, n, delta)
+    expected = {"StretchedExp": (1.5, "LogCorrected", "LogType"),
+                "DoubleExp": (0.75, "LogLogCorrected", "DoubleLogType")}[kind]
+    assert (shape, model, L.kind) == expected
+    assert L.kappa == n / shape + n * p * delta / 2.0
+    assert L.M == GAUGE_M == 4.0
+    assert 2.0 * L.kappa / (n * p) == pytest.approx(2.0 / (p * shape) + delta, abs=1e-12)
+
+
+def test_rate_model_rejects_nonpositive_delta():
+    # delta <= 0 puts kappa at or below n/beta, where the integral of L(u0)
+    # diverges and the upper bound has no hypothesis
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    wrong_kappa = SteepnessFunction.log_type(2.0, 4.0)
-    with pytest.raises(InputError, match="kappa"):
-        sandwich_report(run, env, wrong_kappa, delta=0.9, window=(10.0, None))
+    for delta in (0.0, -0.5):
+        with pytest.raises(InputError, match="delta must be positive"):
+            rate_model(env, 1.0, 1, delta)
+    run = synthetic_run(T, T**-1.0 * np.log(T))
+    with pytest.raises(InputError, match="delta must be positive"):
+        sandwich_report(run, env, delta=0.0, window=(10.0, None))
 
 
 def test_sandwich_report_flags_out_of_window_exponent():
     # much faster logarithmic growth than the envelope admits
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 3.0)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    L = SteepnessFunction.log_type(0.95, 4.0)
-    verdict = sandwich_report(run, env, L, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4))
     assert not verdict.sigma_ok
     assert not verdict.passed
 
