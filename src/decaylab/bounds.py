@@ -77,7 +77,11 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     of the time of a steady-state solve.  Stage i is k_i = (v_i, f_i) with
     f(r, w, v) = -(n-1)/r * v - w^(1-p)/p, and every float operation keeps
     the operands and order of the textbook form k_i = f(r_i, y + c h k_{i-1}):
-    manifests and tests pin the results bit for bit.
+    manifests and tests pin the results bit for bit.  In n = 1 the
+    first-order term is a signed zero that leaves f unchanged (and the r = 0
+    limit divides by 1), so that loop drops it; for n > 1 each factor
+    -(n-1)/r is computed once per node: stages 2 and 3 share r + h/2, and
+    stage 4's factor at r + h is the next step's stage 1.
     """
     h = 1.0 / (m - 1)
     hh = 0.5 * h
@@ -91,43 +95,80 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     ws = [w] if record else None
     vs = [v] if record else None
     try:
-        for _ in range(m - 1):
-            if w <= 0.0:
-                break
-            if r == 0.0:
-                f1 = neg_inv_p * w**one_m_p / n
-            else:
-                f1 = neg_nm1 / r * v + neg_inv_p * w**one_m_p
-            rm = r + hh
-            w2 = w + hh * v
-            if w2 <= 0.0:
-                break
-            v2 = v + hh * f1
-            f2 = neg_nm1 / rm * v2 + neg_inv_p * w2**one_m_p
-            w3 = w + hh * v2
-            if w3 <= 0.0:
-                break
-            v3 = v + hh * f2
-            f3 = neg_nm1 / rm * v3 + neg_inv_p * w3**one_m_p
-            w4 = w + h * v3
-            if w4 <= 0.0:
-                if r + h < 1.0 - hh or record:
+        if n == 1:
+            for _ in range(m - 1):
+                if w <= 0.0:
                     break
-                return min(w4, -5e-324)     # died in the last step
-            v4 = v + h * f3
-            f4 = neg_nm1 / (r + h) * v4 + neg_inv_p * w4**one_m_p
-            w += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
-            v += h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            r += h
-            if w <= 0.0 and r < 1.0 - hh:
-                break
-            if record:
-                ws.append(w)
-                vs.append(v)
+                f1 = neg_inv_p * w**one_m_p
+                w2 = w + hh * v
+                if w2 <= 0.0:
+                    break
+                v2 = v + hh * f1
+                f2 = neg_inv_p * w2**one_m_p
+                w3 = w + hh * v2
+                if w3 <= 0.0:
+                    break
+                v3 = v + hh * f2
+                f3 = neg_inv_p * w3**one_m_p
+                w4 = w + h * v3
+                if w4 <= 0.0:
+                    if r + h < 1.0 - hh or record:
+                        break
+                    return min(w4, -5e-324)     # died in the last step
+                v4 = v + h * f3
+                f4 = neg_inv_p * w4**one_m_p
+                w += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+                v += h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                r += h
+                if w <= 0.0 and r < 1.0 - hh:
+                    break
+                if record:
+                    ws.append(w)
+                    vs.append(v)
+            else:
+                if record:
+                    return w, np.array(ws), np.array(vs)
+                return w
         else:
-            if record:
-                return w, np.array(ws), np.array(vs)
-            return w
+            c1 = 0.0        # -(n-1)/r at the current node r > 0
+            for _ in range(m - 1):
+                if w <= 0.0:
+                    break
+                if r == 0.0:
+                    f1 = neg_inv_p * w**one_m_p / n
+                else:
+                    f1 = c1 * v + neg_inv_p * w**one_m_p
+                w2 = w + hh * v
+                if w2 <= 0.0:
+                    break
+                cm = neg_nm1 / (r + hh)
+                v2 = v + hh * f1
+                f2 = cm * v2 + neg_inv_p * w2**one_m_p
+                w3 = w + hh * v2
+                if w3 <= 0.0:
+                    break
+                v3 = v + hh * f2
+                f3 = cm * v3 + neg_inv_p * w3**one_m_p
+                w4 = w + h * v3
+                if w4 <= 0.0:
+                    if r + h < 1.0 - hh or record:
+                        break
+                    return min(w4, -5e-324)     # died in the last step
+                v4 = v + h * f3
+                c1 = neg_nm1 / (r + h)
+                f4 = c1 * v4 + neg_inv_p * w4**one_m_p
+                w += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+                v += h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                r += h
+                if w <= 0.0 and r < 1.0 - hh:
+                    break
+                if record:
+                    ws.append(w)
+                    vs.append(v)
+            else:
+                if record:
+                    return w, np.array(ws), np.array(vs)
+                return w
     except OverflowError:
         raise NumericError(f"shot from w(0) = {a!r}: w^(1-p) overflows "
                            f"in the step from r = {r!r}") from None
@@ -142,53 +183,98 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
 
     Every positive radial solution is a rescaling a * w_1(r * a^{-p/2}) of
     one, so a -> w(1; a) has exactly one root, which SHOT_BRACKET must
-    straddle (an InputError otherwise).  Clipped secant steps close the
-    bracket (bisection fallback keeps it valid); a secant step shorter than
-    16 ulps from two shots on one side of the root goes that far toward the
-    other end of the bracket (Brent's minimum step).  For p > 1 the shots
-    just below the touchdown die in their last step, and the stage value
-    ``_integrate_shot`` reports for them is linear in a, so the secant lands
-    where the shots start to survive.  While the bracket has not halved over
-    the last six shots, the next shot is the midpoint (the safeguard of
-    Dekker and Brent).  Shooting stops on a shot with
-    0 <= w(1) <= BOUNDARY_TOL or when the bracket collapses, and records the
-    profile from its upper end ``hi``, the last shot with w(1) >= 0.  At
-    m = 4001 the root takes at most 37 shots on a grid of p from 1 to 8,
-    n = 1, 2, 3 (22 at (p, n) = (2, 1)), and at m = 1001 at most 36, well
-    inside the SHOT_CAP shots after which shooting fails with NumericError.
+    straddle (an InputError otherwise), and a shot from a that dies at radius
+    rho puts the root near a * rho^(-2/p).  The shot after one that died is
+    that proposal when it died at a node 0 < r <= 1 - 3h before its last step
+    (rho = r + 7h/8), or in its last step right after a shot that died
+    earlier (rho = 1 - 3h/4): a secant step on the staircase of deficits, or
+    through a deficit and a stage value, creeps.  For p > 1, when a survivor
+    follows a death, w(1; a) has jumped from 0 to a positive floor between
+    them, so the next shot is the zero of the line through the last two
+    last-step deaths, or half the stop tolerance below ``hi`` when that zero
+    lies at or above ``hi``.  Otherwise it is a secant step through the last
+    two shots; one shorter than 16 ulps from two shots on one side of the
+    root goes that far toward the other end of the bracket (Brent's minimum
+    step).  A proposal outside the open bracket yields to the next rule, and
+    a secant step outside it to bisection.  The fractions 7/8 and 3/4 were
+    chosen on the grid of (p, n) named below, on which no point takes more
+    shots than by secant steps alone.
+
+    For p > 1 the shots just below the touchdown die in their last step, and
+    the stage value ``_integrate_shot`` reports for them is linear in a, so
+    the secant lands where the shots start to survive.  While the bracket has
+    not halved over the last six shots, the next shot is the midpoint (the
+    safeguard of Dekker and Brent).  A shot whose w^(1-p) overflows has died:
+    that happens only as w nears 0, and for p > 78 at the bracket's lower end.
+    Shooting stops on a shot with 0 <= w(1) <= BOUNDARY_TOL or when the
+    bracket collapses, and records the profile from its upper end ``hi``, the
+    last shot with w(1) >= 0.  At m = 4001 the root takes at most 30 shots
+    for p in {1, 1.25, 1.5, 2, 3, 4, 6, 8} and n = 1, 2, 3 (14 at (2, 1), and
+    354 over the 21 with p <= 6, against 471 by secant steps alone); at
+    m = 1001 at most 30 (336 against 443).  After SHOT_CAP shots shooting
+    fails with NumericError.
     """
     if p < 1 or n < 1:
         raise InputError("need p >= 1 and n >= 1")
+    h = 1.0 / (grid_m - 1)
+    rtol = 1e-15        # the bracket is collapsed at hi - lo <= rtol * hi
+    # the deficit -(1 - r) of a shot that dies before its last step, keyed to
+    # the node r, accumulated as the shot's loop accumulates it
+    death_node, r = {}, 0.0
+    for _ in range(grid_m - 1):
+        death_node[-(1.0 - r)] = r
+        r += h
+
+    def shoot(a):
+        try:
+            return _integrate_shot(a, p, n, grid_m)
+        except NumericError:
+            # only w^(1-p) overflowing as w nears 0 raises: a death, read as
+            # one at r = 0, from which no rescaling proposal follows
+            return -1.0
+
     lo, hi = SHOT_BRACKET
-    f_lo = _integrate_shot(lo, p, n, grid_m)
-    f_hi = _integrate_shot(hi, p, n, grid_m)
+    f_lo = shoot(lo)
+    f_hi = shoot(hi)
     if not (f_lo < 0.0 < f_hi):
         raise InputError(
             f"shooting bracket {SHOT_BRACKET} does not straddle the boundary root "
             f"at p = {p!r}, n = {n!r} (f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e})")
     a0, f0 = lo, f_lo
     a1, f1 = hi, f_hi
+    last_step = []          # (a, stage value) of the shots that died in their last step
     widths = [hi - lo]      # the bracket width after each shot
     stalled = False
-    while not 0.0 <= f1 <= BOUNDARY_TOL and hi - lo > 1e-15 * hi:
+    while not 0.0 <= f1 <= BOUNDARY_TOL and hi - lo > rtol * hi:
         if len(widths) > SHOT_CAP:
             # the two bracket shots, then one per iteration
             raise NumericError(
                 f"steady-state shooting did not converge at p = {p!r}, n = {n!r}: "
                 f"{len(widths) + 1} shots at m = {grid_m}, last bracket [{lo!r}, {hi!r}]")
-        # secant proposal, clipped into the bracket; bisection fallback
-        if f1 != f0 and not stalled:
-            a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
-            step = 16.0 * math.ulp(a1)      # Brent's minimum step
-            if abs(a2 - a1) < step and (f0 < 0.0) == (f1 < 0.0):
-                a2 = a1 + step if a1 == lo else a1 - step
-        else:
-            a2 = 0.5 * (lo + hi)
-        if not (lo < a2 < hi):
-            a2 = 0.5 * (lo + hi)
-        f2 = _integrate_shot(a2, p, n, grid_m)
+        proposals = []
+        if not stalled:
+            r1 = death_node.get(f1)
+            if f1 < 0.0 and r1 is not None and 0.0 < r1 <= 1.0 - 3.0 * h:
+                proposals.append(a1 * (r1 + 0.875 * h) ** (-2.0 / p))
+            elif f1 < 0.0 and r1 is None and f0 in death_node:
+                proposals.append(a1 * (1.0 - 0.75 * h) ** (-2.0 / p))
+            if p > 1.0 and f0 < 0.0 <= f1 and len(last_step) >= 2:
+                (d0, s0), (d1, s1) = last_step[-2:]
+                if s1 != s0:
+                    zero = d1 - s1 * (d1 - d0) / (s1 - s0)
+                    proposals.append(zero if zero < hi else hi * (1.0 - 0.5 * rtol))
+            if f1 != f0:
+                secant = a1 - f1 * (a1 - a0) / (f1 - f0)
+                step = 16.0 * math.ulp(a1)      # Brent's minimum step
+                if abs(secant - a1) < step and (f0 < 0.0) == (f1 < 0.0):
+                    secant = a1 + step if a1 == lo else a1 - step
+                proposals.append(secant)
+        a2 = next((a for a in proposals if lo < a < hi), 0.5 * (lo + hi))
+        f2 = shoot(a2)
         if f2 < 0.0:
             lo = a2
+            if f2 not in death_node:
+                last_step.append((a2, f2))
         else:
             hi = a2
         a0, f0, a1, f1 = a1, f1, a2, f2

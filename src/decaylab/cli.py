@@ -125,8 +125,17 @@ class _Section:
             raise ConfigError(f"{self.path if at is None else self._at(at)}: {exc}") from exc
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed")
+def _finite(text: str, parse=float):
+    """A JSON number literal, parsed by ``parse``, that is a finite double:
+    NaN, Infinity, 1e400 and a 400-digit integer are refused at load."""
+    try:
+        val = parse(text)
+        if math.isfinite(float(val)):
+            return val
+    except (ValueError, OverflowError):
+        pass
+    shown = text if len(text) <= 24 else f"{text[:12]}...({len(text)} characters)"
+    raise ConfigError(f"number {shown} is not a finite double")
 
 
 def load_config(path: Path) -> dict:
@@ -135,7 +144,8 @@ def load_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(text, parse_float=_finite, parse_constant=_finite,
+                         parse_int=lambda digits: _finite(digits, int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):

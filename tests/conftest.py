@@ -45,18 +45,18 @@ def perfbench_workloads():
 
 @pytest.fixture(scope="session")
 def traced_steady_state(perfbench_tracer):
-    """``solve(p, n)`` -> (shots, state) of solve_steady_state(p, n, 4001),
+    """``solve(p, n, m=4001)`` -> (shots, state) of solve_steady_state(p, n, m),
     solved once a session: the root-finding shots the tracer counts (the one
     that records the profile is left out) and the steady state."""
 
     @functools.cache
-    def solve(p, n):
+    def solve(p, n, m=4001):
         tracer = perfbench_tracer.Tracer()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "_integrate_shot", tracer.leaf(
                 "bounds.shot", bounds._integrate_shot,
-                lambda args, kwargs, result: args[3] == 4001 and not kwargs.get("record")))
-            state = bounds.solve_steady_state(p, n, 4001)
+                lambda args, kwargs, result: args[3] == m and not kwargs.get("record")))
+            state = bounds.solve_steady_state(p, n, m)
         return sum(units for _, _, units in tracer.leaves.values()), state
     return solve
 

@@ -80,8 +80,9 @@ def test_steady_state_degenerate_touchdown():
      "79a0fc5160276d5f952f9e09e03b00fafbfa67b150ac996d165b755821d1adea"),
     (2.0, 1, 0.5641895407550832, 6.215259319112903e-06,
      "39dd8afe1108d3c49fe4382f2fb76ff398f2784e9f2f69ffaa007c4d3bd589b3"),
-    (4.0, 1, 0.707096504167049, 0.00044643757417053495,
-     "ecbfe686d034666c33965a3d3cf68460ecc7002ebd2987e451acd7bbab842db5"),
+    # the smallest center that survives at (4, 1)
+    (4.0, 1, 0.7070965041670486, 0.00044643757399456287,
+     "f3b6e29944037d4cfc00e4b76b0785f8119c652bf28acb981aa01af3a5450a6b"),
 ])
 def test_steady_state_shooting_pinned(p, n, center, boundary, digest):
     # the static manifests hash these profiles, so shooting is pinned bit for bit,
@@ -166,14 +167,17 @@ def closed_form_center(p):
 
 
 # 1.25 times the relative center errors of the shooting solver at m = 1001: the
-# degenerate touchdown of p >= 3 makes them first order in h
+# degenerate touchdown of p >= 3 makes them first order in h; from p > 78 on,
+# w^(1-p) overflows at the bracket's lower end 1e-4, and that shot has died
 @pytest.mark.parametrize("p, bound", [(1.0, 1.25 * 9e-16), (1.5, 1.25 * 6.8e-7),
                                       (2.0, 1.25 * 4.8e-7), (3.0, 1.25 * 3.6e-5),
-                                      (4.0, 1.25 * 5.8e-5), (6.0, 1.25 * 6.8e-5)])
+                                      (4.0, 1.25 * 5.8e-5), (6.0, 1.25 * 6.8e-5),
+                                      (100.0, 1.25 * 1.04e-5), (200.0, 1.25 * 5.6e-6)])
 def test_steady_center_against_closed_form(p, bound):
     exact = closed_form_center(p)
     state = solve_steady_state(p, 1, 1001)
     assert abs(state.center_value - exact) <= bound * exact
+    assert_discrete_root(state, 1001)
 
 
 def test_steady_state_non_convergence_names_the_bracket(monkeypatch):
@@ -205,9 +209,11 @@ def test_integrate_shot_exit_paths_pinned(a, p, n, m, expected):
     assert _integrate_shot(a, p, n, m) == expected
 
 
-def _textbook_shot(a, p, n, m):
+def _textbook_shot(a, p, n, m, record=False):
     """The shot as textbook RK4 with one call of f per stage: the reference
-    whose float operations _integrate_shot must repeat in the same order."""
+    whose float operations _integrate_shot must repeat in the same order.
+    With ``record``, a shot that survives also returns its w and w' at every
+    node."""
     h = 1.0 / (m - 1)
 
     def f(r, w, v):
@@ -217,6 +223,7 @@ def _textbook_shot(a, p, n, m):
         return (v, src / n) if r == 0.0 else (v, -(n - 1) / r * v + src)
 
     w, v, r = a, 0.0, 0.0
+    ws, vs = [w], [v]
     for _ in range(m - 1):
         k1 = f(r, w, v)
         k2 = k1 and f(r + 0.5 * h, w + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
@@ -231,17 +238,44 @@ def _textbook_shot(a, p, n, m):
         r += h
         if w <= 0.0 and r < 1.0 - 0.5 * h:
             return -(1.0 - r)
-    return w
+        ws.append(w)
+        vs.append(v)
+    return (w, np.array(ws), np.array(vs)) if record else w
+
+
+def assert_same_profile(a, p, n, m):
+    """_integrate_shot records the textbook profile of a survivor bit for bit."""
+    ours = _integrate_shot(a, p, n, m, record=True)
+    theirs = _textbook_shot(a, p, n, m, record=True)
+    assert ours[0] == theirs[0]
+    for got, want in zip(ours[1:], theirs[1:]):
+        assert got.shape == want.shape == (m,) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_integrate_shot_matches_textbook_rk4(p, n):
     # coarse grids, where a last-bit change in a stage still reaches w(1),
-    # and center values from early deaths to survivors
+    # and center values from early deaths to survivors, whose recorded
+    # profiles w and w' are the textbook's too
     for m in (2, 3, 5, 11, 101):
         for a in np.geomspace(1e-3, 3.0, 65):
-            assert _integrate_shot(a, p, n, m) == _textbook_shot(a, p, n, m)
+            value = _integrate_shot(a, p, n, m)
+            assert value == _textbook_shot(a, p, n, m)
+            if value >= 0.0:
+                assert_same_profile(a, p, n, m)
+
+
+@pytest.mark.parametrize("p, n", [(1.0, 1), (1.0, 2), (2.0, 1), (4.0, 1)])
+def test_integrate_shot_records_the_textbook_profile_at_the_centers(traced_steady_state,
+                                                                    p, n):
+    # the steady states the manifests and the benchmark read: the profile from
+    # the center, and the shots 2 ulps on either side of it
+    a = traced_steady_state(p, n)[1].center_value
+    for center in (a, math.nextafter(math.nextafter(a, 0.0), 0.0),
+                   math.nextafter(math.nextafter(a, 1.0), 1.0)):
+        assert _integrate_shot(center, p, n, 4001) == _textbook_shot(center, p, n, 4001)
+    assert_same_profile(a, p, n, 4001)
 
 
 def test_integrate_shot_errors():

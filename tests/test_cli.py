@@ -431,6 +431,22 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
                          ({"kind": "LogType", "kappa": 2.0, "M": 4.0, "s0": 0.01}, "L.s0")):
         assert main(["run", str(write_config(tmp_path, dict(audit, L=gauge)))]) == EXIT_CONFIG
         assert f"{field}: unknown field" in capsys.readouterr().err
+    # a number literal that is no finite double is refused at load, before any
+    # field is read (json.dumps cannot write one, so it goes in as text); these
+    # used to end in a traceback, or exit 3 after the whole ladder had run
+    huge = "1" + "0" * 400
+    for doc, field, literal in ((rated, "rate.window", "[10, 1e400]"),
+                                (rated, "rate.delta", "1e400"),
+                                (rated, "envelope.alpha", "1e400"),
+                                (ladder, "approx.ladder.R_list", "[1e400]"),
+                                (ladder, "approx.ladder.R_list", f"[{huge}]"),
+                                (ladder, "approx.m", huge),
+                                (ladder, "approx.m", "-1e400")):
+        cfg = write_config(tmp_path, with_field(doc, field, "@"))
+        cfg.write_text(cfg.read_text().replace('"@"', literal))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert "is not a finite double" in capsys.readouterr().err, (field, literal[:8])
+    assert not (tmp_path / "run").exists()
     broken = tmp_path / "broken.json"
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
@@ -591,13 +607,19 @@ def test_non_finite_verdict_exit_3(tmp_path, capsys, monkeypatch):
     assert not (out / "audit.json").exists()
 
 
-def test_steady_state_overflow_exit_3(tmp_path):
-    # at p = 200 the shot's source w^(1-p) overflows a float
+def test_steady_state_overflowing_shot_is_a_death(tmp_path):
+    # at p = 200 the source w^(1-p) of the shot from the bracket's lower end
+    # overflows a float; that shot has died, so shooting reaches the root and
+    # the verdict judges the profile: at m = 101 its flux residual fails
     cfg = write_config(tmp_path, {
         "name": "ss", "mode": "steady_state",
         "problem": {"p": 200.0, "n": 1}, "approx": {"m": 101},
     })
-    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VERDICT
+    summary = read_json(out / "summary.json")
+    assert not summary["pass"] and summary["flux_residual"] > 1e-8
+    assert 0.0 <= summary["boundary_value"] < 1e-9
 
 
 def test_steady_state_p_1_5_exit_0(tmp_path):

@@ -55,15 +55,23 @@ def test_tracer_counts_every_shot(monkeypatch, perfbench_tracer):
 
 # root-finding shots at m = 4001 that the whole bracket search takes: a
 # death in the last step reads as its stage value w + h*v3, which is linear
-# in w(0), so the secant lands on the touchdown of p > 1 and a 16-ulp
-# minimum step crosses it; the secant still bisects once it stalls
-SHOTS_PINNED = {(1.0, 1): 6, (1.0, 2): 4, (4.0, 1): 32}
-# the counts when a last-step death read -h: no (p, n) may take more
-SHOTS_BEFORE = {
-    (1.0, 1): 7, (1.0, 2): 4, (1.0, 3): 10, (1.25, 1): 50, (1.25, 2): 57, (1.25, 3): 57,
-    (1.5, 1): 53, (1.5, 2): 50, (1.5, 3): 56, (2.0, 1): 57, (2.0, 2): 50, (2.0, 3): 53,
-    (3.0, 1): 52, (3.0, 2): 51, (3.0, 3): 54, (4.0, 1): 63, (4.0, 2): 62, (4.0, 3): 57,
-    (6.0, 1): 29, (6.0, 2): 36, (6.0, 3): 39,
+# in w(0), so the secant lands on the touchdown of p > 1; a death before the
+# last step proposes the center the rescaling law gives, and once a survivor
+# follows a death the line through the last two last-step deaths is shot
+SHOTS_PINNED = {(1.0, 1): 6, (1.0, 2): 4, (2.0, 1): 14, (4.0, 1): 18}
+# the counts of the secant search without rescaling proposals, at m = 4001
+# and m = 1001 (471 and 443 over the grid): no (p, n) may take more
+SHOTS_SECANT = {
+    4001: {(1.0, 1): 6, (1.0, 2): 4, (1.0, 3): 5, (1.25, 1): 15, (1.25, 2): 19,
+           (1.25, 3): 21, (1.5, 1): 17, (1.5, 2): 19, (1.5, 3): 22, (2.0, 1): 22,
+           (2.0, 2): 20, (2.0, 3): 32, (3.0, 1): 28, (3.0, 2): 25, (3.0, 3): 30,
+           (4.0, 1): 32, (4.0, 2): 31, (4.0, 3): 31, (6.0, 1): 24, (6.0, 2): 31,
+           (6.0, 3): 37},
+    1001: {(1.0, 1): 5, (1.0, 2): 4, (1.0, 3): 4, (1.25, 1): 15, (1.25, 2): 19,
+           (1.25, 3): 23, (1.5, 1): 16, (1.5, 2): 21, (1.5, 3): 22, (2.0, 1): 20,
+           (2.0, 2): 17, (2.0, 3): 21, (3.0, 1): 23, (3.0, 2): 27, (3.0, 3): 27,
+           (4.0, 1): 24, (4.0, 2): 32, (4.0, 3): 25, (6.0, 1): 28, (6.0, 2): 34,
+           (6.0, 3): 36},
 }
 
 
@@ -73,12 +81,14 @@ def test_tracer_counts_shots_to_the_root(traced_steady_state, p, n):
     shots, _ = traced_steady_state(p, n)
     if (p, n) in SHOTS_PINNED:
         assert shots == SHOTS_PINNED[p, n]
-    assert shots <= SHOTS_BEFORE[p, n]
+    for m, ceilings in SHOTS_SECANT.items():
+        assert traced_steady_state(p, n, m)[0] <= ceilings[p, n], m
 
 
 def test_shots_to_the_root_over_the_grid(traced_steady_state):
-    # 947 when a last-step death read -h
-    assert sum(traced_steady_state(p, n)[0] for p, n in SHOTS_BEFORE) <= 500
+    # 947 when a last-step death read -h, 471 and 443 without the proposals
+    for m, total in ((4001, 354), (1001, 336)):
+        assert sum(traced_steady_state(p, n, m)[0] for p, n in SHOTS_SECANT[m]) <= total, m
 
 
 def test_integrate_shot_keeps_its_parameters():
