@@ -44,6 +44,8 @@ BOUNDARY_TOL = 1e-10    # |w(1)| at which shooting stops
 SHOT_CAP = 300          # root-finding shots before shooting gives up
 SHOT_BRACKET = (1e-4, 50.0)   # center values w(0) that the root must lie between
 RESIDUAL_R_CAP = 0.95   # the flux residual skips the boundary layer of p > 1
+RESIDUAL_TOL = 1e-8     # the flux residual at or below which a steady state passes
+STEADY_M = 4001         # nodes of a steady state on [0, 1] unless a config names its own
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,14 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     """Classical fourth-order one-step integration of the radial steady ODE.
 
     State (w, v = w'); the first-order term (n-1)/r * v uses the symmetric
-    limit value at r = 0.  Returns w(1) when w stays positive, and a value
-    below 0 otherwise, so root finders see a sign change: for a death in the
-    last step, the stage value w + h*v3 <= 0 that ended it (-5e-324 for a
-    zero), which is linear in w(0) up to where the shots start to survive;
-    for an earlier death, the deficit -(1 - r_death).
+    limit value at r = 0.  Returns (w(1), None) when w stays positive, and a
+    value below 0 otherwise, so root finders see a sign change: for a death
+    in the last step, (w + h*v3, None) with the stage value <= 0 that ended
+    it (-5e-324 for a zero), which is linear in w(0) up to where the shots
+    start to survive; for a death at the node r or in the step from it, one
+    whose w^(1-p) overflows (only as w nears 0) included, (-(1 - r), r).
+    With ``record`` a survivor returns w(1) and its w and w' at every node,
+    and a death raises NumericError.
 
     The four stages are written out in local floats, since this loop is most
     of the time of a steady-state solve.  Stage i is k_i = (v_i, f_i) with
@@ -114,7 +119,7 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
                 if w4 <= 0.0:
                     if r + h < 1.0 - hh or record:
                         break
-                    return min(w4, -5e-324)     # died in the last step
+                    return min(w4, -5e-324), None   # died in the last step
                 v4 = v + h * f3
                 f4 = neg_inv_p * w4**one_m_p
                 w += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
@@ -125,10 +130,6 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
                 if record:
                     ws.append(w)
                     vs.append(v)
-            else:
-                if record:
-                    return w, np.array(ws), np.array(vs)
-                return w
         else:
             c1 = 0.0        # -(n-1)/r at the current node r > 0
             for _ in range(m - 1):
@@ -153,7 +154,7 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
                 if w4 <= 0.0:
                     if r + h < 1.0 - hh or record:
                         break
-                    return min(w4, -5e-324)     # died in the last step
+                    return min(w4, -5e-324), None   # died in the last step
                 v4 = v + h * f3
                 c1 = neg_nm1 / (r + h)
                 f4 = c1 * v4 + neg_inv_p * w4**one_m_p
@@ -165,20 +166,20 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
                 if record:
                     ws.append(w)
                     vs.append(v)
-            else:
-                if record:
-                    return w, np.array(ws), np.array(vs)
-                return w
     except OverflowError:
-        raise NumericError(f"shot from w(0) = {a!r}: w^(1-p) overflows "
-                           f"in the step from r = {r!r}") from None
+        if record:
+            raise NumericError(f"shot from w(0) = {a!r}: w^(1-p) overflows "
+                               f"in the step from r = {r!r}") from None
+    else:
+        if r >= 1.0 - hh:       # no break: the loop ran to r = 1
+            return (w, np.array(ws), np.array(vs)) if record else (w, None)
+        if record:
+            raise NumericError("steady-state trajectory died before the boundary")
     # died before reaching r = 1: report the deficit as a negative residual
-    if record:
-        raise NumericError("steady-state trajectory died before the boundary")
-    return -(1.0 - r)
+    return -(1.0 - r), r
 
 
-def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
+def solve_steady_state(p: float, n: int, grid_m: int = STEADY_M) -> SteadyState:
     """Shoot on the center value until the profile vanishes at r = 1.
 
     Every positive radial solution is a rescaling a * w_1(r * a^{-p/2}) of
@@ -195,17 +196,19 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
     lies at or above ``hi``.  Otherwise it is a secant step through the last
     two shots; one shorter than 16 ulps from two shots on one side of the
     root goes that far toward the other end of the bracket (Brent's minimum
-    step).  A proposal outside the open bracket yields to the next rule, and
-    a secant step outside it to bisection.  The fractions 7/8 and 3/4 were
-    chosen on the grid of (p, n) named below, on which no point takes more
-    shots than by secant steps alone.
+    step).  The rules read a death's node as ``_integrate_shot`` returns it.
+    A proposal outside the open bracket yields to the next rule, and a secant
+    step outside it to bisection.  The fractions 7/8 and 3/4 were chosen on
+    the grid of (p, n) named below, on which no point takes more shots than
+    by secant steps alone.
 
     For p > 1 the shots just below the touchdown die in their last step, and
     the stage value ``_integrate_shot`` reports for them is linear in a, so
     the secant lands where the shots start to survive.  While the bracket has
     not halved over the last six shots, the next shot is the midpoint (the
-    safeguard of Dekker and Brent).  A shot whose w^(1-p) overflows has died:
-    that happens only as w nears 0, and for p > 78 at the bracket's lower end.
+    safeguard of Dekker and Brent).  A shot whose w^(1-p) overflows returns a
+    death in the step where it overflowed: that happens only as w nears 0,
+    and for p > 78 at the bracket's lower end, whose shot dies at r = 0.
     Shooting stops on a shot with 0 <= w(1) <= BOUNDARY_TOL or when the
     bracket collapses, and records the profile from its upper end ``hi``, the
     last shot with w(1) >= 0.  At m = 4001 the root takes at most 30 shots
@@ -218,30 +221,14 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
         raise InputError("need p >= 1 and n >= 1")
     h = 1.0 / (grid_m - 1)
     rtol = 1e-15        # the bracket is collapsed at hi - lo <= rtol * hi
-    # the deficit -(1 - r) of a shot that dies before its last step, keyed to
-    # the node r, accumulated as the shot's loop accumulates it
-    death_node, r = {}, 0.0
-    for _ in range(grid_m - 1):
-        death_node[-(1.0 - r)] = r
-        r += h
-
-    def shoot(a):
-        try:
-            return _integrate_shot(a, p, n, grid_m)
-        except NumericError:
-            # only w^(1-p) overflowing as w nears 0 raises: a death, read as
-            # one at r = 0, from which no rescaling proposal follows
-            return -1.0
-
     lo, hi = SHOT_BRACKET
-    f_lo = shoot(lo)
-    f_hi = shoot(hi)
-    if not (f_lo < 0.0 < f_hi):
+    # the last two shots: center, value and the node of a death before the last step
+    a0, f0, r0 = lo, *_integrate_shot(lo, p, n, grid_m)
+    a1, f1, r1 = hi, *_integrate_shot(hi, p, n, grid_m)
+    if not (f0 < 0.0 < f1):
         raise InputError(
             f"shooting bracket {SHOT_BRACKET} does not straddle the boundary root "
-            f"at p = {p!r}, n = {n!r} (f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e})")
-    a0, f0 = lo, f_lo
-    a1, f1 = hi, f_hi
+            f"at p = {p!r}, n = {n!r} (f(lo)={f0:.3e}, f(hi)={f1:.3e})")
     last_step = []          # (a, stage value) of the shots that died in their last step
     widths = [hi - lo]      # the bracket width after each shot
     stalled = False
@@ -253,10 +240,9 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
                 f"{len(widths) + 1} shots at m = {grid_m}, last bracket [{lo!r}, {hi!r}]")
         proposals = []
         if not stalled:
-            r1 = death_node.get(f1)
-            if f1 < 0.0 and r1 is not None and 0.0 < r1 <= 1.0 - 3.0 * h:
+            if r1 is not None and 0.0 < r1 <= 1.0 - 3.0 * h:
                 proposals.append(a1 * (r1 + 0.875 * h) ** (-2.0 / p))
-            elif f1 < 0.0 and r1 is None and f0 in death_node:
+            elif f1 < 0.0 and r1 is None and r0 is not None:
                 proposals.append(a1 * (1.0 - 0.75 * h) ** (-2.0 / p))
             if p > 1.0 and f0 < 0.0 <= f1 and len(last_step) >= 2:
                 (d0, s0), (d1, s1) = last_step[-2:]
@@ -270,14 +256,14 @@ def solve_steady_state(p: float, n: int, grid_m: int = 4001) -> SteadyState:
                     secant = a1 + step if a1 == lo else a1 - step
                 proposals.append(secant)
         a2 = next((a for a in proposals if lo < a < hi), 0.5 * (lo + hi))
-        f2 = shoot(a2)
+        f2, r2 = _integrate_shot(a2, p, n, grid_m)
         if f2 < 0.0:
             lo = a2
-            if f2 not in death_node:
+            if r2 is None:
                 last_step.append((a2, f2))
         else:
             hi = a2
-        a0, f0, a1, f1 = a1, f1, a2, f2
+        a0, f0, r0, a1, f1, r1 = a1, f1, r1, a2, f2, r2
         # a bracket that has not halved in the last six shots means the secant
         # is creeping up to a jump of w(1; a): bisect until it has (Dekker
         # 1969, Brent 1973)
@@ -494,8 +480,9 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
     The run's initial profile (``EvolutionRun.datum``, its snapshot at t = 0)
     must dominate the envelope floor on the ball (checked); failure of the
     initial ordering z(.,0) >= zbar(.,0) signals a miscomputed delta and
-    raises.  Returns the worst margin over checked
-    snapshots together with the center margin at the horizon.
+    raises.  Returns the worst margin over the snapshots at tau <= tau0, of
+    which one at least must lie past t = 0 (an InputError otherwise),
+    together with the center margin at the horizon.
     """
     grid = run.grid
     mask = grid.nodes <= spec.R_tau0
@@ -517,8 +504,8 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
             f"initial ordering violated (margin {initial_margin:.3e}): delta miscomputed")
 
     checked = taus <= spec.tau0 * (1.0 + 1e-12)
-    if not checked.any():
-        raise InputError("no snapshots at or before tau0")
+    if not checked[run.times > 0.0].any():  # the datum alone checks nothing of the run
+        raise InputError("no snapshots with t > 0 at or before tau0")
     # y(tau) one scalar at a time: numpy's array power can differ from the
     # scalar one in the last bit, and the margins are written to artifacts
     y = np.array([logistic_exact(tau, spec.delta, spec.p) for tau in taus[checked]])

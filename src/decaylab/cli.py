@@ -8,6 +8,8 @@ Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``.  A
 ``pde_decay`` run evolves an (eps, R) ladder of one member or more and judges
 its proxy with each of its sections, ``rate`` (two-sided rates) and
 ``certificate`` (separated subsolution); it passes when all of them do.
+The ``steady_state`` mode and the certificate share one steady-state path,
+``_steady_state``, which passes at a flux residual within ``bounds.RESIDUAL_TOL``.
 Every run writes a ``manifest.json`` listing each artifact with its sha256;
 outputs are deterministic for a fixed config and build (no wall-clock text,
 fixed iteration orders, fixed float formatting).
@@ -15,7 +17,8 @@ fixed iteration orders, fixed float formatting).
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
 typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
-integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``),
+integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``
+or before ``ln(t_min + 1)``, which would check the datum alone),
 a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
 reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
 window that its verdict would refuse exits 2 before any time stepping; so
@@ -269,6 +272,15 @@ def _observers(names: list):
     return obs
 
 
+def _steady_state(writer: ArtifactWriter, p: float, n: int, m: int):
+    """The steady state w_1 on m nodes, written to steady_state.csv, its flux
+    residual, and whether that residual is within bounds.RESIDUAL_TOL."""
+    state = bounds.solve_steady_state(p, n, m)
+    writer.write_series_csv("steady_state.csv", ["r", "w"], [state.r_nodes, state.w])
+    residual = bounds.steady_state_residual(state)
+    return state, residual, bool(residual <= bounds.RESIDUAL_TOL)
+
+
 # -- mode runners ------------------------------------------------------------
 # Each runner reads all of its config fields and returns the step that computes
 # the run and hands its artifacts to the writer, so a config error stops the run
@@ -277,18 +289,15 @@ def _observers(names: list):
 def _run_steady_state(cfg: _Section):
     prob = cfg.section("problem")
     p, n = prob.read("p", NUMBER), prob.read("n", INTEGER)
-    m = cfg.section("approx", {}).read("m", NODES, 4001)
+    m = cfg.section("approx", {}).read("m", NODES, bounds.STEADY_M)
 
     def compute(writer: ArtifactWriter) -> dict:
-        state = bounds.solve_steady_state(p, n, m)
-        residual = bounds.steady_state_residual(state)
-        writer.write_series_csv("steady_state.csv", ["r", "w"],
-                                [state.r_nodes, state.w])
+        state, residual, converged = _steady_state(writer, p, n, m)
         verdict = {
             "center_value": state.center_value,
             "boundary_value": state.boundary_value,
             "flux_residual": residual,
-            "pass": bool(residual <= 1e-8),
+            "pass": converged,
         }
         writer.write_json("summary.json", verdict)
         return verdict
@@ -394,18 +403,20 @@ def _run_pde_decay(cfg: _Section):
         in_window = rate.build(rates.rate_window, times=snaps, window=window, model=model)
         rate.build(rates.baseline_tail, at="window", t=snaps[in_window])
     if cert is not None:
-        horizon = math.log(t_end + 1.0)  # tau = ln(t + 1) of the run's last snapshot
-        reached = (f"a positive number at most ln(t_end + 1) = {horizon:g}",
-                   lambda val: POSITIVE[1](val) and val <= horizon * (1.0 + 1e-12))
+        # tau = ln(t + 1) of the run's last snapshot, and of its first with t > 0
+        horizon, first = math.log(t_end + 1.0), float(np.log1p(snaps[1]))
+        reached = (f"a positive number at most ln(t_end + 1) = {horizon:g} and at least "
+                   f"ln(t_min + 1) = {first:g}", lambda val: POSITIVE[1](val)
+                   and first <= val * (1.0 + 1e-12) and val <= horizon * (1.0 + 1e-12))
         tau0_list = cert.list_of("tau0_list", reached, [horizon])
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
-        steady_m = cert.section("steady", {}).read("m", NODES, 4001)
+        steady_m = cert.section("steady", {}).read("m", NODES, bounds.STEADY_M)
 
     def compute(writer: ArtifactWriter) -> dict:
         if cert is not None:
             # the separated subsolutions y(tau) w_R, built before the time stepping
-            state = bounds.solve_steady_state(spec.p, spec.n, steady_m)
+            state, residual, converged = _steady_state(writer, spec.p, spec.n, steady_m)
             subs = [cert.build(bounds.build_subsolution, env=env, p=spec.p, steady=state,
                                tau0=tau0) for tau0 in tau0_list]
         ladder = evolution.minimal_solution_ladder(spec, eps_list, R_list, m, t_end, snaps, obs)
@@ -433,15 +444,12 @@ def _run_pde_decay(cfg: _Section):
             verdict["pass"] = bool(sandwich.passed and baseline.passed)
 
         if cert is not None:
-            # each subsolution stays below the same run
-            writer.write_series_csv("steady_state.csv", ["r", "w"],
-                                    [state.r_nodes, state.w])
+            # each subsolution stays below the same run, on a steady state that passes
             margins = [{"tau0": ss.tau0, "R_tau0": ss.R_tau0, "delta": ss.delta,
                         **asdict(bounds.subsolution_check(run, ss, state))} for ss in subs]
             certificate = {"steady_center": state.center_value,
-                           "steady_flux_residual": bounds.steady_state_residual(state),
-                           "margins": margins,
-                           "pass": all(row["min_margin"] >= 0.0 for row in margins)}
+                           "steady_flux_residual": residual, "margins": margins,
+                           "pass": converged and all(row["min_margin"] >= 0.0 for row in margins)}
             writer.write_json("margins.json", certificate)
             verdict = {**verdict, **certificate, "pass": verdict["pass"] and certificate["pass"]}
         return verdict

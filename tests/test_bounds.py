@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special
 
 from decaylab import bounds
@@ -98,9 +100,10 @@ def assert_discrete_root(state, m):
     survives with 0 <= w(1; a) <= BOUNDARY_TOL, or it survives and the center
     2e-15 below it dies."""
     a, p, n = state.center_value, state.p, state.n
-    assert state.boundary_value == _integrate_shot(a, p, n, m) >= 0.0
+    assert _integrate_shot(a, p, n, m) == (state.boundary_value, None)
+    assert state.boundary_value >= 0.0
     assert (state.boundary_value <= bounds.BOUNDARY_TOL
-            or _integrate_shot(a * (1.0 - 2e-15), p, n, m) < 0.0)
+            or _integrate_shot(a * (1.0 - 2e-15), p, n, m)[0] < 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -206,13 +209,18 @@ def test_steady_state_non_convergence_names_the_bracket(monkeypatch):
     (0.68, 4.0, 1, 3, -0.03469791683583112),
 ])
 def test_integrate_shot_exit_paths_pinned(a, p, n, m, expected):
-    assert _integrate_shot(a, p, n, m) == expected
+    # the node of a death before the last step comes with its deficit; every
+    # other exit returns None
+    nodes = {0.0009583333333333334: 0.04, 0.022208333333333333: 0.36000000000000015,
+             0.0015833333333333333: 0.05, 0.005333333333333333: 0.01}
+    assert _integrate_shot(a, p, n, m) == (expected, nodes.get(a))
 
 
 def _textbook_shot(a, p, n, m, record=False):
     """The shot as textbook RK4 with one call of f per stage: the reference
     whose float operations _integrate_shot must repeat in the same order.
-    With ``record``, a shot that survives also returns its w and w' at every
+    Returns the value and the node of a death before the last step; with
+    ``record``, a shot that survives returns w(1) and its w and w' at every
     node."""
     h = 1.0 / (m - 1)
 
@@ -231,16 +239,16 @@ def _textbook_shot(a, p, n, m, record=False):
         k4 = k3 and f(r + h, w + h * k3[0], v + h * k3[1])
         if k4 is None:
             if k3 is not None and r + h >= 1.0 - 0.5 * h:
-                return min(w + h * k3[0], -5e-324)
-            return -(1.0 - r)
+                return min(w + h * k3[0], -5e-324), None
+            return -(1.0 - r), r
         w += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         v += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         r += h
         if w <= 0.0 and r < 1.0 - 0.5 * h:
-            return -(1.0 - r)
+            return -(1.0 - r), r
         ws.append(w)
         vs.append(v)
-    return (w, np.array(ws), np.array(vs)) if record else w
+    return (w, np.array(ws), np.array(vs)) if record else (w, None)
 
 
 def assert_same_profile(a, p, n, m):
@@ -260,8 +268,8 @@ def test_integrate_shot_matches_textbook_rk4(p, n):
     # profiles w and w' are the textbook's too
     for m in (2, 3, 5, 11, 101):
         for a in np.geomspace(1e-3, 3.0, 65):
-            value = _integrate_shot(a, p, n, m)
-            assert value == _textbook_shot(a, p, n, m)
+            value, node = _integrate_shot(a, p, n, m)
+            assert (value, node) == _textbook_shot(a, p, n, m)
             if value >= 0.0:
                 assert_same_profile(a, p, n, m)
 
@@ -279,10 +287,21 @@ def test_integrate_shot_records_the_textbook_profile_at_the_centers(traced_stead
 
 
 def test_integrate_shot_errors():
+    # a recording shot has no profile to return once it has died
     with pytest.raises(NumericError, match="died before the boundary"):
         _integrate_shot(0.0009583333333333334, 1.0, 1, 101, record=True)
     with pytest.raises(NumericError, match=r"w\(0\) = 0\.0001: w\^\(1-p\) overflows"):
-        _integrate_shot(1e-4, 200.0, 1, 101)
+        _integrate_shot(1e-4, 200.0, 1, 101, record=True)
+    # a root-finding shot whose w^(1-p) overflows has died in that step
+    assert _integrate_shot(1e-4, 200.0, 1, 101) == (-1.0, 0.0)
+
+
+@given(a=st.floats(1e-4, 50.0, exclude_min=True, exclude_max=True),
+       p=st.floats(1.0, 300.0), n=st.sampled_from([1, 2, 3]), m=st.integers(3, 201))
+def test_root_finding_shot_never_raises(a, p, n, m):
+    # a death before the last step returns its node r with the deficit -(1 - r)
+    value, node = _integrate_shot(a, p, n, m)
+    assert node is None or (0.0 <= node < 1.0 and value == -(1.0 - node))
 
 
 def test_steady_state_bracket_error():

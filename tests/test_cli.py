@@ -333,6 +333,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # well-typed values out of range fail closed too, before numpy or the
     # solvers see them
     certified = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"], certificate={})
+    # the run's first snapshot after the datum is at tau = ln 1.01 = 0.00995
+    early = with_field(certified, "snapshots.t_min", 0.01)
     out_of_range = [
         with_field(TINY_DECAY, "snapshots.count", -1),
         with_field(TINY_DECAY, "snapshots.t_min", 0),
@@ -348,6 +350,10 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(certified, "certificate.tau0_list", [-1.0]),
         # a horizon beyond tau = ln(t_end + 1), which the run never reaches
         with_field(certified, "certificate.tau0_list", [1.0, 20.0]),
+        # a horizon before tau = ln(t_min + 1), at which the run has recorded
+        # only the datum
+        with_field(early, "certificate.tau0_list", [0.005]),
+        with_field(early, "certificate.tau0_list", [1.0, 0.0099]),
         with_field(scan, "sharpness_scale", 0),
         with_field(scan, "sharpness_scale", -1.25),
         with_field(scan, "request.K", 0),
@@ -422,6 +428,11 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     far = with_field(certified, "certificate.tau0_list", [1.0, 20.0])
     assert main(["run", str(write_config(tmp_path, far))]) == EXIT_CONFIG
     assert ("certificate.tau0_list.1: expected a positive number at most ln(t_end + 1)"
+            in capsys.readouterr().err)
+    early = with_field(early, "certificate.tau0_list", [1.0, 0.0099])
+    assert main(["run", str(write_config(tmp_path, early))]) == EXIT_CONFIG
+    assert ("certificate.tau0_list.1: expected a positive number at most ln(t_end + 1) = "
+            "1.79176 and at least ln(t_min + 1) = 0.00995033, got 0.0099"
             in capsys.readouterr().err)
     late_start = with_field(TINY_DECAY, "snapshots.t_min", 500.0)
     assert main(["run", str(write_config(tmp_path, late_start))]) == EXIT_CONFIG
@@ -620,6 +631,24 @@ def test_steady_state_overflowing_shot_is_a_death(tmp_path):
     summary = read_json(out / "summary.json")
     assert not summary["pass"] and summary["flux_residual"] > 1e-8
     assert 0.0 <= summary["boundary_value"] < 1e-9
+
+
+@pytest.mark.parametrize("p, steady_m, residual", [(4.0, 11, 0.05391703554375349),
+                                                    (4.0, 21, 0.005088367004328687),
+                                                    (2.0, 11, 0.00755769680952989)])
+def test_certificate_fails_an_unconverged_steady_state(tmp_path, p, steady_m, residual):
+    # the subsolutions hold on this run, but their steady state is too coarse
+    # to pass the steady_state mode: the certificate fails as that mode does
+    doc = dict(TINY_DECAY, problem=dict(TINY_DECAY["problem"], p=p),
+               approx={"ladder": {"eps_list": [1e-5], "R_list": [10.0]}, "m": 251},
+               t_end=50.0, snapshots={}, envelope=TINY_DECAY["problem"]["u0"],
+               certificate={"steady": {"m": steady_m}}, observers=[])
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_VERDICT
+    verdict = read_json(out / "manifest.json")["verdict"]
+    assert verdict["steady_flux_residual"] == residual > bounds.RESIDUAL_TOL
+    assert all(row["min_margin"] >= 0.0 for row in verdict["margins"])
+    assert not verdict["pass"]
 
 
 def test_steady_state_p_1_5_exit_0(tmp_path):

@@ -45,12 +45,23 @@ def test_evolve_keeps_dt_schedule_sixth():
 
 def test_tracer_counts_every_shot(monkeypatch, perfbench_tracer):
     # solve_steady_state must look _integrate_shot up in the module on every
-    # shot: a local alias would hide shots from the bounds.shots counter
-    tracer = perfbench_tracer.Tracer()
-    monkeypatch.setattr(bounds, "_integrate_shot",
-                        tracer.leaf("bounds.shot", bounds._integrate_shot))
-    bounds.solve_steady_state(1.0, 2, 4001)
-    assert sum(calls for calls, _, _ in tracer.leaves.values()) == 5
+    # shot: a local alias would hide shots from the bounds.shots counter.  The
+    # tracer counts a shot when it returns, so no root-finding shot may raise:
+    # at p = 200 the shot from the bracket's lower end overflows w^(1-p)
+    real = bounds._integrate_shot
+    for (p, n, m), shots in {(1.0, 2, 4001): 5, (200.0, 1, 1001): 27}.items():
+        tracer = perfbench_tracer.Tracer()
+        traced = tracer.leaf("bounds.shot", real)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return traced(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_integrate_shot", counted)
+        bounds.solve_steady_state(p, n, m)
+        assert len(calls) == shots, p
+        assert sum(count for count, _, _ in tracer.leaves.values()) == shots, p
 
 
 # root-finding shots at m = 4001 that the whole bracket search takes: a
@@ -89,6 +100,27 @@ def test_shots_to_the_root_over_the_grid(traced_steady_state):
     # 947 when a last-step death read -h, 471 and 443 without the proposals
     for m, total in ((4001, 354), (1001, 336)):
         assert sum(traced_steady_state(p, n, m)[0] for p, n in SHOTS_SECANT[m]) <= total, m
+
+
+# root-finding shots off the grid, at p between and beyond its points, as the
+# rescaling-law proposals take them (261 at m = 4001 and 242 at m = 1001): no
+# (p, n) may take more
+SHOTS_OFF_GRID = {
+    4001: {(1.75, 1): 27, (1.75, 2): 12, (1.75, 3): 17, (2.5, 1): 26, (2.5, 2): 15,
+           (2.5, 3): 19, (5.0, 1): 21, (5.0, 2): 21, (5.0, 3): 25, (8.0, 1): 29,
+           (8.0, 2): 30, (8.0, 3): 19},
+    1001: {(1.75, 1): 17, (1.75, 2): 19, (1.75, 3): 15, (2.5, 1): 17, (2.5, 2): 17,
+           (2.5, 3): 20, (5.0, 1): 21, (5.0, 2): 20, (5.0, 3): 20, (8.0, 1): 27,
+           (8.0, 2): 19, (8.0, 3): 30},
+}
+
+
+@pytest.mark.parametrize("m", [4001, 1001])
+def test_shots_to_the_root_off_the_grid(traced_steady_state, m):
+    counts = {(p, n): traced_steady_state(p, n, m)[0] for p, n in SHOTS_OFF_GRID[m]}
+    assert {key: count for key, count in counts.items()
+            if count > SHOTS_OFF_GRID[m][key]} == {}
+    assert sum(counts.values()) <= {4001: 261, 1001: 242}[m]
 
 
 def test_integrate_shot_keeps_its_parameters():
