@@ -34,7 +34,9 @@ __all__ = [
     "DecayEnvelope",
     "lower_c1",
     "lower_bound_curve",
+    "check_envelope_floor",
     "SubsolutionSpec",
+    "subsolution_radius",
     "build_subsolution",
     "SubsolutionReport",
     "subsolution_check",
@@ -45,7 +47,8 @@ SHOT_CAP = 300          # root-finding shots before shooting gives up
 SHOT_BRACKET = (1e-4, 50.0)   # center values w(0) that the root must lie between
 RESIDUAL_R_CAP = 0.95   # the flux residual skips the boundary layer of p > 1
 RESIDUAL_TOL = 1e-8     # the flux residual at or below which a steady state passes
-STEADY_M = 4001         # nodes of a steady state on [0, 1] unless a config names its own
+STEADY_M = 4001         # nodes on [0, 1] of every steady state the CLI solves
+FLOOR_RTOL = 1e-12      # relative shortfall of a datum below an envelope floor that passes
 
 
 @dataclass(frozen=True)
@@ -438,6 +441,15 @@ def lower_bound_curve(env: DecayEnvelope, p: float, C: float, t_grid) -> np.ndar
     return C * t ** (-1.0 / p) * radii ** (2.0 / p)
 
 
+def check_envelope_floor(env: DecayEnvelope, r: np.ndarray, u0: np.ndarray):
+    """Raise InputError unless the datum u0 on the nodes r lies above
+    ``env.floor(r)``, up to a relative FLOOR_RTOL."""
+    low = np.flatnonzero(u0 < env.floor(r) * (1.0 - FLOOR_RTOL))
+    if low.size:
+        raise InputError("initial datum drops below the envelope floor on the ball, "
+                         f"first at r = {r[low[0]]:g}")
+
+
 @dataclass(frozen=True)
 class SubsolutionSpec:
     """Separated subsolution data pinned at an evaluation horizon tau0."""
@@ -449,16 +461,22 @@ class SubsolutionSpec:
     delta: float
 
 
-def build_subsolution(env: DecayEnvelope, p: float, steady: SteadyState,
-                      tau0: float) -> SubsolutionSpec:
-    """Fix the ball radius Lambda^{-1}(c1 tau0), c1 = lower_c1(p), and the
-    initial level delta = R^{-2/p} exp(-c1 tau0) / sup(w_1)."""
-    c1 = lower_c1(p)
+def subsolution_radius(env: DecayEnvelope, p: float, tau0: float) -> float:
+    """The ball radius R(tau0) = Lambda^{-1}(c1 tau0), c1 = lower_c1(p)."""
     if tau0 <= 0:
         raise InputError("tau0 must be positive")
-    R_tau0 = float(env.lam_inv(c1 * tau0))
+    R_tau0 = float(env.lam_inv(lower_c1(p) * tau0))
     if R_tau0 <= 0:
         raise InputError("envelope inverse returned a nonpositive radius")
+    return R_tau0
+
+
+def build_subsolution(env: DecayEnvelope, p: float, steady: SteadyState,
+                      tau0: float) -> SubsolutionSpec:
+    """Fix the ball radius ``subsolution_radius`` and the initial level
+    delta = R^{-2/p} exp(-c1 tau0) / sup(w_1), c1 = lower_c1(p)."""
+    c1 = lower_c1(p)
+    R_tau0 = subsolution_radius(env, p, tau0)
     # Lambda(R(tau0)) = c1*tau0 exactly by construction of R(tau0)
     delta = 1.0 / float(steady.w.max()) * R_tau0 ** (-2.0 / p) * math.exp(-c1 * tau0)
     return SubsolutionSpec(env, float(p), float(tau0), R_tau0, float(delta))
@@ -478,11 +496,11 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
     """Verify z >= y(tau) * w_{R(tau0)} on B_{R(tau0)} for all tau <= tau0.
 
     The run's initial profile (``EvolutionRun.datum``, its snapshot at t = 0)
-    must dominate the envelope floor on the ball (checked); failure of the
-    initial ordering z(.,0) >= zbar(.,0) signals a miscomputed delta and
-    raises.  Returns the worst margin over the snapshots at tau <= tau0, of
-    which one at least must lie past t = 0 (an InputError otherwise),
-    together with the center margin at the horizon.
+    must dominate the envelope floor on the ball (``check_envelope_floor``);
+    failure of the initial ordering z(.,0) >= zbar(.,0) signals a miscomputed
+    delta and raises.  Returns the worst margin over the snapshots at
+    tau <= tau0, of which one at least must lie past t = 0 (an InputError
+    otherwise), together with the center margin at the horizon.
     """
     grid = run.grid
     mask = grid.nodes <= spec.R_tau0
@@ -491,8 +509,7 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
     r = grid.nodes[mask]
 
     u = run.values[:, mask]
-    if np.any(run.datum[mask] < spec.envelope.floor(r) * (1.0 - 1e-12)):
-        raise InputError("initial datum drops below the envelope floor on the ball")
+    check_envelope_floor(spec.envelope, r, run.datum[mask])
 
     w_vals = evaluate_steady_state(steady, spec.R_tau0, r)
     taus = np.log1p(run.times)

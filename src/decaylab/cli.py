@@ -9,7 +9,8 @@ Modes: ``steady_state``, ``lfunction_audit``, ``gn_scan``, ``pde_decay``.  A
 its proxy with each of its sections, ``rate`` (two-sided rates) and
 ``certificate`` (separated subsolution); it passes when all of them do.
 The ``steady_state`` mode and the certificate share one steady-state path,
-``_steady_state``, which passes at a flux residual within ``bounds.RESIDUAL_TOL``.
+``_steady_state``, which solves on ``bounds.STEADY_M`` nodes and passes at a
+flux residual within ``bounds.RESIDUAL_TOL``.
 Every run writes a ``manifest.json`` listing each artifact with its sha256;
 outputs are deterministic for a fixed config and build (no wall-clock text,
 fixed iteration orders, fixed float formatting).
@@ -22,15 +23,17 @@ or before ``ln(t_min + 1)``, which would check the datum alone),
 a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
 reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
 window that its verdict would refuse exits 2 before any time stepping; so
-does a certificate horizon outside the envelope's inverse.  Each input has
-one field: a gauge ``L`` has the fields of its kind
+does a certificate horizon outside the envelope's inverse, or an envelope
+that is not a floor of the judged member's datum on a horizon's ball.  Each
+input has one field: a gauge ``L`` has the fields of its kind
 (``SteepnessFunction.fields``), the rate's gauge is derived from the envelope
 and ``rate.delta`` (``rates.rate_model``), and a run's eps and R are the lists
 of ``approx.ladder``, whose node count ``approx.m`` is that of its largest ball.
 A verdict that holds a NaN or an infinity is a numeric failure: it exits 3.
 ``ArtifactWriter.finish`` alone creates the run directory, after the verdict,
 with the artifacts and then the manifest, so a run that exits 2 or 3 leaves
-no directory.  ``report`` checks each artifact against the manifest's sha256.
+no directory.  ``report`` checks each artifact against the manifest's sha256
+and flags any other file of the run directory as EXTRA.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure.
 """
@@ -58,6 +61,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 MODES = ("steady_state", "lfunction_audit", "gn_scan", "pde_decay")
+AUDIT_POINTS = 400  # points of each grid of the lfunction_audit mode
 
 
 class ConfigError(InputError):
@@ -243,8 +247,8 @@ def _problem(cfg: _Section):
     """Problem (its datum an envelope's floor), end time and the times a run
     records: t = 0 and a geometric grid up to t_end."""
     prob = cfg.section("problem")
-    spec = evolution.ProblemSpec(p=prob.read("p", NUMBER), n=prob.read("n", INTEGER),
-                                 u0=_envelope(prob.section("u0")).floor)
+    spec = prob.build(evolution.ProblemSpec, p=prob.read("p", NUMBER),
+                      n=prob.read("n", INTEGER), u0=_envelope(prob.section("u0")).floor)
     t_end = cfg.read("t_end", POSITIVE)
     snap = cfg.section("snapshots", {})
     t_min = snap.read("t_min", POSITIVE, 0.01)
@@ -272,10 +276,10 @@ def _observers(names: list):
     return obs
 
 
-def _steady_state(writer: ArtifactWriter, p: float, n: int, m: int):
-    """The steady state w_1 on m nodes, written to steady_state.csv, its flux
-    residual, and whether that residual is within bounds.RESIDUAL_TOL."""
-    state = bounds.solve_steady_state(p, n, m)
+def _steady_state(writer: ArtifactWriter, p: float, n: int):
+    """The steady state w_1 on bounds.STEADY_M nodes, written to steady_state.csv,
+    its flux residual, and whether that is within bounds.RESIDUAL_TOL."""
+    state = bounds.solve_steady_state(p, n, bounds.STEADY_M)
     writer.write_series_csv("steady_state.csv", ["r", "w"], [state.r_nodes, state.w])
     residual = bounds.steady_state_residual(state)
     return state, residual, bool(residual <= bounds.RESIDUAL_TOL)
@@ -289,10 +293,9 @@ def _steady_state(writer: ArtifactWriter, p: float, n: int, m: int):
 def _run_steady_state(cfg: _Section):
     prob = cfg.section("problem")
     p, n = prob.read("p", NUMBER), prob.read("n", INTEGER)
-    m = cfg.section("approx", {}).read("m", NODES, bounds.STEADY_M)
 
     def compute(writer: ArtifactWriter) -> dict:
-        state, residual, converged = _steady_state(writer, p, n, m)
+        state, residual, converged = _steady_state(writer, p, n)
         verdict = {
             "center_value": state.center_value,
             "boundary_value": state.boundary_value,
@@ -306,28 +309,25 @@ def _run_steady_state(cfg: _Section):
 
 def _run_lfunction_audit(cfg: _Section):
     L = _steepness(cfg.section("L"))
-    audit = cfg.section("audit", {})
-    p = audit.read("p", NUMBER, 1.0)
-    q0 = audit.read("q0", NUMBER, 1.0)
-    s_points = audit.read("s_points", COUNT, 400)
-    l_points = audit.read("lambda_points", COUNT, 400)
 
     def compute(writer: ArtifactWriter) -> dict:
         s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
-        s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, s_points)
+        s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, AUDIT_POINTS)
         checks = {}
         if not math.isnan(L.a):  # a log-type gauge, with its own lambda0
-            lam_grid = np.linspace(L.lambda0 * 1e-3, L.lambda0 * (1.0 - 1e-9), l_points)
+            lam_grid = np.linspace(L.lambda0 * 1e-3, L.lambda0 * (1.0 - 1e-9), AUDIT_POINTS)
             rep = check_near_multiplicativity(L, L.lambda0, L.a, s_grid, lam_grid)
             checks["near_multiplicativity"] = {
                 "max_violation": rep.max_violation, "worst_s": rep.worst_s,
                 "worst_lambda": rep.worst_lambda, "pass": rep.passed}
             ratio_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, min(L.s0, 1.0) * (1 - 1e-9),
-                                      s_points)
+                                      AUDIT_POINTS)
             rep2 = check_ratio_bound(L, L.a, ratio_grid)
             checks["ratio_bound"] = {"max_violation": rep2.max_violation,
                                      "worst_s": rep2.worst_s, "pass": rep2.passed}
-        conv = check_convexity_condition(L, p, q0, s_grid)
+        # the weak coefficient (3p+q0-2)/(p+q0) >= 1 is 1 at p = 1, where the weak
+        # violation is largest and equals the strong one: no (p, q0) judges harder
+        conv = check_convexity_condition(L, 1.0, 1.0, s_grid)
         checks["convexity"] = {
             "weak_violation": conv.weak.max_violation,
             "strong_violation": conv.strong.max_violation,
@@ -393,7 +393,7 @@ def _run_pde_decay(cfg: _Section):
     lcfg = acfg.section("ladder")
     eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
     R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
-    lcfg.build(evolution.ladder_params, eps_list=eps_list, R_list=R_list, m=m)
+    params = lcfg.build(evolution.ladder_params, eps_list=eps_list, R_list=R_list, m=m)
     if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
@@ -411,12 +411,19 @@ def _run_pde_decay(cfg: _Section):
         tau0_list = cert.list_of("tau0_list", reached, [horizon])
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
-        steady_m = cert.section("steady", {}).read("m", NODES, bounds.STEADY_M)
+        # the judged member's lifted datum lies above the envelope on each ball
+        grid = radial.RadialGrid(spec.n, R_list[-1], m)
+        datum = evolution.initial_profile(spec, params[eps_list[-1], R_list[-1]], grid)
+        for tau0 in tau0_list:
+            ball = grid.nodes <= cert.build(bounds.subsolution_radius, at="tau0_list",
+                                            env=env, p=spec.p, tau0=tau0)
+            cfg.build(bounds.check_envelope_floor, at="envelope", env=env,
+                      r=grid.nodes[ball], u0=datum[ball])
 
     def compute(writer: ArtifactWriter) -> dict:
         if cert is not None:
             # the separated subsolutions y(tau) w_R, built before the time stepping
-            state, residual, converged = _steady_state(writer, spec.p, spec.n, steady_m)
+            state, residual, converged = _steady_state(writer, spec.p, spec.n)
             subs = [cert.build(bounds.build_subsolution, env=env, p=spec.p, steady=state,
                                tau0=tau0) for tau0 in tau0_list]
         ladder = evolution.minimal_solution_ladder(spec, eps_list, R_list, m, t_end, snaps, obs)
@@ -520,7 +527,8 @@ def _plot_script(mode: str, run_dir: Path):
 
 def report(run_dir: Path) -> int:
     """Write summary.md and plot.gp for a run directory, judging each artifact
-    by its manifest: MISSING when absent, CORRUPT when its sha256 differs."""
+    by its manifest: MISSING when absent, CORRUPT when its sha256 differs,
+    and any other file but the manifest and report's own output EXTRA."""
     manifest_path = run_dir / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -545,6 +553,9 @@ def report(run_dir: Path) -> int:
         if status != "ok":
             problems.append(f"- {rel}: {status}")
         lines.append(f"- `{rel}` ({status})")
+    listed = {rel for rel, _ in artifacts} | {"manifest.json", "summary.md", "plot.gp"}
+    problems += [f"- {path.name}: EXTRA" for path in sorted(run_dir.iterdir())
+                 if path.is_file() and path.name not in listed]
     lines += ["", "## verdict", "```json",
               json.dumps(verdict, indent=2, sort_keys=True), "```"]
     if problems:

@@ -90,7 +90,7 @@ DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, re
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Cauchy data: degeneracy exponent p >= 1, dimension n <= 3, radial datum u0.
+    """Cauchy data: degeneracy exponent p >= 1, dimension 1 <= n <= 3, radial datum u0.
 
     The step's matrix is an M-matrix only for n <= 3: its lower band at r = h
     is (3 - n)/(2h^2).
@@ -103,8 +103,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.p < 1:
             raise InputError(f"p >= 1 required, got {self.p}")
-        if self.n > 3:
-            raise InputError(f"n <= 3 required (the step is an M-matrix only for "
+        if not 1 <= self.n <= 3:
+            raise InputError(f"1 <= n <= 3 required (the step is an M-matrix only for "
                              f"n <= 3), got {self.n}")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decaylab import evolution
+from decaylab import bounds, evolution
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
                              logistic_residual, solve_steady_state,
                              subsolution_check)
@@ -290,7 +290,7 @@ def test_criterion_10_subsolution_certificate(long_run):
     run, _, _ = long_run
     doc = shipped("lower_bound")
     cert, env = doc["certificate"], DecayEnvelope(**doc["envelope"])
-    state = solve_steady_state(run.spec.p, run.spec.n, cert["steady"]["m"])
+    state = solve_steady_state(run.spec.p, run.spec.n, bounds.STEADY_M)
     worst = math.inf
     details = []
     for tau0 in cert["tau0_list"]:

@@ -50,8 +50,7 @@ TINY_DECAY = {
 
 def test_steady_state_mode(tmp_path):
     cfg = write_config(tmp_path, {
-        "name": "ss", "mode": "steady_state",
-        "problem": {"p": 1.0, "n": 2}, "approx": {"m": 2001},
+        "name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 2},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -71,7 +70,6 @@ def test_lfunction_audit_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "name": "audit", "mode": "lfunction_audit",
         "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
-        "audit": {"p": 1.0, "q0": 1.0, "s_points": 120, "lambda_points": 120},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -236,13 +234,15 @@ TWO_SIDED = dict(
     snapshots={"t_min": 0.5, "count": 13},
     envelope=TINY_DECAY["problem"]["u0"],
     rate={"delta": 0.9, "window": [1.5, None]},
-    certificate={"steady": {"m": 1001}, "tau0_list": [math.log(51.0)]},
+    certificate={"tau0_list": [math.log(51.0)]},
 )
+TWO_SIDED_STEADY_M = 1001  # bounds.STEADY_M of the runs of TWO_SIDED with a certificate
 
 
 def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     # the sandwich and the subsolution certificate judge one trajectory, and
     # each artifact is the one a run with only that section writes
+    monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     calls = counted_ladder(monkeypatch)
     docs = {"both": TWO_SIDED,
             "rate": {k: v for k, v in TWO_SIDED.items() if k != "certificate"},
@@ -303,11 +303,9 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
     # a value of the wrong type anywhere in a config fails closed
-    steady = {"name": "ss", "mode": "steady_state",
-              "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}}
+    steady = {"name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 1}}
     audit = {"name": "audit", "mode": "lfunction_audit",
-             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
-             "audit": {"s_points": 20, "lambda_points": 20}}
+             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0}}
     scan = {"name": "scan", "mode": "gn_scan", "grid": {"n": 3, "R": 20.0, "m": 201},
             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0}, "request": {"q": 2.0},
             "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]},
@@ -318,8 +316,6 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     ill_typed = [
         with_field(TINY_DECAY, "problem.u0.c0", True),
         with_field(TINY_DECAY, "snapshots.count", True),
-        with_field(audit, "audit.s_points", True),
-        with_field(steady, "approx.m", True),
         with_field(audit, "L.kappa", True),
         with_field(TINY_DECAY, "problem.u0.c0", "2"),
         with_field(audit, "L.kappa", "2"),
@@ -327,7 +323,6 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(ladder, "approx.ladder.eps_list", [1e-2, "x"]),
         with_field(TINY_DECAY, "observers", ["lq:abc"]),
         with_field(ladder, "approx.m", 251.9),
-        with_field(steady, "approx", []),
         with_field(rated, "rate.window", [1.0]),
     ]
     # well-typed values out of range fail closed too, before numpy or the
@@ -342,10 +337,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(TINY_DECAY, "snapshots.t_min", 500.0),
         with_field(TINY_DECAY, "snapshots.t_min", 5.0),
         with_field(TINY_DECAY, "t_end", 0),
-        with_field(steady, "approx.m", 1),
         with_field(ladder, "approx.m", 1),
-        with_field(certified, "certificate.steady", {"m": 1}),
-        with_field(audit, "audit.s_points", -1),
         with_field(certified, "certificate.tau0_list", []),
         with_field(certified, "certificate.tau0_list", [-1.0]),
         # a horizon beyond tau = ln(t_end + 1), which the run never reaches
@@ -365,7 +357,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     long_rated = with_field(with_field(rated, "t_end", 500.0), "rate.window", [1.5, None])
     removed_fields = [
         with_field(TINY_DECAY, "snapshots.kind", "log"),
-        with_field(audit, "audit.lambda0", 1.0),
+        with_field(audit, "audit", {"lambda0": 1.0}),
         with_field(certified, "certificate.c1", 0.5),
         with_field(ladder, "approx.ladder.m_list", [251]),
         # a single run is the ladder of one member: eps and R have one field each
@@ -375,6 +367,26 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(long_rated, "rate.slack", 0.1),  # the slack is rates.RATIO_SLACK
         # the rate's gauge is derived from the envelope and delta (rates.rate_model)
         with_field(long_rated, "L", {"kind": "LogType", "kappa": 0.95, "M": 4.0}),
+    ]
+    # settings that every run set alike are constants now: the steady state's
+    # node count is bounds.STEADY_M, and the audit judges 400-point grids at
+    # p = q0 = 1; the message names the outermost key that no reader asks for
+    constants = [
+        ("approx: unknown field", with_field(steady, "approx", {"m": 4001})),
+        ("certificate.steady: unknown field",
+         with_field(certified, "certificate.steady", {"m": 4001})),
+        *(("audit: unknown field", with_field(audit, "audit", {key: value}))
+          for key, value in (("p", 1.0), ("q0", 1.0), ("s_points", 400),
+                             ("lambda_points", 400))),
+    ]
+    # a problem that ProblemSpec refuses names its section, also where a later
+    # section would have failed on it first (rate: kappa must be positive)
+    bad_problems = [
+        ("problem: p >= 1 required, got 0.5", with_field(TINY_DECAY, "problem.p", 0.5)),
+        ("problem: 1 <= n <= 3 required (the step is an M-matrix only for n <= 3), got 0",
+         with_field(TINY_DECAY, "problem.n", 0)),
+        ("problem: 1 <= n <= 3 required", with_field(rated, "problem.n", 0)),
+        ("problem: 1 <= n <= 3 required", with_field(TINY_DECAY, "problem.n", -2)),
     ]
     # what the rate verdict would refuse once it ran, depending only on the
     # config, is refused before any time stepping: a window that starts at
@@ -407,18 +419,19 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     lyapunov = dict(TINY_DECAY, observers=["lyapunov"])
     removed_observer = [lyapunov, dict(TINY_DECAY, lyapunov_q=-1.0)]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
+                + [doc for _, doc in constants + bad_problems]
                 + removed_observer + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     assert not (tmp_path / "run").exists()
     capsys.readouterr()
-    for message, doc in {
-        **late_rate_errors,
-        "rate.window: expected [number, number or null], got [1.0]": ill_typed[-1],
-        "L: unknown field": removed_fields[-1],
-        "observers: unknown observer 'lyapunov'": removed_observer[0],
-        "lyapunov_q: unknown field": removed_observer[1],
-    }.items():
+    for message, doc in [
+        *late_rate_errors.items(), *constants, *bad_problems,
+        ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
+        ("L: unknown field", removed_fields[-1]),
+        ("observers: unknown observer 'lyapunov'", removed_observer[0]),
+        ("lyapunov_q: unknown field", removed_observer[1]),
+    ]:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err, message
@@ -481,7 +494,7 @@ def test_inadmissible_p_exit_2(tmp_path):
     # p outside the admissible range p >= 1 is an input error, not a crash
     cfg = write_config(tmp_path, {
         "name": "ss", "mode": "steady_state",
-        "problem": {"p": 0.5, "n": 1}, "approx": {"m": 101},
+        "problem": {"p": 0.5, "n": 1},
     })
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
@@ -507,26 +520,15 @@ def test_config_error_leaves_no_run_directory(tmp_path):
     assert not out.exists()
 
 
-def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
+def test_failed_run_leaves_no_directory(tmp_path):
     # config errors that only the library's preconditions catch, in the
     # compute step, exit 2 and leave no run directory: the writer creates it
     # only with the manifest
-    calls = counted_ladder(monkeypatch)
-    steady = {"name": "ss", "mode": "steady_state",
-              "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}}
-    audit = {"name": "audit", "mode": "lfunction_audit",
-             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0},
-             "audit": {"s_points": 20, "lambda_points": 20}}
+    steady = {"name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 1}}
     scan = {"name": "scan", "mode": "gn_scan", "grid": {"n": 3, "R": 20.0, "m": 201},
             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0}, "request": {"q": 2.0},
             "family": {"kind": "StretchedExp", "beta": 2.0, "scales": [0.1]}}
-    # p = 1, so c1 tau0 = 0.5 lies below Lambda(0) = ln 2 of this envelope
-    low_horizon = dict(TINY_DECAY, envelope=dict(TINY_DECAY["problem"]["u0"], c0=0.5),
-                       certificate={"tau0_list": [1.0], "steady": {"m": 101}})
     late = [
-        with_field(TINY_DECAY, "problem.n", 0),
-        low_horizon,
-        with_field(audit, "audit.p", 0.5),
         with_field(scan, "family.widths", [10]),
         with_field(scan, "request.q", 7),
         with_field(steady, "problem.p", 0.5),
@@ -534,13 +536,9 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
     ]
     for k, doc in enumerate(late):
         out = tmp_path / f"run{k}"
-        calls.clear()
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG, doc
         assert not out.exists(), doc
-        if doc is low_horizon:
-            # the certificate is judged before the trajectory is evolved
-            assert calls == []
 
 
 def test_approx_errors_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -550,8 +548,7 @@ def test_approx_errors_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
     calls = counted_ladder(monkeypatch)
     solves = []
     monkeypatch.setattr(bounds, "solve_steady_state", lambda *args: solves.append(args))
-    certified = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"],
-                     certificate={"steady": {"m": 101}})
+    certified = dict(TINY_DECAY, envelope=TINY_DECAY["problem"]["u0"], certificate={})
     cases = {
         "eps must lie in (0, 1)": ("eps_list", [2.0]),
         "eps_list must be non-empty and strictly decreasing": ("eps_list", [1e-3, 1e-2]),
@@ -570,13 +567,42 @@ def test_approx_errors_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_unwritable_output_dir_exit_2(tmp_path):
+def test_certificate_envelope_errors_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    # an envelope that is not a floor of the judged member's lifted datum on
+    # a horizon's ball, and a horizon below the envelope's inverse, are
+    # refused in the read phase: no steady-state solve, no ladder call
+    calls = counted_ladder(monkeypatch)
+    solves = []
+    real_solve = bounds.solve_steady_state
+    monkeypatch.setattr(bounds, "solve_steady_state",
+                        lambda *args: solves.append(args) or real_solve(*args))
+    shipped = read_json(CONFIGS / "lower_bound.json")
+    # p = 1, so c1 tau0 = 0.5 lies below Lambda(0) = ln 2 of this envelope
+    low_horizon = dict(TINY_DECAY, envelope=dict(TINY_DECAY["problem"]["u0"], c0=0.5),
+                       certificate={"tau0_list": [1.0]})
+    cases = [
+        ("envelope: initial datum drops below the envelope floor on the ball, first at r = 0",
+         with_field(shipped, "envelope.c0", 2.0)),
+        ("envelope: initial datum drops below the envelope floor on the ball, first at r = 0.01",
+         with_field(shipped, "envelope.alpha", 0.5)),
+        ("certificate.tau0_list: inverse argument below Lambda(0)", low_horizon),
+    ]
+    out = tmp_path / "run"
+    for message, doc in cases:
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err, message
+    assert calls == [] and solves == []
+    assert not out.exists()
+
+
+def test_unwritable_output_dir_exit_2(tmp_path, monkeypatch):
     # the run directory cannot be created below a regular file: a config
     # error, found when the run is written, and nothing is left behind
+    monkeypatch.setattr(bounds, "STEADY_M", 101)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state",
-                                  "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}})
+                                  "problem": {"p": 1.0, "n": 1}})
     assert main(["run", str(cfg), "--out", str(blocker / "run")]) == EXIT_CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
     assert blocker.read_text() == ""
@@ -618,13 +644,13 @@ def test_non_finite_verdict_exit_3(tmp_path, capsys, monkeypatch):
     assert not (out / "audit.json").exists()
 
 
-def test_steady_state_overflowing_shot_is_a_death(tmp_path):
+def test_steady_state_overflowing_shot_is_a_death(tmp_path, monkeypatch):
     # at p = 200 the source w^(1-p) of the shot from the bracket's lower end
     # overflows a float; that shot has died, so shooting reaches the root and
     # the verdict judges the profile: at m = 101 its flux residual fails
+    monkeypatch.setattr(bounds, "STEADY_M", 101)
     cfg = write_config(tmp_path, {
-        "name": "ss", "mode": "steady_state",
-        "problem": {"p": 200.0, "n": 1}, "approx": {"m": 101},
+        "name": "ss", "mode": "steady_state", "problem": {"p": 200.0, "n": 1},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VERDICT
@@ -636,13 +662,15 @@ def test_steady_state_overflowing_shot_is_a_death(tmp_path):
 @pytest.mark.parametrize("p, steady_m, residual", [(4.0, 11, 0.05391703554375349),
                                                     (4.0, 21, 0.005088367004328687),
                                                     (2.0, 11, 0.00755769680952989)])
-def test_certificate_fails_an_unconverged_steady_state(tmp_path, p, steady_m, residual):
+def test_certificate_fails_an_unconverged_steady_state(tmp_path, monkeypatch, p, steady_m,
+                                                         residual):
     # the subsolutions hold on this run, but their steady state is too coarse
     # to pass the steady_state mode: the certificate fails as that mode does
+    monkeypatch.setattr(bounds, "STEADY_M", steady_m)
     doc = dict(TINY_DECAY, problem=dict(TINY_DECAY["problem"], p=p),
                approx={"ladder": {"eps_list": [1e-5], "R_list": [10.0]}, "m": 251},
                t_end=50.0, snapshots={}, envelope=TINY_DECAY["problem"]["u0"],
-               certificate={"steady": {"m": steady_m}}, observers=[])
+               certificate={}, observers=[])
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_VERDICT
     verdict = read_json(out / "manifest.json")["verdict"]
@@ -651,12 +679,12 @@ def test_certificate_fails_an_unconverged_steady_state(tmp_path, p, steady_m, re
     assert not verdict["pass"]
 
 
-def test_steady_state_p_1_5_exit_0(tmp_path):
+def test_steady_state_p_1_5_exit_0(tmp_path, monkeypatch):
     # the touchdown jump of w(1; a) at p = 1.5 stalls the secant; shooting
     # bisects from then on and converges within the shot cap
+    monkeypatch.setattr(bounds, "STEADY_M", 1001)
     cfg = write_config(tmp_path, {
-        "name": "ss", "mode": "steady_state",
-        "problem": {"p": 1.5, "n": 1}, "approx": {"m": 1001},
+        "name": "ss", "mode": "steady_state", "problem": {"p": 1.5, "n": 1},
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
@@ -685,10 +713,11 @@ def test_report_flags_corrupted_csv(tmp_path):
     assert "CORRUPT" in text
 
 
-def test_report_checks_sha256(tmp_path):
+def test_report_checks_sha256(tmp_path, monkeypatch):
     # an artifact is judged by its manifest digest, not by its format
+    monkeypatch.setattr(bounds, "STEADY_M", 101)
     cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state",
-                                  "problem": {"p": 1.0, "n": 1}, "approx": {"m": 101}})
+                                  "problem": {"p": 1.0, "n": 1}})
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
     summary = out / "summary.json"
@@ -704,6 +733,26 @@ def test_report_checks_sha256(tmp_path):
     (out / "summary.json").unlink()
     assert main(["report", str(out)]) == EXIT_PASS
     assert "- summary.json: MISSING" in (out / "summary.md").read_text()
+
+
+def test_report_flags_files_the_manifest_does_not_list(tmp_path, monkeypatch):
+    # a second run into the same directory leaves the first run's files
+    # beside the new manifest: report lists each as EXTRA, and leaves out
+    # the manifest and its own two outputs, also on a second report
+    monkeypatch.setattr(bounds, "STEADY_M", 101)
+    out = tmp_path / "run"
+    steady = {"name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 1}}
+    audit = {"name": "audit", "mode": "lfunction_audit",
+             "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0}}
+    for doc in (steady, audit):
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
+    (out / "notes").mkdir()  # a directory is no artifact of any run
+    for _ in range(2):
+        assert main(["report", str(out)]) == EXIT_PASS
+        text = (out / "summary.md").read_text()
+        assert "- `audit.json` (ok)" in text
+        problems = text.split("## problems\n", 1)[1].splitlines()
+        assert problems == ["- steady_state.csv: EXTRA", "- summary.json: EXTRA"]
 
 
 def test_report_missing_manifest(tmp_path):
@@ -797,10 +846,12 @@ def test_static_manifests_pinned(tmp_path):
     # the three configs that do no time stepping give pinned manifest bytes:
     # an automated part of the "manifests unchanged" oracle of a refactor
     # (lfunction_audit moved once, when the convexity check took s L''/L' in
-    # closed form)
+    # closed form; both it and steady_state moved once more, when their
+    # configs lost the settings that became constants, in the config echo
+    # alone)
     pinned = {
-        "steady_state": "bcf70b2dfd3cc4dd558878a78f799a561258aecfd58e0902922f03ed793230ec",
-        "lfunction_audit": "937928bf98d6e0c6660256e282146f30eb5255365a372baefa9010741891861a",
+        "steady_state": "9445a165522b49b606aeedc17b985e52b9fbdde11f3e94dad8e343b141312347",
+        "lfunction_audit": "56cf6a83e0253936f2d8df52cee6b2bf51cc5fe437bee4227f64bfda226d5178",
         "gn_scan": "504ec10462957878dab55583787efd8b5d58ddd74fcf6ad074511f37fe94c8b5",
     }
     for name, sha in pinned.items():
@@ -815,11 +866,13 @@ def test_static_manifests_pinned(tmp_path):
         assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"], scan
 
 
-def test_two_sided_artifacts_pinned(tmp_path):
+def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # the time-stepping path (a one-member ladder at m = 301, the sandwich,
     # baseline and curves, the certificate) gives the same artifacts and
     # verdict as earlier builds, which evolved the single run without a
-    # ladder; artifacts are pinned, not the manifest, which echoes the config
+    # ladder and solved the steady state at a configured m = 1001; artifacts
+    # are pinned, not the manifest, which echoes the config
+    monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())

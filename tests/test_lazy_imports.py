@@ -26,18 +26,16 @@ STATIC_RUNS = """
 import json, sys
 from pathlib import Path
 import decaylab.cli as cli
+from decaylab import bounds
 
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.startswith("scipy"))
 
 report = {"import": scipy_loaded(), "codes": {}}
 tmp = Path(sys.argv[1])
+bounds.STEADY_M = 201
 for name in ("steady_state", "gn_scan", "lfunction_audit"):
-    doc = json.loads((Path(sys.argv[2]) / f"{name}.json").read_text())
-    if name == "steady_state":
-        doc["approx"]["m"] = 201
-    cfg = tmp / f"{name}.json"
-    cfg.write_text(json.dumps(doc))
+    cfg = Path(sys.argv[2]) / f"{name}.json"
     report["codes"][name] = cli.run_experiment(cfg, out_dir=tmp / name)
 report["runs"] = scipy_loaded()
 print(json.dumps(report))

@@ -199,6 +199,28 @@ def test_convexity_closed_form_matches_the_derivatives(L, p, q0):
     assert rep.strong.max_violation == pytest.approx(strong, rel=1e-12, abs=1e-15)
 
 
+def test_convexity_verdict_is_decided_at_p_1():
+    # the CLI's audit judges convexity at p = q0 = 1 alone: the weak
+    # condition's coefficient (3p + q0 - 2)/(p + q0) is at least 1 for p >= 1
+    # and 1 at p = 1, so no other (p, q0) changes a verdict, and the weak
+    # violation is largest at p = 1, where it equals the strong one
+    gauges = [SteepnessFunction.log_type(kappa, 4.0) for kappa in (0.5, 2.0, 400.0)]
+    gauges += [SteepnessFunction.double_log_type(kappa, math.e**3, 1.0) for kappa in (1.0, 5.0)]
+    gauges += [SteepnessFunction.power_law(r) for r in (0.5, 3.0)]
+    for L in gauges:
+        s = audit_grid(L)
+        at_one = check_convexity_condition(L, 1.0, 1.0, s)
+        assert at_one.weak.max_violation == at_one.strong.max_violation, L
+        for p in (1.0, 1.5, 2.0, 4.0):
+            for q0 in (0.1, 1.0, 3.0):
+                rep = check_convexity_condition(L, p, q0, s)
+                assert rep.passed == at_one.passed, (L, p, q0)
+                assert rep.strong.max_violation == at_one.strong.max_violation
+                assert rep.weak.max_violation <= at_one.weak.max_violation, (L, p, q0)
+                if p == 1.0:
+                    assert rep.weak.max_violation == at_one.weak.max_violation, (L, q0)
+
+
 def test_convexity_judges_a_gauge_whose_derivatives_underflow():
     # at kappa = 400, L' and L'' underflow to 0 on 280 of the audit's 400
     # points; a gap formed from them reads -0.0 there and hides every point
