@@ -26,6 +26,7 @@ from .evolution import EvolutionRun
 
 __all__ = [
     "SteadyState",
+    "check_steady_problem",
     "solve_steady_state",
     "steady_state_residual",
     "evaluate_steady_state",
@@ -182,6 +183,14 @@ def _integrate_shot(a: float, p: float, n: int, m: int, record: bool = False):
     return -(1.0 - r), r
 
 
+def check_steady_problem(p: float, n: int):
+    """The steady state's preconditions: p >= 1 and n >= 1."""
+    if p < 1:
+        raise InputError(f"p >= 1 required, got {p}")
+    if n < 1:
+        raise InputError(f"n >= 1 required, got {n}")
+
+
 def solve_steady_state(p: float, n: int, grid_m: int = STEADY_M) -> SteadyState:
     """Shoot on the center value until the profile vanishes at r = 1.
 
@@ -220,8 +229,7 @@ def solve_steady_state(p: float, n: int, grid_m: int = STEADY_M) -> SteadyState:
     m = 1001 at most 30 (336 against 443).  After SHOT_CAP shots shooting
     fails with NumericError.
     """
-    if p < 1 or n < 1:
-        raise InputError("need p >= 1 and n >= 1")
+    check_steady_problem(p, n)
     h = 1.0 / (grid_m - 1)
     rtol = 1e-15        # the bracket is collapsed at hi - lo <= rtol * hi
     lo, hi = SHOT_BRACKET

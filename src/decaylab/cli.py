@@ -293,6 +293,7 @@ def _steady_state(writer: ArtifactWriter, p: float, n: int):
 def _run_steady_state(cfg: _Section):
     prob = cfg.section("problem")
     p, n = prob.read("p", NUMBER), prob.read("n", INTEGER)
+    prob.build(bounds.check_steady_problem, p=p, n=n)
 
     def compute(writer: ArtifactWriter) -> dict:
         state, residual, converged = _steady_state(writer, p, n)

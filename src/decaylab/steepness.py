@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
 _UNDERFLOW_FLOOR = 1e-300
 
 REPORT_TOL = 1e-12
-CALIBRATION_POINTS = 13     # grid of the transcendental bound's constant,
-CALIBRATION_DECADES = 6.0   # geometric from delta0 down over this many decades
 
 
 @dataclass(frozen=True)
@@ -347,66 +345,45 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
 
 # -- transcendental bound ---------------------------------------------------
 
-def _mass(L: SteepnessFunction, beta: float, gamma: float, eta: float) -> float:
-    return eta ** beta * L.value(eta) ** gamma
-
-
 def _solve_eta(L: SteepnessFunction, beta: float, gamma: float, delta: float) -> float:
-    """Largest eta with eta^beta L^gamma(eta) <= delta, by bisection.
-
-    The map is nondecreasing in eta (both factors are), so this is the
-    crossing point of an increasing function.
-    """
+    """Largest eta with eta^beta L^gamma(eta) <= delta, by bisection: the map is
+    nondecreasing in eta (both factors are) and 0 at eta = 0."""
+    def fits(eta):
+        return eta ** beta * L.value(eta) ** gamma <= delta
     lo = min(delta, 1e-4)
-    for _ in range(2000):
-        if _mass(L, beta, gamma, lo) <= delta:
-            break
+    while not fits(lo):
         lo *= 0.25
-    else:
-        raise NumericError("could not bracket the transcendental bound from below")
-    hi = max(1.0, 2.0 * lo)
-    for _ in range(200):
-        if _mass(L, beta, gamma, hi) > delta:
-            break
+    hi = 4.0 * lo  # the last guess that did not fit, if lo is not the first
+    while fits(hi):
+        if hi > 1e120:
+            raise NumericError("could not bracket the transcendental bound from above")
         hi *= 4.0
-    else:
-        raise NumericError("could not bracket the transcendental bound from above")
     while hi - lo > 1e-14 * hi:
         mid = 0.5 * (lo + hi)
-        if _mass(L, beta, gamma, mid) <= delta:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
-
-
-@lru_cache(maxsize=128)
-def _transcendental_calibration(L: SteepnessFunction, beta: float, gamma: float,
-                               delta0: float):
-    """Calibrate C so that eta(delta) <= C delta^{1/beta} L^{-gamma/beta}(delta).
-
-    The calibration grid is geometric from delta0 down over CALIBRATION_DECADES
-    decades; C is the largest observed ratio, inflated by 1e-9 to absorb
-    floating-point ties at the calibration points.  Returns (C, grid).
-    """
-    grid = np.geomspace(delta0, delta0 * 10.0 ** (-CALIBRATION_DECADES), CALIBRATION_POINTS)
-    ratios = []
-    for d in grid:
-        eta = _solve_eta(L, beta, gamma, float(d))
-        ratios.append(eta / (d ** (1.0 / beta) * L.value(float(d)) ** (-gamma / beta)))
-    C = float(max(ratios)) * (1.0 + 1e-9)
-    return C, grid
 
 
 def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
                          delta: float, delta0: float):
-    """Solve eta^beta L^gamma(eta) <= delta two ways and return both.
+    """Solve eta^beta L^gamma(eta) <= delta two ways: return the bisection
+    answer and the bound C delta^{1/beta} L^{-gamma/beta}(delta), C the supremum
+    over (0, delta0] of ratio(delta) = eta(delta) / (delta^{1/beta} L^{-gamma/beta}(delta)).
 
-    Returns ``(eta_bruteforce, eta_bound)`` where the first is the bisection
-    answer and the second the calibrated closed form
-    C * delta^{1/beta} * L^{-gamma/beta}(delta); the constant C is calibrated
-    once per (L, beta, gamma, delta0) and cached.
+    PowerLaw, L = s^r: ratio = delta^e, e = 1/(beta + r gamma) - (1 - r gamma)/beta,
+    so C = delta0^e; e < 0 is refused, the ratio being unbounded.
+    LogType, L = ln^{-kappa}(M/s): with X = ln(M/eta) the constraint reads
+    ln(1/delta) = beta X + kappa gamma ln X - beta ln M, and
+    ratio = f(X)^{kappa gamma/beta} with f = X / (beta X + (1 - beta) ln M + kappa gamma ln X).
+    The sign of f' is that of (1 - beta) ln M + kappa gamma (ln X - 1), which
+    increases in X: f falls and then rises, or only rises.  X grows as delta
+    falls to 0, and f -> 1/beta.  So C = max(ratio(delta0), beta^{-kappa gamma/beta}),
+    which needs delta0 and eta(delta0) on the log branch (0, s0).
+    DoubleLogType is refused: no C is derived for it.  So is a delta at which
+    eta reaches the underflow floor or the bound is not a positive normal double.
     """
+    def log_form(d):  # ln(d^{1/beta} L^{-gamma/beta}(d)), +inf where L(d) is 0
+        return (math.log(d) - gamma * float(_log_value(L, np.array([d]))[0])) / beta
     lam0 = L.lambda0 if not math.isnan(L.lambda0) else math.inf
     if beta <= 1.0 / (1.0 + lam0):
         raise InputError(f"beta must exceed 1/(1+lambda0) = {1.0/(1.0+lam0)}")
@@ -414,7 +391,23 @@ def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
         raise InputError("gamma must be positive")
     if not (0 < delta <= delta0):
         raise InputError("delta must lie in (0, delta0]")
+    if L.kind == "PowerLaw":
+        e = 1.0 / (beta + L.r * gamma) - (1.0 - L.r * gamma) / beta
+        if e < 0:
+            raise InputError(f"PowerLaw: the ratio delta^{e:.4g} is unbounded as delta -> 0")
+        ln_C = e * math.log(delta0)
+    elif L.kind == "LogType":
+        eta0 = _solve_eta(L, beta, gamma, delta0) if delta0 < L.s0 else math.inf
+        if not eta0 < L.s0:
+            raise InputError(f"delta0 = {delta0:g} and eta(delta0) = {eta0:.6g} must lie "
+                             f"below s0 = {L.s0:g}")
+        ln_C = max(math.log(eta0) - log_form(delta0), -L.kappa * gamma / beta * math.log(beta))
+    else:
+        raise InputError(f"the transcendental bound has no derived constant for {L.kind}")
     eta_bf = _solve_eta(L, beta, gamma, delta)
-    C, _ = _transcendental_calibration(L, beta, gamma, delta0)
-    eta_bound = C * delta ** (1.0 / beta) * L.value(delta) ** (-gamma / beta)
+    with np.errstate(over="ignore"):
+        eta_bound = float(np.exp(ln_C + log_form(delta)))
+    if not (eta_bf >= _UNDERFLOW_FLOOR and sys.float_info.min <= eta_bound < math.inf):
+        raise InputError(f"delta = {delta:g} underflows: eta = {eta_bf:.3g}, "
+                         f"bound = {eta_bound:.3g}")
     return eta_bf, eta_bound

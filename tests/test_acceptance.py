@@ -334,13 +334,38 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == sha, name
 
 
-def test_criterion_12_transcendental_bound():
+# criterion 12's deltas: 60 from 1e-2 down to 1e-200, one in each of 60 equal
+# slices of the exponent, placed at random in its slice, so on no grid
+TRANSCENDENTAL_DELTAS = (1e-2 * 1e-198 ** ((np.arange(60) + np.random.default_rng(12).random(60))
+                                            / 60)).tolist()
+LOG_GAUGE = SteepnessFunction.log_type(1.0, 4.0)
+
+
+def transcendental_check(solve, gauges):
+    """Criterion 12's check of ``solve`` on each gauge at every delta: whether
+    the brute-force/bound ratio stays within 1 + 1e-12, and a line naming the
+    worst ratio, its delta and the number of points checked."""
     beta, gamma, delta0 = 0.8, 0.5, 1e-2
-    worst = -math.inf
-    for L in (SteepnessFunction.log_type(1.0, 4.0), SteepnessFunction.power_law(1.0)):
-        for delta in np.geomspace(1e-2, 1e-8, 7):
-            eta_bf, eta_bound = solve_transcendental(L, beta, gamma, float(delta),
-                                                     delta0)
-            worst = max(worst, eta_bf / eta_bound)
-    report(12, worst <= 1.0 + 1e-12,
-           f"max brute-force/bound ratio = {worst:.12f}")
+    ratios = []
+    for L in gauges:
+        for delta in TRANSCENDENTAL_DELTAS:
+            eta_bf, eta_bound = solve(L, beta, gamma, delta, delta0)
+            ratios.append((eta_bf / eta_bound, delta))
+    worst, at = max(ratios)
+    return worst <= 1.0 + 1e-12, (f"max brute-force/bound ratio = {worst:.12f} at delta = "
+                                  f"{at:.4g} over {len(ratios)} points")
+
+
+def test_criterion_12_transcendental_bound():
+    report(12, *transcendental_check(
+        solve_transcendental, (LOG_GAUGE, SteepnessFunction.power_law(1.0))))
+
+
+def test_criterion_12_fails_on_a_short_constant():
+    # negative control: with C x 0.99 the log-type row fails; its ratio nears
+    # the limit C = 1.1497 from below, 0.995 C by delta = 1e-200
+    def short(*args):
+        eta_bf, eta_bound = solve_transcendental(*args)
+        return eta_bf, 0.99 * eta_bound
+    passed, detail = transcendental_check(short, (LOG_GAUGE,))
+    assert not passed, detail

@@ -286,6 +286,10 @@ def test_rate_curves_span_the_window(tmp_path):
 
 def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     calls = counted_ladder(monkeypatch)
+    shots = []
+    real_shot = bounds._integrate_shot
+    monkeypatch.setattr(bounds, "_integrate_shot",
+                        lambda *args, **kwargs: shots.append(args) or real_shot(*args, **kwargs))
     bad = [
         {"name": "", "mode": "steady_state"},
         {"name": "x", "mode": "unknown"},
@@ -387,6 +391,10 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
          with_field(TINY_DECAY, "problem.n", 0)),
         ("problem: 1 <= n <= 3 required", with_field(rated, "problem.n", 0)),
         ("problem: 1 <= n <= 3 required", with_field(TINY_DECAY, "problem.n", -2)),
+        # so does the steady_state mode, with the solver's own preconditions
+        # (bounds.check_steady_problem), before any shot
+        ("problem: p >= 1 required, got 0.5", with_field(steady, "problem.p", 0.5)),
+        ("problem: n >= 1 required, got 0", with_field(steady, "problem.n", 0)),
     ]
     # what the rate verdict would refuse once it ran, depending only on the
     # config, is refused before any time stepping: a window that starts at
@@ -475,7 +483,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     broken.write_text('{"name": "x", "mode":')
     assert main(["run", str(broken)]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
-    assert calls == []
+    assert calls == [] and shots == []
 
 
 def test_config_read_before_time_stepping(tmp_path, monkeypatch, capsys):

@@ -256,6 +256,13 @@ def test_scaling_lower_bound_from_ratio_bound():
             assert np.all(L.value(d * s) >= d**c1 * L.value(s) * (1.0 - 1e-12))
 
 
+def jittered_deltas(delta0: float, count: int, seed: int) -> list:
+    """count deltas from delta0 down to 1e-200, one in each of count equal slices
+    of the exponent, placed at random in its slice."""
+    u = (np.arange(count) + np.random.default_rng(seed).random(count)) / count
+    return (delta0 * (1e-200 / delta0) ** u).tolist()
+
+
 def test_transcendental_power_law_exact():
     # eta^beta (eta^r)^gamma = delta solves to eta = delta^(1/(beta + r gamma))
     L = SteepnessFunction.power_law(1.0)
@@ -266,13 +273,33 @@ def test_transcendental_power_law_exact():
         assert eta_bf <= eta_bound * (1.0 + 1e-12)
         # with C = 1 the closed form dominates for delta <= 1 already
         assert eta_bf <= delta ** (1.0 / beta) * L.value(delta) ** (-gamma / beta) * (1 + 1e-12)
+    # the ratio eta / (delta^{1/beta} L^{-gamma/beta}(delta)) is delta^e with
+    # e = 1/(beta + r gamma) - (1 - r gamma)/beta, and C = delta0^e its supremum
+    for r, beta, gamma in ((1.0, 0.8, 0.5), (0.5, 2.0, 1.0), (2.0, 3.0, 0.25)):
+        e = 1.0 / (beta + r * gamma) - (1.0 - r * gamma) / beta
+        for delta in jittered_deltas(delta0, 6, seed=int(10 * r)):
+            eta_bf, eta_bound = solve_transcendental(SteepnessFunction.power_law(r), beta,
+                                                     gamma, delta, delta0)
+            assert eta_bf / eta_bound == pytest.approx((delta / delta0) ** e, rel=1e-12)
 
 
 def test_transcendental_log_type_bound_holds():
-    beta, gamma, delta0 = 0.8, 0.5, 1e-2
-    for delta in np.geomspace(1e-2, 1e-8, 7):
-        eta_bf, eta_bound = solve_transcendental(LOG1, beta, gamma, float(delta), delta0)
-        assert eta_bf <= eta_bound * (1.0 + 1e-12)
+    # C = max(ratio(delta0), beta^{-kappa gamma/beta}), the larger of the
+    # endpoint and the limit as delta -> 0; the bound holds off any grid down
+    # to delta = 1e-200.  At (0.5, 2, 2, 1, 1e-2) and (1, 4, 5, 0.25, 0.1) the
+    # endpoint dominates: ratio(delta0) is 1.0088 and 1.0461 times the limit
+    endpoint_dominated = {(0.5, 2.0, 2.0, 1.0, 1e-2), (1.0, 4.0, 5.0, 0.25, 0.1)}
+    cases = [(1.0, 4.0, 0.8, 0.5, 1e-2), *sorted(endpoint_dominated), (4.0, 50.0, 1.0, 2.0, 0.5)]
+    for seed, (kappa, M, beta, gamma, delta0) in enumerate(cases):
+        L = SteepnessFunction.log_type(kappa, M)
+        eta0, bound0 = solve_transcendental(L, beta, gamma, delta0, delta0)
+        form0 = delta0 ** (1.0 / beta) * L.value(delta0) ** (-gamma / beta)
+        limit = beta ** (-kappa * gamma / beta)
+        assert (eta0 / form0 > limit) == ((kappa, M, beta, gamma, delta0) in endpoint_dominated)
+        assert bound0 / form0 == pytest.approx(max(eta0 / form0, limit), rel=1e-12)
+        for delta in jittered_deltas(delta0, 8, seed):
+            eta_bf, eta_bound = solve_transcendental(L, beta, gamma, delta, delta0)
+            assert eta_bf <= eta_bound * (1.0 + 1e-12)
 
 
 def test_transcendental_boundary_and_sharpness():
@@ -283,8 +310,8 @@ def test_transcendental_boundary_and_sharpness():
         return eta**beta * LOG1.value(eta) ** gamma
     assert mass(eta_bf) <= delta0
     assert mass(eta_bf * (1.0 + 1e-6)) > delta0
-    # delta0 is a calibration point, so the bound holds there with the
-    # calibration's 1e-9 inflation to spare
+    # C here is the limit beta^{-kappa gamma/beta} = 1.1497, above the ratio
+    # 1.0031 at delta0, so the bound holds there with room to spare
     assert eta_bf * (1.0 + 5e-10) <= eta_bound
 
 
@@ -293,6 +320,29 @@ def test_transcendental_preconditions():
         solve_transcendental(LOG1, 0.4, 0.5, 1e-3, 1e-2)  # beta <= 1/(1+lambda0)
     with pytest.raises(InputError):
         solve_transcendental(LOG1, 0.8, 0.5, 2e-2, 1e-2)  # delta > delta0
+
+
+def test_transcendental_refuses_an_underived_constant():
+    # power law with e = 1/(beta + r gamma) - (1 - r gamma)/beta = -0.074 < 0:
+    # the ratio delta^e is unbounded as delta -> 0
+    with pytest.raises(InputError, match="unbounded"):
+        solve_transcendental(SteepnessFunction.power_law(0.5), 0.6, 0.5, 1e-3, 1e-2)
+    with pytest.raises(InputError, match="no derived constant for DoubleLogType"):
+        solve_transcendental(DLOG1, 0.8, 0.5, 1e-3, 1e-2)
+    # the derivation holds on the log branch (0, s0) only: delta0 = 20 lies
+    # below s0 = 25 of log_type(1, 50), but eta(delta0) does not
+    with pytest.raises(InputError, match="must lie below s0 = 25"):
+        solve_transcendental(SteepnessFunction.log_type(1.0, 50.0), 0.8, 0.5, 1e-3, 20.0)
+    with pytest.raises(InputError, match="must lie below s0 = 2"):
+        solve_transcendental(LOG1, 0.8, 0.5, 1e-3, 3.0)
+
+
+def test_transcendental_fails_closed_at_underflow():
+    # at delta = 1e-250 eta falls below L's underflow floor 1e-300 (the bound
+    # would read 1.9e-311, a subnormal); at 1e-300 the bound is 0
+    for delta in (1e-250, 1e-300):
+        with pytest.raises(InputError, match="underflows"):
+            solve_transcendental(LOG1, 0.8, 0.5, delta, 1e-2)
 
 
 def test_json_roundtrip():
