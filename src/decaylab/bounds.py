@@ -31,7 +31,6 @@ __all__ = [
     "steady_state_residual",
     "evaluate_steady_state",
     "logistic_exact",
-    "logistic_residual",
     "DecayEnvelope",
     "lower_c1",
     "lower_bound_curve",
@@ -353,26 +352,6 @@ def logistic_exact(tau, delta: float, p: float):
     decay = np.exp(-tau_arr)
     out = (delta ** (-p) * decay + 1.0 - decay) ** (-1.0 / p)
     return float(out) if np.isscalar(tau) or tau_arr.ndim == 0 else out
-
-
-def logistic_residual(tau_grid, delta: float, p: float) -> float:
-    """Max scaled residual |y'_fd - (y - y^{p+1})/p| / (1 + |rhs|) on a grid.
-
-    The finite difference is the second-order three-point formula on a
-    possibly nonuniform grid; scaling by the local rate keeps the oracle
-    meaningful through the stiff initial transient of large delta.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.size < 3 or np.any(np.diff(tau) <= 0):
-        raise InputError("tau_grid must be increasing with at least 3 points")
-    y = logistic_exact(tau, delta, p)
-    h1 = tau[1:-1] - tau[:-2]
-    h2 = tau[2:] - tau[1:-1]
-    fd = (-h2 / (h1 * (h1 + h2)) * y[:-2]
-          + (h2 - h1) / (h1 * h2) * y[1:-1]
-          + h1 / (h2 * (h1 + h2)) * y[2:])
-    rhs = (y[1:-1] - y[1:-1] ** (p + 1.0)) / p
-    return float(np.max(np.abs(fd - rhs) / (1.0 + np.abs(rhs))))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .steepness import SteepnessFunction
 
 __all__ = [
@@ -116,7 +116,10 @@ def lq_quasinorm(profile: RadialProfile, q: float) -> float:
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
     integral = profile.grid.volume_integral(np.abs(profile.values) ** q)
-    return integral ** (1.0 / q)
+    try:
+        return integral ** (1.0 / q)
+    except OverflowError:
+        raise NumericError(f"the L^q quasi-norm overflows a double at q = {q:g}") from None
 
 
 def radial_derivative(profile: RadialProfile) -> np.ndarray:

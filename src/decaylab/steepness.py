@@ -61,6 +61,11 @@ class SteepnessFunction:
     lambda0: float = math.nan
     r: float = math.nan
 
+    def __post_init__(self):
+        if math.isinf(self.a):
+            raise InputError(f"the near-multiplicativity constant a overflows a double at "
+                             f"kappa = {self.kappa:g}, lambda0 = {self.lambda0:g}")
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -83,10 +88,10 @@ class SteepnessFunction:
             raise InputError(f"log_type requires M >= 2, got {M}")
         if lambda0 <= 0:
             raise InputError(f"lambda0 must be positive, got {lambda0}")
-        if kappa <= 1.0:
-            a = kappa
-        else:
-            a = ((1.0 + lambda0) ** kappa - 1.0) / lambda0
+        try:
+            a = kappa if kappa <= 1.0 else ((1.0 + lambda0) ** kappa - 1.0) / lambda0
+        except OverflowError:  # refused by __post_init__
+            a = math.inf
         return cls(kind="LogType", kappa=float(kappa), M=float(M), s0=M / 2.0,
                    a=float(a), lambda0=float(lambda0))
 
@@ -115,7 +120,8 @@ class SteepnessFunction:
             a = kappa / c1
         else:
             lam = np.geomspace(1e-8, lambda0, 2048)
-            secants = ((1.0 + np.log1p(lam) / c1) ** kappa - 1.0) / lam
+            with np.errstate(over="ignore"):  # an infinite a is refused by __post_init__
+                secants = ((1.0 + np.log1p(lam) / c1) ** kappa - 1.0) / lam
             a = float(secants.max()) * (1.0 + 1e-6)
         return cls(kind="DoubleLogType", kappa=float(kappa), M=float(M), s0=float(s0),
                    a=float(a), lambda0=float(lambda0))
@@ -139,42 +145,6 @@ class SteepnessFunction:
         if np.isscalar(s) or s_arr.ndim == 0:
             return float(out)
         return out
-
-    def _require_smooth_branch(self, s) -> np.ndarray:
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 0) or np.any(s_arr >= self.s0):
-            raise InputError(
-                f"derivatives are defined on the smooth branch (0, {self.s0}) only")
-        return s_arr
-
-    def deriv1(self, s):
-        """dL/ds on the smooth branch 0 < s < s0."""
-        s_arr = self._require_smooth_branch(s)
-        if self.kind == "PowerLaw":
-            out = self.r * s_arr ** (self.r - 1.0)
-        elif self.kind == "LogType":
-            g = np.log(self.M / s_arr)
-            out = (self.kappa / s_arr) * g ** (-self.kappa - 1.0)
-        else:
-            g = np.log(self.M / s_arr)
-            out = self.kappa / (s_arr * g) * np.log(g) ** (-self.kappa - 1.0)
-        return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-    def deriv2(self, s):
-        """d^2 L/ds^2 on the smooth branch 0 < s < s0."""
-        s_arr = self._require_smooth_branch(s)
-        k = self.kappa
-        if self.kind == "PowerLaw":
-            out = self.r * (self.r - 1.0) * s_arr ** (self.r - 2.0)
-        elif self.kind == "LogType":
-            g = np.log(self.M / s_arr)
-            out = (k / s_arr**2) * g ** (-k - 1.0) * ((k + 1.0) / g - 1.0)
-        else:
-            g = np.log(self.M / s_arr)
-            lg = np.log(g)
-            out = (k / (s_arr**2 * g)) * lg ** (-k - 1.0) * (
-                -1.0 + 1.0 / g + (k + 1.0) / (g * lg))
-        return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
     # -- serialization -----------------------------------------------------
 

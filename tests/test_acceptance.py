@@ -19,8 +19,7 @@ import pytest
 
 from decaylab import bounds, evolution
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
-                             logistic_residual, solve_steady_state,
-                             subsolution_check)
+                             solve_steady_state, subsolution_check)
 from decaylab.cli import EXIT_PASS, run_experiment
 from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
@@ -129,12 +128,24 @@ def test_criterion_01_steady_state_oracle():
            f"error {center_err[2.0]:.1e} at (p, n) = (2, 1), {center_err[4.0]:.1e} at (4, 1)")
 
 
+def scaled_logistic_residual(tau, delta: float, p: float) -> float:
+    """Max |y' - (y - y^{p+1})/p| / (1 + |rhs|) of the closed form y over the
+    interior of the grid tau, y' by numpy's second-order three-point difference;
+    scaling by the local rate keeps it meaningful through the stiff transient
+    of a large delta."""
+    y = logistic_exact(tau, delta, p)
+    rhs = (y - y ** (p + 1.0)) / p
+    return float(np.max((np.abs(np.gradient(y, tau) - rhs) / (1.0 + np.abs(rhs)))[1:-1]))
+
+
 def test_criterion_02_logistic_ode_oracle():
+    # the mild case p = 1, delta = 0.5 on a uniform step, then every regime on
+    # a geometric grid, which resolves the stiff initial transient of large delta
+    worst = scaled_logistic_residual(np.arange(0.0, 10.0, 1e-3), 0.5, 1.0)
     grid = np.unique(np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 46000)]))
-    worst = 0.0
     for p in (1.0, 2.0, 3.0):
         for delta in (0.1, 1.0, 10.0):
-            worst = max(worst, logistic_residual(grid, delta, p))
+            worst = max(worst, scaled_logistic_residual(grid, delta, p))
             # exact up to the power-function roundtrip (delta^-p)^(-1/p)
             assert logistic_exact(0.0, delta, p) == pytest.approx(delta, rel=1e-13)
     flat = logistic_exact(np.array([0.0, 1.0, 7.0]), 1.0, 2.0)

@@ -9,10 +9,8 @@ from scipy import special
 
 from decaylab import bounds
 from decaylab.bounds import (DecayEnvelope, _integrate_shot, build_subsolution,
-                             evaluate_steady_state, logistic_exact,
-                             logistic_residual, lower_bound_curve,
-                             solve_steady_state, steady_state_residual,
-                             subsolution_check)
+                             evaluate_steady_state, logistic_exact, lower_bound_curve,
+                             solve_steady_state, steady_state_residual, subsolution_check)
 from decaylab.errors import InputError, NumericError
 from decaylab.evolution import ApproxParams, ProblemSpec, evolve
 
@@ -330,19 +328,6 @@ def test_logistic_monotone_toward_one():
     falling = logistic_exact(taus, 5.0, 2.0)
     assert np.all(np.diff(rising) > 0) and rising[-1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(falling) < 0) and falling[-1] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_logistic_residual_small_on_uniform_grid():
-    # the mild case from the contract: p=1, delta=0.5, tau step 1e-3
-    assert logistic_residual(np.arange(0.0, 10.0, 1e-3), 0.5, 1.0) < 1e-6
-
-
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("delta", [0.1, 1.0, 10.0])
-def test_logistic_residual_all_regimes(p, delta):
-    # geometric grid resolves the stiff initial transient of large delta
-    grid = np.unique(np.concatenate([[0.0], np.geomspace(1e-5, 10.0, 46000)]))
-    assert logistic_residual(grid, delta, p) < 1e-6
 
 
 def test_envelope_stretched_exp():

@@ -426,15 +426,24 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # and its exponent an unknown field
     lyapunov = dict(TINY_DECAY, observers=["lyapunov"])
     removed_observer = [lyapunov, dict(TINY_DECAY, lyapunov_q=-1.0)]
+    # a gauge whose near-multiplicativity constant a overflows a double: 2^1024
+    # at lambda0 = 1, the doubly log-type secants, and the rate's kappa = 1500.5
+    overflowing = "the near-multiplicativity constant a overflows a double at kappa = "
+    overflowing_gauges = [
+        (f"L: {overflowing}1024,", with_field(audit, "L.kappa", 1024)),
+        (f"L: {overflowing}2000,", with_field(audit, "L", {
+            "kind": "DoubleLogType", "kappa": 2000, "M": 100})),
+        (f"rate: {overflowing}1500.5,", with_field(rated, "rate.delta", 3000)),
+    ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
-                + [doc for _, doc in constants + bad_problems]
+                + [doc for _, doc in constants + bad_problems + overflowing_gauges]
                 + removed_observer + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     assert not (tmp_path / "run").exists()
     capsys.readouterr()
     for message, doc in [
-        *late_rate_errors.items(), *constants, *bad_problems,
+        *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
         ("L: unknown field", removed_fields[-1]),
         ("observers: unknown observer 'lyapunov'", removed_observer[0]),
@@ -623,6 +632,18 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "steady_state", lambda cfg: diverge)
     cfg = write_config(tmp_path, {"name": "ss", "mode": "steady_state"})
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
+
+
+def test_lq_quasinorm_overflow_exit_3(tmp_path, capsys):
+    # at a small q the quasi-norm integral^(1/q) of a profile whose integral
+    # exceeds 1 overflows a double: the shipped scan at q = 0.01, and a run's
+    # L^q observer at q = 1e-5; neither leaves a run directory
+    scan = with_field(read_json(CONFIGS / "gn_scan.json"), "request.q", 0.01)
+    for doc, q in ((scan, "0.01"), (with_field(TINY_DECAY, "observers", ["lq:1e-5"]), "1e-05")):
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_NUMERIC
+        assert f"the L^q quasi-norm overflows a double at q = {q}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_extrapolated_undershoot_exit_3(tmp_path, lift_full_pass, capsys):
