@@ -52,7 +52,7 @@ import numpy as np
 
 from . import bounds, evolution, gn, radial, rates
 from .errors import DecayLabError, InputError, NumericError
-from .steepness import (SteepnessFunction, check_convexity_condition,
+from .steepness import (POWER_LAW_FAILURES, SteepnessFunction, check_convexity_condition,
                         check_near_multiplicativity, check_ratio_bound)
 
 EXIT_PASS = 0
@@ -314,8 +314,11 @@ def _run_lfunction_audit(cfg: _Section):
     def compute(writer: ArtifactWriter) -> dict:
         s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
         s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, AUDIT_POINTS)
-        checks = {}
-        if not math.isnan(L.a):  # a log-type gauge, with its own lambda0
+        if L.kind == "PowerLaw":
+            checks = {name: {"pass": False, "reason": why}
+                      for name, why in POWER_LAW_FAILURES.items()}
+        else:  # a log-type gauge, with its own lambda0
+            checks = {}
             lam_grid = np.linspace(L.lambda0 * 1e-3, L.lambda0 * (1.0 - 1e-9), AUDIT_POINTS)
             rep = check_near_multiplicativity(L, L.lambda0, L.a, s_grid, lam_grid)
             checks["near_multiplicativity"] = {
@@ -395,6 +398,11 @@ def _run_pde_decay(cfg: _Section):
     eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
     R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
     params = lcfg.build(evolution.ladder_params, eps_list=eps_list, R_list=R_list, m=m)
+    if obs or cert is not None:
+        # the judged member's lifted datum: the certificate's floor is checked
+        # on it here, and each observer is probed on it before the time stepping
+        grid = radial.RadialGrid(spec.n, R_list[-1], m)
+        datum = evolution.initial_profile(spec, params[eps_list[-1], R_list[-1]], grid)
     if rate is not None or cert is not None:
         env = _envelope(cfg.section("envelope"))
     if rate is not None:
@@ -413,8 +421,6 @@ def _run_pde_decay(cfg: _Section):
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
         # the judged member's lifted datum lies above the envelope on each ball
-        grid = radial.RadialGrid(spec.n, R_list[-1], m)
-        datum = evolution.initial_profile(spec, params[eps_list[-1], R_list[-1]], grid)
         for tau0 in tau0_list:
             ball = grid.nodes <= cert.build(bounds.subsolution_radius, at="tau0_list",
                                             env=env, p=spec.p, tau0=tau0)
@@ -422,6 +428,8 @@ def _run_pde_decay(cfg: _Section):
                       r=grid.nodes[ball], u0=datum[ball])
 
     def compute(writer: ArtifactWriter) -> dict:
+        for observe in obs.values():  # one that overflows fails before any step or shot
+            observe(radial.RadialProfile(grid, datum))
         if cert is not None:
             # the separated subsolutions y(tau) w_R, built before the time stepping
             state, residual, converged = _steady_state(writer, spec.p, spec.n)

@@ -34,14 +34,21 @@ __all__ = [
     "check_near_multiplicativity",
     "check_ratio_bound",
     "check_convexity_condition",
+    "POWER_LAW_FAILURES",
     "solve_transcendental",
 ]
 
-# Arguments below this are collapsed onto the s = 0 branch to dodge underflow
-# in the interior logarithms.
-_UNDERFLOW_FLOOR = 1e-300
-
 REPORT_TOL = 1e-12
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """The boundary between lo, where ``holds`` is true, and hi, where it is
+    not: halve [lo, hi] until no double lies strictly inside, and return lo."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,14 @@ class SteepnessFunction:
         """L(s) = ln^{-kappa} ln(M/s) for 0 < s < s0, frozen above.
 
         Requires M > e and 1 <= s0 < M/e.  The constant ``a`` is the smallest
-        one satisfying the sufficient condition
-        (1 + ln(1+lambda)/c1)^kappa <= 1 + a*lambda with c1 = ln ln(M/s0):
-        when kappa <= 1 + c1 that map is concave in lambda and a = kappa/c1 is
-        exact; otherwise the supremum of its secant slopes is taken on a dense
-        lambda grid (with a one-ppm guard for between-grid points).
+        one satisfying the sufficient condition g(lambda) <= 1 + a*lambda,
+        g = (1 + ln(1+lambda)/c1)^kappa with c1 = ln ln(M/s0): the supremum
+        over (0, lambda0) of the secant slope (g - 1)/lambda.  g is convex
+        while ln(1+lambda) < kappa - 1 - c1 and concave after, so the slope
+        rises while lambda g' - (g - 1) > 0 and falls after: its supremum is
+        its value at the root of lambda g' = g - 1, or at lambda0 if that
+        comes first.  When kappa <= 1 + c1, g is concave throughout and the
+        supremum is the slope g'(0) = kappa/c1.
         """
         if kappa <= 0:
             raise InputError(f"kappa must be positive, got {kappa}")
@@ -116,32 +126,49 @@ class SteepnessFunction:
         if lambda0 <= 0:
             raise InputError(f"lambda0 must be positive, got {lambda0}")
         c1 = math.log(math.log(M / s0))
-        if kappa <= 1.0 + c1:
+
+        def rising(lam):  # lambda g' > g - 1, both sides divided by g, which may overflow
+            u = math.log1p(lam)
+            return kappa * lam / ((1.0 + lam) * (c1 + u)) > 1.0 - math.exp(
+                -kappa * math.log1p(u / c1))
+        excess = kappa - 1.0 - c1  # g is convex while ln(1+lambda) < excess
+        if excess <= 0.0:
             a = kappa / c1
         else:
-            lam = np.geomspace(1e-8, lambda0, 2048)
-            with np.errstate(over="ignore"):  # an infinite a is refused by __post_init__
-                secants = ((1.0 + np.log1p(lam) / c1) ** kappa - 1.0) / lam
-            a = float(secants.max()) * (1.0 + 1e-6)
+            lam = lambda0 if rising(lambda0) else _bisect(rising, math.expm1(excess), lambda0)
+            try:
+                a = math.expm1(kappa * math.log1p(math.log1p(lam) / c1)) / lam
+            except OverflowError:  # refused by __post_init__
+                a = math.inf
         return cls(kind="DoubleLogType", kappa=float(kappa), M=float(M), s0=float(s0),
                    a=float(a), lambda0=float(lambda0))
 
     # -- evaluation --------------------------------------------------------
 
+    def log_value(self, ln_s):
+        """ln L at ln s (scalar or array), the one formula of each kind:
+        r ln s, -kappa ln(ln M - ln s) or -kappa ln ln(ln M - ln s), with ln s
+        clamped at ln s0.  It stays finite where s underflows a double, and is
+        -inf at ln s = -inf, where L is 0."""
+        ln_s = np.minimum(ln_s, math.log(self.s0))
+        if self.kind == "PowerLaw":
+            return self.r * ln_s
+        g = math.log(self.M) - ln_s
+        if self.kind == "DoubleLogType":
+            g = np.log(g)
+        return -self.kappa * np.log(g)
+
     def value(self, s):
-        """Evaluate L at ``s`` (scalar or array), total on s >= 0."""
+        """Evaluate L at ``s`` (scalar or array), total on s >= 0: s^r for
+        PowerLaw, exp(log_value(ln s)) for the log kinds."""
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < 0):
             raise InputError("steepness functions are defined on s >= 0 only")
         if self.kind == "PowerLaw":
             out = s_arr ** self.r
-        elif self.kind in ("LogType", "DoubleLogType"):
-            g = np.log(self.M / np.minimum(np.maximum(s_arr, _UNDERFLOW_FLOOR), self.s0))
-            if self.kind == "DoubleLogType":
-                g = np.log(g)
-            out = np.where(s_arr < _UNDERFLOW_FLOOR, 0.0, g ** (-self.kappa))
-        else:  # pragma: no cover - constructors forbid this
-            raise InputError(f"unknown steepness kind {self.kind!r}")
+        else:
+            with np.errstate(divide="ignore"):  # ln 0 = -inf, where L is 0
+                out = np.exp(self.log_value(np.log(s_arr)))
         if np.isscalar(s) or s_arr.ndim == 0:
             return float(out)
         return out
@@ -224,26 +251,15 @@ def _as_grid(grid, name: str) -> np.ndarray:
     return arr
 
 
-def _log_value(L: SteepnessFunction, s: np.ndarray) -> np.ndarray:
-    """ln L(s), finite where L(s) underflows; -inf on the s = 0 branch of ``value``."""
-    if L.kind == "PowerLaw":
-        return L.r * np.log(s)
-    g = np.log(L.M / np.minimum(np.maximum(s, _UNDERFLOW_FLOOR), L.s0))
-    if L.kind == "DoubleLogType":
-        g = np.log(g)
-    np.multiply(np.log(g, out=g), -L.kappa, out=g)
-    g[s < _UNDERFLOW_FLOOR] = -np.inf
-    return g
-
-
 def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
                                 s_grid, lambda_grid) -> HypothesisReport:
     """Check L(s) <= (1 + a*lambda) L(s^{1+lambda}) over a product grid.
 
     Requires s_grid inside (0, s0) and lambda_grid inside (0, lambda0).  The
     reported violation is max over the grid of L(s)/((1+a*lambda) L(s^{1+lambda})) - 1,
-    taken from the logarithms of both sides, so a gauge whose values underflow
-    is still judged.
+    taken from the logarithms of both sides, ln L(s^{1+lambda}) from
+    (1+lambda) ln s, so a gauge whose values underflow, or a power
+    s^{1+lambda} that underflows, is still judged.
     """
     s = _as_grid(s_grid, "s_grid")
     lam = _as_grid(lambda_grid, "lambda_grid")
@@ -251,8 +267,9 @@ def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
         raise InputError("s_grid must lie inside (0, s0)")
     if np.any(lam <= 0) or np.any(lam >= lambda0):
         raise InputError("lambda_grid must lie inside (0, lambda0)")
-    ln_powered = _log_value(L, s[:, None] ** (1.0 + lam[None, :]))
-    viol = np.expm1(_log_value(L, s)[:, None] - np.log1p(a * lam[None, :]) - ln_powered)
+    ln_s = np.log(s)
+    ln_powered = L.log_value(ln_s[:, None] * (1.0 + lam[None, :]))
+    viol = np.expm1(L.log_value(ln_s)[:, None] - np.log1p(a * lam[None, :]) - ln_powered)
     flat = int(np.argmax(viol))
     i, j = np.unravel_index(flat, viol.shape)
     worst = float(viol[i, j])
@@ -279,6 +296,13 @@ def check_ratio_bound(L: SteepnessFunction, a: float, s_grid) -> HypothesisRepor
     # lhs ln(1/s) / a rather than lhs / (a / ln(1/s)): a steep gauge's a
     # (2^kappa - 1 at kappa = 1000) would overflow the quotient
     return _worst(lhs * np.log(1.0 / s) / a - 1.0, s)
+
+
+# s^r meets neither condition, whatever the constant a: why each one fails
+POWER_LAW_FAILURES = {
+    "near_multiplicativity": "L(s)/L(s^(1+lambda)) = s^(-r lambda) is unbounded as s -> 0",
+    "ratio_bound": "s L'(s)/L(s) = r, while a/ln(1/s) -> 0 as s -> 0",
+}
 
 
 def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
@@ -316,22 +340,21 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
 # -- transcendental bound ---------------------------------------------------
 
 def _solve_eta(L: SteepnessFunction, beta: float, gamma: float, delta: float) -> float:
-    """Largest eta with eta^beta L^gamma(eta) <= delta, by bisection: the map is
-    nondecreasing in eta (both factors are) and 0 at eta = 0."""
+    """Largest eta with eta^beta L^gamma(eta) <= delta, to one ulp: the map is
+    nondecreasing in eta (both factors are) and 0 at eta = 0.  The bracket
+    steps ln eta by ln 4, so it ends also where eta underflows to 0."""
     def fits(eta):
         return eta ** beta * L.value(eta) ** gamma <= delta
-    lo = min(delta, 1e-4)
-    while not fits(lo):
-        lo *= 0.25
-    hi = 4.0 * lo  # the last guess that did not fit, if lo is not the first
-    while fits(hi):
-        if hi > 1e120:
+    step = math.log(4.0)
+    lo = math.log(min(delta, 1e-4))
+    while not fits(math.exp(lo)):
+        lo -= step
+    hi = lo + step  # the last guess that did not fit, if lo is not the first
+    while fits(math.exp(hi)):
+        if hi > math.log(1e120):
             raise NumericError("could not bracket the transcendental bound from above")
-        hi *= 4.0
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
+        hi += step
+    return _bisect(fits, math.exp(lo), math.exp(hi))
 
 
 def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
@@ -350,10 +373,10 @@ def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
     falls to 0, and f -> 1/beta.  So C = max(ratio(delta0), beta^{-kappa gamma/beta}),
     which needs delta0 and eta(delta0) on the log branch (0, s0).
     DoubleLogType is refused: no C is derived for it.  So is a delta at which
-    eta reaches the underflow floor or the bound is not a positive normal double.
+    eta or the bound is not a positive normal double.
     """
-    def log_form(d):  # ln(d^{1/beta} L^{-gamma/beta}(d)), +inf where L(d) is 0
-        return (math.log(d) - gamma * float(_log_value(L, np.array([d]))[0])) / beta
+    def log_form(d):  # ln(d^{1/beta} L^{-gamma/beta}(d))
+        return (math.log(d) - gamma * float(L.log_value(math.log(d)))) / beta
     lam0 = L.lambda0 if not math.isnan(L.lambda0) else math.inf
     if beta <= 1.0 / (1.0 + lam0):
         raise InputError(f"beta must exceed 1/(1+lambda0) = {1.0/(1.0+lam0)}")
@@ -371,13 +394,15 @@ def solve_transcendental(L: SteepnessFunction, beta: float, gamma: float,
         if not eta0 < L.s0:
             raise InputError(f"delta0 = {delta0:g} and eta(delta0) = {eta0:.6g} must lie "
                              f"below s0 = {L.s0:g}")
+        if eta0 < sys.float_info.min:  # and so is eta(delta) <= eta(delta0)
+            raise InputError(f"delta0 = {delta0:g} underflows: eta = {eta0:.3g}")
         ln_C = max(math.log(eta0) - log_form(delta0), -L.kappa * gamma / beta * math.log(beta))
     else:
         raise InputError(f"the transcendental bound has no derived constant for {L.kind}")
     eta_bf = _solve_eta(L, beta, gamma, delta)
     with np.errstate(over="ignore"):
         eta_bound = float(np.exp(ln_C + log_form(delta)))
-    if not (eta_bf >= _UNDERFLOW_FLOOR and sys.float_info.min <= eta_bound < math.inf):
+    if not (sys.float_info.min <= eta_bf and sys.float_info.min <= eta_bound < math.inf):
         raise InputError(f"delta = {delta:g} underflows: eta = {eta_bf:.3g}, "
                          f"bound = {eta_bound:.3g}")
     return eta_bf, eta_bound

@@ -328,12 +328,14 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # twice: when its single run became a one-member ladder, the config's
     # approx, the verdict's ladder key and ladder_report.json were new, and
     # every other artifact kept its bytes; when its gauge came to be derived
-    # from the envelope and delta, only the config echo lost its L)
+    # from the envelope and delta, only the config echo lost its L; when L
+    # came to be evaluated from ln s, upper_curve.csv moved by at most 1.1e-15
+    # relative and the sandwich's upper C and worst_ratio by 4e-16)
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "498093d2b76c0f8c73749881de3784ae"
-                                             "882d20a469537daf7a8210a74b91e4de"),
+        "pde_decay_sandwich": (sandwich_dir, "b7279231b9ea082776af71ca9a1e907e"
+                                             "a4fc314eec26eaf46410de912dc648fc"),
         "ladder": (ladder_dir, "08da709e4aa39d75b3e82222c65326e0"
                                "45e1b203b92d459d959d3b4dd1efa18a"),
     }

@@ -108,6 +108,38 @@ def test_lfunction_audit_judges_an_overflowing_gauge(tmp_path):
                                    "pass": True}
 
 
+@pytest.mark.parametrize("gauge", [{"kind": "LogType", "kappa": 2.0, "M": 4.0},
+                                   {"kind": "DoubleLogType", "kappa": 3.0, "M": 10.0}])
+@pytest.mark.parametrize("lambda0", [37.0, 100.0])
+def test_lfunction_audit_judges_a_wide_lambda_range(tmp_path, gauge, lambda0):
+    # from lambda0 = 37 on, s^(1+lambda) at the grid's s = 1e-8 falls below
+    # 1e-300, where L read 0, and the violation was infinite (exit 3); ln L of
+    # it is formed from (1+lambda) ln s, so every violation is finite
+    doc = {"name": "audit", "mode": "lfunction_audit", "L": dict(gauge, lambda0=lambda0)}
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
+    checks = read_json(out / "audit.json")["checks"]
+    violations = [checks["near_multiplicativity"]["max_violation"],
+                  checks["ratio_bound"]["max_violation"],
+                  checks["convexity"]["weak_violation"], checks["convexity"]["strong_violation"]]
+    assert all(math.isfinite(v) and v < 0.0 for v in violations), violations
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+def test_lfunction_audit_fails_a_power_law(tmp_path, r):
+    # no constant a makes s^r near-multiplicative (L(s)/L(s^(1+lambda)) =
+    # s^(-r lambda) is unbounded) or meet the ratio bound (s L'/L = r while
+    # a/ln(1/s) vanishes as s -> 0): both checks fail with a reason and no NaN
+    doc = {"name": "audit", "mode": "lfunction_audit", "L": {"kind": "PowerLaw", "r": r}}
+    out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_VERDICT
+    verdict = read_json(out / "manifest.json")["verdict"]
+    assert verdict["pass"] is False and verdict["checks"]["convexity"]["pass"]
+    for name in ("near_multiplicativity", "ratio_bound"):
+        check = verdict["checks"][name]
+        assert check["pass"] is False and check["reason"].endswith("as s -> 0"), name
+
+
 def test_gn_scan_mode(tmp_path):
     cfg = write_config(tmp_path, {
         "name": "scan", "mode": "gn_scan",
@@ -435,8 +467,19 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
             "kind": "DoubleLogType", "kappa": 2000, "M": 100})),
         (f"rate: {overflowing}1500.5,", with_field(rated, "rate.delta", 3000)),
     ]
+    # an observer that overflows on the datum (exit 3 once the run starts) is
+    # probed after every field is read and checked: a config error wins
+    lq_overflow = with_field(TINY_DECAY, "observers", ["lq:1e-5"])
+    config_before_probe = [
+        ("rate.delta: expected a positive number, got -0.5",
+         dict(lq_overflow, envelope=TINY_DECAY["problem"]["u0"], rate={"delta": -0.5})),
+        ("certificate.tau0_list: must name at least one horizon",
+         dict(lq_overflow, envelope=TINY_DECAY["problem"]["u0"], certificate={"tau0_list": []})),
+        ("lyapunov_q: unknown field", dict(lq_overflow, lyapunov_q=-1.0)),
+    ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
-                + [doc for _, doc in constants + bad_problems + overflowing_gauges]
+                + [doc for _, doc in constants + bad_problems + overflowing_gauges
+                   + config_before_probe]
                 + removed_observer + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -444,6 +487,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
+        *config_before_probe,
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
         ("L: unknown field", removed_fields[-1]),
         ("observers: unknown observer 'lyapunov'", removed_observer[0]),
@@ -634,10 +678,14 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
 
 
-def test_lq_quasinorm_overflow_exit_3(tmp_path, capsys):
+def test_lq_quasinorm_overflow_exit_3(tmp_path, capsys, monkeypatch):
     # at a small q the quasi-norm integral^(1/q) of a profile whose integral
     # exceeds 1 overflows a double: the shipped scan at q = 0.01, and a run's
-    # L^q observer at q = 1e-5; neither leaves a run directory
+    # L^q observer at q = 1e-5; neither leaves a run directory.  The observer
+    # is probed on the lifted datum after the read phase, before any time step
+    def no_ladder(*args):
+        raise AssertionError("the ladder ran")
+    monkeypatch.setattr(evolution, "minimal_solution_ladder", no_ladder)
     scan = with_field(read_json(CONFIGS / "gn_scan.json"), "request.q", 0.01)
     for doc, q in ((scan, "0.01"), (with_field(TINY_DECAY, "observers", ["lq:1e-5"]), "1e-05")):
         out = tmp_path / "run"
@@ -877,11 +925,14 @@ def test_static_manifests_pinned(tmp_path):
     # (lfunction_audit moved once, when the convexity check took s L''/L' in
     # closed form; both it and steady_state moved once more, when their
     # configs lost the settings that became constants, in the config echo
-    # alone)
+    # alone; lfunction_audit and gn_scan moved when L came to be evaluated from
+    # ln s: the audit's max_violation by 8.9e-16, two scan budgets by 6.5e-7
+    # and 2.5e-7 relative, whose nodes with 0 < phi < 1e-300 no longer read
+    # L = 0, and five ratios by at most 2.2e-16 relative)
     pinned = {
         "steady_state": "9445a165522b49b606aeedc17b985e52b9fbdde11f3e94dad8e343b141312347",
-        "lfunction_audit": "56cf6a83e0253936f2d8df52cee6b2bf51cc5fe437bee4227f64bfda226d5178",
-        "gn_scan": "504ec10462957878dab55583787efd8b5d58ddd74fcf6ad074511f37fe94c8b5",
+        "lfunction_audit": "5331b790da2e83ae01f1cc3b357413663733b41d3a75a765c4582014e7eada5c",
+        "gn_scan": "34993932da88859de93f491ae8731340fbf0c134afb56e0fc2ccf890d7b001f8",
     }
     for name, sha in pinned.items():
         out = tmp_path / name
@@ -900,7 +951,8 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # baseline and curves, the certificate) gives the same artifacts and
     # verdict as earlier builds, which evolved the single run without a
     # ladder and solved the steady state at a configured m = 1001; artifacts
-    # are pinned, not the manifest, which echoes the config
+    # are pinned, not the manifest, which echoes the config (upper_curve.csv
+    # moved by at most 5.6e-16 relative when L came to be evaluated from ln s)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
@@ -925,7 +977,7 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         ("sandwich.json", "f374e2567f3b7544b0a6f362b3a28af6dfda9717f2222bcc111809250ce015ba"),
         ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
         ("sup_norm.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
-        ("upper_curve.csv", "73949b0dd23339c7eedb9d038b816cdf5f8d55e25f13ee4c3ea6111b936367f6"),
+        ("upper_curve.csv", "9fc60357ac1def994cb202cfef7c5017a615cb9a71c5c53e2038d9ee5109da83"),
     ]
     verdict = read_json(out / "manifest.json")["verdict"]
     assert verdict.pop("ladder") == {

@@ -1,8 +1,9 @@
 """The benchmark in perfbench/ instruments decaylab by name from outside the
 package and builds its inputs from the shipped configs; every name it wraps
-must keep resolving and every config it builds must keep passing the read
-phase, so a refactor that breaks either fails here rather than in a benchmark
-run."""
+must keep resolving, every config it builds must keep passing the read phase,
+and the seed-0 configs of two workloads must keep passing its correctness
+gate, so a refactor that breaks any of these fails here rather than in a
+benchmark run."""
 
 import inspect
 import json
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from decaylab import bounds, cli, evolution, gn, rates
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_traced_names_resolve(perfbench_tracer):
@@ -26,7 +29,7 @@ def test_benchmark_configs_pass_the_read_phase(perfbench_workloads, tmp_path):
     # the configs every workload builds at seed 0 pass the read phase, and no
     # compute step runs: a config-schema change that breaks the benchmark's
     # overrides fails here rather than in a benchmark run
-    configs = Path(__file__).resolve().parents[1] / "configs"
+    configs = ROOT / "configs"
     built = {name: make(configs, perfbench_workloads.Jitter(0))
              for name, make in perfbench_workloads.WORKLOADS.items()}
     assert set(built) == {"two_sided_p1", "ladder_p4", "static_checks"}
@@ -36,6 +39,22 @@ def test_benchmark_configs_pass_the_read_phase(perfbench_workloads, tmp_path):
             path.write_text(json.dumps(cfg))
             compute, _ = cli._read_phase(cli.load_config(path))
             assert callable(compute), (name, cfg["name"])
+
+
+@pytest.mark.parametrize("workload", ["two_sided_p1", "static_checks"])
+def test_seed_configs_pass_the_benchmark_gate(perfbench_workloads, tmp_path, workload):
+    # the seed-0 configs of a workload, run as the benchmark runs them, pass
+    # its correctness gate against reference.json: a change that moves a
+    # gated number (a GN ratio, sigma, a steady-state center) fails here
+    # rather than in a benchmark run
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    wl = perfbench_workloads
+    for cfg, key in wl.WORKLOADS[workload](ROOT / "configs", wl.Jitter(0)):
+        path, out = tmp_path / f"{cfg['name']}.json", tmp_path / cfg["name"]
+        path.write_text(json.dumps(cfg))
+        rc = cli.run_experiment(path, out_dir=out)
+        verdict = json.loads((out / "manifest.json").read_text())["verdict"] if rc == 0 else None
+        assert wl.gate(cfg["name"], key, rc, verdict, reference) == [], cfg["name"]
 
 
 def test_evolve_keeps_dt_schedule_sixth():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decaylab.errors import InputError
-from decaylab.steepness import (SteepnessFunction, check_convexity_condition,
+from decaylab.steepness import (SteepnessFunction, _solve_eta, check_convexity_condition,
                                 check_near_multiplicativity, check_ratio_bound,
                                 solve_transcendental)
 
@@ -43,6 +43,32 @@ def test_log_type_values():
     assert LOG2.value(2.0) == LOG2.value(100.0)
     assert LOG1.value(0.0) == 0.0
     assert DLOG1.value(0.0) == 0.0
+
+
+def test_values_below_the_smallest_normal_double():
+    # L is evaluated from ln s, so it does not collapse to 0 below 1e-300:
+    # ln^{-kappa}(M/s) and ln^{-kappa} ln(M/s) at subnormal s too
+    s = np.array([1e-290, 1e-301, 1e-310, 5e-324])
+    assert np.all(s > 0.0)
+    for L, inner in ((LOG2, lambda g: g), (DLOG1, math.log)):
+        expected = [inner(math.log(L.M) - math.log(x)) ** -L.kappa for x in s]
+        assert L.value(s) == pytest.approx(expected, rel=1e-14)
+        assert L.value(float(s[1])) == pytest.approx(expected[1], rel=1e-14)
+    # and ln L stays finite where s itself underflows, at ln s = -1e4
+    assert LOG2.log_value(-1e4) == pytest.approx(-2.0 * math.log(1e4 + math.log(4.0)),
+                                                 rel=1e-15)
+
+
+def test_log_value_is_the_formula_of_value(rng):
+    # value is s^r for PowerLaw and exp(log_value(ln s)) otherwise; ln s is
+    # clamped at ln s0, so both are constant above s0
+    s = np.concatenate([rng.uniform(0.0, 20.0, 500), [0.0]])
+    for L in (LOG1, LOG2, DLOG1, SteepnessFunction.power_law(1.5)):
+        with np.errstate(divide="ignore"):
+            ln_s = np.log(s)
+        assert np.allclose(L.value(s), np.exp(L.log_value(ln_s)), rtol=1e-14, atol=0.0)
+        if math.isfinite(L.s0):
+            assert L.log_value(math.log(L.s0) + 1.0) == L.log_value(math.log(L.s0))
 
 
 def test_power_law_values():
@@ -119,6 +145,38 @@ def test_near_multiplicativity_double_log():
     lam = np.linspace(1e-3, 0.999, 200)
     rep = check_near_multiplicativity(DLOG1, 1.0, DLOG1.a, s, lam)
     assert rep.passed
+
+
+def brute_force_a(L):
+    """The largest secant slope ((1 + ln(1+lambda)/c1)^kappa - 1)/lambda of a
+    DoubleLogType gauge on a dense lambda grid of (0, lambda0]."""
+    c1 = math.log(math.log(L.M / L.s0))
+    lam = np.union1d(np.geomspace(L.lambda0 * 1e-12, L.lambda0, 20_001),
+                     np.linspace(0.0, L.lambda0, 200_001)[1:])
+    return float(np.max(np.expm1(L.kappa * np.log1p(np.log1p(lam) / c1)) / lam))
+
+
+@pytest.mark.parametrize("M", [3.0, 10.0, 1e3])
+@pytest.mark.parametrize("kappa", [0.5, 3.0, 8.0, 40.0])
+@pytest.mark.parametrize("lambda0", [0.01, 1.0, 100.0])
+def test_double_log_constant_is_the_supremum(M, kappa, lambda0):
+    # a is the supremum of the secant slope: no grid point exceeds it, and a
+    # dense grid comes within 1e-9 of it
+    L = SteepnessFunction.double_log_type(kappa, M, 1.0, lambda0)
+    brute = brute_force_a(L)
+    assert brute <= L.a * (1.0 + 1e-13)
+    assert L.a <= brute * (1.0 + 1e-9)
+
+
+def test_double_log_constant_interior_maximum():
+    # at M = 10, kappa = 3, lambda0 = 100 the slope peaks inside (0, lambda0),
+    # at 6.0456586; the maximum over a 2048-point grid with a one-ppm guard
+    # read 6.0456478, 1.8e-6 short
+    L = SteepnessFunction.double_log_type(3.0, 10.0, 1.0, 100.0)
+    assert L.a == pytest.approx(6.0456586, abs=1e-7)
+    s = np.geomspace(1e-8, 0.999, 200)
+    lam = np.linspace(1e-3, 99.9, 200)
+    assert check_near_multiplicativity(L, 100.0, L.a, s, lam).passed
 
 
 def test_near_multiplicativity_misapplied_constant_fails():
@@ -356,11 +414,24 @@ def test_transcendental_refuses_an_underived_constant():
 
 
 def test_transcendental_fails_closed_at_underflow():
-    # at delta = 1e-250 eta falls below L's underflow floor 1e-300 (the bound
-    # would read 1.9e-311, a subnormal); at 1e-300 the bound is 0
+    # at delta = 1e-250 eta and the bound read 1.9e-311, a subnormal; at
+    # 1e-300 both are 0.  The bracket steps ln eta, so it ends there too; so
+    # does a delta0 = 1e-300, whose eta(delta0) is 0
     for delta in (1e-250, 1e-300):
         with pytest.raises(InputError, match="underflows"):
             solve_transcendental(LOG1, 0.8, 0.5, delta, 1e-2)
+    with pytest.raises(InputError, match="delta0 = 1e-300 underflows"):
+        solve_transcendental(LOG1, 0.8, 0.5, 1e-300, 1e-300)
+
+
+def test_transcendental_oracle_to_one_ulp():
+    # the bisection's eta fits and the next double does not, also at
+    # delta = 1e-200, where ln eta is about -570
+    for delta in (1e-2, 1e-50, 1e-200):
+        eta = _solve_eta(LOG1, 0.8, 0.5, delta)
+        assert eta ** 0.8 * LOG1.value(eta) ** 0.5 <= delta
+        up = math.nextafter(eta, math.inf)
+        assert up ** 0.8 * LOG1.value(up) ** 0.5 > delta
 
 
 def test_json_roundtrip():
