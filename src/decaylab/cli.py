@@ -314,29 +314,24 @@ def _run_lfunction_audit(cfg: _Section):
     def compute(writer: ArtifactWriter) -> dict:
         s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
         s_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, s_hi, AUDIT_POINTS)
-        if L.kind == "PowerLaw":
+        if L.kind == "PowerLaw":  # both checks refuse it, for these reasons
             checks = {name: {"pass": False, "reason": why}
                       for name, why in POWER_LAW_FAILURES.items()}
-        else:  # a log-type gauge, with its own lambda0
+        else:  # a log-type gauge, with its own a and lambda0
             checks = {}
             lam_grid = np.linspace(L.lambda0 * 1e-3, L.lambda0 * (1.0 - 1e-9), AUDIT_POINTS)
-            rep = check_near_multiplicativity(L, L.lambda0, L.a, s_grid, lam_grid)
+            rep = check_near_multiplicativity(L, s_grid, lam_grid)
             checks["near_multiplicativity"] = {
                 "max_violation": rep.max_violation, "worst_s": rep.worst_s,
                 "worst_lambda": rep.worst_lambda, "pass": rep.passed}
             ratio_grid = np.geomspace(min(L.s0, 1.0) * 1e-8, min(L.s0, 1.0) * (1 - 1e-9),
                                       AUDIT_POINTS)
-            rep2 = check_ratio_bound(L, L.a, ratio_grid)
-            checks["ratio_bound"] = {"max_violation": rep2.max_violation,
-                                     "worst_s": rep2.worst_s, "pass": rep2.passed}
-        # the weak coefficient (3p+q0-2)/(p+q0) >= 1 is 1 at p = 1, where the weak
-        # violation is largest and equals the strong one: no (p, q0) judges harder
-        conv = check_convexity_condition(L, 1.0, 1.0, s_grid)
-        checks["convexity"] = {
-            "weak_violation": conv.weak.max_violation,
-            "strong_violation": conv.strong.max_violation,
-            "pass": conv.passed,
-        }
+            rep = check_ratio_bound(L, ratio_grid)
+            checks["ratio_bound"] = {"max_violation": rep.max_violation,
+                                     "worst_s": rep.worst_s, "pass": rep.passed}
+        rep = check_convexity_condition(L, s_grid)
+        checks["convexity"] = {"max_violation": rep.max_violation, "worst_s": rep.worst_s,
+                               "pass": rep.passed}
         ok = all(c["pass"] for c in checks.values())
         verdict = {"L": L.to_json(), "checks": checks, "pass": ok}
         writer.write_json("audit.json", verdict)
@@ -346,11 +341,12 @@ def _run_lfunction_audit(cfg: _Section):
 
 def _run_gn_scan(cfg: _Section):
     gcfg = cfg.section("grid")
-    grid = radial.RadialGrid(gcfg.read("n", INTEGER), gcfg.read("R", NUMBER),
-                             gcfg.read("m", NODES))
+    grid = gcfg.build(radial.RadialGrid, n=gcfg.read("n", INTEGER), R=gcfg.read("R", NUMBER),
+                      m=gcfg.read("m", NODES))
     L = _steepness(cfg.section("L"))
     rcfg = cfg.section("request")
     q, K = rcfg.read("q", NUMBER), rcfg.read("K", POSITIVE, None)
+    rcfg.build(gn._alpha, at="q", q=q, n=grid.n)  # below the critical exponent
     fcfg = cfg.section("family")
     fam = fcfg.build(gn.FamilySpec, envelope=_envelope(fcfg),
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),
@@ -370,9 +366,9 @@ def _run_gn_scan(cfg: _Section):
                                                     for col in columns])
             summary[key] = scan.summary()
         writer.write_json("summary.json", summary)
-        # every member, of the scan and of the probe, within budget with a finite ratio
-        summary["pass"] = all(row.budget_ok and math.isfinite(row.ratio)
-                              for scan in scans.values() for row in scan.rows)
+        # every member, of the scan and of the probe, within budget (a ratio that
+        # is not a positive finite double fails family_scan, by name)
+        summary["pass"] = all(row.budget_ok for scan in scans.values() for row in scan.rows)
         return summary
     return compute
 

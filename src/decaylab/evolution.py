@@ -24,10 +24,10 @@ from the last two accepted steps,
 
     lte = dt/(dt + dt_prev) * ((u_new - u) - (dt/dt_prev) * (u - u_prev)),
 
-and a step is accepted when err = max|lte| / (tol * max u_new) <= 1, with
-tol = ApproxParams.tol (default TOL); otherwise it is retried from u with a
-smaller dt.  The next step is dt * clamp(0.9 * err^(-1/2), 0.2, 2) (Hairer &
-Wanner, Solving ODEs II, Sec. IV.8).  An undershoot is one more rejection,
+and a step is accepted when err = max|lte| / (TOL * max u_new) <= 1;
+otherwise it is retried from u with a smaller dt.  The next step is
+dt * clamp(0.9 * err^(-1/2), 0.2, 2) (Hairer & Wanner, Solving ODEs II,
+Sec. IV.8).  An undershoot is one more rejection,
 retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
@@ -115,13 +115,10 @@ class ApproxParams:
     R: float
     eps: float
     m: int
-    tol: float = TOL
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise InputError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (0.0 < self.tol < 1.0):
-            raise InputError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 @dataclass
@@ -270,7 +267,7 @@ def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.nda
     return snaps
 
 
-def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
+def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
            schedule: Optional[np.ndarray] = None, halves: int = 1):
     """One backward-Euler pass from u to snaps[-1]; row k of the result is u(snaps[k]).
 
@@ -324,7 +321,7 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray, tol: float,
                 lte -= du
                 np.abs(lte, out=lte)
                 err = (dt / (dt + dt_prev) * float(np.maximum.reduce(lte))
-                       / (tol * float(np.maximum.reduce(u_new))))
+                       / (TOL * float(np.maximum.reduce(u_new))))
                 factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
                 if err <= 1.0:
                     break
@@ -370,7 +367,7 @@ def _be_pass(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
     grid = RadialGrid(spec.n, params.R, params.m)
     u0 = initial_profile(spec, params, grid)
     stepper = _Stepper(grid, spec.p, params.eps)
-    rows, dts, retries = _march(stepper, u0, snaps, params.tol, schedule)
+    rows, dts, retries = _march(stepper, u0, snaps, schedule)
     if not _in_range(rows, params.eps, u0):
         raise SchemeError("discrete maximum principle violated at a snapshot")
     return _Pass(stepper, u0, rows, dts, retries)
@@ -381,7 +378,7 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
                            observers: Optional[Mapping[str, Callable]]) -> EvolutionRun:
     """The run whose snapshots are 2 * half - full: ``full`` replayed with each
     step halved, extrapolated and observed; ``full`` is left unchanged."""
-    values, _, _ = _march(full.stepper, full.u0, snaps, params.tol, full.dts, halves=2)
+    values, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=2)
     if not _in_range(values, params.eps, full.u0):
         raise SchemeError("discrete maximum principle violated at a snapshot")
 
@@ -560,22 +557,23 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
 def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float) -> np.ndarray:
     """Time series of int_{B_R} L(u^{(p+q)/2}), verified nonincreasing.
 
-    Preconditions: the run records t = 0 (``EvolutionRun.datum``), L passes
-    the descent conditions for (p, q) on its smooth branch, and
+    Preconditions: the run records t = 0 (``EvolutionRun.datum``), q > 0, L
+    passes ``check_convexity_condition`` on its smooth branch, and
     sup u0^{(p+q)/2} stays below the cutoff s0.  A violation of monotonicity
     beyond the per-snapshot tolerance DESCENT_TOL * (1 + |value|) raises,
     since descent is an exact property of the scheme's continuum limit.
     """
     sup0 = float(run.datum.max())
     p = run.spec.p
+    if not q > 0:
+        raise InputError(f"q > 0 required, got {q}")
     s_hi = min(L.s0, 1e6)  # power-law gauges have no cutoff
     s_probe = np.geomspace(min(s_hi, 1.0) * 1e-10, s_hi * (1.0 - 1e-9), 512)
-    conv = check_convexity_condition(L, p, q, s_probe)
+    conv = check_convexity_condition(L, s_probe)
     if not conv.passed:
         raise InputError(
-            "steepness function fails the descent (convexity) condition for "
-            f"p={p}, q={q}: weak viol {conv.weak.max_violation:.3e}, "
-            f"strong viol {conv.strong.max_violation:.3e}")
+            "steepness function fails the descent (convexity) condition "
+            f"d/ds (s L') >= 0: violation {conv.max_violation:.3e} at s = {conv.worst_s:.3e}")
     exponent = (p + q) / 2.0
     if sup0 ** exponent >= L.s0:
         raise InputError(

@@ -15,13 +15,14 @@ template profile and report boundedness and sharpness probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import DecayEnvelope
-from .errors import InputError
+from .errors import InputError, NumericError
 from .radial import RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm, steepness_integral
 from .steepness import SteepnessFunction
 
@@ -139,7 +140,9 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     the grid (width <= R/5).  Without a budget K, it defaults to 1.05x the
     largest member budget so the precondition is non-vacuous but
     satisfiable.  Budget violations are recorded per member, not fatal; a
-    member whose gradient norm is 0 (its ratio undefined) raises InputError.
+    member whose gradient norm is 0 (its ratio undefined) raises InputError,
+    and one whose ratio is not a positive finite double (a norm or the weight
+    L^{-alpha} that overflows, an L^q norm of 0) raises NumericError.
     """
     alpha = _alpha(q, grid.n) * alpha_scale
     members = fam.members()
@@ -155,14 +158,21 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     rows = []
     for (scale, width), prof, budget in zip(members, profiles, budgets):
         member_id = f"s{scale:g}_w{width:g}"
-        grad = grad_l2_norm(prof)
+        # a norm that overflows reads inf or NaN (0 * inf at r = 0), refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, lq = grad_l2_norm(prof), lq_quasinorm(prof, q)
         if not grad > 0.0:
             raise InputError(f"member {member_id}: gradient norm is {grad:g}, "
                              "so its ratio is undefined")
-        lq = lq_quasinorm(prof, q)
+        try:
+            ratio = lq / (grad * L.value(grad * grad) ** (-alpha))
+        except (OverflowError, ZeroDivisionError):  # the weight overflows, or L is 0
+            ratio = math.nan
+        if not 0.0 < ratio < math.inf:
+            raise NumericError(f"member {member_id}: its ratio is not a positive finite "
+                               f"double (L^q norm {lq:g}, gradient norm {grad:g})")
         rows.append(ScanRow(member_id, scale, width, grad, lq, budget.value,
-                            budget.tail_flagged, budget.value <= K,
-                            lq / (grad * L.value(grad * grad) ** (-alpha))))
+                            budget.tail_flagged, budget.value <= K, ratio))
     rows.sort(key=lambda row: row.grad_norm)
 
     ratios = np.array([row.ratio for row in rows])

@@ -30,7 +30,6 @@ from .errors import InputError, NumericError
 __all__ = [
     "SteepnessFunction",
     "HypothesisReport",
-    "ConvexityReport",
     "check_near_multiplicativity",
     "check_ratio_bound",
     "check_convexity_condition",
@@ -222,22 +221,6 @@ class HypothesisReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Both differential conditions behind the descent property.
-
-    ``weak``: s L''(s) >= -((3p + q0 - 2)/(p + q0)) L'(s);
-    ``strong``: d/ds (s L'(s)) >= 0, which implies the weak one for p >= 1.
-    """
-
-    weak: HypothesisReport
-    strong: HypothesisReport
-
-    @property
-    def passed(self) -> bool:
-        return self.weak.passed and self.strong.passed
-
-
 def _worst(viol: np.ndarray, s: np.ndarray) -> HypothesisReport:
     """The largest violation on a one-dimensional grid s, and where it occurs."""
     i = int(np.argmax(viol))
@@ -251,53 +234,6 @@ def _as_grid(grid, name: str) -> np.ndarray:
     return arr
 
 
-def check_near_multiplicativity(L: SteepnessFunction, lambda0: float, a: float,
-                                s_grid, lambda_grid) -> HypothesisReport:
-    """Check L(s) <= (1 + a*lambda) L(s^{1+lambda}) over a product grid.
-
-    Requires s_grid inside (0, s0) and lambda_grid inside (0, lambda0).  The
-    reported violation is max over the grid of L(s)/((1+a*lambda) L(s^{1+lambda})) - 1,
-    taken from the logarithms of both sides, ln L(s^{1+lambda}) from
-    (1+lambda) ln s, so a gauge whose values underflow, or a power
-    s^{1+lambda} that underflows, is still judged.
-    """
-    s = _as_grid(s_grid, "s_grid")
-    lam = _as_grid(lambda_grid, "lambda_grid")
-    if np.any(s <= 0) or np.any(s >= L.s0):
-        raise InputError("s_grid must lie inside (0, s0)")
-    if np.any(lam <= 0) or np.any(lam >= lambda0):
-        raise InputError("lambda_grid must lie inside (0, lambda0)")
-    ln_s = np.log(s)
-    ln_powered = L.log_value(ln_s[:, None] * (1.0 + lam[None, :]))
-    viol = np.expm1(L.log_value(ln_s)[:, None] - np.log1p(a * lam[None, :]) - ln_powered)
-    flat = int(np.argmax(viol))
-    i, j = np.unravel_index(flat, viol.shape)
-    worst = float(viol[i, j])
-    return HypothesisReport(worst, float(s[i]), float(lam[j]), worst <= REPORT_TOL)
-
-
-def check_ratio_bound(L: SteepnessFunction, a: float, s_grid) -> HypothesisReport:
-    """Check the superalgebraic-growth bound s L'(s)/L(s) <= a / ln(1/s).
-
-    The grid must lie in (0, min(s0, 1)); points >= 1 make the right side
-    nonpositive and are rejected.  s L'/L is r, kappa/g or kappa/(g ln g) with
-    g = ln(M/s), in closed form, so it stays finite where L underflows.
-    """
-    s = _as_grid(s_grid, "s_grid")
-    if np.any(s >= 1.0):
-        raise InputError("grid points must be < 1 (ln(1/s) <= 0 otherwise)")
-    if np.any(s <= 0) or np.any(s >= L.s0):
-        raise InputError("s_grid must lie inside (0, min(s0, 1))")
-    if L.kind == "PowerLaw":
-        lhs = L.r
-    else:
-        g = np.log(L.M / s)
-        lhs = L.kappa / g if L.kind == "LogType" else L.kappa / (g * np.log(g))
-    # lhs ln(1/s) / a rather than lhs / (a / ln(1/s)): a steep gauge's a
-    # (2^kappa - 1 at kappa = 1000) would overflow the quotient
-    return _worst(lhs * np.log(1.0 / s) / a - 1.0, s)
-
-
 # s^r meets neither condition, whatever the constant a: why each one fails
 POWER_LAW_FAILURES = {
     "near_multiplicativity": "L(s)/L(s^(1+lambda)) = s^(-r lambda) is unbounded as s -> 0",
@@ -305,20 +241,62 @@ POWER_LAW_FAILURES = {
 }
 
 
-def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
-                              s_grid) -> ConvexityReport:
-    """Check both descent conditions on a grid inside the smooth branch.
+def _refuse_power_law(L: SteepnessFunction, check: str):
+    if L.kind == "PowerLaw":  # no grid can judge a condition that fails at any a
+        raise InputError(f"PowerLaw fails {check} at any a: {POWER_LAW_FAILURES[check]}")
 
-    Both gaps are divided by L' > 0, which leaves t = s L''/L' in closed form:
-    r - 1, (kappa + 1)/g - 1 or -1 + 1/g + (kappa + 1)/(g ln g) with
-    g = ln(M/s).  So every grid point is judged, also where L' and L''
-    underflow or overflow.  Violations are normalized by the magnitude of
-    the participating terms, so the report stays dimensionless.
+
+def check_near_multiplicativity(L: SteepnessFunction, s_grid, lambda_grid) -> HypothesisReport:
+    """Check L(s) <= (1 + a*lambda) L(s^{1+lambda}) over a product grid, a and lambda0 L's.
+
+    Requires a log-type L, s_grid inside (0, s0) and lambda_grid inside (0, lambda0).
+    The reported violation is max over the grid of L(s)/((1+a*lambda) L(s^{1+lambda})) - 1,
+    taken from the logarithms of both sides, ln L(s^{1+lambda}) from (1+lambda) ln s,
+    so a gauge whose values underflow, or a power s^{1+lambda} that underflows, is judged.
     """
-    if p < 1:
-        raise InputError(f"p >= 1 required, got {p}")
-    if q0 <= 0:
-        raise InputError(f"q0 > 0 required, got {q0}")
+    _refuse_power_law(L, "near_multiplicativity")
+    s = _as_grid(s_grid, "s_grid")
+    lam = _as_grid(lambda_grid, "lambda_grid")
+    if np.any(s <= 0) or np.any(s >= L.s0):
+        raise InputError("s_grid must lie inside (0, s0)")
+    if np.any(lam <= 0) or np.any(lam >= L.lambda0):
+        raise InputError("lambda_grid must lie inside (0, lambda0)")
+    ln_s = np.log(s)
+    ln_powered = L.log_value(ln_s[:, None] * (1.0 + lam[None, :]))
+    viol = np.expm1(L.log_value(ln_s)[:, None] - np.log1p(L.a * lam[None, :]) - ln_powered)
+    i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst = float(viol[i, j])
+    return HypothesisReport(worst, float(s[i]), float(lam[j]), worst <= REPORT_TOL)
+
+
+def check_ratio_bound(L: SteepnessFunction, s_grid) -> HypothesisReport:
+    """Check the superalgebraic-growth bound s L'(s)/L(s) <= a / ln(1/s), a being L's.
+
+    Requires a log-type L and a grid in (0, min(s0, 1)); points >= 1 make the
+    right side nonpositive and are rejected.  s L'/L is kappa/g or kappa/(g ln g)
+    with g = ln(M/s), in closed form, so it stays finite where L underflows.
+    """
+    _refuse_power_law(L, "ratio_bound")
+    s = _as_grid(s_grid, "s_grid")
+    if np.any(s >= 1.0):
+        raise InputError("grid points must be < 1 (ln(1/s) <= 0 otherwise)")
+    if np.any(s <= 0) or np.any(s >= L.s0):
+        raise InputError("s_grid must lie inside (0, min(s0, 1))")
+    g = np.log(L.M / s)
+    lhs = L.kappa / g if L.kind == "LogType" else L.kappa / (g * np.log(g))
+    # lhs ln(1/s) / a rather than lhs / (a / ln(1/s)): a steep gauge's a
+    # (2^kappa - 1 at kappa = 1000) would overflow the quotient
+    return _worst(lhs * np.log(1.0 / s) / L.a - 1.0, s)
+
+
+def check_convexity_condition(L: SteepnessFunction, s_grid) -> HypothesisReport:
+    """Check d/ds (s L'(s)) >= 0 on a grid inside the smooth branch.  It implies
+    the descent condition s L'' >= -((3p + q - 2)/(p + q)) L' of every p >= 1, q > 0,
+    whose coefficient is at least 1.  The gap is divided by L' > 0, which leaves
+    t = s L''/L' in closed form: r - 1, (kappa + 1)/g - 1 or -1 + 1/g + (kappa + 1)/(g ln g)
+    with g = ln(M/s), so every point is judged, also where L' and L'' underflow or
+    overflow.  The violation is normalized by |t| + 1, so it stays dimensionless.
+    """
     s = _as_grid(s_grid, "s_grid")
     if np.any(s <= 0) or np.any(s >= L.s0):
         raise InputError("s_grid must lie inside (0, s0)")
@@ -330,11 +308,7 @@ def check_convexity_condition(L: SteepnessFunction, p: float, q0: float,
             t = (L.kappa + 1.0) / g - 1.0
         else:
             t = -1.0 + 1.0 / g + (L.kappa + 1.0) / (g * np.log(g))
-    coeff = (3.0 * p + q0 - 2.0) / (p + q0)     # >= 1 for p >= 1
-
-    weak = _worst(-(t + coeff) / (np.abs(t) + coeff), s)    # s L'' + coeff L' >= 0
-    strong = _worst(-(1.0 + t) / (1.0 + np.abs(t)), s)      # d/ds (s L') >= 0
-    return ConvexityReport(weak, strong)
+    return _worst(-(1.0 + t) / (1.0 + np.abs(t)), s)
 
 
 # -- transcendental bound ---------------------------------------------------

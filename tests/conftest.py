@@ -68,8 +68,8 @@ def lift_full_pass(monkeypatch):
     real_march = evolution._march
 
     def lift(x):
-        def march(stepper, u, snaps, tol, schedule=None, halves=1):
-            values, dts, retries = real_march(stepper, u, snaps, tol, schedule, halves)
+        def march(stepper, u, snaps, schedule=None, halves=1):
+            values, dts, retries = real_march(stepper, u, snaps, schedule, halves)
             if halves == 1:
                 values[:, -1] += x * stepper.eps
             return values, dts, retries

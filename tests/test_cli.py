@@ -104,8 +104,7 @@ def test_lfunction_audit_judges_an_overflowing_gauge(tmp_path):
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
     checks = read_json(out / "audit.json")["checks"]
-    assert checks["convexity"] == {"weak_violation": -1.0, "strong_violation": -1.0,
-                                   "pass": True}
+    assert checks["convexity"] == {"max_violation": -1.0, "worst_s": 1e-8, "pass": True}
 
 
 @pytest.mark.parametrize("gauge", [{"kind": "LogType", "kappa": 2.0, "M": 4.0},
@@ -121,7 +120,7 @@ def test_lfunction_audit_judges_a_wide_lambda_range(tmp_path, gauge, lambda0):
     checks = read_json(out / "audit.json")["checks"]
     violations = [checks["near_multiplicativity"]["max_violation"],
                   checks["ratio_bound"]["max_violation"],
-                  checks["convexity"]["weak_violation"], checks["convexity"]["strong_violation"]]
+                  checks["convexity"]["max_violation"]]
     assert all(math.isfinite(v) and v < 0.0 for v in violations), violations
 
 
@@ -405,8 +404,9 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         with_field(long_rated, "L", {"kind": "LogType", "kappa": 0.95, "M": 4.0}),
     ]
     # settings that every run set alike are constants now: the steady state's
-    # node count is bounds.STEADY_M, and the audit judges 400-point grids at
-    # p = q0 = 1; the message names the outermost key that no reader asks for
+    # node count is bounds.STEADY_M, and the audit judges 400-point grids and
+    # a convexity condition free of (p, q0); the message names the outermost
+    # key that no reader asks for
     constants = [
         ("approx: unknown field", with_field(steady, "approx", {"m": 4001})),
         ("certificate.steady: unknown field",
@@ -458,6 +458,15 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # and its exponent an unknown field
     lyapunov = dict(TINY_DECAY, observers=["lyapunov"])
     removed_observer = [lyapunov, dict(TINY_DECAY, lyapunov_q=-1.0)]
+    # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
+    # their section or field
+    scan_errors = [
+        ("grid: outer radius must be positive, got -1.0", with_field(scan, "grid.R", -1.0)),
+        ("grid: dimension must be a positive integer, got 0", with_field(scan, "grid.n", 0)),
+        ("request.q: q = 7.0 must stay below the critical exponent 2n/(n-2) = 6.0 in "
+         "dimension n = 3", with_field(scan, "request.q", 7.0)),
+        ("request.q: q must be positive, got -1", with_field(scan, "request.q", -1)),
+    ]
     # a gauge whose near-multiplicativity constant a overflows a double: 2^1024
     # at lambda0 = 1, the doubly log-type secants, and the rate's kappa = 1500.5
     overflowing = "the near-multiplicativity constant a overflows a double at kappa = "
@@ -479,7 +488,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
-                   + config_before_probe]
+                   + config_before_probe + scan_errors]
                 + removed_observer + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -487,7 +496,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
-        *config_before_probe,
+        *config_before_probe, *scan_errors,
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
         ("L: unknown field", removed_fields[-1]),
         ("observers: unknown observer 'lyapunov'", removed_observer[0]),
@@ -691,6 +700,26 @@ def test_lq_quasinorm_overflow_exit_3(tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"
         assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_NUMERIC
         assert f"the L^q quasi-norm overflows a double at q = {q}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_gn_scan_ratio_not_a_positive_double_exit_3(tmp_path, capsys):
+    # a member whose ratio is not a positive finite double fails the scan by
+    # name, before the fit and the summary (a RuntimeWarning fails this test):
+    # on 3 to 5 nodes an L^q norm is 0, at sharpness_scale = 1000 the weight
+    # L^{-alpha} overflows, and at scale 1e300 both norms overflow; each ended
+    # in a traceback (ZeroDivisionError, OverflowError, LinAlgError)
+    shipped = read_json(CONFIGS / "gn_scan.json")
+    cases = [(with_field(shipped, "grid.m", 3), "s0.116108_w2"),
+             (with_field(shipped, "grid.m", 4), "s0.363721_w1"),
+             (with_field(shipped, "grid.m", 5), "s0.363721_w1"),
+             (with_field(shipped, "sharpness_scale", 1000), "s8.48893e-07_w16"),
+             (with_field(shipped, "family.scales", [1e300] * 5), "s1e+300_w16")]
+    for doc, member in cases:
+        out = tmp_path / "run"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_NUMERIC
+        assert (f"member {member}: its ratio is not a positive finite double"
+                in capsys.readouterr().err), member
         assert not out.exists()
 
 
@@ -928,10 +957,12 @@ def test_static_manifests_pinned(tmp_path):
     # alone; lfunction_audit and gn_scan moved when L came to be evaluated from
     # ln s: the audit's max_violation by 8.9e-16, two scan budgets by 6.5e-7
     # and 2.5e-7 relative, whose nodes with 0 < phi < 1e-300 no longer read
-    # L = 0, and five ratios by at most 2.2e-16 relative)
+    # L = 0, and five ratios by at most 2.2e-16 relative; lfunction_audit moved
+    # when its convexity key came to hold the one condition, d/ds (s L') >= 0:
+    # max_violation and worst_s, the violation's bits unchanged)
     pinned = {
         "steady_state": "9445a165522b49b606aeedc17b985e52b9fbdde11f3e94dad8e343b141312347",
-        "lfunction_audit": "5331b790da2e83ae01f1cc3b357413663733b41d3a75a765c4582014e7eada5c",
+        "lfunction_audit": "666ca8c6e033795ba0b8ca73b26f0fe5323c1e93943fb9539aef678f2c27aebb",
         "gn_scan": "34993932da88859de93f491ae8731340fbf0c134afb56e0fc2ccf890d7b001f8",
     }
     for name, sha in pinned.items():

@@ -182,13 +182,14 @@ def test_adaptive_trajectories_pinned(p, n, sha):
     assert hashlib.sha256(run.values.tobytes() + run.dts.tobytes()).hexdigest() == sha
 
 
-def test_linearized_heat_decay_rate():
+def test_linearized_heat_decay_rate(monkeypatch):
     # p=1 on a flat background eps: u_t ~ eps * Lap(u'); a small mode decays
     # like exp(-eps * lambda1 * t) with lambda1 the discrete operator's lowest
     # Dirichlet/Neumann eigenvalue, computed independently below
     R, m, eps0, amp = 3.0, 301, 0.5, 1e-4
     spec = ProblemSpec(p=1.0, n=1, u0=lambda r: amp * np.cos(np.pi * r / (2 * R)))
-    params = ApproxParams(R=R, eps=eps0, m=m, tol=TOL / 4)
+    params = ApproxParams(R=R, eps=eps0, m=m)
+    monkeypatch.setattr(evolution, "TOL", TOL / 4)
     run = evolve(spec, params, 2.0, np.linspace(0.25, 2.0, 8))
     amps = run.values.max(axis=1) - eps0
     rate = -np.polyfit(run.times, np.log(amps), 1)[0]
@@ -215,8 +216,8 @@ def test_exact_separable_solution_at_p_1(n):
     q = (R**2 - grid.nodes**2) / (2.0 * n)
     snaps = np.array([0.0, 1.0, 10.0, 100.0, 1e3, 1e4])
     stepper = evolution._Stepper(grid, 1.0, eps)
-    full, dts, _ = evolution._march(stepper, q + eps, snaps, TOL)
-    half, _, _ = evolution._march(stepper, q + eps, snaps, TOL, dts, halves=2)
+    full, dts, _ = evolution._march(stepper, q + eps, snaps)
+    half, _, _ = evolution._march(stepper, q + eps, snaps, dts, halves=2)
     exact = q / (snaps[:, None] + 1.0) + eps
     for vals in (full, half, 2.0 * half - full):
         assert np.max(np.abs(vals - exact) / exact) <= 1e-12
@@ -300,11 +301,15 @@ def test_failing_step_exhausts_the_retry_budget(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tol_runs():
-    """One trajectory at tol = TOL, TOL/4 and TOL/16."""
+    """One trajectory at evolution.TOL = TOL, TOL/4 and TOL/16."""
     spec = gaussian_spec()
     snaps = np.concatenate([[0.0], np.geomspace(0.1, 100.0, 33)])
-    return [evolve(spec, ApproxParams(R=20.0, eps=1e-3, m=1001, tol=tol), 100.0, snaps)
-            for tol in (TOL, TOL / 4, TOL / 16)]
+    runs = []
+    for tol in (TOL, TOL / 4, TOL / 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "TOL", tol)
+            runs.append(evolve(spec, ApproxParams(R=20.0, eps=1e-3, m=1001), 100.0, snaps))
+    return runs
 
 
 def test_time_self_convergence(tol_runs):
@@ -513,6 +518,9 @@ def test_lyapunov_preconditions():
     late = evolve(spec, params, 1.0, [0.5, 1.0])
     with pytest.raises(InputError, match="not at t = 0"):
         lyapunov_series(late, SteepnessFunction.log_type(2.0, 4.0), 1.0)
+    # the descent condition implies the one for (p, q) only at q > 0
+    with pytest.raises(InputError, match="q > 0 required, got 0.0"):
+        lyapunov_series(run, SteepnessFunction.log_type(2.0, 4.0), 0.0)
 
 
 def test_semiconvexity_stationary_run():
@@ -530,11 +538,11 @@ def test_semiconvexity_gaussian_run():
     assert semiconvexity_check(run) >= -0.05
 
 
-def test_semiconvexity_improves_under_refinement():
+def test_semiconvexity_improves_under_refinement(monkeypatch):
     snaps = np.concatenate([[0.0], np.geomspace(0.2, 10.0, 10)])
     coarse = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=126), 10.0, snaps)
-    fine = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=501, tol=TOL / 4),
-                  10.0, snaps)
+    monkeypatch.setattr(evolution, "TOL", TOL / 4)
+    fine = evolve(gaussian_spec(), ApproxParams(R=10.0, eps=1e-3, m=501), 10.0, snaps)
     m_c = semiconvexity_check(coarse)
     m_f = semiconvexity_check(fine)
     assert max(0.0, -m_f) <= max(0.0, -m_c) + 1e-9

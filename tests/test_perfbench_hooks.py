@@ -57,6 +57,25 @@ def test_seed_configs_pass_the_benchmark_gate(perfbench_workloads, tmp_path, wor
         assert wl.gate(cfg["name"], key, rc, verdict, reference) == [], cfg["name"]
 
 
+def test_tracer_spans_the_audit_checks(perfbench_tracer, perfbench_workloads, tmp_path):
+    # the tracer wraps the three gauge checks where the audit calls them, in
+    # cli; a refactor that calls them from elsewhere would leave
+    # steepness.check_s at 0 without a word, so the seed-0 audit config must
+    # open one span of each
+    wl = perfbench_workloads
+    cfg = next(cfg for cfg, _ in wl.WORKLOADS["static_checks"](ROOT / "configs", wl.Jitter(0))
+               if cfg["mode"] == "lfunction_audit")
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(cfg))
+    tracer = perfbench_tracer.Tracer()
+    with tracer.installed(cli, evolution, bounds, rates, gn):
+        assert cli.run_experiment(path, out_dir=tmp_path / "run") == 0
+    names = [span[0] for span in tracer.spans if span[0].startswith("steepness.")]
+    assert sorted(names) == ["steepness.check_convexity_condition",
+                             "steepness.check_near_multiplicativity",
+                             "steepness.check_ratio_bound"]
+
+
 def test_evolve_keeps_dt_schedule_sixth():
     # the tracer names replayed runs by reading dt_schedule from args[5]
     assert list(inspect.signature(evolution.evolve).parameters)[5] == "dt_schedule"

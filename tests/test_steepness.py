@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from decaylab.errors import InputError
-from decaylab.steepness import (SteepnessFunction, _solve_eta, check_convexity_condition,
-                                check_near_multiplicativity, check_ratio_bound,
-                                solve_transcendental)
+from decaylab.steepness import (POWER_LAW_FAILURES, SteepnessFunction, _solve_eta,
+                                check_convexity_condition, check_near_multiplicativity,
+                                check_ratio_bound, solve_transcendental)
 
 LOG1 = SteepnessFunction.log_type(1.0, 4.0)
 LOG2 = SteepnessFunction.log_type(2.0, 4.0)
@@ -129,11 +132,11 @@ def test_near_multiplicativity_log_family():
     s = np.geomspace(1e-8, 1.999, 200)
     lam = np.linspace(1e-3, 0.999, 200)
     # kappa <= 1: a = kappa
-    rep = check_near_multiplicativity(LOG1, 1.0, LOG1.a, s, lam)
+    rep = check_near_multiplicativity(LOG1, s, lam)
     assert LOG1.a == 1.0
     assert rep.passed
     # kappa > 1: a = ((1+lambda0)^kappa - 1)/lambda0 = 3
-    rep2 = check_near_multiplicativity(LOG2, 1.0, LOG2.a, s, lam)
+    rep2 = check_near_multiplicativity(LOG2, s, lam)
     assert LOG2.a == 3.0
     assert rep2.passed
 
@@ -143,7 +146,7 @@ def test_near_multiplicativity_double_log():
     assert DLOG1.a == pytest.approx(1.0 / math.log(3.0))
     s = np.geomspace(1e-8, 0.999, 200)
     lam = np.linspace(1e-3, 0.999, 200)
-    rep = check_near_multiplicativity(DLOG1, 1.0, DLOG1.a, s, lam)
+    rep = check_near_multiplicativity(DLOG1, s, lam)
     assert rep.passed
 
 
@@ -176,14 +179,14 @@ def test_double_log_constant_interior_maximum():
     assert L.a == pytest.approx(6.0456586, abs=1e-7)
     s = np.geomspace(1e-8, 0.999, 200)
     lam = np.linspace(1e-3, 99.9, 200)
-    assert check_near_multiplicativity(L, 100.0, L.a, s, lam).passed
+    assert check_near_multiplicativity(L, s, lam).passed
 
 
 def test_near_multiplicativity_misapplied_constant_fails():
     # using a = kappa for kappa = 2 ignores the convexity of (1+lambda)^2
     s = np.geomspace(1e-8, 1.999, 120)
     lam = np.linspace(1e-3, 0.999, 120)
-    rep = check_near_multiplicativity(LOG2, 1.0, 2.0, s, lam)
+    rep = check_near_multiplicativity(dataclasses.replace(LOG2, a=2.0), s, lam)
     assert not rep.passed
     assert rep.worst_lambda > 0.5
     assert rep.max_violation > 0.1
@@ -191,11 +194,23 @@ def test_near_multiplicativity_misapplied_constant_fails():
 
 def test_near_multiplicativity_input_errors():
     with pytest.raises(InputError):
-        check_near_multiplicativity(LOG1, 1.0, 1.0, [], [0.5])
+        check_near_multiplicativity(LOG1, [], [0.5])
     with pytest.raises(InputError):
-        check_near_multiplicativity(LOG1, 1.0, 1.0, [3.0], [0.5])  # s >= s0
+        check_near_multiplicativity(LOG1, [3.0], [0.5])  # s >= s0
     with pytest.raises(InputError):
-        check_near_multiplicativity(LOG1, 1.0, 1.0, [0.5], [1.5])  # lam >= lambda0
+        check_near_multiplicativity(LOG1, [0.5], [1.5])  # lam >= lambda0
+    # the lambda range is the gauge's own
+    wide = SteepnessFunction.log_type(1.0, 4.0, lambda0=2.0)
+    assert check_near_multiplicativity(wide, [0.5], [1.5]).passed
+
+
+def test_near_multiplicativity_power_law_fails():
+    # L(s)/L(s^(1+lambda)) = s^(-r lambda) is unbounded: no constant a exists,
+    # so the check refuses the gauge with the reason, and judges no grid
+    L = SteepnessFunction.power_law(1.0)
+    with pytest.raises(InputError) as err:
+        check_near_multiplicativity(L, np.geomspace(1e-6, 0.9, 100), [0.5])
+    assert str(err.value).endswith(POWER_LAW_FAILURES["near_multiplicativity"])
 
 
 def test_ratio_bound_log_type():
@@ -204,21 +219,25 @@ def test_ratio_bound_log_type():
     lhs = s * deriv1(LOG1, s) / LOG1.value(s)
     assert lhs == pytest.approx(1.0 / (3.0 + math.log(4.0)), rel=1e-12)
     assert lhs < 1.0 / 3.0
-    rep = check_ratio_bound(LOG1, 1.0, np.geomspace(1e-10, 0.999, 300))
+    rep = check_ratio_bound(LOG1, np.geomspace(1e-10, 0.999, 300))
     assert rep.passed
+    # a constant below kappa = 1 fails: s L'/L ln(1/s) -> 1 as s -> 0
+    rep = check_ratio_bound(dataclasses.replace(LOG1, a=0.5), np.geomspace(1e-10, 0.999, 300))
+    assert not rep.passed and rep.worst_s == 1e-10
 
 
 def test_ratio_bound_power_law_fails():
-    # s L'/L = r identically, while the bound a/ln(1/s) vanishes as s -> 0
+    # s L'/L = r identically, while the bound a/ln(1/s) vanishes as s -> 0:
+    # no constant a exists, so the check refuses the gauge with the reason
     L = SteepnessFunction.power_law(1.0)
-    rep = check_ratio_bound(L, 1.0, np.geomspace(1e-6, 0.9, 100))
-    assert not rep.passed
-    assert rep.worst_s < math.exp(-1.0)
+    with pytest.raises(InputError) as err:
+        check_ratio_bound(L, np.geomspace(1e-6, 0.9, 100))
+    assert str(err.value).endswith(POWER_LAW_FAILURES["ratio_bound"])
 
 
 def test_ratio_bound_rejects_points_at_or_above_one():
     with pytest.raises(InputError):
-        check_ratio_bound(LOG1, 1.0, np.array([0.5, 1.0]))
+        check_ratio_bound(LOG1, np.array([0.5, 1.0]))
 
 
 def test_ratio_bound_judges_a_steep_gauge():
@@ -228,7 +247,7 @@ def test_ratio_bound_judges_a_steep_gauge():
     L = SteepnessFunction.log_type(1000.0, 4.0)
     assert L.a == 2.0 ** 1000 - 1.0
     s = np.geomspace(1e-8, 1.0 - 1e-9, 400)
-    rep = check_ratio_bound(L, L.a, s)
+    rep = check_ratio_bound(L, s)
     assert rep.passed and rep.max_violation == -1.0
 
 
@@ -236,21 +255,21 @@ def test_ratio_bound_follows_from_near_multiplicativity():
     # every construction passing the product condition also passes the bound
     grid = np.geomspace(1e-9, 0.99, 400)
     for L in (LOG1, LOG2, DLOG1):
-        assert check_ratio_bound(L, L.a, grid).passed
+        assert check_ratio_bound(L, grid).passed
 
 
 def test_convexity_condition():
-    # threshold coefficient (3p + q0 - 2)/(p + q0) = 1 at p = q0 = 1
-    assert (3 * 1 + 1 - 2) / (1 + 1) == 1.0
     s = np.geomspace(1e-8, 1.999, 400)
     for L in (LOG1, LOG2, SteepnessFunction.log_type(0.5, 4.0)):
-        rep = check_convexity_condition(L, 1.0, 1.0, s)
-        assert rep.strong.passed and rep.weak.passed
+        assert check_convexity_condition(L, s).passed
     sd = np.geomspace(1e-8, 0.999, 400)
-    rep = check_convexity_condition(DLOG1, 1.0, 1.0, sd)
-    assert rep.passed
+    assert check_convexity_condition(DLOG1, sd).passed
+    # the check can fail: at kappa = -2, which no constructor accepts,
+    # t = s L''/L' = -1/g - 1 < -1 on the whole grid, and so is reported
+    rep = check_convexity_condition(dataclasses.replace(LOG1, kappa=-2.0), s)
+    assert not rep.passed and rep.max_violation > 0.0
     with pytest.raises(InputError):
-        check_convexity_condition(LOG1, 0.5, 1.0, s)
+        check_convexity_condition(LOG1, [3.0])  # s >= s0
 
 
 def audit_grid(L):
@@ -264,50 +283,54 @@ def audit_grid(L):
     (SteepnessFunction.power_law(2.5), 1.0, 1.0)])
 def test_convexity_closed_form_matches_the_derivatives(L, p, q0):
     # where L' and L'' are normal numbers, s L''/L' in closed form gives the
-    # violations of the gaps formed from the derivatives themselves
+    # violation of d/ds (s L') >= 0 formed from the derivatives themselves;
+    # the descent condition at (p, q0), s L'' >= -((3p + q0 - 2)/(p + q0)) L'
+    # formed likewise, is nowhere violated more: its coefficient is >= 1
     s = audit_grid(L) if math.isfinite(L.s0) else np.geomspace(1e-8, 1e6, 400)
     d1, d2 = deriv1(L, s), deriv2(L, s)
     coeff = (3.0 * p + q0 - 2.0) / (p + q0)
     weak = np.max(-(s * d2 + coeff * d1) / (np.abs(s * d2) + np.abs(coeff * d1)))
     strong = np.max(-(d1 + s * d2) / (np.abs(d1) + np.abs(s * d2)))
-    rep = check_convexity_condition(L, p, q0, s)
-    assert rep.weak.max_violation == pytest.approx(weak, rel=1e-12, abs=1e-15)
-    assert rep.strong.max_violation == pytest.approx(strong, rel=1e-12, abs=1e-15)
+    rep = check_convexity_condition(L, s)
+    assert rep.max_violation == pytest.approx(strong, rel=1e-12, abs=1e-15)
+    assert weak <= strong + 1e-15
 
 
-def test_convexity_verdict_is_decided_at_p_1():
-    # the CLI's audit judges convexity at p = q0 = 1 alone: the weak
-    # condition's coefficient (3p + q0 - 2)/(p + q0) is at least 1 for p >= 1
-    # and 1 at p = 1, so no other (p, q0) changes a verdict, and the weak
-    # violation is largest at p = 1, where it equals the strong one
-    gauges = [SteepnessFunction.log_type(kappa, 4.0) for kappa in (0.5, 2.0, 400.0)]
-    gauges += [SteepnessFunction.double_log_type(kappa, math.e**3, 1.0) for kappa in (1.0, 5.0)]
-    gauges += [SteepnessFunction.power_law(r) for r in (0.5, 3.0)]
-    for L in gauges:
-        s = audit_grid(L)
-        at_one = check_convexity_condition(L, 1.0, 1.0, s)
-        assert at_one.weak.max_violation == at_one.strong.max_violation, L
-        for p in (1.0, 1.5, 2.0, 4.0):
-            for q0 in (0.1, 1.0, 3.0):
-                rep = check_convexity_condition(L, p, q0, s)
-                assert rep.passed == at_one.passed, (L, p, q0)
-                assert rep.strong.max_violation == at_one.strong.max_violation
-                assert rep.weak.max_violation <= at_one.weak.max_violation, (L, p, q0)
-                if p == 1.0:
-                    assert rep.weak.max_violation == at_one.weak.max_violation, (L, q0)
+@given(kind=st.sampled_from(["PowerLaw", "LogType", "DoubleLogType"]),
+       r=st.floats(1e-3, 1e3), kappa=st.floats(1e-3, 50.0), M=st.floats(2.0, 1e12),
+       s0_frac=st.floats(0.0, 1.0, exclude_max=True), lambda0=st.floats(1e-3, 10.0),
+       depths=st.lists(st.floats(1e-9, 300.0), min_size=1, max_size=20))
+def test_every_constructed_gauge_passes_convexity(kind, r, kappa, M, s0_frac, lambda0,
+                                                  depths):
+    # s L'' >= -L' holds on the smooth branch of every gauge the constructors
+    # accept: 1 + s L''/L' is r, (kappa + 1)/g or 1/g + (kappa + 1)/(g ln g),
+    # with g = ln(M/s) > 1 below s0 < M/e; the audit's key cannot fail for them
+    try:
+        if kind == "PowerLaw":
+            L = SteepnessFunction.power_law(r)
+        elif kind == "LogType":
+            L = SteepnessFunction.log_type(kappa, M, lambda0)
+        else:
+            L = SteepnessFunction.double_log_type(kappa, M, 1.0 + s0_frac * (M / math.e - 1.0),
+                                                  lambda0)
+    except InputError:
+        assume(False)
+    s_hi = min(L.s0, 1e6) * (1.0 - 1e-9)
+    s = np.concatenate([audit_grid(L), s_hi * 10.0 ** -np.array(depths)])
+    rep = check_convexity_condition(L, s)
+    assert rep.passed and rep.max_violation < 0.0, (L, rep)
 
 
 def test_convexity_judges_a_gauge_whose_derivatives_underflow():
     # at kappa = 400, L' and L'' underflow to 0 on 280 of the audit's 400
     # points; a gap formed from them reads -0.0 there and hides every point
-    # that was judged.  s L''/L' = 401/g - 1 > 0 on the whole grid, so both
-    # gaps are sums of positive terms and read -1
+    # that was judged.  s L''/L' = 401/g - 1 > 0 on the whole grid, so the
+    # gap is a sum of positive terms and reads -1
     L = SteepnessFunction.log_type(400.0, 4.0)
     s = audit_grid(L)
     assert np.count_nonzero(deriv1(L, s) == 0.0) == 280
-    rep = check_convexity_condition(L, 1.0, 1.0, s)
-    assert rep.passed
-    assert rep.weak.max_violation == rep.strong.max_violation == -1.0
+    rep = check_convexity_condition(L, s)
+    assert rep.passed and rep.max_violation == -1.0
 
 
 def test_convexity_judges_a_gauge_whose_derivatives_overflow():
@@ -317,9 +340,8 @@ def test_convexity_judges_a_gauge_whose_derivatives_overflow():
     s = audit_grid(L)
     with np.errstate(over="ignore"):
         assert np.isinf(deriv1(L, s)).any()
-    rep = check_convexity_condition(L, 1.0, 1.0, s)
-    assert rep.passed
-    assert rep.weak.max_violation == rep.strong.max_violation == -1.0
+    rep = check_convexity_condition(L, s)
+    assert rep.passed and rep.max_violation == -1.0
 
 
 def test_scaling_lower_bound_from_ratio_bound():
