@@ -32,6 +32,15 @@ retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
 
+TOL is set from the time errors that the verdicts read.  On the shipped rate
+problem sigma lies 3.2e-4 from its value at 1e-5/16 (1.3e-4 at TOL = 1e-5,
+for 56% more solves), against the 2e-3 to which the benchmark holds sigma and
+the 0.14 by which eps = 1e-5 moves it; every rate verdict reports a bound of
+that error, ``sigma_time_term`` (``rates.sandwich_report``).  The bound on
+TOL is the ladder's: its backward-Euler Cauchy differences lie 1.9e-3
+relative from those of extrapolated members on ``configs/ladder.json``, a
+distance that grows as TOL^(1/2) and that a test holds within 2e-3.
+
 Every run of ``evolve`` is two backward-Euler passes: the schedule above (or
 a replayed one), then the same schedule with each step halved.  Each pass is
 checked on its own for the floor eps and the maximum principle, so positivity
@@ -40,9 +49,10 @@ trajectories.  The global error of a one-step method under a step schedule
 scaled as a whole has an expansion in the step size (Hairer, Norsett &
 Wanner, Solving ODEs I, Sec. II.8-9), so the snapshots 2 * half - full are
 second order in time; the observers read those.  max|half - full| /
-max|half| is the run's measured time error.  An extrapolated value below eps
-by more than FLOOR_TOL * eps, or above sup u0, fails the run; one within that
-roundoff is raised to eps and counted.
+max|half| is the run's measured time error, and the same maximum over one
+snapshot's own max|half| its error at that snapshot.  An extrapolated value
+below eps by more than FLOOR_TOL * eps, or above sup u0, fails the run; one
+within that roundoff is raised to eps and counted.
 
 A ladder (``minimal_solution_ladder``) judges its ordering and Cauchy
 differences on the members' backward-Euler passes alone, where monotonicity
@@ -82,7 +92,7 @@ __all__ = [
 FLOOR_TOL = 1e-12   # undershoot of eps allowed as roundoff, relative to eps
 MAX_REJECTIONS = 40   # retries of one step, by the error control or on an undershoot
 DT_INIT = 1e-4   # first adaptive step
-TOL = 1e-5       # local error per step, relative to max u
+TOL = 2.5e-5     # local error per step, relative to max u (module docstring)
 LADDER_MONOTONICITY_TOL = 1e-8
 CAUCHY_T_MIN = 1.0     # Cauchy differences of a ladder compare snapshots from here on
 DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, relative
@@ -132,7 +142,9 @@ class EvolutionRun:
     and undershoot ``halvings`` retries of the full pass, the ``solves`` of
     both passes (retries included) and the extrapolated values raised to eps
     (``clamps``); ``time_error`` is max|half - full| / max|half| over the
-    snapshots; ``accepted``, ``dt_min`` and ``dt_max`` are read off ``dts``.
+    snapshots, and ``snapshot_time_error`` the list of each snapshot's
+    max|half - full| over its own max half; ``accepted``, ``dt_min`` and
+    ``dt_max`` are read off ``dts``.
     """
 
     spec: ProblemSpec
@@ -384,14 +396,13 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
 
     # 2 * half - full, formed row by row as half + (half - full) in place, so
     # that full keeps its rows and no second array of snapshots is made
-    half_max = float(values.max())
+    half_max = values.max(axis=1)
     diff = np.empty(values.shape[1])
-    diff_max = 0.0
-    for half_row, full_row in zip(values, full.rows):
+    diff_max = np.empty(len(values))
+    for k, (half_row, full_row) in enumerate(zip(values, full.rows)):
         np.subtract(half_row, full_row, out=diff)
-        diff_max = max(diff_max, float(diff.max()), -float(diff.min()))
+        diff_max[k] = max(float(diff.max()), -float(diff.min()))
         half_row += diff
-    time_error = diff_max / half_max
     if not _in_range(values, params.eps, full.u0):
         raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
                           f"against eps = {params.eps:g}, max {values.max():.6e}")
@@ -406,7 +417,8 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
     profiles = [RadialProfile(grid, row) for row in values]
     series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
     stats = {"accepted": dts.size, **full.retries, "solves": full.stepper.solves,
-             "clamps": clamps, "time_error": time_error, "dt_min": float(dts.min()),
+             "clamps": clamps, "time_error": float(diff_max.max()) / float(half_max.max()),
+             "snapshot_time_error": (diff_max / half_max).tolist(), "dt_min": float(dts.min()),
              "dt_max": float(dts.max())}
     return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, dts, stats)
 

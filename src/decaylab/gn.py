@@ -158,9 +158,12 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     rows = []
     for (scale, width), prof, budget in zip(members, profiles, budgets):
         member_id = f"s{scale:g}_w{width:g}"
-        # a norm that overflows reads inf or NaN (0 * inf at r = 0), refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad, lq = grad_l2_norm(prof), lq_quasinorm(prof, q)
+        try:
+            with np.errstate(over="ignore"):  # a gradient norm that overflows reads inf
+                grad, lq = grad_l2_norm(prof), lq_quasinorm(prof, q)
+        except NumericError as exc:  # the L^q norm is not a finite double
+            raise NumericError(f"member {member_id}: its ratio is not a positive finite "
+                               f"double ({exc})") from None
         if not grad > 0.0:
             raise InputError(f"member {member_id}: gradient norm is {grad:g}, "
                              "so its ratio is undefined")

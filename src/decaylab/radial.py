@@ -4,7 +4,8 @@ Everything operates on radially symmetric functions sampled on a uniform grid
 in [0, R] with an ambient dimension n.  Integrals over R^n reduce to weighted
 one-dimensional integrals with the surface factor omega_n = n |B_1|; composite
 trapezoid quadrature is used with the r^{n-1} weight folded into the
-integrand, so the r = 0 node automatically carries zero weight for n >= 2.
+integrand, and the r = 0 node carries the exact weight 0 for n >= 2, also
+under an infinite integrand there.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class RadialGrid:
 
     def volume_integral(self, integrand: np.ndarray) -> float:
         """omega_n * integral of r^{n-1} * integrand(r) dr by trapezoid."""
-        vals = self.nodes ** (self.n - 1) * integrand
+        with np.errstate(invalid="ignore"):  # 0 * inf at r = 0, set to 0 below
+            vals = self.nodes ** (self.n - 1) * integrand
+        if self.n > 1:
+            vals[0] = 0.0
         return self.omega_n * float(self._trapezoid_weights @ vals)
 
 
@@ -115,7 +119,11 @@ def lq_quasinorm(profile: RadialProfile, q: float) -> float:
     """(omega_n int_0^R r^{n-1} |phi|^q dr)^{1/q}; quasi-norm for q < 1."""
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
-    integral = profile.grid.volume_integral(np.abs(profile.values) ** q)
+    with np.errstate(over="ignore"):  # an integrand that overflows is refused below
+        integral = profile.grid.volume_integral(np.abs(profile.values) ** q)
+    if not math.isfinite(integral):
+        raise NumericError(f"the L^q quasi-norm at q = {q:g} is not finite: its integral "
+                           f"is {integral:g}")
     try:
         return integral ** (1.0 / q)
     except OverflowError:
@@ -144,7 +152,11 @@ def steepness_integral(profile: RadialProfile, L: SteepnessFunction) -> Weighted
     if np.any(profile.values < 0):
         raise InputError("steepness integrals require a nonnegative profile")
     grid = profile.grid
-    value = grid.volume_integral(L.value(profile.values))
+    with np.errstate(over="ignore"):  # an integrand that overflows is refused below
+        value = grid.volume_integral(L.value(profile.values))
+    if not math.isfinite(value):
+        raise NumericError(f"the steepness integral of the {L.kind} gauge is not finite: "
+                           f"{value:g}")
     boundary_level = L.value(float(profile.values[-1]))
     tail_estimate = boundary_level * grid.omega_n * grid.R ** grid.n
     flagged = tail_estimate > TAIL_REL_THRESHOLD * value if value > 0 else tail_estimate > 0

@@ -215,13 +215,20 @@ def baseline_check(t, v, p: float) -> BaselineReport:
 
 @dataclass(frozen=True)
 class SandwichVerdict:
-    """Combined two-sided rate verdict for one run."""
+    """Combined two-sided rate verdict for one run.
+
+    ``sigma_time_term`` bounds the time error of ``fit.sigma``, and
+    ``time_error_window`` is the largest relative time error of a snapshot in
+    the window (``sandwich_report``).
+    """
 
     fit: RateFit
     upper: BoundCheck
     lower: BoundCheck
     sigma_target: float
     sigma_window: tuple
+    sigma_time_term: float
+    time_error_window: float
     sigma_ok: bool
     passed: bool
 
@@ -249,24 +256,32 @@ def rate_model(env: DecayEnvelope, p: float, n: int, delta: float) -> tuple:
 
 
 def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
-                    window: tuple) -> SandwichVerdict:
+                    window: tuple, be_sup) -> SandwichVerdict:
     """Fit the run's sup-norm series and check both calibrated bounds on the
     snapshots of ``rate_window``.
 
     The upper bound's gauge is the one ``rate_model`` derives.  The fitted
     correction exponent must land in [target - 0.1, target + delta + 0.1]
-    with target 2/(p beta) or 2/(p gamma).
+    with target 2/(p beta) or 2/(p gamma), and so must sigma plus or minus its
+    time term, or the verdict fails closed.  The time term is |sigma - sigma_BE|,
+    sigma_BE being fitted on ``be_sup``, the sup-norm series of the run's
+    backward-Euler pass at ``run.times``.  It estimates sigma_BE's first-order
+    error, and the extrapolated sigma's error is of higher order, so for small
+    steps it bounds the latter (Hairer, Norsett & Wanner, Solving ODEs I,
+    Sec. II.9).
     """
     p, n = run.spec.p, run.grid.n
     shape, model, L = rate_model(env, p, n, delta)
     in_window = rate_window(run.times, window, model)
     t, v = run.times[in_window], run.series["sup_norm"][in_window]
     fit = fit_decay(t, v, p, model)
+    time_term = abs(fit.sigma - fit_decay(t, np.asarray(be_sup)[in_window], p, model).sigma)
     upper = upper_bound_check(t, v, L, p, n)
     lower = lower_bound_persistence(t, v, env, p)
     target = 2.0 / (p * shape)
     lo = target - EXPONENT_SLACK
     hi = target + delta + EXPONENT_SLACK
-    sigma_ok = lo <= fit.sigma <= hi
-    return SandwichVerdict(fit, upper, lower, target, (lo, hi), sigma_ok,
-                           bool(sigma_ok and upper.passed and lower.passed))
+    sigma_ok = lo <= fit.sigma - time_term and fit.sigma + time_term <= hi
+    time_error = float(np.asarray(run.stats["snapshot_time_error"])[in_window].max())
+    return SandwichVerdict(fit, upper, lower, target, (lo, hi), time_term, time_error,
+                           sigma_ok, bool(sigma_ok and upper.passed and lower.passed))

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decaylab import bounds, evolution
+from decaylab import bounds, evolution, rates
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
                              solve_steady_state, subsolution_check)
-from decaylab.cli import EXIT_PASS, run_experiment
+from decaylab.cli import EXIT_PASS, EXIT_VERDICT, run_experiment
 from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 semiconvexity_check)
@@ -196,13 +196,14 @@ def test_criterion_05_monotone_ladders(ladder):
 
 def test_ladder_judged_on_backward_euler_passes(ladder):
     # the lead's adaptive pass, one replay per other member and the proxy's
-    # halved pass: 18,204 solves when every member was extrapolated
+    # halved pass
     result, _, traced = ladder
-    assert traced == result.solves == 8094
+    assert traced == result.solves == 5206
     assert result.eps_violation == result.R_violation == 0.0
     assert result.R_cauchy == [0.0]
-    # the eps differences of the extrapolated members, which the passes'
-    # differences approximate
+    # the eps differences of the extrapolated members (at TOL = 1e-5; they
+    # move by 2e-9 relative at 2.5e-5), which the passes' differences
+    # approximate to 1.9e-3 relative, a distance that grows as TOL^(1/2)
     extrapolated = [0.004377761701701719, 0.00043302411249397486]
     np.testing.assert_allclose(result.eps_cauchy, extrapolated, rtol=2e-3, atol=0.0)
 
@@ -292,6 +293,38 @@ def test_criterion_09_rate_sandwich(long_run):
                   f"runtime {elapsed:.0f}s, {solves} solves")
 
 
+def test_sigma_time_error_within_its_budget(tmp_path, monkeypatch):
+    # evolution.TOL is chosen from sigma's time error: on the shipped rate
+    # problem, at the benchmark's m = 1001, sigma lies within 5e-4 (a quarter
+    # of the benchmark's 2e-3) of its value at TOL/16, and the verdict's time
+    # term is at least that distance
+    doc = shipped("pde_decay_sandwich")
+    doc["approx"]["m"] = 1001
+    config = tmp_path / "sandwich.json"
+    config.write_text(json.dumps(doc))
+
+    def sandwich(label):
+        assert run_experiment(config, tmp_path / label) == EXIT_PASS, label
+        return json.loads((tmp_path / label / "sandwich.json").read_text())
+
+    judged = sandwich("tol")
+    sigma, term = judged["fit"]["sigma"], judged["sigma_time_term"]
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "TOL", TOL / 16)
+        error = abs(sigma - sandwich("tol_16")["fit"]["sigma"])
+    assert error <= 5e-4 and term >= error, (error, term)
+    lo, hi = judged["sigma_window"]
+    assert lo <= sigma - term and sigma + term <= hi
+    # negative control: the window's lower edge within the time term of sigma,
+    # below sigma itself, fails the verdict
+    monkeypatch.setattr(rates, "EXPONENT_SLACK", judged["sigma_target"] - sigma + 0.5 * term)
+    out = tmp_path / "edge"
+    assert run_experiment(config, out) == EXIT_VERDICT
+    moved = json.loads((out / "sandwich.json").read_text())
+    assert moved["fit"] == judged["fit"] and moved["sigma_window"][0] < sigma
+    assert not moved["sigma_ok"] and moved["upper"]["passed"] and moved["lower"]["passed"]
+
+
 def test_criterion_10_subsolution_certificate(long_run):
     # the certificate of lower_bound.json, judged on the trajectory of
     # pde_decay_sandwich.json (test_cli checks that the two share it)
@@ -327,14 +360,17 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # every other artifact kept its bytes; when its gauge came to be derived
     # from the envelope and delta, only the config echo lost its L; when L
     # came to be evaluated from ln s, upper_curve.csv moved by at most 1.1e-15
-    # relative and the sandwich's upper C and worst_ratio by 4e-16)
+    # relative and the sandwich's upper C and worst_ratio by 4e-16; both moved
+    # with every trajectory artifact when evolution.TOL went from 1e-5 to
+    # 2.5e-5, and the sandwich's verdict gained sigma_time_term and
+    # time_error_window)
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "b7279231b9ea082776af71ca9a1e907e"
-                                             "a4fc314eec26eaf46410de912dc648fc"),
-        "ladder": (ladder_dir, "08da709e4aa39d75b3e82222c65326e0"
-                               "45e1b203b92d459d959d3b4dd1efa18a"),
+        "pde_decay_sandwich": (sandwich_dir, "b5daf9291dbb5af2c9c0fd114e287fef"
+                                             "61b2eed71cb234e053a852c7b694550c"),
+        "ladder": (ladder_dir, "28c3f49de53223baf5dd6bf0d4a5f9e9"
+                               "34e26894d709cc42625a41a7a0f1c57f"),
     }
     for name, (out_dir, sha) in pinned.items():
         manifest = out_dir / "manifest.json"

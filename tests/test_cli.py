@@ -983,32 +983,35 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # verdict as earlier builds, which evolved the single run without a
     # ladder and solved the steady state at a configured m = 1001; artifacts
     # are pinned, not the manifest, which echoes the config (upper_curve.csv
-    # moved by at most 5.6e-16 relative when L came to be evaluated from ln s)
+    # moved by at most 5.6e-16 relative when L came to be evaluated from ln s;
+    # every trajectory artifact, margins.json and the verdict moved when
+    # evolution.TOL went from 1e-5 to 2.5e-5, and sandwich.json then gained
+    # sigma_time_term and time_error_window)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                   for path in out.iterdir() if path.name != "manifest.json")
     assert shas == [
-        ("baseline.json", "98008e42598ab9d674351acbe37d61f3a772bdfea7887cd0d288985fffbdc9d5"),
-        ("center_value.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
+        ("baseline.json", "64aeec23d9718dccae8d9c2ae6aedba703f2123710603fe9cfa8b6b5ee8df2c2"),
+        ("center_value.csv", "9384d145745279262efcef091499766b8c84010a83923690aa09b7ccf97c4fe1"),
         ("ladder_report.json", "11d08fa48d6a4b0010b272b2eb7949c74b6843cfd145bc0d02ee7ff22e4737c0"),
-        ("lower_curve.csv", "5ad4b27250772c6950baec1f85ef92ec47d70444c9d6b928fa50efc1bf99fad1"),
-        ("lq_1.csv", "da3467de38ad8fcc7fc8dca2ae1d0523c12923b547a8b79798ab355f4f2fb19f"),
-        ("margins.json", "e41b3e52dbbf84878ce2e7f6f0e08feadea05e95bdc32dd10f74cfe60c9fd862"),
-        ("profile_t0.5.csv", "a4b7253ce7ef386d43532ead2cb5ccc501b670689a62f429bb91b78981dc0740"),
+        ("lower_curve.csv", "515b45032535a88f8427ac4b57ad9577259a809f52b6d004d5dede5d3340d08f"),
+        ("lq_1.csv", "fd30c0c8f7764c6b81d634e08a367bba31dd05d1d1579c775ecd39ba084762d7"),
+        ("margins.json", "fa0e51077d0a73689770ba7b59eac9039fbdb4a82d0eff9eed673b024ff047ee"),
+        ("profile_t0.5.csv", "f6008927740186a1836cf5a0ac5a36bdebd8b68974066f354ab146ce08078124"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
-        ("profile_t1.58114.csv", "4b616b9679ef900e7bed676d3ae70ccf06d47b446b83ab1591c37cc50e354771"),
-        ("profile_t158.114.csv", "99fab4d54f500e9c84c5341ebd45248ea8e5c0f8177c31b45541ee44d36c63b1"),
-        ("profile_t2.81171.csv", "ff5a2effd6eedef1fababed2e19d2ac500a9c7ace9fa604be8a00f559745bc2b"),
-        ("profile_t28.1171.csv", "540844685660e3db529189775041cad861c09891504d084f0d1a7979176b75ce"),
-        ("profile_t50.csv", "c5f6fbd0e20478a494675c141bc5fe66d9b9655abcf0f429b53fd7bb6ef9d2b5"),
-        ("profile_t500.csv", "c8a39c60f3f39ce44b14f80bc05ccc094ef18e2006f01fcd25e4cab0acb2da36"),
-        ("profile_t8.8914.csv", "7081dcaacfd2f2944cb3fab2e7f43f96be086fab305ef2f9c109fa99e6ea6f02"),
-        ("sandwich.json", "f374e2567f3b7544b0a6f362b3a28af6dfda9717f2222bcc111809250ce015ba"),
+        ("profile_t1.58114.csv", "5b407a0c2f1b7ddd40dd33f4112b6f256bca3a9c00f6d03aca7cfea1400f82f1"),
+        ("profile_t158.114.csv", "50923a15141e40114896057853bf5c0746c538832936a438a2c48181b0bce7a1"),
+        ("profile_t2.81171.csv", "c7b0414b9ba5fb168b4baa973f1517299ba1b099cb78fbd6db741928134d22d0"),
+        ("profile_t28.1171.csv", "f9dad313b0d86e5d746f7a99d43b3bc0f95a884313cc2bee1769cf122cadc7e1"),
+        ("profile_t50.csv", "c0058178ba1c4f5f404e36749ec59bdb859ff5ba688d2de6fcebd9a74483b7e9"),
+        ("profile_t500.csv", "125f71025651fcf6d9546e58f8a54ffc4630af658a0e30bdd5642269f24a60e2"),
+        ("profile_t8.8914.csv", "b0e66cb67cc1406e4311093843711849fba978037a3e3be385dc7c8a2e9a5fb0"),
+        ("sandwich.json", "97c16d0e4f25f87ca91d5cdb224c7d9309d88fa5e5913ffeb6a67fcfaddda978"),
         ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
-        ("sup_norm.csv", "e1d8003a080082490abc05bff2e443530c4b1f061559cb906459e78c1d482c80"),
-        ("upper_curve.csv", "9fc60357ac1def994cb202cfef7c5017a615cb9a71c5c53e2038d9ee5109da83"),
+        ("sup_norm.csv", "9384d145745279262efcef091499766b8c84010a83923690aa09b7ccf97c4fe1"),
+        ("upper_curve.csv", "5223f9796c96ab91b91994c8952092e61e2f881963edb82d0fc67788da054c21"),
     ]
     verdict = read_json(out / "manifest.json")["verdict"]
     assert verdict.pop("ladder") == {
@@ -1016,4 +1019,4 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
         "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "915da5d7e835923768c00df2c4ffc8c79209fdbc2cf0fc6d36010b4eff013582"
+    assert digest == "cba7cd09088bea39276f54545e836386d147f59badcf7e2e70c016519c3928f4"

@@ -171,9 +171,9 @@ def test_step_retried_after_failed_solve_matches_fresh_stepper(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p, n, sha", [
-    (4.0, 1, "9816292fd07e68e71cfabe5de56048ccf9dcc8eb56364517e2a329232e0c8b40"),
-    (2.0, 2, "0aae74d1fa2ce10ce978cbf8359893e3b175f566693db7baa92de383f04e6147"),
-    (1.5, 3, "d915e77ee40668605552951585c15b58549f01dce20562bb59e7209e55cc2e49"),
+    (4.0, 1, "7a76e88439e05bf21a0ba3ba78639e3d06358e610494f0cf71dce14de0e8b00e"),
+    (2.0, 2, "44b8297ce2a25fa3aae5d07c3aa2c32bda2dc086e3e8145dc0f084816cfae829"),
+    (1.5, 3, "9f7cb31579b256a31446f69aaf05c4e5243e06245459c9d51cad21728248d6d5"),
 ])
 def test_adaptive_trajectories_pinned(p, n, sha):
     # a change to the step's or the controller's arithmetic moves these bits

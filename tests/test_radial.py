@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decaylab.errors import InputError
+from decaylab.errors import InputError, NumericError
 from decaylab.radial import (RadialGrid, RadialProfile, grad_l2_norm, laplacian_stencil,
                              lq_quasinorm, steepness_integral)
 from decaylab.steepness import SteepnessFunction
@@ -147,3 +147,32 @@ def test_steepness_integral_rejects_negative():
     p = RadialProfile(g, np.linspace(-0.1, 1.0, 11))
     with pytest.raises(InputError):
         steepness_integral(p, SteepnessFunction.power_law(1.0))
+
+
+def test_volume_integral_weights_the_center_zero_at_n_2(rng):
+    # for n >= 2 the node r = 0 has the exact weight 0: an infinite integrand
+    # there leaves the integral finite, with no RuntimeWarning (0 * inf), and
+    # a finite integrand keeps the bits of the plain r^{n-1}-weighted sum
+    g = RadialGrid(2, 3.0, 31)
+    f = rng.random(g.m) - 0.5
+    plain = g.omega_n * float(g._trapezoid_weights @ (g.nodes * f))
+    assert g.volume_integral(f) == plain
+    f[0] = math.inf
+    assert g.volume_integral(f) == plain
+    # in n = 1 the center has weight h/2, so the integral is infinite
+    assert RadialGrid(1, 3.0, 31).volume_integral(f) == math.inf
+
+
+def test_integrals_that_are_not_finite_raise_by_name():
+    g = RadialGrid(2, 3.0, 31)
+    huge = RadialProfile(g, np.full(g.m, 1e200))
+    with pytest.raises(NumericError, match="L\\^q quasi-norm at q = 2 is not finite"):
+        lq_quasinorm(huge, 2.0)
+    with pytest.raises(NumericError, match="steepness integral of the PowerLaw gauge"):
+        steepness_integral(huge, SteepnessFunction.power_law(2.0))
+    # an integrand infinite at r = 0 alone is finite in n = 2, infinite in n = 1
+    spike = np.full(g.m, 1.0)
+    spike[0] = 1e200
+    assert math.isfinite(lq_quasinorm(RadialProfile(g, spike), 2.0))
+    with pytest.raises(NumericError, match="quasi-norm"):
+        lq_quasinorm(RadialProfile(RadialGrid(1, 3.0, 31), spike), 2.0)

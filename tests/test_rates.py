@@ -15,12 +15,15 @@ from decaylab.steepness import SteepnessFunction
 T = np.geomspace(10.0, 1e4, 200)
 
 
-def synthetic_run(times, sup, p=1.0, n=1):
+def synthetic_run(times, sup, p=1.0, n=1, time_error=0.0):
+    """A run whose sup-norm series is ``sup`` and each snapshot's time error ``time_error``."""
     spec = ProblemSpec(p=p, n=n, u0=lambda r: np.exp(-r**2))
     grid = RadialGrid(n, 10.0, 11)
     return EvolutionRun(spec, ApproxParams(R=10.0, eps=1e-5, m=11), grid,
                         np.asarray(times), np.zeros((len(times), grid.m)),
-                        {"sup_norm": np.asarray(sup)}, np.empty(0))
+                        {"sup_norm": np.asarray(sup)}, np.empty(0),
+                        {"snapshot_time_error": np.broadcast_to(time_error,
+                                                                len(times)).tolist()})
 
 
 def test_fit_recovers_log_model_exactly():
@@ -119,14 +122,34 @@ def test_baseline_tail_needs_two_snapshots():
 def test_sandwich_report_on_exact_model():
     # sigma = 1.2 sits between the lower target 2/(p beta) = 1 and the upper
     # gauge exponent 2 kappa/(np) = 1.9 from delta = 0.9
-    run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2)
+    sup = T**-1.0 * np.log(T) ** 1.2
+    run = synthetic_run(T, sup)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4), be_sup=sup)
     assert verdict.fit.sigma == pytest.approx(1.2, abs=1e-6)
     assert verdict.sigma_window == (0.9, 2.0)
+    assert verdict.sigma_time_term == 0.0 and verdict.time_error_window == 0.0
     assert verdict.upper.passed and verdict.lower.passed and verdict.passed
     doc = verdict.to_json()
     assert doc["pass"] and doc["fit"]["sigma"] == pytest.approx(1.2, abs=1e-6)
+
+
+@pytest.mark.parametrize("be_sigma, passes", [(1.2, True), (1.0, True), (0.8, False),
+                                              (1.5, True), (2.1, False)])
+def test_sandwich_report_fails_closed_on_the_time_term(be_sigma, passes):
+    # sigma = 1.2 in the window [0.9, 2.0]; its time term is |sigma - sigma_BE|,
+    # and sigma plus or minus it must lie in the window too: 0.8 puts the
+    # interval's lower end at 0.8, 2.1 its upper end at 2.1
+    run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2, time_error=np.linspace(0.0, 1.0, T.size))
+    env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 5e3),
+                              be_sup=T**-1.0 * np.log(T) ** be_sigma)
+    assert verdict.sigma_time_term == pytest.approx(abs(1.2 - be_sigma), abs=1e-9)
+    assert verdict.upper.passed and verdict.lower.passed
+    assert verdict.sigma_ok is verdict.passed is passes
+    # the window's time error is that of its last snapshot, below t = 5e3
+    in_window = T <= 5e3
+    assert verdict.time_error_window == np.linspace(0.0, 1.0, T.size)[in_window][-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -155,14 +178,15 @@ def test_rate_model_rejects_nonpositive_delta():
             rate_model(env, 1.0, 1, delta)
     run = synthetic_run(T, T**-1.0 * np.log(T))
     with pytest.raises(InputError, match="delta must be positive"):
-        sandwich_report(run, env, delta=0.0, window=(10.0, None))
+        sandwich_report(run, env, delta=0.0, window=(10.0, None), be_sup=T**-1.0)
 
 
 def test_sandwich_report_flags_out_of_window_exponent():
     # much faster logarithmic growth than the envelope admits
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 3.0)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4))
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4),
+                              be_sup=run.series["sup_norm"])
     assert not verdict.sigma_ok
     assert not verdict.passed
 
