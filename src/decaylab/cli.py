@@ -12,8 +12,12 @@ The ``steady_state`` mode and the certificate share one steady-state path,
 ``_steady_state``, which solves on ``bounds.STEADY_M`` nodes and passes at a
 flux residual within ``bounds.RESIDUAL_TOL``.
 Every run writes a ``manifest.json`` listing each artifact with its sha256;
-outputs are deterministic for a fixed config and build (no wall-clock text,
-fixed iteration orders, fixed float formatting).
+its ``verdict`` is the one record of the run's verdict, which no artifact
+copies (``margins.json`` holds the certificate's own ``pass``, which the
+verdict of a run with ``rate`` too overwrites).  A ``pde_decay`` run's one sup
+series, ``sup_norm.csv``, is also its center value, since the run stays
+radially nonincreasing.  Outputs are deterministic for a fixed config and
+build (no wall-clock text, fixed iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
@@ -60,7 +64,6 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-MODES = ("steady_state", "lfunction_audit", "gn_scan", "pde_decay")
 AUDIT_POINTS = 400  # points of each grid of the lfunction_audit mode
 
 
@@ -161,8 +164,8 @@ def load_config(path: Path) -> dict:
     if not root.read("name", STRING):
         raise ConfigError("name: must be non-empty")
     mode = root.read("mode", STRING)
-    if mode not in MODES:
-        raise ConfigError(f"mode: {mode!r} not one of {MODES}")
+    if mode not in _RUNNERS:
+        raise ConfigError(f"mode: {mode!r} not one of {tuple(_RUNNERS)}")
     return cfg
 
 
@@ -261,8 +264,6 @@ def _problem(cfg: _Section):
 def _observers(names: list):
     obs = {}
     for name in names:
-        if name in ("sup_norm", "center_value"):
-            continue
         if name.startswith("lq:"):
             try:
                 q = float(name[3:])
@@ -272,7 +273,8 @@ def _observers(names: list):
                 raise ConfigError(f"observers: {name!r} needs a positive number after 'lq:'")
             obs[name] = evolution.observer_lq(q)
         else:
-            raise ConfigError(f"observers: unknown observer {name!r}")
+            raise ConfigError(f"observers: unknown observer {name!r} (an observer is "
+                              "'lq:<q>'; sup_norm.csv is always written)")
     return obs
 
 
@@ -297,14 +299,12 @@ def _run_steady_state(cfg: _Section):
 
     def compute(writer: ArtifactWriter) -> dict:
         state, residual, converged = _steady_state(writer, p, n)
-        verdict = {
+        return {
             "center_value": state.center_value,
             "boundary_value": state.boundary_value,
             "flux_residual": residual,
             "pass": converged,
         }
-        writer.write_json("summary.json", verdict)
-        return verdict
     return compute
 
 
@@ -332,10 +332,8 @@ def _run_lfunction_audit(cfg: _Section):
         rep = check_convexity_condition(L, s_grid)
         checks["convexity"] = {"max_violation": rep.max_violation, "worst_s": rep.worst_s,
                                "pass": rep.passed}
-        ok = all(c["pass"] for c in checks.values())
-        verdict = {"L": L.to_json(), "checks": checks, "pass": ok}
-        writer.write_json("audit.json", verdict)
-        return verdict
+        return {"L": L.to_json(), "checks": checks,
+                "pass": all(c["pass"] for c in checks.values())}
     return compute
 
 
@@ -365,7 +363,6 @@ def _run_gn_scan(cfg: _Section):
             writer.write_series_csv(name, columns, [[getattr(row, col) for row in scan.rows]
                                                     for col in columns])
             summary[key] = scan.summary()
-        writer.write_json("summary.json", summary)
         # every member, of the scan and of the probe, within budget (a ratio that
         # is not a positive finite double fails family_scan, by name)
         summary["pass"] = all(row.budget_ok for scan in scans.values() for row in scan.rows)
@@ -436,7 +433,6 @@ def _run_pde_decay(cfg: _Section):
         # the sup series of its backward-Euler pass, which bounds sigma's time error
         be_sup = ladder.members[eps_list[-1], R_list[-1]].max(axis=1)
         verdict = {"pass": True, "ladder": ladder.report(), "time_error": run.stats["time_error"]}
-        writer.write_json("ladder_report.json", verdict["ladder"])
         del ladder  # frees the members' passes, which no other verdict reads
 
         _write_run_series(writer, run)
@@ -444,13 +440,11 @@ def _run_pde_decay(cfg: _Section):
         if rate is not None:
             sandwich = rates.sandwich_report(run, env, delta, window, be_sup)
             verdict["sandwich"] = sandwich.to_json()
-            writer.write_json("sandwich.json", verdict["sandwich"])
             # the baseline and both curves read the snapshots the sandwich judged
             t_grid = run.times[in_window]
-            baseline = rates.baseline_check(t_grid, run.series["center_value"][in_window],
-                                            spec.p)
+            # the run stays radially nonincreasing, so its sup is its center value
+            baseline = rates.baseline_check(t_grid, run.series["sup_norm"][in_window], spec.p)
             verdict["baseline"] = baseline.to_json()
-            writer.write_json("baseline.json", verdict["baseline"])
             curve = rates.lower_bound_curve(env, spec.p, sandwich.lower.C, t_grid)
             writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
             upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)

@@ -143,8 +143,7 @@ class EvolutionRun:
     both passes (retries included) and the extrapolated values raised to eps
     (``clamps``); ``time_error`` is max|half - full| / max|half| over the
     snapshots, and ``snapshot_time_error`` the list of each snapshot's
-    max|half - full| over its own max half; ``accepted``, ``dt_min`` and
-    ``dt_max`` are read off ``dts``.
+    max|half - full| over its own max half.
     """
 
     spec: ProblemSpec
@@ -409,18 +408,16 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
     clamps = int(np.count_nonzero(values < params.eps))
     np.maximum(values, params.eps, out=values)
 
-    grid, dts = full.stepper.grid, full.dts
-    obs: dict = {"sup_norm": lambda prof: float(prof.values.max()),
-                 "center_value": lambda prof: float(prof.values[0])}
+    grid = full.stepper.grid
+    obs: dict = {"sup_norm": lambda prof: float(prof.values.max())}
     if observers:
         obs.update(observers)
     profiles = [RadialProfile(grid, row) for row in values]
     series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
-    stats = {"accepted": dts.size, **full.retries, "solves": full.stepper.solves,
-             "clamps": clamps, "time_error": float(diff_max.max()) / float(half_max.max()),
-             "snapshot_time_error": (diff_max / half_max).tolist(), "dt_min": float(dts.min()),
-             "dt_max": float(dts.max())}
-    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, dts, stats)
+    stats = {**full.retries, "solves": full.stepper.solves, "clamps": clamps,
+             "time_error": float(diff_max.max()) / float(half_max.max()),
+             "snapshot_time_error": (diff_max / half_max).tolist()}
+    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, full.dts, stats)
 
 
 def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
@@ -429,8 +426,8 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
            dt_schedule: Optional[np.ndarray] = None) -> EvolutionRun:
     """March the regularized problem to t_end, recording observers at snapshots.
 
-    ``observers`` maps series names to functions of a RadialProfile; sup-norm
-    and center-value series are always recorded, and so is ``dts``.  When
+    ``observers`` maps series names to functions of a RadialProfile; the
+    sup-norm series is always recorded, and so is ``dts``.  When
     ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim;
     an entry that is not positive and finite fails the run before its first
     step.  The snapshots and series are the Richardson extrapolation

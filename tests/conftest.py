@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -76,3 +78,25 @@ def lift_full_pass(monkeypatch):
 
         monkeypatch.setattr(evolution, "_march", march)
     return lift
+
+
+@pytest.fixture(scope="session")
+def assert_one_record():
+    """``check(out_dir)``: the run in out_dir records each number once.  No two
+    artifacts have the same sha256, and no JSON artifact parses equal to the
+    verdict, which the manifest holds, to the verdict without its ``pass``, or
+    to one of its top-level values."""
+
+    def check(out_dir):
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        verdict = manifest["verdict"]
+        copies = [verdict, {key: val for key, val in verdict.items() if key != "pass"},
+                  *verdict.values()]
+        digests = {}
+        for entry in manifest["artifacts"]:
+            data = (out_dir / entry["path"]).read_bytes()
+            twin = digests.setdefault(hashlib.sha256(data).hexdigest(), entry["path"])
+            assert twin == entry["path"], (twin, entry["path"])
+            if entry["path"].endswith(".json"):
+                assert json.loads(data) not in copies, entry["path"]
+    return check

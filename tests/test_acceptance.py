@@ -293,25 +293,26 @@ def test_criterion_09_rate_sandwich(long_run):
                   f"runtime {elapsed:.0f}s, {solves} solves")
 
 
-def test_sigma_time_error_within_its_budget(tmp_path, monkeypatch):
+def sandwich_of(out_dir: Path) -> dict:
+    """The rate verdict of the run in out_dir, which its manifest records."""
+    return json.loads((out_dir / "manifest.json").read_text())["verdict"]["sandwich"]
+
+
+def test_sigma_time_error_within_its_budget(long_run, tmp_path, monkeypatch):
     # evolution.TOL is chosen from sigma's time error: on the shipped rate
-    # problem, at the benchmark's m = 1001, sigma lies within 5e-4 (a quarter
-    # of the benchmark's 2e-3) of its value at TOL/16, and the verdict's time
-    # term is at least that distance
-    doc = shipped("pde_decay_sandwich")
-    doc["approx"]["m"] = 1001
-    config = tmp_path / "sandwich.json"
-    config.write_text(json.dumps(doc))
-
-    def sandwich(label):
-        assert run_experiment(config, tmp_path / label) == EXIT_PASS, label
-        return json.loads((tmp_path / label / "sandwich.json").read_text())
-
-    judged = sandwich("tol")
+    # problem, at its own m = 4001 (the error grows with m: -2.4e-4 at the
+    # benchmark's m = 1001, -3.2e-4 here), sigma lies within 5e-4 (a quarter
+    # of the benchmark's 2e-3) of its limit in TOL, and the verdict's time
+    # term is at least that distance.  sigma's error is proportional to TOL,
+    # so its distance to sigma at TOL/4 is 3/4 of the error
+    _, _, out_dir = long_run
+    config = CONFIGS / "pde_decay_sandwich.json"
+    judged = sandwich_of(out_dir)
     sigma, term = judged["fit"]["sigma"], judged["sigma_time_term"]
     with monkeypatch.context() as patch:
-        patch.setattr(evolution, "TOL", TOL / 16)
-        error = abs(sigma - sandwich("tol_16")["fit"]["sigma"])
+        patch.setattr(evolution, "TOL", TOL / 4)
+        assert run_experiment(config, tmp_path / "tol_4") == EXIT_PASS
+    error = 4.0 / 3.0 * abs(sigma - sandwich_of(tmp_path / "tol_4")["fit"]["sigma"])
     assert error <= 5e-4 and term >= error, (error, term)
     lo, hi = judged["sigma_window"]
     assert lo <= sigma - term and sigma + term <= hi
@@ -320,7 +321,7 @@ def test_sigma_time_error_within_its_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(rates, "EXPONENT_SLACK", judged["sigma_target"] - sigma + 0.5 * term)
     out = tmp_path / "edge"
     assert run_experiment(config, out) == EXIT_VERDICT
-    moved = json.loads((out / "sandwich.json").read_text())
+    moved = sandwich_of(out)
     assert moved["fit"] == judged["fit"] and moved["sigma_window"][0] < sigma
     assert not moved["sigma_ok"] and moved["upper"]["passed"] and moved["lower"]["passed"]
 
@@ -345,13 +346,26 @@ def test_criterion_10_subsolution_certificate(long_run):
 def test_criterion_11_baseline(long_run):
     run, _, _ = long_run
     _, _, in_window, _ = rate_inputs(run)
-    bl = baseline_check(run.times[in_window], run.series["center_value"][in_window], 1.0)
+    bl = baseline_check(run.times[in_window], run.series["sup_norm"][in_window], 1.0)
     report(11, bl.passed,
-           f"compensated center increasing over final decade: {bl.increasing_tail}; "
+           f"compensated sup increasing over final decade: {bl.increasing_tail}; "
            f"envelope ratio {bl.envelope_worst_ratio:.2f} (headroom {bl.headroom})")
 
 
-def test_shipped_trajectory_manifests_pinned(long_run, ladder):
+def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
+    # every CLI datum is an envelope floor, so it is radially decreasing, and
+    # the judged run keeps it so up to roundoff: each row's maximum is at
+    # r = 0, so the sup series the baseline reads is the run's center value
+    run9, _, _ = long_run
+    ladder_result, _, _ = ladder
+    for run in (run9, ladder_result.proxy):
+        rise = float(np.diff(run.values, axis=1).max())
+        assert rise <= evolution.FLOOR_TOL * run.params.eps, rise
+        assert np.array_equal(run.values[:, 0], run.values.max(axis=1))
+        assert np.array_equal(run.series["sup_norm"], run.values[:, 0])
+
+
+def test_shipped_trajectory_manifests_pinned(long_run, ladder, assert_one_record):
     # the two time-stepping configs give the same bytes as earlier builds: the
     # manifest holds the config, every artifact's sha256 and the verdict, and
     # each artifact on disk matches its listed sha256 (the sandwich's moved
@@ -363,14 +377,17 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
     # relative and the sandwich's upper C and worst_ratio by 4e-16; both moved
     # with every trajectory artifact when evolution.TOL went from 1e-5 to
     # 2.5e-5, and the sandwich's verdict gained sigma_time_term and
-    # time_error_window)
+    # time_error_window; both moved in the artifact list alone when the
+    # manifest came to be the one record of the verdict: center_value.csv and
+    # ladder_report.json went from both, and sandwich.json and baseline.json
+    # from the sandwich's).  Each run records each number once
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "b5daf9291dbb5af2c9c0fd114e287fef"
-                                             "61b2eed71cb234e053a852c7b694550c"),
-        "ladder": (ladder_dir, "28c3f49de53223baf5dd6bf0d4a5f9e9"
-                               "34e26894d709cc42625a41a7a0f1c57f"),
+        "pde_decay_sandwich": (sandwich_dir, "2d85fac02fd7ecdd6ac5da4abc4196d4"
+                                             "41772cbe891a689c3e13d07f8931fa5d"),
+        "ladder": (ladder_dir, "ae30e1d43aec7aeb7a015b3c4e0f5d88"
+                               "9c9b6e419cb0d528a8d12b0daf8505a3"),
     }
     for name, (out_dir, sha) in pinned.items():
         manifest = out_dir / "manifest.json"
@@ -378,6 +395,7 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder):
             digest = hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"], (name, entry["path"])
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == sha, name
+        assert_one_record(out_dir)
 
 
 # criterion 12's deltas: 60 from 1e-2 down to 1e-200, one in each of 60 equal

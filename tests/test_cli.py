@@ -25,6 +25,11 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def verdict_of(out):
+    """The verdict of the run in out, which its manifest alone records."""
+    return read_json(out / "manifest.json")["verdict"]
+
+
 def with_field(doc, dotted, value):
     """A deep copy of doc with the field at the dotted path set to value."""
     doc = json.loads(json.dumps(doc))
@@ -54,12 +59,11 @@ def test_steady_state_mode(tmp_path):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    summary = read_json(out / "summary.json")
+    summary = verdict_of(out)
     assert summary["center_value"] == pytest.approx(0.25, abs=1e-8)
     assert summary["pass"]
     manifest = read_json(out / "manifest.json")
-    assert {e["path"] for e in manifest["artifacts"]} == {"steady_state.csv",
-                                                          "summary.json"}
+    assert {e["path"] for e in manifest["artifacts"]} == {"steady_state.csv"}
     # manifest checksums match the bytes on disk
     for entry in manifest["artifacts"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
@@ -73,7 +77,7 @@ def test_lfunction_audit_mode(tmp_path):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    audit = read_json(out / "audit.json")
+    audit = verdict_of(out)
     assert audit["pass"]
     assert set(audit["checks"]) == {"near_multiplicativity", "ratio_bound",
                                     "convexity"}
@@ -90,7 +94,7 @@ def test_lfunction_audit_judges_a_steep_gauge(tmp_path):
         out = tmp_path / f"run_{kappa:g}"
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(out)]) in (EXIT_PASS, EXIT_VERDICT)
-        checks = read_json(out / "audit.json")["checks"]
+        checks = verdict_of(out)["checks"]
         values = [v for check in checks.values() for v in check.values()
                   if not isinstance(v, bool)]
         assert len(values) == 7 and all(math.isfinite(v) for v in values)
@@ -103,7 +107,7 @@ def test_lfunction_audit_judges_an_overflowing_gauge(tmp_path):
     doc["L"].update(kappa=2000.0, lambda0=0.01)
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
-    checks = read_json(out / "audit.json")["checks"]
+    checks = verdict_of(out)["checks"]
     assert checks["convexity"] == {"max_violation": -1.0, "worst_s": 1e-8, "pass": True}
 
 
@@ -117,7 +121,7 @@ def test_lfunction_audit_judges_a_wide_lambda_range(tmp_path, gauge, lambda0):
     doc = {"name": "audit", "mode": "lfunction_audit", "L": dict(gauge, lambda0=lambda0)}
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
-    checks = read_json(out / "audit.json")["checks"]
+    checks = verdict_of(out)["checks"]
     violations = [checks["near_multiplicativity"]["max_violation"],
                   checks["ratio_bound"]["max_violation"],
                   checks["convexity"]["max_violation"]]
@@ -132,7 +136,7 @@ def test_lfunction_audit_fails_a_power_law(tmp_path, r):
     doc = {"name": "audit", "mode": "lfunction_audit", "L": {"kind": "PowerLaw", "r": r}}
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_VERDICT
-    verdict = read_json(out / "manifest.json")["verdict"]
+    verdict = verdict_of(out)
     assert verdict["pass"] is False and verdict["checks"]["convexity"]["pass"]
     for name in ("near_multiplicativity", "ratio_bound"):
         check = verdict["checks"][name]
@@ -151,7 +155,7 @@ def test_gn_scan_mode(tmp_path):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    summary = read_json(out / "summary.json")
+    summary = verdict_of(out)
     assert summary["scan"]["members"] == 2
     for name in ("scan.csv", "scan_probe.csv"):
         rows = (out / name).read_text().splitlines()
@@ -172,7 +176,7 @@ def test_gn_scan_over_budget_fails(tmp_path):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VERDICT
-    assert read_json(out / "manifest.json")["verdict"]["pass"] is False
+    assert verdict_of(out)["pass"] is False
 
 
 def test_pde_decay_mode_and_determinism(tmp_path):
@@ -180,7 +184,7 @@ def test_pde_decay_mode_and_determinism(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", str(cfg), "--out", str(out1)]) == EXIT_PASS
     assert main(["run", str(cfg), "--out", str(out2)]) == EXIT_PASS
-    for name in ("sup_norm.csv", "center_value.csv", "lq_1.csv", "manifest.json"):
+    for name in ("sup_norm.csv", "lq_1.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     sup = np.loadtxt(out1 / "sup_norm.csv", delimiter=",", skiprows=1)
     assert sup.shape[1] == 2
@@ -233,14 +237,14 @@ def test_pde_decay_ladder_mode(tmp_path, monkeypatch):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    rep = read_json(out / "ladder_report.json")
+    rep = verdict_of(out)["ladder"]
     assert rep["eps_monotonicity_violation"] <= 1e-8
     assert rep["R_monotonicity_violation"] <= 1e-8
     # the verdict's time error is the judged proxy's, the (min eps, max R) member
     (ladder,) = ladders
     proxy = ladder.proxy
     assert (proxy.params.eps, proxy.params.R) == (1e-3, 20.0)
-    verdict = read_json(out / "manifest.json")["verdict"]
+    verdict = verdict_of(out)
     assert verdict["time_error"] == proxy.stats["time_error"] > 0.0
 
 
@@ -288,7 +292,7 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
         verdict[label] = manifest["verdict"]
         shas[label] = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
     assert shas["both"] == {**shas["rate"], **shas["cert"]}
-    assert {"sandwich.json", "margins.json", "steady_state.csv"} <= set(shas["both"])
+    assert {"lower_curve.csv", "margins.json", "steady_state.csv"} <= set(shas["both"])
     assert verdict["both"] == {**verdict["rate"], **verdict["cert"],
                                "pass": verdict["rate"]["pass"] and verdict["cert"]["pass"]}
     # on this short horizon the baseline check fails and the certificate
@@ -307,7 +311,7 @@ def test_rate_curves_span_the_window(tmp_path):
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_PASS,
                                                                                  EXIT_VERDICT)
-    fit = read_json(out / "sandwich.json")["fit"]
+    fit = verdict_of(out)["sandwich"]["fit"]
     assert fit["t_window"][1] < 600.0
     for name in ("lower_curve.csv", "upper_curve.csv"):
         t = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
@@ -455,9 +459,14 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     typo = {k: v for k, v in certified.items() if k != "certificate"}
     typo["certificat"] = certified["certificate"]
     # the unchecked descent observer is gone: its name is an unknown observer,
-    # and its exponent an unknown field
-    lyapunov = dict(TINY_DECAY, observers=["lyapunov"])
-    removed_observer = [lyapunov, dict(TINY_DECAY, lyapunov_q=-1.0)]
+    # and its exponent an unknown field; so are the names of the sup series,
+    # which every run writes, and of the center series, which no run writes
+    removed_observer = [
+        *((f"observers: unknown observer {name!r} (an observer is 'lq:<q>'; sup_norm.csv "
+           "is always written)", dict(TINY_DECAY, observers=[name]))
+          for name in ("lyapunov", "sup_norm", "center_value")),
+        ("lyapunov_q: unknown field", dict(TINY_DECAY, lyapunov_q=-1.0)),
+    ]
     # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
     # their section or field
     scan_errors = [
@@ -488,19 +497,19 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
-                   + config_before_probe + scan_errors]
-                + removed_observer + [removed_mode, typo]):
+                   + config_before_probe + scan_errors + removed_observer]
+                + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
     assert not (tmp_path / "run").exists()
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
-        *config_before_probe, *scan_errors,
+        *config_before_probe, *scan_errors, *removed_observer,
+        ("mode: 'unknown' not one of ('steady_state', 'lfunction_audit', 'gn_scan', "
+         "'pde_decay')", bad[1]),
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
         ("L: unknown field", removed_fields[-1]),
-        ("observers: unknown observer 'lyapunov'", removed_observer[0]),
-        ("lyapunov_q: unknown field", removed_observer[1]),
     ]:
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
@@ -745,9 +754,8 @@ def test_non_finite_verdict_exit_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert "verdict.checks.near_multiplicativity.max_violation" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-    # nor any artifact: they are written only with the manifest
-    assert not (out / "audit.json").exists()
+    # nor is the run directory created: it is made only with the manifest
+    assert not out.exists()
 
 
 def test_steady_state_overflowing_shot_is_a_death(tmp_path, monkeypatch):
@@ -760,7 +768,7 @@ def test_steady_state_overflowing_shot_is_a_death(tmp_path, monkeypatch):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VERDICT
-    summary = read_json(out / "summary.json")
+    summary = verdict_of(out)
     assert not summary["pass"] and summary["flux_residual"] > 1e-8
     assert 0.0 <= summary["boundary_value"] < 1e-9
 
@@ -779,7 +787,7 @@ def test_certificate_fails_an_unconverged_steady_state(tmp_path, monkeypatch, p,
                certificate={}, observers=[])
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_VERDICT
-    verdict = read_json(out / "manifest.json")["verdict"]
+    verdict = verdict_of(out)
     assert verdict["steady_flux_residual"] == residual > bounds.RESIDUAL_TOL
     assert all(row["min_margin"] >= 0.0 for row in verdict["margins"])
     assert not verdict["pass"]
@@ -794,7 +802,7 @@ def test_steady_state_p_1_5_exit_0(tmp_path, monkeypatch):
     })
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    summary = read_json(out / "summary.json")
+    summary = verdict_of(out)
     assert summary["pass"] and summary["flux_residual"] < 1e-8
 
 
@@ -826,25 +834,22 @@ def test_report_checks_sha256(tmp_path, monkeypatch):
                                   "problem": {"p": 1.0, "n": 1}})
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    summary = out / "summary.json"
-    summary.write_text(summary.read_text().replace('"pass": true', '"pass": false'))
     rows = (out / "steady_state.csv").read_text().splitlines()
     r, w = rows[50].split(",")
     rows[50] = f"{r},{float(w) * 2.0!r}"
     (out / "steady_state.csv").write_text("\n".join(rows) + "\n")
     assert main(["report", str(out)]) == EXIT_PASS
-    text = (out / "summary.md").read_text()
-    assert "- summary.json: CORRUPT" in text
-    assert "- steady_state.csv: CORRUPT" in text
-    (out / "summary.json").unlink()
+    assert "- steady_state.csv: CORRUPT" in (out / "summary.md").read_text()
+    (out / "steady_state.csv").unlink()
     assert main(["report", str(out)]) == EXIT_PASS
-    assert "- summary.json: MISSING" in (out / "summary.md").read_text()
+    assert "- steady_state.csv: MISSING" in (out / "summary.md").read_text()
 
 
 def test_report_flags_files_the_manifest_does_not_list(tmp_path, monkeypatch):
     # a second run into the same directory leaves the first run's files
-    # beside the new manifest: report lists each as EXTRA, and leaves out
-    # the manifest and its own two outputs, also on a second report
+    # beside the new manifest, and so does a copy of the verdict that an older
+    # build wrote: report lists each as EXTRA, and leaves out the manifest and
+    # its own two outputs, also on a second report
     monkeypatch.setattr(bounds, "STEADY_M", 101)
     out = tmp_path / "run"
     steady = {"name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 1}}
@@ -853,10 +858,10 @@ def test_report_flags_files_the_manifest_does_not_list(tmp_path, monkeypatch):
     for doc in (steady, audit):
         assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
     (out / "notes").mkdir()  # a directory is no artifact of any run
+    (out / "summary.json").write_text(json.dumps(verdict_of(out)))
     for _ in range(2):
         assert main(["report", str(out)]) == EXIT_PASS
         text = (out / "summary.md").read_text()
-        assert "- `audit.json` (ok)" in text
         problems = text.split("## problems\n", 1)[1].splitlines()
         assert problems == ["- steady_state.csv: EXTRA", "- summary.json: EXTRA"]
 
@@ -948,7 +953,7 @@ def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
     assert not (tmp_path / "run").exists()
 
 
-def test_static_manifests_pinned(tmp_path):
+def test_static_manifests_pinned(tmp_path, assert_one_record):
     # the three configs that do no time stepping give pinned manifest bytes:
     # an automated part of the "manifests unchanged" oracle of a refactor
     # (lfunction_audit moved once, when the convexity check took s L''/L' in
@@ -959,19 +964,23 @@ def test_static_manifests_pinned(tmp_path):
     # and 2.5e-7 relative, whose nodes with 0 < phi < 1e-300 no longer read
     # L = 0, and five ratios by at most 2.2e-16 relative; lfunction_audit moved
     # when its convexity key came to hold the one condition, d/ds (s L') >= 0:
-    # max_violation and worst_s, the violation's bits unchanged)
+    # max_violation and worst_s, the violation's bits unchanged; all three
+    # moved in the artifact list alone when the manifest came to be the one
+    # record of the verdict: summary.json left steady_state and gn_scan, and
+    # audit.json left lfunction_audit)
     pinned = {
-        "steady_state": "9445a165522b49b606aeedc17b985e52b9fbdde11f3e94dad8e343b141312347",
-        "lfunction_audit": "666ca8c6e033795ba0b8ca73b26f0fe5323c1e93943fb9539aef678f2c27aebb",
-        "gn_scan": "34993932da88859de93f491ae8731340fbf0c134afb56e0fc2ccf890d7b001f8",
+        "steady_state": "7378733c5bd4a6edcac9a11c24c16d0b7647fb6138e06747a4610aceb68f6c5e",
+        "lfunction_audit": "6adfddff59954ac34bd5149467ca1b762f6af512956b893c13c4b3b6b07687aa",
+        "gn_scan": "c30fdf60df425f89dd3388f85e36db8fbde6733bc7df5fe0e2e5d25976f1bf81",
     }
     for name, sha in pinned.items():
         out = tmp_path / name
         assert run_experiment(CONFIGS / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
+        assert_one_record(out)
     # the three narrowest members of the scan, and of the probe, have a
     # truncation tail the grid does not resolve
-    verdict = read_json(tmp_path / "gn_scan" / "manifest.json")["verdict"]
+    verdict = verdict_of(tmp_path / "gn_scan")
     for scan in ("scan", "probe"):
         flagged = verdict[scan]["tail_flagged"]
         assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"], scan
@@ -985,17 +994,16 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # are pinned, not the manifest, which echoes the config (upper_curve.csv
     # moved by at most 5.6e-16 relative when L came to be evaluated from ln s;
     # every trajectory artifact, margins.json and the verdict moved when
-    # evolution.TOL went from 1e-5 to 2.5e-5, and sandwich.json then gained
-    # sigma_time_term and time_error_window)
+    # evolution.TOL went from 1e-5 to 2.5e-5, and the sandwich then gained
+    # sigma_time_term and time_error_window; baseline.json, ladder_report.json
+    # and sandwich.json, copies of the verdict's keys, and center_value.csv,
+    # a copy of sup_norm.csv, went, and every other artifact kept its bytes)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                   for path in out.iterdir() if path.name != "manifest.json")
     assert shas == [
-        ("baseline.json", "64aeec23d9718dccae8d9c2ae6aedba703f2123710603fe9cfa8b6b5ee8df2c2"),
-        ("center_value.csv", "9384d145745279262efcef091499766b8c84010a83923690aa09b7ccf97c4fe1"),
-        ("ladder_report.json", "11d08fa48d6a4b0010b272b2eb7949c74b6843cfd145bc0d02ee7ff22e4737c0"),
         ("lower_curve.csv", "515b45032535a88f8427ac4b57ad9577259a809f52b6d004d5dede5d3340d08f"),
         ("lq_1.csv", "fd30c0c8f7764c6b81d634e08a367bba31dd05d1d1579c775ecd39ba084762d7"),
         ("margins.json", "fa0e51077d0a73689770ba7b59eac9039fbdb4a82d0eff9eed673b024ff047ee"),
@@ -1008,12 +1016,11 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         ("profile_t50.csv", "c0058178ba1c4f5f404e36749ec59bdb859ff5ba688d2de6fcebd9a74483b7e9"),
         ("profile_t500.csv", "125f71025651fcf6d9546e58f8a54ffc4630af658a0e30bdd5642269f24a60e2"),
         ("profile_t8.8914.csv", "b0e66cb67cc1406e4311093843711849fba978037a3e3be385dc7c8a2e9a5fb0"),
-        ("sandwich.json", "97c16d0e4f25f87ca91d5cdb224c7d9309d88fa5e5913ffeb6a67fcfaddda978"),
         ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
         ("sup_norm.csv", "9384d145745279262efcef091499766b8c84010a83923690aa09b7ccf97c4fe1"),
         ("upper_curve.csv", "5223f9796c96ab91b91994c8952092e61e2f881963edb82d0fc67788da054c21"),
     ]
-    verdict = read_json(out / "manifest.json")["verdict"]
+    verdict = verdict_of(out)
     assert verdict.pop("ladder") == {
         "members": [{"eps": 1e-4, "R": 12.0}],
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,

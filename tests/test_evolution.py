@@ -230,7 +230,7 @@ def test_evolve_records_snapshots_and_series():
     run = evolve(spec, params, 2.0, snaps, observers={"lq1": observer_lq(1.0)})
     np.testing.assert_allclose(run.times, snaps)
     assert run.values.shape == (4, params.m)
-    assert set(run.series) == {"sup_norm", "center_value", "lq1"}
+    assert set(run.series) == {"sup_norm", "lq1"}
     assert np.all(np.diff(run.series["sup_norm"]) <= 0)
 
 
@@ -238,18 +238,15 @@ def test_step_stats_count_recorded_and_replayed_steps():
     spec = gaussian_spec()
     params = ApproxParams(R=10.0, eps=1e-3, m=251)
     lead = evolve(spec, params, 2.0, [0.0, 1.0, 2.0])
-    assert lead.stats["accepted"] == len(lead.dts)
-    assert lead.stats["dt_min"] == lead.dts.min()
-    assert lead.stats["dt_max"] == lead.dts.max()
+    assert 0.0 < lead.dts.min() <= lead.dts.max() <= 2.0
     replay = evolve(spec, params, 2.0, [0.0, 1.0, 2.0], dt_schedule=lead.dts)
-    assert replay.stats["accepted"] == len(lead.dts)
     assert replay.stats["rejected"] == 0 and replay.stats["halvings"] == 0
     # a replay reproduces its run bit for bit, and records the same steps
     assert np.array_equal(replay.values, lead.values)
     assert np.array_equal(replay.dts, lead.dts)
     # every attempt of the full pass is one solve, and the halved pass takes two a step
     stats = lead.stats
-    assert stats["solves"] == 3 * stats["accepted"] + stats["rejected"] + stats["halvings"]
+    assert stats["solves"] == 3 * len(lead.dts) + stats["rejected"] + stats["halvings"]
     assert replay.stats["solves"] == 3 * len(lead.dts)
     assert 0.0 < stats["time_error"] < 1e-3
 
