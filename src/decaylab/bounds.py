@@ -281,56 +281,39 @@ def solve_steady_state(p: float, n: int, grid_m: int = STEADY_M) -> SteadyState:
         stalled = len(widths) > 6 and widths[-1] > 0.5 * widths[-7]
     wb, ws, vs = _integrate_shot(hi, p, n, grid_m, record=True)
     r_nodes = np.linspace(0.0, 1.0, grid_m)
-    ws[-1] = max(ws[-1], 0.0)
     return SteadyState(p=float(p), n=int(n), r_nodes=r_nodes, w=ws, derivative=vs,
                        center_value=float(ws[0]), boundary_value=float(wb))
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_{x[0]}^{x[k]} y for every k, by Simpson's rule on unequal intervals.
-
-    Each interval's integral is eqn (8) of Cartwright (J. Math. Sci. Math.
-    Educ. 12(2), 2017) on the interval and the next two nodes, and the last
-    interval's on the two nodes before it; with fewer than 3 nodes it is the
-    trapezoid.  The numpy operations and their order are those of
-    scipy.integrate.cumulative_simpson(y, x=x, initial=0.0), so the result
-    has its bits (tests compare the two); the module needs no scipy import.
-    """
-    dx = np.diff(x)
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """The integral of y from its first node to each node x_k, nodes spaced h,
+    by Simpson's rule: h/12 (5, 8, -1) on the interval's nodes and the next
+    for the intervals 0, 2, 4, ..., and h/12 (-1, 8, 5) on the node before
+    and the interval's for the others and the last, as scipy's
+    cumulative_simpson; the trapezoid with fewer than 3 nodes."""
     if y.size < 3:
-        sub = dx * (y[1:] + y[:-1]) / 2.0
+        sub = h * (y[1:] + y[:-1]) / 2.0
     else:
-        def forward(f, h):
-            # the integral over [x_i, x_i+1] from the nodes i, i+1 and i+2
-            x21, x32 = h[:-1], h[1:]
-            x21_x31 = x21 / (x21 + x32)
-            x21x21_x31x32 = x21_x31 * (x21 / x32)
-            return x21 / 6 * ((3 - x21_x31) * f[:-2]
-                              + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
-                              + (-x21x21_x31x32) * f[2:])
-
-        ahead = forward(y, dx)
-        behind = forward(y[::-1], dx[::-1])[::-1]
-        sub = np.empty(dx.size)
+        ahead = h / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])    # [x_i, x_i+1]
+        behind = h / 12.0 * (-y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:])  # [x_i+1, x_i+2]
+        sub = np.empty(y.size - 1)
         sub[:-1:2] = ahead[::2]
         sub[1::2] = behind[::2]
         sub[-1] = behind[-1]
-    # + 0.0 turns a -0.0 sum into 0.0, as adding scipy's initial value does
-    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+    return np.concatenate(([0.0], np.cumsum(sub)))
 
 
 def steady_state_residual(state: SteadyState) -> float:
     """Max flux-form residual | r^{n-1} w' + (1/p) int_0^r s^{n-1} w^{1-p} ds |.
 
     Evaluated on nodes with r <= RESIDUAL_R_CAP, away from the boundary layer
-    of p > 1.  Cumulative Simpson keeps the quadrature error at the
-    level of the integrator's own global error; ``_cumulative_simpson``
-    gives scipy's bits without importing scipy.integrate.
+    of p > 1.  Cumulative Simpson on the grid's spacing keeps the quadrature
+    error at the level of the integrator's own global error.
     """
     r, w, v = state.r_nodes, state.w, state.derivative
     mask = r <= RESIDUAL_R_CAP
     src = r[mask] ** (state.n - 1) * w[mask] ** (1.0 - state.p) / state.p
-    integral = _cumulative_simpson(src, r[mask])
+    integral = _cumulative_simpson(src, 1.0 / (r.size - 1))    # r = linspace(0, 1, m)
     flux = r[mask] ** (state.n - 1) * v[mask]
     return float(np.max(np.abs(flux + integral)))
 
@@ -397,17 +380,8 @@ class DecayEnvelope:
         return float(out) if np.isscalar(sigma) or sig.ndim == 0 else out
 
     def floor(self, r):
-        """Pointwise lower bound exp(-Lambda(r)) for the initial datum.
-
-        Evaluates c0 * exp(-alpha r^beta) or c0 * exp(-alpha exp(beta r^gamma))
-        in that operation order rather than exp(-Lambda(r)): the two differ in
-        the last bits when c0 != 1, and this function is also the CLI's initial
-        datum and the GN family template.
-        """
-        r = np.asarray(r, dtype=float)
-        if self.kind == "StretchedExp":
-            return self.c0 * np.exp(-self.alpha * r ** self.beta)
-        return self.c0 * np.exp(-self.alpha * np.exp(self.beta * r ** self.gamma))
+        """exp(-Lambda(r)): the datum's lower bound, the CLI's datum, the GN template."""
+        return np.exp(-self.lam(r))
 
 
 def lower_c1(p: float) -> float:
@@ -510,9 +484,7 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
     checked = taus <= spec.tau0 * (1.0 + 1e-12)
     if not checked[run.times > 0.0].any():  # the datum alone checks nothing of the run
         raise InputError("no snapshots with t > 0 at or before tau0")
-    # y(tau) one scalar at a time: numpy's array power can differ from the
-    # scalar one in the last bit, and the margins are written to artifacts
-    y = np.array([logistic_exact(tau, spec.delta, spec.p) for tau in taus[checked]])
+    y = logistic_exact(taus[checked], spec.delta, spec.p)
     margins = z[checked] - y[:, None] * w_vals
     return SubsolutionReport(float(margins.min()), initial_margin,
                              float(margins[-1, 0]), int(checked.sum()),

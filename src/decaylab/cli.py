@@ -262,7 +262,7 @@ def _problem(cfg: _Section):
 
 
 def _observers(names: list):
-    obs = {}
+    by_q = {}       # q -> the entry that asks for it; each series is written once
     for name in names:
         if name.startswith("lq:"):
             try:
@@ -271,11 +271,13 @@ def _observers(names: list):
                 q = math.nan
             if not 0.0 < q < math.inf:
                 raise ConfigError(f"observers: {name!r} needs a positive number after 'lq:'")
-            obs[name] = evolution.observer_lq(q)
+            if q in by_q:
+                raise ConfigError(f"observers: {by_q[q]!r} and {name!r} name one q = {q:g}")
+            by_q[q] = name
         else:
             raise ConfigError(f"observers: unknown observer {name!r} (an observer is "
                               "'lq:<q>'; sup_norm.csv is always written)")
-    return obs
+    return {name: evolution.observer_lq(q) for q, name in by_q.items()}
 
 
 def _steady_state(writer: ArtifactWriter, p: float, n: int):

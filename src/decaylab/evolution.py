@@ -409,11 +409,10 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
     np.maximum(values, params.eps, out=values)
 
     grid = full.stepper.grid
-    obs: dict = {"sup_norm": lambda prof: float(prof.values.max())}
-    if observers:
-        obs.update(observers)
     profiles = [RadialProfile(grid, row) for row in values]
-    series = {name: np.array([fn(prof) for prof in profiles]) for name, fn in obs.items()}
+    series = {"sup_norm": values.max(axis=1)}
+    for name, fn in (observers or {}).items():
+        series[name] = np.array([fn(prof) for prof in profiles])
     stats = {**full.retries, "solves": full.stepper.solves, "clamps": clamps,
              "time_error": float(diff_max.max()) / float(half_max.max()),
              "snapshot_time_error": (diff_max / half_max).tolist()}

@@ -131,13 +131,9 @@ def lq_quasinorm(profile: RadialProfile, q: float) -> float:
 
 
 def radial_derivative(profile: RadialProfile) -> np.ndarray:
-    """Centered differences; phi'(0) = 0 by symmetry, one-sided at r = R."""
-    u = profile.values
-    h = profile.grid.h
-    d = np.empty_like(u)
+    """phi' by second-order differences (np.gradient); phi'(0) = 0 by symmetry."""
+    d = np.gradient(profile.values, profile.grid.h, edge_order=2)
     d[0] = 0.0
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    d[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     return d
 
 

@@ -5,7 +5,8 @@ two costly ones are the shipped configs themselves, run through the CLI:
 ``pde_decay_sandwich.json`` gives the long two-sided-rate run (criterion 9),
 which also serves the subsolution certificate (10), the baseline (11) and the
 sup-from-Lq sweep (7), and ``ladder.json`` gives the ladder (5).  So a change
-to either config is judged here, and the manifests of both runs are pinned.
+to either config is judged here, and the manifests of both runs, and of a
+run of ``lower_bound.json``, are pinned.
 """
 
 import hashlib
@@ -365,31 +366,42 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
         assert np.array_equal(run.series["sup_norm"], run.values[:, 0])
 
 
-def test_shipped_trajectory_manifests_pinned(long_run, ladder, assert_one_record):
-    # the two time-stepping configs give the same bytes as earlier builds: the
+# sha256 of manifest.json of each shipped config that evolves in time (the
+# others are test_cli.STATIC_MANIFESTS).  The sandwich's moved twice: when its
+# single run became a one-member ladder, the config's approx, the verdict's
+# ladder key and ladder_report.json were new, and every other artifact kept its
+# bytes; when its gauge came to be derived from the envelope and delta, only
+# the config echo lost its L; when L came to be evaluated from ln s,
+# upper_curve.csv moved by at most 1.1e-15 relative and the sandwich's upper C
+# and worst_ratio by 4e-16; both it and ladder moved with every trajectory
+# artifact when evolution.TOL went from 1e-5 to 2.5e-5, and the sandwich's
+# verdict gained sigma_time_term and time_error_window; both moved in the
+# artifact list alone when the manifest came to be the one record of the
+# verdict: center_value.csv and ladder_report.json went from both, and
+# sandwich.json and baseline.json from the sandwich's.  When the envelope floor
+# came to be exp(-Lambda), ladder's datum (c0 = 2) moved by 2.2e-16 relative,
+# its snapshots and sup_norm.csv by at most 3.8e-14, its eps Cauchy
+# differences by 2.2e-11 and its time_error by 1.6e-11 relative; when the flux
+# residual came to be Simpson's rule on the grid's spacing, lower_bound's
+# steady_flux_residual went from 7.7e-14 to 0.0
+TRAJECTORY_MANIFESTS = {
+    "pde_decay_sandwich": "2d85fac02fd7ecdd6ac5da4abc4196d441772cbe891a689c3e13d07f8931fa5d",
+    "ladder": "5e2cf07400248a6602423381e751aef18ae7261400aeea1372f595954691af38",
+    "lower_bound": "758afecd64116294d45a81f260c79b5cce579c4db043d6492c55b9e5bf833567",
+}
+
+
+def test_shipped_trajectory_manifests_pinned(long_run, ladder, tmp_path, assert_one_record):
+    # the time-stepping configs give the same bytes as earlier builds: the
     # manifest holds the config, every artifact's sha256 and the verdict, and
-    # each artifact on disk matches its listed sha256 (the sandwich's moved
-    # twice: when its single run became a one-member ladder, the config's
-    # approx, the verdict's ladder key and ladder_report.json were new, and
-    # every other artifact kept its bytes; when its gauge came to be derived
-    # from the envelope and delta, only the config echo lost its L; when L
-    # came to be evaluated from ln s, upper_curve.csv moved by at most 1.1e-15
-    # relative and the sandwich's upper C and worst_ratio by 4e-16; both moved
-    # with every trajectory artifact when evolution.TOL went from 1e-5 to
-    # 2.5e-5, and the sandwich's verdict gained sigma_time_term and
-    # time_error_window; both moved in the artifact list alone when the
-    # manifest came to be the one record of the verdict: center_value.csv and
-    # ladder_report.json went from both, and sandwich.json and baseline.json
-    # from the sandwich's).  Each run records each number once
+    # each artifact on disk matches its listed sha256.  Each run records each
+    # number once
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
-    pinned = {
-        "pde_decay_sandwich": (sandwich_dir, "2d85fac02fd7ecdd6ac5da4abc4196d4"
-                                             "41772cbe891a689c3e13d07f8931fa5d"),
-        "ladder": (ladder_dir, "ae30e1d43aec7aeb7a015b3c4e0f5d88"
-                               "9c9b6e419cb0d528a8d12b0daf8505a3"),
-    }
-    for name, (out_dir, sha) in pinned.items():
+    out_dirs = {"pde_decay_sandwich": sandwich_dir, "ladder": ladder_dir,
+                "lower_bound": run_shipped("lower_bound", tmp_path)[2]}
+    for name, sha in TRAJECTORY_MANIFESTS.items():
+        out_dir = out_dirs[name]
         manifest = out_dir / "manifest.json"
         for entry in json.loads(manifest.read_text())["artifacts"]:
             digest = hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()

@@ -11,6 +11,7 @@ from decaylab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_VERDICT, ma
                           run_experiment)
 from decaylab.errors import InputError, NumericError
 from decaylab.steepness import HypothesisReport
+from test_acceptance import TRAJECTORY_MANIFESTS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -467,6 +468,10 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
           for name in ("lyapunov", "sup_norm", "center_value")),
         ("lyapunov_q: unknown field", dict(TINY_DECAY, lyapunov_q=-1.0)),
     ]
+    # one q under two names would write its series twice, and under one name
+    # would drop an entry without a word
+    repeated_q = [(f"observers: 'lq:1' and {name!r} name one q = 1",
+                   dict(TINY_DECAY, observers=["lq:1", name])) for name in ("lq:1.0", "lq:1")]
     # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
     # their section or field
     scan_errors = [
@@ -497,7 +502,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
-                   + config_before_probe + scan_errors + removed_observer]
+                   + config_before_probe + scan_errors + removed_observer + repeated_q]
                 + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -505,7 +510,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
-        *config_before_probe, *scan_errors, *removed_observer,
+        *config_before_probe, *scan_errors, *removed_observer, *repeated_q,
         ("mode: 'unknown' not one of ('steady_state', 'lfunction_audit', 'gn_scan', "
          "'pde_decay')", bad[1]),
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
@@ -773,9 +778,9 @@ def test_steady_state_overflowing_shot_is_a_death(tmp_path, monkeypatch):
     assert 0.0 <= summary["boundary_value"] < 1e-9
 
 
-@pytest.mark.parametrize("p, steady_m, residual", [(4.0, 11, 0.05391703554375349),
-                                                    (4.0, 21, 0.005088367004328687),
-                                                    (2.0, 11, 0.00755769680952989)])
+@pytest.mark.parametrize("p, steady_m, residual", [(4.0, 11, 0.05391703554375371),
+                                                    (4.0, 21, 0.005088367004328909),
+                                                    (2.0, 11, 0.007557696809529668)])
 def test_certificate_fails_an_unconverged_steady_state(tmp_path, monkeypatch, p, steady_m,
                                                          residual):
     # the subsolutions hold on this run, but their steady state is too coarse
@@ -953,27 +958,36 @@ def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
     assert not (tmp_path / "run").exists()
 
 
+# sha256 of manifest.json of each shipped config that does no time stepping
+# (the others are test_acceptance.TRAJECTORY_MANIFESTS): an automated part of
+# the "manifests unchanged" oracle of a refactor.  lfunction_audit moved once,
+# when the convexity check took s L''/L' in closed form; both it and
+# steady_state moved once more, when their configs lost the settings that
+# became constants, in the config echo alone; lfunction_audit and gn_scan
+# moved when L came to be evaluated from ln s: the audit's max_violation by
+# 8.9e-16, two scan budgets by 6.5e-7 and 2.5e-7 relative, whose nodes with
+# 0 < phi < 1e-300 no longer read L = 0, and five ratios by at most 2.2e-16
+# relative; lfunction_audit moved when its convexity key came to hold the one
+# condition, d/ds (s L') >= 0: max_violation and worst_s, the violation's bits
+# unchanged; all three moved in the artifact list alone when the manifest came
+# to be the one record of the verdict: summary.json left steady_state and
+# gn_scan, and audit.json left lfunction_audit; steady_state moved when the
+# flux residual came to be Simpson's rule on the grid's spacing: its
+# flux_residual from 3.6527e-14 to 3.6415e-14
+STATIC_MANIFESTS = {
+    "steady_state": "7cd18b45548488369c04ee412976bebb368a5671c0df410dcc1168987455ad31",
+    "lfunction_audit": "6adfddff59954ac34bd5149467ca1b762f6af512956b893c13c4b3b6b07687aa",
+    "gn_scan": "c30fdf60df425f89dd3388f85e36db8fbde6733bc7df5fe0e2e5d25976f1bf81",
+}
+
+
+def test_every_shipped_config_has_one_manifest_pin():
+    pins = [*STATIC_MANIFESTS, *TRAJECTORY_MANIFESTS]
+    assert sorted(pins) == sorted(path.stem for path in CONFIGS.glob("*.json"))
+
+
 def test_static_manifests_pinned(tmp_path, assert_one_record):
-    # the three configs that do no time stepping give pinned manifest bytes:
-    # an automated part of the "manifests unchanged" oracle of a refactor
-    # (lfunction_audit moved once, when the convexity check took s L''/L' in
-    # closed form; both it and steady_state moved once more, when their
-    # configs lost the settings that became constants, in the config echo
-    # alone; lfunction_audit and gn_scan moved when L came to be evaluated from
-    # ln s: the audit's max_violation by 8.9e-16, two scan budgets by 6.5e-7
-    # and 2.5e-7 relative, whose nodes with 0 < phi < 1e-300 no longer read
-    # L = 0, and five ratios by at most 2.2e-16 relative; lfunction_audit moved
-    # when its convexity key came to hold the one condition, d/ds (s L') >= 0:
-    # max_violation and worst_s, the violation's bits unchanged; all three
-    # moved in the artifact list alone when the manifest came to be the one
-    # record of the verdict: summary.json left steady_state and gn_scan, and
-    # audit.json left lfunction_audit)
-    pinned = {
-        "steady_state": "7378733c5bd4a6edcac9a11c24c16d0b7647fb6138e06747a4610aceb68f6c5e",
-        "lfunction_audit": "6adfddff59954ac34bd5149467ca1b762f6af512956b893c13c4b3b6b07687aa",
-        "gn_scan": "c30fdf60df425f89dd3388f85e36db8fbde6733bc7df5fe0e2e5d25976f1bf81",
-    }
-    for name, sha in pinned.items():
+    for name, sha in STATIC_MANIFESTS.items():
         out = tmp_path / name
         assert run_experiment(CONFIGS / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
@@ -997,7 +1011,10 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # evolution.TOL went from 1e-5 to 2.5e-5, and the sandwich then gained
     # sigma_time_term and time_error_window; baseline.json, ladder_report.json
     # and sandwich.json, copies of the verdict's keys, and center_value.csv,
-    # a copy of sup_norm.csv, went, and every other artifact kept its bytes)
+    # a copy of sup_norm.csv, went, and every other artifact kept its bytes;
+    # margins.json and the verdict moved when the flux residual came to be
+    # Simpson's rule on the grid's spacing: steady_flux_residual from 6.7e-16
+    # to 0.0)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
@@ -1006,7 +1023,7 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     assert shas == [
         ("lower_curve.csv", "515b45032535a88f8427ac4b57ad9577259a809f52b6d004d5dede5d3340d08f"),
         ("lq_1.csv", "fd30c0c8f7764c6b81d634e08a367bba31dd05d1d1579c775ecd39ba084762d7"),
-        ("margins.json", "fa0e51077d0a73689770ba7b59eac9039fbdb4a82d0eff9eed673b024ff047ee"),
+        ("margins.json", "17a4a0bd4bf402e1c82433d6835c6ea931aead35a2770efb6ca16d4c6c6bd0f4"),
         ("profile_t0.5.csv", "f6008927740186a1836cf5a0ac5a36bdebd8b68974066f354ab146ce08078124"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
         ("profile_t1.58114.csv", "5b407a0c2f1b7ddd40dd33f4112b6f256bca3a9c00f6d03aca7cfea1400f82f1"),
@@ -1026,4 +1043,4 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
         "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "cba7cd09088bea39276f54545e836386d147f59badcf7e2e70c016519c3928f4"
+    assert digest == "a117c56f0417e8292ccaee804da2e91c1ca06acbaf0fcba948293fbfc9b18246"

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
-from decaylab import evolution
+from decaylab import bounds, evolution
 from decaylab.errors import InputError, LadderError, SchemeError
 from decaylab.evolution import (DT_INIT, FLOOR_TOL, MAX_REJECTIONS, TOL, ApproxParams,
                                 ProblemSpec,
                                 evolve, linfty_from_lq_check, lyapunov_series,
                                 minimal_solution_ladder, observer_lq,
                                 semiconvexity_check)
-from decaylab.radial import RadialGrid, RadialProfile, lq_quasinorm
+from decaylab.radial import RadialGrid, RadialProfile, laplacian_stencil, lq_quasinorm
 from decaylab.rates import RATIO_SLACK
 from decaylab.steepness import SteepnessFunction
 
@@ -221,6 +221,61 @@ def test_exact_separable_solution_at_p_1(n):
     exact = q / (snaps[:, None] + 1.0) + eps
     for vals in (full, half, 2.0 * half - full):
         assert np.max(np.abs(vals - exact) / exact) <= 1e-12
+
+
+def discrete_steady_state(p, m):
+    """W on m nodes of [0, 1] in n = 1 with -Lap_h W = W^(1-p)/p at every node
+    but the last and W(1) = 0: Newton on the stencil, from the shooting solution."""
+    grid = RadialGrid(1, 1.0, m)
+    center, inv_h2, lower, upper = laplacian_stencil(grid)
+    w = bounds.solve_steady_state(p, 1, m).w[:-1].copy()
+    for _ in range(20):
+        wb = np.append(w, 0.0)
+        lap = np.empty_like(w)
+        lap[0] = center * (wb[1] - wb[0])
+        lap[1:] = lower * wb[:-2] - 2.0 * inv_h2 * wb[1:-1] + upper * wb[2:]
+        # the Jacobian of -Lap_h W - W^(1-p)/p in banded form
+        bands = np.zeros((3, w.size))
+        bands[0, 1] = -center
+        bands[0, 2:] = -upper[:-1]
+        bands[1] = (p - 1.0) / p * w**-p
+        bands[1, 0] += center
+        bands[1, 1:] += 2.0 * inv_h2
+        bands[2, :-1] = -lower
+        delta = scipy.linalg.solve_banded((1, 1), bands, lap + w ** (1.0 - p) / p)
+        w += delta
+        if np.abs(delta).max() <= 1e-14 * w.max():
+            return grid, np.append(w, 0.0)
+    raise AssertionError("Newton did not converge")
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_exact_separable_solution_at_p_above_1(p):
+    # u = a(t) W solves the semi-discrete problem when a' = -a^(p+1)/p, so
+    # a = (1+t)^(-1/p) from a(0) = 1; the frozen-coefficient step maps a W to
+    # a/(1 + dt a^p/p) W, backward Euler on that law.  Against this truth, on
+    # fixed schedules to t = 10, the pass is first order in dt and
+    # 2 * half - full second order
+    eps = 1e-30
+    grid, w = discrete_steady_state(p, 101)
+    stepper = evolution._Stepper(grid, p, eps)
+    for a, dt in ((1.0, 0.1), (0.3, 1.0), (2.0, 0.01)):
+        out = stepper.step(a * w, dt)
+        np.testing.assert_allclose(out[:-1], a / (1.0 + dt * a**p / p) * w[:-1], rtol=1e-13)
+    snaps = np.array([0.0, 1.0, 10.0])
+    exact = (1.0 + snaps) ** (-1.0 / p)
+    errors = []
+    for dt in (0.05, 0.025, 0.0125):
+        schedule = np.full(round(10.0 / dt), dt)
+        full, _, _ = evolution._march(stepper, w + eps, snaps, schedule)
+        half, _, _ = evolution._march(stepper, w + eps, snaps, schedule, halves=2)
+        amplitude = full[:, 0] / w[0]
+        np.testing.assert_allclose(full[:, :-1], amplitude[:, None] * w[:-1], rtol=1e-12)
+        errors.append([np.abs(amplitude - exact).max(),
+                       np.abs((2.0 * half - full)[:, 0] / w[0] - exact).max()])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios[:, 0] - 2.0) <= 0.05), ratios     # measured 2.008-2.016
+    assert np.all(np.abs(ratios[:, 1] - 4.0) <= 0.15), ratios     # measured 4.022-4.061
 
 
 def test_evolve_records_snapshots_and_series():
