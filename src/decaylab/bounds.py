@@ -354,8 +354,8 @@ class DecayEnvelope:
     def __post_init__(self):
         if self.kind not in ("StretchedExp", "DoubleExp"):
             raise InputError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "DoubleExp" and self.gamma is None:
-            raise InputError("DoubleExp envelope needs gamma")
+        if self.kind == "DoubleExp" and not (self.gamma is not None and self.gamma > 0):
+            raise InputError(f"DoubleExp envelope needs gamma > 0, got {self.gamma}")
         if not (self.c0 > 0 and self.alpha > 0 and self.beta > 0):
             raise InputError("envelope constants must be positive")
 

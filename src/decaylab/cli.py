@@ -13,8 +13,8 @@ The ``steady_state`` mode and the certificate share one steady-state path,
 flux residual within ``bounds.RESIDUAL_TOL``.
 Every run writes a ``manifest.json`` listing each artifact with its sha256;
 its ``verdict`` is the one record of the run's verdict, which no artifact
-copies (``margins.json`` holds the certificate's own ``pass``, which the
-verdict of a run with ``rate`` too overwrites).  A ``pde_decay`` run's one sup
+copies (a certificate's own pass is its ``certificate_pass``, since the
+verdict's ``pass`` is the AND of every section).  A ``pde_decay`` run's one sup
 series, ``sup_norm.csv``, is also its center value, since the run stays
 radially nonincreasing.  Outputs are deterministic for a fixed config and
 build (no wall-clock text, fixed iteration orders, fixed float formatting).
@@ -424,7 +424,7 @@ def _run_pde_decay(cfg: _Section):
 
     def compute(writer: ArtifactWriter) -> dict:
         for observe in obs.values():  # one that overflows fails before any step or shot
-            observe(radial.RadialProfile(grid, datum))
+            observe(grid, datum)
         if cert is not None:
             # the separated subsolutions y(tau) w_R, built before the time stepping
             state, residual, converged = _steady_state(writer, spec.p, spec.n)
@@ -457,11 +457,10 @@ def _run_pde_decay(cfg: _Section):
             # each subsolution stays below the same run, on a steady state that passes
             margins = [{"tau0": ss.tau0, "R_tau0": ss.R_tau0, "delta": ss.delta,
                         **asdict(bounds.subsolution_check(run, ss, state))} for ss in subs]
-            certificate = {"steady_center": state.center_value,
-                           "steady_flux_residual": residual, "margins": margins,
-                           "pass": converged and all(row["min_margin"] >= 0.0 for row in margins)}
-            writer.write_json("margins.json", certificate)
-            verdict = {**verdict, **certificate, "pass": verdict["pass"] and certificate["pass"]}
+            passed = converged and all(row["min_margin"] >= 0.0 for row in margins)
+            verdict.update({"steady_center": state.center_value,
+                            "steady_flux_residual": residual, "margins": margins,
+                            "certificate_pass": passed, "pass": verdict["pass"] and passed})
         return verdict
     return compute
 

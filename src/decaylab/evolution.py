@@ -70,7 +70,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, LadderError, NumericError, SchemeError
-from .radial import RadialGrid, RadialProfile, laplacian_stencil, lq_quasinorm
+from .radial import RadialGrid, laplacian_stencil, lq_quasinorm
 from .steepness import SteepnessFunction, check_convexity_condition
 
 __all__ = [
@@ -409,10 +409,9 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
     np.maximum(values, params.eps, out=values)
 
     grid = full.stepper.grid
-    profiles = [RadialProfile(grid, row) for row in values]
     series = {"sup_norm": values.max(axis=1)}
     for name, fn in (observers or {}).items():
-        series[name] = np.array([fn(prof) for prof in profiles])
+        series[name] = np.array([fn(grid, row) for row in values])
     stats = {**full.retries, "solves": full.stepper.solves, "clamps": clamps,
              "time_error": float(diff_max.max()) / float(half_max.max()),
              "snapshot_time_error": (diff_max / half_max).tolist()}
@@ -425,7 +424,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
            dt_schedule: Optional[np.ndarray] = None) -> EvolutionRun:
     """March the regularized problem to t_end, recording observers at snapshots.
 
-    ``observers`` maps series names to functions of a RadialProfile; the
+    ``observers`` maps series names to functions of (grid, row); the
     sup-norm series is always recorded, and so is ``dts``.  When
     ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim;
     an entry that is not positive and finite fails the run before its first
@@ -445,12 +444,12 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
 
 
 def observer_lq(q: float) -> Callable:
-    return lambda prof: lq_quasinorm(prof, q)
+    return lambda grid, values: lq_quasinorm(grid, values, q)
 
 
 def observer_lyapunov(L: SteepnessFunction, p: float, q: float) -> Callable:
     exponent = (p + q) / 2.0
-    return lambda prof: prof.grid.volume_integral(L.value(prof.values ** exponent))
+    return lambda grid, values: grid.volume_integral(L.value(values ** exponent))
 
 
 @dataclass
@@ -587,7 +586,7 @@ def lyapunov_series(run: EvolutionRun, L: SteepnessFunction, q: float) -> np.nda
         raise InputError(
             f"sup u0^((p+q)/2) = {sup0**exponent:.6g} must stay below s0 = {L.s0}")
     descent = observer_lyapunov(L, p, q)
-    values = np.array([descent(RadialProfile(run.grid, row)) for row in run.values])
+    values = np.array([descent(run.grid, row) for row in run.values])
     rises = values[1:] > values[:-1] + DESCENT_TOL * (1.0 + np.abs(values[:-1]))
     if rises.any():
         k = int(np.argmax(rises))
@@ -630,7 +629,7 @@ def linfty_from_lq_check(run: EvolutionRun, q: float):
     t, u = run.times[pos], run.values[pos]
     if t.size == 0:
         return -math.inf, math.nan
-    lq = np.array([lq_quasinorm(RadialProfile(run.grid, row), q) for row in u])
+    lq = np.array([lq_quasinorm(run.grid, row, q) for row in u])
     ratios = u.max(axis=1) / (const * t ** (-n * expo / 2.0) * lq ** (q * expo))
     k = int(np.argmax(ratios))
     return float(ratios[k]), float(t[k])

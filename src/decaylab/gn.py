@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import DecayEnvelope
 from .errors import InputError, NumericError
-from .radial import RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm, steepness_integral
+from .radial import RadialGrid, grad_l2_norm, lq_quasinorm, steepness_integral
 from .steepness import SteepnessFunction
 
 __all__ = [
@@ -53,11 +53,12 @@ def _alpha(q: float, n: int) -> float:
 class FamilySpec:
     """A one-parameter family of radial bump profiles.
 
-    Each member is ``scale * envelope.floor(r / width)`` for a closed-form
-    decay envelope: scale * c0 * exp(-alpha (r/width)^beta) for
-    ``"StretchedExp"``, scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for
-    ``"DoubleExp"``.  ``scales`` and ``widths`` are zipped into members; a
-    singleton list is broadcast against the other.
+    Each member is the array ``scale * envelope.floor(grid.nodes / width)``,
+    which ``family_scan`` samples on its grid, for a closed-form decay
+    envelope: scale * c0 * exp(-alpha (r/width)^beta) for ``"StretchedExp"``,
+    scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for ``"DoubleExp"``.
+    ``scales`` and ``widths`` are zipped into members; a singleton list is
+    broadcast against the other.
     """
 
     envelope: DecayEnvelope
@@ -77,9 +78,6 @@ class FamilySpec:
         if len(widths) == 1:
             widths = widths * len(scales)
         return list(zip(scales, widths))
-
-    def profile(self, grid: RadialGrid, scale: float, width: float) -> RadialProfile:
-        return RadialProfile.sample(grid, lambda r: scale * self.envelope.floor(r / width))
 
 
 @dataclass(frozen=True)
@@ -151,16 +149,16 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     if max(w for _, w in members) > grid.R / 5.0:
         raise InputError("widest member is not resolvable: need width <= R/5")
 
-    profiles = [fam.profile(grid, s, w) for s, w in members]
-    budgets = [steepness_integral(p, L) for p in profiles]
+    profiles = [s * fam.envelope.floor(grid.nodes / w) for s, w in members]
+    budgets = [steepness_integral(grid, values, L) for values in profiles]
     K = K if K is not None else 1.05 * max(b.value for b in budgets)
 
     rows = []
-    for (scale, width), prof, budget in zip(members, profiles, budgets):
+    for (scale, width), values, budget in zip(members, profiles, budgets):
         member_id = f"s{scale:g}_w{width:g}"
         try:
             with np.errstate(over="ignore"):  # a gradient norm that overflows reads inf
-                grad, lq = grad_l2_norm(prof), lq_quasinorm(prof, q)
+                grad, lq = grad_l2_norm(grid, values), lq_quasinorm(grid, values, q)
         except NumericError as exc:  # the L^q norm is not a finite double
             raise NumericError(f"member {member_id}: its ratio is not a positive finite "
                                f"double ({exc})") from None

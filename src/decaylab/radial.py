@@ -1,11 +1,12 @@
 """Radial grids, quadrature, norms and the radial Laplacian stencil.
 
 Everything operates on radially symmetric functions sampled on a uniform grid
-in [0, R] with an ambient dimension n.  Integrals over R^n reduce to weighted
-one-dimensional integrals with the surface factor omega_n = n |B_1|; composite
-trapezoid quadrature is used with the r^{n-1} weight folded into the
-integrand, and the r = 0 node carries the exact weight 0 for n >= 2, also
-under an infinite integrand there.
+in [0, R] with an ambient dimension n.  A radial function is the array of its
+values at ``grid.nodes``, and each norm takes the pair ``(grid, values)``.
+Integrals over R^n reduce to weighted one-dimensional integrals with the
+surface factor omega_n = n |B_1|; composite trapezoid quadrature is used with
+the r^{n-1} weight folded into the integrand, and the r = 0 node carries the
+exact weight 0 for n >= 2, also under an infinite integrand there.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .steepness import SteepnessFunction
 
 __all__ = [
     "RadialGrid",
-    "RadialProfile",
     "WeightedIntegral",
     "lq_quasinorm",
     "grad_l2_norm",
@@ -84,25 +83,6 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """A radial function sampled on a RadialGrid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.m,):
-            raise InputError(
-                f"values must have shape ({self.grid.m},), got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def sample(cls, grid: RadialGrid, fn: Callable) -> "RadialProfile":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
-@dataclass(frozen=True)
 class WeightedIntegral:
     """Value of a truncated volume integral plus a tail-adequacy flag.
 
@@ -115,12 +95,12 @@ class WeightedIntegral:
     tail_flagged: bool
 
 
-def lq_quasinorm(profile: RadialProfile, q: float) -> float:
+def lq_quasinorm(grid: RadialGrid, values: np.ndarray, q: float) -> float:
     """(omega_n int_0^R r^{n-1} |phi|^q dr)^{1/q}; quasi-norm for q < 1."""
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
     with np.errstate(over="ignore"):  # an integrand that overflows is refused below
-        integral = profile.grid.volume_integral(np.abs(profile.values) ** q)
+        integral = grid.volume_integral(np.abs(values) ** q)
     if not math.isfinite(integral):
         raise NumericError(f"the L^q quasi-norm at q = {q:g} is not finite: its integral "
                            f"is {integral:g}")
@@ -130,30 +110,25 @@ def lq_quasinorm(profile: RadialProfile, q: float) -> float:
         raise NumericError(f"the L^q quasi-norm overflows a double at q = {q:g}") from None
 
 
-def radial_derivative(profile: RadialProfile) -> np.ndarray:
-    """phi' by second-order differences (np.gradient); phi'(0) = 0 by symmetry."""
-    d = np.gradient(profile.values, profile.grid.h, edge_order=2)
+def grad_l2_norm(grid: RadialGrid, values: np.ndarray) -> float:
+    """L^2 norm of the (radial) gradient phi', taken by second-order differences
+    (np.gradient) with phi'(0) = 0 by symmetry."""
+    d = np.gradient(values, grid.h, edge_order=2)
     d[0] = 0.0
-    return d
+    return math.sqrt(grid.volume_integral(d * d))
 
 
-def grad_l2_norm(profile: RadialProfile) -> float:
-    """L^2 norm of the (radial) gradient."""
-    d = radial_derivative(profile)
-    return math.sqrt(profile.grid.volume_integral(d * d))
-
-
-def steepness_integral(profile: RadialProfile, L: SteepnessFunction) -> WeightedIntegral:
+def steepness_integral(grid: RadialGrid, values: np.ndarray,
+                       L: SteepnessFunction) -> WeightedIntegral:
     """omega_n int_0^R r^{n-1} L(phi(r)) dr with a truncation-tail flag."""
-    if np.any(profile.values < 0):
+    if np.any(values < 0):
         raise InputError("steepness integrals require a nonnegative profile")
-    grid = profile.grid
     with np.errstate(over="ignore"):  # an integrand that overflows is refused below
-        value = grid.volume_integral(L.value(profile.values))
+        value = grid.volume_integral(L.value(values))
     if not math.isfinite(value):
         raise NumericError(f"the steepness integral of the {L.kind} gauge is not finite: "
                            f"{value:g}")
-    boundary_level = L.value(float(profile.values[-1]))
+    boundary_level = L.value(float(values[-1]))
     tail_estimate = boundary_level * grid.omega_n * grid.R ** grid.n
     flagged = tail_estimate > TAIL_REL_THRESHOLD * value if value > 0 else tail_estimate > 0
     return WeightedIntegral(value, bool(flagged))

@@ -351,6 +351,13 @@ def test_envelope_double_exp_inverse():
     assert env.lam_inv(sigma) == pytest.approx(3.0, rel=1e-12)
 
 
+def test_envelope_double_exp_needs_positive_gamma():
+    # gamma <= 0 leaves Lambda flat (gamma = 0) or decreasing (gamma < 0)
+    for gamma in (None, 0.0, -1.0):
+        with pytest.raises(InputError, match="DoubleExp envelope needs gamma > 0"):
+            DecayEnvelope(kind="DoubleExp", c0=1.0, alpha=1.0, beta=1.0, gamma=gamma)
+
+
 def test_lower_bound_curve_specializations():
     t = np.geomspace(10.0, 1e4, 30)
     # stretched exponential, beta=2, p=1: curve = C t^-1 (c1 ln t)

@@ -293,14 +293,15 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
         verdict[label] = manifest["verdict"]
         shas[label] = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
     assert shas["both"] == {**shas["rate"], **shas["cert"]}
-    assert {"lower_curve.csv", "margins.json", "steady_state.csv"} <= set(shas["both"])
+    assert {"lower_curve.csv", "steady_state.csv"} <= set(shas["both"])
     assert verdict["both"] == {**verdict["rate"], **verdict["cert"],
                                "pass": verdict["rate"]["pass"] and verdict["cert"]["pass"]}
     # on this short horizon the baseline check fails and the certificate
     # holds, so the merged verdict must fail: it is the AND of its sections
     assert (rc["both"], rc["rate"], rc["cert"]) == (EXIT_VERDICT, EXIT_VERDICT, EXIT_PASS)
-    margins = read_json(tmp_path / "cert" / "margins.json")
-    assert margins["pass"] and margins["margins"][0]["min_margin"] >= 0.0
+    # the verdict keeps the certificate's own pass
+    assert verdict["both"]["certificate_pass"] and not verdict["both"]["pass"]
+    assert verdict["both"]["margins"][0]["min_margin"] >= 0.0
 
 
 def test_rate_curves_span_the_window(tmp_path):
@@ -490,6 +491,16 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
             "kind": "DoubleLogType", "kappa": 2000, "M": 100})),
         (f"rate: {overflowing}1500.5,", with_field(rated, "rate.delta", 3000)),
     ]
+    # a DoubleExp envelope needs gamma > 0: at gamma = 0 the rate's gauge
+    # divides by zero, and at gamma < 0 the floor rises with r
+    double_exp = {"kind": "DoubleExp", "c0": 1.0, "alpha": 1.0, "beta": 1.0}
+    flat_gamma = dict(double_exp, gamma=0.0)
+    bad_gamma = [
+        ("problem.u0: DoubleExp envelope needs gamma > 0, got 0.0",
+         with_field(with_field(rated, "problem.u0", flat_gamma), "envelope", flat_gamma)),
+        ("family: DoubleExp envelope needs gamma > 0, got -1.0",
+         with_field(scan, "family", dict(double_exp, gamma=-1.0, scales=[0.1]))),
+    ]
     # an observer that overflows on the datum (exit 3 once the run starts) is
     # probed after every field is read and checked: a config error wins
     lq_overflow = with_field(TINY_DECAY, "observers", ["lq:1e-5"])
@@ -502,7 +513,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
-                   + config_before_probe + scan_errors + removed_observer + repeated_q]
+                   + config_before_probe + scan_errors + removed_observer + repeated_q
+                   + bad_gamma]
                 + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -510,7 +522,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
-        *config_before_probe, *scan_errors, *removed_observer, *repeated_q,
+        *config_before_probe, *scan_errors, *removed_observer, *repeated_q, *bad_gamma,
         ("mode: 'unknown' not one of ('steady_state', 'lfunction_audit', 'gn_scan', "
          "'pde_decay')", bad[1]),
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
@@ -778,13 +790,17 @@ def test_steady_state_overflowing_shot_is_a_death(tmp_path, monkeypatch):
     assert 0.0 <= summary["boundary_value"] < 1e-9
 
 
-@pytest.mark.parametrize("p, steady_m, residual", [(4.0, 11, 0.05391703554375371),
-                                                    (4.0, 21, 0.005088367004328909),
-                                                    (2.0, 11, 0.007557696809529668)])
-def test_certificate_fails_an_unconverged_steady_state(tmp_path, monkeypatch, p, steady_m,
-                                                         residual):
+# the flux residual of each unconverged steady state, keyed by (p, steady_m)
+# so that a re-pin keeps the test ids
+UNCONVERGED_RESIDUALS = {(4.0, 11): 0.05391703554375371, (4.0, 21): 0.005088367004328909,
+                         (2.0, 11): 0.007557696809529668}
+
+
+@pytest.mark.parametrize("p, steady_m", UNCONVERGED_RESIDUALS)
+def test_certificate_fails_an_unconverged_steady_state(tmp_path, monkeypatch, p, steady_m):
     # the subsolutions hold on this run, but their steady state is too coarse
     # to pass the steady_state mode: the certificate fails as that mode does
+    residual = UNCONVERGED_RESIDUALS[p, steady_m]
     monkeypatch.setattr(bounds, "STEADY_M", steady_m)
     doc = dict(TINY_DECAY, problem=dict(TINY_DECAY["problem"], p=p),
                approx={"ladder": {"eps_list": [1e-5], "R_list": [10.0]}, "m": 251},
@@ -1014,7 +1030,8 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # a copy of sup_norm.csv, went, and every other artifact kept its bytes;
     # margins.json and the verdict moved when the flux residual came to be
     # Simpson's rule on the grid's spacing: steady_flux_residual from 6.7e-16
-    # to 0.0)
+    # to 0.0; margins.json, whose every key the verdict holds, went, and the
+    # verdict gained certificate_pass)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
@@ -1023,7 +1040,6 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     assert shas == [
         ("lower_curve.csv", "515b45032535a88f8427ac4b57ad9577259a809f52b6d004d5dede5d3340d08f"),
         ("lq_1.csv", "fd30c0c8f7764c6b81d634e08a367bba31dd05d1d1579c775ecd39ba084762d7"),
-        ("margins.json", "17a4a0bd4bf402e1c82433d6835c6ea931aead35a2770efb6ca16d4c6c6bd0f4"),
         ("profile_t0.5.csv", "f6008927740186a1836cf5a0ac5a36bdebd8b68974066f354ab146ce08078124"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
         ("profile_t1.58114.csv", "5b407a0c2f1b7ddd40dd33f4112b6f256bca3a9c00f6d03aca7cfea1400f82f1"),
@@ -1043,4 +1059,4 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
         "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "a117c56f0417e8292ccaee804da2e91c1ca06acbaf0fcba948293fbfc9b18246"
+    assert digest == "016ab028c4a7dc97a111788d6cfa0b890e63b627ff53e56fe1ffdd74ad949428"

@@ -6,8 +6,7 @@ import pytest
 from decaylab.bounds import DecayEnvelope
 from decaylab.errors import InputError
 from decaylab.gn import FamilySpec, family_scan
-from decaylab.radial import (RadialGrid, RadialProfile, grad_l2_norm, lq_quasinorm,
-                             steepness_integral)
+from decaylab.radial import RadialGrid, grad_l2_norm, lq_quasinorm, steepness_integral
 from decaylab.steepness import SteepnessFunction
 
 
@@ -16,7 +15,7 @@ LOG2 = SteepnessFunction.log_type(2.0, 4.0)
 
 
 def gaussian_profile(grid, width=1.0, scale=1.0):
-    return RadialProfile.sample(grid, lambda r: scale * np.exp(-(r / width) ** 2))
+    return scale * np.exp(-(grid.nodes / width) ** 2)
 
 
 def singleton_row(grid, q, L, width=1.0, scale=1.0, **scan_args):
@@ -30,9 +29,9 @@ def test_steepness_ratio_constant_branch_reduction():
     # once |grad phi|^2 passes s0 the weight freezes at L(s0)^alpha
     g = RadialGrid(3, 12.0, 2001)
     p = gaussian_profile(g, 1.0, 2.0)
-    assert grad_l2_norm(p) ** 2 > LOG2.s0
+    assert grad_l2_norm(g, p) ** 2 > LOG2.s0
     alpha = 1.0 / 2.0 - (3 - 2.0) / (2.0 * 3)
-    expected = (lq_quasinorm(p, 2.0) / grad_l2_norm(p)
+    expected = (lq_quasinorm(g, p, 2.0) / grad_l2_norm(g, p)
                 * LOG2.value(LOG2.s0) ** alpha)
     assert singleton_row(g, 2.0, LOG2, 1.0, 2.0).ratio == pytest.approx(expected, rel=1e-12)
 
@@ -40,7 +39,7 @@ def test_steepness_ratio_constant_branch_reduction():
 def test_steepness_ratio_budget_precondition():
     # a budget K below the member's steepness integral is recorded, not fatal
     g = RadialGrid(3, 12.0, 1001)
-    tight = steepness_integral(gaussian_profile(g), LOG2).value * 0.5
+    tight = steepness_integral(g, gaussian_profile(g), LOG2).value * 0.5
     assert not singleton_row(g, 2.0, LOG2, K=tight).budget_ok
     assert singleton_row(g, 2.0, LOG2).budget_ok  # the default K is 1.05x the budget
 
@@ -60,7 +59,7 @@ def test_steepness_ratio_refinement_invariance():
 def test_alpha_monotonicity_per_sample():
     # where L < 1 at the evaluated argument, a larger exponent shrinks the ratio
     g = RadialGrid(3, 20.0, 2001)
-    assert LOG2.value(grad_l2_norm(gaussian_profile(g, 1.0, 0.05)) ** 2) < 1.0
+    assert LOG2.value(grad_l2_norm(g, gaussian_profile(g, 1.0, 0.05)) ** 2) < 1.0
     r1 = singleton_row(g, 2.0, LOG2, 1.0, 0.05, alpha_scale=1.0).ratio
     r2 = singleton_row(g, 2.0, LOG2, 1.0, 0.05, alpha_scale=1.25).ratio
     assert r2 < r1
@@ -70,7 +69,7 @@ def test_family_singleton_matches_direct_ratio():
     # lq / (grad * L(grad^2)^-alpha), alpha = 1/q - (n-2)/(2n), by hand
     g = RadialGrid(3, 20.0, 2001)
     p = gaussian_profile(g, 2.0, 0.1)
-    lq, grad = lq_quasinorm(p, 2.0), grad_l2_norm(p)
+    lq, grad = lq_quasinorm(g, p, 2.0), grad_l2_norm(g, p)
     alpha = 1.0 / 2.0 - (3 - 2.0) / (2.0 * 3)
     expected = lq / (grad * LOG2.value(grad * grad) ** (-alpha))
     assert singleton_row(g, 2.0, LOG2, 2.0, 0.1).ratio == pytest.approx(expected, rel=1e-12)

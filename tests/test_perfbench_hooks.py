@@ -76,6 +76,35 @@ def test_tracer_spans_the_audit_checks(perfbench_tracer, perfbench_workloads, tm
                              "steepness.check_ratio_bound"]
 
 
+def test_tracer_spans_the_radial_norms(perfbench_tracer, perfbench_workloads, tmp_path):
+    # the tracer wraps the three norms where gn and the L^q observer look them
+    # up; a refactor that moves a norm off those names would leave
+    # radial.norm_s at 0 without a word.  The seed-0 GN scan opens one span of
+    # each per member of the scan and of the probe, and each snapshot's
+    # observer span holds one L^q span
+    wl = perfbench_workloads
+    cfg = next(cfg for cfg, _ in wl.WORKLOADS["static_checks"](ROOT / "configs", wl.Jitter(0))
+               if cfg["mode"] == "gn_scan")
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(cfg))
+    tracer = perfbench_tracer.Tracer()
+    with tracer.installed(cli, evolution, bounds, rates, gn):
+        assert cli.run_experiment(path, out_dir=tmp_path / "run") == 0
+    names = [span[0] for span in tracer.spans if span[0].startswith("radial.")]
+    assert {name: names.count(name) for name in set(names)} == {
+        "radial.lq_quasinorm": 10, "radial.grad_l2_norm": 10, "radial.steepness_integral": 10}
+
+    tracer = perfbench_tracer.Tracer()
+    spec = evolution.ProblemSpec(p=2.0, n=2, u0=lambda r: np.exp(-r**2))
+    with tracer.installed(cli, evolution, bounds, rates, gn):
+        run = evolution.evolve(spec, evolution.ApproxParams(R=5.0, eps=1e-3, m=51), 1.0,
+                               [0.0, 0.5, 1.0], {"lq_1": evolution.observer_lq(1.0)})
+    observers = [k for k, span in enumerate(tracer.spans) if span[0] == "evolution.observer"]
+    assert len(observers) == len(run.times) == 3
+    children = [(span[0], span[3]) for span in tracer.spans if span[3] in observers]
+    assert children == [("radial.lq_quasinorm", k) for k in observers]
+
+
 def test_evolve_keeps_dt_schedule_sixth():
     # the tracer names replayed runs by reading dt_schedule from args[5]
     assert list(inspect.signature(evolution.evolve).parameters)[5] == "dt_schedule"
