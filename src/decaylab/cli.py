@@ -432,15 +432,13 @@ def _run_pde_decay(cfg: _Section):
                                tau0=tau0) for tau0 in tau0_list]
         ladder = evolution.minimal_solution_ladder(spec, eps_list, R_list, m, t_end, snaps, obs)
         run = ladder.proxy  # the (min eps, max R) member, the one judged
-        # the sup series of its backward-Euler pass, which bounds sigma's time error
-        be_sup = ladder.members[eps_list[-1], R_list[-1]].max(axis=1)
         verdict = {"pass": True, "ladder": ladder.report(), "time_error": run.stats["time_error"]}
         del ladder  # frees the members' passes, which no other verdict reads
 
         _write_run_series(writer, run)
 
         if rate is not None:
-            sandwich = rates.sandwich_report(run, env, delta, window, be_sup)
+            sandwich = rates.sandwich_report(run, env, delta, window, run.second_order_sup)
             verdict["sandwich"] = sandwich.to_json()
             # the baseline and both curves read the snapshots the sandwich judged
             t_grid = run.times[in_window]

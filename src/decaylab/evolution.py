@@ -24,7 +24,7 @@ from the last two accepted steps,
 
     lte = dt/(dt + dt_prev) * ((u_new - u) - (dt/dt_prev) * (u - u_prev)),
 
-and a step is accepted when err = max|lte| / (TOL * max u_new) <= 1;
+and a step is accepted when err = max|lte| / (tol * max u_new) <= 1;
 otherwise it is retried from u with a smaller dt.  The next step is
 dt * clamp(0.9 * err^(-1/2), 0.2, 2) (Hairer & Wanner, Solving ODEs II,
 Sec. IV.8).  An undershoot is one more rejection,
@@ -32,32 +32,40 @@ retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
 
-TOL is set from the time errors that the verdicts read.  On the shipped rate
-problem sigma lies 3.2e-4 from its value at 1e-5/16 (1.3e-4 at TOL = 1e-5,
-for 56% more solves), against the 2e-3 to which the benchmark holds sigma and
-the 0.14 by which eps = 1e-5 moves it; every rate verdict reports a bound of
-that error, ``sigma_time_term`` (``rates.sandwich_report``).  The bound on
-TOL is the ladder's: its backward-Euler Cauchy differences lie 1.9e-3
-relative from those of extrapolated members on ``configs/ladder.json``, a
-distance that grows as TOL^(1/2) and that a test holds within 2e-3.
+The tolerance tol is TOL for the passes a ladder compares and PROXY_TOL for
+the judged trajectory's own pass.  TOL's bound is the ladder's: its
+backward-Euler Cauchy differences lie 1.9e-3 relative from those of
+extrapolated members on ``configs/ladder.json``, a distance that grows as
+TOL^(1/2) and that a test holds within 2e-3.  PROXY_TOL is set from the time
+error of sigma, which the rate verdicts read: on the shipped rate problem
+(m = 4001) sigma lies 2.0e-4 from its value at PROXY_TOL/16 (2 * half - full
+at TOL lies 3.0e-4 from its own limit, for 60% more solves), against the
+2e-3 to which the benchmark holds sigma and the 0.14 by which eps = 1e-5
+moves it; every rate verdict reports a bound of that error,
+``sigma_time_term`` (``rates.sandwich_report``).
 
-Every run of ``evolve`` is two backward-Euler passes: the schedule above (or
-a replayed one), then the same schedule with each step halved.  Each pass is
-checked on its own for the floor eps and the maximum principle, so positivity
-and the comparison principle are properties of unchanged backward-Euler
-trajectories.  The global error of a one-step method under a step schedule
-scaled as a whole has an expansion in the step size (Hairer, Norsett &
-Wanner, Solving ODEs I, Sec. II.8-9), so the snapshots 2 * half - full are
-second order in time; the observers read those.  max|half - full| /
-max|half| is the run's measured time error, and the same maximum over one
-snapshot's own max|half| its error at that snapshot.  An extrapolated value
-below eps by more than FLOOR_TOL * eps, or above sup u0, fails the run; one
-within that roundoff is raised to eps and counted.
+Every run of ``evolve`` is three backward-Euler passes: the schedule above at
+PROXY_TOL (or a replayed one), then the same schedule with each step halved,
+then with each step in thirds.  Each pass is checked on its own for the
+floor eps and the maximum principle, so positivity and the comparison
+principle are properties of unchanged backward-Euler trajectories.  The
+global error of a one-step method under a step schedule scaled as a whole
+has an expansion in the step size (Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.8-9), so E2 = 2 * half - full is second order in time and
+E3 = full/2 - 4 half + 9/2 third, the harmonic-sequence extrapolation of the
+linearly implicit Euler method (Deuflhard, SIAM Review 27, 1985), third
+order; the snapshots and observers read E3.  max|E3 - E2| / max E3 is the
+run's measured time error, and the same maximum over one snapshot's own
+max E3 its error at that snapshot.  An extrapolated value below eps by more
+than FLOOR_TOL * eps, or above sup u0, fails the run; one within that
+roundoff is raised to eps and counted.
 
 A ladder (``minimal_solution_ladder``) judges its ordering and Cauchy
-differences on the members' backward-Euler passes alone, where monotonicity
-holds because each step's matrix has a nonnegative inverse (Varga, Matrix
-Iterative Analysis); only its proxy is halved and extrapolated.
+differences on the members' backward-Euler passes at TOL alone, all on one
+schedule, where monotonicity holds because each step's matrix has a
+nonnegative inverse (Varga, Matrix Iterative Analysis).  Its proxy is the
+(min eps, max R) member's own ``evolve`` run: in a ladder of one member,
+that run's passes are the only passes.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ __all__ = [
 FLOOR_TOL = 1e-12   # undershoot of eps allowed as roundoff, relative to eps
 MAX_REJECTIONS = 40   # retries of one step, by the error control or on an undershoot
 DT_INIT = 1e-4   # first adaptive step
-TOL = 2.5e-5     # local error per step, relative to max u (module docstring)
+TOL = 2.5e-5     # local error per step of a ladder's passes, relative to max u (module docstring)
+PROXY_TOL = 3e-4   # the same for the judged trajectory's own pass, extrapolated to third order
 LADDER_MONOTONICITY_TOL = 1e-8
 CAUCHY_T_MIN = 1.0     # Cauchy differences of a ladder compare snapshots from here on
 DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, relative
@@ -140,10 +149,13 @@ class EvolutionRun:
     ``dts`` holds every accepted step of the full pass, also of a replayed
     run; replaying it reproduces the run.  ``stats`` counts the ``rejected``
     and undershoot ``halvings`` retries of the full pass, the ``solves`` of
-    both passes (retries included) and the extrapolated values raised to eps
-    (``clamps``); ``time_error`` is max|half - full| / max|half| over the
+    all three passes (retries included) and the extrapolated values raised to
+    eps (``clamps``); ``time_error`` is max|E3 - E2| / max E3 over the
     snapshots, and ``snapshot_time_error`` the list of each snapshot's
-    max|half - full| over its own max half.
+    max|E3 - E2| over its own max E3 (module docstring).
+    ``second_order_sup`` is the sup series of E2 = 2 * half - full at
+    ``times``, against which ``rates.sandwich_report`` measures sigma's time
+    term.
     """
 
     spec: ProblemSpec
@@ -154,6 +166,7 @@ class EvolutionRun:
     series: dict
     dts: np.ndarray
     stats: dict = field(default_factory=dict)
+    second_order_sup: Optional[np.ndarray] = None
 
     @property
     def datum(self) -> np.ndarray:
@@ -279,10 +292,12 @@ def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.nda
 
 
 def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
-           schedule: Optional[np.ndarray] = None, halves: int = 1):
+           schedule: Optional[np.ndarray] = None, halves: int = 1,
+           tol: Optional[float] = None):
     """One backward-Euler pass from u to snaps[-1]; row k of the result is u(snaps[k]).
 
-    Without ``schedule`` the error controller chooses each step.  With it, each
+    Without ``schedule`` the error controller chooses each step, at the local
+    error tolerance ``tol`` (TOL when None).  With it, each
     scheduled dt is taken as ``halves`` steps of dt / halves, and the clock
     advances by whole scheduled steps, so a halved replay lands on the same
     snapshots as its schedule.  Returns the recorded rows, the scheduled or
@@ -297,6 +312,7 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
         i_snap = 1
 
     retries = {"rejected": 0, "halvings": 0}
+    tol = TOL if tol is None else tol
     t, t_end = 0.0, times[-1]
     # the change over the step tried and over the last accepted one, |lte| and
     # the last accepted dt (0 before the first)
@@ -332,7 +348,7 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
                 lte -= du
                 np.abs(lte, out=lte)
                 err = (dt / (dt + dt_prev) * float(np.maximum.reduce(lte))
-                       / (TOL * float(np.maximum.reduce(u_new))))
+                       / (tol * float(np.maximum.reduce(u_new))))
                 factor = min(2.0, max(0.2, 0.9 / math.sqrt(err))) if err > 0.0 else 2.0
                 if err <= 1.0:
                     break
@@ -372,36 +388,49 @@ def _in_range(rows: np.ndarray, eps: float, u0: np.ndarray) -> bool:
 
 
 def _be_pass(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
-             schedule: Optional[np.ndarray] = None) -> _Pass:
+             schedule: Optional[np.ndarray] = None, tol: Optional[float] = None) -> _Pass:
     """The backward-Euler pass from the lifted datum through ``snaps``, adaptive
-    or replaying ``schedule``, checked for the floor eps and sup u0."""
+    at ``tol`` or replaying ``schedule``, checked for the floor eps and sup u0."""
     grid = RadialGrid(spec.n, params.R, params.m)
     u0 = initial_profile(spec, params, grid)
     stepper = _Stepper(grid, spec.p, params.eps)
-    rows, dts, retries = _march(stepper, u0, snaps, schedule)
+    rows, dts, retries = _march(stepper, u0, snaps, schedule, tol=tol)
     if not _in_range(rows, params.eps, u0):
         raise SchemeError("discrete maximum principle violated at a snapshot")
     return _Pass(stepper, u0, rows, dts, retries)
 
 
-def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
-                           full: _Pass,
-                           observers: Optional[Mapping[str, Callable]]) -> EvolutionRun:
-    """The run whose snapshots are 2 * half - full: ``full`` replayed with each
-    step halved, extrapolated and observed; ``full`` is left unchanged."""
-    values, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=2)
-    if not _in_range(values, params.eps, full.u0):
+def _extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray, full: _Pass,
+                 observers: Optional[Mapping[str, Callable]]) -> EvolutionRun:
+    """The run whose snapshots are full/2 - 4 half + 9/2 third: ``full`` replayed
+    with each step halved and in thirds, extrapolated and observed; ``full`` is
+    left unchanged."""
+    half, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=2)
+    values, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=3)
+    if not (_in_range(half, params.eps, full.u0) and _in_range(values, params.eps, full.u0)):
         raise SchemeError("discrete maximum principle violated at a snapshot")
 
-    # 2 * half - full, formed row by row as half + (half - full) in place, so
-    # that full keeps its rows and no second array of snapshots is made
-    half_max = values.max(axis=1)
+    # the Aitken-Neville table on the step counts 1, 2, 3, formed row by row in
+    # the third pass's rows, so that no other array of snapshots is made:
+    # T21 = half + (half - full), T31 = third + 2 (third - half) and
+    # T32 = T31 + (T31 - T21)/2, which is full/2 - 4 half + 9/2 third;
+    # T32 - T21 is 3 (T31 - T21)/2
+    second = np.empty(values.shape[1])
     diff = np.empty(values.shape[1])
-    diff_max = np.empty(len(values))
-    for k, (half_row, full_row) in enumerate(zip(values, full.rows)):
-        np.subtract(half_row, full_row, out=diff)
-        diff_max[k] = max(float(diff.max()), -float(diff.min()))
-        half_row += diff
+    second_sup = np.empty(len(values))
+    gap_max = np.empty(len(values))
+    for k, (full_row, half_row, row) in enumerate(zip(full.rows, half, values)):
+        np.subtract(half_row, full_row, out=second)
+        second += half_row
+        second_sup[k] = second.max()
+        np.subtract(row, half_row, out=diff)
+        diff *= 2.0
+        row += diff
+        np.subtract(row, second, out=diff)
+        diff *= 0.5
+        row += diff
+        gap_max[k] = 3.0 * max(float(diff.max()), -float(diff.min()))
+    del half
     if not _in_range(values, params.eps, full.u0):
         raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
                           f"against eps = {params.eps:g}, max {values.max():.6e}")
@@ -412,10 +441,12 @@ def _halve_and_extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.nd
     series = {"sup_norm": values.max(axis=1)}
     for name, fn in (observers or {}).items():
         series[name] = np.array([fn(grid, row) for row in values])
+    sup = series["sup_norm"]
     stats = {**full.retries, "solves": full.stepper.solves, "clamps": clamps,
-             "time_error": float(diff_max.max()) / float(half_max.max()),
-             "snapshot_time_error": (diff_max / half_max).tolist()}
-    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, full.dts, stats)
+             "time_error": float(gap_max.max()) / float(sup.max()),
+             "snapshot_time_error": (gap_max / sup).tolist()}
+    return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, full.dts,
+                        stats, second_sup)
 
 
 def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
@@ -425,11 +456,12 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
     """March the regularized problem to t_end, recording observers at snapshots.
 
     ``observers`` maps series names to functions of (grid, row); the
-    sup-norm series is always recorded, and so is ``dts``.  When
-    ``dt_schedule`` is given, the ``dts`` of an earlier run is replayed verbatim;
-    an entry that is not positive and finite fails the run before its first
-    step.  The snapshots and series are the Richardson extrapolation
-    2 * half - full of that pass and of its halved replay (module docstring).
+    sup-norm series is always recorded, and so is ``dts``.  Without
+    ``dt_schedule`` the pass is adaptive at PROXY_TOL.  When ``dt_schedule``
+    is given, the ``dts`` of an earlier run is replayed verbatim; an entry
+    that is not positive and finite fails the run before its first step.  The
+    snapshots and series are the extrapolation full/2 - 4 half + 9/2 third of
+    that pass and of its replays in halves and in thirds (module docstring).
     """
     snaps = normalize_snapshots(snapshot_times, t_end)
     if dt_schedule is not None:
@@ -439,8 +471,8 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
             k = int(bad[0])
             raise SchemeError(f"dt_schedule[{k}] = {dt_schedule[k]:g} is not a positive, "
                               "finite step")
-    full = _be_pass(spec, params, snaps, dt_schedule)
-    return _halve_and_extrapolate(spec, params, snaps, full, observers)
+    full = _be_pass(spec, params, snaps, dt_schedule, tol=PROXY_TOL)
+    return _extrapolate(spec, params, snaps, full, observers)
 
 
 def observer_lq(q: float) -> Callable:
@@ -459,10 +491,11 @@ class LadderResult:
 
     ``members`` maps (eps, R) to the snapshot rows of that member's
     backward-Euler pass at ``proxy.times``, on the member's own grid (the
-    first nodes of the largest ball's).  ``proxy`` is the (min eps, max R)
-    member as ``evolve`` returns it when it replays the lead's steps: that
-    same pass, halved, extrapolated and observed.  ``solves`` counts every
-    solve of the ladder, retries included.
+    first nodes of the largest ball's); in a ladder of one member, its row is
+    the proxy's own pass at PROXY_TOL.  ``proxy`` is the (min eps, max R)
+    member as ``evolve`` returns it: its own adaptive pass at PROXY_TOL,
+    replayed in halves and in thirds, extrapolated and observed.  ``solves``
+    counts every solve of the ladder, retries included.
     """
 
     members: dict
@@ -506,24 +539,34 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             observers: Optional[Mapping[str, Callable]] = None) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
-    ``ladder_params`` checks every member before the lead, (max eps, max R),
-    takes its one adaptive backward-Euler pass.  Every other member takes one
-    pass that replays the lead's steps, so ladder differences are not
-    polluted by differing time discretizations.  On those passes, solutions
-    must decrease along eps and increase along R up to
-    LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their sup
-    norms.  The proxy for the minimal solution, (min eps, max R), alone is
-    also halved, extrapolated and observed, so a one-member ladder's proxy is
-    that member's ``evolve`` run, bit for bit.
+    ``ladder_params`` checks every member before any step.  The lead,
+    (max eps, max R), takes its one adaptive backward-Euler pass at TOL, and
+    every other member takes one pass that replays the lead's steps, so
+    ladder differences are not polluted by differing time discretizations.
+    On those passes, solutions must decrease along eps and increase along R
+    up to LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their
+    sup norms.  The proxy for the minimal solution, (min eps, max R), is also
+    run on its own schedule as ``evolve`` runs it (adaptive at PROXY_TOL,
+    replayed in halves and in thirds, extrapolated and observed), so the
+    proxy is that member's ``evolve`` run, bit for bit.  A ladder of one
+    member takes the proxy's passes alone.
     """
     params = ladder_params(eps_list, R_list, m)
     snaps = normalize_snapshots(snapshot_times, t_end)
     eps_min, R_max = eps_list[-1], R_list[-1]
-    lead_key = (eps_list[0], R_max)
-    lead = _be_pass(spec, params[lead_key], snaps)
-    passes = {lead_key: lead, **{key: _be_pass(spec, par, snaps, lead.dts)
-                                 for key, par in params.items() if key != lead_key}}
-    members = {key: full.rows for key, full in passes.items()}
+    # the proxy first, so that its passes are freed before the members' are made
+    own = _be_pass(spec, params[eps_min, R_max], snaps, tol=PROXY_TOL)
+    proxy = _extrapolate(spec, params[eps_min, R_max], snaps, own, observers)
+    if len(params) == 1:
+        passes = {}
+        members = {(eps_min, R_max): own.rows}
+    else:
+        lead_key = (eps_list[0], R_max)
+        lead = _be_pass(spec, params[lead_key], snaps)
+        passes = {lead_key: lead, **{key: _be_pass(spec, par, snaps, lead.dts)
+                                     for key, par in params.items() if key != lead_key}}
+        members = {key: full.rows for key, full in passes.items()}
+    del own
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""
@@ -554,9 +597,7 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     R_cauchy = [sup_reldiff((eps_min, r1), (eps_min, r2))
                 for r1, r2 in zip(R_list, R_list[1:])]
 
-    proxy = _halve_and_extrapolate(spec, params[eps_min, R_max], snaps,
-                                   passes[eps_min, R_max], observers)
-    solves = sum(full.stepper.solves for full in passes.values())
+    solves = proxy.stats["solves"] + sum(full.stepper.solves for full in passes.values())
     return LadderResult(members, proxy, solves, eps_violation, R_violation,
                         eps_cauchy, R_cauchy)
 

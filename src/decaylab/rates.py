@@ -263,12 +263,13 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
     The upper bound's gauge is the one ``rate_model`` derives.  The fitted
     correction exponent must land in [target - 0.1, target + delta + 0.1]
     with target 2/(p beta) or 2/(p gamma), and so must sigma plus or minus its
-    time term, or the verdict fails closed.  The time term is |sigma - sigma_BE|,
-    sigma_BE being fitted on ``be_sup``, the sup-norm series of the run's
-    backward-Euler pass at ``run.times``.  It estimates sigma_BE's first-order
-    error, and the extrapolated sigma's error is of higher order, so for small
-    steps it bounds the latter (Hairer, Norsett & Wanner, Solving ODEs I,
-    Sec. II.9).
+    time term, or the verdict fails closed.  The time term is |sigma - sigma_2|,
+    sigma_2 being fitted on ``be_sup``, the sup-norm series at ``run.times`` of
+    the run's level one order below it: for a run of ``evolution``, the
+    second-order 2 * half - full of the same three passes
+    (``EvolutionRun.second_order_sup``).  It estimates sigma_2's error, and the
+    third-order sigma's error is of higher order, so for small steps it bounds
+    the latter (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.9).
     """
     p, n = run.spec.p, run.grid.n
     shape, model, L = rate_model(env, p, n, delta)

@@ -64,16 +64,17 @@ def traced_steady_state(perfbench_tracer):
 
 
 @pytest.fixture
-def lift_full_pass(monkeypatch):
-    """``lift(x)`` raises the full pass's boundary node by x * eps at every
-    snapshot, so that 2 * half - full lies x * eps below eps there."""
+def lift_half_pass(monkeypatch):
+    """``lift(x)`` raises the halved pass's boundary node by x * eps / 4 at
+    every snapshot, so that full/2 - 4 half + 9/2 third lies x * eps below eps
+    there (raising the full pass, whose weight is 1/2, would raise it)."""
     real_march = evolution._march
 
     def lift(x):
-        def march(stepper, u, snaps, schedule=None, halves=1):
-            values, dts, retries = real_march(stepper, u, snaps, schedule, halves)
-            if halves == 1:
-                values[:, -1] += x * stepper.eps
+        def march(stepper, u, snaps, schedule=None, halves=1, tol=None):
+            values, dts, retries = real_march(stepper, u, snaps, schedule, halves, tol)
+            if halves == 2:
+                values[:, -1] += 0.25 * x * stepper.eps
             return values, dts, retries
 
         monkeypatch.setattr(evolution, "_march", march)

@@ -22,7 +22,7 @@ from decaylab import bounds, evolution, rates
 from decaylab.bounds import (DecayEnvelope, build_subsolution, logistic_exact,
                              solve_steady_state, subsolution_check)
 from decaylab.cli import EXIT_PASS, EXIT_VERDICT, run_experiment
-from decaylab.evolution import (TOL, ApproxParams, ProblemSpec, evolve,
+from decaylab.evolution import (PROXY_TOL, ApproxParams, ProblemSpec, evolve,
                                 linfty_from_lq_check, lyapunov_series,
                                 semiconvexity_check)
 from decaylab.gn import FamilySpec, family_scan
@@ -197,9 +197,9 @@ def test_criterion_05_monotone_ladders(ladder):
 
 def test_ladder_judged_on_backward_euler_passes(ladder):
     # the lead's adaptive pass, one replay per other member and the proxy's
-    # halved pass
+    # own adaptive pass at PROXY_TOL with its replays in halves and in thirds
     result, _, traced = ladder
-    assert traced == result.solves == 5206
+    assert traced == result.solves == 5143
     assert result.eps_violation == result.R_violation == 0.0
     assert result.R_cauchy == [0.0]
     # the eps differences of the extrapolated members (at TOL = 1e-5; they
@@ -217,7 +217,7 @@ def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2, monkeypatc
     spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.exp(-r**2))
     coarse = semiconvexity_check(
         evolve(spec, ApproxParams(R=10.0, eps=1e-3, m=126), 10.0, snaps))
-    monkeypatch.setattr(evolution, "TOL", TOL / 4)
+    monkeypatch.setattr(evolution, "PROXY_TOL", PROXY_TOL / 4)
     fine = semiconvexity_check(
         evolve(spec, ApproxParams(R=10.0, eps=1e-3, m=501), 10.0, snaps))
     improves = max(0.0, -fine) <= max(0.0, -coarse) + 1e-9
@@ -286,7 +286,7 @@ def test_criterion_09_rate_sandwich(long_run):
     low_curve = lower.C * t[tail] ** -1.0 * (0.5 * np.log(t[tail]))
     bracket = (np.max(sup[tail] / up_curve) <= 1.1
                and np.max(low_curve / sup[tail]) <= 1.1)
-    solves = run.stats["solves"]  # both backward-Euler passes, retries included
+    solves = run.stats["solves"]  # all three backward-Euler passes, retries included
     ok = (0.9 <= fit.sigma <= 1.6 and upper.passed and lower.passed
           and bracket and elapsed <= 600.0 and solves <= 30000)
     report(9, ok, f"sigma = {fit.sigma:.3f} in [0.9, 1.6]; upper ratio "
@@ -300,21 +300,22 @@ def sandwich_of(out_dir: Path) -> dict:
 
 
 def test_sigma_time_error_within_its_budget(long_run, tmp_path, monkeypatch):
-    # evolution.TOL is chosen from sigma's time error: on the shipped rate
-    # problem, at its own m = 4001 (the error grows with m: -2.4e-4 at the
-    # benchmark's m = 1001, -3.2e-4 here), sigma lies within 5e-4 (a quarter
-    # of the benchmark's 2e-3) of its limit in TOL, and the verdict's time
-    # term is at least that distance.  sigma's error is proportional to TOL,
-    # so its distance to sigma at TOL/4 is 3/4 of the error
+    # evolution.PROXY_TOL is chosen from sigma's time error: on the shipped
+    # rate problem, at its own m = 4001, sigma lies within 5e-4 (a quarter of
+    # the benchmark's 2e-3) of sigma at PROXY_TOL/16 (measured -1.96e-4), and
+    # the verdict's time term is at least that distance (2.7e-3).  sigma's
+    # error falls as PROXY_TOL^(3/2) (third order in dt), so sigma at
+    # PROXY_TOL/16 is 64 times closer to the limit; the two must differ, or
+    # the patch did not reach the judged trajectory
     _, _, out_dir = long_run
     config = CONFIGS / "pde_decay_sandwich.json"
     judged = sandwich_of(out_dir)
     sigma, term = judged["fit"]["sigma"], judged["sigma_time_term"]
     with monkeypatch.context() as patch:
-        patch.setattr(evolution, "TOL", TOL / 4)
-        assert run_experiment(config, tmp_path / "tol_4") == EXIT_PASS
-    error = 4.0 / 3.0 * abs(sigma - sandwich_of(tmp_path / "tol_4")["fit"]["sigma"])
-    assert error <= 5e-4 and term >= error, (error, term)
+        patch.setattr(evolution, "PROXY_TOL", PROXY_TOL / 16)
+        assert run_experiment(config, tmp_path / "tol_16") == EXIT_PASS
+    error = abs(sigma - sandwich_of(tmp_path / "tol_16")["fit"]["sigma"])
+    assert 0.0 < error <= 5e-4 and term >= error, (error, term)
     lo, hi = judged["sigma_window"]
     assert lo <= sigma - term and sigma + term <= hi
     # negative control: the window's lower edge within the time term of sigma,
@@ -385,11 +386,15 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
 # residual came to be Simpson's rule on the grid's spacing, lower_bound's
 # steady_flux_residual went from 7.7e-14 to 0.0; lower_bound moved again when
 # margins.json, whose every key the verdict holds, went from its artifacts and
-# its verdict gained certificate_pass
+# its verdict gained certificate_pass.  All three moved when the judged run
+# came to be the third-order extrapolation of its own adaptive pass at
+# evolution.PROXY_TOL: every artifact of the proxy and the verdict's
+# time_error, and the sandwich's and the certificate's numbers that read it;
+# ladder's members and eps Cauchy differences kept their bits
 TRAJECTORY_MANIFESTS = {
-    "pde_decay_sandwich": "2d85fac02fd7ecdd6ac5da4abc4196d441772cbe891a689c3e13d07f8931fa5d",
-    "ladder": "5e2cf07400248a6602423381e751aef18ae7261400aeea1372f595954691af38",
-    "lower_bound": "727e4ecb901183d2fd0d46c73113f396feed4775b258aad1d570f307d8f34ae9",
+    "pde_decay_sandwich": "3a12cec01e78a0d8dbb78b7a5788360dbc2e26be8d507eb2bec23e2e62fa7aa2",
+    "ladder": "035d253241c1f368cdd5ad799da3ce1868d1604329577c9a47d0a182edfba03d",
+    "lower_bound": "c95bc55dda4654bf3dcfc108127f55a92997e97779686e72449123e1c4901639",
 }
 
 

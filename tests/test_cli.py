@@ -749,10 +749,10 @@ def test_gn_scan_ratio_not_a_positive_double_exit_3(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_extrapolated_undershoot_exit_3(tmp_path, lift_full_pass, capsys):
-    # each pass holds u >= eps, but 2 * half - full falls below eps by more
-    # than roundoff: the run fails closed and leaves no directory
-    lift_full_pass(1e-9)
+def test_extrapolated_undershoot_exit_3(tmp_path, lift_half_pass, capsys):
+    # each pass holds u >= eps, but full/2 - 4 half + 9/2 third falls below
+    # eps by more than roundoff: the run fails closed and leaves no directory
+    lift_half_pass(1e-9)
     cfg, out = write_config(tmp_path, TINY_DECAY), tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert "extrapolated snapshot" in capsys.readouterr().err
@@ -1031,27 +1031,30 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # margins.json and the verdict moved when the flux residual came to be
     # Simpson's rule on the grid's spacing: steady_flux_residual from 6.7e-16
     # to 0.0; margins.json, whose every key the verdict holds, went, and the
-    # verdict gained certificate_pass)
+    # verdict gained certificate_pass; every trajectory artifact and the
+    # verdict moved when the judged run came to be the third-order
+    # extrapolation of its own adaptive pass at evolution.PROXY_TOL, and
+    # profile_t0.csv and steady_state.csv kept their bytes)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                   for path in out.iterdir() if path.name != "manifest.json")
     assert shas == [
-        ("lower_curve.csv", "515b45032535a88f8427ac4b57ad9577259a809f52b6d004d5dede5d3340d08f"),
-        ("lq_1.csv", "fd30c0c8f7764c6b81d634e08a367bba31dd05d1d1579c775ecd39ba084762d7"),
-        ("profile_t0.5.csv", "f6008927740186a1836cf5a0ac5a36bdebd8b68974066f354ab146ce08078124"),
+        ("lower_curve.csv", "1eccfd51bf9f682af8e422e4bed0c8666f455e54cb1c72590a236662f688c1d3"),
+        ("lq_1.csv", "278a10dff6d5b0e4365ac9eeb3a16dbb8a0269cef1430fb4cf04d87f06fbb011"),
+        ("profile_t0.5.csv", "7a9f588fe61ea58c98930110772330690c886aaac424f8de959dc6db1a803e7f"),
         ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
-        ("profile_t1.58114.csv", "5b407a0c2f1b7ddd40dd33f4112b6f256bca3a9c00f6d03aca7cfea1400f82f1"),
-        ("profile_t158.114.csv", "50923a15141e40114896057853bf5c0746c538832936a438a2c48181b0bce7a1"),
-        ("profile_t2.81171.csv", "c7b0414b9ba5fb168b4baa973f1517299ba1b099cb78fbd6db741928134d22d0"),
-        ("profile_t28.1171.csv", "f9dad313b0d86e5d746f7a99d43b3bc0f95a884313cc2bee1769cf122cadc7e1"),
-        ("profile_t50.csv", "c0058178ba1c4f5f404e36749ec59bdb859ff5ba688d2de6fcebd9a74483b7e9"),
-        ("profile_t500.csv", "125f71025651fcf6d9546e58f8a54ffc4630af658a0e30bdd5642269f24a60e2"),
-        ("profile_t8.8914.csv", "b0e66cb67cc1406e4311093843711849fba978037a3e3be385dc7c8a2e9a5fb0"),
+        ("profile_t1.58114.csv", "1a836ee3111f88233e7ed13210f61d649db013261c4557bed122ac570dd693e7"),
+        ("profile_t158.114.csv", "062638f96998ee5dee14a74055501cda06308d09d921afd44f257b88f4a86a55"),
+        ("profile_t2.81171.csv", "afe86790d190b0a9a04a482bb9b706b210de55f2ef14d7f46b8ed1a8b044872f"),
+        ("profile_t28.1171.csv", "b1e48584edff22fe80e9c41a4bad9e2cc95216afc350320dda5516e5ad415d42"),
+        ("profile_t50.csv", "f36d286369c05242e3900885e4cbf803f559160005663544134cfb9b7e29d2b9"),
+        ("profile_t500.csv", "36b955fdd932c321c3f93f76b386f723735fdc04eda4ceb168d48445d1fb63fc"),
+        ("profile_t8.8914.csv", "f8e4e1deaf1e2847bc58dbed038fc1a70ce38ffcaf66cb1ad57ca0ceb2e309b3"),
         ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
-        ("sup_norm.csv", "9384d145745279262efcef091499766b8c84010a83923690aa09b7ccf97c4fe1"),
-        ("upper_curve.csv", "5223f9796c96ab91b91994c8952092e61e2f881963edb82d0fc67788da054c21"),
+        ("sup_norm.csv", "d2acb75587c35007a6cd0d2253d4e8ba17517d918c994c853a4a7b6e5317e7a4"),
+        ("upper_curve.csv", "e9b61e0fc91a43029cb46f2fb2f1f6cbefabf6b90f6d1a6f3f72da13f6002f6c"),
     ]
     verdict = verdict_of(out)
     assert verdict.pop("ladder") == {
@@ -1059,4 +1062,4 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
         "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "016ab028c4a7dc97a111788d6cfa0b890e63b627ff53e56fe1ffdd74ad949428"
+    assert digest == "6a22ebe4d82cb3555e6af42b0ad6b12f7a09443ee917519149087d6784c7e777"
