@@ -13,6 +13,25 @@ The matrix is an M-matrix for n <= 3, so u_new >= eps is preserved exactly up
 to linear-solve roundoff; an undershoot larger than FLOOR_TOL * eps fails the
 step, and an adaptive run retries it at half the dt.
 
+A step solves only where the solution moves.  Data that decay fast leave
+most of B_R in the floor band [eps, eps * (1 + FLOOR_TOL)] for the whole run,
+so each step solves the rows [0, k) of a window: the last node above the band,
+then a margin of M rows, the last of which, row k - 1, is pinned to eps as a
+Dirichlet row; the rows from k on are set to eps.  M is the least integer with
+(sup u - eps) * rho^M <= FLOOR_TOL * eps, where rho = a/(1 + a) and
+a = dt * (eps * (1 + FLOOR_TOL))^p / h^2: on the band, (sup u - eps) * rho^j
+is a supersolution of the full step's equation for u_new - eps at j rows past
+the last moving node, so the full step exceeds eps at row k - 1 by at most
+(sup u - eps) * rho^M + FLOOR_TOL * eps <= 2 * FLOOR_TOL * eps.  A windowed
+step is exactly the step on the ball B_{r_{k-1}} with boundary value eps, the
+problem a smaller-R ladder member solves, so positivity, the floor eps and the
+maximum principle hold as before, and by the comparison principle it lies
+below the full step by at most that bound, within the roundoff band that
+FLOOR_TOL already allows at eps.  When k would reach m (a large dt * eps^p /
+h^2, or a NaN in u) the window spans the grid and the step is the full-grid
+step, bit for bit; a window has at least the two rows r = 0 and its pinned
+row.
+
 The solve is LAPACK's dgtsv, held in the module name ``dgtsv``.  That name is
 bound from scipy.linalg when the first ``_Stepper`` is made, or when it is
 first read from outside the module (PEP 562), so importing this module, and a
@@ -149,9 +168,10 @@ class EvolutionRun:
     ``dts`` holds every accepted step of the full pass, also of a replayed
     run; replaying it reproduces the run.  ``stats`` counts the ``rejected``
     and undershoot ``halvings`` retries of the full pass, the ``solves`` of
-    all three passes (retries included) and the extrapolated values raised to
-    eps (``clamps``); ``time_error`` is max|E3 - E2| / max E3 over the
-    snapshots, and ``snapshot_time_error`` the list of each snapshot's
+    all three passes (retries included), the ``rows`` those solves solved
+    (each solve's window, module docstring) and the extrapolated values
+    raised to eps (``clamps``); ``time_error`` is max|E3 - E2| / max E3 over
+    the snapshots, and ``snapshot_time_error`` the list of each snapshot's
     max|E3 - E2| over its own max E3 (module docstring).
     ``second_order_sup`` is the sup series of E2 = 2 * half - full at
     ``times``, against which ``rates.sandwich_report`` measures sigma's time
@@ -206,16 +226,19 @@ def __getattr__(name):
 class _Stepper:
     """Preassembled geometry and reused buffers for the tridiagonal step on one grid.
 
-    ``step`` writes ``c = dt * u**p`` and the diagonals in place, into buffers
-    and interior views made once here, from stencil factors folded once:
-    ``c_i * (2 inv_h2)`` is ``(2 c_i) * inv_h2`` and ``c_i * (-g_i)`` is
-    ``-(c_i * g_i)`` bit for bit, since doubling and negation are exact;
-    ``u**p * dt`` is ``dt * u**p``, and ``u**1`` is ``u``.  ``dgtsv``
-    overwrites the three diagonals, so every step writes all of them.  The
-    right-hand side is a fresh copy of u that the solve overwrites and the step
-    returns, so a retried step never sees a clobbered state and no returned
-    array shares memory with a buffer.  Tests pin the step's bits against the
-    unfolded assembly.
+    ``step`` solves the rows [0, k) that ``window`` picks (module docstring)
+    and sets the rest to eps.  It writes ``c = dt * u**p`` and the diagonals
+    of those rows in place, into buffers made once here, from stencil factors
+    folded once: ``c_i * (2 inv_h2)`` is ``(2 c_i) * inv_h2`` and
+    ``c_i * (-g_i)`` is ``-(c_i * g_i)`` bit for bit, since doubling and
+    negation are exact; ``u**p * dt`` is ``dt * u**p``, and ``u**1`` is ``u``.
+    ``dgtsv`` overwrites the three diagonals, so every step writes all of
+    them.  The right-hand side is a fresh copy of u that the solve overwrites
+    and the step returns, so a retried step never sees a clobbered state and
+    no returned array shares memory with a buffer.  When the window spans the
+    grid the step is the full-grid step; tests pin its bits against the
+    unfolded assembly, on the window's rows when it does not.  ``solves``
+    and ``rows`` count the solves and the rows they solved.
 
     ``__init__`` binds the module's ``dgtsv`` (``_bind_dgtsv``), so LAPACK is
     imported when the first stepper is made; ``step`` looks the name up in the
@@ -228,43 +251,68 @@ class _Stepper:
         self.p = p
         self.eps = eps
         self.solves = 0
+        self.rows = 0
         # -Lap_h: the r = 0 row and the interior rows split by neighbor
         (self.center_coeff, inv_h2, geo_lower, geo_upper) = laplacian_stencil(grid)
         self.two_inv_h2 = 2.0 * inv_h2
         self.neg_lower = -geo_lower
         self.neg_upper = -geo_upper
+        # the top of the floor band, and dt * band**p / h**2 per unit dt
+        self.band = eps * (1.0 + FLOOR_TOL)
+        self.band_coeff = self.band ** p * inv_h2
         m = grid.m
         self._c = np.empty(m)
         self._dl = np.empty(m - 1)
         self._d = np.empty(m)
         self._du = np.empty(m - 1)
-        # the interior rows: c at the nodes 1..m-2 and the bands it fills
-        self._c_in = self._c[1:-1]
-        self._d_in = self._d[1:-1]
-        self._du_in = self._du[1:]
-        self._dl_in = self._dl[:-1]
+
+    def window(self, u: np.ndarray, dt: float) -> int:
+        """The number k of rows, at least 2, that a step of dt from u solves.
+
+        k is the last node above the floor band eps * (1 + FLOOR_TOL), plus
+        one, plus the least margin M >= 1 with (sup u - eps) * rho**M <=
+        FLOOR_TOL * eps, rho = a/(1 + a), a = dt * band**p / h**2; k = m,
+        the full grid, when that reaches m or u holds a NaN, and k = 2 when
+        no node lies above the band.
+        """
+        m = u.size
+        excess = float(np.maximum.reduce(u)) - self.eps
+        if not excess > FLOOR_TOL * self.eps:
+            return 2 if excess == excess else m  # the band alone, or a NaN
+        above = (u > self.band).nonzero()[0]
+        last = int(above[-1]) if above.size else m - 1
+        a = dt * self.band_coeff
+        decay = math.log1p(1.0 / a) if a > 0.0 else math.inf  # -log(rho)
+        need = math.log(excess / (FLOOR_TOL * self.eps))
+        if not need < decay * (m - 1 - last):
+            return m
+        return last + 1 + max(1, math.ceil(need / decay))
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        c, dl, d, du = self._c, self._dl, self._d, self._du
+        k = self.window(u, dt)
+        c, dl, d, du = self._c[:k], self._dl[:k - 1], self._d[:k], self._du[:k - 1]
         if self.p == 1.0:
-            np.multiply(u, dt, out=c)
+            np.multiply(u[:k], dt, out=c)
         else:
-            np.power(u, self.p, out=c)
+            np.power(u[:k], self.p, out=c)
             c *= dt
         c0 = float(c[0])
         d[0] = 1.0 + c0 * self.center_coeff
         du[0] = -c0 * self.center_coeff
-        c_in, d_in = self._c_in, self._d_in
+        c_in, d_in = c[1:-1], d[1:-1]
         np.multiply(c_in, self.two_inv_h2, out=d_in)
         d_in += 1.0
-        np.multiply(c_in, self.neg_upper, out=self._du_in)
-        np.multiply(c_in, self.neg_lower, out=self._dl_in)
+        np.multiply(c_in, self.neg_upper[:k - 2], out=du[1:])
+        np.multiply(c_in, self.neg_lower[:k - 2], out=dl[:-1])
         d[-1] = 1.0     # pinned Dirichlet row
         dl[-1] = 0.0
         b = u.copy()
-        b[-1] = self.eps
+        b[k - 1:] = self.eps
         self.solves += 1
-        _, _, _, out, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+        self.rows += k
+        # b[:k] is contiguous float64, so the solve overwrites it in place and
+        # out is that view of b
+        _, _, _, out, info = dgtsv(dl, d, du, b[:k], 1, 1, 1, 1)
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
         undershoot = self.eps - np.minimum.reduce(out)
@@ -273,7 +321,7 @@ class _Stepper:
                 raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
                                   f"{FLOOR_TOL:g} * eps")
             np.maximum(out, self.eps, out=out)
-        return out
+        return b
 
 
 def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.ndarray:
@@ -442,8 +490,8 @@ def _extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray, ful
     for name, fn in (observers or {}).items():
         series[name] = np.array([fn(grid, row) for row in values])
     sup = series["sup_norm"]
-    stats = {**full.retries, "solves": full.stepper.solves, "clamps": clamps,
-             "time_error": float(gap_max.max()) / float(sup.max()),
+    stats = {**full.retries, "solves": full.stepper.solves, "rows": full.stepper.rows,
+             "clamps": clamps, "time_error": float(gap_max.max()) / float(sup.max()),
              "snapshot_time_error": (gap_max / sup).tolist()}
     return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, full.dts,
                         stats, second_sup)
@@ -495,12 +543,14 @@ class LadderResult:
     the proxy's own pass at PROXY_TOL.  ``proxy`` is the (min eps, max R)
     member as ``evolve`` returns it: its own adaptive pass at PROXY_TOL,
     replayed in halves and in thirds, extrapolated and observed.  ``solves``
-    counts every solve of the ladder, retries included.
+    counts every solve of the ladder, retries included, and ``rows`` the rows
+    those solves solved.
     """
 
     members: dict
     proxy: EvolutionRun
     solves: int
+    rows: int
     eps_violation: float
     R_violation: float
     eps_cauchy: list
@@ -598,7 +648,8 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                 for r1, r2 in zip(R_list, R_list[1:])]
 
     solves = proxy.stats["solves"] + sum(full.stepper.solves for full in passes.values())
-    return LadderResult(members, proxy, solves, eps_violation, R_violation,
+    rows = proxy.stats["rows"] + sum(full.stepper.rows for full in passes.values())
+    return LadderResult(members, proxy, solves, rows, eps_violation, R_violation,
                         eps_cauchy, R_cauchy)
 
 

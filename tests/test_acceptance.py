@@ -390,11 +390,17 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
 # came to be the third-order extrapolation of its own adaptive pass at
 # evolution.PROXY_TOL: every artifact of the proxy and the verdict's
 # time_error, and the sandwich's and the certificate's numbers that read it;
-# ladder's members and eps Cauchy differences kept their bits
+# ladder's members and eps Cauchy differences kept their bits.  All three
+# moved when a step came to solve only its window's rows: their profiles (all
+# but profile_t0.csv) and lq_1.csv by at most 9.6e-13 relative, far-field
+# values a roundoff above eps coming to read eps; ladder's verdict kept its
+# bits, lower_bound's moved in one center_margin_at_tau0 (5.7e-14) and the
+# sandwich's in sigma (3.5e-15), C_fit, rms_residual, the baseline's worst
+# ratio and sigma_time_term (1.6e-11), every pass unchanged
 TRAJECTORY_MANIFESTS = {
-    "pde_decay_sandwich": "3a12cec01e78a0d8dbb78b7a5788360dbc2e26be8d507eb2bec23e2e62fa7aa2",
-    "ladder": "035d253241c1f368cdd5ad799da3ce1868d1604329577c9a47d0a182edfba03d",
-    "lower_bound": "c95bc55dda4654bf3dcfc108127f55a92997e97779686e72449123e1c4901639",
+    "pde_decay_sandwich": "5ab38712634ac5bb4757630366a3519df1411d6c76ed5e91580b20155985cfc6",
+    "ladder": "1f54f6df2d6d0ad838dc81fa714cee6625f5fa932c2fe05793379ea4064f34af",
+    "lower_bound": "ba28bbbad7d3d9fb602f88a95489c034c888e97a865695fd2fb6a004d9759aae",
 }
 
 

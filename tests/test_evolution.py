@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -71,7 +72,9 @@ def test_bad_replay_schedule_fails_closed(monkeypatch, bad):
 
 class ReferenceStepper(evolution._Stepper):
     """The step as it was before its numpy calls were fused, kept verbatim as
-    the oracle of the lean step."""
+    the oracle of the lean step.  Given ``rows`` = k, it solves the first k
+    rows of that assembly with row k - 1 pinned to eps, and sets the rest to
+    eps: the windowed step (evolution module docstring)."""
 
     def __init__(self, grid, p, eps):
         super().__init__(grid, p, eps)
@@ -79,7 +82,8 @@ class ReferenceStepper(evolution._Stepper):
          self.geo_upper) = evolution.laplacian_stencil(grid)
         self._b = np.empty(grid.m)
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, u: np.ndarray, dt: float, rows=None) -> np.ndarray:
+        k = self.grid.m if rows is None else rows
         c = dt * u**self.p
         ci = c[1:-1]
         dl, d, du, b = self._dl, self._d, self._du, self._b
@@ -88,13 +92,13 @@ class ReferenceStepper(evolution._Stepper):
         d[1:-1] = 1.0 + 2.0 * ci * self.inv_h2
         du[1:] = -ci * self.geo_upper
         dl[0:-1] = -ci * self.geo_lower
-        d[-1] = 1.0     # pinned Dirichlet row
-        dl[-1] = 0.0
+        d[k - 1] = 1.0     # pinned Dirichlet row
+        dl[k - 2] = 0.0
         b[:] = u
-        b[-1] = self.eps
+        b[k - 1:] = self.eps
         self.solves += 1
-        _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
-                                   overwrite_du=1, overwrite_b=1)
+        _, _, _, out, info = dgtsv(dl[:k - 1], d[:k], du[:k - 1], b[:k], overwrite_dl=1,
+                                   overwrite_d=1, overwrite_du=1, overwrite_b=1)
         if info != 0:
             raise SchemeError(f"tridiagonal solve failed (info={info})")
         undershoot = self.eps - out.min()
@@ -103,12 +107,30 @@ class ReferenceStepper(evolution._Stepper):
                 raise SchemeError(f"boundary-level undershoot {undershoot:.3e} exceeds "
                                   f"{FLOOR_TOL:g} * eps")
             np.maximum(out, self.eps, out=out)
-        # out may alias the work buffer; hand the caller an independent array
+        # out is a view of the work buffer; hand the caller an independent array
         # so a retried step never sees a clobbered state.
-        return out.copy() if out is b else out
+        return b.copy()
+
+
+def window_rows(u, dt, p, eps, h):
+    """The window's row count by its definition: the last node above the floor
+    band, plus one, plus the least M with (sup u - eps) rho**M <= FLOOR_TOL *
+    eps, counted up one by one; at least 2 rows and at most m."""
+    band = eps * (1.0 + FLOOR_TOL)
+    above = np.flatnonzero(u > band)
+    if above.size == 0:
+        return 2
+    a = dt * band**p / h**2
+    rho = a / (1.0 + a)
+    margin = 0
+    while (u.max() - eps) * rho**margin > FLOOR_TOL * eps and above[-1] + 1 + margin < u.size:
+        margin += 1
+    return min(above[-1] + 1 + margin, u.size)
 
 
 def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
+    # the step equals the unfolded assembly bit for bit: on the full grid when
+    # the window spans it, and on the window's rows, row k - 1 pinned, when not
     raw_undershoots = []
 
     def solve(*args):
@@ -118,6 +140,7 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(evolution, "dgtsv", solve)
     clamped = 0
+    windows = []
     for p in (1.0, 1.5, 2.0, 4.0):
         for n in (1, 2, 3):
             for m in (3, 5, 101, 1001):
@@ -125,24 +148,105 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
                 for eps in (1e-3, 1e-8):
                     lean = evolution._Stepper(grid, p, eps)
                     ref = ReferenceStepper(grid, p, eps)
-                    # every array the step keeps: its buffers, their interior
-                    # views and the folded stencil factors
+                    # every array the step keeps: its buffers and the folded
+                    # stencil factors
                     kept = {k: a for k, a in vars(lean).items() if isinstance(a, np.ndarray)}
-                    assert {"_c", "_c_in", "_dl", "_dl_in", "_d", "_d_in", "_du",
-                            "_du_in"} <= kept.keys()
-                    # flat at eps near the boundary, where roundoff can undershoot
-                    u = np.where(grid.nodes < 4.0, np.exp(-grid.nodes**2), 0.0) + eps
-                    u_before = u.copy()
-                    for dt in (1e-4, 1e-2, 1.0, 1e4):
+                    assert {"_c", "_dl", "_d", "_du", "neg_lower", "neg_upper"} <= kept.keys()
+                    # flat at eps near the boundary, where roundoff can undershoot,
+                    # and held at eps, where the window is its least, 2 rows
+                    bump = np.where(grid.nodes < 4.0, np.exp(-grid.nodes**2), 0.0) + eps
+                    for u, dt in itertools.product((bump, np.full(m, eps)),
+                                                   (1e-4, 1e-2, 1.0, 1e4)):
+                        u_before = u.copy()
                         raw_undershoots.clear()
+                        k = lean.window(u, dt)
+                        assert k == window_rows(u, dt, p, eps, grid.h), (p, n, m, eps, dt)
+                        rows = lean.rows
                         out = lean.step(u, dt)
-                        assert out.tobytes() == ref.step(u, dt).tobytes(), (p, n, m, eps, dt)
+                        assert lean.rows - rows == k
+                        expected = ref.step(u, dt) if k == m else ref.step(u, dt, rows=k)
+                        assert out.tobytes() == expected.tobytes(), (p, n, m, eps, dt)
+                        assert np.all(out[k - 1:] == eps)
                         assert out.min() >= eps
                         clamped += raw_undershoots[0] > 0.0
+                        windows.append("least" if k == 2 else "full" if k == m else "inner")
                         assert not any(np.shares_memory(out, a) for a in [u, *kept.values()])
-                    assert u.tobytes() == u_before.tobytes()
-    # several of these steps undershoot eps by roundoff and are clamped
+                        assert u.tobytes() == u_before.tobytes()
+    # several of these steps undershoot eps by roundoff and are clamped, and
+    # the windows take every kind of size
     assert clamped >= 5
+    assert set(windows) == {"least", "inner", "full"}
+
+
+def test_step_with_a_nan_beyond_the_window_fails_closed():
+    # the window would leave a NaN in the far field out of the solve, and the
+    # step would overwrite it with eps; a NaN anywhere makes it the full-grid
+    # step instead, whose solve carries the NaN to the undershoot check
+    grid = RadialGrid(1, 5.0, 101)
+    stepper = evolution._Stepper(grid, 1.0, 1e-3)
+    for u in (np.exp(-grid.nodes**2) + 1e-3, np.full(101, 1e-3)):
+        u[-2] = np.nan
+        assert stepper.window(u, 1e-2) == 101
+        with pytest.raises(SchemeError, match="undershoot nan"):
+            stepper.step(u, 1e-2)
+
+
+@pytest.mark.parametrize("p, n", [(1.0, 1), (1.0, 3), (2.0, 2), (4.0, 1)])
+def test_windowed_step_lies_below_the_full_one_at_a_sharp_front(p, n):
+    # a plateau that drops to eps in one node, at a = dt eps^p / h^2 from 0.1
+    # to 10, where the margin M spans 15 to 363 rows: the windowed step lies
+    # below the full-grid one by at most 2 FLOOR_TOL eps (measured at most
+    # 0.0074 FLOOR_TOL eps), and a margin of one row would not
+    eps = 1e-3
+    grid = RadialGrid(n, 10.0, 1001)
+    u = np.where(grid.nodes < 2.0, 1.0, 0.0) + eps
+    for a in (0.1, 1.0, 10.0):
+        dt = a * grid.h**2 / (eps * (1.0 + FLOOR_TOL)) ** p
+        windowed = evolution._Stepper(grid, p, eps)
+        assert windowed.window(u, dt) < grid.m
+        gap = ReferenceStepper(grid, p, eps).step(u, dt) - windowed.step(u, dt)
+        assert gap.min() >= 0.0
+        assert gap.max() <= 2.0 * FLOOR_TOL * eps, (a, gap.max())
+
+
+@pytest.mark.parametrize("p, n", [(1.0, 1), (2.0, 2), (4.0, 3)])
+def test_windowed_trajectory_lies_below_the_full_grid_one(p, n):
+    # a windowed step is the step on the ball of its pinned row, so by the
+    # comparison principle it lies below the full-grid step, by at most
+    # (sup u - eps) rho**M + FLOOR_TOL * eps; along a whole pass, replayed on
+    # the full grid, the gap stays below FLOOR_TOL * eps (measured 2.7e-13,
+    # 4.5e-13 and 7.4e-13 times eps at 862, 780 and 614 steps)
+    eps = 1e-5
+    spec = ProblemSpec(p, n, lambda r: np.exp(-r**2))
+    params = ApproxParams(R=20.0, eps=eps, m=501)
+    grid = RadialGrid(n, params.R, params.m)
+    u0 = evolution.initial_profile(spec, params, grid)
+    snaps = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 9)])
+    windowed = evolution._Stepper(grid, p, eps)
+    rows, dts, _ = evolution._march(windowed, u0, snaps, tol=evolution.TOL)
+    full, _, _ = evolution._march(ReferenceStepper(grid, p, eps), u0, snaps, dts)
+    assert windowed.rows < 0.4 * params.m * windowed.solves    # measured 0.32
+    gap = full - rows
+    assert gap.min() >= 0.0
+    assert gap.max() <= FLOOR_TOL * eps
+
+
+def test_window_spans_the_grid_at_large_dt_bit_for_bit():
+    # at eps = 0.1 and h = 0.01 a step of dt = 0.5 has a = dt eps^p / h^2 near
+    # 500, so the margin M exceeds m and every step is the full-grid step
+    eps, m = 0.1, 4001
+    spec = gaussian_spec()
+    params = ApproxParams(R=40.0, eps=eps, m=m)
+    grid = RadialGrid(1, params.R, m)
+    u0 = evolution.initial_profile(spec, params, grid)
+    stepper = evolution._Stepper(grid, 1.0, eps)
+    assert stepper.window(u0, 1e-4) < m     # a = 0.1: a window of a few hundred rows
+    snaps = np.array([0.0, 5.0, 20.0])
+    schedule = np.full(40, 0.5)
+    rows, _, _ = evolution._march(stepper, u0, snaps, schedule)
+    full, _, _ = evolution._march(ReferenceStepper(grid, 1.0, eps), u0, snaps, schedule)
+    assert stepper.rows == m * stepper.solves == m * schedule.size
+    assert rows.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -320,6 +424,10 @@ def test_step_stats_count_recorded_and_replayed_steps():
     stats = lead.stats
     assert stats["solves"] == 6 * len(lead.dts) + stats["rejected"] + stats["halvings"]
     assert replay.stats["solves"] == 6 * len(lead.dts)
+    # each solve, retries included, solves its window's rows: at least 2, and
+    # fewer than m while the far field sits at eps
+    for run in (lead, replay):
+        assert 2 * run.stats["solves"] <= run.stats["rows"] < params.m * run.stats["solves"]
     assert 0.0 < stats["time_error"] < 1e-3
 
 
@@ -512,6 +620,7 @@ def test_ladder_proxy_is_its_members_own_run(eps_list, R_list):
         own = evolution._be_pass(spec, proxy_params, proxy.times, tol=PROXY_TOL)
         assert np.array_equal(ladder.members[proxy_key], own.rows)
         assert ladder.solves == ref.stats["solves"]
+        assert ladder.rows == ref.stats["rows"]
         return
     lead = evolution._be_pass(spec, ApproxParams(R=20.0, eps=eps_list[0], m=501), proxy.times)
     replay = evolution._be_pass(spec, proxy_params, proxy.times, lead.dts)
@@ -521,6 +630,14 @@ def test_ladder_proxy_is_its_members_own_run(eps_list, R_list):
     # the proxy's three passes (6 solves a step) with its retries
     replayed = (len(ladder.members) - 1) * lead.dts.size
     assert ladder.solves == lead.stepper.solves + replayed + ref.stats["solves"]
+    # and the rows of those solves, which the members' windows make fewer
+    # than m each
+    members = [evolution._be_pass(spec, par, proxy.times, lead.dts)
+               for key, par in evolution.ladder_params(eps_list, R_list, 501).items()
+               if key != (eps_list[0], 20.0)]
+    assert ladder.rows == (lead.stepper.rows + sum(p.stepper.rows for p in members)
+                           + ref.stats["rows"])
+    assert ladder.rows < 501 * ladder.solves
     assert ref.stats["solves"] == (6 * ref.dts.size + ref.stats["rejected"]
                                    + ref.stats["halvings"])
 

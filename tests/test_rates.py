@@ -125,7 +125,7 @@ def test_sandwich_report_on_exact_model():
     sup = T**-1.0 * np.log(T) ** 1.2
     run = synthetic_run(T, sup)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
-    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4), be_sup=sup)
+    verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4), second_order_sup=sup)
     assert verdict.fit.sigma == pytest.approx(1.2, abs=1e-6)
     assert verdict.sigma_window == (0.9, 2.0)
     assert verdict.sigma_time_term == 0.0 and verdict.time_error_window == 0.0
@@ -143,7 +143,7 @@ def test_sandwich_report_fails_closed_on_the_time_term(be_sigma, passes):
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2, time_error=np.linspace(0.0, 1.0, T.size))
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 5e3),
-                              be_sup=T**-1.0 * np.log(T) ** be_sigma)
+                              second_order_sup=T**-1.0 * np.log(T) ** be_sigma)
     assert verdict.sigma_time_term == pytest.approx(abs(1.2 - be_sigma), abs=1e-9)
     assert verdict.upper.passed and verdict.lower.passed
     assert verdict.sigma_ok is verdict.passed is passes
@@ -178,7 +178,7 @@ def test_rate_model_rejects_nonpositive_delta():
             rate_model(env, 1.0, 1, delta)
     run = synthetic_run(T, T**-1.0 * np.log(T))
     with pytest.raises(InputError, match="delta must be positive"):
-        sandwich_report(run, env, delta=0.0, window=(10.0, None), be_sup=T**-1.0)
+        sandwich_report(run, env, delta=0.0, window=(10.0, None), second_order_sup=T**-1.0)
 
 
 def test_sandwich_report_flags_out_of_window_exponent():
@@ -186,7 +186,7 @@ def test_sandwich_report_flags_out_of_window_exponent():
     run = synthetic_run(T, T**-1.0 * np.log(T) ** 3.0)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4),
-                              be_sup=run.series["sup_norm"])
+                              second_order_sup=run.series["sup_norm"])
     assert not verdict.sigma_ok
     assert not verdict.passed
 
