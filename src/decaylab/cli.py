@@ -14,10 +14,13 @@ flux residual within ``bounds.RESIDUAL_TOL``.
 Every run writes a ``manifest.json`` listing each artifact with its sha256;
 its ``verdict`` is the one record of the run's verdict, which no artifact
 copies (a certificate's own pass is its ``certificate_pass``, since the
-verdict's ``pass`` is the AND of every section).  A ``pde_decay`` run's one sup
-series, ``sup_norm.csv``, is also its center value, since the run stays
-radially nonincreasing.  Outputs are deterministic for a fixed config and
-build (no wall-clock text, fixed iteration orders, fixed float formatting).
+verdict's ``pass`` is the AND of every section).  A ``pde_decay`` run writes
+one table per axis: ``series.csv`` (``t``, ``sup_norm``, then each observer),
+``profiles.csv`` (``r``, then nine snapshots spread over the run) and, with
+``rate``, ``bound_curves.csv`` (``t``, ``lower``, ``upper`` on the rate window).
+Its sup series is also its center value, since the run stays radially
+nonincreasing.  Outputs are deterministic for a fixed config and build (no
+wall-clock text, fixed iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
@@ -269,14 +272,14 @@ def _observers(names: list):
                 q = float(name[3:])
             except ValueError:
                 q = math.nan
-            if not 0.0 < q < math.inf:
+            if not 0.0 < q < math.inf or name[3:] != name[3:].strip():  # it heads a column
                 raise ConfigError(f"observers: {name!r} needs a positive number after 'lq:'")
             if q in by_q:
                 raise ConfigError(f"observers: {by_q[q]!r} and {name!r} name one q = {q:g}")
             by_q[q] = name
         else:
             raise ConfigError(f"observers: unknown observer {name!r} (an observer is "
-                              "'lq:<q>'; sup_norm.csv is always written)")
+                              "'lq:<q>'; series.csv always holds sup_norm)")
     return {name: evolution.observer_lq(q) for q, name in by_q.items()}
 
 
@@ -373,13 +376,13 @@ def _run_gn_scan(cfg: _Section):
 
 
 def _write_run_series(writer: ArtifactWriter, run):
-    for name in sorted(run.series):
-        writer.write_series_csv(f"{name.replace(':', '_')}.csv", ["t", "value"],
-                                [run.times, run.series[name]])
-    profiles = {f"profile_t{run.times[k]:.6g}.csv": k  # of times that print alike, the last
-                for k in np.linspace(0, len(run.times) - 1, 9).astype(int)}
-    for name, k in profiles.items():
-        writer.write_series_csv(name, ["r", "u"], [run.grid.nodes, run.values[k]])
+    """The judged run's series.csv and profiles.csv (module docstring)."""
+    names = ["sup_norm", *sorted(set(run.series) - {"sup_norm"})]
+    writer.write_series_csv("series.csv", ["t", *names],
+                            [run.times, *(run.series[name] for name in names)])
+    picks = np.unique(np.linspace(0, len(run.times) - 1, 9).astype(int))
+    writer.write_series_csv("profiles.csv", ["r", *(f"t={run.times[k]:.17g}" for k in picks)],
+                            [run.grid.nodes, *run.values[picks]])
 
 
 def _run_pde_decay(cfg: _Section):
@@ -438,17 +441,16 @@ def _run_pde_decay(cfg: _Section):
         _write_run_series(writer, run)
 
         if rate is not None:
-            sandwich = rates.sandwich_report(run, env, delta, window, run.second_order_sup)
+            sandwich = rates.sandwich_report(run, env, delta, window)
             verdict["sandwich"] = sandwich.to_json()
-            # the baseline and both curves read the snapshots the sandwich judged
+            # the baseline and the curves read the snapshots the sandwich judged
             t_grid = run.times[in_window]
             # the run stays radially nonincreasing, so its sup is its center value
             baseline = rates.baseline_check(t_grid, run.series["sup_norm"][in_window], spec.p)
             verdict["baseline"] = baseline.to_json()
-            curve = rates.lower_bound_curve(env, spec.p, sandwich.lower.C, t_grid)
-            writer.write_series_csv("lower_curve.csv", ["t", "value"], [t_grid, curve])
-            upper_curve = rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)
-            writer.write_series_csv("upper_curve.csv", ["t", "value"], [t_grid, upper_curve])
+            writer.write_series_csv("bound_curves.csv", ["t", "lower", "upper"], [
+                t_grid, rates.lower_bound_curve(env, spec.p, sandwich.lower.C, t_grid),
+                rates.upper_bound_curve(L, spec.p, spec.n, sandwich.upper.C, t_grid)])
             verdict["pass"] = bool(sandwich.passed and baseline.passed)
 
         if cert is not None:
@@ -507,12 +509,11 @@ def run_experiment(config_path: Path, out_dir=None) -> int:
 
 def _plot_script(mode: str, run_dir: Path):
     """gnuplot script referencing only files inside the run directory."""
-    if mode == "pde_decay" and (run_dir / "sup_norm.csv").exists():
-        plot = 'plot "sup_norm.csv" using 1:2 with lines title "measured"'
-        if (run_dir / "upper_curve.csv").exists():
-            plot += ', "upper_curve.csv" using 1:2 with lines title "upper bound"'
-        if (run_dir / "lower_curve.csv").exists():
-            plot += ', "lower_curve.csv" using 1:2 with lines title "lower bound"'
+    if mode == "pde_decay" and (run_dir / "series.csv").exists():
+        plot = 'plot "series.csv" using 1:2 with lines title "measured"'
+        if (run_dir / "bound_curves.csv").exists():
+            plot += (', "bound_curves.csv" using 1:3 with lines title "upper bound"'
+                     ', "bound_curves.csv" using 1:2 with lines title "lower bound"')
         return ('set datafile separator ","\nset logscale xy\n'
                 'set xlabel "t"\nset ylabel "sup norm"\n' + plot + "\n")
     if mode == "gn_scan" and (run_dir / "scan.csv").exists():

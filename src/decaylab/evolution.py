@@ -539,12 +539,12 @@ class LadderResult:
 
     ``members`` maps (eps, R) to the snapshot rows of that member's
     backward-Euler pass at ``proxy.times``, on the member's own grid (the
-    first nodes of the largest ball's); in a ladder of one member, its row is
-    the proxy's own pass at PROXY_TOL.  ``proxy`` is the (min eps, max R)
-    member as ``evolve`` returns it: its own adaptive pass at PROXY_TOL,
-    replayed in halves and in thirds, extrapolated and observed.  ``solves``
-    counts every solve of the ladder, retries included, and ``rows`` the rows
-    those solves solved.
+    first nodes of the largest ball's).  A ladder of one member compares no
+    passes, so its one row is the proxy's extrapolated snapshots,
+    ``proxy.values``.  ``proxy`` is the (min eps, max R) member as ``evolve``
+    returns it: its own adaptive pass at PROXY_TOL, replayed in halves and in
+    thirds, extrapolated and observed.  ``solves`` counts every solve of the
+    ladder, retries included, and ``rows`` the rows those solves solved.
     """
 
     members: dict
@@ -596,27 +596,24 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     On those passes, solutions must decrease along eps and increase along R
     up to LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their
     sup norms.  The proxy for the minimal solution, (min eps, max R), is also
-    run on its own schedule as ``evolve`` runs it (adaptive at PROXY_TOL,
-    replayed in halves and in thirds, extrapolated and observed), so the
-    proxy is that member's ``evolve`` run, bit for bit.  A ladder of one
-    member takes the proxy's passes alone.
+    run on its own schedule by ``evolve`` (adaptive at PROXY_TOL, replayed in
+    halves and in thirds, extrapolated and observed).  A ladder of one member
+    takes the proxy's passes alone.
     """
     params = ladder_params(eps_list, R_list, m)
     snaps = normalize_snapshots(snapshot_times, t_end)
     eps_min, R_max = eps_list[-1], R_list[-1]
     # the proxy first, so that its passes are freed before the members' are made
-    own = _be_pass(spec, params[eps_min, R_max], snaps, tol=PROXY_TOL)
-    proxy = _extrapolate(spec, params[eps_min, R_max], snaps, own, observers)
+    proxy = evolve(spec, params[eps_min, R_max], t_end, snaps, observers)
     if len(params) == 1:
         passes = {}
-        members = {(eps_min, R_max): own.rows}
+        members = {(eps_min, R_max): proxy.values}
     else:
         lead_key = (eps_list[0], R_max)
         lead = _be_pass(spec, params[lead_key], snaps)
         passes = {lead_key: lead, **{key: _be_pass(spec, par, snaps, lead.dts)
                                      for key, par in params.items() if key != lead_key}}
         members = {key: full.rows for key, full in passes.items()}
-    del own
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""

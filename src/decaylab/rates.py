@@ -256,7 +256,7 @@ def rate_model(env: DecayEnvelope, p: float, n: int, delta: float) -> tuple:
 
 
 def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
-                    window: tuple, second_order_sup) -> SandwichVerdict:
+                    window: tuple) -> SandwichVerdict:
     """Fit the run's sup-norm series and check both calibrated bounds on the
     snapshots of ``rate_window``.
 
@@ -264,19 +264,19 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
     correction exponent must land in [target - 0.1, target + delta + 0.1]
     with target 2/(p beta) or 2/(p gamma), and so must sigma plus or minus its
     time term, or the verdict fails closed.  The time term is |sigma - sigma_2|,
-    sigma_2 being fitted on ``second_order_sup``, the sup-norm series at
+    sigma_2 being fitted on ``run.second_order_sup``, the sup-norm series at
     ``run.times`` of the run's level one order below it: for a run of
-    ``evolution``, the second-order 2 * half - full of the same three passes
-    (``EvolutionRun.second_order_sup``).  It estimates sigma_2's error, and the
-    third-order sigma's error is of higher order, so for small steps it bounds
-    the latter (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.9).
+    ``evolution``, the second-order 2 * half - full of the same three passes.
+    It estimates sigma_2's error, and the third-order sigma's error is of
+    higher order, so for small steps it bounds the latter (Hairer, Norsett &
+    Wanner, Solving ODEs I, Sec. II.9).
     """
     p, n = run.spec.p, run.grid.n
     shape, model, L = rate_model(env, p, n, delta)
     in_window = rate_window(run.times, window, model)
     t, v = run.times[in_window], run.series["sup_norm"][in_window]
     fit = fit_decay(t, v, p, model)
-    second = fit_decay(t, np.asarray(second_order_sup)[in_window], p, model)
+    second = fit_decay(t, np.asarray(run.second_order_sup)[in_window], p, model)
     time_term = abs(fit.sigma - second.sigma)
     upper = upper_bound_check(t, v, L, p, n)
     lower = lower_bound_persistence(t, v, env, p)

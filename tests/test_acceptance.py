@@ -396,11 +396,15 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
 # values a roundoff above eps coming to read eps; ladder's verdict kept its
 # bits, lower_bound's moved in one center_margin_at_tau0 (5.7e-14) and the
 # sandwich's in sigma (3.5e-15), C_fit, rms_residual, the baseline's worst
-# ratio and sigma_time_term (1.6e-11), every pass unchanged
+# ratio and sigma_time_term (1.6e-11), every pass unchanged.  All three moved
+# in the artifact list alone when a run came to write one table per axis:
+# the profiles were merged into profiles.csv, sup_norm.csv and lq_1.csv into
+# series.csv and the sandwich's two curves into bound_curves.csv, every
+# number, config and verdict unchanged
 TRAJECTORY_MANIFESTS = {
-    "pde_decay_sandwich": "5ab38712634ac5bb4757630366a3519df1411d6c76ed5e91580b20155985cfc6",
-    "ladder": "1f54f6df2d6d0ad838dc81fa714cee6625f5fa932c2fe05793379ea4064f34af",
-    "lower_bound": "ba28bbbad7d3d9fb602f88a95489c034c888e97a865695fd2fb6a004d9759aae",
+    "pde_decay_sandwich": "65c9e996fccfb1a0ffbfbe46d4859b148dd0c8c283e4698ac4aeb9222ad8f4f4",
+    "ladder": "c6af47daacae6c96ec557492c0a2e14d662a467f87407452756c6909d3a28a3f",
+    "lower_bound": "f5593b263bcae655b17e270c81138dac3e082a8ff2cd47c4dd1aa277b5d640d0",
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,16 +145,19 @@ def test_lfunction_audit_fails_a_power_law(tmp_path, r):
         assert check["pass"] is False and check["reason"].endswith("as s -> 0"), name
 
 
+TINY_SCAN = {
+    "name": "scan", "mode": "gn_scan",
+    "grid": {"n": 3, "R": 20.0, "m": 1001},
+    "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
+    "request": {"q": 2.0},
+    "family": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0,
+               "scales": [0.1, 0.05], "widths": [1.0, 2.0]},
+    "sharpness_scale": 1.25,
+}
+
+
 def test_gn_scan_mode(tmp_path):
-    cfg = write_config(tmp_path, {
-        "name": "scan", "mode": "gn_scan",
-        "grid": {"n": 3, "R": 20.0, "m": 1001},
-        "L": {"kind": "LogType", "kappa": 2.0, "M": 4.0, "lambda0": 1.0},
-        "request": {"q": 2.0},
-        "family": {"kind": "StretchedExp", "c0": 1.0, "alpha": 1.0, "beta": 2.0,
-                   "scales": [0.1, 0.05], "widths": [1.0, 2.0]},
-        "sharpness_scale": 1.25,
-    })
+    cfg = write_config(tmp_path, TINY_SCAN)
     out = tmp_path / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
     summary = verdict_of(out)
@@ -180,32 +184,41 @@ def test_gn_scan_over_budget_fails(tmp_path):
     assert verdict_of(out)["pass"] is False
 
 
-def test_pde_decay_mode_and_determinism(tmp_path):
+def test_pde_decay_mode_and_determinism(tmp_path, assert_one_record):
+    # the run's 7 snapshots are fewer than the nine profiles spread over it:
+    # profiles.csv holds each once
     cfg = write_config(tmp_path, TINY_DECAY)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", str(cfg), "--out", str(out1)]) == EXIT_PASS
     assert main(["run", str(cfg), "--out", str(out2)]) == EXIT_PASS
-    for name in ("sup_norm.csv", "lq_1.csv", "manifest.json"):
+    assert sorted(path.name for path in out1.iterdir()) == ["manifest.json", "profiles.csv",
+                                                           "series.csv"]
+    for name in ("series.csv", "profiles.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    sup = np.loadtxt(out1 / "sup_norm.csv", delimiter=",", skiprows=1)
-    assert sup.shape[1] == 2
-    assert np.all(np.diff(sup[:, 1]) <= 0)
+    assert (out1 / "series.csv").read_text().startswith("t,sup_norm,lq:1\n")
+    series = np.loadtxt(out1 / "series.csv", delimiter=",", skiprows=1)
+    assert series.shape == (7, 3)
+    assert np.all(np.diff(series[:, 1]) <= 0)
+    header = (out1 / "profiles.csv").read_text().split("\n", 1)[0]
+    assert header == ",".join(["r", *(f"t={t:.17g}" for t in series[:, 0])])
+    assert_one_record(out1)
 
 
 def test_profiles_that_print_alike_are_written_once(tmp_path):
-    # the nine profile snapshots of t in [0.9999995, 1] all print as t = 1:
-    # the run writes one profile_t1.csv, the last snapshot's, and report finds
-    # every artifact the manifest lists intact
+    # the profile snapshots of t in [0.9999995, 1] all print as t = 1 at 6
+    # digits: each is written once, in its own column of profiles.csv headed
+    # by its full time, the last column's maximum is the sup at t_end, and
+    # report finds every artifact the manifest lists intact
     doc = dict(TINY_DECAY, t_end=1.0, snapshots={"t_min": 0.9999995, "count": 65})
     out = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
-    paths = [entry["path"] for entry in read_json(out / "manifest.json")["artifacts"]]
-    assert len(paths) == len(set(paths))
-    assert [path for path in paths if path.startswith("profile_")] == ["profile_t0.csv",
-                                                                         "profile_t1.csv"]
-    profile = np.loadtxt(out / "profile_t1.csv", delimiter=",", skiprows=1)
-    sup = np.loadtxt(out / "sup_norm.csv", delimiter=",", skiprows=1)
-    assert profile[:, 1].max() == sup[-1, 1]
+    series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+    header = (out / "profiles.csv").read_text().splitlines()[0].split(",")
+    picks = np.linspace(0, len(series) - 1, 9).astype(int)
+    assert len(set(header)) == 10 and header == ["r", *(f"t={t:.17g}" for t in series[picks, 0])]
+    assert {f"{t:.6g}" for t in series[picks[1:], 0]} == {"1"}
+    profiles = np.loadtxt(out / "profiles.csv", delimiter=",", skiprows=1)
+    assert profiles[:, -1].max() == series[-1, 1]
     assert main(["report", str(out)]) == EXIT_PASS
     assert "(ok)" in (out / "summary.md").read_text()
     assert "problems" not in (out / "summary.md").read_text()
@@ -293,7 +306,7 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
         verdict[label] = manifest["verdict"]
         shas[label] = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
     assert shas["both"] == {**shas["rate"], **shas["cert"]}
-    assert {"lower_curve.csv", "steady_state.csv"} <= set(shas["both"])
+    assert {"bound_curves.csv", "steady_state.csv"} <= set(shas["both"])
     assert verdict["both"] == {**verdict["rate"], **verdict["cert"],
                                "pass": verdict["rate"]["pass"] and verdict["cert"]["pass"]}
     # on this short horizon the baseline check fails and the certificate
@@ -305,8 +318,8 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
 
 
 def test_rate_curves_span_the_window(tmp_path):
-    # both curves are drawn on the snapshots the sandwich judges: a window
-    # that closes before t_end closes them too
+    # both curves are drawn, in one table, on the snapshots the sandwich
+    # judges: a window that closes before t_end closes them too
     doc = {k: v for k, v in TWO_SIDED.items() if k != "certificate"}
     doc.update(t_end=2000.0, snapshots={"t_min": 0.5, "count": 17},
                rate=dict(TWO_SIDED["rate"], window=[1.5, 600.0]))
@@ -315,10 +328,10 @@ def test_rate_curves_span_the_window(tmp_path):
                                                                                  EXIT_VERDICT)
     fit = verdict_of(out)["sandwich"]["fit"]
     assert fit["t_window"][1] < 600.0
-    for name in ("lower_curve.csv", "upper_curve.csv"):
-        t = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
-        assert t.size == fit["n_points"], name
-        assert (t[0], t[-1]) == tuple(fit["t_window"]), name
+    assert (out / "bound_curves.csv").read_text().startswith("t,lower,upper\n")
+    t = np.loadtxt(out / "bound_curves.csv", delimiter=",", skiprows=1)[:, 0]
+    assert t.size == fit["n_points"]
+    assert (t[0], t[-1]) == tuple(fit["t_window"])
 
 
 def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
@@ -464,8 +477,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # and its exponent an unknown field; so are the names of the sup series,
     # which every run writes, and of the center series, which no run writes
     removed_observer = [
-        *((f"observers: unknown observer {name!r} (an observer is 'lq:<q>'; sup_norm.csv "
-           "is always written)", dict(TINY_DECAY, observers=[name]))
+        *((f"observers: unknown observer {name!r} (an observer is 'lq:<q>'; series.csv "
+           "always holds sup_norm)", dict(TINY_DECAY, observers=[name]))
           for name in ("lyapunov", "sup_norm", "center_value")),
         ("lyapunov_q: unknown field", dict(TINY_DECAY, lyapunov_q=-1.0)),
     ]
@@ -473,6 +486,10 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     # would drop an entry without a word
     repeated_q = [(f"observers: 'lq:1' and {name!r} name one q = 1",
                    dict(TINY_DECAY, observers=["lq:1", name])) for name in ("lq:1.0", "lq:1")]
+    # a name is series.csv's column header, so the white space float() allows
+    # around q, a line break in "lq:1\n", is refused
+    spaced_q = [(f"observers: {name!r} needs a positive number after 'lq:'",
+                 dict(TINY_DECAY, observers=[name])) for name in ("lq:1\n", "lq: 1")]
     # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
     # their section or field
     scan_errors = [
@@ -514,7 +531,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
                    + config_before_probe + scan_errors + removed_observer + repeated_q
-                   + bad_gamma]
+                   + spaced_q + bad_gamma]
                 + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -522,7 +539,8 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
-        *config_before_probe, *scan_errors, *removed_observer, *repeated_q, *bad_gamma,
+        *config_before_probe, *scan_errors, *removed_observer, *repeated_q, *spaced_q,
+        *bad_gamma,
         ("mode: 'unknown' not one of ('steady_state', 'lfunction_audit', 'gn_scan', "
          "'pde_decay')", bad[1]),
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),
@@ -835,14 +853,42 @@ def test_report_generation(tmp_path):
     text = (out / "summary.md").read_text()
     assert "# tiny" in text and "verdict" in text
     assert (out / "plot.gp").exists()
-    assert "sup_norm.csv" in (out / "plot.gp").read_text()
+    assert "series.csv" in (out / "plot.gp").read_text()
+
+
+@pytest.mark.parametrize("doc, plotted", [
+    (TINY_DECAY, {"series.csv"}),
+    ({k: v for k, v in TWO_SIDED.items() if k != "certificate"}, {"series.csv",
+                                                                  "bound_curves.csv"}),
+    ({"name": "ss", "mode": "steady_state", "problem": {"p": 1.0, "n": 1}},
+     {"steady_state.csv"}),
+    (TINY_SCAN, {"scan.csv"}),
+], ids=["pde_decay", "pde_decay_rate", "steady_state", "gn_scan"])
+def test_report_plots_listed_artifacts(tmp_path, monkeypatch, doc, plotted):
+    # every file plot.gp names is on disk and listed in the run's manifest,
+    # each column it plots is one of that file's, and the measured sup is
+    # series.csv's second column
+    monkeypatch.setattr(bounds, "STEADY_M", 101)
+    out = tmp_path / "run"
+    main(["run", str(write_config(tmp_path, doc)), "--out", str(out)])
+    assert main(["report", str(out)]) == EXIT_PASS
+    listed = {entry["path"] for entry in read_json(out / "manifest.json")["artifacts"]}
+    curves = re.findall(r'"([^"]+)" using (\d+):(\d+)', (out / "plot.gp").read_text())
+    assert {name for name, _, _ in curves} == plotted
+    for name, x, y in curves:
+        assert name in listed and (out / name).is_file(), name
+        header = (out / name).read_text().split("\n", 1)[0].split(",")
+        assert 1 <= int(x) <= len(header) and 1 <= int(y) <= len(header), (name, x, y)
+    if "series.csv" in plotted:
+        assert ("series.csv", "1", "2") in curves
+        assert (out / "series.csv").read_text().startswith("t,sup_norm")
 
 
 def test_report_flags_corrupted_csv(tmp_path):
     cfg = write_config(tmp_path, TINY_DECAY)
     out = tmp_path / "run"
     main(["run", str(cfg), "--out", str(out)])
-    (out / "sup_norm.csv").write_text("t,value\n1.0,not-a-number\n")
+    (out / "series.csv").write_text("t,sup_norm,lq:1\n1.0,not-a-number,1.0\n")
     assert main(["report", str(out)]) == EXIT_PASS
     text = (out / "summary.md").read_text()
     assert "CORRUPT" in text
@@ -1002,12 +1048,19 @@ def test_every_shipped_config_has_one_manifest_pin():
     assert sorted(pins) == sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
+# the columns of a static run that repeat an earlier column whole: the
+# probe's table repeats every column of the scan's but its ratio (ROADMAP
+# item 31)
+STATIC_REPEATED_COLUMNS = {"gn_scan": [("scan_probe.csv", name) for name in (
+    "member_id", "width", "scale", "grad_norm", "lq_norm", "budget")]}
+
+
 def test_static_manifests_pinned(tmp_path, assert_one_record):
     for name, sha in STATIC_MANIFESTS.items():
         out = tmp_path / name
         assert run_experiment(CONFIGS / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
-        assert_one_record(out)
+        assert_one_record(out, STATIC_REPEATED_COLUMNS.get(name, ()))
     # the three narrowest members of the scan, and of the probe, have a
     # truncation tail the grid does not resolve
     verdict = verdict_of(tmp_path / "gn_scan")
@@ -1016,7 +1069,7 @@ def test_static_manifests_pinned(tmp_path, assert_one_record):
         assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"], scan
 
 
-def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
+def test_two_sided_artifacts_pinned(tmp_path, monkeypatch, assert_one_record):
     # the time-stepping path (a one-member ladder at m = 301, the sandwich,
     # baseline and curves, the certificate) gives the same artifacts and
     # verdict as earlier builds, which evolved the single run without a
@@ -1036,28 +1089,22 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch):
     # extrapolation of its own adaptive pass at evolution.PROXY_TOL, and
     # profile_t0.csv and steady_state.csv kept their bytes; lq_1.csv and every
     # profile but profile_t0.csv moved, by roundoff, when a step came to solve
-    # only its window's rows, and the verdict kept its bits)
+    # only its window's rows, and the verdict kept its bits; the nine profiles
+    # were merged into profiles.csv, sup_norm.csv and lq_1.csv into series.csv
+    # and both curves into bound_curves.csv, every number and the verdict
+    # unchanged)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
     shas = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
                   for path in out.iterdir() if path.name != "manifest.json")
     assert shas == [
-        ("lower_curve.csv", "1eccfd51bf9f682af8e422e4bed0c8666f455e54cb1c72590a236662f688c1d3"),
-        ("lq_1.csv", "85997b2c608d4b512be98bb068474294e834e4a5a492bbf4c3414b3840b2e156"),
-        ("profile_t0.5.csv", "1e34980d616e336ace86248c972183d6f3fbdb24096c636d48fb9f53960d3ecd"),
-        ("profile_t0.csv", "190eb503fc16e46edc291e7cdd2c2367f0572792c906937bcb08cbe349e437aa"),
-        ("profile_t1.58114.csv", "f5a90bc790184b39da6dc891f9dca37870874ac9858ddcd5ea3a89631460dfca"),
-        ("profile_t158.114.csv", "b551868aed48a34f210d2ff2d673dae3ac2a4f63a3e57771c163de3ec3dbeae7"),
-        ("profile_t2.81171.csv", "7ca4a430aee97b18294010feb96a8f87e078278cf8344340ed1084b76990c227"),
-        ("profile_t28.1171.csv", "ef0ea59c89f2b3846bfabafe36d892ea2490620245dbaf6247e8c5fac76d8448"),
-        ("profile_t50.csv", "22fb3e55c29724df6e4054b4621752b07c289acc18f2091a54e7e2f445054e50"),
-        ("profile_t500.csv", "37919a0d245a7a3b34c3e89e5fd5cee7a1977e92984f7222c6e0445bd748aff9"),
-        ("profile_t8.8914.csv", "20a34e59231df70bb4dbe66f237b33671976ea308e76c7bc3e68d755e4b89a1f"),
+        ("bound_curves.csv", "40643b72910e93e7872ac655f43b6d4d58fb0894c65e62e110c36bcd1275445b"),
+        ("profiles.csv", "58e05718a1c7da5c3a0f0e174c73951a0da97277b3d96336b1e784b26d7c6cbc"),
+        ("series.csv", "7ec125c8dd614abd34ef0afd958db061fe3efbc8824cc9703a1136a9a7b741ec"),
         ("steady_state.csv", "b1e56344c473782e4a504cac4a09cd0474a9cb0ba9aa1ac39d72d850b2539f7a"),
-        ("sup_norm.csv", "d2acb75587c35007a6cd0d2253d4e8ba17517d918c994c853a4a7b6e5317e7a4"),
-        ("upper_curve.csv", "e9b61e0fc91a43029cb46f2fb2f1f6cbefabf6b90f6d1a6f3f72da13f6002f6c"),
     ]
+    assert_one_record(out)
     verdict = verdict_of(out)
     assert verdict.pop("ladder") == {
         "members": [{"eps": 1e-4, "R": 12.0}],
