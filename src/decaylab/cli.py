@@ -19,7 +19,9 @@ one table per axis: ``series.csv`` (``t``, ``sup_norm``, then each observer),
 ``profiles.csv`` (``r``, then nine snapshots spread over the run) and, with
 ``rate``, ``bound_curves.csv`` (``t``, ``lower``, ``upper`` on the rate window).
 Its sup series is also its center value, since the run stays radially
-nonincreasing.  Outputs are deterministic for a fixed config and build (no
+nonincreasing.  A ``gn_scan`` run writes ``scan.csv``, one row per member;
+with ``sharpness_scale`` its ``probe_ratio`` column, the sharpness probe,
+follows ``ratio``.  Outputs are deterministic for a fixed config and build (no
 wall-clock text, fixed iteration orders, fixed float formatting).
 
 Every config field is type-checked (some are range-checked too), and a run
@@ -355,23 +357,16 @@ def _run_gn_scan(cfg: _Section):
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
     probe_scale = cfg.read("sharpness_scale", POSITIVE, None)
-
-    columns = ["member_id", "width", "scale", "grad_norm", "lq_norm", "budget", "ratio"]
+    columns = ["member_id", "width", "scale", "grad_norm", "lq_norm", "budget", "ratio",
+               *(["probe_ratio"] if probe_scale is not None else [])]
 
     def compute(writer: ArtifactWriter) -> dict:
-        scans = {"scan": gn.family_scan(fam, grid, q, L, K)}
-        if probe_scale is not None:
-            scans["probe"] = gn.family_scan(fam, grid, q, L, K, alpha_scale=float(probe_scale))
-        summary = {}
-        for (key, scan), name in zip(scans.items(), ("scan.csv", "scan_probe.csv")):
-            # one row per member, one column per field of gn.ScanRow
-            writer.write_series_csv(name, columns, [[getattr(row, col) for row in scan.rows]
-                                                    for col in columns])
-            summary[key] = scan.summary()
-        # every member, of the scan and of the probe, within budget (a ratio that
-        # is not a positive finite double fails family_scan, by name)
-        summary["pass"] = all(row.budget_ok for scan in scans.values() for row in scan.rows)
-        return summary
+        scan = gn.family_scan(fam, grid, q, L, K, probe_scale)
+        # one row per member, one column per field of gn.ScanRow
+        writer.write_series_csv("scan.csv", columns, [[getattr(row, col) for row in scan.rows]
+                                                      for col in columns])
+        # every member within budget (family_scan refuses a ratio that is not a positive double)
+        return {**scan.summary(), "pass": all(row.budget_ok for row in scan.rows)}
     return compute
 
 

@@ -9,8 +9,9 @@ boundedness over families with a common steepness-integral budget is the
 inequality under test.  The dimension n is always that of the grid the
 profiles live on (``RadialGrid.n``); no function takes it separately.
 
-Family scans drive the ratio across dilated and rescaled copies of a
-template profile and report boundedness and sharpness probes.
+A family scan drives the ratio across dilated and rescaled copies of a
+template profile and reports its boundedness and, from the same norms at a
+multiple of alpha, the probe of alpha's sharpness.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class FamilySpec:
     which ``family_scan`` samples on its grid, for a closed-form decay
     envelope: scale * c0 * exp(-alpha (r/width)^beta) for ``"StretchedExp"``,
     scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for ``"DoubleExp"``.
-    ``scales`` and ``widths`` are zipped into members; a singleton list is
-    broadcast against the other.
+    ``scales`` and ``widths`` are zipped into members, each named
+    ``s<scale>_w<width>`` at ``%g``; a singleton list is broadcast against
+    the other, and two members of one name are refused.
     """
 
     envelope: DecayEnvelope
@@ -70,14 +72,19 @@ class FamilySpec:
             raise InputError("scales and widths must be positive")
         if len(self.scales) != len(self.widths) and 1 not in (len(self.scales), len(self.widths)):
             raise InputError("scales and widths must have equal length or be singletons")
+        names = [name for name, _, _ in self.members()]
+        twice = [name for k, name in enumerate(names) if name in names[:k]]
+        if twice:  # two rows of one name, and a fit through repeated points
+            raise InputError(f"member {twice[0]} is named twice")
 
     def members(self):
+        """(member_id, scale, width) of each member."""
         scales, widths = list(self.scales), list(self.widths)
         if len(scales) == 1:
             scales = scales * len(widths)
         if len(widths) == 1:
             widths = widths * len(scales)
-        return list(zip(scales, widths))
+        return [(f"s{s:g}_w{w:g}", s, w) for s, w in zip(scales, widths)]
 
 
 @dataclass(frozen=True)
@@ -91,71 +98,74 @@ class ScanRow:
     budget_flagged: bool
     budget_ok: bool
     ratio: float
+    probe_ratio: Optional[float] = None  # the ratio at sharpness_scale * alpha
 
 
 @dataclass(frozen=True)
 class FamilyScan:
-    """Scan table (sorted by gradient norm) plus boundedness summary."""
+    """Scan table (sorted by gradient norm), its budget K and the scale on
+    alpha of the rows' probe_ratio (None without a probe)."""
 
     rows: tuple
-    ratio_max: float
-    ratio_min: float
-    loglog_slope: float
     K: float
-    alpha_scale: float = 1.0
+    sharpness_scale: Optional[float] = None
 
-    @property
-    def monotone_increasing(self) -> bool:
-        ratios = [row.ratio for row in self.rows]
-        return all(b > a for a, b in zip(ratios, ratios[1:]))
-
-    @property
-    def grad_span(self) -> float:
-        grads = [row.grad_norm for row in self.rows]
-        return max(grads) / min(grads)
+    def _ratio_record(self, field: str, alpha_scale: float) -> dict:
+        """What the ratio column ``field`` says, at alpha_scale * alpha."""
+        ratios = np.array([getattr(row, field) for row in self.rows])
+        logs = np.log([row.grad_norm for row in self.rows]), np.log(ratios)
+        slope = float(np.polyfit(*logs, 1)[0]) if len(ratios) > 1 else 0.0
+        ratio_max, ratio_min = float(ratios.max()), float(ratios.min())
+        return dict(alpha_scale=alpha_scale, ratio_max=ratio_max, ratio_min=ratio_min,
+                    ratio_spread=ratio_max / ratio_min, loglog_slope=slope,
+                    monotone_increasing=all(b > a for a, b in zip(ratios, ratios[1:])))
 
     def summary(self) -> dict:
-        return {
+        """The ``scan`` record and, with a probe, the ``probe`` record, which
+        holds only what depends on alpha."""
+        grads = [row.grad_norm for row in self.rows]
+        doc = {"scan": {
             "members": len(self.rows),
             "K": self.K,
-            "alpha_scale": self.alpha_scale,
-            "ratio_max": self.ratio_max,
-            "ratio_min": self.ratio_min,
-            "ratio_spread": self.ratio_max / self.ratio_min,
-            "grad_span": self.grad_span,
-            "loglog_slope": self.loglog_slope,
-            "monotone_increasing": self.monotone_increasing,
+            **self._ratio_record("ratio", 1.0),
+            "grad_span": max(grads) / min(grads),
             # members whose steepness integral has a suspect truncation tail
             "tail_flagged": [row.member_id for row in self.rows if row.budget_flagged],
-        }
+        }}
+        if self.sharpness_scale is not None:
+            doc["probe"] = self._ratio_record("probe_ratio", float(self.sharpness_scale))
+        return doc
 
 
 def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunction,
-                K: Optional[float] = None, alpha_scale: float = 1.0) -> FamilyScan:
+                K: Optional[float] = None,
+                sharpness_scale: Optional[float] = None) -> FamilyScan:
     """Evaluate the steepness-weighted ratio across a family on one grid.
 
     alpha is taken in the grid's dimension.  Members must be resolvable on
     the grid (width <= R/5).  Without a budget K, it defaults to 1.05x the
     largest member budget so the precondition is non-vacuous but
-    satisfiable.  Budget violations are recorded per member, not fatal; a
-    member whose gradient norm is 0 (its ratio undefined) raises InputError,
-    and one whose ratio is not a positive finite double (a norm or the weight
+    satisfiable.  Each member's norms are evaluated once; with a
+    sharpness_scale, its probe_ratio is the same ratio at sharpness_scale *
+    alpha.  Budget violations are recorded per member, not fatal; a member
+    whose gradient norm is 0 (its ratio undefined) raises InputError, and one
+    with a ratio that is not a positive finite double (a norm or the weight
     L^{-alpha} that overflows, an L^q norm of 0) raises NumericError.
     """
-    alpha = _alpha(q, grid.n) * alpha_scale
+    alpha = _alpha(q, grid.n)
+    alphas = [alpha] if sharpness_scale is None else [alpha, alpha * sharpness_scale]
     members = fam.members()
     if not members:
         raise InputError("family has no members")
-    if max(w for _, w in members) > grid.R / 5.0:
+    if max(w for _, _, w in members) > grid.R / 5.0:
         raise InputError("widest member is not resolvable: need width <= R/5")
 
-    profiles = [s * fam.envelope.floor(grid.nodes / w) for s, w in members]
+    profiles = [s * fam.envelope.floor(grid.nodes / w) for _, s, w in members]
     budgets = [steepness_integral(grid, values, L) for values in profiles]
     K = K if K is not None else 1.05 * max(b.value for b in budgets)
 
     rows = []
-    for (scale, width), values, budget in zip(members, profiles, budgets):
-        member_id = f"s{scale:g}_w{width:g}"
+    for (member_id, scale, width), values, budget in zip(members, profiles, budgets):
         try:
             with np.errstate(over="ignore"):  # a gradient norm that overflows reads inf
                 grad, lq = grad_l2_norm(grid, values), lq_quasinorm(grid, values, q)
@@ -165,22 +175,16 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
         if not grad > 0.0:
             raise InputError(f"member {member_id}: gradient norm is {grad:g}, "
                              "so its ratio is undefined")
-        try:
-            ratio = lq / (grad * L.value(grad * grad) ** (-alpha))
-        except (OverflowError, ZeroDivisionError):  # the weight overflows, or L is 0
-            ratio = math.nan
-        if not 0.0 < ratio < math.inf:
+        ratios = []
+        for a in alphas:  # the ratio, then the probe's
+            try:
+                ratios.append(lq / (grad * L.value(grad * grad) ** (-a)))
+            except (OverflowError, ZeroDivisionError):  # the weight overflows, or L is 0
+                ratios.append(math.nan)
+        if not all(0.0 < ratio < math.inf for ratio in ratios):
             raise NumericError(f"member {member_id}: its ratio is not a positive finite "
                                f"double (L^q norm {lq:g}, gradient norm {grad:g})")
         rows.append(ScanRow(member_id, scale, width, grad, lq, budget.value,
-                            budget.tail_flagged, budget.value <= K, ratio))
+                            budget.tail_flagged, budget.value <= K, *ratios))
     rows.sort(key=lambda row: row.grad_norm)
-
-    ratios = np.array([row.ratio for row in rows])
-    grads = np.array([row.grad_norm for row in rows])
-    if len(rows) > 1:
-        slope = float(np.polyfit(np.log(grads), np.log(ratios), 1)[0])
-    else:
-        slope = 0.0
-    return FamilyScan(tuple(rows), float(ratios.max()), float(ratios.min()),
-                      slope, K, alpha_scale)
+    return FamilyScan(tuple(rows), K, sharpness_scale)

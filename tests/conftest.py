@@ -83,21 +83,20 @@ def lift_half_pass(monkeypatch):
 
 @pytest.fixture(scope="session")
 def assert_one_record():
-    """``check(out_dir, repeated=())``: the run in out_dir records each number
-    once.  No two artifacts have the same sha256, no CSV column's cells (its
-    header left out) appear whole a second time, in the same artifact or in
-    another, and no JSON artifact parses equal to the verdict, which the
-    manifest holds, to the verdict without its ``pass``, or to one of its
-    top-level values, nor to an object whose every top-level key the verdict
-    holds with an equal value.  ``repeated`` names the (artifact, header) of
-    each column known to repeat an earlier one, and each of them must."""
+    """``check(out_dir)``: the run in out_dir records each number once.  No
+    two artifacts have the same sha256, no CSV column's cells (its header left
+    out) appear whole a second time, in the same artifact or in another, and
+    no JSON artifact parses equal to the verdict, which the manifest holds, to
+    the verdict without its ``pass``, or to one of its top-level values, nor
+    to an object whose every top-level key the verdict holds with an equal
+    value."""
 
-    def check(out_dir, repeated=()):
+    def check(out_dir):
         manifest = json.loads((out_dir / "manifest.json").read_text())
         verdict = manifest["verdict"]
         copies = [verdict, {key: val for key, val in verdict.items() if key != "pass"},
                   *verdict.values()]
-        digests, columns, repeats = {}, {}, set()
+        digests, columns = {}, {}
         for entry in manifest["artifacts"]:
             data = (out_dir / entry["path"]).read_bytes()
             twin = digests.setdefault(hashlib.sha256(data).hexdigest(), entry["path"])
@@ -107,13 +106,10 @@ def assert_one_record():
                 for name, cells in zip(header.split(","), zip(*(row.split(",") for row in rows))):
                     column = (entry["path"], name)
                     twin = columns.setdefault(cells, column)
-                    if twin != column:
-                        assert column in repeated, (twin, column)
-                        repeats.add(column)
+                    assert twin == column, (twin, column)
             if entry["path"].endswith(".json"):
                 doc = json.loads(data)
                 part = isinstance(doc, dict) and all(
                     key in verdict and verdict[key] == val for key, val in doc.items())
                 assert doc not in copies and not part, entry["path"]
-        assert repeats == set(repeated)
     return check

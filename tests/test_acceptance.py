@@ -254,12 +254,12 @@ def test_criterion_08_gn_boundedness_and_sharpness():
     scales = [math.sqrt(x / (w * G)) for x, w in zip(grads_sq, widths)]
 
     fam = FamilySpec(GAUSS_ENV, scales=scales, widths=widths)
-    scan = family_scan(fam, grid, q, L)
-    spread = scan.ratio_max / scan.ratio_min
-    span = scan.grad_span
-    probe = family_scan(fam, grid, q, L, alpha_scale=1.25)
-    growth = probe.rows[-1].ratio / probe.rows[0].ratio
-    ok = spread <= 3.0 and span >= 100.0 and probe.monotone_increasing and growth >= 5.0
+    scan = family_scan(fam, grid, q, L, sharpness_scale=1.25)
+    doc = scan.summary()
+    spread, span = doc["scan"]["ratio_spread"], doc["scan"]["grad_span"]
+    growth = scan.rows[-1].probe_ratio / scan.rows[0].probe_ratio
+    ok = (spread <= 3.0 and span >= 100.0 and doc["probe"]["monotone_increasing"]
+          and growth >= 5.0)
     report(8, ok, f"ratio spread {spread:.2f} over {span:.1e} gradient span; "
                   f"sharpness probe grows {growth:.2f}x monotonically")
 

@@ -80,21 +80,27 @@ def test_steady_state_degenerate_touchdown():
     assert steady_state_residual(state) < 1e-8
 
 
-@pytest.mark.parametrize("p, n, center, boundary, digest", [
-    (1.0, 2, 0.24999999999998546, 8.794234871573048e-16,
-     "9c9d83f86414e96764b67bde55cf24703f103770110e9a2becf357261f5b2adf"),
+# (p, n) -> center, boundary value and digest of w and w' at m = 4001; the
+# test ids are the inputs alone, so a re-pin renames no test
+SHOOTING_PINS = {
+    (1.0, 2): (0.24999999999998546, 8.794234871573048e-16,
+               "9c9d83f86414e96764b67bde55cf24703f103770110e9a2becf357261f5b2adf"),
     # the subsolution certificate's steady state: every two_sided_p1 margin reads it
-    (1.0, 1, 0.49999999999997, 8.706685546144843e-16,
-     "79a0fc5160276d5f952f9e09e03b00fafbfa67b150ac996d165b755821d1adea"),
-    (2.0, 1, 0.5641895407550832, 6.215259319112903e-06,
-     "39dd8afe1108d3c49fe4382f2fb76ff398f2784e9f2f69ffaa007c4d3bd589b3"),
+    (1.0, 1): (0.49999999999997, 8.706685546144843e-16,
+               "79a0fc5160276d5f952f9e09e03b00fafbfa67b150ac996d165b755821d1adea"),
+    (2.0, 1): (0.5641895407550832, 6.215259319112903e-06,
+               "39dd8afe1108d3c49fe4382f2fb76ff398f2784e9f2f69ffaa007c4d3bd589b3"),
     # the smallest center that survives at (4, 1)
-    (4.0, 1, 0.7070965041670486, 0.00044643757399456287,
-     "f3b6e29944037d4cfc00e4b76b0785f8119c652bf28acb981aa01af3a5450a6b"),
-])
-def test_steady_state_shooting_pinned(p, n, center, boundary, digest):
+    (4.0, 1): (0.7070965041670486, 0.00044643757399456287,
+               "f3b6e29944037d4cfc00e4b76b0785f8119c652bf28acb981aa01af3a5450a6b"),
+}
+
+
+@pytest.mark.parametrize("p, n", SHOOTING_PINS)
+def test_steady_state_shooting_pinned(p, n):
     # the static manifests hash these profiles, so shooting is pinned bit for bit,
     # the degenerate touchdown of p = 2, 4 included
+    center, boundary, digest = SHOOTING_PINS[p, n]
     state = solve_steady_state(p, n, 4001)
     assert state.center_value == center
     assert state.boundary_value == boundary

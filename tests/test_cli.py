@@ -157,14 +157,23 @@ TINY_SCAN = {
 
 
 def test_gn_scan_mode(tmp_path):
-    cfg = write_config(tmp_path, TINY_SCAN)
-    out = tmp_path / "run"
-    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_PASS
-    summary = verdict_of(out)
-    assert summary["scan"]["members"] == 2
-    for name in ("scan.csv", "scan_probe.csv"):
-        rows = (out / name).read_text().splitlines()
-        assert rows[0] == "member_id,width,scale,grad_norm,lq_norm,budget,ratio"
+    # one table: with sharpness_scale the probe is the column after ratio, and
+    # its record holds only what depends on alpha; without it there is no
+    # probe column and no probe record
+    header = "member_id,width,scale,grad_norm,lq_norm,budget,ratio"
+    probe = ["alpha_scale", "loglog_slope", "monotone_increasing", "ratio_max", "ratio_min",
+             "ratio_spread"]
+    no_probe = {key: val for key, val in TINY_SCAN.items() if key != "sharpness_scale"}
+    cases = [(TINY_SCAN, header + ",probe_ratio", probe), (no_probe, header, [])]
+    for k, (doc, columns, probe_keys) in enumerate(cases):
+        out = tmp_path / f"run{k}"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_PASS
+        summary = verdict_of(out)
+        assert summary["scan"]["members"] == 2
+        assert sorted(summary.get("probe", ())) == probe_keys
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "scan.csv"]
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[0] == columns
         assert len(rows) == 3 and rows[1].split(",")[0] in ("s0.1_w1", "s0.05_w2")
 
 
@@ -491,8 +500,13 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     spaced_q = [(f"observers: {name!r} needs a positive number after 'lq:'",
                  dict(TINY_DECAY, observers=[name])) for name in ("lq:1\n", "lq: 1")]
     # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
-    # their section or field
+    # their section or field; so do members that print alike at %g, which
+    # would write two equal rows and fit a slope through repeated points
+    twice = "family: member s0.1_w1 is named twice"
     scan_errors = [
+        (twice, with_field(scan, "family.scales", [0.1, 0.1])),
+        (twice, with_field(scan, "family.widths", [1, 1])),
+        (twice, with_field(scan, "family.scales", [0.1, 0.1000001])),
         ("grid: outer radius must be positive, got -1.0", with_field(scan, "grid.R", -1.0)),
         ("grid: dimension must be a positive integer, got 0", with_field(scan, "grid.n", 0)),
         ("request.q: q = 7.0 must stay below the critical exponent 2n/(n-2) = 6.0 in "
@@ -1035,11 +1049,13 @@ def test_series_csv_matches_per_cell_formatting(tmp_path, n_rows):
 # to be the one record of the verdict: summary.json left steady_state and
 # gn_scan, and audit.json left lfunction_audit; steady_state moved when the
 # flux residual came to be Simpson's rule on the grid's spacing: its
-# flux_residual from 3.6527e-14 to 3.6415e-14
+# flux_residual from 3.6527e-14 to 3.6415e-14; gn_scan moved when its probe
+# became the probe_ratio column of scan.csv (scan_probe.csv left it, and the
+# probe record kept only its alpha-dependent keys), every ratio's bits unchanged
 STATIC_MANIFESTS = {
     "steady_state": "7cd18b45548488369c04ee412976bebb368a5671c0df410dcc1168987455ad31",
     "lfunction_audit": "6adfddff59954ac34bd5149467ca1b762f6af512956b893c13c4b3b6b07687aa",
-    "gn_scan": "c30fdf60df425f89dd3388f85e36db8fbde6733bc7df5fe0e2e5d25976f1bf81",
+    "gn_scan": "526394081539f3924847b4263f8497a6620cfe07b8c3dc189f986b7a29dc9736",
 }
 
 
@@ -1048,25 +1064,16 @@ def test_every_shipped_config_has_one_manifest_pin():
     assert sorted(pins) == sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
-# the columns of a static run that repeat an earlier column whole: the
-# probe's table repeats every column of the scan's but its ratio (ROADMAP
-# item 31)
-STATIC_REPEATED_COLUMNS = {"gn_scan": [("scan_probe.csv", name) for name in (
-    "member_id", "width", "scale", "grad_norm", "lq_norm", "budget")]}
-
-
 def test_static_manifests_pinned(tmp_path, assert_one_record):
     for name, sha in STATIC_MANIFESTS.items():
         out = tmp_path / name
         assert run_experiment(CONFIGS / f"{name}.json", out) == EXIT_PASS
         assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == sha, name
-        assert_one_record(out, STATIC_REPEATED_COLUMNS.get(name, ()))
-    # the three narrowest members of the scan, and of the probe, have a
-    # truncation tail the grid does not resolve
-    verdict = verdict_of(tmp_path / "gn_scan")
-    for scan in ("scan", "probe"):
-        flagged = verdict[scan]["tail_flagged"]
-        assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"], scan
+        assert_one_record(out)
+    # the three widest members of the scan have a truncation tail the grid
+    # does not resolve
+    flagged = verdict_of(tmp_path / "gn_scan")["scan"]["tail_flagged"]
+    assert [member.split("_")[1] for member in flagged] == ["w16", "w8", "w4"]
 
 
 def test_two_sided_artifacts_pinned(tmp_path, monkeypatch, assert_one_record):

@@ -60,9 +60,8 @@ def test_alpha_monotonicity_per_sample():
     # where L < 1 at the evaluated argument, a larger exponent shrinks the ratio
     g = RadialGrid(3, 20.0, 2001)
     assert LOG2.value(grad_l2_norm(g, gaussian_profile(g, 1.0, 0.05)) ** 2) < 1.0
-    r1 = singleton_row(g, 2.0, LOG2, 1.0, 0.05, alpha_scale=1.0).ratio
-    r2 = singleton_row(g, 2.0, LOG2, 1.0, 0.05, alpha_scale=1.25).ratio
-    assert r2 < r1
+    row = singleton_row(g, 2.0, LOG2, 1.0, 0.05, sharpness_scale=1.25)
+    assert row.probe_ratio < row.ratio
 
 
 def test_family_singleton_matches_direct_ratio():
@@ -73,11 +72,15 @@ def test_family_singleton_matches_direct_ratio():
     alpha = 1.0 / 2.0 - (3 - 2.0) / (2.0 * 3)
     expected = lq / (grad * LOG2.value(grad * grad) ** (-alpha))
     assert singleton_row(g, 2.0, LOG2, 2.0, 0.1).ratio == pytest.approx(expected, rel=1e-12)
+    # the probe is the same ratio from the same norms, at a multiple of alpha
+    probe = lq / (grad * LOG2.value(grad * grad) ** (-1.25 * alpha))
+    row = singleton_row(g, 2.0, LOG2, 2.0, 0.1, sharpness_scale=1.25)
+    assert row.probe_ratio == pytest.approx(probe, rel=1e-12)
 
 
 def test_family_zip_and_broadcast_validation():
     fam = FamilySpec(GAUSSIAN, scales=[1.0], widths=[1.0, 2.0])
-    assert fam.members() == [(1.0, 1.0), (1.0, 2.0)]
+    assert fam.members() == [("s1_w1", 1.0, 1.0), ("s1_w2", 1.0, 2.0)]
     with pytest.raises(InputError):
         FamilySpec(GAUSSIAN, scales=[1.0, 2.0, 3.0], widths=[1.0, 2.0])
     with pytest.raises(InputError):
@@ -109,14 +112,14 @@ def test_double_exp_family_scan_finite():
     scan = family_scan(fam, RadialGrid(3, 40.0, 2001), 2.0, L)
     assert all(np.isfinite(row.ratio) for row in scan.rows)
     assert all(row.budget_ok for row in scan.rows)
-    assert scan.ratio_max / scan.ratio_min < 10.0
+    assert scan.summary()["scan"]["ratio_spread"] < 10.0
 
 
 def test_scan_summary():
     L = SteepnessFunction.log_type(2.0, 4.0)
     fam = FamilySpec(GAUSSIAN, scales=[0.1, 0.05], widths=[1.0, 2.0])
     scan = family_scan(fam, RadialGrid(3, 20.0, 1001), 2.0, L)
-    doc = scan.summary()
+    doc = scan.summary()["scan"]
     assert doc["members"] == 2
     assert doc["grad_span"] >= 1.0
     # the members whose truncation tail is flagged, in row (gradient norm) order

@@ -80,8 +80,8 @@ def test_tracer_spans_the_radial_norms(perfbench_tracer, perfbench_workloads, tm
     # the tracer wraps the three norms where gn and the L^q observer look them
     # up; a refactor that moves a norm off those names would leave
     # radial.norm_s at 0 without a word.  The seed-0 GN scan opens one span of
-    # each per member of the scan and of the probe, and each snapshot's
-    # observer span holds one L^q span
+    # each per member, whose norms also give its probe ratio, and each
+    # snapshot's observer span holds one L^q span
     wl = perfbench_workloads
     cfg = next(cfg for cfg, _ in wl.WORKLOADS["static_checks"](ROOT / "configs", wl.Jitter(0))
                if cfg["mode"] == "gn_scan")
@@ -92,7 +92,7 @@ def test_tracer_spans_the_radial_norms(perfbench_tracer, perfbench_workloads, tm
         assert cli.run_experiment(path, out_dir=tmp_path / "run") == 0
     names = [span[0] for span in tracer.spans if span[0].startswith("radial.")]
     assert {name: names.count(name) for name in set(names)} == {
-        "radial.lq_quasinorm": 10, "radial.grad_l2_norm": 10, "radial.steepness_integral": 10}
+        "radial.lq_quasinorm": 5, "radial.grad_l2_norm": 5, "radial.steepness_integral": 5}
 
     tracer = perfbench_tracer.Tracer()
     spec = evolution.ProblemSpec(p=2.0, n=2, u0=lambda r: np.exp(-r**2))
