@@ -456,12 +456,12 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
                       steady: SteadyState) -> SubsolutionReport:
     """Verify z >= y(tau) * w_{R(tau0)} on B_{R(tau0)} for all tau <= tau0.
 
-    The run's initial profile (``EvolutionRun.datum``, its snapshot at t = 0)
-    must dominate the envelope floor on the ball (``check_envelope_floor``);
-    failure of the initial ordering z(.,0) >= zbar(.,0) signals a miscomputed
-    delta and raises.  Returns the worst margin over the snapshots at
-    tau <= tau0, of which one at least must lie past t = 0 (an InputError
-    otherwise), together with the center margin at the horizon.
+    The run's datum (``EvolutionRun.datum``) must dominate the envelope floor
+    on the ball (``check_envelope_floor``) and zbar(., 0), its margin
+    ``initial_margin``, or delta was miscomputed and this raises.  Apart from
+    it, ``min_margin`` is the trajectory's: the worst margin over the
+    ``snapshots_checked`` snapshots with t > 0 and tau <= tau0 (an InputError
+    when there is none), and ``center_margin_at_tau0`` the horizon's at r = 0.
     """
     grid = run.grid
     mask = grid.nodes <= spec.R_tau0
@@ -481,8 +481,8 @@ def subsolution_check(run: EvolutionRun, spec: SubsolutionSpec,
         raise InputError(
             f"initial ordering violated (margin {initial_margin:.3e}): delta miscomputed")
 
-    checked = taus <= spec.tau0 * (1.0 + 1e-12)
-    if not checked[run.times > 0.0].any():  # the datum alone checks nothing of the run
+    checked = (run.times > 0.0) & (taus <= spec.tau0 * (1.0 + 1e-12))
+    if not checked.any():  # the datum alone checks nothing of the run
         raise InputError("no snapshots with t > 0 at or before tau0")
     y = logistic_exact(taus[checked], spec.delta, spec.p)
     margins = z[checked] - y[:, None] * w_vals

@@ -27,8 +27,8 @@ wall-clock text, fixed iteration orders, fixed float formatting).
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
 typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
-integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``
-or before ``ln(t_min + 1)``, which would check the datum alone),
+integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``,
+before ``ln(t_min + 1)``, which would check the datum alone, or listed twice),
 a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
 reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
 window that its verdict would refuse exits 2 before any time stepping; so
@@ -356,6 +356,7 @@ def _run_gn_scan(cfg: _Section):
     fam = fcfg.build(gn.FamilySpec, envelope=_envelope(fcfg),
                      scales=fcfg.list_of("scales", NUMBER, [1.0]),
                      widths=fcfg.list_of("widths", NUMBER, [1.0]))
+    fcfg.build(fam.check_resolvable, grid=grid)
     probe_scale = cfg.read("sharpness_scale", POSITIVE, None)
     columns = ["member_id", "width", "scale", "grad_norm", "lq_norm", "budget", "ratio",
                *(["probe_ratio"] if probe_scale is not None else [])]
@@ -413,6 +414,9 @@ def _run_pde_decay(cfg: _Section):
         tau0_list = cert.list_of("tau0_list", reached, [horizon])
         if not tau0_list:
             raise ConfigError("certificate.tau0_list: must name at least one horizon")
+        twice = [tau0 for k, tau0 in enumerate(tau0_list) if tau0 in tau0_list[:k]]
+        if twice:  # two equal margins rows
+            raise ConfigError(f"certificate.tau0_list: horizon {twice[0]:g} is listed twice")
         # the judged member's lifted datum lies above the envelope on each ball
         for tau0 in tau0_list:
             ball = grid.nodes <= cert.build(bounds.subsolution_radius, at="tau0_list",

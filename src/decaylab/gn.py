@@ -60,7 +60,8 @@ class FamilySpec:
     scale * c0 * exp(-alpha exp(beta (r/width)^gamma)) for ``"DoubleExp"``.
     ``scales`` and ``widths`` are zipped into members, each named
     ``s<scale>_w<width>`` at ``%g``; a singleton list is broadcast against
-    the other, and two members of one name are refused.
+    the other, and a family of no members or of two members of one name is
+    refused.
     """
 
     envelope: DecayEnvelope
@@ -73,6 +74,8 @@ class FamilySpec:
         if len(self.scales) != len(self.widths) and 1 not in (len(self.scales), len(self.widths)):
             raise InputError("scales and widths must have equal length or be singletons")
         names = [name for name, _, _ in self.members()]
+        if not names:
+            raise InputError("scales and widths give no members")
         twice = [name for k, name in enumerate(names) if name in names[:k]]
         if twice:  # two rows of one name, and a fit through repeated points
             raise InputError(f"member {twice[0]} is named twice")
@@ -85,6 +88,12 @@ class FamilySpec:
         if len(widths) == 1:
             widths = widths * len(scales)
         return [(f"s{s:g}_w{w:g}", s, w) for s, w in zip(scales, widths)]
+
+    def check_resolvable(self, grid: RadialGrid):
+        """Raise InputError unless every member has width <= R/5 on the grid."""
+        if max(self.widths) > grid.R / 5.0:
+            raise InputError(f"widest member (width {max(self.widths):g}) is not "
+                             f"resolvable on R = {grid.R:g}: need width <= R/5")
 
 
 @dataclass(frozen=True)
@@ -143,9 +152,9 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     """Evaluate the steepness-weighted ratio across a family on one grid.
 
     alpha is taken in the grid's dimension.  Members must be resolvable on
-    the grid (width <= R/5).  Without a budget K, it defaults to 1.05x the
-    largest member budget so the precondition is non-vacuous but
-    satisfiable.  Each member's norms are evaluated once; with a
+    the grid (``FamilySpec.check_resolvable``).  Without a budget K, it
+    defaults to 1.05x the largest member budget so the precondition is
+    non-vacuous but satisfiable.  Each member's norms are evaluated once; with a
     sharpness_scale, its probe_ratio is the same ratio at sharpness_scale *
     alpha.  Budget violations are recorded per member, not fatal; a member
     whose gradient norm is 0 (its ratio undefined) raises InputError, and one
@@ -154,11 +163,8 @@ def family_scan(fam: FamilySpec, grid: RadialGrid, q: float, L: SteepnessFunctio
     """
     alpha = _alpha(q, grid.n)
     alphas = [alpha] if sharpness_scale is None else [alpha, alpha * sharpness_scale]
+    fam.check_resolvable(grid)
     members = fam.members()
-    if not members:
-        raise InputError("family has no members")
-    if max(w for _, _, w in members) > grid.R / 5.0:
-        raise InputError("widest member is not resolvable: need width <= R/5")
 
     profiles = [s * fam.envelope.floor(grid.nodes / w) for _, s, w in members]
     budgets = [steepness_integral(grid, values, L) for values in profiles]

@@ -56,7 +56,6 @@ BASELINE_HEADROOM = 5.0
 @dataclass(frozen=True)
 class RateFit:
     model: str
-    p_fit: float
     sigma: float
     C_fit: float
     rms_residual: float
@@ -108,7 +107,7 @@ def fit_decay(t, v, p: float, model: str) -> RateFit:
     y = np.log(t ** (1.0 / p) * v)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    return RateFit(model, 1.0 / p, float(slope), float(math.exp(intercept)),
+    return RateFit(model, float(slope), float(math.exp(intercept)),
                    float(np.sqrt(np.mean(resid**2))), (float(t[0]), float(t[-1])),
                    int(t.size))
 
@@ -118,7 +117,6 @@ class BoundCheck:
     worst_ratio: float
     worst_t: float
     C: float
-    t0: float
     slack: float
     passed: bool
 
@@ -140,16 +138,14 @@ def _persistence(t, v, curve, direction: str) -> BoundCheck:
     """
     if direction == "upper":
         C = v[0] / curve[0]
-        ratios = v[1:] / (C * curve[1:])
-        first = 1
+        t, ratios = t[1:], v[1:] / (C * curve[1:])
     else:
         cal = t <= t[0] * 10.0 ** CALIBRATION_DECADES
         C = np.min(v[cal] / curve[cal])
         ratios = C * curve / v
-        first = 0
     k = int(np.argmax(ratios))
-    return BoundCheck(float(ratios[k]), float(t[k + first]), float(C), float(t[0]),
-                      RATIO_SLACK, bool(ratios[k] <= 1.0 + RATIO_SLACK))
+    return BoundCheck(float(ratios[k]), float(t[k]), float(C), RATIO_SLACK,
+                      bool(ratios[k] <= 1.0 + RATIO_SLACK))
 
 
 def upper_bound_check(t, v, L: SteepnessFunction, p: float, n: int) -> BoundCheck:
@@ -215,12 +211,8 @@ def baseline_check(t, v, p: float) -> BaselineReport:
 
 @dataclass(frozen=True)
 class SandwichVerdict:
-    """Combined two-sided rate verdict for one run.
-
-    ``sigma_time_term`` bounds the time error of ``fit.sigma``, and
-    ``time_error_window`` is the largest relative time error of a snapshot in
-    the window (``sandwich_report``).
-    """
+    """Combined two-sided rate verdict for one run; ``sigma_time_term``
+    bounds the time error of ``fit.sigma`` (``sandwich_report``)."""
 
     fit: RateFit
     upper: BoundCheck
@@ -228,7 +220,6 @@ class SandwichVerdict:
     sigma_target: float
     sigma_window: tuple
     sigma_time_term: float
-    time_error_window: float
     sigma_ok: bool
     passed: bool
 
@@ -284,6 +275,5 @@ def sandwich_report(run: EvolutionRun, env: DecayEnvelope, delta: float,
     lo = target - EXPONENT_SLACK
     hi = target + delta + EXPONENT_SLACK
     sigma_ok = lo <= fit.sigma - time_term and fit.sigma + time_term <= hi
-    time_error = float(np.asarray(run.stats["snapshot_time_error"])[in_window].max())
-    return SandwichVerdict(fit, upper, lower, target, (lo, hi), time_term, time_error,
-                           sigma_ok, bool(sigma_ok and upper.passed and lower.passed))
+    return SandwichVerdict(fit, upper, lower, target, (lo, hi), time_term, sigma_ok,
+                           bool(sigma_ok and upper.passed and lower.passed))

@@ -94,6 +94,13 @@ def ladder(tmp_path_factory, perfbench_tracer):
 
 
 @pytest.fixture(scope="module")
+def lower_bound_dir(tmp_path_factory):
+    """The run directory of configs/lower_bound.json, whose certificate judges
+    the trajectory of pde_decay_sandwich.json."""
+    return run_shipped("lower_bound", tmp_path_factory.mktemp("lower_bound"))[2]
+
+
+@pytest.fixture(scope="module")
 def gaussian_run_p1():
     """p=1 Gaussian run on [0, 100] (criteria 4, 6, 7)."""
     spec = ProblemSpec(p=1.0, n=1, u0=lambda r: np.exp(-r**2))
@@ -345,6 +352,48 @@ def test_criterion_10_subsolution_certificate(long_run):
     report(10, worst >= 0.0, "margins " + ", ".join(details))
 
 
+# lower_bound's min_margin over t > 0 at its four horizons, and the number of
+# snapshots with t > 0 up to each
+LOWER_BOUND_MARGINS = [(0.3076690456189148, 49), (0.10287202376888155, 65),
+                       (0.03279930552693175, 81), (0.010332930564621385, 97)]
+
+
+def test_certificate_min_margin_is_the_trajectory_margin(long_run, lower_bound_dir):
+    # the datum's margin is initial_margin, checked when the run is read; each
+    # min_margin is the trajectory's own, above the datum's on every horizon
+    run, _, _ = long_run
+    margins = json.loads((lower_bound_dir / "manifest.json").read_text())["verdict"]["margins"]
+    pinned = [(row["min_margin"], row["snapshots_checked"]) for row in margins]
+    assert pinned == LOWER_BOUND_MARGINS
+    assert all(row["min_margin"] > row["initial_margin"] for row in margins)
+    # each is the margin at the first snapshot after the datum, t = 0.01
+    t, p = run.times[1], run.spec.p
+    assert t == 0.01
+    env = DecayEnvelope(**shipped("lower_bound")["envelope"])
+    state = solve_steady_state(p, run.spec.n, bounds.STEADY_M)
+    for row in margins:
+        sub = build_subsolution(env, p, state, row["tau0"])
+        ball = run.grid.nodes <= sub.R_tau0
+        w = bounds.evaluate_steady_state(state, sub.R_tau0, run.grid.nodes[ball])
+        z = (t + 1.0) ** (1.0 / p) * run.values[1, ball]
+        y = logistic_exact(math.log1p(t), sub.delta, p)
+        assert float((z - y * w).min()) == row["min_margin"]
+
+
+def test_time_error_is_the_largest_snapshot_error(long_run):
+    # the one time-error figure is each snapshot's max|E3 - E2| over its own
+    # sup, at its largest: reached late, at t = 649.4, inside the rate window
+    # [10, 1e4] (over the datum's sup, the largest gap read 1.04e-4)
+    run, _, out_dir = long_run
+    errors = run.stats["snapshot_time_error"]
+    worst = max(errors)
+    verdict = json.loads((out_dir / "manifest.json").read_text())["verdict"]
+    assert verdict["time_error"] == run.stats["time_error"] == worst == 0.006185468209303434
+    at = run.times[errors.index(worst)]
+    assert at == pytest.approx(649.38, abs=0.01)
+    assert 10.0 <= at <= 1e4
+
+
 def test_criterion_11_baseline(long_run):
     run, _, _ = long_run
     _, _, in_window, _ = rate_inputs(run)
@@ -400,15 +449,21 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
 # in the artifact list alone when a run came to write one table per axis:
 # the profiles were merged into profiles.csv, sup_norm.csv and lq_1.csv into
 # series.csv and the sandwich's two curves into bound_curves.csv, every
-# number, config and verdict unchanged
+# number, config and verdict unchanged.  All three moved in the verdict alone
+# when each of its numbers came to be recorded once: time_error became the
+# largest snapshot error relative to its own sup (the sandwich's
+# time_error_window, which went), lower_bound's min_margin and
+# snapshots_checked came to be the trajectory's, over t > 0, and the copies
+# fit.p_fit, upper.t0, lower.t0 and ladder.members went
 TRAJECTORY_MANIFESTS = {
-    "pde_decay_sandwich": "65c9e996fccfb1a0ffbfbe46d4859b148dd0c8c283e4698ac4aeb9222ad8f4f4",
-    "ladder": "c6af47daacae6c96ec557492c0a2e14d662a467f87407452756c6909d3a28a3f",
-    "lower_bound": "f5593b263bcae655b17e270c81138dac3e082a8ff2cd47c4dd1aa277b5d640d0",
+    "pde_decay_sandwich": "4192f019768db1a3cd8ea56ccfcb04012de171e9016c5f947b891d6fd55264c3",
+    "ladder": "46310c65b14768ececee8db54dd56f8f61d4c0006db37c815a8a2f3b19c1ac4a",
+    "lower_bound": "dc4317d69859c8d20fa2d7ad449eb550569995e41f3990053b7912b5cbc40519",
 }
 
 
-def test_shipped_trajectory_manifests_pinned(long_run, ladder, tmp_path, assert_one_record):
+def test_shipped_trajectory_manifests_pinned(long_run, ladder, lower_bound_dir,
+                                             assert_one_record):
     # the time-stepping configs give the same bytes as earlier builds: the
     # manifest holds the config, every artifact's sha256 and the verdict, and
     # each artifact on disk matches its listed sha256.  Each run records each
@@ -416,7 +471,7 @@ def test_shipped_trajectory_manifests_pinned(long_run, ladder, tmp_path, assert_
     _, _, sandwich_dir = long_run
     _, ladder_dir, _ = ladder
     out_dirs = {"pde_decay_sandwich": sandwich_dir, "ladder": ladder_dir,
-                "lower_bound": run_shipped("lower_bound", tmp_path)[2]}
+                "lower_bound": lower_bound_dir}
     for name, sha in TRAJECTORY_MANIFESTS.items():
         out_dir = out_dirs[name]
         manifest = out_dir / "manifest.json"

@@ -326,6 +326,38 @@ def test_rate_and_certificate_from_one_evolution(tmp_path, monkeypatch):
     assert verdict["both"]["margins"][0]["min_margin"] >= 0.0
 
 
+def test_certificate_fails_on_the_trajectory_margin(tmp_path, monkeypatch):
+    # negative control of min_margin: the judged run, lowered to eps on the
+    # ball at one snapshot with t > 0 before the horizon, fails the
+    # certificate, while the datum's initial_margin keeps its bits
+    monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
+    doc = {k: v for k, v in TWO_SIDED.items() if k != "rate"}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "held")]) == EXIT_PASS
+    held = verdict_of(tmp_path / "held")
+    (tau0,) = doc["certificate"]["tau0_list"]
+    env = bounds.DecayEnvelope(**doc["envelope"])
+    radius = bounds.subsolution_radius(env, doc["problem"]["p"], tau0)
+    real_ladder = evolution.minimal_solution_ladder
+
+    def lowered_ladder(*args, **kwargs):
+        ladder = real_ladder(*args, **kwargs)
+        run = ladder.proxy
+        k = int(np.flatnonzero(np.log1p(run.times) <= tau0)[-1])
+        assert run.times[k] > 0.0
+        run.values[k, run.grid.nodes <= radius] = run.params.eps
+        return ladder
+
+    monkeypatch.setattr(evolution, "minimal_solution_ladder", lowered_ladder)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "lowered")]) == EXIT_VERDICT
+    lowered = verdict_of(tmp_path / "lowered")
+    assert held["certificate_pass"] and not lowered["certificate_pass"]
+    (row,) = lowered["margins"]
+    assert row["min_margin"] < 0.0 < held["margins"][0]["min_margin"]
+    assert row["initial_margin"] == held["margins"][0]["initial_margin"] > 0.0
+    assert lowered["steady_flux_residual"] <= bounds.RESIDUAL_TOL
+
+
 def test_rate_curves_span_the_window(tmp_path):
     # both curves are drawn, in one table, on the snapshots the sandwich
     # judges: a window that closes before t_end closes them too
@@ -501,9 +533,15 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
                  dict(TINY_DECAY, observers=[name])) for name in ("lq:1\n", "lq: 1")]
     # a grid that RadialGrid refuses, and a q that leaves alpha <= 0, name
     # their section or field; so do members that print alike at %g, which
-    # would write two equal rows and fit a slope through repeated points
+    # would write two equal rows and fit a slope through repeated points, a
+    # family of no members and one whose widest member the grid does not
+    # resolve, which FamilySpec refuses for gn.family_scan too
     twice = "family: member s0.1_w1 is named twice"
     scan_errors = [
+        ("family: scales and widths give no members",
+         with_field(with_field(scan, "family.scales", []), "family.widths", [])),
+        ("family: widest member (width 5) is not resolvable on R = 20: need width <= R/5",
+         with_field(scan, "family.widths", [1, 5])),
         (twice, with_field(scan, "family.scales", [0.1, 0.1])),
         (twice, with_field(scan, "family.widths", [1, 1])),
         (twice, with_field(scan, "family.scales", [0.1, 0.1000001])),
@@ -540,6 +578,10 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
          dict(lq_overflow, envelope=TINY_DECAY["problem"]["u0"], rate={"delta": -0.5})),
         ("certificate.tau0_list: must name at least one horizon",
          dict(lq_overflow, envelope=TINY_DECAY["problem"]["u0"], certificate={"tau0_list": []})),
+        # two equal horizons would write two equal margins rows
+        ("certificate.tau0_list: horizon 1 is listed twice",
+         dict(lq_overflow, envelope=TINY_DECAY["problem"]["u0"],
+              certificate={"tau0_list": [1.0, 0.5, 1]})),
         ("lyapunov_q: unknown field", dict(lq_overflow, lyapunov_q=-1.0)),
     ]
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
@@ -1099,7 +1141,12 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch, assert_one_record):
     # only its window's rows, and the verdict kept its bits; the nine profiles
     # were merged into profiles.csv, sup_norm.csv and lq_1.csv into series.csv
     # and both curves into bound_curves.csv, every number and the verdict
-    # unchanged)
+    # unchanged; the verdict moved when each of its numbers came to be recorded
+    # once: time_error became the largest snapshot error relative to its own
+    # sup (the sandwich's time_error_window, which went), the certificate's
+    # min_margin and snapshots_checked came to be the trajectory's, over
+    # t > 0, and the copies fit.p_fit, upper.t0, lower.t0 and ladder.members
+    # went, every artifact unchanged)
     monkeypatch.setattr(bounds, "STEADY_M", TWO_SIDED_STEADY_M)
     out = tmp_path / "run"
     assert run_experiment(write_config(tmp_path, TWO_SIDED), out) == EXIT_VERDICT
@@ -1114,8 +1161,7 @@ def test_two_sided_artifacts_pinned(tmp_path, monkeypatch, assert_one_record):
     assert_one_record(out)
     verdict = verdict_of(out)
     assert verdict.pop("ladder") == {
-        "members": [{"eps": 1e-4, "R": 12.0}],
         "eps_monotonicity_violation": 0.0, "R_monotonicity_violation": 0.0,
         "eps_cauchy_sup_reldiff": [], "R_cauchy_sup_reldiff": []}
     digest = hashlib.sha256(json.dumps(verdict, sort_keys=True).encode()).hexdigest()
-    assert digest == "6a22ebe4d82cb3555e6af42b0ad6b12f7a09443ee917519149087d6784c7e777"
+    assert digest == "2c57c2fe43535c31bc84049f74c8ca68f9658288e1bb9b5364b248ade7c51000"

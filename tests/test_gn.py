@@ -87,11 +87,15 @@ def test_family_zip_and_broadcast_validation():
         FamilySpec(GAUSSIAN, scales=[0.0])
     with pytest.raises(InputError):
         FamilySpec(DecayEnvelope(kind="DoubleExp", c0=1.0, alpha=1.0, beta=2.0))
+    # an empty list broadcasts the other to no members at all
+    for scales, widths in (([], []), ([], [1.0]), ([1.0], [])):
+        with pytest.raises(InputError, match="give no members"):
+            FamilySpec(GAUSSIAN, scales=scales, widths=widths)
 
 
 def test_family_width_resolvability():
     fam = FamilySpec(GAUSSIAN, widths=[10.0])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"width 10\) is not resolvable on R = 20"):
         family_scan(fam, RadialGrid(3, 20.0, 501), 2.0, SteepnessFunction.log_type(2.0, 4.0))
 
 

@@ -15,18 +15,16 @@ from decaylab.steepness import SteepnessFunction
 T = np.geomspace(10.0, 1e4, 200)
 
 
-def synthetic_run(times, sup, p=1.0, n=1, time_error=0.0, second_order_sup=None):
-    """A run whose sup-norm series is ``sup``, its second-order sup series
-    ``second_order_sup`` (``sup`` when None) and each snapshot's time error
-    ``time_error``."""
+def synthetic_run(times, sup, p=1.0, n=1, second_order_sup=None):
+    """A run whose sup-norm series is ``sup`` and its second-order sup series
+    ``second_order_sup`` (``sup`` when None)."""
     spec = ProblemSpec(p=p, n=n, u0=lambda r: np.exp(-r**2))
     grid = RadialGrid(n, 10.0, 11)
     return EvolutionRun(spec, ApproxParams(R=10.0, eps=1e-5, m=11), grid,
                         np.asarray(times), np.zeros((len(times), grid.m)),
                         {"sup_norm": np.asarray(sup)}, np.empty(0),
-                        {"snapshot_time_error": np.broadcast_to(time_error,
-                                                                len(times)).tolist()},
-                        np.asarray(sup if second_order_sup is None else second_order_sup))
+                        second_order_sup=np.asarray(sup if second_order_sup is None
+                                                    else second_order_sup))
 
 
 def test_fit_recovers_log_model_exactly():
@@ -131,7 +129,7 @@ def test_sandwich_report_on_exact_model():
     verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 1e4))
     assert verdict.fit.sigma == pytest.approx(1.2, abs=1e-6)
     assert verdict.sigma_window == (0.9, 2.0)
-    assert verdict.sigma_time_term == 0.0 and verdict.time_error_window == 0.0
+    assert verdict.sigma_time_term == 0.0
     assert verdict.upper.passed and verdict.lower.passed and verdict.passed
     doc = verdict.to_json()
     assert doc["pass"] and doc["fit"]["sigma"] == pytest.approx(1.2, abs=1e-6)
@@ -143,16 +141,13 @@ def test_sandwich_report_fails_closed_on_the_time_term(be_sigma, passes):
     # sigma = 1.2 in the window [0.9, 2.0]; its time term is |sigma - sigma_BE|,
     # and sigma plus or minus it must lie in the window too: 0.8 puts the
     # interval's lower end at 0.8, 2.1 its upper end at 2.1
-    run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2, time_error=np.linspace(0.0, 1.0, T.size),
+    run = synthetic_run(T, T**-1.0 * np.log(T) ** 1.2,
                         second_order_sup=T**-1.0 * np.log(T) ** be_sigma)
     env = DecayEnvelope(kind="StretchedExp", c0=1.0, alpha=1.0, beta=2.0)
     verdict = sandwich_report(run, env, delta=0.9, window=(10.0, 5e3))
     assert verdict.sigma_time_term == pytest.approx(abs(1.2 - be_sigma), abs=1e-9)
     assert verdict.upper.passed and verdict.lower.passed
     assert verdict.sigma_ok is verdict.passed is passes
-    # the window's time error is that of its last snapshot, below t = 5e3
-    in_window = T <= 5e3
-    assert verdict.time_error_window == np.linspace(0.0, 1.0, T.size)[in_window][-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
