@@ -82,9 +82,17 @@ that roundoff is raised to eps and counted.
 A ladder (``minimal_solution_ladder``) judges its ordering and Cauchy
 differences on the members' backward-Euler passes at TOL alone, all on one
 schedule, where monotonicity holds because each step's matrix has a
-nonnegative inverse (Varga, Matrix Iterative Analysis).  Its proxy is the
-(min eps, max R) member's own ``evolve`` run: in a ladder of one member,
-that run's passes are the only passes.
+nonnegative inverse (Varga, Matrix Iterative Analysis).  The largest-ball
+member of each eps runs first, and a smaller-ball member (eps, R') on m'
+nodes is not run when its rows provably equal the big ball's first m'
+columns: when every window of the big pass has k <= m' - 1, the lifted data
+agree on [0, m') and the grids' h and nodes do, all bit for bit.  Then at
+every step the small grid's window has the same k, because need <
+decay * (m' - 1 - last) follows from last + 1 + ceil(need/decay) <= m' - 1
+(the full-grid fallback k = m never passes), and a windowed step is the step
+on the ball at its pinned row, so the member's pass would solve the same
+systems.  Its proxy is the (min eps, max R) member's own ``evolve`` run: in a
+ladder of one member, that run's passes are the only passes.
 """
 
 from __future__ import annotations
@@ -238,7 +246,8 @@ class _Stepper:
     no returned array shares memory with a buffer.  When the window spans the
     grid the step is the full-grid step; tests pin its bits against the
     unfolded assembly, on the window's rows when it does not.  ``solves``
-    and ``rows`` count the solves and the rows they solved.
+    and ``rows`` count the solves and the rows they solved, and ``widest``
+    the largest k of any of them.
 
     ``__init__`` binds the module's ``dgtsv`` (``_bind_dgtsv``), so LAPACK is
     imported when the first stepper is made; ``step`` looks the name up in the
@@ -252,6 +261,7 @@ class _Stepper:
         self.eps = eps
         self.solves = 0
         self.rows = 0
+        self.widest = 0
         # -Lap_h: the r = 0 row and the interior rows split by neighbor
         (self.center_coeff, inv_h2, geo_lower, geo_upper) = laplacian_stencil(grid)
         self.two_inv_h2 = 2.0 * inv_h2
@@ -310,6 +320,8 @@ class _Stepper:
         b[k - 1:] = self.eps
         self.solves += 1
         self.rows += k
+        if k > self.widest:
+            self.widest = k
         # b[:k] is contiguous float64, so the solve overwrites it in place and
         # out is that view of b
         _, _, _, out, info = dgtsv(dl, d, du, b[:k], 1, 1, 1, 1)
@@ -543,8 +555,11 @@ class LadderResult:
     passes, so its one row is the proxy's extrapolated snapshots,
     ``proxy.values``.  ``proxy`` is the (min eps, max R) member as ``evolve``
     returns it: its own adaptive pass at PROXY_TOL, replayed in halves and in
-    thirds, extrapolated and observed.  ``solves`` counts every solve of the
-    ladder, retries included, and ``rows`` the rows those solves solved.
+    thirds, extrapolated and observed.  A member the ladder did not run
+    (``minimal_solution_ladder``) has as its row a view of the first columns
+    of its eps's largest-ball rows, the array its own pass gives.  ``solves``
+    counts every solve the ladder took, retries included, and ``rows`` the
+    rows those solves solved.
     """
 
     members: dict
@@ -582,6 +597,31 @@ def ladder_params(eps_list: Sequence[float], R_list: Sequence[float], m: int) ->
             for eps in eps_list for R in R_list}
 
 
+def _rows_of_bigger_ball(spec: ProblemSpec, params: ApproxParams,
+                         big: _Pass) -> Optional[np.ndarray]:
+    """The snapshot rows of the member ``params`` on m' nodes as a view of the
+    first m' columns of ``big``, the pass of the same eps on a bigger ball and
+    the same schedule, when the module docstring's conditions prove them the
+    rows of the member's own pass: every window of ``big`` (retries included)
+    has k <= m' - 1, and the lifted data, h and the nodes agree on [0, m') bit
+    for bit.  None when the member must run.  The rows are checked as the
+    member's pass checks its own.
+    """
+    m = params.m
+    grid = RadialGrid(spec.n, params.R, m)
+    big_grid = big.stepper.grid
+    if not (big.stepper.widest <= m - 1 and grid.h == big_grid.h
+            and np.array_equal(grid.nodes, big_grid.nodes[:m])):
+        return None
+    u0 = initial_profile(spec, params, grid)
+    if not np.array_equal(u0, big.u0[:m]):
+        return None
+    rows = big.rows[:, :m]
+    if not _in_range(rows, params.eps, u0):
+        raise SchemeError("discrete maximum principle violated at a snapshot")
+    return rows
+
+
 def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             R_list: Sequence[float], m: int,
                             t_end: float, snapshot_times: Sequence[float],
@@ -592,6 +632,9 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     (max eps, max R), takes its one adaptive backward-Euler pass at TOL, and
     every other member takes one pass that replays the lead's steps, so
     ladder differences are not polluted by differing time discretizations.
+    For each eps the (eps, max R) pass comes first, and a smaller ball is not
+    run when ``_rows_of_bigger_ball`` proves that its pass would give the
+    big pass's rows on the shared nodes; then its row is a view of those.
     On those passes, solutions must decrease along eps and increase along R
     up to LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their
     sup norms.  The proxy for the minimal solution, (min eps, max R), is also
@@ -604,15 +647,23 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     eps_min, R_max = eps_list[-1], R_list[-1]
     # the proxy first, so that its passes are freed before the members' are made
     proxy = evolve(spec, params[eps_min, R_max], t_end, snaps, observers)
+    passes = []
     if len(params) == 1:
-        passes = {}
         members = {(eps_min, R_max): proxy.values}
     else:
-        lead_key = (eps_list[0], R_max)
-        lead = _be_pass(spec, params[lead_key], snaps)
-        passes = {lead_key: lead, **{key: _be_pass(spec, par, snaps, lead.dts)
-                                     for key, par in params.items() if key != lead_key}}
-        members = {key: full.rows for key, full in passes.items()}
+        lead = _be_pass(spec, params[eps_list[0], R_max], snaps)
+        members = {}
+        for eps in eps_list:
+            big = lead if eps == eps_list[0] else _be_pass(spec, params[eps, R_max], snaps,
+                                                           lead.dts)
+            passes.append(big)
+            members[eps, R_max] = big.rows
+            for R in R_list[:-1]:
+                rows = _rows_of_bigger_ball(spec, params[eps, R], big)
+                if rows is None:
+                    passes.append(_be_pass(spec, params[eps, R], snaps, lead.dts))
+                    rows = passes[-1].rows
+                members[eps, R] = rows
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""
@@ -643,8 +694,8 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
     R_cauchy = [sup_reldiff((eps_min, r1), (eps_min, r2))
                 for r1, r2 in zip(R_list, R_list[1:])]
 
-    solves = proxy.stats["solves"] + sum(full.stepper.solves for full in passes.values())
-    rows = proxy.stats["rows"] + sum(full.stepper.rows for full in passes.values())
+    solves = proxy.stats["solves"] + sum(full.stepper.solves for full in passes)
+    rows = proxy.stats["rows"] + sum(full.stepper.rows for full in passes)
     return LadderResult(members, proxy, solves, rows, eps_violation, R_violation,
                         eps_cauchy, R_cauchy)
 

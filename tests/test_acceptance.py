@@ -203,10 +203,12 @@ def test_criterion_05_monotone_ladders(ladder):
 
 
 def test_ladder_judged_on_backward_euler_passes(ladder):
-    # the lead's adaptive pass, one replay per other member and the proxy's
-    # own adaptive pass at PROXY_TOL with its replays in halves and in thirds
+    # the lead's adaptive pass, one replay per R = 40 member and the proxy's
+    # own adaptive pass at PROXY_TOL with its replays in halves and in thirds;
+    # the R = 20 members are the R = 40 members' rows (test below)
     result, _, traced = ladder
-    assert traced == result.solves == 5143
+    assert traced == result.solves == 3193
+    assert result.rows == 1926223
     assert result.eps_violation == result.R_violation == 0.0
     assert result.R_cauchy == [0.0]
     # the eps differences of the extrapolated members (at TOL = 1e-5; they
@@ -214,6 +216,68 @@ def test_ladder_judged_on_backward_euler_passes(ladder):
     # approximate to 1.9e-3 relative, a distance that grows as TOL^(1/2)
     extrapolated = [0.004377761701701719, 0.00043302411249397486]
     np.testing.assert_allclose(result.eps_cauchy, extrapolated, rtol=2e-3, atol=0.0)
+
+
+def ladder_skips(result, eps_list, R_list, m):
+    """The members of the ladder ``result`` whose rows are a view of the
+    biggest ball's rows of their eps; each is asserted to equal, bit for bit,
+    its own backward-Euler pass on the lead's schedule.  Returns those
+    members, the lead's pass and the solves of their own passes."""
+    spec, snaps, R_max = result.proxy.spec, result.proxy.times, R_list[-1]
+    params = evolution.ladder_params(eps_list, R_list, m)
+    lead = evolution._be_pass(spec, params[eps_list[0], R_max], snaps)
+    skipped, solves = [], 0
+    for key, rows in result.members.items():
+        if key[1] != R_max and np.shares_memory(rows, result.members[key[0], R_max]):
+            own = evolution._be_pass(spec, params[key], snaps, lead.dts)
+            assert np.array_equal(own.rows, rows), key
+            skipped.append(key)
+            solves += own.stepper.solves
+    return skipped, lead, solves
+
+
+def test_ladder_skips_the_small_balls_its_big_ones_repeat(ladder):
+    # the windows of every R = 40 pass end inside R = 20 and the lifted data
+    # agree there, so the R = 20 members are the R = 40 members' first 1001
+    # columns, which their own passes reproduce bit for bit
+    result, _, _ = ladder
+    cfg = shipped("ladder")["approx"]
+    eps_list, R_list = cfg["ladder"]["eps_list"], cfg["ladder"]["R_list"]
+    skipped, lead, solves = ladder_skips(result, eps_list, R_list, cfg["m"])
+    assert skipped == [(eps, 20.0) for eps in eps_list]
+    assert solves == 3 * lead.dts.size == 5143 - 3193
+
+
+def test_sandwich_ladder_skips_its_small_balls():
+    # the rate problem's datum on an (eps, R) ladder to t = 1e4: every R = 10
+    # member is the R = 20 member's rows, 7,172 of 17,921 solves not taken
+    cfg = shipped("pde_decay_sandwich")
+    spec = ProblemSpec(p=cfg["problem"]["p"], n=cfg["problem"]["n"],
+                       u0=DecayEnvelope(**cfg["problem"]["u0"]).floor)
+    snaps = np.concatenate([[0.0], np.geomspace(cfg["snapshots"]["t_min"], cfg["t_end"],
+                                                cfg["snapshots"]["count"])])
+    eps_list, R_list = [1e-6, 1e-8, 1e-10, 1e-12], [10.0, 20.0]
+    result = evolution.minimal_solution_ladder(spec, eps_list, R_list, 501, cfg["t_end"], snaps)
+    skipped, _, solves = ladder_skips(result, eps_list, R_list, 501)
+    assert skipped == [(eps, 10.0) for eps in eps_list]
+    assert result.solves == 10749 and result.solves + solves == 17921
+    assert result.R_violation == 0.0 and result.R_cauchy == [0.0]
+
+
+def test_ladder_runs_a_small_ball_its_windows_pass(ladder):
+    # ladder.json with R_list [5, 40]: the widest pinned row, r = 11.54 in the
+    # lead's pass (12.28 in the eps = 1e-4 one), lies outside R = 5, and the
+    # R = 5 datum is cut off where the R = 40 one is not, so every member
+    # takes its own pass
+    result, _, _ = ladder
+    cfg = shipped("ladder")
+    eps_list, R_list, m = cfg["approx"]["ladder"]["eps_list"], [5.0, 40.0], cfg["approx"]["m"]
+    control = evolution.minimal_solution_ladder(result.proxy.spec, eps_list, R_list, m,
+                                                cfg["t_end"], result.proxy.times)
+    skipped, lead, _ = ladder_skips(control, eps_list, R_list, m)
+    assert skipped == [] and (lead.stepper.widest - 1) * 0.02 == pytest.approx(11.54)
+    assert control.solves == (lead.stepper.solves + 5 * lead.dts.size
+                              + control.proxy.stats["solves"])
 
 
 def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2, monkeypatch):

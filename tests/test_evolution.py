@@ -598,9 +598,11 @@ def test_ladder_proxy_is_its_members_own_run(eps_list, R_list, monkeypatch):
     # the proxy is the one run the ladder asks of the module's evolve, that of
     # the (min eps, max R) member on its own adaptive pass at PROXY_TOL; every
     # other member replays the lead's pass at TOL, and so does the proxy's
-    # member in the ladder's ordering and Cauchy rows.  A ladder of one member
-    # has the proxy's passes alone, and its members row is the proxy's
-    # extrapolated snapshots
+    # member in the ladder's ordering and Cauchy rows.  The R = 10 member of
+    # two_R runs too: its datum differs from the R = 20 one's on the shared
+    # nodes and the windows pass r = 10.  A ladder of one member has the
+    # proxy's passes alone, and its members row is the proxy's extrapolated
+    # snapshots
     calls = []
     monkeypatch.setattr(evolution, "evolve",
                         lambda *args, **kwargs: calls.append(args[1]) or evolve(*args, **kwargs))
