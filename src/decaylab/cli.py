@@ -27,7 +27,8 @@ wall-clock text, fixed iteration orders, fixed float formatting).
 Every config field is type-checked (some are range-checked too), and a run
 reads all of its fields before it computes anything, so a missing, wrongly
 typed or out-of-range field (``"2"`` or ``true`` for a number, ``2.5`` for an
-integer, ``0`` for ``t_end``, a certificate horizon beyond ``ln(t_end + 1)``,
+integer, ``0`` for ``t_end``, or one before ``evolution.CAUCHY_T_MIN`` in a
+ladder of more than one member, a certificate horizon beyond ``ln(t_end + 1)``,
 before ``ln(t_min + 1)``, which would check the datum alone, or listed twice),
 a ladder that ``evolution.ladder_params`` refuses, a key no part of the run
 reads (``"certificat"``, or a gauge field of another kind), or a ``rate``
@@ -392,6 +393,9 @@ def _run_pde_decay(cfg: _Section):
     eps_list = [float(e) for e in lcfg.list_of("eps_list", NUMBER)]
     R_list = [float(R) for R in lcfg.list_of("R_list", NUMBER)]
     params = lcfg.build(evolution.ladder_params, eps_list=eps_list, R_list=R_list, m=m)
+    if len(params) > 1 and not t_end >= evolution.CAUCHY_T_MIN:
+        raise ConfigError(f"t_end: a ladder of more than one member compares snapshots from "
+                          f"t = {evolution.CAUCHY_T_MIN:g} on, got {t_end:g}")
     if obs or cert is not None:
         # the judged member's lifted datum: the certificate's floor is checked
         # on it here, and each observer is probed on it before the time stepping

@@ -51,17 +51,11 @@ retried at dt/2; both kinds draw on one budget of MAX_REJECTIONS retries per
 step.  The first step is DT_INIT, since no estimate exists before it, and a
 step shortened to land on a snapshot does not shrink the step after it.
 
-The tolerance tol is TOL for the passes a ladder compares and PROXY_TOL for
-the judged trajectory's own pass.  TOL's bound is the ladder's: its
-backward-Euler Cauchy differences lie 1.9e-3 relative from those of
-extrapolated members on ``configs/ladder.json``, a distance that grows as
-TOL^(1/2) and that a test holds within 2e-3.  PROXY_TOL is set from the time
-error of sigma, which the rate verdicts read: on the shipped rate problem
-(m = 4001) sigma lies 2.0e-4 from its value at PROXY_TOL/16 (2 * half - full
-at TOL lies 3.0e-4 from its own limit, for 60% more solves), against the
-2e-3 to which the benchmark holds sigma and the 0.14 by which eps = 1e-5
-moves it; every rate verdict reports a bound of that error,
-``sigma_time_term`` (``rates.sandwich_report``).
+The tolerance is PROXY_TOL, set from the time error of sigma, which the
+rate verdicts read: on the shipped rate problem (m = 4001) sigma lies 2.0e-4
+from its value at PROXY_TOL/16, against the 2e-3 to which the benchmark holds
+sigma and the 0.14 by which eps = 1e-5 moves it; every rate verdict reports a
+bound of that error, ``sigma_time_term`` (``rates.sandwich_report``).
 
 Every run of ``evolve`` is three backward-Euler passes: the schedule above at
 PROXY_TOL (or a replayed one), then the same schedule with each step halved,
@@ -80,19 +74,19 @@ by more than FLOOR_TOL * eps, or above sup u0, fails the run; one within
 that roundoff is raised to eps and counted.
 
 A ladder (``minimal_solution_ladder``) judges its ordering and Cauchy
-differences on the members' backward-Euler passes at TOL alone, all on one
-schedule, where monotonicity holds because each step's matrix has a
-nonnegative inverse (Varga, Matrix Iterative Analysis).  The largest-ball
-member of each eps runs first, and a smaller-ball member (eps, R') on m'
-nodes is not run when its rows provably equal the big ball's first m'
-columns: when every window of the big pass has k <= m' - 1, the lifted data
-agree on [0, m') and the grids' h and nodes do, all bit for bit.  Then at
-every step the small grid's window has the same k, because need <
-decay * (m' - 1 - last) follows from last + 1 + ceil(need/decay) <= m' - 1
-(the full-grid fallback k = m never passes), and a windowed step is the step
-on the ball at its pinned row, so the member's pass would solve the same
-systems.  Its proxy is the (min eps, max R) member's own ``evolve`` run: in a
-ladder of one member, that run's passes are the only passes.
+differences on the members' backward-Euler passes on one schedule, its proxy's
+steps in thirds, where monotonicity holds because each step's matrix has a
+nonnegative inverse (Varga, Matrix Iterative Analysis).  The proxy is the (min
+eps, max R) member's ``evolve`` run, and its pass in thirds is that member's.
+The largest-ball member of each eps comes first, and a member (eps, R') on m'
+nodes is not run when its rows provably equal the big ball's first m' columns:
+when every window of the big ball's stepper (for the proxy, of all three
+passes) has k <= m' - 1, the lifted data agree on [0, m') and the grids' h and
+nodes do, all bit for bit.  Then at every step the small grid's window has the
+same k, because need < decay * (m' - 1 - last) follows from last + 1 +
+ceil(need/decay) <= m' - 1 (the full-grid fallback k = m never passes), and a
+windowed step is the step on the ball at its pinned row, so the member's pass
+would solve the same systems.  A ladder of one member has only the proxy's.
 """
 
 from __future__ import annotations
@@ -127,8 +121,7 @@ __all__ = [
 FLOOR_TOL = 1e-12   # undershoot of eps allowed as roundoff, relative to eps
 MAX_REJECTIONS = 40   # retries of one step, by the error control or on an undershoot
 DT_INIT = 1e-4   # first adaptive step
-TOL = 2.5e-5     # local error per step of a ladder's passes, relative to max u (module docstring)
-PROXY_TOL = 3e-4   # the same for the judged trajectory's own pass, extrapolated to third order
+PROXY_TOL = 3e-4   # local error per step of a run's adaptive pass, relative to max u
 LADDER_MONOTONICITY_TOL = 1e-8
 CAUCHY_T_MIN = 1.0     # Cauchy differences of a ladder compare snapshots from here on
 DESCENT_TOL = 1e-8     # rise of the descent functional allowed per snapshot, relative
@@ -183,7 +176,8 @@ class EvolutionRun:
     largest of them (module docstring).
     ``second_order_sup`` is the sup series of E2 = 2 * half - full at
     ``times``, against which ``rates.sandwich_report`` measures sigma's time
-    term.
+    term.  ``third_pass`` is the pass in thirds as the extrapolation left it
+    (with the stepper of all three passes), a ladder's (min eps, max R) row.
     """
 
     spec: ProblemSpec
@@ -195,6 +189,7 @@ class EvolutionRun:
     dts: np.ndarray
     stats: dict = field(default_factory=dict)
     second_order_sup: Optional[np.ndarray] = None
+    third_pass: Optional[_Pass] = None
 
     @property
     def datum(self) -> np.ndarray:
@@ -353,11 +348,11 @@ def normalize_snapshots(snapshot_times: Sequence[float], t_end: float) -> np.nda
 
 def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
            schedule: Optional[np.ndarray] = None, halves: int = 1,
-           tol: Optional[float] = None):
+           tol: float = PROXY_TOL):
     """One backward-Euler pass from u to snaps[-1]; row k of the result is u(snaps[k]).
 
     Without ``schedule`` the error controller chooses each step, at the local
-    error tolerance ``tol`` (TOL when None).  With it, each
+    error tolerance ``tol``.  With it, each
     scheduled dt is taken as ``halves`` steps of dt / halves, and the clock
     advances by whole scheduled steps, so a halved replay lands on the same
     snapshots as its schedule.  Returns the recorded rows, the scheduled or
@@ -372,7 +367,6 @@ def _march(stepper: _Stepper, u: np.ndarray, snaps: np.ndarray,
         i_snap = 1
 
     retries = {"rejected": 0, "halvings": 0}
-    tol = TOL if tol is None else tol
     t, t_end = 0.0, times[-1]
     # the change over the step tried and over the last accepted one, |lte| and
     # the last accepted dt (0 before the first)
@@ -448,13 +442,14 @@ def _in_range(rows: np.ndarray, eps: float, u0: np.ndarray) -> bool:
 
 
 def _be_pass(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
-             schedule: Optional[np.ndarray] = None, tol: Optional[float] = None) -> _Pass:
+             schedule: Optional[np.ndarray] = None, halves: int = 1) -> _Pass:
     """The backward-Euler pass from the lifted datum through ``snaps``, adaptive
-    at ``tol`` or replaying ``schedule``, checked for the floor eps and sup u0."""
+    at PROXY_TOL or replaying ``schedule`` with each step in ``halves``,
+    checked for the floor eps and sup u0."""
     grid = RadialGrid(spec.n, params.R, params.m)
     u0 = initial_profile(spec, params, grid)
     stepper = _Stepper(grid, spec.p, params.eps)
-    rows, dts, retries = _march(stepper, u0, snaps, schedule, tol=tol)
+    rows, dts, retries = _march(stepper, u0, snaps, schedule, halves, tol=PROXY_TOL)
     if not _in_range(rows, params.eps, u0):
         raise SchemeError("discrete maximum principle violated at a snapshot")
     return _Pass(stepper, u0, rows, dts, retries)
@@ -463,15 +458,15 @@ def _be_pass(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray,
 def _extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray, full: _Pass,
                  observers: Optional[Mapping[str, Callable]]) -> EvolutionRun:
     """The run whose snapshots are full/2 - 4 half + 9/2 third: ``full`` replayed
-    with each step halved and in thirds, extrapolated and observed; ``full`` is
-    left unchanged."""
-    half, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=2)
-    values, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=3)
-    if not (_in_range(half, params.eps, full.u0) and _in_range(values, params.eps, full.u0)):
+    with each step halved and in thirds, extrapolated and observed; ``full``
+    and the pass in thirds, the run's ``third_pass``, are left unchanged."""
+    values, _, _ = _march(full.stepper, full.u0, snaps, full.dts, halves=2)
+    third, _, retries = _march(full.stepper, full.u0, snaps, full.dts, halves=3)
+    if not (_in_range(values, params.eps, full.u0) and _in_range(third, params.eps, full.u0)):
         raise SchemeError("discrete maximum principle violated at a snapshot")
 
     # the Aitken-Neville table on the step counts 1, 2, 3, formed row by row in
-    # the third pass's rows, so that no other array of snapshots is made:
+    # the half pass's rows, so that no other array of snapshots is made:
     # T21 = half + (half - full), T31 = third + 2 (third - half) and
     # T32 = T31 + (T31 - T21)/2, which is full/2 - 4 half + 9/2 third;
     # T32 - T21 is 3 (T31 - T21)/2
@@ -479,18 +474,17 @@ def _extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray, ful
     diff = np.empty(values.shape[1])
     second_sup = np.empty(len(values))
     gap_max = np.empty(len(values))
-    for k, (full_row, half_row, row) in enumerate(zip(full.rows, half, values)):
-        np.subtract(half_row, full_row, out=second)
-        second += half_row
+    for k, (full_row, row, third_row) in enumerate(zip(full.rows, values, third)):
+        np.subtract(row, full_row, out=second)
+        second += row
         second_sup[k] = second.max()
-        np.subtract(row, half_row, out=diff)
+        np.subtract(third_row, row, out=diff)
         diff *= 2.0
-        row += diff
+        np.add(third_row, diff, out=row)
         np.subtract(row, second, out=diff)
         diff *= 0.5
         row += diff
         gap_max[k] = 3.0 * max(float(diff.max()), -float(diff.min()))
-    del half
     if not _in_range(values, params.eps, full.u0):
         raise SchemeError(f"extrapolated snapshot leaves [eps, sup u0]: min {values.min():.6e} "
                           f"against eps = {params.eps:g}, max {values.max():.6e}")
@@ -506,7 +500,7 @@ def _extrapolate(spec: ProblemSpec, params: ApproxParams, snaps: np.ndarray, ful
              "clamps": clamps, "time_error": float(snapshot_error.max()),
              "snapshot_time_error": snapshot_error.tolist()}
     return EvolutionRun(spec, params, grid, snaps[:len(values)], values, series, full.dts,
-                        stats, second_sup)
+                        stats, second_sup, _Pass(full.stepper, full.u0, third, full.dts, retries))
 
 
 def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
@@ -531,7 +525,7 @@ def evolve(spec: ProblemSpec, params: ApproxParams, t_end: float,
             k = int(bad[0])
             raise SchemeError(f"dt_schedule[{k}] = {dt_schedule[k]:g} is not a positive, "
                               "finite step")
-    full = _be_pass(spec, params, snaps, dt_schedule, tol=PROXY_TOL)
+    full = _be_pass(spec, params, snaps, dt_schedule)
     return _extrapolate(spec, params, snaps, full, observers)
 
 
@@ -550,12 +544,12 @@ class LadderResult:
     proxy, and the monotonicity and convergence evidence read off the passes.
 
     ``members`` maps (eps, R) to the snapshot rows of that member's
-    backward-Euler pass at ``proxy.times``, on the member's own grid (the
-    first nodes of the largest ball's).  A ladder of one member compares no
-    passes, so its one row is the proxy's extrapolated snapshots,
-    ``proxy.values``.  ``proxy`` is the (min eps, max R) member as ``evolve``
-    returns it: its own adaptive pass at PROXY_TOL, replayed in halves and in
-    thirds, extrapolated and observed.  A member the ladder did not run
+    backward-Euler pass at ``proxy.times`` with each step of ``proxy.dts`` in
+    thirds, on the member's own grid (the first nodes of the largest ball's);
+    the (min eps, max R) row is ``proxy.third_pass.rows``.  A ladder of one
+    member compares no passes, so its one row is the proxy's extrapolated
+    snapshots, ``proxy.values``.  ``proxy`` is the (min eps, max R) member as
+    ``evolve`` returns it.  A member the ladder did not run
     (``minimal_solution_ladder``) has as its row a view of the first columns
     of its eps's largest-ball rows, the array its own pass gives.  ``solves``
     counts every solve the ladder took, retries included, and ``rows`` the
@@ -602,9 +596,9 @@ def _rows_of_bigger_ball(spec: ProblemSpec, params: ApproxParams,
     """The snapshot rows of the member ``params`` on m' nodes as a view of the
     first m' columns of ``big``, the pass of the same eps on a bigger ball and
     the same schedule, when the module docstring's conditions prove them the
-    rows of the member's own pass: every window of ``big`` (retries included)
-    has k <= m' - 1, and the lifted data, h and the nodes agree on [0, m') bit
-    for bit.  None when the member must run.  The rows are checked as the
+    rows of the member's own pass: every window of ``big``'s stepper (retries
+    and the proxy's other passes included) has k <= m' - 1, and the lifted
+    data, h and the nodes agree on [0, m') bit for bit.  None when the member must run.  The rows are checked as the
     member's pass checks its own.
     """
     m = params.m
@@ -628,42 +622,43 @@ def minimal_solution_ladder(spec: ProblemSpec, eps_list: Sequence[float],
                             observers: Optional[Mapping[str, Callable]] = None) -> LadderResult:
     """Run the (eps, R) grid of regularized problems and verify the ladder.
 
-    ``ladder_params`` checks every member before any step.  The lead,
-    (max eps, max R), takes its one adaptive backward-Euler pass at TOL, and
-    every other member takes one pass that replays the lead's steps, so
-    ladder differences are not polluted by differing time discretizations.
-    For each eps the (eps, max R) pass comes first, and a smaller ball is not
-    run when ``_rows_of_bigger_ball`` proves that its pass would give the
-    big pass's rows on the shared nodes; then its row is a view of those.
-    On those passes, solutions must decrease along eps and increase along R
-    up to LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their
-    sup norms.  The proxy for the minimal solution, (min eps, max R), is also
-    run on its own schedule by ``evolve`` (adaptive at PROXY_TOL, replayed in
-    halves and in thirds, extrapolated and observed).  A ladder of one member
-    takes the proxy's passes alone.
+    ``ladder_params`` checks every member, and a ladder of more than one
+    member a t_end that reaches CAUCHY_T_MIN, before any step.  The proxy for
+    the minimal solution, (min eps, max R), runs first, by ``evolve``
+    (adaptive at PROXY_TOL, replayed in halves and in thirds, extrapolated and
+    observed).  Its pass in thirds is that member's row, and every other
+    member replays the proxy's steps in thirds, so ladder differences are not
+    polluted by differing time discretizations.  For each eps the (eps, max R)
+    pass comes first, and a smaller ball is not run when
+    ``_rows_of_bigger_ball`` proves that its pass would give the big pass's
+    rows on the shared nodes; then its row is a view of those.  On those
+    passes, solutions must decrease along eps and increase along R up to
+    LADDER_MONOTONICITY_TOL, and the Cauchy differences compare their sup
+    norms from CAUCHY_T_MIN on.  A ladder of one member has the proxy's alone.
     """
     params = ladder_params(eps_list, R_list, m)
     snaps = normalize_snapshots(snapshot_times, t_end)
+    if len(params) > 1 and not t_end >= CAUCHY_T_MIN:
+        raise InputError(f"t_end = {t_end:g} lies before CAUCHY_T_MIN = {CAUCHY_T_MIN:g}, "
+                         "from which a ladder's Cauchy differences compare snapshots")
     eps_min, R_max = eps_list[-1], R_list[-1]
-    # the proxy first, so that its passes are freed before the members' are made
     proxy = evolve(spec, params[eps_min, R_max], t_end, snaps, observers)
     passes = []
     if len(params) == 1:
         members = {(eps_min, R_max): proxy.values}
     else:
-        lead = _be_pass(spec, params[eps_list[0], R_max], snaps)
         members = {}
+
+        def replay(key) -> _Pass:
+            passes.append(_be_pass(spec, params[key], snaps, proxy.dts, halves=3))
+            return passes[-1]
+
         for eps in eps_list:
-            big = lead if eps == eps_list[0] else _be_pass(spec, params[eps, R_max], snaps,
-                                                           lead.dts)
-            passes.append(big)
+            big = proxy.third_pass if eps == eps_min else replay((eps, R_max))
             members[eps, R_max] = big.rows
             for R in R_list[:-1]:
                 rows = _rows_of_bigger_ball(spec, params[eps, R], big)
-                if rows is None:
-                    passes.append(_be_pass(spec, params[eps, R], snaps, lead.dts))
-                    rows = passes[-1].rows
-                members[eps, R] = rows
+                members[eps, R] = replay((eps, R)).rows if rows is None else rows
 
     def max_gap(pairs, ladder: str) -> float:
         """Largest violation of high >= low over (low, high) members, on the shared nodes."""

@@ -71,8 +71,8 @@ def lift_half_pass(monkeypatch):
     real_march = evolution._march
 
     def lift(x):
-        def march(stepper, u, snaps, schedule=None, halves=1, tol=None):
-            values, dts, retries = real_march(stepper, u, snaps, schedule, halves, tol)
+        def march(stepper, u, snaps, schedule=None, halves=1, **kwargs):
+            values, dts, retries = real_march(stepper, u, snaps, schedule, halves, **kwargs)
             if halves == 2:
                 values[:, -1] += 0.25 * x * stepper.eps
             return values, dts, retries

@@ -203,37 +203,39 @@ def test_criterion_05_monotone_ladders(ladder):
 
 
 def test_ladder_judged_on_backward_euler_passes(ladder):
-    # the lead's adaptive pass, one replay per R = 40 member and the proxy's
-    # own adaptive pass at PROXY_TOL with its replays in halves and in thirds;
-    # the R = 20 members are the R = 40 members' rows (test below)
+    # the proxy's adaptive pass at PROXY_TOL with its replays in halves and in
+    # thirds, the last of which is the (1e-4, 40) member's row, and one replay
+    # in thirds per other R = 40 member; the R = 20 members are the R = 40
+    # members' rows (test below)
     result, _, traced = ladder
-    assert traced == result.solves == 3193
-    assert result.rows == 1926223
+    assert traced == result.solves == 2473
+    assert result.rows == 1485496
     assert result.eps_violation == result.R_violation == 0.0
     assert result.R_cauchy == [0.0]
-    # the eps differences of the extrapolated members (at TOL = 1e-5; they
-    # move by 2e-9 relative at 2.5e-5), which the passes' differences
-    # approximate to 1.9e-3 relative, a distance that grows as TOL^(1/2)
+    # the eps differences of the extrapolated members (each an adaptive run at
+    # a local tolerance of 1e-5; they move by 2e-9 relative at 2.5e-5), which
+    # the passes' differences approximate to 1.98e-3 relative
     extrapolated = [0.004377761701701719, 0.00043302411249397486]
     np.testing.assert_allclose(result.eps_cauchy, extrapolated, rtol=2e-3, atol=0.0)
 
 
 def ladder_skips(result, eps_list, R_list, m):
     """The members of the ladder ``result`` whose rows are a view of the
-    biggest ball's rows of their eps; each is asserted to equal, bit for bit,
-    its own backward-Euler pass on the lead's schedule.  Returns those
-    members, the lead's pass and the solves of their own passes."""
-    spec, snaps, R_max = result.proxy.spec, result.proxy.times, R_list[-1]
+    biggest ball's rows of their eps, and the solves of their own passes.
+    Every member's row is asserted to equal, bit for bit, its own
+    backward-Euler pass on the proxy's steps in thirds; the (min eps, max R)
+    row is the proxy's own pass in thirds."""
+    proxy, R_max = result.proxy, R_list[-1]
+    assert result.members[eps_list[-1], R_max] is proxy.third_pass.rows
     params = evolution.ladder_params(eps_list, R_list, m)
-    lead = evolution._be_pass(spec, params[eps_list[0], R_max], snaps)
     skipped, solves = [], 0
     for key, rows in result.members.items():
+        own = evolution._be_pass(proxy.spec, params[key], proxy.times, proxy.dts, halves=3)
+        assert np.array_equal(own.rows, rows), key
         if key[1] != R_max and np.shares_memory(rows, result.members[key[0], R_max]):
-            own = evolution._be_pass(spec, params[key], snaps, lead.dts)
-            assert np.array_equal(own.rows, rows), key
             skipped.append(key)
             solves += own.stepper.solves
-    return skipped, lead, solves
+    return skipped, solves
 
 
 def test_ladder_skips_the_small_balls_its_big_ones_repeat(ladder):
@@ -243,14 +245,14 @@ def test_ladder_skips_the_small_balls_its_big_ones_repeat(ladder):
     result, _, _ = ladder
     cfg = shipped("ladder")["approx"]
     eps_list, R_list = cfg["ladder"]["eps_list"], cfg["ladder"]["R_list"]
-    skipped, lead, solves = ladder_skips(result, eps_list, R_list, cfg["m"])
+    skipped, solves = ladder_skips(result, eps_list, R_list, cfg["m"])
     assert skipped == [(eps, 20.0) for eps in eps_list]
-    assert solves == 3 * lead.dts.size == 5143 - 3193
+    assert solves == 3 * 3 * result.proxy.dts.size == 4327 - 2473
 
 
 def test_sandwich_ladder_skips_its_small_balls():
     # the rate problem's datum on an (eps, R) ladder to t = 1e4: every R = 10
-    # member is the R = 20 member's rows, 7,172 of 17,921 solves not taken
+    # member is the R = 20 member's rows, 7,044 of 15,880 solves not taken
     cfg = shipped("pde_decay_sandwich")
     spec = ProblemSpec(p=cfg["problem"]["p"], n=cfg["problem"]["n"],
                        u0=DecayEnvelope(**cfg["problem"]["u0"]).floor)
@@ -258,26 +260,26 @@ def test_sandwich_ladder_skips_its_small_balls():
                                                 cfg["snapshots"]["count"])])
     eps_list, R_list = [1e-6, 1e-8, 1e-10, 1e-12], [10.0, 20.0]
     result = evolution.minimal_solution_ladder(spec, eps_list, R_list, 501, cfg["t_end"], snaps)
-    skipped, _, solves = ladder_skips(result, eps_list, R_list, 501)
+    skipped, solves = ladder_skips(result, eps_list, R_list, 501)
     assert skipped == [(eps, 10.0) for eps in eps_list]
-    assert result.solves == 10749 and result.solves + solves == 17921
+    assert result.solves == 8836 and result.solves + solves == 15880
     assert result.R_violation == 0.0 and result.R_cauchy == [0.0]
 
 
 def test_ladder_runs_a_small_ball_its_windows_pass(ladder):
-    # ladder.json with R_list [5, 40]: the widest pinned row, r = 11.54 in the
-    # lead's pass (12.28 in the eps = 1e-4 one), lies outside R = 5, and the
-    # R = 5 datum is cut off where the R = 40 one is not, so every member
-    # takes its own pass
+    # ladder.json with R_list [5, 40]: the widest pinned row of the proxy's
+    # passes, r = 12.28, lies outside R = 5, and the R = 5 datum is cut off
+    # where the R = 40 one is not, so every member but the proxy's takes its
+    # own pass in thirds
     result, _, _ = ladder
     cfg = shipped("ladder")
     eps_list, R_list, m = cfg["approx"]["ladder"]["eps_list"], [5.0, 40.0], cfg["approx"]["m"]
     control = evolution.minimal_solution_ladder(result.proxy.spec, eps_list, R_list, m,
                                                 cfg["t_end"], result.proxy.times)
-    skipped, lead, _ = ladder_skips(control, eps_list, R_list, m)
-    assert skipped == [] and (lead.stepper.widest - 1) * 0.02 == pytest.approx(11.54)
-    assert control.solves == (lead.stepper.solves + 5 * lead.dts.size
-                              + control.proxy.stats["solves"])
+    skipped, _ = ladder_skips(control, eps_list, R_list, m)
+    proxy = control.proxy
+    assert skipped == [] and (proxy.third_pass.stepper.widest - 1) * 0.02 == pytest.approx(12.28)
+    assert control.solves == proxy.stats["solves"] + 5 * 3 * proxy.dts.size == 4327
 
 
 def test_criterion_06_semiconvexity(gaussian_run_p1, gaussian_run_p2, monkeypatch):
@@ -518,10 +520,13 @@ def test_judged_runs_stay_radially_nonincreasing(long_run, ladder):
 # largest snapshot error relative to its own sup (the sandwich's
 # time_error_window, which went), lower_bound's min_margin and
 # snapshots_checked came to be the trajectory's, over t > 0, and the copies
-# fit.p_fit, upper.t0, lower.t0 and ladder.members went
+# fit.p_fit, upper.t0, lower.t0 and ladder.members went.  ladder moved in its
+# eps Cauchy differences alone when its members came to replay the proxy's
+# steps in thirds, in place of a second adaptive pass: 4.38588e-3 and
+# 4.33813e-4 became 4.38645e-3 and 4.33869e-4
 TRAJECTORY_MANIFESTS = {
     "pde_decay_sandwich": "4192f019768db1a3cd8ea56ccfcb04012de171e9016c5f947b891d6fd55264c3",
-    "ladder": "46310c65b14768ececee8db54dd56f8f61d4c0006db37c815a8a2f3b19c1ac4a",
+    "ladder": "b09a81af20be345344b45f929308105626b7e5929aa6c2e8461a5859f3a45e8e",
     "lower_bound": "dc4317d69859c8d20fa2d7ad449eb550569995e41f3990053b7912b5cbc40519",
 }
 

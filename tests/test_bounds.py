@@ -209,10 +209,12 @@ def test_steady_state_non_convergence_names_the_bracket(monkeypatch):
 @pytest.mark.parametrize("a, p, n, m, expected", [
     (0.25033333333333335, 1.0, 2, 101, 0.00033333333333335994),   # survives
     (0.75, 4.0, 1, 101, 0.3435921562283486),                     # survives
-    (0.0009583333333333334, 1.0, 1, 101, -0.96),                 # dies in stage 2
-    (0.022208333333333333, 1.0, 3, 101, -0.6399999999999999),    # dies in stage 3
-    (0.0015833333333333333, 1.0, 1, 101, -0.95),                 # dies in stage 4
-    (0.005333333333333333, 2.0, 1, 101, -0.99),                  # dies after a step
+    # a death before the last step: the ids name the exit path, not the pin
+    pytest.param(0.0009583333333333334, 1.0, 1, 101, -0.96, id="dies-stage2-p1-n1"),
+    pytest.param(0.022208333333333333, 1.0, 3, 101, -0.6399999999999999,
+                 id="dies-stage3-p1-n3"),
+    pytest.param(0.0015833333333333333, 1.0, 1, 101, -0.95, id="dies-stage4-p1-n1"),
+    pytest.param(0.005333333333333333, 2.0, 1, 101, -0.99, id="dies-after-step-p2-n1"),
     # a death in stage 4 of the last step reads as that stage value, w + h*v3
     (0.564182, 2.0, 1, 101, -1.7489106726720216e-06),
     (0.24975, 1.0, 2, 101, -0.0002499999999999924),

@@ -570,6 +570,13 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
         ("family: DoubleExp envelope needs gamma > 0, got -1.0",
          with_field(scan, "family", dict(double_exp, gamma=-1.0, scales=[0.1]))),
     ]
+    # a ladder of more than one member compares its snapshots from
+    # evolution.CAUCHY_T_MIN = 1 on; a t_end before it used to end in a
+    # traceback after all of the ladder's time stepping, with exit 1
+    early_ladder = [
+        ("t_end: a ladder of more than one member compares snapshots from t = 1 on, got 0.5",
+         with_field(with_field(ladder, "t_end", 0.5), "snapshots", {"count": 5, "t_min": 0.1})),
+    ]
     # an observer that overflows on the datum (exit 3 once the run starts) is
     # probed after every field is read and checked: a config error wins
     lq_overflow = with_field(TINY_DECAY, "observers", ["lq:1e-5"])
@@ -587,7 +594,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     for doc in (ill_typed + out_of_range + removed_fields + list(late_rate_errors.values())
                 + [doc for _, doc in constants + bad_problems + overflowing_gauges
                    + config_before_probe + scan_errors + removed_observer + repeated_q
-                   + spaced_q + bad_gamma]
+                   + spaced_q + bad_gamma + early_ladder]
                 + [removed_mode, typo]):
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG, doc
@@ -596,7 +603,7 @@ def test_schema_errors_exit_2(tmp_path, monkeypatch, capsys):
     for message, doc in [
         *late_rate_errors.items(), *constants, *bad_problems, *overflowing_gauges,
         *config_before_probe, *scan_errors, *removed_observer, *repeated_q, *spaced_q,
-        *bad_gamma,
+        *bad_gamma, *early_ladder,
         ("mode: 'unknown' not one of ('steady_state', 'lfunction_audit', 'gn_scan', "
          "'pde_decay')", bad[1]),
         ("rate.window: expected [number, number or null], got [1.0]", ill_typed[-1]),

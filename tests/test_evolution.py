@@ -223,7 +223,7 @@ def test_windowed_trajectory_lies_below_the_full_grid_one(p, n):
     u0 = evolution.initial_profile(spec, params, grid)
     snaps = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 9)])
     windowed = evolution._Stepper(grid, p, eps)
-    rows, dts, _ = evolution._march(windowed, u0, snaps, tol=evolution.TOL)
+    rows, dts, _ = evolution._march(windowed, u0, snaps, tol=2.5e-5)
     full, _, _ = evolution._march(ReferenceStepper(grid, p, eps), u0, snaps, dts)
     assert windowed.rows < 0.4 * params.m * windowed.solves    # measured 0.32
     gap = full - rows
@@ -326,7 +326,7 @@ def test_exact_separable_solution_at_p_1(n):
     q = (R**2 - grid.nodes**2) / (2.0 * n)
     snaps = np.array([0.0, 1.0, 10.0, 100.0, 1e3, 1e4])
     stepper = evolution._Stepper(grid, 1.0, eps)
-    full, dts, _ = evolution._march(stepper, q + eps, snaps)
+    full, dts, _ = evolution._march(stepper, q + eps, snaps, tol=2.5e-5)
     half, _, _ = evolution._march(stepper, q + eps, snaps, dts, halves=2)
     exact = q / (snaps[:, None] + 1.0) + eps
     for vals in (full, half, 2.0 * half - full):
@@ -596,13 +596,13 @@ def test_ladder_monotone_and_cauchy():
                          ids=["two_eps", "two_R", "three_eps", "one_member"])
 def test_ladder_proxy_is_its_members_own_run(eps_list, R_list, monkeypatch):
     # the proxy is the one run the ladder asks of the module's evolve, that of
-    # the (min eps, max R) member on its own adaptive pass at PROXY_TOL; every
-    # other member replays the lead's pass at TOL, and so does the proxy's
-    # member in the ladder's ordering and Cauchy rows.  The R = 10 member of
-    # two_R runs too: its datum differs from the R = 20 one's on the shared
-    # nodes and the windows pass r = 10.  A ladder of one member has the
-    # proxy's passes alone, and its members row is the proxy's extrapolated
-    # snapshots
+    # the (min eps, max R) member on its own adaptive pass at PROXY_TOL; its
+    # pass in thirds is that member's row in the ladder's ordering and Cauchy
+    # checks, and every other member replays the proxy's steps in thirds.  The
+    # R = 10 member of two_R runs too: its datum differs from the R = 20 one's
+    # on the shared nodes and the windows pass r = 10.  A ladder of one member
+    # has the proxy's passes alone, and its members row is the proxy's
+    # extrapolated snapshots
     calls = []
     monkeypatch.setattr(evolution, "evolve",
                         lambda *args, **kwargs: calls.append(args[1]) or evolve(*args, **kwargs))
@@ -622,6 +622,7 @@ def test_ladder_proxy_is_its_members_own_run(eps_list, R_list, monkeypatch):
     assert np.array_equal(proxy.second_order_sup, ref.second_order_sup)
     assert np.array_equal(proxy.dts, ref.dts)
     assert proxy.stats == ref.stats
+    assert np.array_equal(proxy.third_pass.rows, ref.third_pass.rows)
 
     proxy_key = (eps_list[-1], 20.0)
     if len(ladder.members) == 1:
@@ -629,21 +630,21 @@ def test_ladder_proxy_is_its_members_own_run(eps_list, R_list, monkeypatch):
         assert ladder.solves == ref.stats["solves"]
         assert ladder.rows == ref.stats["rows"]
         return
-    lead = evolution._be_pass(spec, ApproxParams(R=20.0, eps=eps_list[0], m=501), proxy.times)
-    replay = evolution._be_pass(spec, proxy_params, proxy.times, lead.dts)
-    assert np.array_equal(ladder.members[eps_list[0], 20.0], lead.rows)
-    assert np.array_equal(ladder.members[proxy_key], replay.rows)
-    # the lead's adaptive pass, one solve per step for every other member, and
-    # the proxy's three passes (6 solves a step) with its retries
-    replayed = (len(ladder.members) - 1) * lead.dts.size
-    assert ladder.solves == lead.stepper.solves + replayed + ref.stats["solves"]
+    # bit for bit, every member's row is its own pass on the proxy's steps in
+    # thirds, and the proxy's member's row is the proxy's own pass in thirds
+    own = {key: evolution._be_pass(spec, par, proxy.times, proxy.dts, halves=3)
+           for key, par in evolution.ladder_params(eps_list, R_list, 501).items()}
+    for key, member in own.items():
+        assert np.array_equal(ladder.members[key], member.rows), key
+    assert ladder.members[proxy_key] is proxy.third_pass.rows
+    # the proxy's three passes (6 solves a step) with its retries, and three
+    # solves a step for every other member
+    replayed = (len(ladder.members) - 1) * 3 * proxy.dts.size
+    assert ladder.solves == ref.stats["solves"] + replayed
     # and the rows of those solves, which the members' windows make fewer
     # than m each
-    members = [evolution._be_pass(spec, par, proxy.times, lead.dts)
-               for key, par in evolution.ladder_params(eps_list, R_list, 501).items()
-               if key != (eps_list[0], 20.0)]
-    assert ladder.rows == (lead.stepper.rows + sum(p.stepper.rows for p in members)
-                           + ref.stats["rows"])
+    assert ladder.rows == ref.stats["rows"] + sum(member.stepper.rows for key, member
+                                                  in own.items() if key != proxy_key)
     assert ladder.rows < 501 * ladder.solves
     assert ref.stats["solves"] == (6 * ref.dts.size + ref.stats["rejected"]
                                    + ref.stats["halvings"])
@@ -679,6 +680,12 @@ def test_ladder_input_validation(monkeypatch):
     monkeypatch.setattr(evolution, "_be_pass", no_pass)
     with pytest.raises(InputError, match="eps must lie in"):
         minimal_solution_ladder(spec, [1e-2, -1.0], [5.0], 101, 1.0, [1.0])
+    # a ladder of more than one member whose snapshots all lie before
+    # CAUCHY_T_MIN has no Cauchy difference to take; it used to fail on an
+    # empty reduction after all of its time stepping
+    for eps_list, R_list in (([1e-2, 1e-3], [5.0]), ([1e-2], [2.5, 5.0])):
+        with pytest.raises(InputError, match="before CAUCHY_T_MIN = 1"):
+            minimal_solution_ladder(spec, eps_list, R_list, 101, 0.5, [0.1, 0.3])
 
 
 def test_lyapunov_series_descends_for_log_gauge():
