@@ -236,9 +236,12 @@ class _Stepper:
     ``c_i * (-g_i)`` is ``-(c_i * g_i)`` bit for bit, since doubling and
     negation are exact; ``u**p * dt`` is ``dt * u**p``, and ``u**1`` is ``u``.
     ``dgtsv`` overwrites the three diagonals, so every step writes all of
-    them.  The right-hand side is a fresh copy of u that the solve overwrites
-    and the step returns, so a retried step never sees a clobbered state and
-    no returned array shares memory with a buffer.  When the window spans the
+    them.  The ten views of the buffers and of the stencil factors that a
+    step on k rows reads and writes are kept with the last k and sliced again
+    only when ``window`` returns another: most steps take the window of the
+    step before (``_window_views``).  The right-hand side is a fresh copy of
+    u that the solve overwrites and the step returns, so a retried step never
+    sees a clobbered state and no returned array shares memory with a buffer.  When the window spans the
     grid the step is the full-grid step; tests pin its bits against the
     unfolded assembly, on the window's rows when it does not.  ``solves``
     and ``rows`` count the solves and the rows they solved, and ``widest``
@@ -270,6 +273,18 @@ class _Stepper:
         self._dl = np.empty(m - 1)
         self._d = np.empty(m)
         self._du = np.empty(m - 1)
+        self._k = 0
+        self._views = ()
+
+    def _window_views(self, k: int) -> tuple:
+        """The ten views of the buffers and stencil factors that a step on k
+        rows writes and reads; sliced again only when k changes."""
+        if k != self._k:
+            c, dl, d, du = self._c[:k], self._dl[:k - 1], self._d[:k], self._du[:k - 1]
+            self._views = (c, dl, d, du, c[1:-1], d[1:-1], du[1:], dl[:-1],
+                           self.neg_upper[:k - 2], self.neg_lower[:k - 2])
+            self._k = k
+        return self._views
 
     def window(self, u: np.ndarray, dt: float) -> int:
         """The number k of rows, at least 2, that a step of dt from u solves.
@@ -295,7 +310,7 @@ class _Stepper:
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         k = self.window(u, dt)
-        c, dl, d, du = self._c[:k], self._dl[:k - 1], self._d[:k], self._du[:k - 1]
+        c, dl, d, du, c_in, d_in, du_in, dl_in, neg_upper, neg_lower = self._window_views(k)
         if self.p == 1.0:
             np.multiply(u[:k], dt, out=c)
         else:
@@ -304,11 +319,10 @@ class _Stepper:
         c0 = float(c[0])
         d[0] = 1.0 + c0 * self.center_coeff
         du[0] = -c0 * self.center_coeff
-        c_in, d_in = c[1:-1], d[1:-1]
         np.multiply(c_in, self.two_inv_h2, out=d_in)
         d_in += 1.0
-        np.multiply(c_in, self.neg_upper[:k - 2], out=du[1:])
-        np.multiply(c_in, self.neg_lower[:k - 2], out=dl[:-1])
+        np.multiply(c_in, neg_upper, out=du_in)
+        np.multiply(c_in, neg_lower, out=dl_in)
         d[-1] = 1.0     # pinned Dirichlet row
         dl[-1] = 0.0
         b = u.copy()

@@ -128,6 +128,18 @@ def window_rows(u, dt, p, eps, h):
     return min(above[-1] + 1 + margin, u.size)
 
 
+def kept_arrays(stepper):
+    """Every array the step keeps, by name: its buffers, the folded stencil
+    factors and, held in a tuple, the views of its last window."""
+    kept = {}
+    for name, a in vars(stepper).items():
+        if isinstance(a, tuple):
+            kept.update((f"{name}[{i}]", v) for i, v in enumerate(a) if isinstance(v, np.ndarray))
+        elif isinstance(a, np.ndarray):
+            kept[name] = a
+    return kept
+
+
 def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
     # the step equals the unfolded assembly bit for bit: on the full grid when
     # the window spans it, and on the window's rows, row k - 1 pinned, when not
@@ -148,10 +160,6 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
                 for eps in (1e-3, 1e-8):
                     lean = evolution._Stepper(grid, p, eps)
                     ref = ReferenceStepper(grid, p, eps)
-                    # every array the step keeps: its buffers and the folded
-                    # stencil factors
-                    kept = {k: a for k, a in vars(lean).items() if isinstance(a, np.ndarray)}
-                    assert {"_c", "_dl", "_d", "_du", "neg_lower", "neg_upper"} <= kept.keys()
                     # flat at eps near the boundary, where roundoff can undershoot,
                     # and held at eps, where the window is its least, 2 rows
                     bump = np.where(grid.nodes < 4.0, np.exp(-grid.nodes**2), 0.0) + eps
@@ -170,12 +178,54 @@ def test_lean_step_matches_reference_bit_for_bit(monkeypatch):
                         assert out.min() >= eps
                         clamped += raw_undershoots[0] > 0.0
                         windows.append("least" if k == 2 else "full" if k == m else "inner")
+                        kept = kept_arrays(lean)
+                        assert {"_c", "_dl", "_d", "_du", "neg_lower", "neg_upper",
+                                *(f"_views[{i}]" for i in range(10))} <= kept.keys()
                         assert not any(np.shares_memory(out, a) for a in [u, *kept.values()])
                         assert u.tobytes() == u_before.tobytes()
     # several of these steps undershoot eps by roundoff and are clamped, and
     # the windows take every kind of size
     assert clamped >= 5
     assert set(windows) == {"least", "inner", "full"}
+
+
+@pytest.mark.parametrize("p, n", [(1.0, 1), (2.0, 3)])
+def test_kept_window_views_match_reference_bit_for_bit(p, n):
+    # one stepper keeps the views of its last window: steps through windows
+    # that grow, shrink, repeat and return to an earlier k, and retries from
+    # an older state as the adaptive pass does, each equal to the unfolded
+    # assembly bit for bit
+    eps, m = 1e-3, 201
+    grid = RadialGrid(n, 10.0, m)
+    lean, ref = evolution._Stepper(grid, p, eps), ReferenceStepper(grid, p, eps)
+    narrow = np.where(grid.nodes < 2.0, np.exp(-grid.nodes**2), 0.0) + eps
+    wide = np.where(grid.nodes < 6.0, np.exp(-(grid.nodes / 3.0)**2), 0.0) + eps
+    states = [(narrow, 1e-3), (narrow, 1e-3), (wide, 1e-3), (narrow, 1e-3),
+              (np.full(m, eps), 1e-3), (wide, 1e5), (narrow, 1e-2), (narrow, 1e-3)]
+    ks = []
+
+    def check(u, dt):
+        k = lean.window(u, dt)
+        views = lean._views
+        out = lean.step(u, dt)
+        assert (lean._views is views) == (k == (ks[-1] if ks else 0))
+        expected = ref.step(u, dt) if k == m else ref.step(u, dt, rows=k)
+        assert out.tobytes() == expected.tobytes(), (len(ks), k)
+        assert not any(np.shares_memory(out, a) for a in kept_arrays(lean).values())
+        ks.append(k)
+        return out
+
+    for u, dt in states:
+        check(u, dt)
+    u = narrow
+    for _ in range(6):
+        u_prev, u = u, check(u, 1e-3)
+    # the last step rejected: retried from its input at a shorter dt, then on
+    check(check(u_prev, 1e-5), 1e-3)
+    changes = [b - a for a, b in zip(ks, ks[1:]) if b != a]
+    assert min(changes) < 0 < max(changes)            # windows shrink and grow
+    assert ks.count(ks[0]) >= 3 and 2 in ks and m in ks    # an earlier k returns
+    assert len(changes) < len(ks) - 1, ks             # and repeats keep their views
 
 
 def test_step_with_a_nan_beyond_the_window_fails_closed():
